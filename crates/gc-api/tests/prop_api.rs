@@ -70,6 +70,7 @@ fn comparable(r: &CollectionReport) -> Vec<u64> {
         r.objects_copied,
         r.words_copied,
         r.dirty_segments_scanned,
+        r.dirty_cards_scanned,
         r.guardian_entries_visited,
         r.guardian_entries_held,
         r.guardian_entries_finalized,

@@ -6,17 +6,17 @@
 //! Scheme errors).
 //!
 //! Every store of a value into a heap object passes the **write barrier**:
-//! if the containing segment belongs to an older generation, the segment
-//! is marked dirty so the next collection's remembered-set scan finds
-//! potential old→young pointers. With the paper's promotion policy
-//! (collecting a generation collects all younger ones too), mutation is
-//! the *only* source of old→young pointers, so dirty segments are a
-//! complete remembered set.
+//! if the slot's segment belongs to an older generation, the slot's card
+//! is marked (and its run flagged dirty) so the next collection's
+//! remembered-set scan finds potential old→young pointers. With the
+//! paper's promotion policy (collecting a generation collects all younger
+//! ones too), mutation is the *only* source of old→young pointers, so the
+//! marked cards are a complete remembered set.
 
 use crate::header::{Header, ObjKind};
 use crate::heap::{read_bytes, Heap};
 use crate::value::{fwd, Value};
-use guardians_segments::Space;
+use guardians_segments::{Space, WordAddr};
 
 impl Heap {
     // ------------------------------------------------------------------
@@ -129,30 +129,40 @@ impl Heap {
     // Write barrier
     // ------------------------------------------------------------------
 
-    /// Marks `container`'s segment dirty (and records it in the table's
-    /// dirty index) if it lives in an older generation and `stored` is a
-    /// heap pointer.
+    /// Marks the card of `slot` — a field of `container` that `stored`
+    /// was just written to — if it lives in an older generation and
+    /// `stored` is a heap pointer. Only the card's byte is set (to 0); the
+    /// referent's generation is not looked up.
     ///
     /// While an incremental collection is suspended this is also the
     /// *collector's* write barrier: storing a from-space pointer into any
     /// segment outside the from-space may hide it in a region an earlier
     /// increment already scanned, so the segment is logged for re-scan by
-    /// the next increment. Stores *into* from-space objects need no log —
-    /// an unforwarded object's words travel wholesale if it is ever
-    /// copied (callers resolve the container first, so such stores only
-    /// hit genuinely-unforwarded objects).
+    /// the next increment. A store *into* a from-space object travels
+    /// wholesale if the object is ever copied (callers resolve the
+    /// container first, so such stores only hit genuinely-unforwarded
+    /// objects) — but the card marked here dies with the from-space, so a
+    /// store of something allocated since the flip (which stays young) is
+    /// logged for the collector to re-mark on the copy.
     #[inline]
-    pub(crate) fn barrier(&mut self, container: Value, stored: Value) {
+    pub(crate) fn barrier(&mut self, container: Value, slot: WordAddr, stored: Value) {
         if !stored.is_ptr() {
             return;
         }
-        let seg = container.addr().seg();
-        if self.segs.info(seg).generation > 0 {
-            self.segs.mark_dirty(seg);
-        }
+        self.segs.mark_card(slot);
         if let Some(st) = self.incremental.as_mut() {
-            if st.s.from_space.contains(stored.addr().seg()) && !st.s.from_space.contains(seg) {
-                st.log_rescan(seg);
+            let seg = container.addr().seg();
+            let stored_seg = stored.addr().seg();
+            match (
+                st.s.from_space.contains(seg),
+                st.s.from_space.contains(stored_seg),
+            ) {
+                (false, true) => st.log_rescan(seg),
+                (true, false) if self.segs.info(stored_seg).generation < st.s.target => {
+                    st.late_stores
+                        .push((container, (slot.raw() - container.addr().raw()) as usize));
+                }
+                _ => {}
             }
         }
     }
@@ -188,7 +198,7 @@ impl Heap {
         let x = self.resolve_read(x);
         self.expect_pair(v, "set-car!");
         self.segs.set_word(v.addr(), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr(), x);
     }
 
     /// Sets the cdr of a pair (barriered).
@@ -197,7 +207,7 @@ impl Heap {
         let x = self.resolve_read(x);
         self.expect_pair(v, "set-cdr!");
         self.segs.set_word(v.addr().add(1), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(1), x);
     }
 
     // ------------------------------------------------------------------
@@ -241,7 +251,7 @@ impl Heap {
             h.len
         );
         self.segs.set_word(v.addr().add(1 + i), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(1 + i), x);
     }
 
     // ------------------------------------------------------------------
@@ -313,7 +323,7 @@ impl Heap {
         let x = self.resolve_read(x);
         self.expect_kind(v, ObjKind::Symbol, "set-symbol-extra!");
         self.segs.set_word(v.addr().add(2), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(2), x);
     }
 
     // ------------------------------------------------------------------
@@ -389,7 +399,7 @@ impl Heap {
         let x = self.resolve_read(x);
         self.expect_kind(v, ObjKind::Box, "set-box!");
         self.segs.set_word(v.addr().add(1), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(1), x);
     }
 
     // ------------------------------------------------------------------
@@ -455,7 +465,7 @@ impl Heap {
             h.len - 1
         );
         self.segs.set_word(v.addr().add(2 + i), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(2 + i), x);
     }
 
     /// Reads record field `i` with the dynamic kind/range checks demoted
@@ -493,7 +503,7 @@ impl Heap {
             "record-set! (audited): field {i} out of range"
         );
         self.segs.set_word(v.addr().add(2 + i), x.raw());
-        self.barrier(v, x);
+        self.barrier(v, v.addr().add(2 + i), x);
     }
 
     // ------------------------------------------------------------------

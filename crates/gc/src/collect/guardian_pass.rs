@@ -43,7 +43,7 @@
 //!   generation-unfriendly behaviour the per-generation lists avoid
 //!   (experiment E3).
 
-use super::{forward, forwarded_p, get_fwd, kleene_sweep, Scratch};
+use super::{forward, forwarded_p, get_fwd, kleene_sweep, settled_generation, Scratch};
 use crate::heap::{GuardEntry, Heap};
 use crate::trace::GcEvent;
 use crate::value::Value;
@@ -67,7 +67,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     for i in list_indices {
         for e in std::mem::take(&mut heap.protected[i]) {
             s.report.guardian_entries_visited += 1;
-            if forwarded_p(heap, s, e.obj) {
+            if forwarded_p(heap, &s.from_space, e.obj) {
                 pend_hold.push(e);
             } else {
                 pend_final.push(e);
@@ -86,7 +86,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
         let mut final_list = Vec::new();
         let mut remaining = Vec::new();
         for e in pend_final {
-            if forwarded_p(heap, s, e.tconc) {
+            if forwarded_p(heap, &s.from_space, e.tconc) {
                 final_list.push(e);
             } else {
                 remaining.push(e);
@@ -103,7 +103,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
             // Paper: forward(obj). With an agent, the representative is
             // forwarded (saved from destruction) in the object's place.
             let rep = forward(heap, s, e.rep);
-            let tconc = get_fwd(heap, s, e.tconc);
+            let tconc = get_fwd(heap, &s.from_space, e.tconc);
             append_to_tconc(heap, s, tconc, rep);
             s.report.guardian_entries_finalized += 1;
         }
@@ -114,18 +114,13 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     // inaccessible individually.
     s.report.guardian_entries_dropped += pend_final.len() as u64;
 
-    // Block 3: migrate held entries to the target generation's list.
-    let dest = if heap.config.flat_protected {
-        0
-    } else {
-        s.target as usize
-    };
-    let mut held = Vec::new();
+    // Block 3: migrate held entries to the target generation's list — or
+    // to a younger referent's (see `settled_generation`).
     let mut agent_copied = false;
     for e in pend_hold {
-        if forwarded_p(heap, s, e.tconc) {
-            let obj = get_fwd(heap, s, e.obj);
-            let tconc = get_fwd(heap, s, e.tconc);
+        if forwarded_p(heap, &s.from_space, e.tconc) {
+            let obj = get_fwd(heap, &s.from_space, e.obj);
+            let tconc = get_fwd(heap, &s.from_space, e.tconc);
             let rep = if e.rep == e.obj {
                 obj
             } else {
@@ -133,13 +128,20 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
                 agent_copied = agent_copied || e.rep.is_ptr();
                 forward(heap, s, e.rep)
             };
-            held.push(GuardEntry { obj, rep, tconc });
+            let dest = if heap.config.flat_protected {
+                0
+            } else {
+                [e.obj, e.rep, e.tconc]
+                    .iter()
+                    .map(|&v| settled_generation(heap, &s.from_space, s.target, v))
+                    .fold(s.target, u8::min) as usize
+            };
+            heap.protected[dest].push(GuardEntry { obj, rep, tconc });
             s.report.guardian_entries_held += 1;
         } else {
             s.report.guardian_entries_dropped += 1;
         }
     }
-    heap.protected[dest].extend(held);
     if agent_copied {
         kleene_sweep(heap, s);
     }
@@ -154,7 +156,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
 /// Collector-side tconc append (Figure 3): allocates the fresh last pair
 /// directly in the target generation and publishes the element by writing
 /// the header's cdr last. Writes go through the barriered accessors so a
-/// tconc living in an older generation leaves its segment dirty.
+/// tconc living in an older generation gets its card marked.
 fn append_to_tconc(heap: &mut Heap, s: &mut Scratch, tconc: Value, obj: Value) {
     let p_addr = heap.alloc_words_internal(Space::Pair, s.target, 2);
     heap.segs.set_word(p_addr, Value::FALSE.raw());

@@ -42,12 +42,12 @@
 //! experiment E18, argued in DESIGN.md §10).
 
 use super::{
-    emit_phase, finalizer_pass, forward, guardian_pass, remset, sweep_unit, weak_pass,
-    FromSpaceMap, Scratch,
+    emit_end, emit_phase, finalizer_pass, forward, guardian_pass, lap, reclaim, remset, sweep_unit,
+    weak_pass, Scratch,
 };
 use crate::heap::Heap;
-use crate::stats::CollectionReport;
-use crate::trace::{GcEvent, GcPhase};
+use crate::trace::GcPhase;
+use crate::value::{fwd, Value};
 use guardians_segments::SegIndex;
 use std::time::{Duration, Instant};
 
@@ -67,6 +67,12 @@ pub(crate) struct IncrementalState {
     pub(crate) rescan: Vec<SegIndex>,
     /// Membership bitset for `rescan`, grown on demand.
     rescan_in: Vec<u64>,
+    /// `(container, field offset)` of barriered stores that put a pointer
+    /// younger than the target generation (something allocated since the
+    /// flip) into a still-unforwarded from-space object. The store travels
+    /// with the object's copy but its card mark does not, so
+    /// [`settle_late_stores`] re-marks the card on the copy.
+    pub(crate) late_stores: Vec<(Value, usize)>,
     /// Whether `roots_traced` has been counted (roots are re-forwarded
     /// every increment, but counted once for serial counter parity).
     roots_counted: bool,
@@ -121,51 +127,7 @@ impl IncrementalState {
 /// with [`step`].
 pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<IncrementalState> {
     let start = Instant::now();
-    let target = heap
-        .config
-        .promotion
-        .target(g, heap.config.max_generation());
-
-    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
-    let mut from_heads = Vec::new();
-    for gen in 0..=g {
-        for seg in heap.segs.drain_generation(gen) {
-            if from_space.contains(seg) {
-                continue;
-            }
-            from_space.insert(seg);
-            if heap.segs.info(seg).is_head() {
-                from_heads.push(seg);
-            }
-        }
-    }
-    heap.reset_cursors(g, target);
-    heap.tospace_log = Some(Vec::new());
-
-    let mut s = Scratch {
-        g,
-        target,
-        from_space,
-        from_heads,
-        queue: Vec::new(),
-        parked: Vec::new(),
-        pending: Vec::new(),
-        weak_tospace: Vec::new(),
-        old_weak_dirty: Vec::new(),
-        trace_on: heap.tracing_enabled(),
-        copied_per_gen: vec![0; heap.config.generations as usize],
-        report: CollectionReport {
-            collection_index: heap.collections,
-            collected_generation: g,
-            target_generation: target,
-            ..CollectionReport::default()
-        },
-    };
-    heap.trace_emit(|| GcEvent::CollectionBegin {
-        index: s.report.collection_index,
-        collected_generation: g,
-        target_generation: target,
-    });
+    let mut s = Scratch::begin(heap, g);
     // The remembered-set work list: the same dirty-index drain the serial
     // engine performs, snapshotted so increments can walk it a segment at
     // a time. Segments dirtied *after* this point belong to the next
@@ -184,6 +146,7 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<IncrementalState> {
         remset_cursor: 0,
         rescan: Vec::new(),
         rescan_in: Vec::new(),
+        late_stores: Vec::new(),
         roots_counted: false,
         carry: flip,
     })
@@ -217,7 +180,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
         st.s.report.roots_traced = traced;
         st.roots_counted = true;
     }
-    lap(heap, &mut st.s, &mut mark, GcPhase::Roots);
+    lap(heap, &mut st.s.report, &mut mark, GcPhase::Roots);
 
     // Drain the write-barrier log: segments mutated since the last
     // increment to hold from-space pointers. New copies land in the
@@ -230,7 +193,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
         for seg in segs {
             remset::rescan_segment(heap, &mut st.s, seg);
         }
-        lap(heap, &mut st.s, &mut mark, GcPhase::Remset);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Remset);
     }
 
     // Remembered set, one segment per yield check.
@@ -245,7 +208,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
                 break;
             }
         }
-        lap(heap, &mut st.s, &mut mark, GcPhase::Remset);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Remset);
     }
 
     // Kleene sweep, one unit per yield check. Reaching the unit fixpoint
@@ -262,44 +225,33 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
                 break;
             }
         }
-        lap(heap, &mut st.s, &mut mark, GcPhase::Sweep);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Sweep);
     }
 
-    if finished {
+    if !finished {
+        settle_late_stores(heap, st);
+    } else {
         // The terminal increment: guardian, finalizer, weak, and reclaim
         // run unbounded — the guardian-atomicity pause floor. See the
         // module docs.
         if heap.config.ablate_weak_pass_first {
             weak_pass::run(heap, &mut st.s);
-            lap(heap, &mut st.s, &mut mark, GcPhase::Weak);
+            lap(heap, &mut st.s.report, &mut mark, GcPhase::Weak);
         }
         guardian_pass::run(heap, &mut st.s);
-        lap(heap, &mut st.s, &mut mark, GcPhase::Guardian);
-        finalizer_pass(heap, &mut st.s);
-        lap(heap, &mut st.s, &mut mark, GcPhase::Finalizer);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Guardian);
+        let s = &mut st.s;
+        finalizer_pass(heap, &s.from_space, (s.g, s.target), &mut s.report);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Finalizer);
         weak_pass::run(heap, &mut st.s);
-        lap(heap, &mut st.s, &mut mark, GcPhase::Weak);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Weak);
 
+        // After the guardian pass (it may resurrect a logged container),
+        // before the from-space words holding the forwarding marks go.
+        settle_late_stores(heap, st);
         let heads = std::mem::take(&mut st.s.from_heads);
-        for head in heads {
-            let run = heap.segs.run_len(head) as u64;
-            st.s.report.segments_freed += run;
-            heap.segs.free(head);
-            heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
-        }
-        heap.tospace_log = None;
-        lap(heap, &mut st.s, &mut mark, GcPhase::Reclaim);
-
-        if st.s.trace_on {
-            for (generation, &words) in st.s.copied_per_gen.iter().enumerate() {
-                if words > 0 {
-                    heap.trace_emit(|| GcEvent::GenCopied {
-                        generation: generation as u8,
-                        words,
-                    });
-                }
-            }
-        }
+        reclaim(heap, heads, &mut st.s.report);
+        lap(heap, &mut st.s.report, &mut mark, GcPhase::Reclaim);
     }
 
     st.s.report.increments += 1;
@@ -309,48 +261,22 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
     st.carry = Duration::ZERO;
 
     if finished {
-        let r = &st.s.report;
-        let (index, words_copied, pairs_copied, objects_copied) = (
-            r.collection_index,
-            r.words_copied,
-            r.pairs_copied,
-            r.objects_copied,
-        );
-        let (guardian_entries_visited, weak_pairs_scanned, dur_ns) = (
-            r.guardian_entries_visited,
-            r.weak_pairs_scanned,
-            r.duration.as_nanos() as u64,
-        );
-        heap.trace_emit(|| GcEvent::CollectionEnd {
-            index,
-            words_copied,
-            pairs_copied,
-            objects_copied,
-            guardian_entries_visited,
-            weak_pairs_scanned,
-            dur_ns,
-        });
+        emit_end(heap, &st.s.copied_per_gen, &st.s.report);
     }
     finished
 }
 
-/// Closes a timed section: accumulates the elapsed time into the matching
-/// phase of the report and emits the `PhaseEnd` event, so the trace's
-/// phase sum stays equal to `phases.total()` across any number of
-/// increments.
-fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
-    let now = Instant::now();
-    let d = now - *mark;
-    *mark = now;
-    match phase {
-        GcPhase::Flip => s.report.phases.flip += d,
-        GcPhase::Roots => s.report.phases.roots += d,
-        GcPhase::Remset => s.report.phases.remset += d,
-        GcPhase::Sweep => s.report.phases.sweep += d,
-        GcPhase::Guardian => s.report.phases.guardian += d,
-        GcPhase::Finalizer => s.report.phases.finalizer += d,
-        GcPhase::Weak => s.report.phases.weak += d,
-        GcPhase::Reclaim => s.report.phases.reclaim += d,
-    }
-    emit_phase(heap, phase, d);
+/// Re-marks the card of every logged late store whose container has been
+/// copied by now, so no suspended state (and no finished collection) has
+/// an old→young pointer in a to-space copy without a card. Entries whose
+/// container is still unforwarded stay logged; at the terminal increment
+/// those containers are dead.
+fn settle_late_stores(heap: &mut Heap, st: &mut IncrementalState) {
+    st.late_stores.retain(|&(container, offset)| {
+        let Some(new) = fwd::decode(heap.segs.word(container.addr())) else {
+            return true;
+        };
+        heap.segs.mark_card(new.add(offset));
+        false
+    });
 }

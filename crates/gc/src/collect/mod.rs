@@ -116,6 +116,9 @@ pub(crate) struct Scratch {
     /// Reusable candidate buffer for the two-pass slice scan:
     /// `(word offset from segment base, from-space pointer found there)`.
     pub pending: Vec<(usize, Value)>,
+    /// Reusable copy of the card bytes of the run being walked (the walk
+    /// needs the whole heap mutably, so it works on a copy).
+    pub cards: Vec<u8>,
     /// To-space weak-pair segments, for the weak pass.
     pub weak_tospace: Vec<SegIndex>,
     /// Dirty old-generation weak-pair segments, for the weak pass.
@@ -136,6 +139,107 @@ impl Scratch {
     pub fn in_from(&self, seg: SegIndex) -> bool {
         self.from_space.contains(seg)
     }
+
+    /// Phase 1 for the serial and incremental drivers: the flip, a fresh
+    /// scratch state and the `CollectionBegin` event.
+    pub fn begin(heap: &mut Heap, g: u8) -> Scratch {
+        let (target, from_space, from_heads) = flip(heap, g);
+        let report = begin_report(heap, g, target);
+        Scratch {
+            g,
+            target,
+            from_space,
+            from_heads,
+            queue: Vec::new(),
+            parked: Vec::new(),
+            pending: Vec::new(),
+            cards: Vec::new(),
+            weak_tospace: Vec::new(),
+            old_weak_dirty: Vec::new(),
+            trace_on: heap.tracing_enabled(),
+            copied_per_gen: vec![0; heap.config.generations as usize],
+            report,
+        }
+    }
+}
+
+/// The flip every driver starts with: picks the target generation,
+/// snapshots the from-space (every segment of a collected generation;
+/// heads are also listed for the reclaim) and resets the allocation
+/// cursors. Drains the per-generation segment lists instead of walking
+/// the whole table; the bitset dedups entries for segments freed and
+/// recycled back into the same generation.
+pub(crate) fn flip(heap: &mut Heap, g: u8) -> (u8, FromSpaceMap, Vec<SegIndex>) {
+    let target = heap
+        .config
+        .promotion
+        .target(g, heap.config.max_generation());
+    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
+    let mut from_heads = Vec::new();
+    for gen in 0..=g {
+        for seg in heap.segs.drain_generation(gen) {
+            if from_space.contains(seg) {
+                continue;
+            }
+            from_space.insert(seg);
+            if heap.segs.info(seg).is_head() {
+                from_heads.push(seg);
+            }
+        }
+    }
+    heap.reset_cursors(g, target);
+    heap.tospace_log = Some(Vec::new());
+    (target, from_space, from_heads)
+}
+
+/// A fresh report for a collection of `0..=g`, announced on the trace.
+pub(crate) fn begin_report(heap: &mut Heap, g: u8, target: u8) -> CollectionReport {
+    let index = heap.collections;
+    heap.trace_emit(|| GcEvent::CollectionBegin {
+        index,
+        collected_generation: g,
+        target_generation: target,
+    });
+    CollectionReport {
+        collection_index: index,
+        collected_generation: g,
+        target_generation: target,
+        ..CollectionReport::default()
+    }
+}
+
+/// Phase 8: returns every from-space run to the free pool.
+pub(crate) fn reclaim(heap: &mut Heap, from_heads: Vec<SegIndex>, report: &mut CollectionReport) {
+    for head in from_heads {
+        let run = heap.segs.run_len(head) as u64;
+        report.segments_freed += run;
+        heap.segs.free(head);
+        heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
+    }
+    heap.tospace_log = None;
+}
+
+/// The closing events: one `GenCopied` per source generation that lost
+/// words (they are counted only while tracing), then `CollectionEnd`.
+pub(crate) fn emit_end(heap: &mut Heap, copied_per_gen: &[u64], r: &CollectionReport) {
+    for (generation, &words) in copied_per_gen.iter().enumerate() {
+        if words > 0 {
+            heap.trace_emit(|| GcEvent::GenCopied {
+                generation: generation as u8,
+                words,
+            });
+        }
+    }
+    heap.trace_emit(|| GcEvent::CollectionEnd {
+        index: r.collection_index,
+        words_copied: r.words_copied,
+        pairs_copied: r.pairs_copied,
+        objects_copied: r.objects_copied,
+        guardian_entries_visited: r.guardian_entries_visited,
+        weak_pairs_scanned: r.weak_pairs_scanned,
+        dirty_cards_scanned: r.dirty_cards_scanned,
+        dur_ns: r.duration.as_nanos() as u64,
+    });
 }
 
 /// A conservative upper bound on the segment acquisitions a collection of
@@ -202,62 +306,9 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
         return parallel::run(heap, g);
     }
     let start = Instant::now();
-    let target = heap
-        .config
-        .promotion
-        .target(g, heap.config.max_generation());
-
-    // Phase 1: flip. Drain the per-generation segment lists instead of
-    // walking the whole table; the bitset dedups entries for segments
-    // freed and recycled back into the same generation.
-    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
-    let mut from_heads = Vec::new();
-    for gen in 0..=g {
-        for seg in heap.segs.drain_generation(gen) {
-            if from_space.contains(seg) {
-                continue;
-            }
-            from_space.insert(seg);
-            if heap.segs.info(seg).is_head() {
-                from_heads.push(seg);
-            }
-        }
-    }
-    heap.reset_cursors(g, target);
-    heap.tospace_log = Some(Vec::new());
-
-    let mut s = Scratch {
-        g,
-        target,
-        from_space,
-        from_heads,
-        queue: Vec::new(),
-        parked: Vec::new(),
-        pending: Vec::new(),
-        weak_tospace: Vec::new(),
-        old_weak_dirty: Vec::new(),
-        trace_on: heap.tracing_enabled(),
-        copied_per_gen: vec![0; heap.config.generations as usize],
-        report: CollectionReport {
-            collection_index: heap.collections,
-            collected_generation: g,
-            target_generation: target,
-            ..CollectionReport::default()
-        },
-    };
-    heap.trace_emit(|| GcEvent::CollectionBegin {
-        index: s.report.collection_index,
-        collected_generation: g,
-        target_generation: target,
-    });
+    let mut s = Scratch::begin(heap, g);
     let mut mark = start;
-    let mut lap = |now: Instant| {
-        let d = now - mark;
-        mark = now;
-        d
-    };
-    s.report.phases.flip = lap(Instant::now());
-    emit_phase(heap, GcPhase::Flip, s.report.phases.flip);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Flip);
 
     // Phase 2: roots.
     let mut roots = std::mem::take(&mut heap.roots);
@@ -269,18 +320,15 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
     });
     heap.roots = roots;
     s.report.roots_traced = traced;
-    s.report.phases.roots = lap(Instant::now());
-    emit_phase(heap, GcPhase::Roots, s.report.phases.roots);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Roots);
 
     // Phase 3: remembered set.
     remset::scan_dirty(heap, &mut s);
-    s.report.phases.remset = lap(Instant::now());
-    emit_phase(heap, GcPhase::Remset, s.report.phases.remset);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Remset);
 
     // Phase 4: kleene sweep.
     kleene_sweep(heap, &mut s);
-    s.report.phases.sweep = lap(Instant::now());
-    emit_phase(heap, GcPhase::Sweep, s.report.phases.sweep);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Sweep);
 
     if heap.config.ablate_weak_pass_first {
         // Ablation: break weak cars BEFORE the guardian pass gets to
@@ -288,62 +336,58 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
         // warns against. A second pass below keeps the heap valid for
         // weak pairs copied during the guardian pass itself.
         weak_pass::run(heap, &mut s);
-        let d = lap(Instant::now());
-        s.report.phases.weak += d;
-        emit_phase(heap, GcPhase::Weak, d);
+        lap(heap, &mut s.report, &mut mark, GcPhase::Weak);
     }
 
     // Phase 5: guardians.
     guardian_pass::run(heap, &mut s);
-    s.report.phases.guardian = lap(Instant::now());
-    emit_phase(heap, GcPhase::Guardian, s.report.phases.guardian);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Guardian);
 
     // Phase 6: Dickey-baseline finalizers.
-    finalizer_pass(heap, &mut s);
-    s.report.phases.finalizer = lap(Instant::now());
-    emit_phase(heap, GcPhase::Finalizer, s.report.phases.finalizer);
+    finalizer_pass(heap, &s.from_space, (s.g, s.target), &mut s.report);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Finalizer);
 
     // Phase 7: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
     // object will still be in the car field after collection."
     weak_pass::run(heap, &mut s);
-    let d = lap(Instant::now());
-    s.report.phases.weak += d;
-    emit_phase(heap, GcPhase::Weak, d);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Weak);
 
     // Phase 8: reclaim the from-space.
     let heads = std::mem::take(&mut s.from_heads);
-    for head in heads {
-        let run = heap.segs.run_len(head) as u64;
-        s.report.segments_freed += run;
-        heap.segs.free(head);
-        heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
-    }
-    heap.tospace_log = None;
-    s.report.phases.reclaim = lap(Instant::now());
-    emit_phase(heap, GcPhase::Reclaim, s.report.phases.reclaim);
+    reclaim(heap, heads, &mut s.report);
+    lap(heap, &mut s.report, &mut mark, GcPhase::Reclaim);
 
-    if s.trace_on {
-        for (generation, &words) in s.copied_per_gen.iter().enumerate() {
-            if words > 0 {
-                heap.trace_emit(|| GcEvent::GenCopied {
-                    generation: generation as u8,
-                    words,
-                });
-            }
-        }
-    }
     s.report.duration = start.elapsed();
-    heap.trace_emit(|| GcEvent::CollectionEnd {
-        index: s.report.collection_index,
-        words_copied: s.report.words_copied,
-        pairs_copied: s.report.pairs_copied,
-        objects_copied: s.report.objects_copied,
-        guardian_entries_visited: s.report.guardian_entries_visited,
-        weak_pairs_scanned: s.report.weak_pairs_scanned,
-        dur_ns: s.report.duration.as_nanos() as u64,
-    });
+    emit_end(heap, &s.copied_per_gen, &s.report);
     s.report
+}
+
+/// Closes a timed section: accumulates the time since `mark` into the
+/// matching phase of the report, restarts `mark`, and emits the `PhaseEnd`
+/// event, so the trace's phase sum stays equal to `phases.total()` across
+/// any number of increments (or ablation re-runs of a phase).
+pub(crate) fn lap(
+    heap: &mut Heap,
+    report: &mut CollectionReport,
+    mark: &mut Instant,
+    phase: GcPhase,
+) {
+    let now = Instant::now();
+    let d = now - *mark;
+    *mark = now;
+    let p = &mut report.phases;
+    *match phase {
+        GcPhase::Flip => &mut p.flip,
+        GcPhase::Roots => &mut p.roots,
+        GcPhase::Remset => &mut p.remset,
+        GcPhase::Sweep => &mut p.sweep,
+        GcPhase::Guardian => &mut p.guardian,
+        GcPhase::Finalizer => &mut p.finalizer,
+        GcPhase::Weak => &mut p.weak,
+        GcPhase::Reclaim => &mut p.reclaim,
+    } += d;
+    emit_phase(heap, phase, d);
 }
 
 /// Emits a `PhaseEnd` event (one null test when tracing is off).
@@ -358,11 +402,11 @@ pub(crate) fn emit_phase(heap: &mut Heap, phase: GcPhase, d: std::time::Duration
 /// during this collection or when it resides in a generation older than
 /// those being collected". Non-pointers (fixnums, immediates) are
 /// trivially "accessible".
-pub(crate) fn forwarded_p(heap: &Heap, s: &Scratch, v: Value) -> bool {
+pub(crate) fn forwarded_p(heap: &Heap, from: &FromSpaceMap, v: Value) -> bool {
     if !v.is_ptr() {
         return true;
     }
-    if !s.in_from(v.addr().seg()) {
+    if !from.contains(v.addr().seg()) {
         return true;
     }
     fwd::decode(heap.segs.word(v.addr())).is_some()
@@ -371,8 +415,8 @@ pub(crate) fn forwarded_p(heap: &Heap, s: &Scratch, v: Value) -> bool {
 /// The paper's `get-fwd-addr`: "returns either the forwarding address of
 /// obj or the address of obj itself". The caller must know the object is
 /// accessible (`forwarded_p`).
-pub(crate) fn get_fwd(heap: &Heap, s: &Scratch, v: Value) -> Value {
-    if !v.is_ptr() || !s.in_from(v.addr().seg()) {
+pub(crate) fn get_fwd(heap: &Heap, from: &FromSpaceMap, v: Value) -> Value {
+    if !v.is_ptr() || !from.contains(v.addr().seg()) {
         return v;
     }
     match fwd::decode(heap.segs.word(v.addr())) {
@@ -385,13 +429,15 @@ pub(crate) fn get_fwd(heap: &Heap, s: &Scratch, v: Value) -> Value {
 /// object; returns the (possibly updated) pointer. Leaves a broken heart
 /// behind. Object bodies move as bulk slice copies, not word loops.
 pub(crate) fn forward(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
-    if !v.is_ptr() {
+    if !v.is_ptr() || !s.in_from(v.addr().seg()) {
         return v;
     }
+    forward_from(heap, s, v)
+}
+
+/// [`forward`] for a value already known to point into the from-space.
+pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
     let addr = v.addr();
-    if !s.in_from(addr.seg()) {
-        return v;
-    }
     let first = heap.segs.word(addr);
     if let Some(new) = fwd::decode(first) {
         return v.retag_at(new);
@@ -502,7 +548,7 @@ fn flush_candidates(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
     }
     let mut pending = std::mem::take(&mut s.pending);
     for entry in pending.iter_mut() {
-        entry.1 = forward(heap, s, entry.1);
+        entry.1 = forward_from(heap, s, entry.1);
     }
     let mut i = 0;
     while i < pending.len() {
@@ -599,17 +645,38 @@ pub(crate) fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
 /// preserved — their ids are reported so the embedding can run thunks.
 /// Runs after the guardian pass, so an object that is both guarded and
 /// watched is seen alive here (guardians win; documented in DESIGN.md).
-pub(crate) fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
+pub(crate) fn finalizer_pass(
+    heap: &mut Heap,
+    from: &FromSpaceMap,
+    (g, target): (u8, u8),
+    report: &mut CollectionReport,
+) {
     let mut migrated = Vec::new();
-    for i in 0..=s.g as usize {
+    for i in 0..=g as usize {
         for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
-            if forwarded_p(heap, s, e.obj) {
-                e.obj = get_fwd(heap, s, e.obj);
-                migrated.push(e);
+            if forwarded_p(heap, from, e.obj) {
+                let dest = settled_generation(heap, from, target, e.obj);
+                e.obj = get_fwd(heap, from, e.obj);
+                migrated.push((dest, e));
             } else {
-                s.report.finalized_ids.push(e.id);
+                report.finalized_ids.push(e.id);
             }
         }
     }
-    heap.finalize_watch[s.target as usize].extend(migrated);
+    for (dest, e) in migrated {
+        heap.finalize_watch[dest as usize].push(e);
+    }
+}
+
+/// The generation a surviving referent of a held entry ends this
+/// collection in, capped at `target`: a from-space survivor is in the
+/// target generation, anything else stays where it is. Below `target`
+/// only for something allocated while this (incremental) collection was
+/// suspended — the entry is then filed under that generation, so that the
+/// collection that moves the referent visits the entry.
+pub(crate) fn settled_generation(heap: &Heap, from: &FromSpaceMap, target: u8, v: Value) -> u8 {
+    if !v.is_ptr() || from.contains(v.addr().seg()) {
+        return target;
+    }
+    heap.segs.info(v.addr().seg()).generation.min(target)
 }

@@ -12,9 +12,11 @@
 //!
 //! # What runs where
 //!
-//! * **Remset**: the main thread drains the dirty index (same skip rules
-//!   as [`super::remset`]) into per-segment shard units; workers scan the
-//!   shards. Spans of copied-but-unscanned to-space words are *deferred*
+//! * **Remset**: the main thread drains the dirty index
+//!   ([`remset::drain_entry`], the serial skip rules) into per-run shard
+//!   units carrying a copy of the run's card bytes; workers walk them
+//!   with the shared [`remset::walk_cards`] and hand the refreshed bytes
+//!   back. Spans of copied-but-unscanned to-space words are *deferred*
 //!   to the sweep, mirroring the serial remset phase which forwards but
 //!   never sweeps.
 //! * **Sweep**: workers drain the deferred spans and then chase the
@@ -71,7 +73,11 @@
 //!
 //! [`PhaseTimes::worker_time`]: crate::PhaseTimes
 
-use super::{emit_phase, FromSpaceMap};
+use super::remset::{self, CardTracer};
+use super::weak_pass::points_younger;
+use super::{
+    begin_report, emit_end, finalizer_pass, flip, forwarded_p, get_fwd, lap, reclaim, FromSpaceMap,
+};
 use crate::header::Header;
 use crate::heap::{GuardEntry, Heap};
 use crate::stats::CollectionReport;
@@ -222,13 +228,14 @@ enum Unit {
         bases: Box<[*mut u64]>,
         total: usize,
     },
-    /// A dirty old-generation Pair/Typed segment (remset shard). `bases`
-    /// are frozen run chunk bases; `gen` is the holder's generation for
-    /// the still-dirty recomputation.
+    /// A dirty old-generation Pair/Typed run (remset shard). `bases` are
+    /// frozen run chunk bases, `cards` a copy of the run's card bytes
+    /// (refreshed by the walk and written back by the main thread), `gen`
+    /// the holder's generation.
     Dirty {
         seg: SegIndex,
         bases: Box<[*mut u64]>,
-        space: Space,
+        cards: Box<[u8]>,
         gen: u8,
         used: usize,
     },
@@ -275,6 +282,7 @@ struct Shared<'a> {
     deferred: Mutex<Vec<Unit>>,
     from_space: &'a FromSpaceMap,
     snap: &'a Snapshot,
+    g: u8,
     target: u8,
     trace_on: bool,
     workers: usize,
@@ -301,8 +309,9 @@ struct WorkerCtx {
     acquired_events: Vec<u64>,
     /// Weak-pair to-space segments this worker closed.
     weak_closed: Vec<SegIndex>,
-    /// Dirty shards that still hold old→young pointers.
-    still_dirty: Vec<SegIndex>,
+    /// Walked dirty shards: `(run, refreshed card bytes, still dirty)`.
+    dirty_done: Vec<DirtyDone>,
+    dirty_cards_scanned: u64,
     /// Region residence time (includes idle waits at the pool).
     busy: Duration,
 }
@@ -320,9 +329,34 @@ impl WorkerCtx {
             copied_per_gen: vec![0; gens],
             acquired_events: Vec::new(),
             weak_closed: Vec::new(),
-            still_dirty: Vec::new(),
+            dirty_done: Vec::new(),
+            dirty_cards_scanned: 0,
             busy: Duration::ZERO,
         }
+    }
+}
+
+/// A walked remset shard on its way back to the segment table.
+type DirtyDone = (SegIndex, Box<[u8]>, bool);
+
+/// A worker's [`CardTracer`]: flip-time generations from the snapshot
+/// (pre-collection pointer values can only target from-space or
+/// uncollected segments, both captured there with their stable
+/// generations) and claim-then-copy forwarding.
+struct ParTracer<'a, 'b> {
+    sh: &'a Shared<'b>,
+    ctx: &'a mut WorkerCtx,
+}
+
+impl CardTracer for ParTracer<'_, '_> {
+    fn in_from(&self, seg: SegIndex) -> bool {
+        self.sh.from_space.contains(seg)
+    }
+    fn generation_of(&self, seg: SegIndex) -> u8 {
+        self.sh.snap.gen_of(seg)
+    }
+    fn forward(&mut self, v: Value) -> Value {
+        forward_mt(self.sh, self.ctx, v)
     }
 }
 
@@ -456,10 +490,21 @@ fn scan_unit(sh: &Shared<'_>, ctx: &mut WorkerCtx, unit: Unit) {
         Unit::Dirty {
             seg,
             bases,
-            space,
+            mut cards,
             gen,
             used,
-        } => scan_dirty_unit(sh, ctx, seg, &bases, space, gen, used),
+        } => {
+            // SAFETY: the bases are the run's frozen chunk bases and
+            // `used` its watermark; the run's words are covered by exactly
+            // this unit, and `forward_mt` touches only from-space objects
+            // and this worker's private to-space regions.
+            let (visited, still_dirty) = unsafe {
+                let mut t = ParTracer { sh, ctx };
+                remset::walk_cards(&mut t, &bases, &mut cards, used, gen, sh.g, sh.target)
+            };
+            ctx.dirty_cards_scanned += visited;
+            ctx.dirty_done.push((seg, cards, still_dirty));
+        }
         Unit::DirtyWeak { base, used } => {
             // Weak treatment: cdrs only; the weak pass settles the cars.
             let mut off = 1;
@@ -527,87 +572,6 @@ fn scan_span(
             }
         }
         Space::Pure => unreachable!("pure regions are skipped, not scanned"),
-    }
-}
-
-/// One remset shard: forwards from-space referents and recomputes the
-/// still-dirty verdict exactly like the serial
-/// [`remset::scan_strong_segment`](super::remset).
-fn scan_dirty_unit(
-    sh: &Shared<'_>,
-    ctx: &mut WorkerCtx,
-    seg: SegIndex,
-    bases: &[*mut u64],
-    space: Space,
-    gen: u8,
-    used: usize,
-) {
-    let mut any_fwd = false;
-    let mut still = false;
-    let mut visit = |ctx: &mut WorkerCtx, slot: *mut u64| {
-        // SAFETY: the dirty segment's words are covered by exactly this
-        // unit; nothing else writes them during the region.
-        let v = Value(unsafe { slot.read() });
-        if !v.is_ptr() {
-            return;
-        }
-        let tseg = v.addr().seg();
-        if sh.from_space.contains(tseg) {
-            let nv = forward_mt(sh, ctx, v);
-            // SAFETY: as above.
-            unsafe { slot.write(nv.raw()) };
-            any_fwd = true;
-        } else if sh.snap.gen_of(tseg) < gen {
-            // Pre-collection pointer values can only target from-space or
-            // uncollected segments, both captured (with their stable
-            // generations) in the snapshot.
-            still = true;
-        }
-    };
-    match space {
-        Space::Pair => {
-            for off in 0..used {
-                // SAFETY: `used <= SEGMENT_WORDS` for a pair segment.
-                visit(ctx, unsafe { bases[0].add(off) });
-            }
-        }
-        Space::Typed if used > SEGMENT_WORDS => {
-            // A dirty multi-segment run: exactly one large object.
-            // SAFETY: run chunk bases were frozen when the unit was built.
-            let header = Header::decode(unsafe { *bases[0] })
-                .unwrap_or_else(|| panic!("corrupt header in dirty run {seg:?}"));
-            let traced_end = 1 + header.traced_words();
-            for pos in 1..traced_end {
-                // SAFETY: as above; `pos < used` words exist in the run.
-                visit(ctx, unsafe {
-                    bases[pos / SEGMENT_WORDS].add(pos % SEGMENT_WORDS)
-                });
-            }
-        }
-        Space::Typed => {
-            let mut pos = 0;
-            while pos < used {
-                // SAFETY: headers pack the used prefix of the segment.
-                let header = Header::decode(unsafe { *bases[0].add(pos) })
-                    .unwrap_or_else(|| panic!("corrupt header in dirty {seg:?}@{pos}"));
-                for i in 0..header.traced_words() {
-                    // SAFETY: object fields follow the header in-segment.
-                    visit(ctx, unsafe { bases[0].add(pos + 1 + i) });
-                }
-                pos += header.total_words();
-            }
-        }
-        Space::WeakPair | Space::Pure => {
-            unreachable!("weak and pure dirty segments take their own paths")
-        }
-    }
-    // Every candidate was forwarded into the target generation, so the
-    // batch's dirty contribution is a single comparison (serial parity).
-    if any_fwd && sh.target < gen {
-        still = true;
-    }
-    if still {
-        ctx.still_dirty.push(seg);
     }
 }
 
@@ -837,13 +801,13 @@ struct ParState {
 
 /// Runs one parallel region: seeds the pool with `initial`, spawns the
 /// workers, and merges their scratch back into the heap and report.
-/// Returns the still-dirty segments reported by remset shards.
+/// Returns the remset shards the workers walked.
 fn run_region(
     heap: &mut Heap,
     st: &mut ParState,
     initial: Vec<Unit>,
     defer_spans: bool,
-) -> Vec<SegIndex> {
+) -> Vec<DirtyDone> {
     // Fast path: nothing queued and (in sweep mode) nothing unscanned in
     // any region — spawning would be pure overhead.
     if initial.is_empty() && (defer_spans || !st.regions.iter().any(WorkerRegions::has_unscanned)) {
@@ -872,6 +836,7 @@ fn run_region(
             deferred: Mutex::new(Vec::new()),
             from_space: &st.from_space,
             snap: &st.snap,
+            g: st.g,
             target: st.target,
             trace_on: st.trace_on,
             workers: st.workers,
@@ -891,13 +856,14 @@ fn run_region(
     };
     heap.acquisitions = acquisitions;
     st.pending.extend(deferred);
-    let mut still_dirty = Vec::new();
+    let mut dirty_done = Vec::new();
     for mut ctx in ctxs {
         st.report.pairs_copied += ctx.pairs_copied;
         st.report.objects_copied += ctx.objects_copied;
         st.report.words_copied += ctx.words_copied;
         st.report.pure_words_skipped += ctx.pure_words_skipped;
         st.report.segments_allocated += ctx.segments_allocated;
+        st.report.dirty_cards_scanned += ctx.dirty_cards_scanned;
         st.report.phases.worker_time += ctx.busy;
         if st.trace_on {
             for (g, words) in ctx.copied_per_gen.iter().enumerate() {
@@ -908,42 +874,23 @@ fn run_region(
             heap.trace_emit(|| GcEvent::SegmentsAcquired { count });
         }
         st.weak_tospace.append(&mut ctx.weak_closed);
-        still_dirty.append(&mut ctx.still_dirty);
+        dirty_done.append(&mut ctx.dirty_done);
         st.regions.push(ctx.regions);
     }
-    still_dirty
+    dirty_done
 }
 
 // ---------------------------------------------------------------------
 // Main-thread (between-regions) forwarding
 // ---------------------------------------------------------------------
 //
-// Between regions the main thread holds the whole `&mut Heap`, so these
-// mirror the serial engine's `forward`/`forwarded_p`/`get_fwd` — except
-// that allocation goes through worker 0's regions instead of the heap's
-// cursor table, keeping one allocator discipline for the collection. No
-// claim marker can be observed here: regions end with every `BUSY` word
-// overwritten by its forwarding word.
-
-fn forwarded_p_st(heap: &Heap, st: &ParState, v: Value) -> bool {
-    if !v.is_ptr() {
-        return true;
-    }
-    if !st.from_space.contains(v.addr().seg()) {
-        return true;
-    }
-    fwd::decode(heap.segs.word(v.addr())).is_some()
-}
-
-fn get_fwd_st(heap: &Heap, st: &ParState, v: Value) -> Value {
-    if !v.is_ptr() || !st.from_space.contains(v.addr().seg()) {
-        return v;
-    }
-    match fwd::decode(heap.segs.word(v.addr())) {
-        Some(new) => v.retag_at(new),
-        None => panic!("get_fwd of an unforwarded from-space object: {v:?}"),
-    }
-}
+// Between regions the main thread holds the whole `&mut Heap`, so this
+// mirrors the serial engine's `forward` (and the serial `forwarded_p` /
+// `get_fwd` serve as they are) — except that allocation goes through
+// worker 0's regions instead of the heap's cursor table, keeping one
+// allocator discipline for the collection. No claim marker can be
+// observed here: regions end with every `BUSY` word overwritten by its
+// forwarding word.
 
 fn forward_st(heap: &mut Heap, st: &mut ParState, v: Value) -> Value {
     if !v.is_ptr() {
@@ -1063,44 +1010,26 @@ fn append_to_tconc_st(heap: &mut Heap, st: &mut ParState, tconc: Value, obj: Val
 fn drain_dirty_units(heap: &mut Heap, st: &mut ParState) -> Vec<Unit> {
     let mut units = Vec::new();
     for seg in heap.segs.take_dirty() {
-        let Some(info) = heap.segs.try_info(seg) else {
+        let Some((space, gen, used)) = remset::drain_entry(&mut heap.segs, st.g, seg) else {
             continue;
         };
-        if !info.dirty || !info.is_head() {
-            continue;
-        }
-        if info.generation <= st.g {
-            // From-space: traced (and freed) wholesale.
-            continue;
-        }
-        let (space, gen) = (info.space, info.generation);
-        let used = info.used as usize;
-        heap.segs.clear_dirty(seg);
         st.report.dirty_segments_scanned += 1;
-        match space {
-            Space::Pair | Space::Typed => {
-                let nsegs = heap.segs.run_len(seg);
-                let bases: Box<[*mut u64]> = (0..nsegs)
+        if space == Space::WeakPair {
+            units.push(Unit::DirtyWeak {
+                base: heap.segs.base_ptr(seg),
+                used,
+            });
+            st.old_weak_dirty.push(seg);
+        } else {
+            units.push(Unit::Dirty {
+                seg,
+                bases: (0..heap.segs.run_len(seg))
                     .map(|i| heap.segs.base_ptr(SegIndex(seg.0 + i as u32)))
-                    .collect();
-                units.push(Unit::Dirty {
-                    seg,
-                    bases,
-                    space,
-                    gen,
-                    used,
-                });
-            }
-            Space::WeakPair => {
-                units.push(Unit::DirtyWeak {
-                    base: heap.segs.base_ptr(seg),
-                    used,
-                });
-                st.old_weak_dirty.push(seg);
-            }
-            Space::Pure => {
-                // No pointers; the (spurious) flag is already cleared.
-            }
+                    .collect(),
+                cards: heap.segs.run_cards(seg).into(),
+                gen,
+                used,
+            });
         }
     }
     units
@@ -1129,7 +1058,7 @@ fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
     for i in list_indices {
         for e in std::mem::take(&mut heap.protected[i]) {
             st.report.guardian_entries_visited += 1;
-            if forwarded_p_st(heap, st, e.obj) {
+            if forwarded_p(heap, &st.from_space, e.obj) {
                 pend_hold.push(e);
             } else {
                 pend_final.push(e);
@@ -1148,7 +1077,7 @@ fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
         let mut final_list = Vec::new();
         let mut remaining = Vec::new();
         for e in pend_final {
-            if forwarded_p_st(heap, st, e.tconc) {
+            if forwarded_p(heap, &st.from_space, e.tconc) {
                 final_list.push(e);
             } else {
                 remaining.push(e);
@@ -1163,7 +1092,7 @@ fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
         heap.trace_emit(|| GcEvent::GuardianRound { round, resurrected });
         for e in final_list {
             let rep = forward_st(heap, st, e.rep);
-            let tconc = get_fwd_st(heap, st, e.tconc);
+            let tconc = get_fwd(heap, &st.from_space, e.tconc);
             append_to_tconc_st(heap, st, tconc, rep);
             st.report.guardian_entries_finalized += 1;
         }
@@ -1184,9 +1113,9 @@ fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
     let mut held = Vec::new();
     let mut agent_copied = false;
     for e in pend_hold {
-        if forwarded_p_st(heap, st, e.tconc) {
-            let obj = get_fwd_st(heap, st, e.obj);
-            let tconc = get_fwd_st(heap, st, e.tconc);
+        if forwarded_p(heap, &st.from_space, e.tconc) {
+            let obj = get_fwd(heap, &st.from_space, e.obj);
+            let tconc = get_fwd(heap, &st.from_space, e.tconc);
             let rep = if e.rep == e.obj {
                 obj
             } else {
@@ -1211,22 +1140,6 @@ fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
         dropped: st.report.guardian_entries_dropped - dropped_before,
         loop_iterations: st.report.guardian_loop_iterations - loops_before,
     });
-}
-
-/// The Dickey-baseline finalizer pass, verbatim from the serial engine.
-fn finalizer_st(heap: &mut Heap, st: &mut ParState) {
-    let mut migrated = Vec::new();
-    for i in 0..=st.g as usize {
-        for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
-            if forwarded_p_st(heap, st, e.obj) {
-                e.obj = get_fwd_st(heap, st, e.obj);
-                migrated.push(e);
-            } else {
-                st.report.finalized_ids.push(e.id);
-            }
-        }
-    }
-    heap.finalize_watch[st.target as usize].extend(migrated);
 }
 
 // ---------------------------------------------------------------------
@@ -1400,10 +1313,6 @@ fn weak_fix_unit(
     }
 }
 
-fn points_younger(segs: &SegmentTable, v: Value, holder_gen: u8) -> bool {
-    v.is_ptr() && segs.info(v.addr().seg()).generation < holder_gen
-}
-
 /// Closes every remaining open region after the final pass, syncing the
 /// watermarks and clearing ownership so the heap is region-free (and
 /// verifier-clean) between collections.
@@ -1435,31 +1344,12 @@ fn flush_regions(heap: &mut Heap, st: &mut ParState) {
 /// phase order, events, and report semantics as [`super::run`].
 pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
     let start = Instant::now();
-    let target = heap
-        .config
-        .promotion
-        .target(g, heap.config.max_generation());
-
     // Phase 1: flip — identical to the serial engine, plus the snapshot
     // of segment bases the workers read without the table lock.
-    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
-    let mut from_heads = Vec::new();
-    for gen in 0..=g {
-        for seg in heap.segs.drain_generation(gen) {
-            if from_space.contains(seg) {
-                continue;
-            }
-            from_space.insert(seg);
-            if heap.segs.info(seg).is_head() {
-                from_heads.push(seg);
-            }
-        }
-    }
-    heap.reset_cursors(g, target);
+    let (target, from_space, from_heads) = flip(heap, g);
     // The log stays empty (regions replace the cursor allocator during a
     // parallel collection) but must be `Some` so `tconc_append_with`
     // tags collector-side appends.
-    heap.tospace_log = Some(Vec::new());
     let snap = Snapshot::capture(heap);
     let workers = heap.config.workers;
 
@@ -1476,26 +1366,10 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
         old_weak_dirty: Vec::new(),
         trace_on: heap.tracing_enabled(),
         copied_per_gen: vec![0; heap.config.generations as usize],
-        report: CollectionReport {
-            collection_index: heap.collections,
-            collected_generation: g,
-            target_generation: target,
-            ..CollectionReport::default()
-        },
+        report: begin_report(heap, g, target),
     };
-    heap.trace_emit(|| GcEvent::CollectionBegin {
-        index: st.report.collection_index,
-        collected_generation: g,
-        target_generation: target,
-    });
     let mut mark = start;
-    let mut lap = |now: Instant| {
-        let d = now - mark;
-        mark = now;
-        d
-    };
-    st.report.phases.flip = lap(Instant::now());
-    emit_phase(heap, GcPhase::Flip, st.report.phases.flip);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Flip);
 
     // Phase 2: roots, on the main thread (copies land in worker 0's
     // regions; their transitive closure waits for the sweep).
@@ -1508,87 +1382,55 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
     });
     heap.roots = roots;
     st.report.roots_traced = traced;
-    st.report.phases.roots = lap(Instant::now());
-    emit_phase(heap, GcPhase::Roots, st.report.phases.roots);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Roots);
 
     // Phase 3: remembered set, sharded across the workers. Spans of
     // copied objects are deferred to the sweep (serial parity: the
     // remset phase forwards but never sweeps).
     let units = drain_dirty_units(heap, &mut st);
-    let still_dirty = run_region(heap, &mut st, units, true);
-    for seg in still_dirty {
-        heap.segs.mark_dirty(seg);
+    for (seg, cards, still_dirty) in run_region(heap, &mut st, units, true) {
+        heap.segs.run_cards_mut(seg).copy_from_slice(&cards);
+        if still_dirty {
+            heap.segs.flag_dirty(seg);
+        }
     }
-    st.report.phases.remset = lap(Instant::now());
-    emit_phase(heap, GcPhase::Remset, st.report.phases.remset);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Remset);
 
     // Phase 4: the main sweep — the parallel kleene-sweep.
     let pending = std::mem::take(&mut st.pending);
     let sd = run_region(heap, &mut st, pending, false);
     debug_assert!(sd.is_empty());
-    st.report.phases.sweep = lap(Instant::now());
-    emit_phase(heap, GcPhase::Sweep, st.report.phases.sweep);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Sweep);
 
     if heap.config.ablate_weak_pass_first {
         // Ablation: break weak cars BEFORE the guardian pass gets to
         // salvage their referents (see `GcConfig::ablate_weak_pass_first`).
         weak_parallel(heap, &mut st);
-        let d = lap(Instant::now());
-        st.report.phases.weak += d;
-        emit_phase(heap, GcPhase::Weak, d);
+        lap(heap, &mut st.report, &mut mark, GcPhase::Weak);
     }
 
     // Phase 5: guardians (main-thread blocks, parallel round closures).
     guardian_parallel(heap, &mut st);
-    st.report.phases.guardian = lap(Instant::now());
-    emit_phase(heap, GcPhase::Guardian, st.report.phases.guardian);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Guardian);
 
     // Phase 6: Dickey-baseline finalizers.
-    finalizer_st(heap, &mut st);
-    st.report.phases.finalizer = lap(Instant::now());
-    emit_phase(heap, GcPhase::Finalizer, st.report.phases.finalizer);
+    finalizer_pass(heap, &st.from_space, (g, target), &mut st.report);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Finalizer);
 
     // Phase 7: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
     // object will still be in the car field after collection."
     weak_parallel(heap, &mut st);
-    let d = lap(Instant::now());
-    st.report.phases.weak += d;
-    emit_phase(heap, GcPhase::Weak, d);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Weak);
 
     // Phase 8: reclaim the from-space.
     flush_regions(heap, &mut st);
     let heads = std::mem::take(&mut st.from_heads);
-    for head in heads {
-        let run = heap.segs.run_len(head) as u64;
-        st.report.segments_freed += run;
-        heap.segs.free(head);
-        heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
-    }
-    heap.tospace_log = None;
-    st.report.phases.reclaim = lap(Instant::now());
-    emit_phase(heap, GcPhase::Reclaim, st.report.phases.reclaim);
+    reclaim(heap, heads, &mut st.report);
+    lap(heap, &mut st.report, &mut mark, GcPhase::Reclaim);
 
-    if st.trace_on {
-        for (generation, &words) in st.copied_per_gen.iter().enumerate() {
-            if words > 0 {
-                heap.trace_emit(|| GcEvent::GenCopied {
-                    generation: generation as u8,
-                    words,
-                });
-            }
-        }
-    }
     st.report.duration = start.elapsed();
-    heap.trace_emit(|| GcEvent::CollectionEnd {
-        index: st.report.collection_index,
-        words_copied: st.report.words_copied,
-        pairs_copied: st.report.pairs_copied,
-        objects_copied: st.report.objects_copied,
-        guardian_entries_visited: st.report.guardian_entries_visited,
-        weak_pairs_scanned: st.report.weak_pairs_scanned,
-        dur_ns: st.report.duration.as_nanos() as u64,
-    });
+    emit_end(heap, &st.copied_per_gen, &st.report);
     st.report
 }
 

@@ -19,7 +19,7 @@ use super::Scratch;
 use crate::heap::Heap;
 use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
-use guardians_segments::SegIndex;
+use guardians_segments::{SegIndex, SegmentTable};
 
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     let scanned_before = s.report.weak_pairs_scanned;
@@ -31,8 +31,9 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     }
     let old_dirty: Vec<SegIndex> = s.old_weak_dirty.drain(..).collect();
     for seg in old_dirty {
-        // The remembered-set drain cleared the flag; re-mark (and
-        // re-index) only segments that still hold old→young pointers.
+        // The remembered-set drain cleared the flag and every card;
+        // re-mark (whole, and re-index) only segments that still hold
+        // old→young pointers.
         if fix_segment(heap, s, seg) {
             heap.segs.mark_dirty(seg);
         }
@@ -73,13 +74,14 @@ fn fix_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) -> bool {
                 }
             }
         }
-        still_dirty |= points_younger(heap, Value(heap.segs.word(car_addr)), gen);
-        still_dirty |= points_younger(heap, Value(heap.segs.word(base.add(off + 1))), gen);
+        let (car, cdr) = (heap.segs.word(car_addr), heap.segs.word(base.add(off + 1)));
+        still_dirty |= points_younger(&heap.segs, Value(car), gen);
+        still_dirty |= points_younger(&heap.segs, Value(cdr), gen);
         off += 2;
     }
     still_dirty
 }
 
-fn points_younger(heap: &Heap, v: Value, holder_gen: u8) -> bool {
-    v.is_ptr() && heap.segs.info(v.addr().seg()).generation < holder_gen
+pub(crate) fn points_younger(segs: &SegmentTable, v: Value, holder_gen: u8) -> bool {
+    v.is_ptr() && segs.info(v.addr().seg()).generation < holder_gen
 }

@@ -3,6 +3,7 @@
 
 use crate::heap::Heap;
 use crate::stats::CollectionReport;
+use crate::value::Value;
 use guardians_segments::Space;
 use std::fmt;
 
@@ -44,6 +45,18 @@ impl Heap {
             }
         }
         out
+    }
+
+    /// Test support: re-does the write barrier for a store into
+    /// `container` the card-oblivious way — every card of the run it
+    /// lives in is marked — which is the reference the card-precise
+    /// barrier is property-tested against.
+    #[doc(hidden)]
+    pub fn remember_whole_run(&mut self, container: Value) {
+        let seg = self.resolve_read(container).addr().seg();
+        if self.segs.info(seg).generation > 0 {
+            self.segs.mark_dirty(seg);
+        }
     }
 
     /// Open-cursor bookkeeping as seen from both sides: segments whose
@@ -93,7 +106,7 @@ impl fmt::Display for CollectionReport {
         write!(
             f,
             "gc#{}: gen {}→{}, copied {} words ({} pairs, {} objects), \
-             roots {}, dirty segs {}, guardians {}/{}/{} (visited/finalized/held), \
+             roots {}, dirty segs {} ({} cards), guardians {}/{}/{} (visited/finalized/held), \
              weak {}+{} (fwd/broken), {}us",
             self.collection_index,
             self.collected_generation,
@@ -103,6 +116,7 @@ impl fmt::Display for CollectionReport {
             self.objects_copied,
             self.roots_traced,
             self.dirty_segments_scanned,
+            self.dirty_cards_scanned,
             self.guardian_entries_visited,
             self.guardian_entries_finalized,
             self.guardian_entries_held,
@@ -116,7 +130,6 @@ impl fmt::Display for CollectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     #[test]
     fn usage_tracks_aging() {

@@ -93,8 +93,13 @@ pub struct CollectionReport {
     pub words_copied: u64,
     /// Root cells traced.
     pub roots_traced: u64,
-    /// Dirty old-generation segments scanned for the remembered set.
+    /// Dirty old-generation runs with at least one card visited for the
+    /// remembered set (a weak-pair segment counts whole).
     pub dirty_segments_scanned: u64,
+    /// Remembered-set cards visited: cards of Pair/Typed runs whose byte
+    /// was at most the collected generation. Each covers up to
+    /// `CARD_WORDS` words.
+    pub dirty_cards_scanned: u64,
     /// Guardian entries visited across all protected lists processed. This
     /// is the central counter for the generation-friendliness experiment:
     /// with per-generation protected lists it excludes entries parked in
@@ -177,6 +182,8 @@ pub struct HeapStats {
     pub total_guardian_entries_visited: u64,
     /// Total weak pairs scanned by all collections.
     pub total_weak_pairs_scanned: u64,
+    /// Total remembered-set cards visited by all collections.
+    pub total_dirty_cards_scanned: u64,
     /// Total time spent collecting.
     pub total_gc_time: Duration,
     /// Per-phase totals across all collections.
@@ -189,6 +196,7 @@ impl HeapStats {
         self.total_words_copied += report.words_copied;
         self.total_guardian_entries_visited += report.guardian_entries_visited;
         self.total_weak_pairs_scanned += report.weak_pairs_scanned;
+        self.total_dirty_cards_scanned += report.dirty_cards_scanned;
         self.total_gc_time += report.duration;
         self.total_phase_times.absorb(&report.phases);
     }
@@ -205,6 +213,7 @@ mod tests {
             words_copied: 10,
             guardian_entries_visited: 3,
             weak_pairs_scanned: 2,
+            dirty_cards_scanned: 4,
             duration: Duration::from_millis(5),
             ..CollectionReport::default()
         };
@@ -214,6 +223,7 @@ mod tests {
         assert_eq!(stats.total_words_copied, 20);
         assert_eq!(stats.total_guardian_entries_visited, 6);
         assert_eq!(stats.total_weak_pairs_scanned, 4);
+        assert_eq!(stats.total_dirty_cards_scanned, 8);
         assert_eq!(stats.total_gc_time, Duration::from_millis(10));
     }
 

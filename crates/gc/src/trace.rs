@@ -194,6 +194,8 @@ pub enum GcEvent {
         guardian_entries_visited: u64,
         /// Weak pairs scanned.
         weak_pairs_scanned: u64,
+        /// Remembered-set cards visited.
+        dirty_cards_scanned: u64,
         /// Wall-clock nanoseconds for the whole collection.
         dur_ns: u64,
     },
@@ -336,7 +338,7 @@ pub(crate) struct SiteProfile {
 
 /// Folds a drained event stream back into the collector-side fields of
 /// [`HeapStats`]: collections, total words copied, guardian entries
-/// visited, weak pairs scanned, total GC time, and the per-phase time
+/// visited, weak pairs scanned, remembered-set cards visited, total GC time, and the per-phase time
 /// totals. The result must equal the heap's own accounting exactly —
 /// the event-vs-counter parity contract. Mutator-side allocation counters
 /// are not derivable from a (sampled) trace and stay zero.
@@ -362,6 +364,7 @@ pub fn replay_stats(events: &[TracedEvent]) -> HeapStats {
                 words_copied,
                 guardian_entries_visited,
                 weak_pairs_scanned,
+                dirty_cards_scanned,
                 dur_ns,
                 ..
             } => {
@@ -369,6 +372,7 @@ pub fn replay_stats(events: &[TracedEvent]) -> HeapStats {
                 out.total_words_copied += words_copied;
                 out.total_guardian_entries_visited += guardian_entries_visited;
                 out.total_weak_pairs_scanned += weak_pairs_scanned;
+                out.total_dirty_cards_scanned += dirty_cards_scanned;
                 out.total_gc_time += Duration::from_nanos(dur_ns);
             }
             _ => {}
@@ -497,6 +501,7 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
             objects_copied,
             guardian_entries_visited,
             weak_pairs_scanned,
+            dirty_cards_scanned,
             dur_ns,
         } => (
             "collection_end",
@@ -507,6 +512,7 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
                 ("objects_copied", u(objects_copied)),
                 ("guardian_entries_visited", u(guardian_entries_visited)),
                 ("weak_pairs_scanned", u(weak_pairs_scanned)),
+                ("dirty_cards_scanned", u(dirty_cards_scanned)),
                 ("dur_ns", u(dur_ns)),
             ],
         ),
@@ -679,6 +685,7 @@ mod tests {
                     objects_copied: 1,
                     guardian_entries_visited: 2,
                     weak_pairs_scanned: 3,
+                    dirty_cards_scanned: 6,
                     dur_ns: 700,
                 },
             ),
@@ -688,6 +695,7 @@ mod tests {
         assert_eq!(stats.total_words_copied, 10);
         assert_eq!(stats.total_guardian_entries_visited, 2);
         assert_eq!(stats.total_weak_pairs_scanned, 3);
+        assert_eq!(stats.total_dirty_cards_scanned, 6);
         assert_eq!(stats.total_gc_time, Duration::from_nanos(700));
         assert_eq!(stats.total_phase_times.sweep, Duration::from_nanos(500));
         assert_eq!(stats.total_phase_times.weak, Duration::from_nanos(40));
@@ -755,6 +763,7 @@ mod tests {
                 objects_copied: 0,
                 guardian_entries_visited: 3,
                 weak_pairs_scanned: 5,
+                dirty_cards_scanned: 0,
                 dur_ns: 100,
             },
             GcEvent::PolicyChange {

@@ -4,10 +4,11 @@
 //! finally observed.
 
 use crate::collect::incremental::IncrementalState;
+use crate::collect::FromSpaceMap;
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::value::{fwd, Value, TAG_MASK};
-use guardians_segments::{SegIndex, SegKind, Space, NO_OWNER};
+use guardians_segments::{SegIndex, SegKind, Space, CARD_CLEAN, CARD_WORDS, NO_OWNER};
 use std::fmt;
 
 /// A heap invariant violation found by [`Heap::verify`].
@@ -40,10 +41,17 @@ impl Heap {
     /// * every traced field holds a valid value — no forwarding marks, no
     ///   headers, and pointers land on live objects in segments of the
     ///   matching space;
+    /// * the remembered set is complete: every pointer from a generation-`h`
+    ///   segment into a younger generation `y` lies in a card whose byte
+    ///   is `<= y`, every card that is not clean belongs to a run flagged
+    ///   dirty, every flagged run is on the dirty index, and generation-0
+    ///   segments (which includes every fresh or recycled one) are
+    ///   all-clean;
     /// * every root is valid;
     /// * protected-list entries satisfy the generation invariants
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
-    ///   via a tconc in generation ≥ i), which is what makes the paper's
+    ///   via a tconc, and with an agent, in generation ≥ i), which is
+    ///   what makes the paper's
     ///   per-generation lists sound;
     /// * finalizer watch entries satisfy the same object invariant.
     ///
@@ -72,8 +80,11 @@ impl Heap {
                 match info.space {
                     Space::Pair | Space::WeakPair => {
                         // Weak cars are values too (forwarded or #f).
-                        self.check_value(Value(self.segs.word(base.add(off))), "car")?;
-                        self.check_value(Value(self.segs.word(base.add(off + 1))), "cdr")?;
+                        for (i, what) in ["car", "cdr"].into_iter().enumerate() {
+                            let v = Value(self.segs.word(base.add(off + i)));
+                            self.check_value(v, what)?;
+                            self.check_remembered(None, seg, off + i, v)?;
+                        }
                         off += 2;
                     }
                     Space::Typed | Space::Pure => {
@@ -87,6 +98,7 @@ impl Heap {
                         for i in 0..header.traced_words() {
                             let v = Value(self.segs.word(base.add(off + 1 + i)));
                             self.check_value(v, "object field")?;
+                            self.check_remembered(None, seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
                     }
@@ -110,6 +122,7 @@ impl Heap {
                 )));
             }
         }
+        self.check_card_summary(None)?;
 
         // 2b. Open-cursor coherence: a segment's `open_cursor` flag must
         // agree exactly with the allocation-cursor table, or the Cheney
@@ -156,7 +169,7 @@ impl Heap {
                     )));
                 }
                 if !self.config.flat_protected {
-                    for (what, v) in [("object", e.obj), ("tconc", e.tconc)] {
+                    for (what, v) in [("object", e.obj), ("agent", e.rep), ("tconc", e.tconc)] {
                         if let Some(gen) = self.generation_of(v) {
                             if (gen as usize) < i {
                                 return Err(VerifyError::new(format!(
@@ -200,7 +213,11 @@ impl Heap {
     /// * from-space segments are not walked (copied objects carry broken
     ///   hearts in word 0 and are reclaimed wholesale at the end);
     /// * a dirty flag may be backed by the state's remembered-set
-    ///   snapshot instead of the table's dirty index;
+    ///   snapshot instead of the table's dirty index; remembered-set
+    ///   completeness is checked for pointers that do not lead into the
+    ///   from-space (those are the coverage check's) out of strong
+    ///   segments (a drained weak-pair segment is all-clean until the
+    ///   terminal weak pass re-marks it);
     /// * roots, protected entries, and finalizer watches may hold
     ///   from-space pointers (roots are re-forwarded at every increment;
     ///   guardian/finalizer entries are settled by the terminal
@@ -224,6 +241,11 @@ impl Heap {
                         self.check_value_incremental(st, car, seg, weak_car, "car")?;
                         let cdr = Value(self.segs.word(base.add(off + 1)));
                         self.check_value_incremental(st, cdr, seg, false, "cdr")?;
+                        if !weak_car {
+                            for (i, v) in [car, cdr].into_iter().enumerate() {
+                                self.check_remembered(Some(&st.s.from_space), seg, off + i, v)?;
+                            }
+                        }
                         off += 2;
                     }
                     Space::Typed | Space::Pure => {
@@ -237,6 +259,7 @@ impl Heap {
                         for i in 0..header.traced_words() {
                             let v = Value(self.segs.word(base.add(off + 1 + i)));
                             self.check_value_incremental(st, v, seg, false, "object field")?;
+                            self.check_remembered(Some(&st.s.from_space), seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
                     }
@@ -266,6 +289,8 @@ impl Heap {
                 )));
             }
         }
+
+        self.check_card_summary(Some(&st.s.from_space))?;
 
         // 2b/2c. Cursor and ownership coherence hold between increments
         // exactly as between collections (increments run serially).
@@ -332,6 +357,60 @@ impl Heap {
             return self.check_value_relaxed(v, what);
         }
         self.check_value(v, what)
+    }
+
+    /// Remembered-set completeness for one (already value-checked) field:
+    /// `v` sits at word `word` of the run headed by `holder`. If it points
+    /// into a generation younger than the holder's, its card must carry a
+    /// lower bound on that generation and the run must be flagged dirty.
+    /// Pointers into `from`, the from-space of a suspended collection, are
+    /// the coverage check's business and are skipped.
+    fn check_remembered(
+        &self,
+        from: Option<&FromSpaceMap>,
+        holder: SegIndex,
+        word: usize,
+        v: Value,
+    ) -> Result<(), VerifyError> {
+        if !v.is_ptr() || from.is_some_and(|f| f.contains(v.addr().seg())) {
+            return Ok(());
+        }
+        let info = self.segs.info(holder);
+        let young = self.segs.info(v.addr().seg()).generation;
+        if young >= info.generation {
+            return Ok(());
+        }
+        let card = self.segs.run_cards(holder)[word / CARD_WORDS];
+        if card > young || !info.dirty {
+            return Err(VerifyError::new(format!(
+                "{holder:?}+{word} (generation {}) points into generation {young} but its \
+                 card reads {card} and its run's dirty flag is {} (remembered-set hole)",
+                info.generation, info.dirty
+            )));
+        }
+        Ok(())
+    }
+
+    /// The card table's summary invariants: a card that is not clean
+    /// belongs to a run whose head is flagged dirty, and generation-0
+    /// segments — every fresh or recycled segment starts as one or as
+    /// to-space — never have one. `from`, the from-space of a suspended
+    /// collection, is exempt: its marks die with it.
+    fn check_card_summary(&self, from: Option<&FromSpaceMap>) -> Result<(), VerifyError> {
+        for (seg, info) in self.segs.iter() {
+            if !info.is_head() || from.is_some_and(|f| f.contains(seg)) {
+                continue;
+            }
+            let marked = self.segs.run_cards(seg).iter().any(|&c| c != CARD_CLEAN);
+            if marked && (!info.dirty || info.generation == 0) {
+                return Err(VerifyError::new(format!(
+                    "{seg:?} (generation {}) has a card that is not clean but its dirty \
+                     flag is {}",
+                    info.generation, info.dirty
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn check_value(&self, v: Value, what: &str) -> Result<(), VerifyError> {

@@ -2,7 +2,7 @@
 //! generation-friendliness of guardian processing (the paper's central
 //! implementation claim).
 
-use guardians_gc::{GcConfig, Heap, Value};
+use guardians_gc::{GcConfig, Heap, Promotion, Value};
 
 #[test]
 fn survivors_age_one_generation_per_collection() {
@@ -96,6 +96,110 @@ fn clean_old_segments_are_never_scanned() {
         );
     }
     assert_eq!(h.car(r.get()), Value::fixnum(999));
+}
+
+/// `(runs, cards)` the last collection's remembered-set scan visited.
+fn remset_work(h: &Heap) -> (u64, u64) {
+    let r = h.last_report().unwrap();
+    (r.dirty_segments_scanned, r.dirty_cards_scanned)
+}
+
+#[test]
+fn one_store_costs_one_card_and_only_until_its_referent_catches_up() {
+    // The remembered-set half of generation-friendliness: a store into a
+    // full old segment costs one card, not the segment, and once the
+    // stored pair has been promoted it costs minor collections nothing.
+    let mut h = Heap::default();
+    let vectors = h.root_vec();
+    for i in 0..100 {
+        vectors.push(h.make_vector(8, Value::fixnum(i)));
+    }
+    h.collect(0);
+    h.collect(1); // ~2 full segments of vectors in generation 2
+    let young = h.cons(Value::fixnum(77), Value::NIL);
+    h.vector_set(vectors.get(31), 3, young);
+
+    h.collect(0);
+    assert_eq!(remset_work(&h), (1, 1), "one run, one card");
+    assert_eq!(h.generation_of(h.vector_ref(vectors.get(31), 3)), Some(1));
+    h.collect(0);
+    assert_eq!(
+        remset_work(&h),
+        (0, 0),
+        "the card reads 1: not a minor GC's"
+    );
+    h.collect(1);
+    assert_eq!(
+        remset_work(&h),
+        (1, 1),
+        "generation 1's collection visits it"
+    );
+    h.collect(1);
+    assert_eq!(remset_work(&h), (0, 0), "referent caught up: card clean");
+    h.verify().unwrap();
+    assert_eq!(
+        h.car(h.vector_ref(vectors.get(31), 3)),
+        Value::fixnum(77),
+        "and the pair survived all of it"
+    );
+}
+
+#[test]
+fn store_into_the_tail_of_a_large_vector_is_found() {
+    let mut h = Heap::default();
+    let big = h.make_vector(1500, Value::NIL); // a 3-segment run
+    let r = h.root(big);
+    h.collect(0);
+    h.collect(1);
+    let young = h.cons(Value::fixnum(600), Value::NIL);
+    h.vector_set(r.get(), 599, young); // word 600: the run's second segment
+    h.verify().unwrap();
+    h.collect(0);
+    assert_eq!(remset_work(&h), (1, 1));
+    h.verify().unwrap();
+    assert_eq!(h.car(h.vector_ref(r.get(), 599)), Value::fixnum(600));
+}
+
+#[test]
+fn cards_stay_dirty_while_the_target_is_younger_than_the_holder() {
+    // Under SameGeneration a generation-1 collection promotes into
+    // generation 1, so a generation-2 holder's card must be visited by
+    // every one of them; likewise once a tenure cap is lowered below the
+    // holder's generation.
+    let same = GcConfig {
+        promotion: Promotion::SameGeneration,
+        ..GcConfig::new()
+    };
+    for (config, age, cap) in [
+        (same, [0u8, 2], None),
+        (GcConfig::new(), [1, 2], Some(Promotion::Capped(1))),
+    ] {
+        let mut h = Heap::new(config);
+        let holder = h.make_vector(8, Value::NIL);
+        let r = h.root(holder);
+        h.collect(0);
+        for gen in age {
+            h.collect(gen);
+        }
+        let holder_gen = h.generation_of(r.get()).unwrap();
+        assert!(holder_gen >= 2);
+        if let Some(cap) = cap {
+            h.set_promotion(cap);
+        }
+        let young = h.cons(Value::fixnum(5), Value::NIL);
+        h.vector_set(r.get(), 0, young);
+        h.collect(0);
+        assert_eq!(remset_work(&h), (1, 1));
+        for _ in 0..3 {
+            h.collect(1);
+            assert_eq!(remset_work(&h), (1, 1), "target 1 < holder {holder_gen}");
+            assert_eq!(h.generation_of(h.vector_ref(r.get(), 0)), Some(1));
+            h.collect(0);
+            assert_eq!(remset_work(&h), (0, 0));
+            h.verify().unwrap();
+        }
+        assert_eq!(h.car(h.vector_ref(r.get(), 0)), Value::fixnum(5));
+    }
 }
 
 #[test]

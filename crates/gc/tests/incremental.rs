@@ -305,3 +305,98 @@ fn maybe_collect_paces_increments_and_metrics_record_them() {
     );
     h.verify().expect("valid at the end");
 }
+
+/// Registering with a guardian while a collection is suspended: the
+/// entry joins `protected[0]`, the terminal increment holds it, and it
+/// must be filed under the generation its object actually lives in — an
+/// object allocated since the flip stays in generation 0, and an entry
+/// parked in an older list would dangle after the next minor collection.
+/// (The raw-heap repro of the defect `benchmark/README.md` records.)
+#[test]
+fn register_mid_cycle_is_safe() {
+    for budget in [0u64, 100, 2_000] {
+        let mut cfg = incremental_config(Some(Duration::from_micros(budget)));
+        cfg.trigger_bytes = 64 * 1024;
+        let mut h = Heap::new(cfg);
+        let g = h.make_guardian();
+        let descriptor = {
+            let d = h.make_symbol("session");
+            h.root(d)
+        };
+        let window = h.root_vec();
+        for _ in 0..256 {
+            window.push(Value::FALSE);
+        }
+        let (mut mid_cycle, mut dropped, mut polled) = (0u64, 0u64, 0u64);
+        for i in 0..6_000usize {
+            mid_cycle += u64::from(h.incremental_in_progress());
+            let r = h.make_record(descriptor.get(), &[Value::fixnum(i as i64)]);
+            g.register(&mut h, r);
+            h.register_for_finalization(r, i as u64);
+            dropped += u64::from(window.get(i % 256) != Value::FALSE);
+            window.set(i % 256, r);
+            for _ in 0..4 {
+                let _ = h.make_bytevector(512, 0);
+            }
+            h.maybe_collect();
+            while let Some(v) = g.poll(&mut h) {
+                assert!(h.is_record(v), "budget {budget}: polled a non-record");
+                polled += 1;
+            }
+            if i % 97 == 0 {
+                h.verify()
+                    .unwrap_or_else(|e| panic!("budget {budget} us, op {i}: {e}"));
+            }
+        }
+        for gen in [3, 3] {
+            h.collect(gen);
+            polled += g.drain(&mut h).len() as u64;
+        }
+        h.verify().expect("valid at the end");
+        assert_eq!(
+            polled, dropped,
+            "budget {budget}: every dropped session came back"
+        );
+        if budget == 0 {
+            assert!(
+                mid_cycle > 0,
+                "registrations landed inside suspended cycles"
+            );
+        }
+    }
+}
+
+/// The incremental engine's other way to lose a remembered-set entry: a
+/// pair allocated since the flip is stored into a still-unforwarded
+/// from-space object. The store travels with the object's copy into the
+/// target generation; the card mark must follow it, or the next minor
+/// collection frees the pair under it.
+#[test]
+fn store_of_a_fresh_object_into_an_unforwarded_one_is_remembered() {
+    let mut h = Heap::new(incremental_config(Some(Duration::ZERO)));
+    let keep = h.root_vec();
+    for i in 0..2_000 {
+        let p = h.cons(Value::fixnum(i), Value::NIL);
+        keep.push(p);
+    }
+    h.begin_incremental(0);
+    let fresh = h.cons(Value::fixnum(4242), Value::NIL);
+    h.set_cdr(keep.get(1_999), fresh);
+    while h.gc_step().is_none() {
+        h.verify().expect("between-increment invariants hold");
+    }
+    h.verify().expect("valid after the cycle");
+    let x = keep.get(1_999);
+    assert_eq!(h.generation_of(x), Some(1));
+    assert_eq!(
+        h.generation_of(h.cdr(x)),
+        Some(0),
+        "allocated black, stays young"
+    );
+    for _ in 0..5_000 {
+        let _ = h.cons(Value::NIL, Value::NIL);
+    }
+    h.collect(0);
+    h.verify().expect("valid after the next minor collection");
+    assert_eq!(h.car(h.cdr(keep.get(1_999))), Value::fixnum(4242));
+}

@@ -555,7 +555,8 @@ impl World {
 /// Scripted regression: large nodes (multi-segment runs) linked from a
 /// small rooted node survive repeated promotions — each one a cross-run
 /// bulk copy — with payloads intact, including after old-generation
-/// mutation marks the run's head segment dirty for the remembered set.
+/// mutation marks a card of the run (and flags its head) for the
+/// remembered set.
 #[test]
 fn large_object_runs_survive_cross_run_copies() {
     let mut w = World::new(Promotion::NextGeneration);

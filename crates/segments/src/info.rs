@@ -1,8 +1,8 @@
 //! The segment information table entries: one [`SegInfo`] per segment,
 //! recording the *space* and *generation* the segment belongs to, exactly
-//! as the paper describes for Chez Scheme's heap. The `dirty` flag is the
-//! hook the collector's remembered set uses (a dirty old segment may
-//! contain pointers into younger generations).
+//! as the paper describes for Chez Scheme's heap. The `dirty` flag
+//! summarises the run's rows of the table's card table (some card of a
+//! dirty old run may point into a younger generation).
 
 use crate::addr::SegIndex;
 
@@ -76,11 +76,12 @@ pub struct SegInfo {
     /// multi-segment run this counts the whole run's words and may exceed
     /// one segment).
     pub used: u32,
-    /// Remembered-set hook: set by the mutator's write barrier when a
-    /// pointer is stored into this segment. Maintain it through
-    /// [`SegmentTable::mark_dirty`](crate::SegmentTable::mark_dirty) /
+    /// Remembered-set summary, meaningful on head segments: some card of
+    /// this run may not be clean. Maintain it through
+    /// [`SegmentTable::mark_card`](crate::SegmentTable::mark_card) /
+    /// [`SegmentTable::flag_dirty`](crate::SegmentTable::flag_dirty) /
     /// [`SegmentTable::clear_dirty`](crate::SegmentTable::clear_dirty) so
-    /// the table's dirty-segment index stays coherent.
+    /// the table's dirty-run index stays coherent.
     pub dirty: bool,
     /// Number of segments in the run this head starts (1 for a standalone
     /// segment), making `run_len` O(1). Zero on tail segments.

@@ -12,8 +12,9 @@
 //! This crate provides exactly that: fixed-size segments of 64-bit words, a
 //! segment information table tagging each segment with a [`Space`] and a
 //! generation, a free pool so segment storage is recycled across
-//! collections, and contiguous multi-segment *runs* for objects larger than
-//! one segment. It knows nothing about value representation; the
+//! collections, contiguous multi-segment *runs* for objects larger than
+//! one segment, and the remembered set's card table (one byte per
+//! [`CARD_WORDS`]-word card, summarised by a per-run dirty flag and index). It knows nothing about value representation; the
 //! `guardians-gc` crate builds the object model on top.
 //!
 //! # Example
@@ -41,4 +42,4 @@ pub use addr::{SegIndex, WordAddr, SEGMENT_BYTES, SEGMENT_WORDS, SEGMENT_WORDS_L
 pub use info::{SegInfo, SegKind, Space, NO_OWNER};
 pub use pool::{PoolStats, SegmentPool};
 pub use seg::Segment;
-pub use table::SegmentTable;
+pub use table::{SegmentTable, CARDS_PER_SEGMENT, CARD_CLEAN, CARD_WORDS};

@@ -3,10 +3,21 @@
 //! space and generation, and resolves [`WordAddr`]s to storage.
 
 use crate::addr::{SegIndex, WordAddr, SEGMENT_WORDS};
-use crate::info::{SegInfo, Space};
+use crate::info::{SegInfo, SegKind, Space};
 use crate::pool::SegmentPool;
 use crate::seg::{Segment, POISON};
 use std::sync::Arc;
+
+/// Words covered by one remembered-set card.
+pub const CARD_WORDS: usize = 8;
+
+/// Cards per segment (one byte each in the table's card rows).
+pub const CARDS_PER_SEGMENT: usize = SEGMENT_WORDS / CARD_WORDS;
+
+/// Card byte meaning "no word of this card points into a generation
+/// younger than the segment's own". Any other value is a lower bound on
+/// the youngest generation a word of the card points to.
+pub const CARD_CLEAN: u8 = u8::MAX;
 
 /// Owner of all heap segments and their metadata.
 ///
@@ -19,11 +30,18 @@ pub struct SegmentTable {
     info: Vec<Option<SegInfo>>,
     free: Vec<SegIndex>,
     allocated: usize,
-    /// Index of dirty segments: exactly the allocated segments whose
+    /// The card table: one row per segment index (tails included, so a
+    /// run's rows are contiguous), one byte per [`CARD_WORDS`]-word card.
+    /// A byte is [`CARD_CLEAN`] or a lower bound on the youngest
+    /// generation any word of the card points to. Rows are reset to
+    /// all-clean whenever their segment is (re)allocated.
+    cards: Vec<[u8; CARDS_PER_SEGMENT]>,
+    /// Index of dirty runs: exactly the allocated head segments whose
     /// `SegInfo::dirty` flag is set (plus possibly-stale entries for
     /// segments freed or cleaned since — consumers re-check the flag).
-    /// Lets the remembered-set scan visit dirty segments without walking
-    /// the whole table.
+    /// The flag summarises the card rows ("some card of this run is not
+    /// clean"), so the remembered-set scan reaches the dirty cards
+    /// without walking the whole table.
     dirty_list: Vec<SegIndex>,
     /// Per-generation segment lists (heads *and* tails), appended on
     /// allocation and drained by the collector's flip so building the
@@ -49,6 +67,7 @@ impl SegmentTable {
             info: Vec::new(),
             free: Vec::new(),
             allocated: 0,
+            cards: Vec::new(),
             dirty_list: Vec::new(),
             by_gen: Vec::new(),
             pool: None,
@@ -170,12 +189,14 @@ impl SegmentTable {
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.segs[idx.index()].fill(0);
+                self.cards[idx.index()] = [CARD_CLEAN; CARDS_PER_SEGMENT];
                 idx
             }
             None => {
                 let idx = SegIndex(self.segs.len() as u32);
                 let storage = self.fresh_storage();
                 self.segs.push(storage);
+                self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
                 self.info.push(None);
                 idx
             }
@@ -206,6 +227,7 @@ impl SegmentTable {
             let idx = SegIndex(head.0 + i as u32);
             let storage = self.fresh_storage();
             self.segs.push(storage);
+            self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
             let info = if i == 0 {
                 let mut info = SegInfo::head(space, generation);
                 info.run = n as u32;
@@ -377,17 +399,64 @@ impl SegmentTable {
     }
 
     // ------------------------------------------------------------------
-    // Dirty-segment index
+    // Card table and dirty-run index
     // ------------------------------------------------------------------
 
-    /// Sets the segment's dirty flag and records it in the dirty index.
-    /// Idempotent: an already-dirty segment is not recorded twice.
+    /// The mutator write barrier: sets the card holding `addr` to 0 ("may
+    /// point into any generation") and flags the run `addr` lies in. No
+    /// referent generation is looked up; the next collection that visits
+    /// the card replaces the 0 with the exact minimum. A no-op in
+    /// generation 0, which has no younger generation to point into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s segment is not allocated.
+    #[inline]
+    pub fn mark_card(&mut self, addr: WordAddr) {
+        let seg = addr.seg();
+        let info = self.info[seg.index()]
+            .as_mut()
+            .expect("segment not allocated");
+        if info.generation == 0 {
+            return;
+        }
+        self.cards[seg.index()][addr.offset() / CARD_WORDS] = 0;
+        match info.kind {
+            SegKind::Head if info.dirty => {}
+            SegKind::Head => {
+                info.dirty = true;
+                self.dirty_list.push(seg);
+            }
+            SegKind::Tail { head } => self.flag_dirty(head),
+        }
+    }
+
+    /// Sets every card covering a used word of the run headed by `seg` to
+    /// 0 (cards past the run's `used` watermark stay clean, as
+    /// [`SegmentTable::mark_card`] leaves them) and flags the run: the
+    /// whole-run form of the barrier. Weak-pair
+    /// segments are remembered this way (their cars are settled per
+    /// segment, not per card), and tests use it as the card-oblivious
+    /// reference barrier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is not an allocated head segment.
+    pub fn mark_dirty(&mut self, seg: SegIndex) {
+        let used = (self.info(seg).used as usize).div_ceil(CARD_WORDS);
+        self.run_cards_mut(seg)[..used].fill(0);
+        self.flag_dirty(seg);
+    }
+
+    /// Sets the run's dirty flag and records it in the dirty index,
+    /// leaving its cards alone. Idempotent: an already-flagged run is not
+    /// recorded twice.
     ///
     /// # Panics
     ///
     /// Panics if the segment is not allocated.
     #[inline]
-    pub fn mark_dirty(&mut self, seg: SegIndex) {
+    pub fn flag_dirty(&mut self, seg: SegIndex) {
         let info = self.info[seg.index()]
             .as_mut()
             .expect("segment not allocated");
@@ -397,8 +466,9 @@ impl SegmentTable {
         }
     }
 
-    /// Clears the segment's dirty flag. The index entry (if any) goes
-    /// stale and is skipped by consumers that re-check the flag.
+    /// Clears the run's dirty flag (its cards are left alone). The index
+    /// entry, if any, goes stale and is skipped by consumers that
+    /// re-check the flag.
     ///
     /// # Panics
     ///
@@ -411,13 +481,36 @@ impl SegmentTable {
             .dirty = false;
     }
 
+    /// The card bytes of the run headed by `seg`, [`CARDS_PER_SEGMENT`]
+    /// per segment, in word order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is not an allocated head segment.
+    pub fn run_cards(&self, seg: SegIndex) -> &[u8] {
+        let n = self.run_len(seg);
+        self.cards[seg.index()..seg.index() + n].as_flattened()
+    }
+
+    /// Mutable form of [`SegmentTable::run_cards`], for the collector's
+    /// write-back of refreshed bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is not an allocated head segment.
+    pub fn run_cards_mut(&mut self, seg: SegIndex) -> &mut [u8] {
+        let n = self.run_len(seg);
+        self.cards[seg.index()..seg.index() + n].as_flattened_mut()
+    }
+
     /// Takes the dirty index. Entries may be stale (freed, recycled, or
     /// cleaned segments): the caller must skip entries whose current
-    /// [`SegInfo::dirty`] flag is unset, and must either re-[`mark_dirty`]
-    /// or [`clear_dirty`] every live entry it keeps, since taking the list
-    /// removes them from the index.
+    /// [`SegInfo::dirty`] flag is unset, and must either
+    /// [`clear_dirty`] and re-[`flag_dirty`] or simply [`clear_dirty`]
+    /// every live entry it keeps, since taking the list removes them from
+    /// the index.
     ///
-    /// [`mark_dirty`]: SegmentTable::mark_dirty
+    /// [`flag_dirty`]: SegmentTable::flag_dirty
     /// [`clear_dirty`]: SegmentTable::clear_dirty
     pub fn take_dirty(&mut self) -> Vec<SegIndex> {
         std::mem::take(&mut self.dirty_list)
@@ -522,7 +615,6 @@ impl std::fmt::Debug for SegmentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::info::SegKind;
 
     #[test]
     fn allocate_tags_space_and_generation() {
@@ -676,13 +768,67 @@ mod tests {
     }
 
     #[test]
+    fn mark_card_sets_one_card_and_flags_the_run_head() {
+        let mut t = SegmentTable::new();
+        let single = t.allocate(Space::Typed, 1);
+        let run = t.allocate_run(Space::Typed, 2, 3);
+        t.mark_card(t.base_addr(single).add(17));
+        t.mark_card(t.base_addr(single).add(23)); // same card, idempotent
+        let cards = t.run_cards(single);
+        assert_eq!(cards.len(), CARDS_PER_SEGMENT);
+        assert_eq!(cards[2], 0);
+        assert_eq!(cards.iter().filter(|&&c| c != CARD_CLEAN).count(), 1);
+        // Word 600 of the run lies in its second segment: that tail's row
+        // is marked, and the *head* is what gets flagged and indexed.
+        t.mark_card(t.base_addr(run).add(600));
+        let cards = t.run_cards(run);
+        assert_eq!(cards.len(), 3 * CARDS_PER_SEGMENT);
+        assert_eq!(cards[600 / CARD_WORDS], 0);
+        assert_eq!(cards.iter().filter(|&&c| c != CARD_CLEAN).count(), 1);
+        assert!(t.info(run).dirty);
+        assert!(!t.info(SegIndex(run.0 + 1)).dirty);
+        assert_eq!(t.dirty_index(), &[single, run]);
+    }
+
+    #[test]
+    fn fresh_and_recycled_segments_start_all_clean() {
+        let mut t = SegmentTable::new();
+        let a = t.allocate(Space::Pair, 1);
+        assert!(t.run_cards(a).iter().all(|&c| c == CARD_CLEAN));
+        t.info_mut(a).used = 20;
+        t.mark_dirty(a);
+        let (used, unused) = t.run_cards(a).split_at(3);
+        assert!(used.iter().all(|&c| c == 0));
+        assert!(unused.iter().all(|&c| c == CARD_CLEAN));
+        t.free(a);
+        let b = t.allocate(Space::Typed, 2);
+        assert_eq!(a, b, "storage (and its card row) is reissued");
+        let young = t.allocate(Space::Pair, 0);
+        t.mark_card(t.base_addr(young));
+        assert!(!t.info(young).dirty, "generation 0 is never remembered");
+        assert!(t.run_cards(b).iter().all(|&c| c == CARD_CLEAN));
+        assert!(!t.info(b).dirty);
+        // A freed run's tails come back as clean singles too.
+        let run = t.allocate_run(Space::Typed, 1, 2);
+        t.info_mut(run).used = 2 * SEGMENT_WORDS as u32;
+        t.mark_dirty(run);
+        t.free(run);
+        let c = t.allocate(Space::Pair, 1);
+        let d = t.allocate(Space::Pair, 1);
+        for seg in [c, d] {
+            assert!(t.run_cards(seg).iter().all(|&c| c == CARD_CLEAN));
+        }
+    }
+
+    #[test]
     fn dirty_index_tracks_marks_and_skips_stale() {
         let mut t = SegmentTable::new();
         let a = t.allocate(Space::Pair, 1);
         let b = t.allocate(Space::Pair, 2);
         t.mark_dirty(a);
         t.mark_dirty(a); // idempotent
-        t.mark_dirty(b);
+        t.flag_dirty(b); // flag only: cards untouched
+        assert!(t.run_cards(b).iter().all(|&c| c == CARD_CLEAN));
         assert_eq!(t.dirty_index(), &[a, b]);
         t.clear_dirty(a);
         assert!(!t.info(a).dirty);

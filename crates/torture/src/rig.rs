@@ -1036,6 +1036,7 @@ impl Rig {
                     objects_copied,
                     guardian_entries_visited,
                     weak_pairs_scanned,
+                    dirty_cards_scanned,
                     dur_ns,
                 } => {
                     ends += 1;
@@ -1046,6 +1047,7 @@ impl Rig {
                         objects_copied,
                         guardian_entries_visited,
                         weak_pairs_scanned,
+                        dirty_cards_scanned,
                     ];
                     let want = [
                         r.collection_index,
@@ -1054,6 +1056,7 @@ impl Rig {
                         r.objects_copied,
                         r.guardian_entries_visited,
                         r.weak_pairs_scanned,
+                        r.dirty_cards_scanned,
                     ];
                     check!(
                         self,
