@@ -6,7 +6,7 @@
 //! design (per-table geometric means, best-of-N fresh runs).
 //!
 //! ```text
-//! bench_gate --baseline BENCH_e11.json --baseline BENCH_e14.json \
+//! bench_gate --baseline BENCH_e11.json --baseline BENCH_e19.json \
 //!            --fresh fresh1.json --fresh fresh2.json
 //! bench_gate --baseline B.json --fresh F.json --tolerance 0.10
 //! bench_gate --baseline B.json --fresh F.json --scale-fresh 0.8   # demo: inject -20%
@@ -14,7 +14,7 @@
 //!
 //! `--baseline` repeats: the committed baselines live one experiment per
 //! file and are merged before comparison. Each `--fresh` document must
-//! contain every gated table (generate with `--only e11 e14 e17 e18`).
+//! contain every gated table (generate with `--only e11 e17 e18 e19 e21 e22`).
 //!
 //! `--scale-fresh <f>` multiplies every fresh metric by `f` after
 //! extraction (throughput) or divides latency by `f` — i.e. `0.8`

@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (E1..E12, E14, E17..E22) —
+//! Regenerates every experiment table (E1..E12, E17..E22) —
 //! the artifact behind EXPERIMENTS.md.
 //!
 //! Usage:
@@ -37,13 +37,13 @@ fn main() {
             .collect(),
         None => Vec::new(),
     };
-    const NAMES: [&str; 19] = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e14", "e17",
-        "e18", "e19", "e20", "e21", "e22",
+    const NAMES: [&str; 18] = [
+        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e17", "e18",
+        "e19", "e20", "e21", "e22",
     ];
     for o in &only {
         if !NAMES.contains(&o.as_str()) {
-            eprintln!("error: unknown experiment {o:?} (expected one of e1..e12, e14, e17..e22)");
+            eprintln!("error: unknown experiment {o:?} (expected one of e1..e12, e17..e22)");
             std::process::exit(2);
         }
     }
@@ -70,7 +70,6 @@ fn main() {
         ("e10", |q| ex::e10::run(q).0),
         ("e11", |q| ex::e11::run(q).0),
         ("e12", |q| ex::e12::run(q).0),
-        ("e14", |q| ex::e14::run(q).0),
         ("e17", |q| ex::e17::run(q).0),
         ("e18", |q| ex::e18::run(q).0),
         ("e19", |q| ex::e19::run(q).0),

@@ -7,7 +7,6 @@
 //!
 //! ```text
 //! gcprof --scenario e11 --quick --out-dir gcprof-out
-//! gcprof --scenario e14 --quick --out-dir gcprof-out
 //! gcprof --scenario e18 --quick --out-dir gcprof-out
 //! gcprof --scenario e19 --quick --out-dir gcprof-out
 //! gcprof --scenario e21 --quick --out-dir gcprof-out
@@ -29,7 +28,7 @@ use guardians_gc::{
     chrome_trace_json, decisions_jsonl, events_jsonl, replay_stats, AutotuneConfig, GcConfig,
     GcEvent, Heap, Promotion, TraceConfig, TracedEvent,
 };
-use guardians_scheme::{Interp, InterpConfig};
+use guardians_scheme::Interp;
 use guardians_workloads::{
     run_burst_workload, run_cache_workload, run_lifetime_workload, run_pool_workload, BurstParams,
     CacheParams, LifetimeParams, PolicyStats, PoolParams,
@@ -46,7 +45,7 @@ fn main() {
     };
     let scenario = get("--scenario").unwrap_or_else(|| {
         eprintln!(
-            "usage: gcprof --scenario <e11|e14|e18|e19|e21|e22|torture> [--quick] [--seed N] \
+            "usage: gcprof --scenario <e11|e18|e19|e21|e22|torture> [--quick] [--seed N] \
              [--ops N] [--out-dir DIR]"
         );
         std::process::exit(2);
@@ -59,7 +58,6 @@ fn main() {
 
     match scenario.as_str() {
         "e11" => profile_e11(quick, &out_dir),
-        "e14" => profile_e14(quick, &out_dir),
         "e18" => profile_e18(quick, &out_dir),
         "e19" => profile_e19(quick, &out_dir),
         "e21" => profile_e21(quick, &out_dir),
@@ -67,8 +65,7 @@ fn main() {
         "torture" => profile_torture(seed, ops, &out_dir),
         other => {
             eprintln!(
-                "error: unknown scenario {other:?} (expected e11, e14, e18, e19, e21, e22, or \
-                 torture)"
+                "error: unknown scenario {other:?} (expected e11, e18, e19, e21, e22, or torture)"
             );
             std::process::exit(2);
         }
@@ -210,110 +207,24 @@ fn profile_e18(quick: bool, out_dir: &str) {
     write_exports(out_dir, "e18", &events);
 }
 
-fn profile_e14(quick: bool, out_dir: &str) {
-    // The same programs E14 times (list churn and guardian churn are the
-    // allocation-heavy ones worth attributing), run under the staged
-    // evaluator with both tracing and site profiling enabled.
-    let programs: [(&str, &str, &str, usize); 2] = [
-        (
-            "list-churn",
-            "(define (iota n) \
-               (let lp ((i 0) (acc '())) \
-                 (if (= i n) (reverse acc) (lp (+ i 1) (cons i acc))))) \
-             (define (filter p l) \
-               (cond ((null? l) '()) \
-                     ((p (car l)) (cons (car l) (filter p (cdr l)))) \
-                     (else (filter p (cdr l))))) \
-             (define (churn n) \
-               (length (map (lambda (x) (* x x)) (filter odd? (iota n)))))",
-            "(churn 250)",
-            if quick { 20 } else { 80 },
-        ),
-        (
-            "guardian-churn",
-            "(define (gchurn n) \
-               (let ((g (make-guardian))) \
-                 (let lp ((i 0)) \
-                   (unless (= i n) (g (cons i i)) (lp (+ i 1)))) \
-                 (collect 3) \
-                 (let drain ((k 0)) \
-                   (if (g) (drain (+ k 1)) k))))",
-            "(gchurn 500)",
-            if quick { 6 } else { 24 },
-        ),
-    ];
-    let mut it = Interp::with_interp_config(InterpConfig::staged());
-    it.heap_mut().enable_tracing(profile_trace_config());
-    it.heap_mut().enable_site_profile();
-    for (name, setup, driver, iters) in programs {
-        it.eval_str(setup).expect("setup evaluates");
-        for _ in 0..iters {
-            it.eval_to_string(driver).expect("driver evaluates");
-        }
-        println!("ran {name} x{iters}");
-    }
-    let events = it.heap_mut().drain_trace_events();
-    let sites = it.heap_mut().take_site_profile();
-
-    println!("== gcprof e14 (staged evaluator, site attribution) ==");
-    println!("allocation sites by words (top 10):");
-    for (site, s) in sites.iter().take(10) {
-        println!(
-            "  {:>10} words  {:>8} allocs  {site}",
-            s.words, s.allocations
-        );
-    }
-    print_pause_report(it.heap_mut());
-    std::fs::write(
-        Path::new(out_dir).join("e14.metrics.json"),
-        it.heap_mut().metrics_json(),
-    )
-    .expect("write metrics");
-    write_exports(out_dir, "e14", &events);
-}
-
 fn profile_e19(quick: bool, out_dir: &str) {
-    // E14's allocation-heavy programs run under the bytecode VM with site
-    // profiling on, which also arms the per-opcode dispatch counters: the
-    // profile shows where the words come from *and* where the dispatch
-    // loop spends its instructions.
-    let programs: [(&str, &str, &str, usize); 2] = [
-        (
-            "list-churn",
-            "(define (iota n) \
-               (let lp ((i 0) (acc '())) \
-                 (if (= i n) (reverse acc) (lp (+ i 1) (cons i acc))))) \
-             (define (filter p l) \
-               (cond ((null? l) '()) \
-                     ((p (car l)) (cons (car l) (filter p (cdr l)))) \
-                     (else (filter p (cdr l))))) \
-             (define (churn n) \
-               (length (map (lambda (x) (* x x)) (filter odd? (iota n)))))",
-            "(churn 250)",
-            if quick { 20 } else { 80 },
-        ),
-        (
-            "guardian-churn",
-            "(define (gchurn n) \
-               (let ((g (make-guardian))) \
-                 (let lp ((i 0)) \
-                   (unless (= i n) (g (cons i i)) (lp (+ i 1)))) \
-                 (collect 3) \
-                 (let drain ((k 0)) \
-                   (if (g) (drain (+ k 1)) k))))",
-            "(gchurn 500)",
-            if quick { 6 } else { 24 },
-        ),
-    ];
-    let mut it = Interp::with_interp_config(InterpConfig::vm());
+    // E19's allocation-heavy programs (list churn and guardian churn)
+    // run under the bytecode VM with tracing and site profiling on, which
+    // also arms the per-opcode dispatch counters: the profile shows where
+    // the words come from *and* where the dispatch loop spends its
+    // instructions.
+    let programs = guardians_bench::experiments::e19::workloads(quick)
+        .into_iter()
+        .filter(|(w, _)| w.name.contains("churn"));
+    let mut it = Interp::new();
     it.heap_mut().enable_tracing(profile_trace_config());
     it.heap_mut().enable_site_profile();
-    for (name, setup, driver, iters) in programs {
-        it.eval_str(setup).expect("setup evaluates");
+    for (w, iters) in programs {
+        it.eval_str(w.setup).expect("setup evaluates");
         for _ in 0..iters {
-            it.eval_to_string(driver).expect("driver evaluates");
+            it.eval_to_string(w.driver).expect("driver evaluates");
         }
-        println!("ran {name} x{iters}");
+        println!("ran {} x{iters}", w.name);
     }
     let events = it.heap_mut().drain_trace_events();
     let sites = it.heap_mut().take_site_profile();

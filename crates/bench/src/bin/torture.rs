@@ -32,13 +32,10 @@
 //!                    after every collection      (default 0 = none)
 //!   --scheme-seeds N additionally run N seeds of the scheme-differential
 //!                    leg: the seed's guardian-heavy Scheme workload under
-//!                    the staged anchor vs the tier named by
-//!                    --scheme-interp, on the seed's rotated heap config
-//!                    (plus --workers / --pause-budget overrides)
-//!                    (default 0 = none)
+//!                    the bytecode VM vs the naive oracle, on the seed's
+//!                    rotated heap config (plus --workers /
+//!                    --pause-budget overrides)        (default 0 = none)
 //!   --scheme-forms N top-level forms per scheme workload  (default 200)
-//!   --scheme-interp M the tier the scheme leg checks against the staged
-//!                    anchor: naive | vm                   (default vm)
 //!   --zone-soak N    additionally run N seeds of the multi-zone soak:
 //!                    a randomized create/dispatch/evict/teardown schedule
 //!                    over a shared-pool zone fleet, every teardown
@@ -64,7 +61,6 @@ fn main() {
     let mut traced_seeds: u64 = 0;
     let mut scheme_seeds: u64 = 0;
     let mut scheme_forms: usize = 200;
-    let mut scheme_interp = guardians_torture::InterpMode::Vm;
     let mut zone_seeds: u64 = 0;
     let mut zone_ops: usize = 400;
     let mut max_zones: usize = 6;
@@ -96,13 +92,6 @@ fn main() {
             "--traced" => traced_seeds = val(i),
             "--scheme-seeds" => scheme_seeds = val(i),
             "--scheme-forms" => scheme_forms = val(i) as usize,
-            "--scheme-interp" => {
-                scheme_interp = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("--scheme-interp needs naive|vm"))
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--scheme-interp: {e}"));
-            }
             "--zone-soak" => zone_seeds = val(i),
             "--zone-ops" => zone_ops = val(i) as usize,
             "--zones" => max_zones = (val(i) as usize).max(1),
@@ -228,7 +217,7 @@ fn main() {
     if scheme_seeds > 0 {
         println!(
             "scheme differential: {scheme_seeds} seeds x ~{scheme_forms} forms, \
-             {scheme_interp} tier vs the staged anchor"
+             VM vs the naive oracle"
         );
         let t3 = Instant::now();
         let mut forms = 0usize;
@@ -236,14 +225,13 @@ fn main() {
         let mut polled = 0u64;
         for seed in start..start + scheme_seeds {
             let mut cfg = guardians_torture::config_for_seed(seed);
-            cfg.interp = scheme_interp;
             cfg.workers = workers;
             cfg.pause_budget = pause_budget;
             match guardians_torture::run_scheme_differential(seed, scheme_forms, &cfg) {
                 Ok(stats) => {
                     forms += stats.forms;
-                    collections += stats.collections;
-                    polled += stats.polled;
+                    collections += stats.counters.collections;
+                    polled += stats.counters.guardian_polls;
                 }
                 Err(failure) => {
                     eprintln!("{failure}");

@@ -8,7 +8,6 @@ pub mod e1;
 pub mod e10;
 pub mod e11;
 pub mod e12;
-pub mod e14;
 pub mod e17;
 pub mod e18;
 pub mod e19;
@@ -39,7 +38,6 @@ pub fn run_all(quick: bool) -> Vec<guardians_workloads::Table> {
         e10::run(quick).0,
         e11::run(quick).0,
         e12::run(quick).0,
-        e14::run(quick).0,
         e17::run(quick).0,
         e18::run(quick).0,
         e19::run(quick).0,
@@ -49,8 +47,8 @@ pub fn run_all(quick: bool) -> Vec<guardians_workloads::Table> {
     ]
 }
 
-/// The uniform environment footnote the measured tables carry (E11, E14,
-/// E17, E18): host parallelism plus the active collector-engine settings,
+/// The uniform environment footnote the measured tables carry (E11, E17,
+/// E18, E19): host parallelism plus the active collector-engine settings,
 /// so a table read in isolation — or consumed from `experiments --json` —
 /// records the conditions it was measured under. `workers`/`pause_budget`
 /// are the [`guardians_gc::GcConfig`] fields the run used as its

@@ -4,7 +4,7 @@
 //! Design notes, earned the hard way:
 //!
 //! * Individual table rows are noisy (±10% run-to-run on the quick
-//!   configuration; the guardian-churn e14 row swings 40%), so the gate
+//!   configuration; the guardian-churn e19 row swings 40%), so the gate
 //!   compares the **geometric mean of a metric column per table**, which
 //!   is stable to a few percent.
 //! * The fresh side may supply **several runs**; the gate takes the best
@@ -255,18 +255,18 @@ pub struct GateSpec {
     pub direction: Direction,
 }
 
-/// The default gate: e11 copy throughput, e14 staged eval latency, e17
-/// serial-engine copy throughput, e18 pause latency, and e19 VM eval
-/// latency. E17's parallel columns are *not* gated — their values depend
-/// on the runner's core count — but the 1-worker column exercises the
+/// The default gate: e11 copy throughput, e17 serial-engine copy
+/// throughput, e18 pause latency, and e19 VM eval latency. E17's
+/// parallel columns are *not* gated — their values depend on the
+/// runner's core count — but the 1-worker column exercises the
 /// serial engine through the E17 workload mix and is host-shape
 /// independent. E18's p50/p99 columns gate the incremental engine's
 /// reason to exist: the per-table geomean spans the serial row and every
 /// budget row, so a latency regression in either engine (or a budget
 /// that stops slicing) fails. E19's `vm us/eval` column gates the
-/// bytecode tier's headline: the committed BENCH_e19.json baseline
-/// records the ≥1.8x-over-staged throughput, so a dispatch-loop or
-/// inline-cache regression that erodes it fails here. E22's GC-work
+/// evaluator's speed: a dispatch-loop or inline-cache regression moves
+/// it against the committed BENCH_e19.json baseline (the `oracle
+/// us/eval` column beside it is context, not gated). E22's GC-work
 /// geomean column is a *deterministic* proxy (words copied + guardian
 /// entries visited — no wall clock), so its gate is noise-free: the
 /// per-table geomean spans the static sweep and both autotuner rows, and
@@ -278,11 +278,6 @@ pub fn default_specs() -> Vec<GateSpec> {
             table: "e11",
             column: "copy Mw/s",
             direction: Direction::HigherIsBetter,
-        },
-        GateSpec {
-            table: "e14",
-            column: "staged us/eval",
-            direction: Direction::LowerIsBetter,
         },
         GateSpec {
             table: "e17",
@@ -343,7 +338,7 @@ fn find_table<'a>(doc: &'a Json, name: &str) -> Result<&'a Json, String> {
 
 /// Merges several experiment documents into one by concatenating their
 /// `tables` arrays. The committed baselines live one experiment per file
-/// (`BENCH_e11.json`, `BENCH_e14.json`), while `compare` wants a single
+/// (`BENCH_e11.json`, `BENCH_e19.json`), while `compare` wants a single
 /// document covering every gated table. The `quick` flags must agree.
 pub fn merge_docs(docs: &[Json]) -> Result<Json, String> {
     let first = docs.first().ok_or("no documents to merge")?;
@@ -522,8 +517,6 @@ mod tests {
             "{{\"quick\":{quick},\"tables\":[\
              {{\"name\":\"e11\",\"title\":\"E11: x\",\"headers\":[\"configuration\",\"copy Mw/s\"],\
               \"rows\":[{mw}],\"notes\":[]}},\
-             {{\"name\":\"e14\",\"title\":\"E14: y\",\"headers\":[\"workload\",\"staged us/eval\"],\
-              \"rows\":[{us}],\"notes\":[]}},\
              {{\"name\":\"e17\",\"title\":\"E17: z\",\"headers\":[\"configuration\",\"copy Mw/s (1w)\"],\
               \"rows\":[{mw}],\"notes\":[]}},\
              {{\"name\":\"e18\",\"title\":\"E18: w\",\"headers\":[\"pause budget\",\
@@ -630,11 +623,6 @@ mod tests {
              \"rows\":[[\"a\",\"60.0\"]],\"notes\":[]}]}",
         )
         .unwrap();
-        let e14_only = Json::parse(
-            "{\"quick\":true,\"tables\":[{\"name\":\"e14\",\"headers\":[\"k\",\"staged us/eval\"],\
-             \"rows\":[[\"a\",\"900.0\"]],\"notes\":[]}]}",
-        )
-        .unwrap();
         let e17_only = Json::parse(
             "{\"quick\":true,\"tables\":[{\"name\":\"e17\",\"headers\":[\"k\",\"copy Mw/s (1w)\"],\
              \"rows\":[[\"a\",\"60.0\"]],\"notes\":[]}]}",
@@ -665,10 +653,9 @@ mod tests {
         .unwrap();
         let merged = merge_docs(&[
             e11_only,
-            e14_only.clone(),
             e17_only,
             e18_only,
-            e19_only,
+            e19_only.clone(),
             e21_only,
             e22_only,
         ])
@@ -677,7 +664,7 @@ mod tests {
         assert!(lines.iter().all(|l| l.pass && l.regression.abs() < 1e-9));
         let err = merge_docs(&[merged, doc(false, &[1.0], &[1.0])]).unwrap_err();
         assert!(err.contains("quick-flag mismatch"), "{err}");
-        assert!(merge_docs(&[e14_only]).is_ok());
+        assert!(merge_docs(&[e19_only]).is_ok());
     }
 
     #[test]

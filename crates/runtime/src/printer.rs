@@ -27,9 +27,12 @@ struct Printer<'h> {
     write: bool,
     /// address -> number of times encountered during the scan pass.
     seen: HashMap<u64, u32>,
-    /// address -> label for multiply-referenced nodes.
-    labels: HashMap<u64, usize>,
-    emitted: HashMap<u64, bool>,
+    /// Multiply-referenced nodes: address -> label, assigned when the
+    /// node is first emitted. Numbering labels in output order (not by
+    /// address) keeps the text independent of where the collector or
+    /// the evaluator happened to put things.
+    labels: HashMap<u64, Option<usize>>,
+    next_label: usize,
 }
 
 impl<'h> Printer<'h> {
@@ -39,23 +42,18 @@ impl<'h> Printer<'h> {
             write,
             seen: HashMap::new(),
             labels: HashMap::new(),
-            emitted: HashMap::new(),
+            next_label: 0,
         }
     }
 
     fn print(mut self, v: Value) -> String {
         self.scan(v);
-        let shared: Vec<u64> = self
+        self.labels = self
             .seen
             .iter()
             .filter(|(_, &count)| count > 1)
-            .map(|(&addr, _)| addr)
+            .map(|(&addr, _)| (addr, None))
             .collect();
-        let mut shared = shared;
-        shared.sort_unstable();
-        for (label, addr) in shared.into_iter().enumerate() {
-            self.labels.insert(addr, label);
-        }
         let mut out = String::new();
         self.emit(v, &mut out);
         out
@@ -93,12 +91,14 @@ impl<'h> Printer<'h> {
         use std::fmt::Write;
         if v.is_ptr() {
             let addr = v.addr().raw();
-            if let Some(&label) = self.labels.get(&addr) {
-                if *self.emitted.get(&addr).unwrap_or(&false) {
+            if let Some(slot) = self.labels.get_mut(&addr) {
+                if let Some(label) = *slot {
                     let _ = write!(out, "#{label}#");
                     return;
                 }
-                self.emitted.insert(addr, true);
+                let label = self.next_label;
+                self.next_label += 1;
+                *slot = Some(label);
                 let _ = write!(out, "#{label}=");
             }
         }
@@ -301,6 +301,17 @@ mod tests {
         let l = list(&mut h, &[shared, shared]);
         let s = write_value(&h, l);
         assert_eq!(s, "(#0=(9) #0#)");
+    }
+
+    #[test]
+    fn labels_are_numbered_in_output_order_not_address_order() {
+        let mut h = Heap::default();
+        // Allocated second-printed-first: an address-ordered numbering
+        // would call `late` #0.
+        let late = h.cons(Value::fixnum(2), Value::NIL);
+        let early = h.cons(Value::fixnum(1), Value::NIL);
+        let l = list(&mut h, &[early, early, late, late]);
+        assert_eq!(write_value(&h, l), "(#0=(1) #0# #1=(2) #1#)");
     }
 
     #[test]

@@ -38,15 +38,15 @@ pub fn environment() -> Value {
     Value::fixnum(0x454e5653) // "ENVS"
 }
 
-/// Descriptor for staged (compiled) closure records: `[code-index, env,
-/// name]`, where `code-index` is a fixnum into the interpreter's
-/// analyzed-code table (Scheme interpreter's staged evaluator).
+/// Descriptor for compiled closure records: `[code-index, env, name]`,
+/// where `code-index` is a fixnum into the interpreter's analyzed-code
+/// table (Scheme interpreter's bytecode VM).
 pub fn compiled_closure() -> Value {
     Value::fixnum(0x43434c53) // "CCLS"
 }
 
-/// Descriptor for slot-addressed environment frame records of the staged
-/// evaluator: `[parent, slot0, slot1, ...]`.
+/// Descriptor for the bytecode VM's slot-addressed environment frame
+/// records: `[parent, slot0, slot1, ...]`.
 pub fn frame() -> Value {
     Value::fixnum(0x4652414d) // "FRAM"
 }

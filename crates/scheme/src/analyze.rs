@@ -1,12 +1,12 @@
-//! One-time syntax analysis: the staging pass.
+//! One-time syntax analysis: the front half of the production evaluator.
 //!
 //! `analyze_top` walks a top-level form once and produces an opcode tree
 //! ([`Code`]) in which every special form has been resolved to an enum
 //! variant, every local variable reference has been replaced by a
 //! `(frame depth, slot)` pair against a compile-time scope map, and every
 //! global reference goes through the symbol's interned value cell with a
-//! one-entry inline cache at the reference site. The execution engine in
-//! `interp.rs` then runs the tree without ever re-inspecting source
+//! one-entry inline cache at the reference site. `compile.rs` lowers the
+//! tree to bytecode and `vm.rs` runs it without ever re-inspecting source
 //! syntax — the cost of parsing special forms, walking binding lists,
 //! and searching association-list environments is paid once per form
 //! instead of once per evaluation.
@@ -20,8 +20,8 @@
 //! documented divergences are limited to *malformed* programs (the
 //! analyzer reports a syntax error at analysis time where the naive
 //! evaluator would only fail if and when the bad subform was reached) and
-//! to conditionally-executed `define`s inside bodies, which the staged
-//! evaluator allocates a slot for unconditionally.
+//! to conditionally-executed `define`s inside bodies, which the analyzer
+//! allocates a slot for unconditionally.
 
 use crate::error::{err, SResult};
 use crate::interp::Interp;
@@ -158,7 +158,7 @@ pub(crate) enum Code {
         /// The init expressions, evaluated in the outer environment.
         args: Vec<CodeRef>,
         /// Whether to bump the interpreter's gensym counter first (the
-        /// naive `do` desugar allocates a gensym per evaluation; staged
+        /// naive `do` desugar allocates a gensym per evaluation; the VM's
         /// `do` must keep the counter in lockstep).
         bump_gensym: bool,
     },
@@ -1324,8 +1324,8 @@ fn seq_of(mut parts: Vec<CodeRef>) -> CodeRef {
 /// `LocalRef`/`LocalSet` must address a slot strictly inside the frame
 /// `depth` levels out, and `depth` must not escape the frames the tree
 /// itself introduces. The VM compiles fixed frame layouts straight from
-/// `n_slots`, so this is the proof obligation that lets it (and the
-/// staged evaluator's debug assertions) treat slot indices as exact.
+/// `n_slots`, so this is the proof obligation that lets it treat slot
+/// indices as exact.
 ///
 /// `env` is the stack of static frame sizes, innermost last; lambdas
 /// reached through `Lambda`/`NamedLet` nodes are audited at their

@@ -1,11 +1,11 @@
 //! Bytecode compiler: lowers the analyzer's opcode tree into flat
-//! [`CodeObject`]s for the VM tier.
+//! [`CodeObject`]s for the VM.
 //!
 //! The compiler is *pure* with respect to the heap: it clones `Rooted`
 //! handles and `Rc<GlobalSite>`s out of the analyzed tree into per-object
-//! constant pools and never allocates, so switching between the staged
-//! evaluator and the VM changes no allocation sequence — the property the
-//! three-way differential tests pin down.
+//! constant pools and never allocates, so the VM's allocation sequence is
+//! a function of the analyzed tree alone — the property the golden
+//! counter table (`crates/torture/tests/scheme_counters.rs`) pins down.
 //!
 //! Layout decisions (see DESIGN §11):
 //! - one `CodeObject` per straight-line region: the top-level form, each
@@ -107,8 +107,8 @@ pub(crate) struct CodeObject {
     pub imms: Vec<Value>,
     /// Rooted heap constants (quoted data, `case` datum lists).
     pub consts: Vec<Rooted>,
-    /// Global reference sites (shared with the analyzed tree, so the
-    /// staged evaluator and the VM warm the same inline caches).
+    /// Global reference sites (shared with the analyzed tree, so every
+    /// code object compiled from one site warms the same inline cache).
     pub sites: Vec<Rc<GlobalSite>>,
     /// Variable names for "used before initialization" errors.
     pub names: Vec<Rc<str>>,
@@ -397,9 +397,11 @@ impl Insn {
         }
     }
 
-    /// Allocation-site label, matching the staged evaluator's `site_of`
-    /// so per-site profiles agree across tiers. Insns that cannot
-    /// allocate are grouped under `scheme.vm`.
+    /// Allocation-site label for the heap's site profile
+    /// ([`Heap::set_alloc_site`]), named after the source construct the
+    /// insn came from. Labels are `&'static str` so attribution costs one
+    /// pointer store. Insns that cannot allocate are grouped under
+    /// `scheme.vm`.
     pub(crate) fn site(self) -> &'static str {
         match self {
             Insn::Imm(_) | Insn::ImmCall { .. } | Insn::ImmTailCall { .. } => "scheme.imm",
@@ -812,7 +814,7 @@ impl<'c, 'tab> Compiler<'c, 'tab> {
                 body,
             } => {
                 // Tail let: the activation's environment slot is simply
-                // replaced, exactly like the staged `step_let`.
+                // replaced.
                 self.compile_let_frame(*n_slots, inits)?;
                 self.compile_tail(body)?;
             }

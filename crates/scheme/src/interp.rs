@@ -1,4 +1,4 @@
-//! The evaluator.
+//! The interpreter state and the reference evaluator.
 //!
 //! Everything the interpreter touches — expressions, environments,
 //! closures, guardians — lives on the collected heap, which makes the
@@ -8,13 +8,19 @@
 //! live intermediate value on a rooted shadow stack and re-reads values
 //! from their slots after any sub-evaluation.
 //!
+//! Production evaluation is `analyze → compile → vm` (`analyze.rs`,
+//! `compile.rs`, `vm.rs`). The cons-walking evaluator in this file
+//! ([`EvalMode::Naive`]) is the oracle the VM is tested against: it
+//! re-walks the source list on every evaluation and is kept because it
+//! is obviously right, not because it is fast.
+//!
 //! Tail calls (including `if` branches, `begin`/`let`/`cond` bodies, and
 //! closure applications) are executed by looping rather than recursing, so
 //! the paper's tail-recursive idioms (`close-dropped-ports`, Figure 1's
 //! `let loop`) run in constant Rust stack.
 
-use crate::analyze::{self, Code, CodeRef, GlobalSite, LambdaCode};
-use crate::compile::VmLambda;
+use crate::analyze::{self, GlobalSite, LambdaCode};
+use crate::compile::{CodeObject, VmLambda};
 use crate::error::{err, SResult};
 use crate::prims::{self, PrimEntry};
 use crate::reader;
@@ -52,57 +58,39 @@ pub(crate) struct SpecialForms {
     pub(crate) unquote_splicing: Rooted,
 }
 
-/// Which evaluation tier runs the program.
+/// Which evaluator runs the program.
 ///
-/// All three tiers share the reader, the analyzer-visible semantics,
-/// the primitives, and — critically — the safe-point discipline (a
-/// possible collection at every procedure application, and nowhere
-/// else), so guardian, weak-pair, and tconc observables are
-/// byte-identical across tiers at any [`GcConfig`].
+/// Both share the reader, the primitives, and — critically — the
+/// safe-point discipline (a possible collection at every procedure
+/// application, and nowhere else), so results, error messages, printed
+/// output, and guardian, weak-pair, and tconc observables are
+/// byte-identical between them at any [`GcConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// The original cons-walking evaluator with association-list
-    /// environments; ablation baseline and differential oracle.
-    Naive,
-    /// One-time syntax analysis to an opcode tree with lexical
-    /// addressing, executed by a trampolined tree walker. The
-    /// differential anchor the other two tiers are compared against.
+    /// The production evaluator: one-time syntax analysis to an opcode
+    /// tree with lexical addressing (`analyze.rs`), lowered to flat
+    /// bytecode (`compile.rs`) and run by the direct-threaded dispatch
+    /// loop in `vm.rs` with fused super-instructions and per-call-site
+    /// inline caches.
     #[default]
-    Staged,
-    /// The staged tier's opcode tree lowered further into flat bytecode
-    /// (`compile.rs`) and run by the direct-threaded dispatch loop in
-    /// `vm.rs` with fused super-instructions and per-call-site inline
-    /// caches.
     Vm,
+    /// The reference oracle: the cons-walking evaluator with
+    /// association-list environments. Trusted for being simple; the VM
+    /// is differentially tested against it.
+    Naive,
 }
 
-/// Interpreter configuration: the heap configuration plus the evaluator
-/// mode.
-///
-/// The **staged** evaluator (the default) analyzes each top-level form
-/// and closure body once into an opcode tree with lexical addressing and
-/// slot-indexed environment frames, then executes the tree. The
-/// **naive** evaluator re-walks the source cons structure on every
-/// evaluation and searches association-list environments; it is kept as
-/// an ablation baseline and as a differential-testing oracle. The **VM**
-/// lowers the staged tier's tree to linear bytecode. All modes keep
-/// every program value on the collected heap with identical safe
-/// points, so guardian and weak-pair observables match.
+/// Interpreter configuration: the heap configuration plus the evaluator.
 #[derive(Clone, Debug, Default)]
 pub struct InterpConfig {
     /// Heap (collector) configuration.
     pub gc: GcConfig,
-    /// Which evaluation tier to use.
+    /// Which evaluator to use.
     pub mode: EvalMode,
 }
 
 impl InterpConfig {
-    /// The default staged-evaluator configuration.
-    pub fn staged() -> InterpConfig {
-        InterpConfig::default()
-    }
-
-    /// The naive cons-walking evaluator (ablation / differential mode).
+    /// The naive cons-walking evaluator (the reference oracle).
     pub fn naive() -> InterpConfig {
         InterpConfig {
             mode: EvalMode::Naive,
@@ -110,12 +98,9 @@ impl InterpConfig {
         }
     }
 
-    /// The bytecode VM tier.
+    /// The bytecode VM (the default).
     pub fn vm() -> InterpConfig {
-        InterpConfig {
-            mode: EvalMode::Vm,
-            ..InterpConfig::default()
-        }
+        InterpConfig::default()
     }
 }
 
@@ -140,9 +125,9 @@ pub struct Interp {
     pub max_depth: usize,
     pub(crate) global: Rooted,
     pub(crate) sf: SpecialForms,
-    /// Which evaluation tier is active.
+    /// Which evaluator is active.
     pub(crate) mode: EvalMode,
-    /// Cached `heap.site_profile_enabled()`, refreshed at each staged
+    /// Cached `heap.site_profile_enabled()`, refreshed at each VM
     /// top-level entry so the per-opcode dispatch pays one local bool
     /// test when profiling is off.
     pub(crate) profile: bool,
@@ -160,11 +145,11 @@ pub struct Interp {
 
 impl Interp {
     /// An interpreter over a heap with the given collector configuration
-    /// (staged evaluator).
+    /// (bytecode VM).
     pub fn with_config(config: GcConfig) -> Interp {
         Interp::with_interp_config(InterpConfig {
             gc: config,
-            mode: EvalMode::Staged,
+            mode: EvalMode::Vm,
         })
     }
 
@@ -312,13 +297,9 @@ impl Interp {
                     let env = self.global.get();
                     self.eval(form, env)
                 }
-                // Stage the form once, then run the opcode tree. Analysis
-                // allocates (expansions, rooted constants) but never
-                // collects, so the raw `form` stays valid throughout.
-                EvalMode::Staged => {
-                    analyze::analyze_top(self, form).and_then(|code| self.exec_top(code))
-                }
-                // Stage, then lower the tree to bytecode (pure Rust-side
+                // Analyze the form once (allocates expansions and rooted
+                // constants but never collects, so the raw `form` stays
+                // valid), lower the tree to bytecode (pure Rust-side
                 // work: no heap access, no collection) and dispatch.
                 EvalMode::Vm => {
                     analyze::analyze_top(self, form).and_then(|code| self.vm_eval_top(&code))
@@ -387,7 +368,7 @@ impl Interp {
 
     /// Defines a global binding in whichever representation the active
     /// evaluator uses: the global alist (naive) or the symbol's interned
-    /// value cell (staged).
+    /// value cell (VM).
     pub(crate) fn define_global(&mut self, sym: Value, value: Value) {
         if self.mode == EvalMode::Naive {
             let env = self.global.get();
@@ -1512,102 +1493,56 @@ impl Interp {
     }
 
     /// Applies a procedure value to arguments (used by the `apply`
-    /// primitive and by embedding code). Non-tail: closure bodies are
-    /// evaluated recursively.
+    /// primitive, by higher-order primitives such as `map`, and by
+    /// embedding code). Non-tail: closure bodies are evaluated
+    /// recursively, so every call is charged against `max_depth` — a
+    /// procedure that recurses through `map` or `apply` gets the
+    /// "recursion too deep" error instead of overflowing the Rust stack.
     pub fn apply(&mut self, f: Value, args: &[Value]) -> SResult<Value> {
-        let base = self.stack.len();
-        match self.mode {
-            EvalMode::Naive => {
-                // Fake expression/environment slots so the shared
-                // machinery works.
-                self.stack.push(Value::NIL);
-                self.stack.push(self.global_env());
-                let op_slot = self.stack.push(f);
-                let args_base = self.stack.len();
-                for &a in args {
-                    self.stack.push(a);
-                }
-                let result = match self.apply_from_stack(base, op_slot, args_base, args.len()) {
-                    Ok(Some(v)) => Ok(v),
-                    Ok(None) => self.eval_loop(base), // closure: run the installed body
-                    Err(e) => Err(e),
-                };
-                self.stack.truncate(base);
-                result
-            }
-            EvalMode::Staged => {
-                // Slot `base` is the environment slot apply_staged fills
-                // with the callee's frame.
-                self.stack.push(Value::FALSE);
-                let op_slot = self.stack.push(f);
-                let args_base = self.stack.len();
-                for &a in args {
-                    self.stack.push(a);
-                }
-                let result = match self.apply_staged(base, op_slot, args_base, args.len()) {
-                    Ok(Applied::Value(v)) => Ok(v),
-                    Ok(Applied::Tail(code)) => self.exec_loop(code, base),
-                    Err(e) => Err(e),
-                };
-                self.stack.truncate(base);
-                result
-            }
+        // One level of primitive → `apply` → evaluator re-entry spans
+        // nearly twice the Rust stack of an ordinary non-tail call
+        // (measured in a debug build: ~7.4 KiB against ~4.1 KiB), so it
+        // is charged as two frames to keep `max_depth` levels of either
+        // kind, or any mix, inside a 2 MiB thread.
+        const APPLY_FRAMES: usize = 2;
+        if self.depth + APPLY_FRAMES > self.max_depth {
+            return err(format!(
+                "recursion too deep (max {} non-tail frames)",
+                self.max_depth
+            ));
+        }
+        self.depth += APPLY_FRAMES;
+        let result = match self.mode {
             EvalMode::Vm => self.vm_apply_values(f, args),
-        }
+            EvalMode::Naive => self.naive_apply_values(f, args),
+        };
+        self.depth -= APPLY_FRAMES;
+        result
     }
 
-    // ------------------------------------------------------------------
-    // The staged execution engine
-    // ------------------------------------------------------------------
-
-    /// Runs an analyzed top-level form. The bottom environment is `#f`:
-    /// analysis guarantees no `LocalRef` reaches past the frames it
-    /// created, so the sentinel is never dereferenced.
-    pub(crate) fn exec_top(&mut self, code: CodeRef) -> SResult<Value> {
-        self.profile = self.heap.site_profile_enabled();
-        if self.depth >= self.max_depth {
-            return err(format!(
-                "recursion too deep (max {} non-tail frames)",
-                self.max_depth
-            ));
-        }
-        self.depth += 1;
+    fn naive_apply_values(&mut self, f: Value, args: &[Value]) -> SResult<Value> {
         let base = self.stack.len();
-        self.stack.push(Value::FALSE);
-        let result = self.exec_loop(code, base);
+        // Fake expression/environment slots so the shared machinery
+        // works.
+        self.stack.push(Value::NIL);
+        self.stack.push(self.global_env());
+        let op_slot = self.stack.push(f);
+        let args_base = self.stack.len();
+        for &a in args {
+            self.stack.push(a);
+        }
+        let result = match self.apply_from_stack(base, op_slot, args_base, args.len()) {
+            Ok(Some(v)) => Ok(v),
+            Ok(None) => self.eval_loop(base), // closure: run the installed body
+            Err(e) => Err(e),
+        };
         self.stack.truncate(base);
-        self.depth -= 1;
         result
     }
 
-    /// Runs `code` in a fresh non-tail activation sharing the caller's
-    /// environment (the staged analogue of the naive `eval` recursion,
-    /// with the same depth guard).
-    fn exec_sub(&mut self, code: &CodeRef, base: usize) -> SResult<Value> {
-        if self.depth >= self.max_depth {
-            return err(format!(
-                "recursion too deep (max {} non-tail frames)",
-                self.max_depth
-            ));
-        }
-        self.depth += 1;
-        let sub = self.stack.len();
-        let env = self.stack.get(base);
-        self.stack.push(env);
-        let result = self.exec_loop(code.clone(), sub);
-        self.stack.truncate(sub);
-        self.depth -= 1;
-        result
-    }
-
-    /// The frame `depth` levels out from `env` (field 0 is the parent).
-    pub(crate) fn frame_at(&self, env: Value, depth: usize) -> Value {
-        let mut frame = env;
-        for _ in 0..depth {
-            frame = self.heap.record_ref(frame, 0);
-        }
-        frame
-    }
+    // ------------------------------------------------------------------
+    // Helpers shared with the VM (`vm.rs`)
+    // ------------------------------------------------------------------
 
     /// The global value cell for a reference site, consulting and
     /// warming the site's one-entry inline cache. `None` means the
@@ -1621,478 +1556,6 @@ impl Interp {
         Some(cell)
     }
 
-    /// The staged trampoline: slot `base` holds the current environment
-    /// frame; tail positions update the slot and loop.
-    ///
-    /// Each opcode's body lives in its own `step_*` method rather than
-    /// inline match arms: a monolithic match gives every arm's locals a
-    /// distinct slot in one giant frame (debug builds don't coalesce),
-    /// and that frame sits on the non-tail recursion spine ~400 deep.
-    /// Splitting keeps the spine paying only for the arms it executes.
-    fn exec_loop(&mut self, mut code: CodeRef, base: usize) -> SResult<Value> {
-        loop {
-            self.stack.truncate(base + 1);
-            match self.exec_step(&code, base)? {
-                Applied::Value(v) => return Ok(v),
-                Applied::Tail(next) => code = next,
-            }
-        }
-    }
-
-    /// Executes one opcode: a value, or the tail code to continue with.
-    fn exec_step(&mut self, code: &CodeRef, base: usize) -> SResult<Applied> {
-        if self.profile {
-            // Attribute every allocation the opcode (or the primitives it
-            // applies) performs to the opcode kind; see `site_of`.
-            self.heap.set_alloc_site(site_of(code));
-        }
-        match &**code {
-            Code::Imm(v) => Ok(Applied::Value(*v)),
-            Code::Const(r) => Ok(Applied::Value(r.get())),
-            Code::LocalRef { depth, slot, name } => self.step_local_ref(base, *depth, *slot, name),
-            Code::GlobalRef(site) => self.step_global_ref(site),
-            Code::LocalSet { depth, slot, value } => {
-                self.step_local_set(base, *depth, *slot, value)
-            }
-            Code::GlobalSet { site, value } => self.step_global_set(base, site, value),
-            Code::GlobalDefine { site, value } => self.step_global_define(base, site, value),
-            Code::If { test, then_, else_ } => self.step_if(base, test, then_, else_),
-            Code::Lambda { index, name } => self.step_lambda(base, *index, name),
-            Code::Seq(parts) => self.step_seq(base, parts),
-            Code::Let {
-                n_slots,
-                inits,
-                body,
-            } => self.step_let(base, *n_slots, inits, body),
-            Code::NamedLet {
-                index,
-                name,
-                args,
-                bump_gensym,
-            } => self.step_named_let(base, *index, name, args, *bump_gensym),
-            Code::And(parts) => self.step_and(base, parts),
-            Code::Or(parts) => self.step_or(base, parts),
-            Code::When { test, want, body } => self.step_when(base, test, *want, body),
-            Code::CondArrow { test, recv, rest } => self.step_cond_arrow(base, test, recv, rest),
-            Code::Case { key, clauses } => self.step_case(base, key, clauses),
-            Code::App { op, args } => self.step_app(base, op, args),
-            Code::Quasi { template, sites } => {
-                let t = template.get();
-                let sites = sites.clone();
-                let mut cursor = 0;
-                self.exec_quasi(base, t, 1, &QuasiSites::Tree(&sites), &mut cursor)
-                    .map(Applied::Value)
-            }
-        }
-    }
-
-    fn step_local_ref(
-        &mut self,
-        base: usize,
-        depth: usize,
-        slot: usize,
-        name: &str,
-    ) -> SResult<Applied> {
-        let env = self.stack.get(base);
-        let frame = self.frame_at(env, depth);
-        debug_assert!(
-            1 + slot < self.heap.record_len(frame),
-            "frame-slot accounting: {name} resolved to slot {slot} in a frame of {} slots",
-            self.heap.record_len(frame) - 1
-        );
-        let v = self.heap.record_ref(frame, 1 + slot);
-        if v == Value::UNBOUND {
-            return err(format!("variable {name} used before initialization"));
-        }
-        Ok(Applied::Value(v))
-    }
-
-    fn step_global_ref(&mut self, site: &GlobalSite) -> SResult<Applied> {
-        let cell = match self.try_site_cell(site) {
-            Some(c) => c,
-            None => return err(format!("unbound variable: {}", site.name)),
-        };
-        let v = self.heap.box_ref(cell);
-        if v == Value::UNBOUND {
-            return err(format!("unbound variable: {}", site.name));
-        }
-        Ok(Applied::Value(v))
-    }
-
-    fn step_local_set(
-        &mut self,
-        base: usize,
-        depth: usize,
-        slot: usize,
-        value: &CodeRef,
-    ) -> SResult<Applied> {
-        let v = self.exec_sub(value, base)?;
-        let env = self.stack.get(base);
-        let frame = self.frame_at(env, depth);
-        debug_assert!(
-            1 + slot < self.heap.record_len(frame),
-            "frame-slot accounting: set! target slot {slot} in a frame of {} slots",
-            self.heap.record_len(frame) - 1
-        );
-        self.heap.record_set(frame, 1 + slot, v);
-        Ok(Applied::Value(Value::VOID))
-    }
-
-    fn step_global_set(
-        &mut self,
-        base: usize,
-        site: &GlobalSite,
-        value: &CodeRef,
-    ) -> SResult<Applied> {
-        // Value first, then the unbound check — the naive evaluator
-        // evaluates before `set_var` fails.
-        let v = self.exec_sub(value, base)?;
-        let cell = match self.try_site_cell(site) {
-            Some(c) if self.heap.box_ref(c) != Value::UNBOUND => c,
-            _ => return err(format!("set!: unbound variable: {}", site.name)),
-        };
-        self.heap.box_set(cell, v);
-        Ok(Applied::Value(Value::VOID))
-    }
-
-    fn step_global_define(
-        &mut self,
-        base: usize,
-        site: &GlobalSite,
-        value: &CodeRef,
-    ) -> SResult<Applied> {
-        // Value first, then cell creation, so `(define x x)` reports x
-        // unbound exactly like the naive path.
-        let v = self.exec_sub(value, base)?;
-        let sym = site.sym.get();
-        let cell = SymbolTable::global_cell(&mut self.heap, sym);
-        self.heap.box_set(cell, v);
-        if site.cell.borrow().is_none() {
-            let rooted = self.heap.root(cell);
-            *site.cell.borrow_mut() = Some(rooted);
-        }
-        Ok(Applied::Value(Value::VOID))
-    }
-
-    fn step_if(
-        &mut self,
-        base: usize,
-        test: &CodeRef,
-        then_: &CodeRef,
-        else_: &Option<CodeRef>,
-    ) -> SResult<Applied> {
-        let c = self.exec_sub(test, base)?;
-        if c.is_truthy() {
-            Ok(Applied::Tail(then_.clone()))
-        } else {
-            match else_ {
-                Some(e) => Ok(Applied::Tail(e.clone())),
-                None => Ok(Applied::Value(Value::VOID)),
-            }
-        }
-    }
-
-    fn step_lambda(&mut self, base: usize, index: usize, name: &Rooted) -> SResult<Applied> {
-        let env = self.stack.get(base);
-        let idx = Value::fixnum(index as i64);
-        let nm = name.get();
-        Ok(Applied::Value(
-            self.heap
-                .make_record(rtags::compiled_closure(), &[idx, env, nm]),
-        ))
-    }
-
-    fn step_seq(&mut self, base: usize, parts: &[CodeRef]) -> SResult<Applied> {
-        let Some((last, init)) = parts.split_last() else {
-            return Ok(Applied::Value(Value::VOID));
-        };
-        for p in init {
-            self.exec_sub(p, base)?;
-        }
-        Ok(Applied::Tail(last.clone()))
-    }
-
-    fn step_let(
-        &mut self,
-        base: usize,
-        n_slots: usize,
-        inits: &[CodeRef],
-        body: &CodeRef,
-    ) -> SResult<Applied> {
-        let vals_base = self.stack.len();
-        for init in inits {
-            let v = self.exec_sub(init, base)?;
-            self.stack.push(v);
-        }
-        if self.profile {
-            // The inits re-stamped the site; the frame is the `let`'s own.
-            self.heap.set_alloc_site("scheme.let");
-        }
-        // Allocation never collects: the raw frame pointer stays valid
-        // while the slots are filled.
-        let frame = self
-            .heap
-            .make_record_filled(rtags::frame(), 1 + n_slots, Value::UNBOUND);
-        let parent = self.stack.get(base);
-        self.heap.record_set(frame, 0, parent);
-        for i in 0..inits.len() {
-            let v = self.stack.get(vals_base + i);
-            self.heap.record_set(frame, 1 + i, v);
-        }
-        self.stack.set(base, frame);
-        Ok(Applied::Tail(body.clone()))
-    }
-
-    fn step_named_let(
-        &mut self,
-        base: usize,
-        index: usize,
-        name: &Rooted,
-        args: &[CodeRef],
-        bump_gensym: bool,
-    ) -> SResult<Applied> {
-        if bump_gensym {
-            // Lockstep with the naive `do` desugar's gensym.
-            self.gensym_counter += 1;
-        }
-        let args_base = self.stack.len();
-        for a in args {
-            let v = self.exec_sub(a, base)?;
-            self.stack.push(v);
-        }
-        let argc = args.len();
-        if self.profile {
-            self.heap.set_alloc_site("scheme.named-let");
-        }
-        // One-slot frame holding the loop closure (letrec-style
-        // self-reference).
-        let name_frame = self
-            .heap
-            .make_record_filled(rtags::frame(), 2, Value::UNBOUND);
-        let parent = self.stack.get(base);
-        self.heap.record_set(name_frame, 0, parent);
-        let idx_v = Value::fixnum(index as i64);
-        let nm = name.get();
-        let closure = self
-            .heap
-            .make_record(rtags::compiled_closure(), &[idx_v, name_frame, nm]);
-        self.heap.record_set(name_frame, 1, closure);
-        let lc = self.code_tab[index].clone();
-        let clause = select_staged_clause(&lc, argc)?;
-        let frame =
-            self.heap
-                .make_record_filled(rtags::frame(), 1 + clause.n_slots, Value::UNBOUND);
-        self.heap.record_set(frame, 0, name_frame);
-        for i in 0..argc {
-            let v = self.stack.get(args_base + i);
-            self.heap.record_set(frame, 1 + i, v);
-        }
-        // No safe point here: the naive evaluator enters the loop body
-        // via install_closure_call without passing through maybe_collect
-        // either.
-        self.stack.set(base, frame);
-        Ok(Applied::Tail(clause.body.clone()))
-    }
-
-    fn step_and(&mut self, base: usize, parts: &[CodeRef]) -> SResult<Applied> {
-        let (last, init) = parts.split_last().expect("analysis folds empty and");
-        for p in init {
-            let v = self.exec_sub(p, base)?;
-            if !v.is_truthy() {
-                return Ok(Applied::Value(v));
-            }
-        }
-        Ok(Applied::Tail(last.clone()))
-    }
-
-    fn step_or(&mut self, base: usize, parts: &[CodeRef]) -> SResult<Applied> {
-        let (last, init) = parts.split_last().expect("analysis folds empty or");
-        for p in init {
-            let v = self.exec_sub(p, base)?;
-            if v.is_truthy() {
-                return Ok(Applied::Value(v));
-            }
-        }
-        Ok(Applied::Tail(last.clone()))
-    }
-
-    fn step_when(
-        &mut self,
-        base: usize,
-        test: &CodeRef,
-        want: bool,
-        body: &CodeRef,
-    ) -> SResult<Applied> {
-        let c = self.exec_sub(test, base)?;
-        if c.is_truthy() != want {
-            return Ok(Applied::Value(Value::VOID));
-        }
-        Ok(Applied::Tail(body.clone()))
-    }
-
-    fn step_cond_arrow(
-        &mut self,
-        base: usize,
-        test: &CodeRef,
-        recv: &CodeRef,
-        rest: &CodeRef,
-    ) -> SResult<Applied> {
-        let v = self.exec_sub(test, base)?;
-        if v.is_truthy() {
-            // Non-tail application of the receiver, exactly like the
-            // naive `cond` arrow path.
-            let v_slot = self.stack.push(v);
-            let f = self.exec_sub(recv, base)?;
-            let v = self.stack.get(v_slot);
-            return self.apply(f, &[v]).map(Applied::Value);
-        }
-        Ok(Applied::Tail(rest.clone()))
-    }
-
-    fn step_case(
-        &mut self,
-        base: usize,
-        key: &CodeRef,
-        clauses: &[analyze::CaseClause],
-    ) -> SResult<Applied> {
-        let key_v = self.exec_sub(key, base)?;
-        // Matching neither allocates nor collects, so the raw key stays
-        // valid across the clause walk.
-        for cl in clauses {
-            let matched = match &cl.datums {
-                None => true,
-                Some(datums) => {
-                    let mut d = datums.get();
-                    let mut m = false;
-                    while self.heap.is_pair(d) {
-                        if self.heap.eqv(self.heap.car(d), key_v) {
-                            m = true;
-                            break;
-                        }
-                        d = self.heap.cdr(d);
-                    }
-                    m
-                }
-            };
-            if matched {
-                return Ok(Applied::Tail(cl.body.clone()));
-            }
-        }
-        Ok(Applied::Value(Value::VOID))
-    }
-
-    fn step_app(&mut self, base: usize, op: &CodeRef, args: &[CodeRef]) -> SResult<Applied> {
-        let op_v = self.exec_sub(op, base)?;
-        let op_slot = self.stack.push(op_v);
-        let args_base = self.stack.len();
-        for a in args {
-            let v = self.exec_sub(a, base)?;
-            self.stack.push(v);
-        }
-        self.apply_staged(base, op_slot, args_base, args.len())
-    }
-
-    /// Applies the value in `op_slot` to the `argc` values starting at
-    /// `args_base`. This is the staged collection safe point — placed at
-    /// every application, exactly where the naive evaluator collects, so
-    /// guardian and weak-pair observables match between modes.
-    fn apply_staged(
-        &mut self,
-        base: usize,
-        op_slot: usize,
-        args_base: usize,
-        argc: usize,
-    ) -> SResult<Applied> {
-        if self.profile {
-            // Evaluating the operands re-stamped the site with their own
-            // opcodes; the frame/prim allocations below belong to the
-            // application itself.
-            self.heap.set_alloc_site("scheme.app");
-        }
-        // Everything live is on the rooted stack: safe to collect.
-        let collected = self.heap.maybe_collect().is_some();
-        if collected && !self.in_collect_handler {
-            if let Some(handler) = self.collect_handler.clone() {
-                self.in_collect_handler = true;
-                let result = self.apply(handler.get(), &[]);
-                self.in_collect_handler = false;
-                result?;
-            }
-        }
-        let op = self.stack.get(op_slot);
-        if self.heap.is_record(op) {
-            let desc = self.heap.record_descriptor(op);
-            if desc == rtags::compiled_closure() {
-                let index = self.heap.record_ref(op, 0).as_fixnum() as usize;
-                let lc = self.code_tab[index].clone();
-                let clause = select_staged_clause(&lc, argc)?;
-                let frame = self.heap.make_record_filled(
-                    rtags::frame(),
-                    1 + clause.n_slots,
-                    Value::UNBOUND,
-                );
-                let op = self.stack.get(op_slot);
-                let closure_env = self.heap.record_ref(op, 1);
-                self.heap.record_set(frame, 0, closure_env);
-                for i in 0..clause.n_req {
-                    let v = self.stack.get(args_base + i);
-                    self.heap.record_set(frame, 1 + i, v);
-                }
-                if clause.variadic {
-                    let mut rest = Value::NIL;
-                    for j in (clause.n_req..argc).rev() {
-                        let v = self.stack.get(args_base + j);
-                        rest = self.heap.cons(v, rest);
-                    }
-                    self.heap.record_set(frame, 1 + clause.n_req, rest);
-                }
-                self.stack.set(base, frame);
-                return Ok(Applied::Tail(clause.body.clone()));
-            }
-            if desc == rtags::primitive() {
-                let index = self.heap.record_ref(op, 0).as_fixnum() as usize;
-                let args: Vec<Value> = (0..argc).map(|i| self.stack.get(args_base + i)).collect();
-                let entry = &self.prims[index];
-                if args.len() < entry.min_args || entry.max_args.is_some_and(|m| args.len() > m) {
-                    return err(format!(
-                        "{}: wrong number of arguments ({})",
-                        entry.name,
-                        args.len()
-                    ));
-                }
-                let f = entry.func;
-                return f(self, &args).map(Applied::Value);
-            }
-            if desc == rtags::guardian() {
-                let tconc = self.heap.record_ref(op, 0);
-                return match argc {
-                    // (G) — retrieve, or #f.
-                    0 => Ok(Applied::Value(
-                        self.heap.tconc_pop(tconc).unwrap_or(Value::FALSE),
-                    )),
-                    // (G obj) — register.
-                    1 => {
-                        let obj = self.stack.get(args_base);
-                        self.heap.guardian_register(tconc, obj, obj);
-                        Ok(Applied::Value(Value::VOID))
-                    }
-                    // (G obj agent) — the Section 5 generalisation.
-                    2 => {
-                        let obj = self.stack.get(args_base);
-                        let agent = self.stack.get(args_base + 1);
-                        self.heap.guardian_register(tconc, obj, agent);
-                        Ok(Applied::Value(Value::VOID))
-                    }
-                    _ => err("guardian: expects 0, 1, or 2 arguments"),
-                };
-            }
-        }
-        err(format!(
-            "not a procedure: {}",
-            guardians_runtime::printer::write_value(&self.heap, op)
-        ))
-    }
-
     /// Expands a quasiquote template at runtime, consuming the
     /// pre-analyzed unquote sites in walk order. This mirrors the naive
     /// `expand_quasiquote` walk exactly (same structure sharing, same
@@ -2103,7 +1566,7 @@ impl Interp {
         base: usize,
         template: Value,
         depth_qq: usize,
-        sites: &QuasiSites<'_>,
+        sites: &[Rc<CodeObject>],
         cursor: &mut usize,
     ) -> SResult<Value> {
         if self.depth >= self.max_depth {
@@ -2115,29 +1578,19 @@ impl Interp {
         result
     }
 
-    /// Runs the next pre-analyzed unquote site, in whichever form the
-    /// active tier carries it (opcode tree or bytecode), as a fresh
-    /// non-tail activation sharing the current environment.
+    /// Runs the next compiled unquote site as a fresh non-tail
+    /// activation sharing the current environment.
     fn run_quasi_site(
         &mut self,
-        sites: &QuasiSites<'_>,
+        sites: &[Rc<CodeObject>],
         cursor: &mut usize,
         base: usize,
     ) -> SResult<Value> {
-        match sites {
-            QuasiSites::Tree(s) => {
-                let site = next_site(s, cursor)?;
-                self.exec_sub(&site, base)
-            }
-            QuasiSites::Vm(s) => {
-                let Some(site) = s.get(*cursor) else {
-                    return err("quasiquote: template changed since analysis");
-                };
-                *cursor += 1;
-                let site = site.clone();
-                self.vm_sub(&site, base)
-            }
-        }
+        let Some(site) = sites.get(*cursor) else {
+            return err("quasiquote: template changed since analysis");
+        };
+        *cursor += 1;
+        self.vm_sub(site, base)
     }
 
     fn exec_quasi_inner(
@@ -2145,7 +1598,7 @@ impl Interp {
         base: usize,
         template: Value,
         depth_qq: usize,
-        sites: &QuasiSites<'_>,
+        sites: &[Rc<CodeObject>],
         cursor: &mut usize,
     ) -> SResult<Value> {
         let mark = self.stack.len();
@@ -2264,73 +1717,6 @@ impl Interp {
         self.stack.truncate(mark);
         result
     }
-}
-
-/// Result of a staged application: an immediate value (primitives,
-/// guardians) or a tail call to run (compiled closures).
-pub(crate) enum Applied {
-    /// The application completed with this value.
-    Value(Value),
-    /// Run this body; the callee's frame is already installed at `base`.
-    Tail(CodeRef),
-}
-
-/// The pre-analyzed unquote sites of a quasiquote template, in whichever
-/// lowered form the active tier executes: opcode subtrees (staged) or
-/// compiled code objects (VM). The runtime walk in `exec_quasi` is
-/// shared; only site execution differs.
-pub(crate) enum QuasiSites<'a> {
-    /// Staged tier: analyzed subtrees.
-    Tree(&'a [CodeRef]),
-    /// VM tier: compiled site bodies.
-    Vm(&'a [Rc<crate::compile::CodeObject>]),
-}
-
-/// Selects the clause matching `argc`, with the naive evaluator's error.
-fn select_staged_clause(lc: &LambdaCode, argc: usize) -> SResult<&crate::analyze::ClauseCode> {
-    for clause in &lc.clauses {
-        if (clause.variadic && argc >= clause.n_req) || (!clause.variadic && argc == clause.n_req) {
-            return Ok(clause);
-        }
-    }
-    err(format!("no matching clause for {argc} arguments"))
-}
-
-/// The allocation-site label for an opcode, used by the heap's site
-/// profile ([`Heap::set_alloc_site`]): every allocation made while the
-/// opcode (or a primitive it applies) runs is attributed to this name.
-/// Labels are `&'static str` so attribution costs one pointer store.
-fn site_of(code: &Code) -> &'static str {
-    match code {
-        Code::Imm(_) => "scheme.imm",
-        Code::Const(_) => "scheme.const",
-        Code::LocalRef { .. } => "scheme.local-ref",
-        Code::GlobalRef(_) => "scheme.global-ref",
-        Code::LocalSet { .. } => "scheme.local-set",
-        Code::GlobalSet { .. } => "scheme.global-set",
-        Code::GlobalDefine { .. } => "scheme.define",
-        Code::If { .. } => "scheme.if",
-        Code::Lambda { .. } => "scheme.lambda",
-        Code::Seq(_) => "scheme.seq",
-        Code::Let { .. } => "scheme.let",
-        Code::NamedLet { .. } => "scheme.named-let",
-        Code::And(_) => "scheme.and",
-        Code::Or(_) => "scheme.or",
-        Code::When { .. } => "scheme.when",
-        Code::CondArrow { .. } => "scheme.cond-arrow",
-        Code::Case { .. } => "scheme.case",
-        Code::App { .. } => "scheme.app",
-        Code::Quasi { .. } => "scheme.quasiquote",
-    }
-}
-
-/// The next pre-analyzed quasiquote site, in template walk order.
-fn next_site(sites: &[CodeRef], cursor: &mut usize) -> SResult<CodeRef> {
-    let Some(site) = sites.get(*cursor) else {
-        return err("quasiquote: template changed since analysis");
-    };
-    *cursor += 1;
-    Ok(site.clone())
 }
 
 impl Default for Interp {

@@ -1053,7 +1053,7 @@ fn p_make_record(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     Ok(it.heap.make_record(a[0], &a[1..]))
 }
 
-/// A fresh uninterned symbol with the given symbol's name — the staged
+/// A fresh uninterned symbol with the given symbol's name — the analyzer's
 /// `define-record-type` expansion's eq-unique type descriptor (the naive
 /// evaluator allocates the same fresh symbol directly).
 fn p_fresh_symbol(it: &mut Interp, a: &[Value]) -> SResult<Value> {

@@ -1,13 +1,15 @@
 //! The bytecode VM: a direct-threaded dispatch loop over the flat
 //! [`CodeObject`]s produced by [`crate::compile`].
 //!
-//! The VM is the third evaluation tier ([`crate::EvalMode::Vm`]). Its
-//! contract with the other two tiers is *observable equivalence*: the
-//! only collection safe point is procedure application (the same
-//! `maybe_collect` dance as `apply_staged`, including the
-//! collect-handler re-entrancy guard), every allocation goes through the
-//! same heap entry points in the same order, and every error message is
-//! byte-identical. The three-way differential suite pins this down.
+//! The VM is the production evaluator ([`crate::EvalMode::Vm`]). Its
+//! contract with the naive oracle ([`crate::EvalMode::Naive`]) is
+//! *observable equivalence*: the only collection safe point is procedure
+//! application (the same `maybe_collect` dance as the oracle's
+//! `apply_from_stack`, including the collect-handler re-entrancy guard),
+//! and every result, printed byte and error message is identical. The
+//! differential suites (`tests/prop_oracle.rs`, the torture scheme leg)
+//! pin this down; the VM's own allocation sequence is pinned by a golden
+//! counter table (`crates/torture/tests/scheme_counters.rs`).
 //!
 //! Execution model: one [`Interp::vm_run`] activation per code object,
 //! rooted at stack slot `base` which holds the current environment frame
@@ -15,21 +17,21 @@
 //! [`RootedVec`](guardians_gc::RootedVec) shadow stack, so a collection
 //! at the application safe point can relocate freely. Tail calls switch
 //! code objects in place; non-tail calls run a nested activation and
-//! count one frame on the same `depth` spine the staged evaluator uses,
-//! so closure-call recursion errors out at the same nesting level with
-//! the same message.
+//! count one frame on the same `depth` spine the oracle uses, so
+//! runaway recursion errors out with the same message.
 //!
-//! Known (bounded) divergences from the staged tier, none observable by
-//! the differential suites: the staged evaluator also bumps `depth`
-//! transiently while evaluating sub-expressions (operands, `let` inits),
-//! so programs that exhaust the ~400-frame budget *inside* an operand can
-//! error a couple of levels earlier there than here. The error string is
-//! identical and the property generators stay far below the limit.
+//! Known (bounded) divergence from the oracle, not observable by the
+//! differential suites: the oracle bumps `depth` once per nested `eval`
+//! (every operand and `let` init, not only every non-tail call), so a
+//! program that exhausts the ~400-frame budget can do so a few Scheme
+//! recursion levels earlier there than here. The error string is
+//! identical, and both recover; the property generators stay far below
+//! the limit.
 
 use crate::analyze::CodeRef;
 use crate::compile::{self, CallCache, CodeObject, Insn, VmLambda, OP_COUNT};
 use crate::error::{err, SResult};
-use crate::interp::{Interp, QuasiSites};
+use crate::interp::Interp;
 use guardians_gc::Value;
 use guardians_runtime::rtags;
 use guardians_runtime::symtab::SymbolTable;
@@ -93,8 +95,7 @@ enum TailStep {
 }
 
 impl Interp {
-    /// Compiles and runs one analyzed top-level form (the VM analogue of
-    /// `analyze_top` + `exec_top`).
+    /// Compiles and runs one analyzed top-level form.
     pub(crate) fn vm_eval_top(&mut self, code: &CodeRef) -> SResult<Value> {
         let compiled = compile::compile_top(&self.code_tab, code)?;
         self.install_vm_lambdas(compiled.lambdas);
@@ -128,8 +129,9 @@ impl Interp {
         }
     }
 
-    /// Runs a compiled top-level form: the VM mirror of `exec_top`,
-    /// including the depth guard and the `#f` bottom environment.
+    /// Runs a compiled top-level form. The bottom environment is `#f`:
+    /// analysis guarantees no `LocalRef` reaches past the frames it
+    /// created, so the sentinel is never dereferenced.
     pub(crate) fn vm_top(&mut self, co: Rc<CodeObject>) -> SResult<Value> {
         self.profile = self.heap.site_profile_enabled();
         if self.depth >= self.max_depth {
@@ -161,7 +163,7 @@ impl Interp {
     }
 
     /// Runs a quasiquote unquote site as a fresh non-tail activation
-    /// sharing the environment at `base` (the VM mirror of `exec_sub`).
+    /// sharing the environment at `base`.
     pub(crate) fn vm_sub(&mut self, co: &Rc<CodeObject>, base: usize) -> SResult<Value> {
         if self.depth >= self.max_depth {
             return err(format!(
@@ -201,8 +203,8 @@ impl Interp {
     /// The dispatch loop. Slot `base` holds the activation's environment
     /// frame; everything above it is the operand stack (all rooted).
     ///
-    /// Like the staged `exec_step`, the insn bodies with more than a
-    /// couple of locals live in their own `vm_step_*` methods: a
+    /// The insn bodies with more than a couple of locals live in their
+    /// own `vm_step_*` methods: a
     /// monolithic match gives every arm's locals a distinct slot in one
     /// giant frame (debug builds don't coalesce), and this frame sits on
     /// the ~400-deep non-tail recursion spine.
@@ -213,8 +215,8 @@ impl Interp {
             let insn = co.insns[pc];
             pc += 1;
             if self.profile {
-                // Attribute allocations to the insn kind, matching the
-                // staged evaluator's `site_of` labels; count dispatches.
+                // Attribute allocations to the insn kind (see
+                // `Insn::site`); count dispatches.
                 self.heap.set_alloc_site(insn.site());
                 self.vm_counters[insn.op_index()] += 1;
             }
@@ -386,8 +388,8 @@ impl Interp {
         }
     }
 
-    /// Reads a lexical variable, mirroring `step_local_ref` (including
-    /// the slot-accounting debug assertion and the uninitialized error).
+    /// Reads a lexical variable (with the slot-accounting debug
+    /// assertion and the oracle's uninitialized error).
     fn vm_local_ref(
         &mut self,
         co: &CodeObject,
@@ -420,7 +422,7 @@ impl Interp {
     }
 
     /// Reads a global through the per-site inline cache, warming it on
-    /// first use (shared with the staged evaluator via `try_site_cell`).
+    /// first use.
     fn vm_step_global_ref(&mut self, co: &CodeObject, i: u32) -> SResult<()> {
         let site = &co.sites[i as usize];
         let cell = match self.try_site_cell(site) {
@@ -453,8 +455,8 @@ impl Interp {
     }
 
     /// `set!` on a global. The value is popped before the bound check so
-    /// the stack discipline matches the staged evaluator (which evaluates
-    /// the value expression before checking the binding).
+    /// the order matches the oracle (which evaluates the value expression
+    /// before `set_var` fails).
     fn vm_step_global_set(&mut self, co: &CodeObject, i: u32) -> SResult<()> {
         let v = self.stack.pop().expect("vm: global-set underflow");
         let site = &co.sites[i as usize];
@@ -537,7 +539,7 @@ impl Interp {
     }
 
     /// Non-tail application of a `cond` `=>` receiver, exactly like the
-    /// naive/staged arrow paths. No collection can run between the pops
+    /// oracle's arrow path. No collection can run between the pops
     /// and `apply` re-rooting the values.
     fn vm_step_cond_apply(&mut self) -> SResult<()> {
         let f = self.stack.pop().expect("vm: cond-apply underflow");
@@ -562,19 +564,18 @@ impl Interp {
         false
     }
 
-    /// Expands a quasiquote template via the shared `exec_quasi` walker,
+    /// Expands a quasiquote template via the `exec_quasi` walker,
     /// feeding it this block's compiled unquote sites.
     fn vm_step_quasi(&mut self, co: &CodeObject, base: usize, i: u32) -> SResult<()> {
         let q = &co.quasis[i as usize];
         let t = q.template.get();
         let mut cursor = 0;
-        let v = self.exec_quasi(base, t, 1, &QuasiSites::Vm(&q.sites), &mut cursor)?;
+        let v = self.exec_quasi(base, t, 1, &q.sites, &mut cursor)?;
         self.stack.push(v);
         Ok(())
     }
 
-    /// A non-tail call: counts one frame on the recursion spine (the VM
-    /// analogue of the `exec_sub` that reaches a non-tail `App`), runs
+    /// A non-tail call: counts one frame on the recursion spine, runs
     /// closure bodies as a nested activation rooted at the operator
     /// slot, and pushes the result.
     fn vm_call(&mut self, co: &CodeObject, argc: u16, cache: u16) -> SResult<()> {
@@ -606,7 +607,7 @@ impl Interp {
     }
 
     /// A tail call: reuses this activation, installing a closure's frame
-    /// at `base` (the staged `Applied::Tail` path).
+    /// at `base`.
     fn vm_tail_call(
         &mut self,
         co: &CodeObject,
@@ -628,9 +629,9 @@ impl Interp {
         }
     }
 
-    /// Named-`let` entry: builds the loop closure + frame exactly like
-    /// `step_named_let` (letrec-style self-reference, no safe point) and
-    /// returns the selected clause body. `env_slot` is the activation's
+    /// Named-`let` entry: builds the loop closure + frame (letrec-style
+    /// self-reference, no safe point) and returns the selected clause
+    /// body. `env_slot` is the activation's
     /// environment slot (`base` for the tail form, the `SaveEnv` slot
     /// for the nested form).
     fn vm_enter_loop(
@@ -668,15 +669,17 @@ impl Interp {
             let v = self.stack.get(args_base + i);
             self.heap.record_set_audited(frame, 1 + i, v);
         }
-        // No safe point here: neither of the other tiers collects when
-        // entering a loop body.
+        // No safe point here: the oracle enters the loop body via
+        // install_closure_call without passing through maybe_collect
+        // either.
         self.stack.set(env_slot, frame);
         Ok(clause.body.clone())
     }
 
-    /// The application safe point, mirroring `apply_staged` exactly:
-    /// `maybe_collect` + collect-handler dance, then dispatch on the
-    /// operator. Closures install their frame at `base` and return the
+    /// The application safe point — placed at every application, exactly
+    /// where the oracle collects, so guardian and weak-pair observables
+    /// match: `maybe_collect` + collect-handler dance, then dispatch on
+    /// the operator. Closures install their frame at `base` and return the
     /// clause body; `cache` (when present) is the call site's
     /// monomorphic inline cache, skipping clause selection on a hit.
     pub(crate) fn vm_apply(
@@ -688,7 +691,9 @@ impl Interp {
         cache: Option<&Cell<CallCache>>,
     ) -> SResult<VmApplied> {
         if self.profile {
-            // Keep embedder applies attributed like the staged tier.
+            // Evaluating the operands re-stamped the site with their own
+            // insns; the frame/prim allocations below belong to the
+            // application itself.
             self.heap.set_alloc_site("scheme.app");
         }
         // Everything live is on the rooted stack: safe to collect.

@@ -294,6 +294,41 @@ fn excessive_nontail_recursion_errors_cleanly() {
     assert_eq!(i.eval_to_string("(+ 1 2)").unwrap(), "3");
 }
 
+/// A procedure that recurses through a higher-order primitive or the
+/// `apply` primitive re-enters the evaluator via `Interp::apply`; that
+/// path must count against the depth budget too, or the Rust stack
+/// overflows and takes the embedding process down with it.
+#[test]
+fn recursion_through_map_and_apply_errors_cleanly() {
+    for config in [InterpConfig::vm(), InterpConfig::naive()] {
+        let mode = config.mode;
+        let mut i = Interp::with_interp_config(config);
+        for src in [
+            "(define (f x) (map f (list x))) (f 1)",
+            "(define (g x) (apply g (list x))) (g 1)",
+        ] {
+            // Twice: a leaked depth count or shadow-stack slot from the
+            // first failure would change the second.
+            for _ in 0..2 {
+                let e = i.eval_str(src).unwrap_err();
+                assert_eq!(
+                    e.to_string(),
+                    "scheme error: recursion too deep (max 400 non-tail frames)",
+                    "{mode:?}: {src}"
+                );
+            }
+        }
+        // Still usable, with (nearly) the whole depth budget available.
+        assert_eq!(i.eval_to_string("(+ 1 2)").unwrap(), "3");
+        assert_eq!(
+            i.eval_to_string("(define (sum n) (if (zero? n) 0 (+ n (sum (- n 1))))) (sum 300)")
+                .unwrap(),
+            "45150",
+            "{mode:?}"
+        );
+    }
+}
+
 #[test]
 fn shadowing_and_scope() {
     assert_eq!(
@@ -309,7 +344,7 @@ fn shadowing_and_scope() {
 }
 
 #[test]
-fn staged_evaluator_attributes_allocation_sites() {
+fn vm_attributes_sites_and_counts_dispatches() {
     let mut i = Interp::new();
     i.heap_mut().enable_site_profile();
     i.eval_str(
@@ -321,7 +356,6 @@ fn staged_evaluator_attributes_allocation_sites() {
     )
     .unwrap();
     let profile = i.heap_mut().take_site_profile();
-    assert!(!profile.is_empty());
     let words_of = |name: &str| {
         profile
             .iter()
@@ -329,40 +363,11 @@ fn staged_evaluator_attributes_allocation_sites() {
             .map(|(_, st)| st.words)
             .unwrap_or(0)
     };
-    // The conses happen while applying `cons`/`build`: App opcodes.
+    // The conses happen while applying `cons`/`build`: call insns.
     assert!(words_of("scheme.app") >= 100, "{profile:?}");
     // `let` allocates its environment frame record.
     assert!(words_of("scheme.let") > 0, "{profile:?}");
     // The quasiquote walk conses the template skeleton.
-    assert!(words_of("scheme.quasiquote") > 0, "{profile:?}");
-    // Turned off again by take_site_profile: later evals attribute nothing.
-    i.eval_str("(cons 1 2)").unwrap();
-    assert!(i.heap_mut().take_site_profile().is_empty());
-}
-
-#[test]
-fn vm_attributes_sites_and_counts_dispatches() {
-    let mut i = Interp::with_interp_config(InterpConfig::vm());
-    i.heap_mut().enable_site_profile();
-    i.eval_str(
-        "(define (build n acc)
-           (if (zero? n) acc (build (- n 1) (cons n acc))))
-         (build 50 '())
-         (let ([v (make-vector 8 0)]) v)
-         `(a ,(+ 1 2))",
-    )
-    .unwrap();
-    let profile = i.heap_mut().take_site_profile();
-    let words_of = |name: &str| {
-        profile
-            .iter()
-            .find(|(s, _)| *s == name)
-            .map(|(_, st)| st.words)
-            .unwrap_or(0)
-    };
-    // Same attribution labels as the staged evaluator's `site_of`.
-    assert!(words_of("scheme.app") >= 100, "{profile:?}");
-    assert!(words_of("scheme.let") > 0, "{profile:?}");
     assert!(words_of("scheme.quasiquote") > 0, "{profile:?}");
     // The per-opcode dispatch counters land in the metrics registry
     // (only while the tracing flag is on; off by default).
@@ -370,8 +375,12 @@ fn vm_attributes_sites_and_counts_dispatches() {
     assert!(json.contains("\"vm.dispatch.imm\""), "{json}");
     assert!(json.contains("\"vm.dispatch.jmp-if-false\""), "{json}");
 
-    // Off by default: a fresh VM interp records no dispatch counters.
-    let mut cold = Interp::with_interp_config(InterpConfig::vm());
+    // Turned off again by take_site_profile: later evals attribute nothing.
+    i.eval_str("(cons 1 2)").unwrap();
+    assert!(i.heap_mut().take_site_profile().is_empty());
+
+    // Off by default: a fresh interp records no dispatch counters.
+    let mut cold = Interp::new();
     cold.eval_str("(+ 1 2)").unwrap();
     assert!(!cold.heap_mut().metrics_json().contains("vm.dispatch."));
 }

@@ -1,118 +1,54 @@
-//! Differential tests: the three evaluation tiers — naive cons-walking,
-//! staged opcode tree, and the bytecode VM — must be observationally
-//! identical: same results, same error messages, same printed output,
-//! and same guardian / weak-pair observables, since all three place
-//! their collection safe point at every procedure application.
+//! Differential tests: the bytecode VM must be observationally identical
+//! to the naive cons-walking evaluator (the reference oracle) — same
+//! results, same error messages, same printed output, and same guardian
+//! / weak-pair observables, since both place their collection safe point
+//! at every procedure application.
 //!
-//! The staged and VM tiers additionally allocate *identically* (the
-//! bytecode compiler is pure, so lowering changes no allocation
-//! sequence), which is pinned down by comparing the heap's deterministic
-//! counters after every run. The naive tier allocates differently by
-//! design (association-list environments), so it is compared on
-//! observables only.
+//! The oracle allocates differently by design (association-list
+//! environments), so heap counters are not compared here; the VM's own
+//! allocation sequence is pinned by the golden table in
+//! `crates/torture/tests/scheme_counters.rs`.
 //!
 //! Random programs are produced by a byte-driven builder that only emits
-//! well-formed, terminating forms with correct scoping (so the staged
-//! evaluator's analysis-time error reporting — a documented divergence
-//! for malformed input — never comes into play). Runtime errors (type
-//! errors, arity, unbound globals) are fair game and must match byte for
-//! byte.
+//! well-formed, terminating forms with correct scoping (so the VM's
+//! analysis-time error reporting — a documented divergence for malformed
+//! input — never comes into play). Runtime errors (type errors, arity,
+//! unbound globals) are fair game and must match byte for byte.
 
-use guardians_scheme::{Interp, InterpConfig};
+use guardians_scheme::{EvalMode, Interp, InterpConfig};
 use proptest::prelude::*;
 
-/// The deterministic (non-timing) heap counters: collections, alloc
-/// counts, guardian and weak-sweep totals. Wall-clock fields are
-/// excluded — they never repeat.
-#[derive(Debug, PartialEq, Eq)]
-struct GcCounters {
-    collections: u64,
-    pairs_allocated: u64,
-    objects_allocated: u64,
-    words_allocated: u64,
-    guardian_registrations: u64,
-    guardian_polls: u64,
-    total_words_copied: u64,
-    total_guardian_entries_visited: u64,
-    total_weak_pairs_scanned: u64,
-}
-
-fn counters(it: &Interp) -> GcCounters {
-    let s = it.heap().stats();
-    GcCounters {
-        collections: s.collections,
-        pairs_allocated: s.pairs_allocated,
-        objects_allocated: s.objects_allocated,
-        words_allocated: s.words_allocated,
-        guardian_registrations: s.guardian_registrations,
-        guardian_polls: s.guardian_polls,
-        total_words_copied: s.total_words_copied,
-        total_guardian_entries_visited: s.total_guardian_entries_visited,
-        total_weak_pairs_scanned: s.total_weak_pairs_scanned,
-    }
-}
-
 /// Evaluates `forms` one at a time, collecting each printed result or
-/// error string, everything written to the simulated OS, and the final
-/// deterministic GC counters.
-fn run_mode(
-    config: InterpConfig,
-    forms: &[String],
-) -> (Vec<Result<String, String>>, String, GcCounters) {
+/// error string and everything written to the simulated OS.
+fn run_mode(config: InterpConfig, forms: &[String]) -> (Vec<Result<String, String>>, String) {
     let mut it = Interp::with_interp_config(config);
     let mut results = Vec::new();
     for f in forms {
         results.push(it.eval_to_string(f).map_err(|e| e.to_string()));
     }
-    let gc = counters(&it);
-    (results, it.take_output(), gc)
+    (results, it.take_output())
 }
 
-/// All three tiers agree on observables; staged and VM also agree on
-/// every deterministic GC counter.
+/// The VM and the oracle agree on every observable.
 fn assert_identical(forms: &[String]) {
-    let staged = run_mode(InterpConfig::staged(), forms);
-    let naive = run_mode(InterpConfig::naive(), forms);
-    let vm = run_mode(InterpConfig::vm(), forms);
-    assert_eq!(
-        (&staged.0, &staged.1),
-        (&naive.0, &naive.1),
-        "staged/naive diverged on:\n{}",
-        forms.join("\n")
-    );
-    assert_eq!(
-        (&staged.0, &staged.1),
-        (&vm.0, &vm.1),
-        "staged/vm diverged on:\n{}",
-        forms.join("\n")
-    );
-    assert_eq!(
-        staged.2,
-        vm.2,
-        "staged/vm GC counters diverged on:\n{}",
-        forms.join("\n")
+    assert_identical_under(
+        &guardians_gc::GcConfig::default(),
+        "the default engine",
+        forms,
     );
 }
 
-/// Observables only (no counter comparison): for programs that exhaust
-/// the non-tail depth budget *inside* an operand, where the staged
-/// tier's transient sub-expression depth bumps make it error a couple of
-/// recursion levels earlier than the VM (same message, same observables,
-/// slightly different allocation totals).
-fn assert_identical_observables(forms: &[String]) {
-    let staged = run_mode(InterpConfig::staged(), forms);
-    let naive = run_mode(InterpConfig::naive(), forms);
-    let vm = run_mode(InterpConfig::vm(), forms);
+fn assert_identical_under(gc: &guardians_gc::GcConfig, engine: &str, forms: &[String]) {
+    let config = |mode| InterpConfig {
+        gc: gc.clone(),
+        mode,
+    };
+    let vm = run_mode(config(EvalMode::Vm), forms);
+    let oracle = run_mode(config(EvalMode::Naive), forms);
     assert_eq!(
-        (&staged.0, &staged.1),
-        (&naive.0, &naive.1),
-        "staged/naive diverged on:\n{}",
-        forms.join("\n")
-    );
-    assert_eq!(
-        (&staged.0, &staged.1),
-        (&vm.0, &vm.1),
-        "staged/vm diverged on:\n{}",
+        vm,
+        oracle,
+        "vm/oracle diverged under {engine} on:\n{}",
         forms.join("\n")
     );
 }
@@ -279,7 +215,7 @@ proptest! {
 
     /// Random well-formed programs evaluate identically in both modes.
     #[test]
-    fn staged_and_naive_agree(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+    fn vm_and_oracle_agree(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         let forms = Gen::new(&bytes).program();
         assert_identical(&forms);
     }
@@ -390,22 +326,19 @@ fn runtime_errors_match_byte_for_byte() {
 
 #[test]
 fn deep_recursion_error_matches() {
-    assert_identical_observables(&[
+    assert_identical(&[
         "(define (sum n) (if (zero? n) 0 (+ n (sum (- n 1)))))".into(),
         "(sum 100000)".into(),
         "(+ 1 2)".into(), // both interpreters recover
     ]);
 }
 
-/// The acceptance matrix for the VM tier: a guardian/weak/tconc-heavy
-/// transcript run by all three tiers under the serial engine, the
+/// A guardian/weak/tconc-heavy transcript under the serial engine, the
 /// 4-worker parallel engine, and the 100µs incremental engine, with
-/// byte-identical observables in every cell (and identical deterministic
-/// counters between staged and VM).
+/// byte-identical observables in every cell.
 #[test]
-fn three_tiers_agree_across_gc_engines() {
+fn vm_and_oracle_agree_across_gc_engines() {
     use guardians_gc::GcConfig;
-    use guardians_scheme::EvalMode;
     use std::time::Duration;
 
     let forms: Vec<String> = [
@@ -453,27 +386,7 @@ fn three_tiers_agree_across_gc_engines() {
         ),
     ];
     for (engine, gc) in engines {
-        let cfg = |mode: EvalMode| InterpConfig {
-            gc: gc.clone(),
-            mode,
-        };
-        let staged = run_mode(cfg(EvalMode::Staged), &forms);
-        let naive = run_mode(cfg(EvalMode::Naive), &forms);
-        let vm = run_mode(cfg(EvalMode::Vm), &forms);
-        assert_eq!(
-            (&staged.0, &staged.1),
-            (&naive.0, &naive.1),
-            "staged/naive diverged under {engine}"
-        );
-        assert_eq!(
-            (&staged.0, &staged.1),
-            (&vm.0, &vm.1),
-            "staged/vm diverged under {engine}"
-        );
-        assert_eq!(
-            staged.2, vm.2,
-            "staged/vm GC counters diverged under {engine}"
-        );
+        assert_identical_under(&gc, engine, &forms);
     }
 }
 

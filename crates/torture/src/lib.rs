@@ -31,7 +31,7 @@ pub mod scheme_diff;
 pub mod shrink;
 
 pub use gen::{config_for_seed, generate};
-pub use ops::{InterpMode, NodeKind, Op, Ref, TortureConfig, Trace};
+pub use ops::{NodeKind, Op, Ref, TortureConfig, Trace};
 pub use rig::{quiet_panics, run_trace, run_trace_traced, Failure, RunStats};
 pub use scheme_diff::{run_scheme_differential, SchemeDiffStats};
 pub use shrink::{ddmin, explain, shrink};
@@ -62,21 +62,6 @@ pub fn check_seed_budget(seed: u64, nops: usize, budget_us: u64) -> Result<RunSt
     let mut trace = generate(seed, nops);
     trace.config.pause_budget = Some(budget_us);
     run_trace(&trace)
-}
-
-/// Runs one seed's scheme-differential leg: the seed's guardian-heavy
-/// Scheme workload under the staged anchor and under `interp`, on the
-/// seed's rotated heap configuration (see [`config_for_seed`]) —
-/// observables byte-identical, and for the VM tier the deterministic
-/// heap counters too.
-pub fn check_seed_scheme(
-    seed: u64,
-    nforms: usize,
-    interp: InterpMode,
-) -> Result<SchemeDiffStats, Failure> {
-    let mut cfg = config_for_seed(seed);
-    cfg.interp = interp;
-    run_scheme_differential(seed, nforms, &cfg)
 }
 
 /// [`check_seed`] with the GC event trace enabled and cross-checked

@@ -446,44 +446,6 @@ impl FromStr for Op {
     }
 }
 
-/// Which interpreter tier a scheme-differential campaign leg runs the
-/// trace's companion program under (see `scheme_diff`). The heap-op rig
-/// itself never consults it — heap ops have no evaluator — but carrying
-/// it in the trace keeps a scheme-leg failure replayable from its text.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum InterpMode {
-    /// The cons-walking reference evaluator.
-    Naive,
-    /// The staged (analyzed opcode tree) evaluator — the differential
-    /// anchor, and the default so old traces keep their meaning.
-    #[default]
-    Staged,
-    /// The bytecode VM tier.
-    Vm,
-}
-
-impl fmt::Display for InterpMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            InterpMode::Naive => "naive",
-            InterpMode::Staged => "staged",
-            InterpMode::Vm => "vm",
-        })
-    }
-}
-
-impl FromStr for InterpMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<InterpMode, String> {
-        match s {
-            "naive" => Ok(InterpMode::Naive),
-            "staged" => Ok(InterpMode::Staged),
-            "vm" => Ok(InterpMode::Vm),
-            other => Err(format!("bad interp mode {other:?}")),
-        }
-    }
-}
-
 /// Heap configuration a trace runs under (a deterministic subset of
 /// [`guardians_gc::GcConfig`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -512,8 +474,6 @@ pub struct TortureConfig {
     /// model is engine-agnostic: a budget leg checks the incremental
     /// engine against the same oracle, observable for observable.
     pub pause_budget: Option<u64>,
-    /// Interpreter tier for the scheme-differential leg.
-    pub interp: InterpMode,
     /// Autotuner mode for the real heap (`Off` = the historical fixed
     /// policy). `Active` lets the controller retune promotion between
     /// collections — the rig syncs the shadow model's promotion rule from
@@ -533,7 +493,6 @@ impl Default for TortureConfig {
             fail_acquisition_at: None,
             workers: 1,
             pause_budget: None,
-            interp: InterpMode::Staged,
             autotune: AutotuneMode::Off,
         }
     }
@@ -551,16 +510,16 @@ impl fmt::Display for TortureConfig {
             "config {} {promo} {} {} {fault}",
             self.generations, self.flat_protected as u8, self.ablate_weak_pass_first as u8
         )?;
-        // The workers, pause-budget, interp-mode, and autotune tokens are
-        // optional (and omitted at the defaults) so older traces keep
-        // parsing and default traces keep their historical textual form.
-        // They are positional (6th, 7th, 8th, 9th), so emitting a later
-        // one forces all earlier ones out; a pause budget of `None`
-        // prints as the `-` placeholder (and a default interp mode as
-        // `staged`) when a later token needs the slot filled.
+        // The workers, pause-budget, and autotune tokens are optional
+        // (and omitted at the defaults) so older traces keep parsing and
+        // default traces keep their historical textual form. They are
+        // positional (6th, 7th, 9th), so emitting a later one forces all
+        // earlier ones out; a pause budget of `None` prints as the `-`
+        // placeholder when a later token needs the slot filled. The 8th
+        // slot once named a Scheme interpreter tier; it is always `-`
+        // now and ignored on parse.
         let emit_autotune = self.autotune != AutotuneMode::Off;
-        let emit_interp = self.interp != InterpMode::Staged || emit_autotune;
-        let emit_budget = self.pause_budget.is_some() || emit_interp;
+        let emit_budget = self.pause_budget.is_some() || emit_autotune;
         if self.workers != 1 || emit_budget {
             write!(f, " {}", self.workers)?;
         }
@@ -570,11 +529,8 @@ impl fmt::Display for TortureConfig {
                 None => write!(f, " -")?,
             }
         }
-        if emit_interp {
-            write!(f, " {}", self.interp)?;
-        }
         if emit_autotune {
-            write!(f, " {}", self.autotune)?;
+            write!(f, " - {}", self.autotune)?;
         }
         Ok(())
     }
@@ -615,18 +571,20 @@ impl FromStr for TortureConfig {
             None => 1,
         };
         let pause_budget = match it.next() {
-            // `-` is the placeholder a default budget prints as when the
-            // interp token behind it needs the slot filled.
+            // `-` is the placeholder a default budget prints as when a
+            // token behind it needs the slot filled.
             Some("-") | None => None,
             Some(us) => Some(
                 us.parse()
                     .map_err(|e| format!("config: bad pause budget: {e}"))?,
             ),
         };
-        let interp = match it.next() {
-            Some(m) => m.parse()?,
-            None => InterpMode::Staged,
-        };
+        // The retired interpreter-tier slot: historical lines carry one
+        // of the three tier names here.
+        match it.next() {
+            Some("-" | "naive" | "staged" | "vm") | None => {}
+            Some(other) => return Err(format!("config: bad interp mode {other:?}")),
+        }
         let autotune = match it.next() {
             Some(m) => m.parse().map_err(|e| format!("config: {e}"))?,
             None => AutotuneMode::Off,
@@ -639,7 +597,6 @@ impl FromStr for TortureConfig {
             fail_acquisition_at: fault,
             workers,
             pause_budget,
-            interp,
             autotune,
         })
     }
@@ -852,67 +809,55 @@ mod tests {
     }
 
     #[test]
-    fn interp_token_round_trips_and_defaults() {
-        // The interp mode is the 8th token: emitting it forces workers
-        // out and the default budget prints as the `-` placeholder.
-        let vm = TortureConfig {
-            interp: InterpMode::Vm,
-            ..TortureConfig::default()
-        };
-        let text = vm.to_string();
-        assert!(text.ends_with(" 1 - vm"), "placeholder chain: {text}");
-        assert_eq!(text.parse::<TortureConfig>().unwrap(), vm);
-        // All three modes round-trip, alone and with a real budget.
-        for interp in [InterpMode::Naive, InterpMode::Staged, InterpMode::Vm] {
-            for pause_budget in [None, Some(250u64)] {
-                let cfg = TortureConfig {
-                    interp,
-                    pause_budget,
+    fn retired_interp_token_is_parsed_and_ignored() {
+        // The 8th token once selected a Scheme interpreter tier; lines
+        // written then still load, as the configuration without it.
+        for tier in ["naive", "staged", "vm", "-"] {
+            for (budget, pause_budget) in [("-", None), ("250", Some(250u64))] {
+                let cfg: TortureConfig = format!("config 4 next 0 0 - 2 {budget} {tier}")
+                    .parse()
+                    .unwrap();
+                let expected = TortureConfig {
                     workers: 2,
+                    pause_budget,
                     ..TortureConfig::default()
                 };
-                assert_eq!(cfg.to_string().parse::<TortureConfig>().unwrap(), cfg);
+                assert_eq!(cfg, expected);
             }
         }
-        // The default (staged) stays token-free, and pre-VM lines of
-        // every historical arity still parse as the staged anchor.
-        assert!(!TortureConfig::default().to_string().contains("staged"));
-        for old in [
-            "config 4 next 0 0 -",
-            "config 4 next 0 0 - 4",
-            "config 4 next 0 0 - 1 250",
-        ] {
-            assert_eq!(
-                old.parse::<TortureConfig>().unwrap().interp,
-                InterpMode::Staged
-            );
-        }
+        assert!("config 4 next 0 0 - 1 - jit"
+            .parse::<TortureConfig>()
+            .is_err());
     }
 
     #[test]
     fn autotune_token_round_trips_and_defaults() {
         // The autotune mode is the 9th token: emitting it forces the
-        // whole placeholder chain out, including a literal `staged`.
+        // whole placeholder chain out, including the retired 8th slot.
         let active = TortureConfig {
             autotune: AutotuneMode::Active,
             ..TortureConfig::default()
         };
         let text = active.to_string();
-        assert!(text.ends_with(" 1 - staged active"), "chain: {text}");
+        assert!(text.ends_with(" 1 - - active"), "chain: {text}");
         assert_eq!(text.parse::<TortureConfig>().unwrap(), active);
+        // The pre-retirement spelling of the same line still loads.
+        assert_eq!(
+            "config 4 next 0 0 - 1 - staged active"
+                .parse::<TortureConfig>()
+                .unwrap(),
+            active
+        );
         // Both non-off modes round-trip against every earlier-token shape.
         for autotune in [AutotuneMode::Observe, AutotuneMode::Active] {
             for pause_budget in [None, Some(250u64)] {
-                for interp in [InterpMode::Staged, InterpMode::Vm] {
-                    let cfg = TortureConfig {
-                        autotune,
-                        pause_budget,
-                        interp,
-                        workers: 2,
-                        ..TortureConfig::default()
-                    };
-                    assert_eq!(cfg.to_string().parse::<TortureConfig>().unwrap(), cfg);
-                }
+                let cfg = TortureConfig {
+                    autotune,
+                    pause_budget,
+                    workers: 2,
+                    ..TortureConfig::default()
+                };
+                assert_eq!(cfg.to_string().parse::<TortureConfig>().unwrap(), cfg);
             }
         }
         // The default (off) stays token-free, and every historical config
