@@ -9,9 +9,10 @@
 //!   --seeds N        number of seeds to run            (default 200)
 //!   --start N        first seed                        (default 0)
 //!   --ops N          ops per trace                     (default 10000)
-//!   --workers N      collector workers for the soak traces (default 1,
-//!                    the serial engine; >1 selects the parallel engine
-//!                    and the oracle checks it op-for-op)
+//!   --workers N      collector workers for the soak traces and the fault
+//!                    sweep (default 1; >1 fans the sweeps and the
+//!                    remembered-set scan out over that many threads, and
+//!                    the oracle checks the result op-for-op)
 //!   --pause-budget N run the soak traces under the bounded-pause
 //!                    incremental engine with an N-microsecond budget
 //!                    (0 = one work unit per increment, the finest
@@ -162,12 +163,14 @@ fn main() {
     );
 
     if sweep_seeds > 0 {
-        println!("fault sweep: {sweep_seeds} seeds, {sweep_ops} ops, every acquisition offset");
+        println!(
+            "fault sweep: {sweep_seeds} seeds, {sweep_ops} ops, {workers} worker(s), every acquisition offset"
+        );
         let t1 = Instant::now();
         let mut runs = 0u64;
         let mut fired = 0u64;
         for seed in start..start + sweep_seeds {
-            match guardians_torture::fault_sweep(seed, sweep_ops, 1) {
+            match guardians_torture::fault_sweep(seed, sweep_ops, workers) {
                 Ok((r, f)) => {
                     runs += r;
                     fired += f;

@@ -1,10 +1,11 @@
 //! **E17 — Parallel copy/scan scaling.**
 //!
-//! The parallel engine (`GcConfig::workers > 1`) runs the Cheney
-//! copy/scan loop on N worker threads with work-stealing scan units,
-//! per-worker to-space regions, and CAS-installed forwarding. This
-//! experiment measures its copy throughput against the serial engine on
-//! identical live sets: each scenario builds the same object graph under
+//! With `GcConfig::workers > 1` the collector's sweeps and its
+//! remembered-set scan run on N worker threads with work-stealing scan
+//! units, per-worker to-space regions, and CAS-installed forwarding
+//! (roots and the guardian, finalizer and weak passes stay on the calling
+//! thread). This experiment measures the copy throughput against the
+//! 1-worker run on identical live sets: each scenario builds the same object graph under
 //! every worker count and then runs repeated full collections, so the
 //! deterministic work (words copied per round) is *equal* across columns
 //! and only the wall time differs.

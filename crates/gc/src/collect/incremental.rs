@@ -41,10 +41,7 @@
 //! the final increment cannot be shorter than those passes (measured in
 //! experiment E18, argued in DESIGN.md §10).
 
-use super::{
-    emit_end, emit_phase, finalizer_pass, forward, guardian_pass, lap, reclaim, remset, sweep_unit,
-    weak_pass, Scratch,
-};
+use super::{emit_end, emit_phase, finish, forward_roots, lap, remset, sweep_unit, Scratch};
 use crate::heap::Heap;
 use crate::trace::GcPhase;
 use crate::value::{fwd, Value};
@@ -168,19 +165,12 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
     // stored stale (since-forwarded) or from-space pointers into rooted
     // cells. Re-forwarding an already-forwarded root is a no-op, so the
     // counters only move on the first increment.
-    let mut roots = std::mem::take(&mut heap.roots);
-    let traced = roots.for_each_slot(|slot| {
-        let v = *slot;
-        if v.is_ptr() {
-            *slot = forward(heap, &mut st.s, v);
-        }
-    });
-    heap.roots = roots;
+    let traced = forward_roots(heap, &mut st.s);
     if !st.roots_counted {
         st.s.report.roots_traced = traced;
         st.roots_counted = true;
     }
-    lap(heap, &mut st.s.report, &mut mark, GcPhase::Roots);
+    lap(heap, &mut st.s, &mut mark, GcPhase::Roots);
 
     // Drain the write-barrier log: segments mutated since the last
     // increment to hold from-space pointers. New copies land in the
@@ -193,7 +183,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
         for seg in segs {
             remset::rescan_segment(heap, &mut st.s, seg);
         }
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Remset);
+        lap(heap, &mut st.s, &mut mark, GcPhase::Remset);
     }
 
     // Remembered set, one segment per yield check.
@@ -208,7 +198,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
                 break;
             }
         }
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Remset);
+        lap(heap, &mut st.s, &mut mark, GcPhase::Remset);
     }
 
     // Kleene sweep, one unit per yield check. Reaching the unit fixpoint
@@ -225,33 +215,21 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
                 break;
             }
         }
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Sweep);
+        lap(heap, &mut st.s, &mut mark, GcPhase::Sweep);
     }
 
     if !finished {
-        settle_late_stores(heap, st);
+        settle_late_stores(heap, &mut st.late_stores);
     } else {
         // The terminal increment: guardian, finalizer, weak, and reclaim
-        // run unbounded — the guardian-atomicity pause floor. See the
-        // module docs.
-        if heap.config.ablate_weak_pass_first {
-            weak_pass::run(heap, &mut st.s);
-            lap(heap, &mut st.s.report, &mut mark, GcPhase::Weak);
-        }
-        guardian_pass::run(heap, &mut st.s);
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Guardian);
-        let s = &mut st.s;
-        finalizer_pass(heap, &s.from_space, (s.g, s.target), &mut s.report);
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Finalizer);
-        weak_pass::run(heap, &mut st.s);
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Weak);
-
-        // After the guardian pass (it may resurrect a logged container),
-        // before the from-space words holding the forwarding marks go.
-        settle_late_stores(heap, st);
-        let heads = std::mem::take(&mut st.s.from_heads);
-        reclaim(heap, heads, &mut st.s.report);
-        lap(heap, &mut st.s.report, &mut mark, GcPhase::Reclaim);
+        // run unbounded — the guardian-atomicity pause floor (see the
+        // module docs). Late stores settle after the guardian pass (it may
+        // resurrect a logged container), before the from-space words
+        // holding the forwarding marks go.
+        let late = &mut st.late_stores;
+        finish(heap, &mut st.s, &mut mark, |heap| {
+            settle_late_stores(heap, late)
+        });
     }
 
     st.s.report.increments += 1;
@@ -261,7 +239,7 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
     st.carry = Duration::ZERO;
 
     if finished {
-        emit_end(heap, &st.s.copied_per_gen, &st.s.report);
+        emit_end(heap, &st.s);
     }
     finished
 }
@@ -271,8 +249,8 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
 /// an old→young pointer in a to-space copy without a card. Entries whose
 /// container is still unforwarded stay logged; at the terminal increment
 /// those containers are dead.
-fn settle_late_stores(heap: &mut Heap, st: &mut IncrementalState) {
-    st.late_stores.retain(|&(container, offset)| {
+fn settle_late_stores(heap: &mut Heap, late_stores: &mut Vec<(Value, usize)>) {
+    late_stores.retain(|&(container, offset)| {
         let Some(new) = fwd::decode(heap.segs.word(container.addr())) else {
             return true;
         };

@@ -23,6 +23,17 @@
 //!    field after collection" (see [`weak_pass`]).
 //! 8. **Reclaim** — return every from-space segment to the free pool.
 //!
+//! # One core, two drivers
+//!
+//! [`run`] takes a collection to completion on the calling thread, for
+//! every worker count; [`incremental::step`] slices phases 2–4 into
+//! bounded increments (`pause_budget`, which takes precedence over
+//! `workers`). Both end in the same [`finish`] (phases 5–8), and both run
+//! the same [`forward`], guardian pass and weak pass. With `workers > 1`,
+//! [`run`] sets [`Scratch::par`], and the two transitive closures —
+//! [`kleene_sweep`] and the remembered-set scan — fan out as parallel
+//! regions (see [`parallel`]); nothing else changes.
+//!
 //! # The copy/scan engine
 //!
 //! Object transport and scanning are *bulk* operations over whole-segment
@@ -132,6 +143,10 @@ pub(crate) struct Scratch {
     pub copied_per_gen: Vec<u64>,
     /// The report under construction.
     pub report: CollectionReport,
+    /// The worker side, set by [`run`] when `workers > 1`: the sweep and
+    /// the remembered-set scan then run as parallel regions. Always `None`
+    /// under the incremental driver.
+    pub par: Option<parallel::Par>,
 }
 
 impl Scratch {
@@ -140,11 +155,39 @@ impl Scratch {
         self.from_space.contains(seg)
     }
 
-    /// Phase 1 for the serial and incremental drivers: the flip, a fresh
-    /// scratch state and the `CollectionBegin` event.
+    /// Phase 1 for both drivers: the flip, a fresh scratch state and the
+    /// `CollectionBegin` event. The flip picks the target generation,
+    /// snapshots the from-space (every segment of a collected generation;
+    /// heads are also listed for the reclaim) and resets the allocation
+    /// cursors. It drains the per-generation segment lists instead of
+    /// walking the whole table; the bitset dedups entries for segments
+    /// freed and recycled back into the same generation.
     pub fn begin(heap: &mut Heap, g: u8) -> Scratch {
-        let (target, from_space, from_heads) = flip(heap, g);
-        let report = begin_report(heap, g, target);
+        let target = heap
+            .config
+            .promotion
+            .target(g, heap.config.max_generation());
+        let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
+        let mut from_heads = Vec::new();
+        for gen in 0..=g {
+            for seg in heap.segs.drain_generation(gen) {
+                if from_space.contains(seg) {
+                    continue;
+                }
+                from_space.insert(seg);
+                if heap.segs.info(seg).is_head() {
+                    from_heads.push(seg);
+                }
+            }
+        }
+        heap.reset_cursors(g, target);
+        heap.tospace_log = Some(Vec::new());
+        let index = heap.collections;
+        heap.trace_emit(|| GcEvent::CollectionBegin {
+            index,
+            collected_generation: g,
+            target_generation: target,
+        });
         Scratch {
             g,
             target,
@@ -158,71 +201,22 @@ impl Scratch {
             old_weak_dirty: Vec::new(),
             trace_on: heap.tracing_enabled(),
             copied_per_gen: vec![0; heap.config.generations as usize],
-            report,
+            report: CollectionReport {
+                collection_index: index,
+                collected_generation: g,
+                target_generation: target,
+                ..CollectionReport::default()
+            },
+            par: None,
         }
     }
-}
-
-/// The flip every driver starts with: picks the target generation,
-/// snapshots the from-space (every segment of a collected generation;
-/// heads are also listed for the reclaim) and resets the allocation
-/// cursors. Drains the per-generation segment lists instead of walking
-/// the whole table; the bitset dedups entries for segments freed and
-/// recycled back into the same generation.
-pub(crate) fn flip(heap: &mut Heap, g: u8) -> (u8, FromSpaceMap, Vec<SegIndex>) {
-    let target = heap
-        .config
-        .promotion
-        .target(g, heap.config.max_generation());
-    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
-    let mut from_heads = Vec::new();
-    for gen in 0..=g {
-        for seg in heap.segs.drain_generation(gen) {
-            if from_space.contains(seg) {
-                continue;
-            }
-            from_space.insert(seg);
-            if heap.segs.info(seg).is_head() {
-                from_heads.push(seg);
-            }
-        }
-    }
-    heap.reset_cursors(g, target);
-    heap.tospace_log = Some(Vec::new());
-    (target, from_space, from_heads)
-}
-
-/// A fresh report for a collection of `0..=g`, announced on the trace.
-pub(crate) fn begin_report(heap: &mut Heap, g: u8, target: u8) -> CollectionReport {
-    let index = heap.collections;
-    heap.trace_emit(|| GcEvent::CollectionBegin {
-        index,
-        collected_generation: g,
-        target_generation: target,
-    });
-    CollectionReport {
-        collection_index: index,
-        collected_generation: g,
-        target_generation: target,
-        ..CollectionReport::default()
-    }
-}
-
-/// Phase 8: returns every from-space run to the free pool.
-pub(crate) fn reclaim(heap: &mut Heap, from_heads: Vec<SegIndex>, report: &mut CollectionReport) {
-    for head in from_heads {
-        let run = heap.segs.run_len(head) as u64;
-        report.segments_freed += run;
-        heap.segs.free(head);
-        heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
-    }
-    heap.tospace_log = None;
 }
 
 /// The closing events: one `GenCopied` per source generation that lost
 /// words (they are counted only while tracing), then `CollectionEnd`.
-pub(crate) fn emit_end(heap: &mut Heap, copied_per_gen: &[u64], r: &CollectionReport) {
-    for (generation, &words) in copied_per_gen.iter().enumerate() {
+pub(crate) fn emit_end(heap: &mut Heap, s: &Scratch) {
+    let r = &s.report;
+    for (generation, &words) in s.copied_per_gen.iter().enumerate() {
         if words > 0 {
             heap.trace_emit(|| GcEvent::GenCopied {
                 generation: generation as u8,
@@ -261,22 +255,24 @@ pub(crate) fn emit_end(heap: &mut Heap, copied_per_gen: &[u64], r: &CollectionRe
 ///   allocates one 2-word pair, at most once per visited entry:
 ///   `(2 · E).div_ceil(SEGMENT_WORDS)` segments (the pair cursor's open
 ///   segment is already counted above).
-/// * Roots, remset, finalizer, and weak passes allocate nothing.
+/// * **Weak passes.** Each closes the target's weak cursor without an
+///   overflow forcing it — a close the pairing argument does not cover:
+///   at most 2 more segments (the ablation runs two passes).
+/// * Roots, remset and finalizer passes allocate nothing of their own.
 ///
-/// The `+8` absorbs the four open cursors with margin. The torture rig's
-/// fault sweep doubles as a soundness test for this bound: collections
-/// run with the acquisition fault armed just past the reservation, and
-/// any mid-collection acquisition beyond it trips a panic.
+/// The `+8` absorbs the 4 open cursors and the 2 early closes with margin.
 ///
-/// **Parallel engine.** The pairing argument is schedule-independent —
-/// each close is still forced by an overflowing object, whichever worker
-/// performs it — so `2·F` covers all workers' closed segments combined.
-/// What multiplies with `workers` is the *open* regions: up to 4 per
-/// worker instead of 4 cursors total, plus up to 2 extra closes per
-/// worker from the weak-region early-close at each weak pass (the
-/// pairing argument doesn't cover a close that isn't forced by an
-/// overflow). `8 · workers` absorbs both with margin; the serial formula
-/// is untouched when `workers <= 1`.
+/// **Workers.** The pairing argument is schedule-independent — an
+/// overflow close is forced by an overflowing object, whoever performs it
+/// — so `2 · F` covers the calling thread's and all workers' closed
+/// segments combined. What grows with `workers` is what can be *open*:
+/// beside the 4 cursors, up to 4 regions per worker, each of whose weak
+/// regions is also closed early at each weak pass — 6 per worker, absorbed
+/// by `8 · workers`. The formula is untouched when `workers <= 1`.
+///
+/// The torture rig's fault sweep is the soundness test for this bound, at
+/// 1 and at 4 workers: collections run with the acquisition fault armed
+/// just past the reservation, and any acquisition beyond it panics.
 pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
     let from_segments = heap
         .segs
@@ -299,84 +295,106 @@ pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
     }
 }
 
-/// Runs a full collection of generations `0..=g`, dispatching to the
-/// parallel engine when the configuration asks for more than one worker.
+/// Runs a full collection of generations `0..=g` to completion on the
+/// calling thread — the driver for every worker count. With `workers > 1`
+/// the remembered-set scan and every sweep fan out (see [`parallel`]);
+/// everything else is the same code either way.
 pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
-    if heap.config.workers > 1 {
-        return parallel::run(heap, g);
-    }
     let start = Instant::now();
     let mut s = Scratch::begin(heap, g);
+    if heap.config.workers > 1 {
+        s.par = Some(parallel::Par::new(heap));
+    }
     let mut mark = start;
-    lap(heap, &mut s.report, &mut mark, GcPhase::Flip);
+    lap(heap, &mut s, &mut mark, GcPhase::Flip);
 
     // Phase 2: roots.
+    s.report.roots_traced = forward_roots(heap, &mut s);
+    lap(heap, &mut s, &mut mark, GcPhase::Roots);
+
+    // Phase 3: remembered set.
+    remset::scan_dirty(heap, &mut s);
+    lap(heap, &mut s, &mut mark, GcPhase::Remset);
+
+    // Phase 4: kleene sweep.
+    kleene_sweep(heap, &mut s);
+    lap(heap, &mut s, &mut mark, GcPhase::Sweep);
+
+    finish(heap, &mut s, &mut mark, |_| {});
+    s.report.duration = start.elapsed();
+    emit_end(heap, &s);
+    s.report
+}
+
+/// Phase 2: forwards every registered root slot; returns the slot count.
+pub(crate) fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
     let mut roots = std::mem::take(&mut heap.roots);
     let traced = roots.for_each_slot(|slot| {
         let v = *slot;
         if v.is_ptr() {
-            *slot = forward(heap, &mut s, v);
+            *slot = forward(heap, s, v);
         }
     });
     heap.roots = roots;
-    s.report.roots_traced = traced;
-    lap(heap, &mut s.report, &mut mark, GcPhase::Roots);
+    traced
+}
 
-    // Phase 3: remembered set.
-    remset::scan_dirty(heap, &mut s);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Remset);
-
-    // Phase 4: kleene sweep.
-    kleene_sweep(heap, &mut s);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Sweep);
-
+/// Phases 5–8, for both drivers, once the sweep has reached its fixpoint.
+/// Nothing in here yields: the guardian partition, the weak break and the
+/// reclaim are atomic with respect to the mutator. `before_reclaim` runs
+/// after the last pass, while the from-space's forwarding words are still
+/// readable.
+pub(crate) fn finish(
+    heap: &mut Heap,
+    s: &mut Scratch,
+    mark: &mut Instant,
+    before_reclaim: impl FnOnce(&mut Heap),
+) {
     if heap.config.ablate_weak_pass_first {
         // Ablation: break weak cars BEFORE the guardian pass gets to
         // salvage their referents — the ordering bug the paper's Section 4
-        // warns against. A second pass below keeps the heap valid for
+        // warns against. The second pass below keeps the heap valid for
         // weak pairs copied during the guardian pass itself.
-        weak_pass::run(heap, &mut s);
-        lap(heap, &mut s.report, &mut mark, GcPhase::Weak);
+        weak_pass::run(heap, s);
+        lap(heap, s, mark, GcPhase::Weak);
     }
 
     // Phase 5: guardians.
-    guardian_pass::run(heap, &mut s);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Guardian);
+    guardian_pass::run(heap, s);
+    lap(heap, s, mark, GcPhase::Guardian);
 
     // Phase 6: Dickey-baseline finalizers.
-    finalizer_pass(heap, &s.from_space, (s.g, s.target), &mut s.report);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Finalizer);
+    finalizer_pass(heap, s);
+    lap(heap, s, mark, GcPhase::Finalizer);
 
     // Phase 7: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
     // object will still be in the car field after collection."
-    weak_pass::run(heap, &mut s);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Weak);
+    weak_pass::run(heap, s);
+    lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 8: reclaim the from-space.
-    let heads = std::mem::take(&mut s.from_heads);
-    reclaim(heap, heads, &mut s.report);
-    lap(heap, &mut s.report, &mut mark, GcPhase::Reclaim);
-
-    s.report.duration = start.elapsed();
-    emit_end(heap, &s.copied_per_gen, &s.report);
-    s.report
+    // Phase 8: return every from-space run to the free pool.
+    before_reclaim(heap);
+    parallel::close_regions(heap, s, None);
+    for head in std::mem::take(&mut s.from_heads) {
+        let run = heap.segs.run_len(head) as u64;
+        s.report.segments_freed += run;
+        heap.segs.free(head);
+        heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
+    }
+    heap.tospace_log = None;
+    lap(heap, s, mark, GcPhase::Reclaim);
 }
 
 /// Closes a timed section: accumulates the time since `mark` into the
 /// matching phase of the report, restarts `mark`, and emits the `PhaseEnd`
 /// event, so the trace's phase sum stays equal to `phases.total()` across
 /// any number of increments (or ablation re-runs of a phase).
-pub(crate) fn lap(
-    heap: &mut Heap,
-    report: &mut CollectionReport,
-    mark: &mut Instant,
-    phase: GcPhase,
-) {
+pub(crate) fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
     let now = Instant::now();
     let d = now - *mark;
     *mark = now;
-    let p = &mut report.phases;
+    let p = &mut s.report.phases;
     *match phase {
         GcPhase::Flip => &mut p.flip,
         GcPhase::Roots => &mut p.roots,
@@ -598,7 +616,22 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
 /// copies without being (re-)logged. Those are parked and re-checked when
 /// the queue runs dry, so the sweep never re-walks finished segments.
 pub(crate) fn kleene_sweep(heap: &mut Heap, s: &mut Scratch) {
+    if s.par.is_some() {
+        return parallel::sweep(heap, s);
+    }
     while sweep_unit(heap, s) {}
+}
+
+/// Moves the to-space segments logged since the last drain onto the scan
+/// queue, counting them and noting the weak-pair ones for the weak pass.
+pub(crate) fn drain_log(heap: &mut Heap, s: &mut Scratch) {
+    for seg in heap.drain_tospace_log() {
+        s.report.segments_allocated += heap.segs.run_len(seg) as u64;
+        if heap.segs.info(seg).space == Space::WeakPair {
+            s.weak_tospace.push(seg);
+        }
+        s.queue.push((seg, 0));
+    }
 }
 
 /// One iteration of the Kleene sweep — the increment-shaped work unit the
@@ -608,13 +641,7 @@ pub(crate) fn kleene_sweep(heap: &mut Heap, s: &mut Scratch) {
 /// fixpoint (nothing queued, nothing grew, log empty); calling it again
 /// after more copies (or a re-scan) resumes correctly.
 pub(crate) fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
-    for seg in heap.drain_tospace_log() {
-        s.report.segments_allocated += heap.segs.run_len(seg) as u64;
-        if heap.segs.info(seg).space == Space::WeakPair {
-            s.weak_tospace.push(seg);
-        }
-        s.queue.push((seg, 0));
-    }
+    drain_log(heap, s);
     if let Some((seg, off)) = s.queue.pop() {
         let new_off = scan_segment(heap, s, seg, off);
         if heap.is_open_cursor(seg) {
@@ -645,21 +672,17 @@ pub(crate) fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
 /// preserved — their ids are reported so the embedding can run thunks.
 /// Runs after the guardian pass, so an object that is both guarded and
 /// watched is seen alive here (guardians win; documented in DESIGN.md).
-pub(crate) fn finalizer_pass(
-    heap: &mut Heap,
-    from: &FromSpaceMap,
-    (g, target): (u8, u8),
-    report: &mut CollectionReport,
-) {
+fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
+    let from = &s.from_space;
     let mut migrated = Vec::new();
-    for i in 0..=g as usize {
+    for i in 0..=s.g as usize {
         for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
             if forwarded_p(heap, from, e.obj) {
-                let dest = settled_generation(heap, from, target, e.obj);
+                let dest = settled_generation(heap, from, s.target, e.obj);
                 e.obj = get_fwd(heap, from, e.obj);
                 migrated.push((dest, e));
             } else {
-                report.finalized_ids.push(e.id);
+                s.report.finalized_ids.push(e.id);
             }
         }
     }

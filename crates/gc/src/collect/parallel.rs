@@ -1,35 +1,37 @@
-//! The parallel copy/scan engine (`GcConfig::workers > 1`).
+//! The worker side of a collection (`GcConfig::workers > 1`).
 //!
-//! The serial engine in [`super`] is a single-threaded Cheney loop; this
-//! module runs the same collection as a sequence of *parallel regions*.
-//! Inside a region, `workers` scoped threads run the copy/scan loop over
-//! work-stealing chunks; between regions the main thread holds the whole
-//! `&mut Heap` and runs the order-sensitive logic (root forwarding, the
-//! guardian blocks, finalizers) exactly as the serial engine does. The
-//! phase structure — and therefore the paper's §4 guardian semantics,
-//! including the weak-after-guardian ordering — is unchanged; only the
-//! transitive reachability closures inside each phase are parallel.
+//! There is one collector core: [`super::run`] drives every worker count,
+//! and the calling thread runs the *serial* code unchanged. This module
+//! adds the two places where a transitive closure is worth spreading over
+//! threads, each a *parallel region*: one scoped spawn of `workers`
+//! threads, joined before the caller continues.
 //!
 //! # What runs where
 //!
-//! * **Remset**: the main thread drains the dirty index
-//!   ([`remset::drain_entry`], the serial skip rules) into per-run shard
-//!   units carrying a copy of the run's card bytes; workers walk them
+//! * **Calling thread, between regions:** holds the whole `&mut Heap`
+//!   and is the serial engine — roots, the guardian blocks, tconc appends,
+//!   the finalizer and weak passes call [`super::forward`] and copy into
+//!   the heap's own allocation cursors, logged in the to-space log like
+//!   any serial copy.
+//! * **[`sweep`]** (the `kleene-sweep`: phase 4 and each guardian fixpoint
+//!   round's closure, entered from [`super::kleene_sweep`] whenever
+//!   [`Scratch::par`] is set): the to-space log and the serial sweep's own
+//!   work lists (`Scratch::queue`, `Scratch::parked`) become
+//!   [`Unit::Span`]s and [`Unit::Run`]s over `[off, used)`. No worker ever
+//!   allocates into a cursor segment — workers copy into private regions —
+//!   so `used` is frozen for the whole region and an open cursor is simply
+//!   re-parked at `used`. Workers chase the closure to its fixpoint
+//!   through the shared pool, so one region is one whole `kleene-sweep`.
+//! * **[`scan_dirty`]** (phase 3): the calling thread drains the dirty
+//!   index ([`remset::drain_entry`], the serial skip rules) into per-run
+//!   shards carrying a copy of the run's card bytes; workers walk them
 //!   with the shared [`remset::walk_cards`] and hand the refreshed bytes
-//!   back. Spans of copied-but-unscanned to-space words are *deferred*
-//!   to the sweep, mirroring the serial remset phase which forwards but
-//!   never sweeps.
-//! * **Sweep**: workers drain the deferred spans and then chase the
-//!   closure to fixpoint through the shared work pool.
-//! * **Guardians**: blocks 1–3 run on the main thread in protected-list
-//!   order, so entries are partitioned, finalized, and appended to their
-//!   tconcs in *registration order* — the deterministic merge that keeps
-//!   tconc contents identical across worker counts. The reachability
-//!   closure after each fixpoint round (the serial engine's
-//!   `kleene-sweep`) runs as a parallel region; the round barrier
-//!   preserves the paper's ordering.
-//! * **Weak pass**: segment-sharded over the same unit pool discipline,
-//!   read-mostly (no copying can happen there).
+//!   back. Spans of copied-but-unscanned words are *deferred* to the
+//!   sweep, mirroring the serial remset phase, which forwards but never
+//!   sweeps.
+//! * **[`close_regions`]** syncs the workers' open regions back into the
+//!   segment table: the weak ones before a weak pass, all of them before
+//!   the reclaim.
 //!
 //! # Copy protocol
 //!
@@ -38,8 +40,9 @@
 //! region, then publishes the forwarding word with a Release store.
 //! Losers of the race spin until the forwarding word appears. Exactly one
 //! worker copies each object, which is what makes `pairs_copied`,
-//! `objects_copied`, and `words_copied` schedule-independent (and equal
-//! to the serial engine's).
+//! `objects_copied`, and `words_copied` schedule-independent. A region
+//! ends with every claim marker overwritten, so the calling thread's
+//! plain-load `forward` never sees one.
 //!
 //! # Sharing discipline
 //!
@@ -61,27 +64,21 @@
 //!
 //! # Counter parity
 //!
-//! `workers <= 1` never enters this module, so the serial engine's
-//! counters stay bit-identical (the `counter_parity` regression test).
-//! For `workers > 1`, copy counters, guardian counters, tconc contents
-//! and order, and weak `broken`/`forwarded` counts are
-//! schedule-independent and equal to the serial engine's; segment counts
-//! (`segments_allocated`), `weak_pairs_scanned` coverage in the ablation
-//! mode, and per-phase wall times may differ. [`PhaseTimes::worker_time`]
-//! accumulates the workers' region residence time (thread-seconds, not
-//! wall time).
+//! With `workers <= 1` nothing here runs, so the serial counters stay
+//! bit-identical (the `counter_parity` regression test). For
+//! `workers > 1`, copy counters, every guardian and weak counter, tconc
+//! contents and order are schedule-independent and equal to the serial
+//! driver's; segment counts (`segments_allocated`) and per-phase wall
+//! times may differ. [`PhaseTimes::worker_time`] accumulates the workers'
+//! region residence time (thread-seconds, not wall time).
 //!
 //! [`PhaseTimes::worker_time`]: crate::PhaseTimes
 
 use super::remset::{self, CardTracer};
-use super::weak_pass::points_younger;
-use super::{
-    begin_report, emit_end, finalizer_pass, flip, forwarded_p, get_fwd, lap, reclaim, FromSpaceMap,
-};
+use super::{drain_log, FromSpaceMap, Scratch};
 use crate::header::Header;
-use crate::heap::{GuardEntry, Heap};
-use crate::stats::CollectionReport;
-use crate::trace::{GcEvent, GcPhase};
+use crate::heap::{check_acquisition, Heap};
+use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
 use guardians_segments::{SegIndex, SegmentTable, Space, WordAddr, NO_OWNER, SEGMENT_WORDS};
 use std::collections::VecDeque;
@@ -178,8 +175,8 @@ struct Region {
     scanned: usize,
 }
 
-/// A worker's open regions, one per space. Worker 0's doubles as the main
-/// thread's allocation state between regions.
+/// A worker's open regions, one per space.
+#[derive(Default)]
 struct WorkerRegions {
     open: [Option<Region>; 4],
 }
@@ -190,12 +187,6 @@ struct WorkerRegions {
 unsafe impl Send for WorkerRegions {}
 
 impl WorkerRegions {
-    fn new() -> WorkerRegions {
-        WorkerRegions {
-            open: [None, None, None, None],
-        }
-    }
-
     /// Whether any open region still has unscanned, scannable words.
     fn has_unscanned(&self) -> bool {
         self.open
@@ -241,7 +232,7 @@ enum Unit {
     },
     /// A dirty old-generation weak-pair segment: cdrs (odd offsets) are
     /// traced here, cars are left for the weak pass (which receives the
-    /// segment index through [`ParState::old_weak_dirty`]).
+    /// segment index through [`Scratch::old_weak_dirty`]).
     DirtyWeak { base: *mut u64, used: usize },
 }
 
@@ -249,6 +240,13 @@ enum Unit {
 // open region covers (see the type docs); moving the unit to the worker
 // that consumes it transfers that exclusive claim.
 unsafe impl Send for Unit {}
+
+/// One word-storage base pointer per segment of the run headed by `head`.
+fn run_bases(segs: &SegmentTable, head: SegIndex) -> Box<[*mut u64]> {
+    (0..segs.run_len(head))
+        .map(|i| segs.base_ptr(SegIndex(head.0 + i as u32)))
+        .collect()
+}
 
 // ---------------------------------------------------------------------
 // Shared state for one parallel region
@@ -292,9 +290,10 @@ struct Shared<'a> {
     defer_spans: bool,
 }
 
-/// Per-worker scratch: counters mirroring the [`CollectionReport`]
+/// Per-worker scratch: counters mirroring the [`CollectionReport`](crate::CollectionReport)
 /// fields the copy loop touches, merged by the main thread when the
 /// region ends.
+#[derive(Default)]
 struct WorkerCtx {
     id: u8,
     regions: WorkerRegions,
@@ -314,26 +313,6 @@ struct WorkerCtx {
     dirty_cards_scanned: u64,
     /// Region residence time (includes idle waits at the pool).
     busy: Duration,
-}
-
-impl WorkerCtx {
-    fn new(id: u8, regions: WorkerRegions, gens: usize) -> WorkerCtx {
-        WorkerCtx {
-            id,
-            regions,
-            pairs_copied: 0,
-            objects_copied: 0,
-            words_copied: 0,
-            pure_words_skipped: 0,
-            segments_allocated: 0,
-            copied_per_gen: vec![0; gens],
-            acquired_events: Vec::new(),
-            weak_closed: Vec::new(),
-            dirty_done: Vec::new(),
-            dirty_cards_scanned: 0,
-            busy: Duration::ZERO,
-        }
-    }
 }
 
 /// A walked remset shard on its way back to the segment table.
@@ -360,20 +339,12 @@ impl CardTracer for ParTracer<'_, '_> {
     }
 }
 
-/// Mirrors [`Heap::note_acquisitions`] through the table lock, including
-/// the fault-injection tripwire with the identical message: crossing the
-/// configured limit inside the collector means `try_collect`'s worst-case
-/// reservation was unsound, racing workers or not.
+/// Mirrors [`Heap::note_acquisitions`] through the table lock, with the
+/// same fault-injection tripwire: crossing the configured limit inside
+/// the collector means `try_collect`'s worst-case reservation was
+/// unsound, racing workers or not.
 fn note_acquisitions_mt(core: &mut TableCore<'_>, ctx: &mut WorkerCtx, n: u64) {
-    if let Some(limit) = core.limit {
-        assert!(
-            core.acquisitions + n <= limit,
-            "segment-acquisition fault fired inside an infallible path: \
-             {} acquired, {n} more requested, limit {limit} — a fallible \
-             entry point's preflight should have rejected this operation",
-            core.acquisitions,
-        );
-    }
+    check_acquisition(core.acquisitions, n, core.limit);
     core.acquisitions += n;
     ctx.acquired_events.push(n);
 }
@@ -661,10 +632,7 @@ fn copy_large(
         note_acquisitions_mt(&mut core, ctx, nsegs as u64);
         let head = core.segs.allocate_run(space, sh.target, nsegs);
         core.segs.info_mut(head).used = total as u32;
-        let bases: Box<[*mut u64]> = (0..nsegs)
-            .map(|i| core.segs.base_ptr(SegIndex(head.0 + i as u32)))
-            .collect();
-        (head, bases)
+        (head, run_bases(core.segs, head))
     };
     ctx.segments_allocated += nsegs as u64;
     // SAFETY: the destination run is exclusively this worker's until the
@@ -775,28 +743,27 @@ fn close_region(segs: &mut SegmentTable, r: Region) -> (Option<Unit>, Option<Seg
 // Parallel regions: spawn, drain, merge
 // ---------------------------------------------------------------------
 
-/// Collector state that persists across the parallel regions of one
-/// collection — the parallel engine's analogue of [`super::Scratch`].
-struct ParState {
-    g: u8,
-    target: u8,
-    workers: usize,
-    from_space: FromSpaceMap,
-    from_heads: Vec<SegIndex>,
+/// The worker-side state of one collection ([`Scratch::par`]): what
+/// persists across its parallel regions.
+pub(crate) struct Par {
     snap: Snapshot,
-    /// One set of regions per worker; index 0 doubles as the main
-    /// thread's allocation state between regions.
+    /// One set of open regions per worker, kept across regions.
     regions: Vec<WorkerRegions>,
-    /// Units parked for the next region: remset-deferred spans, spans
-    /// closed by main-thread allocation, and main-thread large runs.
+    /// Scan units [`scan_dirty`] deferred to the next [`sweep`].
     pending: Vec<Unit>,
-    /// Closed to-space weak-pair segments, for the weak pass.
-    weak_tospace: Vec<SegIndex>,
-    /// Dirty old-generation weak-pair segments, for the weak pass.
-    old_weak_dirty: Vec<SegIndex>,
-    trace_on: bool,
-    copied_per_gen: Vec<u64>,
-    report: CollectionReport,
+}
+
+impl Par {
+    /// Captures the segment snapshot; call right after the flip.
+    pub(crate) fn new(heap: &Heap) -> Par {
+        Par {
+            snap: Snapshot::capture(heap),
+            regions: (0..heap.config.workers)
+                .map(|_| WorkerRegions::default())
+                .collect(),
+            pending: Vec::new(),
+        }
+    }
 }
 
 /// Runs one parallel region: seeds the pool with `initial`, spawns the
@@ -804,21 +771,31 @@ struct ParState {
 /// Returns the remset shards the workers walked.
 fn run_region(
     heap: &mut Heap,
-    st: &mut ParState,
+    s: &mut Scratch,
     initial: Vec<Unit>,
     defer_spans: bool,
 ) -> Vec<DirtyDone> {
+    let par = s
+        .par
+        .as_mut()
+        .expect("a parallel region needs Scratch::par");
     // Fast path: nothing queued and (in sweep mode) nothing unscanned in
     // any region — spawning would be pure overhead.
-    if initial.is_empty() && (defer_spans || !st.regions.iter().any(WorkerRegions::has_unscanned)) {
+    if initial.is_empty() && (defer_spans || !par.regions.iter().any(WorkerRegions::has_unscanned))
+    {
         return Vec::new();
     }
     let gens = heap.config.generations as usize;
-    let mut ctxs: Vec<WorkerCtx> = st
+    let mut ctxs: Vec<WorkerCtx> = par
         .regions
         .drain(..)
         .enumerate()
-        .map(|(id, regions)| WorkerCtx::new(id as u8, regions, gens))
+        .map(|(id, regions)| WorkerCtx {
+            id: id as u8,
+            regions,
+            copied_per_gen: vec![0; gens],
+            ..WorkerCtx::default()
+        })
         .collect();
     let (acquisitions, deferred) = {
         let shared = Shared {
@@ -834,12 +811,12 @@ fn run_region(
             }),
             cv: Condvar::new(),
             deferred: Mutex::new(Vec::new()),
-            from_space: &st.from_space,
-            snap: &st.snap,
-            g: st.g,
-            target: st.target,
-            trace_on: st.trace_on,
-            workers: st.workers,
+            from_space: &s.from_space,
+            snap: &par.snap,
+            g: s.g,
+            target: s.target,
+            trace_on: s.trace_on,
+            workers: ctxs.len(),
             defer_spans,
         };
         std::thread::scope(|scope| {
@@ -855,583 +832,125 @@ fn run_region(
         )
     };
     heap.acquisitions = acquisitions;
-    st.pending.extend(deferred);
+    par.pending.extend(deferred);
     let mut dirty_done = Vec::new();
     for mut ctx in ctxs {
-        st.report.pairs_copied += ctx.pairs_copied;
-        st.report.objects_copied += ctx.objects_copied;
-        st.report.words_copied += ctx.words_copied;
-        st.report.pure_words_skipped += ctx.pure_words_skipped;
-        st.report.segments_allocated += ctx.segments_allocated;
-        st.report.dirty_cards_scanned += ctx.dirty_cards_scanned;
-        st.report.phases.worker_time += ctx.busy;
-        if st.trace_on {
+        s.report.pairs_copied += ctx.pairs_copied;
+        s.report.objects_copied += ctx.objects_copied;
+        s.report.words_copied += ctx.words_copied;
+        s.report.pure_words_skipped += ctx.pure_words_skipped;
+        s.report.segments_allocated += ctx.segments_allocated;
+        s.report.dirty_cards_scanned += ctx.dirty_cards_scanned;
+        s.report.phases.worker_time += ctx.busy;
+        if s.trace_on {
             for (g, words) in ctx.copied_per_gen.iter().enumerate() {
-                st.copied_per_gen[g] += words;
+                s.copied_per_gen[g] += words;
             }
         }
         for count in ctx.acquired_events.drain(..) {
             heap.trace_emit(|| GcEvent::SegmentsAcquired { count });
         }
-        st.weak_tospace.append(&mut ctx.weak_closed);
+        s.weak_tospace.append(&mut ctx.weak_closed);
         dirty_done.append(&mut ctx.dirty_done);
-        st.regions.push(ctx.regions);
+        par.regions.push(ctx.regions);
     }
     dirty_done
 }
 
 // ---------------------------------------------------------------------
-// Main-thread (between-regions) forwarding
+// The two entry points, and the region close
 // ---------------------------------------------------------------------
-//
-// Between regions the main thread holds the whole `&mut Heap`, so this
-// mirrors the serial engine's `forward` (and the serial `forwarded_p` /
-// `get_fwd` serve as they are) — except that allocation goes through
-// worker 0's regions instead of the heap's cursor table, keeping one
-// allocator discipline for the collection. No claim marker can be
-// observed here: regions end with every `BUSY` word overwritten by its
-// forwarding word.
 
-fn forward_st(heap: &mut Heap, st: &mut ParState, v: Value) -> Value {
-    if !v.is_ptr() {
-        return v;
-    }
-    let addr = v.addr();
-    if !st.from_space.contains(addr.seg()) {
-        return v;
-    }
-    let first = heap.segs.word(addr);
-    debug_assert_ne!(first, fwd::BUSY, "claim marker survived a region barrier");
-    if let Some(new) = fwd::decode(first) {
-        return v.retag_at(new);
-    }
-    let info = heap.segs.info(addr.seg());
-    let (space, src_gen) = (info.space, info.generation);
-    let total = if v.is_pair_ptr() {
-        2
-    } else {
-        Header::decode(first)
-            .unwrap_or_else(|| panic!("corrupt header while forwarding {v:?}"))
-            .total_words()
-    };
-    let to = alloc_st(heap, st, space, total);
-    heap.segs.copy_words(addr, to, total);
-    if v.is_pair_ptr() {
-        st.report.pairs_copied += 1;
-    } else {
-        st.report.objects_copied += 1;
-    }
-    st.report.words_copied += total as u64;
-    if st.trace_on {
-        st.copied_per_gen[src_gen as usize] += total as u64;
-    }
-    heap.segs.set_word(addr, fwd::encode(to));
-    v.retag_at(to)
-}
-
-/// Main-thread allocation into worker 0's regions. Large runs queue their
-/// scan unit immediately — safe on this path because the same thread
-/// finishes the copy before any region can consume the unit.
-fn alloc_st(heap: &mut Heap, st: &mut ParState, space: Space, words: usize) -> WordAddr {
-    if words > SEGMENT_WORDS {
-        let nsegs = words.div_ceil(SEGMENT_WORDS);
-        heap.note_acquisitions(nsegs as u64);
-        let head = heap.segs.allocate_run(space, st.target, nsegs);
-        heap.segs.info_mut(head).used = words as u32;
-        st.report.segments_allocated += nsegs as u64;
+/// The `kleene-sweep` as one parallel region. Everything the serial sweep
+/// would scan — freshly logged segments, queued ones, parked cursors that
+/// grew — is handed out as a unit over its unscanned words `[off, used)`.
+/// Workers copy only into their own regions, so a cursor segment's `used`
+/// cannot move while they run: an open cursor is re-parked at `used` and
+/// the next sweep sees whatever the calling thread copies there later.
+pub(crate) fn sweep(heap: &mut Heap, s: &mut Scratch) {
+    drain_log(heap, s);
+    let mut units = std::mem::take(&mut s.par.as_mut().expect("checked by the caller").pending);
+    let listed: Vec<(SegIndex, usize)> = s.queue.drain(..).chain(s.parked.drain(..)).collect();
+    for (seg, off) in listed {
+        let info = heap.segs.info(seg);
+        let (space, used) = (info.space, info.used as usize);
+        if info.open_cursor {
+            s.parked.push((seg, used));
+        }
+        if off >= used {
+            continue;
+        }
         match space {
-            Space::Typed => {
-                let bases: Box<[*mut u64]> = (0..nsegs)
-                    .map(|i| heap.segs.base_ptr(SegIndex(head.0 + i as u32)))
-                    .collect();
-                st.pending.push(Unit::Run {
-                    bases,
-                    total: words,
-                });
-            }
-            Space::Pure => st.report.pure_words_skipped += words as u64,
-            Space::Pair | Space::WeakPair => unreachable!("pairs never exceed a segment"),
-        }
-        return heap.segs.base_addr(head);
-    }
-    let slot = space.index();
-    if let Some(r) = st.regions[0].open[slot].as_mut() {
-        if r.used + words <= SEGMENT_WORDS {
-            let off = r.used;
-            r.used += words;
-            return WordAddr::new(r.seg, off);
+            Space::Pure => s.report.pure_words_skipped += (used - off) as u64,
+            Space::Typed if used > SEGMENT_WORDS => units.push(Unit::Run {
+                bases: run_bases(&heap.segs, seg),
+                total: used,
+            }),
+            _ => units.push(Unit::Span {
+                base: heap.segs.base_ptr(seg),
+                space,
+                lo: off,
+                hi: used,
+            }),
         }
     }
-    if let Some(r) = st.regions[0].open[slot].take() {
-        let (span, weak, pure) = close_region(&mut heap.segs, r);
-        if let Some(unit) = span {
-            st.pending.push(unit);
-        }
-        if let Some(seg) = weak {
-            st.weak_tospace.push(seg);
-        }
-        st.report.pure_words_skipped += pure;
-    }
-    heap.note_acquisitions(1);
-    let seg = heap.segs.allocate(space, st.target);
-    st.report.segments_allocated += 1;
-    heap.segs.info_mut(seg).owner = 0;
-    st.regions[0].open[slot] = Some(Region {
-        seg,
-        base: heap.segs.base_ptr(seg),
-        space,
-        used: words,
-        scanned: 0,
-    });
-    WordAddr::new(seg, 0)
+    let walked = run_region(heap, s, units, false);
+    debug_assert!(walked.is_empty() && heap.tospace_log_is_empty());
 }
 
-/// Collector-side tconc append, mirroring the serial
-/// [`guardian_pass::append_to_tconc`](super::guardian_pass) word for word
-/// (Figure 3's write order, barriered stores, the stale-cdr fixup).
-fn append_to_tconc_st(heap: &mut Heap, st: &mut ParState, tconc: Value, obj: Value) {
-    let p_addr = alloc_st(heap, st, Space::Pair, 2);
-    heap.segs.set_word(p_addr, Value::FALSE.raw());
-    heap.segs.set_word(p_addr.add(1), Value::FALSE.raw());
-    let p = Value::pair_at(p_addr);
-    let last_raw = heap.cdr(tconc);
-    let last = forward_st(heap, st, last_raw);
-    if last != last_raw {
-        heap.set_cdr(tconc, last);
-    }
-    heap.tconc_append_with(tconc, obj, p);
-}
-
-// ---------------------------------------------------------------------
-// Phases
-// ---------------------------------------------------------------------
-
-/// Drains the dirty index (serial skip rules) into remset shard units.
-fn drain_dirty_units(heap: &mut Heap, st: &mut ParState) -> Vec<Unit> {
+/// Phase 3 with workers: drains the dirty index (serial skip rules) into
+/// remset shards, walks them in a region whose copies are left unswept,
+/// and writes the refreshed card bytes back.
+pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
     let mut units = Vec::new();
     for seg in heap.segs.take_dirty() {
-        let Some((space, gen, used)) = remset::drain_entry(&mut heap.segs, st.g, seg) else {
+        let Some((space, gen, used)) = remset::drain_entry(&mut heap.segs, s.g, seg) else {
             continue;
         };
-        st.report.dirty_segments_scanned += 1;
+        s.report.dirty_segments_scanned += 1;
         if space == Space::WeakPair {
             units.push(Unit::DirtyWeak {
                 base: heap.segs.base_ptr(seg),
                 used,
             });
-            st.old_weak_dirty.push(seg);
+            s.old_weak_dirty.push(seg);
         } else {
             units.push(Unit::Dirty {
                 seg,
-                bases: (0..heap.segs.run_len(seg))
-                    .map(|i| heap.segs.base_ptr(SegIndex(seg.0 + i as u32)))
-                    .collect(),
+                bases: run_bases(&heap.segs, seg),
                 cards: heap.segs.run_cards(seg).into(),
                 gen,
                 used,
             });
         }
     }
-    units
-}
-
-/// The guardian pass: the paper's three blocks run on the main thread in
-/// protected-list order — the deterministic merge that fixes tconc
-/// contents and order across worker counts — while each fixpoint round's
-/// reachability closure (serial `kleene-sweep`) runs as a parallel
-/// region. Logic and events mirror [`super::guardian_pass::run`].
-fn guardian_parallel(heap: &mut Heap, st: &mut ParState) {
-    let visited_before = st.report.guardian_entries_visited;
-    let finalized_before = st.report.guardian_entries_finalized;
-    let held_before = st.report.guardian_entries_held;
-    let dropped_before = st.report.guardian_entries_dropped;
-    let loops_before = st.report.guardian_loop_iterations;
-
-    // Block 1: partition the protected lists of the collected generations.
-    let mut pend_hold: Vec<GuardEntry> = Vec::new();
-    let mut pend_final: Vec<GuardEntry> = Vec::new();
-    let list_indices: Vec<usize> = if heap.config.flat_protected {
-        vec![0]
-    } else {
-        (0..=st.g as usize).collect()
-    };
-    for i in list_indices {
-        for e in std::mem::take(&mut heap.protected[i]) {
-            st.report.guardian_entries_visited += 1;
-            if forwarded_p(heap, &st.from_space, e.obj) {
-                pend_hold.push(e);
-            } else {
-                pend_final.push(e);
-            }
-        }
-    }
-    heap.trace_emit(|| GcEvent::GuardianPartition {
-        visited: st.report.guardian_entries_visited - visited_before,
-        pend_hold: pend_hold.len() as u64,
-        pend_final: pend_final.len() as u64,
-    });
-
-    // Block 2: the fixpoint loop over entries with dead objects.
-    loop {
-        st.report.guardian_loop_iterations += 1;
-        let mut final_list = Vec::new();
-        let mut remaining = Vec::new();
-        for e in pend_final {
-            if forwarded_p(heap, &st.from_space, e.tconc) {
-                final_list.push(e);
-            } else {
-                remaining.push(e);
-            }
-        }
-        pend_final = remaining;
-        if final_list.is_empty() {
-            break;
-        }
-        let round = st.report.guardian_loop_iterations - loops_before;
-        let resurrected = final_list.len() as u64;
-        heap.trace_emit(|| GcEvent::GuardianRound { round, resurrected });
-        for e in final_list {
-            let rep = forward_st(heap, st, e.rep);
-            let tconc = get_fwd(heap, &st.from_space, e.tconc);
-            append_to_tconc_st(heap, st, tconc, rep);
-            st.report.guardian_entries_finalized += 1;
-        }
-        // Round barrier: close the round's reachability in parallel
-        // before the next round re-tests tconc accessibility.
-        let pending = std::mem::take(&mut st.pending);
-        let sd = run_region(heap, st, pending, false);
-        debug_assert!(sd.is_empty());
-    }
-    st.report.guardian_entries_dropped += pend_final.len() as u64;
-
-    // Block 3: migrate held entries to the target generation's list.
-    let dest = if heap.config.flat_protected {
-        0
-    } else {
-        st.target as usize
-    };
-    let mut held = Vec::new();
-    let mut agent_copied = false;
-    for e in pend_hold {
-        if forwarded_p(heap, &st.from_space, e.tconc) {
-            let obj = get_fwd(heap, &st.from_space, e.obj);
-            let tconc = get_fwd(heap, &st.from_space, e.tconc);
-            let rep = if e.rep == e.obj {
-                obj
-            } else {
-                agent_copied = agent_copied || e.rep.is_ptr();
-                forward_st(heap, st, e.rep)
-            };
-            held.push(GuardEntry { obj, rep, tconc });
-            st.report.guardian_entries_held += 1;
-        } else {
-            st.report.guardian_entries_dropped += 1;
-        }
-    }
-    heap.protected[dest].extend(held);
-    if agent_copied {
-        let pending = std::mem::take(&mut st.pending);
-        let sd = run_region(heap, st, pending, false);
-        debug_assert!(sd.is_empty());
-    }
-    heap.trace_emit(|| GcEvent::GuardianOutcome {
-        finalized: st.report.guardian_entries_finalized - finalized_before,
-        held: st.report.guardian_entries_held - held_before,
-        dropped: st.report.guardian_entries_dropped - dropped_before,
-        loop_iterations: st.report.guardian_loop_iterations - loops_before,
-    });
-}
-
-// ---------------------------------------------------------------------
-// The parallel weak pass
-// ---------------------------------------------------------------------
-
-/// One weak-pair segment to fix: cars settled, still-dirty recomputed.
-struct WeakUnit {
-    seg: SegIndex,
-    base: *mut u64,
-    gen: u8,
-    used: usize,
-    /// Dirty old-generation segment: re-mark it if it still holds an
-    /// old→young pointer (to-space segments are never re-marked, matching
-    /// the serial pass).
-    remark: bool,
-}
-
-// SAFETY: each unit covers one segment's words, consumed by one worker.
-unsafe impl Send for WeakUnit {}
-
-#[derive(Default)]
-struct WeakOut {
-    scanned: u64,
-    broken: u64,
-    forwarded: u64,
-    still_dirty: Vec<SegIndex>,
-    busy: Duration,
-}
-
-/// Closes every open weak-pair region so the weak pass sees exactly the
-/// closed-segment list — the same coverage discipline as the serial
-/// engine, where a weak segment is visited by the pass that first sees
-/// it and later passes only visit segments allocated since.
-fn close_weak_regions(heap: &mut Heap, st: &mut ParState) {
-    for regions in &mut st.regions {
-        if let Some(r) = regions.open[Space::WeakPair.index()].take() {
-            debug_assert!(r.scanned >= r.used, "weak region not fully swept");
-            let (span, weak, pure) = close_region(&mut heap.segs, r);
-            debug_assert!(pure == 0);
-            if let Some(unit) = span {
-                st.pending.push(unit);
-            }
-            if let Some(seg) = weak {
-                st.weak_tospace.push(seg);
-            }
-        }
-    }
-}
-
-/// The weak-pair pass (paper §4, final paragraph), sharded by segment.
-/// Pure reads of from-space forwarding words plus exclusive writes to
-/// each unit's cars — no copying, so no table lock and no claim protocol.
-fn weak_parallel(heap: &mut Heap, st: &mut ParState) {
-    let scanned_before = st.report.weak_pairs_scanned;
-    let broken_before = st.report.weak_cars_broken;
-    let forwarded_before = st.report.weak_cars_forwarded;
-    close_weak_regions(heap, st);
-    let mut units: Vec<WeakUnit> = Vec::new();
-    for seg in st.weak_tospace.drain(..) {
-        let info = heap.segs.info(seg);
-        units.push(WeakUnit {
-            seg,
-            base: heap.segs.base_ptr(seg),
-            gen: info.generation,
-            used: info.used as usize,
-            remark: false,
-        });
-    }
-    for seg in st.old_weak_dirty.drain(..) {
-        let info = heap.segs.info(seg);
-        units.push(WeakUnit {
-            seg,
-            base: heap.segs.base_ptr(seg),
-            gen: info.generation,
-            used: info.used as usize,
-            remark: true,
-        });
-    }
-    let mut outs: Vec<WeakOut> = (0..st.workers).map(|_| WeakOut::default()).collect();
-    if !units.is_empty() {
-        let segs = &heap.segs;
-        let from_space = &st.from_space;
-        let snap = &st.snap;
-        let queue = Mutex::new(units);
-        std::thread::scope(|scope| {
-            for out in outs.iter_mut() {
-                let queue = &queue;
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    loop {
-                        let unit = queue.lock().unwrap().pop();
-                        match unit {
-                            Some(u) => weak_fix_unit(segs, from_space, snap, u, out),
-                            None => break,
-                        }
-                    }
-                    out.busy += t0.elapsed();
-                });
-            }
-        });
-    }
-    for out in outs {
-        st.report.weak_pairs_scanned += out.scanned;
-        st.report.weak_cars_broken += out.broken;
-        st.report.weak_cars_forwarded += out.forwarded;
-        st.report.phases.worker_time += out.busy;
-        for seg in out.still_dirty {
-            // The remembered-set drain cleared the flag; re-mark (and
-            // re-index) only segments that still hold old→young pointers.
-            heap.segs.mark_dirty(seg);
-        }
-    }
-    heap.trace_emit(|| GcEvent::WeakSweep {
-        scanned: st.report.weak_pairs_scanned - scanned_before,
-        broken: st.report.weak_cars_broken - broken_before,
-        forwarded: st.report.weak_cars_forwarded - forwarded_before,
-    });
-}
-
-/// Fixes every weak car in one segment, mirroring the serial
-/// [`weak_pass::run`](super::weak_pass) per-pair logic. The live segment
-/// table is shared read-only for the generation lookups (no allocation
-/// happens during the weak pass, so it is stable).
-fn weak_fix_unit(
-    segs: &SegmentTable,
-    from_space: &FromSpaceMap,
-    snap: &Snapshot,
-    u: WeakUnit,
-    out: &mut WeakOut,
-) {
-    let mut still_dirty = false;
-    let mut off = 0;
-    while off < u.used {
-        out.scanned += 1;
-        // SAFETY: this unit exclusively covers the segment's words; cars
-        // are written only here.
-        let car_ptr = unsafe { u.base.add(off) };
-        let car = Value(unsafe { car_ptr.read() });
-        if car.is_ptr() && from_space.contains(car.addr().seg()) {
-            let a = car.addr();
-            // SAFETY: from-space words are read-only by now (every
-            // region has joined, so no claim marker can remain).
-            let word0 = unsafe { snap.base(a.seg()).add(a.offset()).read() };
-            debug_assert_ne!(word0, fwd::BUSY, "claim marker survived into the weak pass");
-            match fwd::decode(word0) {
-                Some(new) => {
-                    // Referent survived (root-reachable or salvaged by a
-                    // guardian): update the weak pointer.
-                    // SAFETY: as above.
-                    unsafe { car_ptr.write(car.retag_at(new).raw()) };
-                    out.forwarded += 1;
-                }
-                None => {
-                    // Referent is garbage: break the weak pointer.
-                    // SAFETY: as above.
-                    unsafe { car_ptr.write(Value::FALSE.raw()) };
-                    out.broken += 1;
-                }
-            }
-        }
-        // SAFETY: as above; reads of the settled car and the cdr.
-        let car_now = Value(unsafe { car_ptr.read() });
-        let cdr = Value(unsafe { u.base.add(off + 1).read() });
-        still_dirty |= points_younger(segs, car_now, u.gen);
-        still_dirty |= points_younger(segs, cdr, u.gen);
-        off += 2;
-    }
-    if u.remark && still_dirty {
-        out.still_dirty.push(u.seg);
-    }
-}
-
-/// Closes every remaining open region after the final pass, syncing the
-/// watermarks and clearing ownership so the heap is region-free (and
-/// verifier-clean) between collections.
-fn flush_regions(heap: &mut Heap, st: &mut ParState) {
-    for regions in &mut st.regions {
-        for slot in 0..4 {
-            if let Some(r) = regions.open[slot].take() {
-                debug_assert!(
-                    r.space == Space::Pure || r.scanned >= r.used,
-                    "region flushed with unscanned words"
-                );
-                let (span, weak, pure) = close_region(&mut heap.segs, r);
-                debug_assert!(span.is_none() && weak.is_none());
-                st.report.pure_words_skipped += pure;
-            }
-        }
-    }
-    debug_assert!(
-        st.pending.is_empty(),
-        "scan units left after the final region"
-    );
-}
-
-// ---------------------------------------------------------------------
-// The collection driver
-// ---------------------------------------------------------------------
-
-/// Runs a full parallel collection of generations `0..=g`, with the same
-/// phase order, events, and report semantics as [`super::run`].
-pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
-    let start = Instant::now();
-    // Phase 1: flip — identical to the serial engine, plus the snapshot
-    // of segment bases the workers read without the table lock.
-    let (target, from_space, from_heads) = flip(heap, g);
-    // The log stays empty (regions replace the cursor allocator during a
-    // parallel collection) but must be `Some` so `tconc_append_with`
-    // tags collector-side appends.
-    let snap = Snapshot::capture(heap);
-    let workers = heap.config.workers;
-
-    let mut st = ParState {
-        g,
-        target,
-        workers,
-        from_space,
-        from_heads,
-        snap,
-        regions: (0..workers).map(|_| WorkerRegions::new()).collect(),
-        pending: Vec::new(),
-        weak_tospace: Vec::new(),
-        old_weak_dirty: Vec::new(),
-        trace_on: heap.tracing_enabled(),
-        copied_per_gen: vec![0; heap.config.generations as usize],
-        report: begin_report(heap, g, target),
-    };
-    let mut mark = start;
-    lap(heap, &mut st.report, &mut mark, GcPhase::Flip);
-
-    // Phase 2: roots, on the main thread (copies land in worker 0's
-    // regions; their transitive closure waits for the sweep).
-    let mut roots = std::mem::take(&mut heap.roots);
-    let traced = roots.for_each_slot(|slot| {
-        let v = *slot;
-        if v.is_ptr() {
-            *slot = forward_st(heap, &mut st, v);
-        }
-    });
-    heap.roots = roots;
-    st.report.roots_traced = traced;
-    lap(heap, &mut st.report, &mut mark, GcPhase::Roots);
-
-    // Phase 3: remembered set, sharded across the workers. Spans of
-    // copied objects are deferred to the sweep (serial parity: the
-    // remset phase forwards but never sweeps).
-    let units = drain_dirty_units(heap, &mut st);
-    for (seg, cards, still_dirty) in run_region(heap, &mut st, units, true) {
+    for (seg, cards, still_dirty) in run_region(heap, s, units, true) {
         heap.segs.run_cards_mut(seg).copy_from_slice(&cards);
         if still_dirty {
             heap.segs.flag_dirty(seg);
         }
     }
-    lap(heap, &mut st.report, &mut mark, GcPhase::Remset);
+}
 
-    // Phase 4: the main sweep — the parallel kleene-sweep.
-    let pending = std::mem::take(&mut st.pending);
-    let sd = run_region(heap, &mut st, pending, false);
-    debug_assert!(sd.is_empty());
-    lap(heap, &mut st.report, &mut mark, GcPhase::Sweep);
-
-    if heap.config.ablate_weak_pass_first {
-        // Ablation: break weak cars BEFORE the guardian pass gets to
-        // salvage their referents (see `GcConfig::ablate_weak_pass_first`).
-        weak_parallel(heap, &mut st);
-        lap(heap, &mut st.report, &mut mark, GcPhase::Weak);
+/// Closes the workers' open regions in `only` (or in every space): syncs
+/// their watermarks into the segment table and clears the ownership
+/// marks. Before a weak pass this hands it the weak segments (the pass
+/// fixes closed segments only; later copies open fresh ones); before the
+/// reclaim it leaves the heap region-free and verifier-clean. Only ever
+/// called after a sweep, so nothing closed here has unscanned words.
+pub(crate) fn close_regions(heap: &mut Heap, s: &mut Scratch, only: Option<Space>) {
+    let Some(par) = s.par.as_mut() else { return };
+    debug_assert!(par.pending.is_empty(), "scan units left after a sweep");
+    for regions in &mut par.regions {
+        for slot in regions.open.iter_mut() {
+            if let Some(r) = slot.take_if(|r| only.is_none_or(|space| r.space == space)) {
+                let (span, weak, pure) = close_region(&mut heap.segs, r);
+                debug_assert!(span.is_none(), "region closed with unscanned words");
+                s.weak_tospace.extend(weak);
+                s.report.pure_words_skipped += pure;
+            }
+        }
     }
-
-    // Phase 5: guardians (main-thread blocks, parallel round closures).
-    guardian_parallel(heap, &mut st);
-    lap(heap, &mut st.report, &mut mark, GcPhase::Guardian);
-
-    // Phase 6: Dickey-baseline finalizers.
-    finalizer_pass(heap, &st.from_space, (g, target), &mut st.report);
-    lap(heap, &mut st.report, &mut mark, GcPhase::Finalizer);
-
-    // Phase 7: weak pairs — after the guardian pass, "so if the car field
-    // of a weak pair points to an object that has been salvaged, the
-    // object will still be in the car field after collection."
-    weak_parallel(heap, &mut st);
-    lap(heap, &mut st.report, &mut mark, GcPhase::Weak);
-
-    // Phase 8: reclaim the from-space.
-    flush_regions(heap, &mut st);
-    let heads = std::mem::take(&mut st.from_heads);
-    reclaim(heap, heads, &mut st.report);
-    lap(heap, &mut st.report, &mut mark, GcPhase::Reclaim);
-
-    st.report.duration = start.elapsed();
-    emit_end(heap, &st.copied_per_gen, &st.report);
-    st.report
 }
 
 #[cfg(test)]
@@ -1497,40 +1016,87 @@ mod tests {
         }
     }
 
+    /// Every schedule-independent report field and the tconc drain order,
+    /// on a heap that takes each main-thread path of the guardian pass:
+    /// a held and a finalized agent entry (block 3's extra sweep), a
+    /// guardian registered with a guardian (two fixpoint rounds), a guarded
+    /// weak pair, and a large run reachable only through a resurrected pair.
     #[test]
     fn parallel_counters_match_the_serial_engine() {
-        let run = |workers: usize| {
-            let mut h = heap_with_workers(workers);
+        let run = |workers: usize, flat_protected: bool| {
+            let mut h = Heap::new(GcConfig {
+                workers,
+                flat_protected,
+                ..GcConfig::new()
+            });
             let list = build_mixed_graph(&mut h, 40);
             let root = h.root(list);
-            let weak = h.weak_cons(h.car(root.get()), Value::NIL);
-            let _weak_root = h.root(weak);
-            let dead = h.cons(Value::fixnum(7), Value::NIL);
             let g = h.make_guardian();
+            let dead = h.cons(Value::fixnum(7), Value::NIL);
             g.register(&mut h, dead);
-            let r = h.collect(0).clone();
+            // One weak car to forward, one (to a guarded object) likewise,
+            // one to break.
+            for referent in [h.cdr(root.get()), dead, h.cons(Value::NIL, Value::NIL)] {
+                let weak = h.weak_cons(referent, Value::NIL);
+                std::mem::forget(h.root(weak));
+            }
+            let watched = h.cons(Value::fixnum(6), Value::NIL);
+            h.register_for_finalization(watched, 77);
+            for (tag, rooted) in [(8, true), (9, false)] {
+                let obj = h.cons(Value::fixnum(tag), Value::NIL);
+                let part = h.cons(Value::fixnum(tag * 10), Value::NIL);
+                let agent = h.make_vector(2, part);
+                g.register_with_agent(&mut h, obj, agent);
+                if rooted {
+                    std::mem::forget(h.root(obj));
+                }
+            }
+            let inner = h.make_guardian();
+            let elem = h.cons(Value::fixnum(10), Value::NIL);
+            let big = h.make_vector(700, elem);
+            let holder = h.cons(big, Value::NIL);
+            inner.register(&mut h, holder);
+            let guarded_weak = h.weak_cons(h.cdr(root.get()), Value::NIL);
+            inner.register(&mut h, guarded_weak);
+            g.register(&mut h, inner.tconc());
+            drop(inner);
+            let mut r = h.collect(0).clone();
             h.verify().expect("valid heap");
-            r
+            // Drain order, each value reduced to a schedule-independent tag.
+            let tag = |h: &Heap, v: Value| match v {
+                v if h.is_vector(v) => 1000 + h.vector_len(v) as i64,
+                v if h.car(v).is_fixnum() => h.car(v).as_fixnum(),
+                v if h.is_vector(h.car(v)) => h.vector_len(h.car(v)) as i64,
+                v if h.car(h.car(v)).is_fixnum() => 100 + h.car(h.car(v)).as_fixnum(),
+                _ => -1,
+            };
+            let mut order = Vec::new();
+            while let Some(v) = g.poll(&mut h) {
+                order.push(tag(&h, v));
+                if order.len() == 3 {
+                    let inner = crate::Guardian::from_tconc(&mut h, v);
+                    while let Some(v) = inner.poll(&mut h) {
+                        order.push(tag(&h, v));
+                    }
+                }
+            }
+            (r.segments_allocated, r.duration, r.phases) = Default::default();
+            (r, order)
         };
-        let serial = run(1);
-        for workers in [2, 4] {
-            let par = run(workers);
-            assert_eq!(par.pairs_copied, serial.pairs_copied, "{workers} workers");
-            assert_eq!(par.objects_copied, serial.objects_copied);
-            assert_eq!(par.words_copied, serial.words_copied);
-            assert_eq!(par.pure_words_skipped, serial.pure_words_skipped);
-            assert_eq!(par.roots_traced, serial.roots_traced);
+        for flat in [false, true] {
+            let serial = run(1, flat);
             assert_eq!(
-                par.guardian_entries_visited,
-                serial.guardian_entries_visited
+                serial.0.guardian_loop_iterations, 3,
+                "two rounds, then the exit"
             );
-            assert_eq!(
-                par.guardian_entries_finalized,
-                serial.guardian_entries_finalized
-            );
-            assert_eq!(par.weak_cars_broken, serial.weak_cars_broken);
-            assert_eq!(par.weak_cars_forwarded, serial.weak_cars_forwarded);
-            assert_eq!(par.segments_freed, serial.segments_freed);
+            assert_eq!(serial.0.guardian_entries_held, 1);
+            assert_eq!(serial.0.finalized_ids, [77]);
+            assert_eq!(serial.0.weak_cars_forwarded, 3);
+            assert_eq!(serial.0.weak_cars_broken, 1);
+            assert_eq!(serial.1, [7, 1002, -1, 700, 138]);
+            for workers in [2, 4] {
+                assert_eq!(run(workers, flat), serial, "{workers} workers, flat={flat}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! whose byte is `<= g`: every from-space pointer lies in one, and a card
 //! whose referents were all promoted beyond `g` costs nothing until their
 //! generation is collected. [`walk_cards`] is the one routine that does
-//! this, for all three drivers (serial, incremental, parallel).
+//! this, on the calling thread of either driver and on the workers.
 //!
 //! Pair and Typed segments need no object-start table: a Typed segment
 //! holds only headers and fully-traced objects (untraced kinds live in
@@ -42,7 +42,7 @@
 //! decides whether each car is forwarded or broken *after* the guardian
 //! pass has saved what it is going to save.
 
-use super::{flush_candidates, forward_from, Scratch};
+use super::{flush_candidates, forward_from, parallel, Scratch};
 use crate::heap::Heap;
 use crate::value::Value;
 use guardians_segments::{SegIndex, SegmentTable, Space, CARD_CLEAN, CARD_WORDS, SEGMENT_WORDS};
@@ -166,7 +166,7 @@ pub(crate) fn drain_entry(
     Some(found)
 }
 
-/// The serial engines' [`CardTracer`].
+/// The calling thread's [`CardTracer`].
 struct SerialTracer<'a> {
     heap: &'a mut Heap,
     s: &'a mut Scratch,
@@ -223,7 +223,11 @@ fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u6
     visited
 }
 
+/// Phase 3 (as a parallel region when the collection has workers).
 pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
+    if s.par.is_some() {
+        return parallel::scan_dirty(heap, s);
+    }
     for seg in heap.segs.take_dirty() {
         scan_dirty_seg(heap, s, seg);
     }

@@ -14,14 +14,25 @@
 //! generation this collection and (b) every *dirty* old-generation
 //! weak-pair segment found by the remembered-set scan — never clean old
 //! segments, preserving generation-friendliness for weak pairs too.
+//!
+//! **Coverage rule.** A to-space weak segment is fixed by the first pass
+//! that runs after it was logged, and only by that one. That is sound only
+//! if nothing is copied into a segment after its pass, so the pass first
+//! *closes* every place a weak pair can still be copied to — the target
+//! generation's weak cursor and the workers' weak regions. A weak pair
+//! copied later (the ablation's guardian pass, between its two weak
+//! passes) opens a fresh segment, which is logged and fixed by the next
+//! pass.
 
-use super::Scratch;
+use super::{parallel, Scratch};
 use crate::heap::Heap;
 use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
-use guardians_segments::{SegIndex, SegmentTable};
+use guardians_segments::{SegIndex, SegmentTable, Space};
 
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
+    heap.close_cursor(Space::WeakPair, s.target);
+    parallel::close_regions(heap, s, Some(Space::WeakPair));
     let scanned_before = s.report.weak_pairs_scanned;
     let broken_before = s.report.weak_cars_broken;
     let forwarded_before = s.report.weak_cars_forwarded;

@@ -91,14 +91,17 @@ pub struct GcConfig {
     /// unsound.
     pub fail_acquisition_at: Option<u64>,
     /// Number of collector worker threads. `1` (the default, and any
-    /// value `<= 1`) runs the serial engine, bit-identical to its
-    /// historical counters. Values `> 1` select the parallel copy/scan
-    /// engine: that many workers run the Cheney loop over work-stealing
-    /// segment chunks with per-worker to-space allocation regions and
-    /// CAS-installed forwarding. The final heap state is equivalent to
-    /// the serial engine's (same live set, same guardian queue contents
-    /// in registration order); only scheduling-dependent telemetry such
-    /// as segment counts and per-phase timings may differ.
+    /// value `<= 1`) runs every phase on the calling thread, bit-identical
+    /// to the historical serial counters. With a value `> 1` the
+    /// remembered-set scan and the sweeps fan out: that many workers run
+    /// the Cheney loop over work-stealing segment chunks with per-worker
+    /// to-space allocation regions and CAS-installed forwarding, while
+    /// roots and the guardian, finalizer and weak passes stay on the
+    /// calling thread. The final heap state is equivalent (same live set,
+    /// same guardian queue contents in registration order); only
+    /// scheduling-dependent telemetry such as segment counts and
+    /// per-phase timings may differ. At most 254:
+    /// [`Heap::new`](crate::Heap::new) rejects more.
     pub workers: usize,
     /// Bounded-pause ("incremental") collection. `None` (the default)
     /// keeps every collection a single stop-the-world pause. `Some(b)`
@@ -116,6 +119,10 @@ pub struct GcConfig {
 }
 
 impl GcConfig {
+    /// The largest accepted [`GcConfig::workers`]: worker ids mark region
+    /// ownership in a `u8` whose top value means "unowned".
+    pub(crate) const MAX_WORKERS: usize = guardians_segments::NO_OWNER as usize - 1;
+
     /// The default configuration: 4 generations, frequencies 1/4/16/64,
     /// 1 MB allocation trigger, paper-faithful protected lists.
     pub fn new() -> GcConfig {

@@ -79,8 +79,8 @@ pub struct Heap {
     /// Lifetime count of segment acquisitions (runs count one per
     /// segment), compared against
     /// [`GcConfig::fail_acquisition_at`] by the fallible entry points.
-    /// `pub(crate)` so the parallel engine can mirror the count through
-    /// its table lock and write the final tally back at region end.
+    /// `pub(crate)` so a parallel region can mirror the count through its
+    /// table lock and write the final tally back when it ends.
     pub(crate) acquisitions: u64,
     /// The event tracer; `None` (one null test per instrumentation site)
     /// unless [`Heap::enable_tracing`] was called.
@@ -104,7 +104,17 @@ pub struct Heap {
 
 impl Heap {
     /// Creates a heap with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.workers` is above 254.
     pub fn new(config: GcConfig) -> Heap {
+        assert!(
+            config.workers <= GcConfig::MAX_WORKERS,
+            "GcConfig::workers is {}, above the limit of {} collector workers",
+            config.workers,
+            GcConfig::MAX_WORKERS
+        );
         let gens = config.generations as usize;
         let lists = if config.flat_protected { 1 } else { gens };
         Heap {
@@ -391,6 +401,15 @@ impl Heap {
         }
     }
 
+    /// Closes the (`space`, `gen`) allocation cursor, if one is open: the
+    /// next allocation there opens — and, during a collection, logs — a
+    /// fresh segment.
+    pub(crate) fn close_cursor(&mut self, space: Space, gen: u8) {
+        if let Some(seg) = self.cursors[gen as usize * 4 + space.index()].take() {
+            self.segs.info_mut(seg).open_cursor = false;
+        }
+    }
+
     /// Whether `seg` is an open allocation cursor — the only segments
     /// whose `used` watermark can still advance without the segment being
     /// (re-)logged, so the only ones the Cheney sweep must re-check. An
@@ -434,15 +453,7 @@ impl Heap {
     /// panic would mean [`Heap::try_collect`]'s worst-case reservation
     /// was unsound.
     pub(crate) fn note_acquisitions(&mut self, n: u64) {
-        if let Some(limit) = self.config.fail_acquisition_at {
-            assert!(
-                self.acquisitions + n <= limit,
-                "segment-acquisition fault fired inside an infallible path: \
-                 {} acquired, {n} more requested, limit {limit} — a fallible \
-                 entry point's preflight should have rejected this operation",
-                self.acquisitions,
-            );
-        }
+        check_acquisition(self.acquisitions, n, self.config.fail_acquisition_at);
         self.acquisitions += n;
         self.trace_emit(|| GcEvent::SegmentsAcquired { count: n });
     }
@@ -1375,6 +1386,19 @@ impl std::fmt::Debug for Heap {
 
 /// The space a typed allocation goes to: pointer-free kinds land in the
 /// pure space, which the collector copies without scanning.
+/// The fault-injection tripwire behind [`Heap::note_acquisitions`] and
+/// its mirror under the parallel workers' table lock.
+pub(crate) fn check_acquisition(acquired: u64, n: u64, limit: Option<u64>) {
+    if let Some(limit) = limit {
+        assert!(
+            acquired + n <= limit,
+            "segment-acquisition fault fired inside an infallible path: \
+             {acquired} acquired, {n} more requested, limit {limit} — a fallible \
+             entry point's preflight should have rejected this operation",
+        );
+    }
+}
+
 fn space_for(header: &Header) -> Space {
     if header.traced_words() == 0
         && header.kind != ObjKind::Vector
@@ -1523,6 +1547,15 @@ mod tests {
         assert_eq!(h.box_ref(b), Value::fixnum(10));
         h.box_set(b, Value::TRUE);
         assert_eq!(h.box_ref(b), Value::TRUE);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the limit of 254 collector workers")]
+    fn more_workers_than_owner_ids_are_rejected() {
+        Heap::new(GcConfig {
+            workers: 255,
+            ..GcConfig::new()
+        });
     }
 
     #[test]

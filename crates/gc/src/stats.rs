@@ -38,13 +38,13 @@ pub struct PhaseTimes {
     pub weak: Duration,
     /// Phase 8: return from-space segments to the free pool.
     pub reclaim: Duration,
-    /// Thread-seconds the parallel engine's workers spent inside their
-    /// collection regions, summed over all workers. This is *work* time,
+    /// Thread-seconds the collector's workers spent inside their
+    /// parallel regions, summed over all workers. This is *work* time,
     /// not wall time: with 4 busy workers it can approach 4× the wall
     /// time of the phases that spawned them. Deliberately **not** part of
     /// [`PhaseTimes::total`], which remains the wall-clock pause
     /// breakdown (and the quantity the event trace's `PhaseEnd` records
-    /// must sum to). Always zero under the serial engine.
+    /// must sum to). Always zero with `workers <= 1`.
     pub worker_time: Duration,
 }
 

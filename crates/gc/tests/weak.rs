@@ -296,3 +296,52 @@ fn ablation_weak_pass_before_guardians_breaks_salvaged_objects() {
          the inconsistency the paper's ordering avoids"
     );
 }
+
+#[test]
+fn ablation_second_weak_pass_covers_pairs_copied_by_the_guardian_pass() {
+    // The ablation's first weak pass drains the to-space weak segments; a
+    // weak pair the guardian pass then resurrects must still get its car
+    // fixed by the second pass, on every driver, for both a pair reached
+    // through a guarded object and a guarded weak pair itself.
+    use guardians_gc::GcConfig;
+    use std::time::Duration;
+    let drivers = [
+        ("serial", 1, None),
+        ("workers 2", 2, None),
+        ("workers 4", 4, None),
+        ("zero budget", 1, Some(Duration::ZERO)),
+    ];
+    for (name, workers, pause_budget) in drivers {
+        for guard_the_pair_itself in [false, true] {
+            let mut h = Heap::new(GcConfig {
+                ablate_weak_pass_first: true,
+                workers,
+                pause_budget,
+                ..GcConfig::new()
+            });
+            let y = h.cons(Value::fixnum(7), Value::NIL);
+            let yr = h.root(y);
+            // A rooted weak pair opens the to-space weak segment early.
+            let opener = h.weak_cons(y, Value::NIL);
+            let _opener = h.root(opener);
+            let w = h.weak_cons(y, Value::NIL);
+            let g = h.make_guardian();
+            if guard_the_pair_itself {
+                g.register(&mut h, w);
+            } else {
+                let x = h.cons(w, Value::NIL);
+                g.register(&mut h, x);
+            }
+            h.collect(0);
+            let what = format!("{name}, guard_the_pair_itself={guard_the_pair_itself}");
+            h.verify().unwrap_or_else(|e| panic!("{what}: {e}"));
+            let saved = g.poll(&mut h).expect("resurrected");
+            let w = if guard_the_pair_itself {
+                saved
+            } else {
+                h.car(saved)
+            };
+            assert_eq!(h.car(w), yr.get(), "{what}");
+        }
+    }
+}

@@ -74,27 +74,24 @@ pub fn check_seed_traced(
     run_trace_traced(&generate(seed, nops))
 }
 
-/// Generates and runs one seed, then re-runs it with the
-/// segment-acquisition fault placed at every `stride`-th offset of the
-/// lifetime acquisition count the fault-free run needed (`stride = 1` is
-/// the exhaustive sweep of the acceptance criteria). Returns
-/// `(fault_runs, faults_fired)` on success or the first divergence.
-pub fn fault_sweep(seed: u64, nops: usize, stride: u64) -> Result<(u64, u64), Failure> {
-    assert!(stride > 0);
-    let trace = generate(seed, nops);
+/// Generates and runs one seed with `workers` collector workers, then
+/// re-runs it with the segment-acquisition fault placed at every offset
+/// of the lifetime acquisition count the fault-free run needed. Returns
+/// `(fault_runs, faults_fired)` on success or the first divergence — with
+/// racing workers too, a fallible entry point must refuse cleanly, never
+/// trip the collector's tripwire (which would mean `try_collect`'s
+/// worst-case reservation is unsound).
+pub fn fault_sweep(seed: u64, nops: usize, workers: usize) -> Result<(u64, u64), Failure> {
+    let mut trace = generate(seed, nops);
+    trace.config.workers = workers;
     let base = run_trace(&trace)?;
-    let mut runs = 0;
     let mut fired = 0;
-    let mut offset = 0;
-    while offset <= base.acquisitions {
+    for offset in 0..=base.acquisitions {
         let mut t = trace.clone();
         t.config.fail_acquisition_at = Some(offset);
-        let stats = run_trace(&t)?;
-        runs += 1;
-        fired += stats.faults_hit;
-        offset += stride;
+        fired += run_trace(&t)?.faults_hit;
     }
-    Ok((runs, fired))
+    Ok((base.acquisitions + 1, fired))
 }
 
 #[cfg(test)]

@@ -429,18 +429,8 @@ fn incremental_fault_injection_stays_clean() {
 #[test]
 fn parallel_fault_injection_stays_clean() {
     for seed in 0..2u64 {
-        let mut trace = generate(seed, 80);
-        trace.config.workers = 4;
-        let base = run_trace(&trace)
-            .unwrap_or_else(|f| panic!("fault-free parallel run of seed {seed}: {f}"));
-        let mut fired = 0;
-        for offset in (0..=base.acquisitions).step_by(3) {
-            let mut t = trace.clone();
-            t.config.fail_acquisition_at = Some(offset);
-            let stats =
-                run_trace(&t).unwrap_or_else(|f| panic!("seed {seed}, fault@{offset}: {f}"));
-            fired += stats.faults_hit;
-        }
+        let (_, fired) = fault_sweep(seed, 80, 4)
+            .unwrap_or_else(|f| panic!("4-worker fault sweep of seed {seed}: {f}"));
         assert!(fired > 0, "seed {seed} never fired the fault");
     }
 }

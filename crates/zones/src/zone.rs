@@ -230,7 +230,11 @@ impl Request {
 
 /// The deterministic observables of one zone: identical across engines,
 /// across private-vs-pooled heaps, and across solo-vs-fleet placement for
-/// the same request sequence.
+/// the same request sequence — with one exception. Under
+/// [`Engine::PauseBudgetUs`] a collection lasts as many safe points as
+/// the wall clock makes it and the allocation trigger re-arms only when
+/// it ends, so `collections` depends on timing there; every other field,
+/// and `collections` under the serial and workers engines, is exact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ZoneObservables {
     /// Requests dispatched.
@@ -679,7 +683,8 @@ impl Zone {
         self.heap().verify()
     }
 
-    /// The zone's deterministic observables.
+    /// The zone's observables (deterministic but for `collections` under a
+    /// pause budget; see [`ZoneObservables`]).
     pub fn observables(&self) -> ZoneObservables {
         let stats = self.heap().stats();
         ZoneObservables {
