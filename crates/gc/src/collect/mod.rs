@@ -21,7 +21,8 @@
 //!    guardian pass "so if the car field of a weak pair points to an
 //!    object that has been salvaged, the object will still be in the car
 //!    field after collection" (see [`weak_pass`]).
-//! 8. **Reclaim** — return every from-space segment to the free pool.
+//! 8. **Reclaim** — return every from-space segment and run to the
+//!    segment table's free store, runs whole.
 //!
 //! # One core, two drivers
 //!
@@ -251,6 +252,13 @@ pub(crate) fn emit_end(heap: &mut Heap, s: &Scratch) {
 ///   `2 · F` closed segments across all cursors, plus one open segment
 ///   per (space, target) cursor — 4 of them. Large objects copy run for
 ///   run, exactly covered by `F`.
+/// * **Reuse changes nothing here.** The bound counts *allocations*
+///   ([`Heap::acquisitions`](crate::Heap::acquisitions) charges a segment
+///   or run reissued from the table's free store like a fresh one), and
+///   the from-space stays allocated until the reclaim, so no copy can land
+///   in storage this collection is still reading. The watermark counts
+///   allocated segments either way, and against the pool the figure only
+///   gains slack: an allocation the free store serves draws nothing.
 /// * **Guardian pass.** Appending a finalized entry to its tconc
 ///   allocates one 2-word pair, at most once per visited entry:
 ///   `(2 · E).div_ceil(SEGMENT_WORDS)` segments (the pair cursor's open
@@ -373,7 +381,7 @@ pub(crate) fn finish(
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 8: return every from-space run to the free pool.
+    // Phase 8: return every from-space run, whole, to the free store.
     before_reclaim(heap);
     parallel::close_regions(heap, s, None);
     for head in std::mem::take(&mut s.from_heads) {

@@ -104,10 +104,14 @@ struct SnapSeg {
 /// Immutable per-segment table captured at the flip: base pointers,
 /// spaces, and generations of every segment that existed then (heads
 /// *and* run tails, so large-object sources resolve chunk by chunk).
-/// Segments created during the collection are beyond this snapshot;
-/// from-space metadata never changes while the collection runs, and
-/// segment storage is stable (`Segment` owns its words through a pointer
-/// that survives table growth), so reads here need no lock.
+/// To-space segments are either beyond this snapshot (fresh indices) or
+/// on rows left null because the index was free at the flip (segments and
+/// runs reissued from the free store): workers reach to-space through the
+/// base pointers taken under the table lock when it is allocated, never
+/// through these rows. From-space metadata never changes while the
+/// collection runs, and segment storage is stable (`Segment` owns its
+/// words through a pointer that survives table growth), so reads here need
+/// no lock.
 struct Snapshot {
     segs: Vec<SnapSeg>,
 }
@@ -148,7 +152,7 @@ impl Snapshot {
     }
 
     /// Flip-time generation, or `u8::MAX` (never "younger" than anything)
-    /// for indices beyond the snapshot.
+    /// for indices beyond the snapshot or free at the flip.
     #[inline]
     fn gen_of(&self, seg: SegIndex) -> u8 {
         self.segs.get(seg.index()).map_or(u8::MAX, |s| s.gen)
@@ -616,8 +620,10 @@ fn forward_mt(sh: &Shared<'_>, ctx: &mut WorkerCtx, v: Value) -> Value {
 }
 
 /// Copies a multi-segment object: the run is allocated under the table
-/// lock, the body copied chunk-wise from the snapshot's source-run bases,
-/// and — only after the copy completes — queued for scanning.
+/// lock (a free run reissued, zeroed, if the table has one long enough —
+/// the same `allocate_run` the calling thread uses), the body copied
+/// chunk-wise from the snapshot's source-run bases, and — only after the
+/// copy completes — queued for scanning.
 fn copy_large(
     sh: &Shared<'_>,
     ctx: &mut WorkerCtx,
@@ -1097,6 +1103,65 @@ mod tests {
             for workers in [2, 4] {
                 assert_eq!(run(workers, flat), serial, "{workers} workers, flat={flat}");
             }
+        }
+    }
+
+    /// A worker copies a surviving large Typed object into a run *reissued*
+    /// from the free store, at indices the flip-time snapshot holds as
+    /// null / `u8::MAX` rows (free at capture), and the guardian pass
+    /// resurrects a second one on the calling thread: same report, same
+    /// drain order and same addresses as the serial driver.
+    #[test]
+    fn workers_copy_a_large_run_into_a_reissued_one() {
+        let run = |workers: usize| {
+            let mut h = heap_with_workers(workers);
+            // Five dead 2-segment vectors leave five free runs of 2; the
+            // first pair segment takes one apart, the two large vectors
+            // below take one each, two are still free at the flip.
+            for _ in 0..5 {
+                h.make_vector(700, Value::NIL);
+            }
+            h.collect(0);
+            let elem = h.cons(Value::fixnum(5), Value::NIL);
+            let big = h.make_vector(700, elem);
+            // Reachable only through a pair: the calling thread copies the
+            // pair with the roots, a worker finds `big` scanning it.
+            let holder = h.cons(big, Value::NIL);
+            let root = h.root(holder);
+            let g = h.make_guardian();
+            for dead in [
+                h.cons(Value::fixnum(7), Value::NIL),
+                h.make_vector(600, elem),
+                h.cons(Value::fixnum(8), Value::NIL),
+            ] {
+                g.register(&mut h, dead);
+            }
+            let table_at_flip = h.segs.segments_total();
+            let mut r = h.collect(0).clone();
+            h.verify().expect("valid heap");
+            let big = h.car(root.get());
+            assert!(
+                big.addr().seg().index() + 2 <= table_at_flip,
+                "the copy of the large vector was not made in a reissued run"
+            );
+            assert_eq!(h.vector_len(big), 700);
+            assert_eq!(h.car(h.vector_ref(big, 699)), Value::fixnum(5));
+            let mut order = Vec::new();
+            while let Some(v) = g.poll(&mut h) {
+                order.push(if h.is_vector(v) {
+                    assert_eq!(h.car(h.vector_ref(v, 599)), Value::fixnum(5));
+                    1000 + h.vector_len(v) as i64
+                } else {
+                    h.car(v).as_fixnum()
+                });
+            }
+            (r.segments_allocated, r.duration, r.phases) = Default::default();
+            (r, order, big.addr().seg())
+        };
+        let serial = run(1);
+        assert_eq!(serial.1, [7, 1600, 8]);
+        for workers in [2, 4] {
+            assert_eq!(run(workers), serial, "{workers} workers");
         }
     }
 

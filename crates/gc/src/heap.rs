@@ -148,8 +148,8 @@ impl Heap {
     /// capacity, guarantees its `try_*` preflights stay race-free against
     /// concurrent tenants.
     ///
-    /// Allocation behaviour (addresses, recycling, observables) is
-    /// byte-identical to [`Heap::new`]; pool exhaustion and the watermark
+    /// Allocation behaviour (addresses, recycling of freed segments and
+    /// runs, observables) is byte-identical to [`Heap::new`]; pool exhaustion and the watermark
     /// surface through the same budget discipline as acquisition faults —
     /// `try_*` entry points return [`GcError::Exhausted`], infallible
     /// paths treat an unpreflighted shortfall as a panic-worthy bug. All
@@ -196,6 +196,8 @@ impl Heap {
     pub(crate) fn alloc_words_internal(&mut self, space: Space, gen: u8, words: usize) -> WordAddr {
         debug_assert!(words > 0);
         if words > SEGMENT_WORDS {
+            // A run of its own, reissued from the table's free store when a
+            // dead large object left one long enough.
             let nsegs = words.div_ceil(SEGMENT_WORDS);
             self.note_acquisitions(nsegs as u64);
             let head = self.segs.allocate_run(space, gen, nsegs);
@@ -459,7 +461,10 @@ impl Heap {
     }
 
     /// Lifetime count of segment acquisitions (multi-segment runs count
-    /// one per segment; free-pool recycling counts like a fresh mapping).
+    /// one per segment; a segment or a whole run reissued from the table's
+    /// free store counts like a fresh mapping, so the count — and the
+    /// fault placed on it — depends on what was allocated, never on what
+    /// happened to be free).
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions
     }
@@ -499,8 +504,10 @@ impl Heap {
     /// is the tightest of three bounds: the configured acquisition fault,
     /// the heap's `max_segments` watermark, and the shared pool's spare
     /// capacity (see [`SegmentTable::acquirable`] — deliberately
-    /// conservative, so a passing preflight can never strand an
-    /// infallible path on a tripwire).
+    /// conservative: what the table's free store could serve is not
+    /// credited, so a passing preflight can never strand an infallible
+    /// path on a tripwire, and a heap that churns large objects at a
+    /// steady size passes it with the same headroom every time).
     fn check_budget(&self, needed: u64) -> Result<(), GcError> {
         let remaining = self.acquisitions_remaining().min(self.segs.acquirable());
         if needed > remaining {

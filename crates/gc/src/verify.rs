@@ -48,6 +48,9 @@ impl Heap {
     ///   segments (which includes every fresh or recycled one) are
     ///   all-clean;
     /// * every root is valid;
+    /// * the segment table's free store is coherent with its allocation
+    ///   state ([`SegmentTable::check_free_store`]) — checked on a
+    ///   suspended incremental collection too;
     /// * protected-list entries satisfy the generation invariants
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
     ///   via a tconc, and with an agent, in generation ≥ i), which is
@@ -64,7 +67,12 @@ impl Heap {
     /// # Errors
     ///
     /// Returns the first violation found.
+    ///
+    /// [`SegmentTable::check_free_store`]: guardians_segments::SegmentTable::check_free_store
     pub fn verify(&self) -> Result<(), VerifyError> {
+        self.segs
+            .check_free_store()
+            .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
         if let Some(st) = self.incremental.as_ref() {
             return self.verify_incremental(st);
         }

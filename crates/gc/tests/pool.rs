@@ -144,3 +144,31 @@ fn metrics_and_census_stay_per_heap() {
     assert_eq!(idle.census(), idle_census_before);
     assert_eq!(idle.collection_count(), 0);
 }
+
+#[test]
+fn large_object_churn_on_a_bounded_pool_reuses_its_runs() {
+    // One dead 3-segment bytevector per collection: the freed run must be
+    // what the next bytevector is made of. A table that only ever takes
+    // fresh indices for runs drains a 64-segment pool in ~20 iterations.
+    let pool = SegmentPool::with_capacity(64);
+    let mut h = Heap::with_pool(GcConfig::default(), pool.clone(), None);
+    let mut settled = 0;
+    for i in 0..1000 {
+        let bv = h
+            .try_make_bytevector(10_000, i as u8)
+            .unwrap_or_else(|e| panic!("allocation {i} refused: {e}"));
+        assert_eq!(h.bytevector_ref(bv, 9_999), i as u8);
+        h.try_collect(0)
+            .unwrap_or_else(|e| panic!("collection {i} refused: {e}"));
+        if i == 4 {
+            settled = pool.stats().peak_outstanding;
+        }
+    }
+    assert_eq!(
+        pool.stats().peak_outstanding,
+        settled,
+        "the pool's peak stops growing once the first runs are free"
+    );
+    assert!(settled <= 8, "peak of {settled} segments for one live run");
+    h.verify().expect("heap valid after the churn");
+}

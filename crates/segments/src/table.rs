@@ -1,11 +1,32 @@
 //! The segment table: owns all segment storage plus the segment
 //! information table, hands out (and recycles) segments tagged with a
 //! space and generation, and resolves [`WordAddr`]s to storage.
+//!
+//! # The free store
+//!
+//! Freed storage stays with the table, in the shape it was freed in: a
+//! single goes on a LIFO stack, a multi-segment run keeps its identity
+//! (head index and length) and is filed under its length. Both allocation
+//! entry points serve from the store first:
+//!
+//! * [`SegmentTable::allocate`] pops the singles stack; when that is empty
+//!   it takes the shortest free run apart into singles;
+//! * [`SegmentTable::allocate_run`]`(n)` reuses the most recently freed
+//!   run of length `n`, else cuts `n` segments off the front of the
+//!   shortest longer free run and files the remainder.
+//!
+//! The invariant is: **the table acquires storage — creates an index and
+//! draws on the pool — only when the free store cannot serve the
+//! request**. Free singles are never stitched back into runs, so a run
+//! request can grow the table while singles (or shorter runs) sit free; on
+//! a stream of one run length and no singles the table's size is exactly
+//! the high-water mark of live segments.
 
 use crate::addr::{SegIndex, WordAddr, SEGMENT_WORDS};
 use crate::info::{SegInfo, SegKind, Space};
 use crate::pool::SegmentPool;
 use crate::seg::{Segment, POISON};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Words covered by one remembered-set card.
@@ -19,16 +40,77 @@ pub const CARDS_PER_SEGMENT: usize = SEGMENT_WORDS / CARD_WORDS;
 /// the youngest generation a word of the card points to.
 pub const CARD_CLEAN: u8 = u8::MAX;
 
+/// Freed storage awaiting reissue (see the module docs). An index is in
+/// the store exactly when it exists in the table and has no [`SegInfo`].
+#[derive(Default)]
+struct FreeStore {
+    /// Free single segments, reissued most recently freed first.
+    singles: Vec<SegIndex>,
+    /// Free runs by length (always at least 2): the head indices of the
+    /// free runs of that length, most recently freed last. No list is
+    /// empty, so the first key is the shortest free run there is.
+    runs: BTreeMap<usize, Vec<SegIndex>>,
+}
+
+impl FreeStore {
+    /// Files the free run `[head, head + len)`.
+    fn put(&mut self, head: SegIndex, len: usize) {
+        if len == 1 {
+            self.singles.push(head);
+        } else {
+            self.runs.entry(len).or_default().push(head);
+        }
+    }
+
+    /// Removes the most recently freed run of the shortest length that is
+    /// at least `min_len`; returns its head and length.
+    fn take_shortest_run(&mut self, min_len: usize) -> Option<(SegIndex, usize)> {
+        let (&len, heads) = self.runs.range_mut(min_len..).next()?;
+        let head = heads.pop().expect("no free-run list is empty");
+        if heads.is_empty() {
+            self.runs.remove(&len);
+        }
+        Some((head, len))
+    }
+
+    /// A free run of exactly `n >= 2` segments: one freed at that length,
+    /// else the front of the shortest longer one, whose remainder goes
+    /// back to the store.
+    fn take_run(&mut self, n: usize) -> Option<SegIndex> {
+        let (head, len) = self.take_shortest_run(n)?;
+        if len > n {
+            self.put(SegIndex(head.0 + n as u32), len - n);
+        }
+        Some(head)
+    }
+
+    /// The slow half of taking a single, for when the singles stack is
+    /// empty: takes the shortest free run apart, returning its head and
+    /// stacking the rest so they are issued in index order.
+    fn split_shortest_run(&mut self) -> Option<SegIndex> {
+        let (head, len) = self.take_shortest_run(2)?;
+        self.singles
+            .extend((1..len).rev().map(|i| SegIndex(head.0 + i as u32)));
+        Some(head)
+    }
+
+    /// Free segments held, run members included.
+    fn segments(&self) -> usize {
+        let in_runs: usize = self.runs.iter().map(|(len, heads)| len * heads.len()).sum();
+        self.singles.len() + in_runs
+    }
+}
+
 /// Owner of all heap segments and their metadata.
 ///
 /// Segment indices are stable for the lifetime of the table; freed
-/// segments keep their storage and are reissued by later allocations (the
-/// recycling the paper relies on when from-space segments are returned
-/// after a collection).
+/// segments and runs keep their storage and are reissued by later
+/// allocations (the recycling the paper relies on when from-space segments
+/// are returned after a collection).
 pub struct SegmentTable {
     segs: Vec<Segment>,
     info: Vec<Option<SegInfo>>,
-    free: Vec<SegIndex>,
+    free: FreeStore,
     allocated: usize,
     /// The card table: one row per segment index (tails included, so a
     /// run's rows are contiguous), one byte per [`CARD_WORDS`]-word card.
@@ -51,7 +133,7 @@ pub struct SegmentTable {
     by_gen: Vec<Vec<SegIndex>>,
     /// Shared capacity source: when attached, fresh storage comes from the
     /// pool (and all storage goes back on drop) instead of being created
-    /// privately. The local `free` list still recycles within the table —
+    /// privately. The local free store still recycles within the table —
     /// pool traffic happens only on growth and teardown.
     pool: Option<Arc<SegmentPool>>,
     /// Per-table watermark on `allocated` (run tails included): the
@@ -65,7 +147,7 @@ impl SegmentTable {
         SegmentTable {
             segs: Vec::new(),
             info: Vec::new(),
-            free: Vec::new(),
+            free: FreeStore::default(),
             allocated: 0,
             cards: Vec::new(),
             dirty_list: Vec::new(),
@@ -80,7 +162,7 @@ impl SegmentTable {
     ///
     /// Allocation behaviour is byte-identical to a private table: fresh
     /// pool storage is zeroed exactly as `Segment::new()` is, indices are
-    /// assigned in the same order, and the local free list recycles
+    /// assigned in the same order, and the local free store recycles
     /// identically. Only where the bytes come from — and where they go on
     /// drop — differs.
     pub fn with_pool(pool: Arc<SegmentPool>, max_segments: Option<usize>) -> Self {
@@ -130,10 +212,19 @@ impl SegmentTable {
     /// Segments this table can still acquire before hitting its watermark
     /// or the shared pool's capacity; `u64::MAX` when neither bounds it.
     ///
-    /// Deliberately conservative on the pool side: the local free list is
-    /// not credited (multi-segment runs can never use it), so a demand of
-    /// `n <= acquirable()` segments is guaranteed not to trip either
-    /// tripwire — the soundness contract `Heap::check_budget` relies on.
+    /// Deliberately conservative on the pool side: the free store is not
+    /// credited. A budget demand is a shapeless count — `n` segments, in
+    /// whatever mix of singles and runs the operation turns out to make —
+    /// and what the store can serve depends on shape (free singles cannot
+    /// serve a run, a free run of 3 cannot serve one of 4), so no count of
+    /// free segments is a sound credit. The uncredited figure is sound
+    /// because the store only ever *lowers* what an allocation draws:
+    /// each allocation of `k` segments takes either nothing from the pool
+    /// (served from the store) or exactly `k` (grown), and raises
+    /// `allocated` by `k` either way. So a demand of `n <= acquirable()`
+    /// segments is guaranteed not to trip either tripwire — the soundness
+    /// contract `Heap::check_budget` relies on — and the cost of not
+    /// crediting is only a refusal that reuse would have survived.
     /// Under concurrent tenants the pool figure is a snapshot; zones that
     /// need a hard guarantee carry a `max_segments` watermark sized so the
     /// fleet's watermarks sum to at most the pool capacity.
@@ -183,23 +274,34 @@ impl SegmentTable {
         self.by_gen[g].push(seg);
     }
 
-    /// Allocates one segment belonging to `space` / `generation`.
+    /// Readies a segment taken from the free store for reissue: words
+    /// zeroed, card row all-clean — indistinguishable from fresh storage.
+    fn recycle(&mut self, idx: SegIndex) {
+        self.segs[idx.index()].fill(0);
+        self.cards[idx.index()] = [CARD_CLEAN; CARDS_PER_SEGMENT];
+    }
+
+    /// Creates the next segment index over fresh storage, unallocated.
+    fn grow(&mut self) -> SegIndex {
+        let idx = SegIndex(self.segs.len() as u32);
+        let storage = self.fresh_storage();
+        self.segs.push(storage);
+        self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
+        self.info.push(None);
+        idx
+    }
+
+    /// Allocates one segment belonging to `space` / `generation`: the most
+    /// recently freed single, else the head of the shortest free run
+    /// (taken apart into singles), else a fresh index.
     pub fn allocate(&mut self, space: Space, generation: u8) -> SegIndex {
         self.charge_watermark(1);
-        let idx = match self.free.pop() {
+        let idx = match self.free.singles.pop() {
             Some(idx) => {
-                self.segs[idx.index()].fill(0);
-                self.cards[idx.index()] = [CARD_CLEAN; CARDS_PER_SEGMENT];
+                self.recycle(idx);
                 idx
             }
-            None => {
-                let idx = SegIndex(self.segs.len() as u32);
-                let storage = self.fresh_storage();
-                self.segs.push(storage);
-                self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
-                self.info.push(None);
-                idx
-            }
+            None => self.allocate_without_a_free_single(),
         };
         self.info[idx.index()] = Some(SegInfo::head(space, generation));
         self.allocated += 1;
@@ -207,8 +309,33 @@ impl SegmentTable {
         idx
     }
 
+    /// [`SegmentTable::allocate`] off its fast path: the singles stack is
+    /// empty, so the shortest free run is taken apart, or the table grows.
+    /// Kept out of line so the fast path stays the pop-and-zero it was:
+    /// chained inline it cost `guardian_pool` a third more sweep time with
+    /// no run ever allocated (EXPERIMENTS E24, runs made).
+    #[cold]
+    #[inline(never)]
+    fn allocate_without_a_free_single(&mut self) -> SegIndex {
+        match self.free.split_shortest_run() {
+            Some(idx) => {
+                self.recycle(idx);
+                idx
+            }
+            None => self.grow(),
+        }
+    }
+
     /// Allocates `n` *contiguous* segments (a run) for a large object. The
     /// first is the head, the rest tails. Returns the head index.
+    ///
+    /// Contiguity in index space is required, so the run comes from a free
+    /// run — the most recently freed one of length `n`, else the front of
+    /// the shortest longer one, whose remainder stays free — and from fresh
+    /// indices at the end of the table only when no free run is long
+    /// enough (free singles cannot be stitched together). A reused run is
+    /// readied exactly as a recycled single is: zeroed, cards clean,
+    /// head/tail metadata and per-generation entries rebuilt.
     ///
     /// # Panics
     ///
@@ -218,16 +345,24 @@ impl SegmentTable {
         if n == 1 {
             return self.allocate(space, generation);
         }
-        // Contiguity in index space is required, so runs always come from
-        // fresh indices at the end of the table; singleton free segments
-        // cannot be stitched together.
         self.charge_watermark(n);
-        let head = SegIndex(self.segs.len() as u32);
+        let head = match self.free.take_run(n) {
+            Some(head) => {
+                for i in 0..n {
+                    self.recycle(SegIndex(head.0 + i as u32));
+                }
+                head
+            }
+            None => {
+                let head = SegIndex(self.segs.len() as u32);
+                for _ in 0..n {
+                    self.grow();
+                }
+                head
+            }
+        };
         for i in 0..n {
             let idx = SegIndex(head.0 + i as u32);
-            let storage = self.fresh_storage();
-            self.segs.push(storage);
-            self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
             let info = if i == 0 {
                 let mut info = SegInfo::head(space, generation);
                 info.run = n as u32;
@@ -235,17 +370,20 @@ impl SegmentTable {
             } else {
                 SegInfo::tail(space, generation, head)
             };
-            self.info.push(Some(info));
+            self.info[idx.index()] = Some(info);
             self.note_generation(idx, generation);
         }
         self.allocated += n;
         head
     }
 
-    /// Returns a segment (single or run head) to the free pool.
+    /// Returns a segment (single or run head) to the free store.
     ///
-    /// Freeing a run head frees the whole run. In debug builds the storage
-    /// is poisoned so stale pointers are detected.
+    /// Freeing a run head frees the whole run, which stays whole in the
+    /// store: a later [`SegmentTable::allocate_run`] of at most its length
+    /// reuses it, and [`SegmentTable::allocate`] takes it apart only when
+    /// no single is free. In debug builds the storage is poisoned so stale
+    /// pointers are detected.
     ///
     /// # Panics
     ///
@@ -254,17 +392,67 @@ impl SegmentTable {
         let info = self.info[seg.index()].expect("freeing unallocated segment");
         assert!(info.is_head(), "cannot free a tail segment directly");
         let run = self.run_len(seg);
-        for i in 0..run {
-            let idx = SegIndex(seg.0 + i as u32);
-            self.info[idx.index()] = None;
+        for i in seg.index()..seg.index() + run {
+            self.info[i] = None;
             if cfg!(debug_assertions) {
-                self.segs[idx.index()].fill(POISON);
+                self.segs[i].fill(POISON);
             }
-            // Tails are only usable as part of their run; recycling them as
-            // singles is fine since runs never come from the free pool.
-            self.free.push(idx);
         }
+        self.free.put(seg, run);
         self.allocated -= run;
+    }
+
+    /// Checks the free store against the rest of the table: every free
+    /// single and every segment of every free run exists and is
+    /// unallocated, no index is held twice, every run is filed under a
+    /// length of at least 2 in a non-empty list, and allocated plus free
+    /// segments account for the whole table. (A run filed under the wrong
+    /// length overlaps a neighbour or leaves the sum short.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn check_free_store(&self) -> Result<(), String> {
+        let mut seen = vec![false; self.segs.len()];
+        let mut claim = |idx: usize| {
+            if idx >= seen.len() {
+                return Err("lies beyond the table");
+            }
+            if self.info[idx].is_some() {
+                return Err("is allocated");
+            }
+            if std::mem::replace(&mut seen[idx], true) {
+                return Err("is in the free store twice");
+            }
+            Ok(())
+        };
+        for &seg in &self.free.singles {
+            claim(seg.index()).map_err(|why| format!("free single {seg:?} {why}"))?;
+        }
+        for (&len, heads) in &self.free.runs {
+            if len < 2 || heads.is_empty() {
+                return Err(format!(
+                    "free-run list for length {len} holds {} runs",
+                    heads.len()
+                ));
+            }
+            for &head in heads {
+                for i in 0..len {
+                    claim(head.index() + i).map_err(|why| {
+                        format!("segment {i} of the free run of {len} at {head:?} {why}")
+                    })?;
+                }
+            }
+        }
+        let free = self.free.segments();
+        if self.allocated + free != self.segs.len() {
+            return Err(format!(
+                "{} allocated + {free} free segments do not account for the table's {}",
+                self.allocated,
+                self.segs.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Number of segments (including tails) in the run headed by `seg`.
@@ -577,7 +765,7 @@ impl SegmentTable {
         self.allocated * SEGMENT_WORDS
     }
 
-    /// Total segments ever created (allocated + free pool).
+    /// Total segments ever created (allocated + free store).
     pub fn segments_total(&self) -> usize {
         self.segs.len()
     }
@@ -591,7 +779,7 @@ impl Default for SegmentTable {
 
 impl Drop for SegmentTable {
     /// Teardown returns *all* storage — allocated segments and the local
-    /// free list alike — to the shared pool, so a zone's capacity is fully
+    /// free store alike — to the shared pool, so a zone's capacity is fully
     /// reusable the moment its heap drops. Private tables free storage as
     /// before.
     fn drop(&mut self) {
@@ -607,7 +795,12 @@ impl std::fmt::Debug for SegmentTable {
         f.debug_struct("SegmentTable")
             .field("allocated", &self.allocated)
             .field("total", &self.segs.len())
-            .field("free", &self.free.len())
+            .field("free", &self.free.segments())
+            .field("free_singles", &self.free.singles.len())
+            .field(
+                "free_runs",
+                &self.free.runs.values().map(Vec::len).sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -808,7 +1001,7 @@ mod tests {
         assert!(!t.info(young).dirty, "generation 0 is never remembered");
         assert!(t.run_cards(b).iter().all(|&c| c == CARD_CLEAN));
         assert!(!t.info(b).dirty);
-        // A freed run's tails come back as clean singles too.
+        // A freed run taken apart for singles comes back clean too.
         let run = t.allocate_run(Space::Typed, 1, 2);
         t.info_mut(run).used = 2 * SEGMENT_WORDS as u32;
         t.mark_dirty(run);
@@ -910,10 +1103,14 @@ mod tests {
         b.allocate(Space::Typed, 0);
         assert_eq!(a.acquirable(), 0, "pool drained by the sibling");
         // Freeing locally restores watermark headroom but (deliberately)
-        // not pool-side credit: the free list is not counted.
+        // not pool-side credit. The free store is not counted because a
+        // demand is a count without a shape — this free single could not
+        // serve a run of 2 — and leaving it out stays sound because a
+        // request the store does serve draws nothing from the pool.
         let first = SegIndex(0);
         a.free(first);
         assert_eq!(a.acquirable(), 0);
+        assert_eq!(a.allocate(Space::Pair, 0), first, "served without the pool");
         assert!(SegmentTable::new().acquirable() == u64::MAX);
     }
 
@@ -934,6 +1131,174 @@ mod tests {
         let mut t = SegmentTable::with_pool(pool, None);
         t.allocate(Space::Pair, 0);
         t.allocate(Space::Pair, 0);
+    }
+
+    /// Every word zero, every card clean, the dirty flag unset, tails
+    /// pointing at the head: what a just-issued run must look like.
+    fn assert_pristine_run(t: &SegmentTable, head: SegIndex, n: usize) {
+        assert_eq!(t.run_len(head), n);
+        assert!(!t.info(head).dirty);
+        assert!(t.run_cards(head).iter().all(|&c| c == CARD_CLEAN));
+        for i in 0..n {
+            let seg = SegIndex(head.0 + i as u32);
+            assert!(t.words(seg).iter().all(|&w| w == 0), "{seg:?} not zeroed");
+            if i > 0 {
+                assert_eq!(t.info(seg).kind, SegKind::Tail { head });
+            }
+        }
+    }
+
+    #[test]
+    fn freed_runs_are_reused_whole_most_recent_first() {
+        let mut t = SegmentTable::new();
+        let a = t.allocate_run(Space::Typed, 1, 3);
+        let b = t.allocate_run(Space::Typed, 1, 3);
+        for run in [a, b] {
+            t.info_mut(run).used = 3 * SEGMENT_WORDS as u32;
+            t.set_word(t.base_addr(run).add(2 * SEGMENT_WORDS + 1), 0xBEEF);
+            t.mark_dirty(run);
+        }
+        t.free(a);
+        t.free(b);
+        t.check_free_store().expect("two whole runs in the store");
+        assert_eq!(t.drain_generation(1), Vec::<SegIndex>::new(), "all stale");
+        let c = t.allocate_run(Space::Pure, 2, 3);
+        assert_eq!(c, b, "most recently freed first");
+        assert_pristine_run(&t, c, 3);
+        let drained = t.drain_generation(2);
+        assert_eq!(drained, [c, SegIndex(c.0 + 1), SegIndex(c.0 + 2)]);
+        assert_eq!(t.allocate_run(Space::Typed, 0, 3), a);
+        assert_eq!(t.segments_total(), 6, "nothing was acquired for the reuse");
+        // The stale dirty-index entries now name reissued runs whose flags
+        // are unset: consumers skip them.
+        assert!(t.take_dirty().iter().all(|&s| !t.info(s).dirty));
+        t.check_free_store().expect("store empty again");
+    }
+
+    #[test]
+    fn a_longer_free_run_is_split_and_the_remainder_stays_free() {
+        let mut t = SegmentTable::new();
+        let seven = t.allocate_run(Space::Typed, 0, 7);
+        let five = t.allocate_run(Space::Typed, 0, 5);
+        t.free(seven);
+        t.free(five);
+        // No run of 3 is free: the shortest longer one (5) is cut.
+        let three = t.allocate_run(Space::Typed, 0, 3);
+        assert_eq!(three, five);
+        assert_pristine_run(&t, three, 3);
+        t.check_free_store().expect("remainder of 2 filed");
+        assert_eq!(t.allocate_run(Space::Typed, 0, 2), SegIndex(five.0 + 3));
+        // A remainder of one segment is a single.
+        let six = t.allocate_run(Space::Typed, 0, 6);
+        assert_eq!(six, seven);
+        assert_eq!(t.allocate(Space::Pair, 0), SegIndex(seven.0 + 6));
+        assert_eq!(t.segments_total(), 12);
+        assert_eq!(t.segments_allocated(), 12);
+        t.check_free_store().expect("store empty");
+    }
+
+    #[test]
+    fn singles_take_the_shortest_free_run_apart_before_growing() {
+        let mut t = SegmentTable::new();
+        let four = t.allocate_run(Space::Typed, 0, 4);
+        let two = t.allocate_run(Space::Typed, 0, 2);
+        t.free(four);
+        t.free(two);
+        // No single is free: the run of 2 goes first, in index order.
+        assert_eq!(t.allocate(Space::Pair, 0), two);
+        t.check_free_store().expect("one single, one run of 4");
+        assert_eq!(t.allocate(Space::Pair, 0), SegIndex(two.0 + 1));
+        for i in 0..4 {
+            assert_eq!(t.allocate(Space::Pair, 0), SegIndex(four.0 + i));
+        }
+        assert_eq!(t.segments_total(), 6, "the store served all six");
+        assert_eq!(
+            t.allocate(Space::Pair, 0),
+            SegIndex(6),
+            "only now a fresh index"
+        );
+        // Free singles are never stitched together: a run grows the table.
+        t.free(SegIndex(0));
+        t.free(SegIndex(1));
+        assert_eq!(t.allocate_run(Space::Typed, 0, 2), SegIndex(7));
+        t.check_free_store().expect("two singles left");
+    }
+
+    #[test]
+    fn a_fixed_run_length_stream_stays_at_its_high_water_mark() {
+        let mut t = SegmentTable::new();
+        let mut live = Vec::new();
+        let mut high = 0;
+        // Deterministic churn: grow to 1..=4 live runs of 3, then shrink.
+        for round in 0..12 {
+            for _ in 0..1 + round % 4 {
+                live.push(t.allocate_run(Space::Pure, 0, 3));
+            }
+            high = high.max(3 * live.len());
+            assert_eq!(t.segments_total(), high, "round {round}");
+            for _ in 0..1 + (round * 7) % live.len() {
+                t.free(live.swap_remove(round % live.len()));
+            }
+            t.check_free_store().expect("store coherent");
+        }
+    }
+
+    #[test]
+    fn run_reuse_takes_nothing_from_the_pool() {
+        let pool = SegmentPool::with_capacity(3);
+        let mut t = SegmentTable::with_pool(pool.clone(), Some(3));
+        for _ in 0..10 {
+            let run = t.allocate_run(Space::Pure, 0, 3);
+            assert_eq!(pool.remaining(), 0);
+            t.free(run);
+            // The uncredited figure refuses what the store could serve.
+            assert_eq!(t.acquirable(), 0);
+        }
+        assert_eq!(pool.stats().acquires, 3);
+    }
+
+    #[test]
+    fn free_store_check_catches_corruption() {
+        let build = || {
+            let mut t = SegmentTable::new();
+            let keep = t.allocate(Space::Pair, 0);
+            let single = t.allocate(Space::Pair, 0);
+            let run = t.allocate_run(Space::Typed, 0, 3);
+            t.free(single);
+            t.free(run);
+            t.check_free_store().expect("sound before the corruption");
+            (t, keep, single, run)
+        };
+        let expect = |t: &SegmentTable, needle: &str| {
+            let err = t.check_free_store().expect_err("corruption goes unnoticed");
+            assert!(err.contains(needle), "got: {err}");
+        };
+        // An allocated segment on the singles stack.
+        let (mut t, keep, ..) = build();
+        t.free.singles.push(keep);
+        expect(&t, "is allocated");
+        // The same single twice.
+        let (mut t, _, single, _) = build();
+        t.free.singles.push(single);
+        expect(&t, "twice");
+        // A run's tail also stacked as a single.
+        let (mut t, _, _, run) = build();
+        t.free.singles.push(SegIndex(run.0 + 1));
+        expect(&t, "twice");
+        // A run filed under a longer length than it has.
+        let (mut t, _, _, run) = build();
+        t.free.runs.clear();
+        t.free.runs.insert(4, vec![run]);
+        expect(&t, "beyond the table");
+        // ... and under a shorter one: a segment goes missing.
+        let (mut t, _, _, run) = build();
+        t.free.runs.clear();
+        t.free.runs.insert(2, vec![run]);
+        expect(&t, "do not account for");
+        // An emptied list left behind.
+        let (mut t, ..) = build();
+        t.free.runs.insert(5, Vec::new());
+        expect(&t, "holds 0 runs");
     }
 
     #[test]
