@@ -10,12 +10,14 @@
 //! cargo run -p guardians-bench --bin experiments -- --json out.json # machine-readable
 //! ```
 //!
-//! `--json <path>` additionally writes the selected tables as a JSON
-//! document `{"quick": bool, "tables": [...]}` (see `BENCH_e11.json` for
-//! a checked-in example).
+//! `--json <path>` additionally writes the selected tables' exact
+//! columns — labels and deterministic counts; no timed column, no note —
+//! as a JSON document `{"quick": bool, "tables": [...]}`. The committed
+//! `BENCH_quick.json` is that document for the whole quick suite: it
+//! reads the same on every host, and CI regenerates it and fails on
+//! `git diff --exit-code`.
 
-use guardians_bench::experiments as ex;
-use guardians_workloads::Table;
+use guardians_bench::experiments::{exact_document, SUITE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,13 +39,13 @@ fn main() {
             .collect(),
         None => Vec::new(),
     };
-    const NAMES: [&str; 18] = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e17", "e18",
-        "e19", "e20", "e21", "e22",
-    ];
     for o in &only {
-        if !NAMES.contains(&o.as_str()) {
-            eprintln!("error: unknown experiment {o:?} (expected one of e1..e12, e17..e22)");
+        if !SUITE.iter().any(|(name, _)| name == o) {
+            let names: Vec<&str> = SUITE.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "error: unknown experiment {o:?} (expected one of {})",
+                names.join(" ")
+            );
             std::process::exit(2);
         }
     }
@@ -56,41 +58,16 @@ fn main() {
     );
     println!();
 
-    type Runner = fn(bool) -> Table;
-    let suite: Vec<(&str, Runner)> = vec![
-        ("e1", |q| ex::e1::run(q).0),
-        ("e2", |q| ex::e2::run(q).0),
-        ("e3", |q| ex::e3::run(q).0),
-        ("e4", |q| ex::e4::run(q).0),
-        ("e5", |q| ex::e5::run(q).0),
-        ("e6", |q| ex::e6::run(q).0),
-        ("e7", |q| ex::e7::run(q).0),
-        ("e8", |q| ex::e8::run(q).0),
-        ("e9", |q| ex::e9::run(q).0),
-        ("e10", |q| ex::e10::run(q).0),
-        ("e11", |q| ex::e11::run(q).0),
-        ("e12", |q| ex::e12::run(q).0),
-        ("e17", |q| ex::e17::run(q).0),
-        ("e18", |q| ex::e18::run(q).0),
-        ("e19", |q| ex::e19::run(q).0),
-        ("e20", |q| ex::e20::run(q).0),
-        ("e21", |q| ex::e21::run(q).0),
-        ("e22", |q| ex::e22::run(q).0),
-    ];
-    let mut json_tables: Vec<String> = Vec::new();
-    for (name, run) in suite {
+    let mut tables = Vec::new();
+    for &(name, run) in SUITE {
         if wanted(name) {
             let table = run(quick);
             println!("{}", table.render());
-            json_tables.push(table.to_json_named(name));
+            tables.push((name, table));
         }
     }
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\"quick\":{quick},\"tables\":[{}]}}\n",
-            json_tables.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, doc) {
+        if let Err(e) = std::fs::write(&path, exact_document(quick, &tables)) {
             eprintln!("error: writing {path}: {e}");
             std::process::exit(1);
         }

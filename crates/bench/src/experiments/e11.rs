@@ -9,7 +9,9 @@
 //! The table also reports copy throughput (words copied per second of
 //! pause time) and the share of pause time spent in the copy/scan engine
 //! (remset + sweep phases) — the figures the bulk-copy engine is tuned
-//! for; `benches/e13_copy.rs` tracks the same throughput under criterion.
+//! for. They are printed, never compared (`benchmark/` samples
+//! `gc.collect.copy_mw_per_s` repeatedly); `configuration`,
+//! `collections` and `words copied` are the exact columns.
 
 use guardians_gc::{GcConfig, Heap, PhaseTimes, Promotion};
 use guardians_workloads::report::fmt_count;
@@ -89,6 +91,7 @@ pub fn run(quick: bool) -> (Table, Vec<E11Row>) {
             "copy+scan %",
         ],
     );
+    table.exact(&["configuration", "collections", "words copied"]);
     let mut rows = Vec::new();
     let configs: [(&str, u8, Promotion); 6] = [
         ("1 gen", 1, Promotion::NextGeneration),

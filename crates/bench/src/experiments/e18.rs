@@ -17,8 +17,13 @@
 //!   stay live until the next cycle, visible as extra words copied and
 //!   retained heap capacity).
 //!
-//! The bench gate pins this table's p50/p99 columns (lower is better) —
-//! the latency counterpart to E11's throughput gating.
+//! No column of this table is declared exact: a budgeted collection
+//! ends when the clock lets it and the allocation trigger re-arms only
+//! then, so even `collections` and `words copied` move by a count or two
+//! between runs on every budgeted row. The table is printed with its
+//! `environment:` note and compared with nothing; `benchmark/`'s
+//! `guardian_pool_inc200` workload is where the incremental driver's
+//! pauses are sampled repeatedly.
 
 use guardians_gc::{GcConfig, Heap, Promotion};
 use guardians_workloads::report::fmt_count;
@@ -104,10 +109,9 @@ fn measure(label: &'static str, budget: Option<Duration>, allocations: usize) ->
     }
 }
 
-/// Formats nanoseconds as microseconds, clamped positive so the bench
-/// gate's geometric mean stays defined even for sub-microsecond pauses.
+/// Formats nanoseconds as microseconds.
 fn us(ns: u64) -> String {
-    format!("{:.1}", (ns as f64 / 1e3).max(0.1))
+    format!("{:.1}", ns as f64 / 1e3)
 }
 
 /// Runs the experiment. In the full (non-quick) configuration this also
@@ -158,7 +162,7 @@ pub fn run(quick: bool) -> (Table, Vec<E18Row>) {
     let serial = &rows[0];
     let finest = rows.last().expect("rows populated");
     table.note(format!(
-        "headline: finest budget p99 {} us vs serial p99 {} us ({}x lower; gated >=5x in the full configuration)",
+        "headline: finest budget p99 {} us vs serial p99 {} us ({}x lower; asserted >=5x in the full configuration)",
         us(finest.pause_quantiles_ns[1]),
         us(serial.pause_quantiles_ns[1]),
         if finest.pause_quantiles_ns[1] > 0 {
@@ -224,23 +228,5 @@ mod tests {
             finest.pause_quantiles_ns[1],
             serial.pause_quantiles_ns[1]
         );
-    }
-
-    #[test]
-    fn every_cell_is_gate_parsable() {
-        let (t, _rows) = run(true);
-        // The gate strips thousands separators and requires positive
-        // numbers in the gated columns.
-        let headers = t.headers();
-        for col in ["pause p50 (us)", "pause p99 (us)"] {
-            let i = headers
-                .iter()
-                .position(|h| h == col)
-                .unwrap_or_else(|| panic!("column {col:?} present"));
-            for row in t.rows() {
-                let v: f64 = row[i].replace(',', "").parse().expect("numeric cell");
-                assert!(v > 0.0, "{col}: non-positive cell {}", row[i]);
-            }
-        }
     }
 }

@@ -154,6 +154,7 @@ pub fn run(quick: bool) -> (Table, Vec<E19Row>) {
             "identical",
         ],
     );
+    table.exact(&["workload", "iters", "identical"]);
     let mut rows = Vec::new();
     for (w, iters) in workloads(quick) {
         let (oracle_ns, oracle_result) = time_mode(InterpConfig::naive(), &w, iters);

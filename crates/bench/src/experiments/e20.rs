@@ -128,6 +128,7 @@ pub fn run(quick: bool) -> (Table, Vec<E20Row>) {
             "identical",
         ],
     );
+    table.exact(&["nodes", "guarded", "identical"]);
     let mut rows = Vec::new();
     for &n in sizes {
         // Warm both paths once so neither pays first-touch segment costs.

@@ -21,8 +21,10 @@
 //! `collections` on the budgeted leg): multi-tenancy, the shared pool,
 //! and the router add *no* observable behaviour.
 //!
-//! The bench gate pins the fleet throughput column (higher is better)
-//! and the worst-zone pause p99 (lower is better).
+//! The exact columns are the fleet totals (`zones`, `sessions`,
+//! `requests`, `reclaimed`, `fds closed`); throughput and the worst-zone
+//! pause p99 are printed, never compared, and the `workers4` row prints
+//! them `unmeasured` on a host with fewer than four hardware threads.
 
 use guardians_workloads::report::fmt_count;
 use guardians_workloads::Table;
@@ -158,9 +160,9 @@ fn measure(engine: Engine, sessions: u64, rounds: u32) -> E21Row {
     }
 }
 
-/// Formats nanoseconds as microseconds, clamped positive for the gate.
+/// Formats nanoseconds as microseconds.
 fn us(ns: u64) -> String {
-    format!("{:.1}", (ns as f64 / 1e3).max(0.1))
+    format!("{:.1}", ns as f64 / 1e3)
 }
 
 /// Runs the experiment: the engine matrix over the same fleet workload.
@@ -180,18 +182,27 @@ pub fn run(quick: bool) -> (Table, Vec<E21Row>) {
             "worst zone p99 (us)",
         ],
     );
+    table.exact(&[
+        "engine",
+        "zones",
+        "sessions",
+        "requests",
+        "reclaimed",
+        "fds closed",
+    ]);
     let mut rows = Vec::new();
     for engine in Engine::MATRIX {
         let row = measure(engine, sessions, rounds);
+        let collector_threads = engine.apply(guardians_gc::GcConfig::new()).workers;
         table.row(&[
             row.label.clone(),
             row.zones.to_string(),
             fmt_count(row.sessions),
             fmt_count(row.requests),
-            format!("{:.1}", (row.reqs_per_sec / 1e3).max(0.001)),
+            super::timed_at(collector_threads, format!("{:.1}", row.reqs_per_sec / 1e3)),
             fmt_count(row.reclaimed),
             fmt_count(row.fds_closed),
-            us(row.worst_p99_ns),
+            super::timed_at(collector_threads, us(row.worst_p99_ns)),
         ]);
         rows.push(row);
     }
@@ -235,21 +246,5 @@ mod tests {
                 .all(|w| w[0].requests == w[1].requests && w[0].reclaimed == w[1].reclaimed),
             "deterministic fleet totals across engines"
         );
-    }
-
-    #[test]
-    fn every_cell_is_gate_parsable() {
-        let (t, _rows) = run(true);
-        let headers = t.headers();
-        for col in ["fleet kreq/s", "worst zone p99 (us)"] {
-            let i = headers
-                .iter()
-                .position(|h| h == col)
-                .unwrap_or_else(|| panic!("column {col:?} present"));
-            for row in t.rows() {
-                let v: f64 = row[i].replace(',', "").parse().expect("numeric cell");
-                assert!(v > 0.0, "{col}: non-positive cell {}", row[i]);
-            }
-        }
     }
 }

@@ -12,15 +12,15 @@
 //! *GC-work geomean*: the geometric mean across workloads of words
 //! copied plus guardian entries visited — a machine-independent proxy
 //! for GC time (both terms scale linearly with pause time and neither
-//! depends on the host), so the score is bit-reproducible and the gate
-//! on it is noise-free.
+//! depends on the host), so the score is bit-reproducible: every column
+//! of this table is exact and committed in `BENCH_quick.json`.
 //!
 //! The static sweep is an E11-style grid a practitioner could actually
 //! ship under a bounded memory budget: nursery triggers up to 4×
 //! default and ladders up to 4× stretched, with and without the tenure
 //! cap. The autotuner starts from the *default* configuration with no
 //! knowledge of the workload and must (asserted here, pinned by
-//! `BENCH_e22.json`):
+//! `BENCH_quick.json`):
 //!
 //! * beat the untuned default by ≥ 1.15× on the GC-work geomean, and
 //! * reach ≥ 0.95× of the best static sweep configuration.
@@ -254,6 +254,7 @@ pub fn run(quick: bool) -> (Table, Vec<E22Row>) {
             "vs default",
         ],
     );
+    table.exact_all();
     for row in &rows {
         let cap_mb = row
             .stats
@@ -324,20 +325,6 @@ mod tests {
                 assert!(s.collections > 0, "{}/{w}: collections ran", row.label);
                 assert!(s.drag_samples > 0, "{}/{w}: drag sampled", row.label);
             }
-        }
-    }
-
-    #[test]
-    fn every_gated_cell_is_parsable() {
-        let (t, _rows) = run(true);
-        let headers = t.headers();
-        let i = headers
-            .iter()
-            .position(|h| h == "work geomean (kw)")
-            .expect("gated column present");
-        for row in t.rows() {
-            let v: f64 = row[i].replace(',', "").parse().expect("numeric cell");
-            assert!(v > 0.0, "non-positive gated cell {}", row[i]);
         }
     }
 }

@@ -67,6 +67,7 @@ pub fn run(quick: bool) -> (Table, Vec<E3Row>) {
             "visited: flat list (ablation)",
         ],
     );
+    table.exact_all();
     let mut rows = Vec::new();
     for &n in sizes {
         let per_gen = measure(n, false, young);

@@ -188,6 +188,7 @@ pub fn run(quick: bool) -> (Table, Vec<E5Churn>) {
             "cleanup touched",
         ],
     );
+    table.exact_all();
     for r in &rows {
         table.row(&[
             r.mechanism.to_string(),

@@ -89,6 +89,7 @@ pub fn run(quick: bool) -> (Table, E7Result) {
             "GC words copied",
         ],
     );
+    table.exact(&["strategy", "objects created", "recycled", "GC words copied"]);
     table.row(&[
         "guarded pool".into(),
         fmt_count(pooled_created),

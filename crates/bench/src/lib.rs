@@ -4,25 +4,26 @@
 //! figures and a set of complexity claims. This crate regenerates all of
 //! them:
 //!
-//! * [`experiments`] — E1..E12, one per entry in DESIGN.md's experiment
-//!   index. Each returns a printable table of deterministic work counters
-//!   and carries a unit test asserting the claimed shape.
+//! * [`experiments`] — E1..E12 and E17..E22, one per entry in DESIGN.md's
+//!   experiment index. Each returns a printable table and carries a unit
+//!   test asserting the claimed shape. A table declares which of its
+//!   columns are exact (labels and deterministic work counters); timed
+//!   columns are printed beside them with an `environment:` note.
 //! * [`replay`] — churn-script replayer comparing table mechanisms on
 //!   identical inputs.
 //! * The `experiments` binary (`cargo run -p guardians-bench --bin
 //!   experiments [--quick]`) prints every table — the artifact behind
-//!   EXPERIMENTS.md.
-//! * Criterion benches (`cargo bench`) measure the mutator-visible
-//!   operations' wall-clock costs; `e13_copy` tracks the collector's
-//!   copy throughput via [`copy_driver`].
-//! * [`gate`] + the `bench_gate` binary — CI perf-regression gate
-//!   comparing fresh `experiments --json` output against the committed
-//!   `BENCH_*.json` baselines.
+//!   EXPERIMENTS.md — and with `--json` writes the exact columns alone.
+//!   The committed `BENCH_quick.json` is that document for the quick
+//!   suite; CI regenerates it and fails on any difference, with no
+//!   tolerance, because nothing in it depends on the host or the clock.
+//!   Wall-clock is sampled, repeatedly and in pairs, by the repository's
+//!   `benchmark/` package and nowhere else.
+//! * The `torture` binary — soak driver for the model-based rig in
+//!   `guardians-torture`.
 //! * The `gcprof` binary — runs an experiment or torture trace under the
 //!   GC event trace and exports Chrome `trace_event` JSON, JSONL, a
 //!   metrics snapshot, and a heap census.
 
-pub mod copy_driver;
 pub mod experiments;
-pub mod gate;
 pub mod replay;

@@ -36,6 +36,9 @@ struct Observed {
 /// guardians over records, watched (collector-invoked baseline) boxes,
 /// weak pairs, pure-space payloads, and periodically-dropped large
 /// multi-segment vectors that exercise the cross-run bulk-copy path.
+/// The whole heap is re-verified after every collection, so the mixed
+/// pair/pure/typed/weak/multi-segment profile is also a stress test of
+/// the copy/scan engine.
 fn drive_with_report_sums(config: GcConfig) -> Observed {
     let mut heap = Heap::new(config);
     let mut gen = KeyGen::new(0xC0FFEE, 0.3);
@@ -110,6 +113,7 @@ fn drive_with_report_sums(config: GcConfig) -> Observed {
             let report = heap.maybe_collect().cloned();
             if let Some(r) = report {
                 absorb(&mut obs, &r);
+                heap.verify().expect("heap valid after every collection");
             }
         }
         while guardian.poll(&mut heap).is_some() {}
