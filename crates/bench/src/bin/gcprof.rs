@@ -10,29 +10,19 @@
 //! gcprof --scenario e18 --quick --out-dir gcprof-out
 //! gcprof --scenario e19 --quick --out-dir gcprof-out
 //! gcprof --scenario e21 --quick --out-dir gcprof-out
-//! gcprof --scenario e22 --quick --out-dir gcprof-out
 //! gcprof --scenario torture --seed 7 --ops 2000 --out-dir gcprof-out
 //! ```
 //!
 //! `e18` runs the same lifetime workload as `e11` under the bounded-pause
 //! incremental engine (100 us budget), so the two profiles diff directly:
 //! one whole-collection pause sample becomes many per-increment samples.
-//!
-//! `e22` runs E22's three adversarial policy workloads on actively
-//! autotuned heaps and additionally writes each run's decision trace as
-//! JSONL (`e22.<workload>.decisions.jsonl`): one line per controller
-//! decision with the full sensor snapshot it acted on, so a policy
-//! regression can be diffed decision-by-decision against the trace.
 
 use guardians_gc::{
-    chrome_trace_json, decisions_jsonl, events_jsonl, replay_stats, AutotuneConfig, GcConfig,
-    GcEvent, Heap, Promotion, TraceConfig, TracedEvent,
+    chrome_trace_json, events_jsonl, replay_stats, GcConfig, GcEvent, Heap, Promotion, TraceConfig,
+    TracedEvent,
 };
 use guardians_scheme::Interp;
-use guardians_workloads::{
-    run_burst_workload, run_cache_workload, run_lifetime_workload, run_pool_workload, BurstParams,
-    CacheParams, LifetimeParams, PolicyStats, PoolParams,
-};
+use guardians_workloads::{run_lifetime_workload, LifetimeParams};
 use std::path::Path;
 
 fn main() {
@@ -45,7 +35,7 @@ fn main() {
     };
     let scenario = get("--scenario").unwrap_or_else(|| {
         eprintln!(
-            "usage: gcprof --scenario <e11|e18|e19|e21|e22|torture> [--quick] [--seed N] \
+            "usage: gcprof --scenario <e11|e18|e19|e21|torture> [--quick] [--seed N] \
              [--ops N] [--out-dir DIR]"
         );
         std::process::exit(2);
@@ -61,11 +51,10 @@ fn main() {
         "e18" => profile_e18(quick, &out_dir),
         "e19" => profile_e19(quick, &out_dir),
         "e21" => profile_e21(quick, &out_dir),
-        "e22" => profile_e22(quick, &out_dir),
         "torture" => profile_torture(seed, ops, &out_dir),
         other => {
             eprintln!(
-                "error: unknown scenario {other:?} (expected e11, e18, e19, e21, e22, or torture)"
+                "error: unknown scenario {other:?} (expected e11, e18, e19, e21, or torture)"
             );
             std::process::exit(2);
         }
@@ -352,76 +341,6 @@ fn profile_e21(quick: bool, out_dir: &str) {
         agg.worst_pause_p99_ns / 1_000
     );
     println!("wrote {}", fleet_path.display());
-}
-
-fn profile_e22(quick: bool, out_dir: &str) {
-    // E22's three adversarial policy workloads, each on a fresh default
-    // heap with the autotuner active — the configuration whose behavior
-    // the experiment gates. Alongside the usual trace/metrics exports,
-    // each run's controller decisions land in a JSONL file: one line per
-    // decision with the full sensor snapshot (survival ratios, guardian
-    // pressure, parked-entry EWMA inputs) it acted on.
-    let scale = if quick { 1 } else { 3 };
-    let cache = CacheParams {
-        rounds: 8_000 * scale,
-        ..CacheParams::default()
-    };
-    let burst = BurstParams {
-        bursts: 150 * scale,
-        requests_per_burst: 2048,
-        request_len: 40,
-        ..BurstParams::default()
-    };
-    let pool = PoolParams {
-        rounds: 8_000 * scale,
-        ..PoolParams::default()
-    };
-    type Workload<'a> = &'a dyn Fn(&mut Heap) -> PolicyStats;
-    let runs: [(&str, Workload); 3] = [
-        ("cache", &|h| run_cache_workload(h, &cache)),
-        ("burst", &|h| run_burst_workload(h, &burst)),
-        ("pool", &|h| run_pool_workload(h, &pool)),
-    ];
-
-    println!("== gcprof e22 (policy workloads, autotuner active, decision traces) ==");
-    for (name, workload) in runs {
-        let mut heap = Heap::new(GcConfig::new());
-        heap.enable_autotune(AutotuneConfig::active());
-        heap.enable_tracing(profile_trace_config());
-        let stats = workload(&mut heap);
-        heap.verify().expect("heap valid after workload");
-        let events = heap.drain_trace_events();
-        assert_eq!(heap.trace_dropped(), 0, "profiling ring sized to not drop");
-        let decisions = heap.take_autotune_decisions();
-
-        println!(
-            "{name}: {} collections, {} kw GC work, drag peak {}, {} decisions",
-            stats.collections,
-            stats.gc_work() / 1000,
-            stats.drag_peak,
-            decisions.len()
-        );
-        for d in &decisions {
-            println!(
-                "  collection {:>4}: {} {} -> {} (sensor {})",
-                d.collection_index, d.knob, d.from, d.to, d.sensor
-            );
-        }
-        print_pause_report(&mut heap);
-        let jsonl_path = Path::new(out_dir).join(format!("e22.{name}.decisions.jsonl"));
-        std::fs::write(&jsonl_path, decisions_jsonl(&decisions)).expect("write decision trace");
-        println!(
-            "wrote {} ({} decisions)",
-            jsonl_path.display(),
-            decisions.len()
-        );
-        std::fs::write(
-            Path::new(out_dir).join(format!("e22.{name}.metrics.json")),
-            heap.metrics_json(),
-        )
-        .expect("write metrics");
-        write_exports(out_dir, &format!("e22.{name}"), &events);
-    }
 }
 
 fn profile_torture(seed: u64, ops: usize, out_dir: &str) {

@@ -19,11 +19,6 @@
 //!                    slicing; omit the flag for the default engine).
 //!                    Applies to the soak and traced legs, not the
 //!                    fault sweep
-//!   --autotune M     run the soak and traced legs with the GC policy
-//!                    autotuner enabled: off | observe | active
-//!                    (default off). The rig keeps its shadow model in
-//!                    lockstep with controller-driven promotion retunes,
-//!                    so an active soak is the autotuner's oracle check
 //!   --fault-sweep N  additionally run an exhaustive acquisition-fault
 //!                    sweep on the first N seeds with short traces
 //!                    (default 0 = none)
@@ -56,7 +51,6 @@ fn main() {
     let mut ops: usize = 10_000;
     let mut workers: usize = 1;
     let mut pause_budget: Option<u64> = None;
-    let mut autotune = guardians_gc::AutotuneMode::Off;
     let mut sweep_seeds: u64 = 0;
     let mut sweep_ops: usize = 150;
     let mut traced_seeds: u64 = 0;
@@ -81,13 +75,6 @@ fn main() {
             "--ops" => ops = val(i) as usize,
             "--workers" => workers = (val(i) as usize).max(1),
             "--pause-budget" => pause_budget = Some(val(i)),
-            "--autotune" => {
-                autotune = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| panic!("--autotune needs off|observe|active"))
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--autotune: {e}"));
-            }
             "--fault-sweep" => sweep_seeds = val(i),
             "--sweep-ops" => sweep_ops = val(i) as usize,
             "--traced" => traced_seeds = val(i),
@@ -109,15 +96,11 @@ fn main() {
     }
 
     println!(
-        "torture soak: {seeds} seeds from {start}, {ops} ops each, {workers} collector worker{}{}{}",
+        "torture soak: {seeds} seeds from {start}, {ops} ops each, {workers} collector worker{}{}",
         if workers == 1 { "" } else { "s" },
         match pause_budget {
             Some(us) => format!(", {us} us pause budget (incremental engine)"),
             None => String::new(),
-        },
-        match autotune {
-            guardians_gc::AutotuneMode::Off => String::new(),
-            mode => format!(", autotuner {mode}"),
         }
     );
     let t0 = Instant::now();
@@ -129,7 +112,6 @@ fn main() {
         let mut trace = guardians_torture::generate(seed, ops);
         trace.config.workers = workers;
         trace.config.pause_budget = pause_budget;
-        trace.config.autotune = autotune;
         match guardians_torture::run_trace(&trace) {
             Ok(stats) => {
                 total_collections += stats.collections;
@@ -199,7 +181,6 @@ fn main() {
         for seed in start..start + traced_seeds {
             let mut trace = guardians_torture::generate(seed, ops);
             trace.config.pause_budget = pause_budget;
-            trace.config.autotune = autotune;
             match guardians_torture::run_trace_traced(&trace) {
                 Ok((_, evs)) => events += evs.len(),
                 Err(failure) => {

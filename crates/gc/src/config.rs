@@ -184,8 +184,7 @@ impl GcConfig {
     /// The frequency ladder materialized for every generation, with the
     /// missing-entry defaulting rule ("4× the previous one") and the
     /// zero-means-one rule applied. This is the ladder `maybe_collect`
-    /// actually runs, and the form benchmark tables and the autotuner
-    /// report so retuned ladders are visible.
+    /// actually runs, and the form benchmark tables report.
     pub fn effective_frequency(&self) -> Vec<u64> {
         (0..self.generations)
             .map(|g| self.frequency_of(g))
@@ -194,8 +193,8 @@ impl GcConfig {
 
     /// A compact, deterministic JSON rendering of the policy-relevant
     /// knobs (generation count, *effective* frequency ladder, trigger,
-    /// promotion), used by benchmark tables and experiment notes so a
-    /// retuned configuration is visible wherever results are reported.
+    /// promotion), used by benchmark tables and experiment notes so the
+    /// configuration is visible wherever results are reported.
     pub fn to_json(&self) -> String {
         let ladder = self
             .effective_frequency()

@@ -12,9 +12,6 @@
 //! points, across which it must be held in a [`Rooted`] cell or reachable
 //! from one.
 
-use crate::autotune::{
-    AutotuneConfig, AutotuneMode, PolicyController, PolicyDecision, PolicySensors, PolicyUpdate,
-};
 use crate::collect;
 use crate::config::{GcConfig, Promotion};
 use crate::error::GcError;
@@ -95,11 +92,6 @@ pub struct Heap {
     /// Per-site allocation attribution; `None` unless
     /// [`Heap::enable_site_profile`] was called.
     site_profile: Option<Box<SiteProfile>>,
-    /// The online policy controller; `None` (one null test per
-    /// collection) unless [`Heap::enable_autotune`] was called — a heap
-    /// that never enables autotuning is bit-identical to one predating
-    /// it.
-    autotune: Option<Box<PolicyController>>,
 }
 
 impl Heap {
@@ -135,7 +127,6 @@ impl Heap {
             metrics: MetricsRegistry::default(),
             alloc_site: None,
             site_profile: None,
-            autotune: None,
             config,
         }
     }
@@ -737,7 +728,6 @@ impl Heap {
             return self.last_report.as_ref().expect("completing step set it");
         }
         self.collections += 1;
-        self.autotune_note_begin(gen);
         let report = collect::run(self, gen);
         self.finish_collection(report)
     }
@@ -749,18 +739,13 @@ impl Heap {
     fn finish_collection(&mut self, report: CollectionReport) -> &CollectionReport {
         self.stats.absorb(&report);
         self.absorb_metrics(&report);
-        // Captured before the reset: the young survivor-ratio denominator
-        // the policy controller feeds on.
-        let bytes_allocated = std::mem::take(&mut self.bytes_since_gc) as u64;
+        self.bytes_since_gc = 0;
         if self
             .tracer
             .as_ref()
             .is_some_and(|t| t.cfg.census_at_collection_end)
         {
             self.emit_census_events();
-        }
-        if self.autotune.is_some() {
-            self.autotune_step(&report, bytes_allocated);
         }
         self.last_report = Some(report);
         self.last_report.as_ref().expect("just set")
@@ -814,7 +799,6 @@ impl Heap {
             "an incremental collection is already in flight"
         );
         self.collections += 1;
-        self.autotune_note_begin(gen);
         let st = collect::incremental::begin(self, gen);
         self.incremental = Some(st);
     }
@@ -891,7 +875,7 @@ impl Heap {
     }
 
     // ------------------------------------------------------------------
-    // Online policy reconfiguration and the autotuner
+    // Online policy reconfiguration
     // ------------------------------------------------------------------
     //
     // Policy knobs (trigger, promotion, frequency, zone quota) may change
@@ -974,168 +958,8 @@ impl Heap {
             knob: "max_segments",
             from,
             to,
-            applied: true,
             collection,
-            sensor: 0,
         });
-    }
-
-    /// Enables (or, with [`AutotuneMode::Off`], disables) the online
-    /// policy controller. The controller runs at the end of every
-    /// completed collection, feeding on the collection report and
-    /// per-generation occupancy; in `Observe` mode it only logs and emits
-    /// events, in `Active` mode its decisions retune the live
-    /// configuration between collections. Enabling snapshots the current
-    /// effective frequency ladder as the base the stretch factor
-    /// multiplies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded-pause collection is suspended between
-    /// increments.
-    pub fn enable_autotune(&mut self, cfg: AutotuneConfig) {
-        assert!(
-            self.incremental.is_none(),
-            "policy changes apply only between collections"
-        );
-        if cfg.mode == AutotuneMode::Off {
-            self.autotune = None;
-            return;
-        }
-        self.autotune = Some(Box::new(PolicyController::new(cfg, &self.config)));
-    }
-
-    /// The controller's mode ([`AutotuneMode::Off`] when never enabled).
-    pub fn autotune_mode(&self) -> AutotuneMode {
-        self.autotune
-            .as_ref()
-            .map_or(AutotuneMode::Off, |c| c.mode())
-    }
-
-    /// The controller's cumulative decision log (empty when autotuning is
-    /// off).
-    pub fn autotune_decisions(&self) -> &[PolicyDecision] {
-        self.autotune.as_ref().map_or(&[], |c| c.decisions())
-    }
-
-    /// Drains the controller's decision log — the `gcprof` decision-trace
-    /// feed.
-    pub fn take_autotune_decisions(&mut self) -> Vec<PolicyDecision> {
-        self.autotune
-            .as_mut()
-            .map(|c| c.take_decisions())
-            .unwrap_or_default()
-    }
-
-    /// Captures the collected *old* generations' (1..=`gen`) live words
-    /// at collection start — the old-survival denominator. Generation 0
-    /// is deliberately excluded: its occupancy at a trigger is mostly
-    /// dead nursery churn, and counting it would dilute the ratio so far
-    /// that the frequency knob could never see stable old data being
-    /// recopied. Runs from both collection entry points
-    /// ([`Heap::collect`] and [`Heap::begin_incremental`]), before the
-    /// flip; costs nothing when autotuning is off.
-    fn autotune_note_begin(&mut self, gen: u8) {
-        if self.autotune.is_none() {
-            return;
-        }
-        let pre: u64 = self
-            .generation_usage()
-            .iter()
-            .take(gen as usize + 1)
-            .skip(1)
-            .map(|u| u.used_words as u64)
-            .sum();
-        self.autotune
-            .as_mut()
-            .expect("checked above")
-            .note_collection_begin(pre);
-    }
-
-    /// One controller step after a completed collection: build the sensor
-    /// snapshot, run the controller, emit decision events and metrics,
-    /// and (in `Active` mode) apply the updates to the live config.
-    fn autotune_step(&mut self, report: &CollectionReport, bytes_allocated: u64) {
-        let Some(mut controller) = self.autotune.take() else {
-            return;
-        };
-        let usage = self.generation_usage();
-        let live_words: u64 = usage.iter().map(|u| u.used_words as u64).sum();
-        // Drag sensor: protected entries parked beyond generation 1,
-        // where only rare old-generation collections can prove their
-        // objects dead. (Under the flat-protected ablation everything
-        // reports in generation 0, so the sensor reads 0 and the tenure
-        // knob stays quiet — correct, since there is nothing to park.)
-        let parked_old_entries: u64 = usage
-            .iter()
-            .skip(2)
-            .map(|u| u.protected_entries as u64)
-            .sum();
-        let sensors = PolicySensors {
-            collection_index: self.collections,
-            collected_generation: report.collected_generation,
-            bytes_allocated,
-            words_copied: report.words_copied,
-            pre_used_words: 0, // the controller fills this from note_collection_begin
-            guardian_visited: report.guardian_entries_visited,
-            guardian_finalized: report.guardian_entries_finalized,
-            guardian_held: report.guardian_entries_held,
-            parked_old_entries,
-            live_words,
-            segments: self.segs.segments_allocated() as u64,
-            pause_ns: report.duration.as_nanos() as u64,
-        };
-        let outcome = controller.step(&self.config, sensors);
-        for d in &outcome.decisions {
-            let (knob, from, to, applied, collection, sensor) = (
-                d.knob,
-                d.from,
-                d.to,
-                d.applied,
-                d.collection_index,
-                d.sensor,
-            );
-            self.trace_emit(|| GcEvent::PolicyChange {
-                knob,
-                from,
-                to,
-                applied,
-                collection,
-                sensor,
-            });
-        }
-        let applied = outcome.decisions.iter().filter(|d| d.applied).count() as u64;
-        self.metrics
-            .add_counter("gc.autotune.decisions", outcome.decisions.len() as u64);
-        self.metrics.add_counter("gc.autotune.applied", applied);
-        for update in outcome.updates {
-            match update {
-                PolicyUpdate::TriggerBytes(b) => self.config.trigger_bytes = b,
-                PolicyUpdate::Promotion(p) => self.config.promotion = p,
-                PolicyUpdate::Frequency(f) => self.config.frequency = f,
-            }
-        }
-        if applied > 0 {
-            debug_assert!(
-                self.verify().is_ok(),
-                "heap invariants must survive a policy change"
-            );
-        }
-        let cap = match self.config.promotion {
-            Promotion::NextGeneration | Promotion::SameGeneration => {
-                self.config.max_generation() as u64
-            }
-            Promotion::Capped(c) => c.min(self.config.max_generation()) as u64,
-        };
-        let scale = controller.frequency_scale();
-        self.metrics.set_gauge(
-            "gc.autotune.trigger_bytes",
-            self.config.trigger_bytes as i64,
-        );
-        self.metrics
-            .set_gauge("gc.autotune.frequency_scale", scale as i64);
-        self.metrics.set_gauge("gc.autotune.tenure_cap", cap as i64);
-        self.autotune = Some(controller);
     }
 
     // ------------------------------------------------------------------

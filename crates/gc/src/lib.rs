@@ -67,7 +67,6 @@
 //! ```
 
 mod access;
-mod autotune;
 mod census;
 mod collect;
 mod config;
@@ -84,10 +83,6 @@ mod trace;
 mod value;
 mod verify;
 
-pub use autotune::{
-    decisions_jsonl, AutotuneConfig, AutotuneMode, PolicyController, PolicyDecision, PolicySensors,
-    PolicyUpdate, StepOutcome,
-};
 pub use census::{GenCensus, HeapCensus, KindCensus};
 pub use config::{GcConfig, Promotion};
 pub use error::GcError;

@@ -199,27 +199,18 @@ pub enum GcEvent {
         /// Wall-clock nanoseconds for the whole collection.
         dur_ns: u64,
     },
-    /// An autotuner policy decision (see
-    /// [`Heap::enable_autotune`](crate::Heap::enable_autotune)): one knob
-    /// step, proposed in `Observe` mode or applied in `Active` mode. The
-    /// full sensor snapshot behind each decision is on the
-    /// [`PolicyDecision`](crate::PolicyDecision) log; this event carries
-    /// the headline scalars for timeline correlation.
+    /// A runtime policy change applied between collections (see
+    /// [`Heap::set_max_segments`](crate::Heap::set_max_segments), its
+    /// one emitter).
     PolicyChange {
-        /// Knob name: `"trigger_bytes"`, `"frequency_scale"`,
-        /// `"tenure_cap"`, or `"max_segments"`.
+        /// Knob name: `"max_segments"`.
         knob: &'static str,
         /// Old knob value (`0` encodes "unbounded" for `max_segments`).
         from: u64,
         /// New knob value.
         to: u64,
-        /// Whether the change was applied to the live config.
-        applied: bool,
-        /// 1-based index of the collection the decision followed.
+        /// 1-based index of the collection the change followed.
         collection: u64,
-        /// The headline sensor value that justified the step (EWMA ppm
-        /// for ratio knobs, EWMA entry count for the tenure knob).
-        sensor: u64,
     },
     /// An application-level marker emitted through
     /// [`Heap::trace_app_event`](crate::Heap::trace_app_event) — the
@@ -520,18 +511,14 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
             knob,
             from,
             to,
-            applied,
             collection,
-            sensor,
         } => (
             "policy_change",
             vec![
                 ("knob", format!("\"{knob}\"")),
                 ("from", u(from)),
                 ("to", u(to)),
-                ("applied", applied.to_string()),
                 ("collection", u(collection)),
-                ("sensor", u(sensor)),
             ],
         ),
         GcEvent::App { name } => ("app", vec![("name", format!("\"{name}\""))]),
@@ -767,12 +754,10 @@ mod tests {
                 dur_ns: 100,
             },
             GcEvent::PolicyChange {
-                knob: "trigger_bytes",
-                from: 1_048_576,
-                to: 2_097_152,
-                applied: true,
+                knob: "max_segments",
+                from: 0,
+                to: 64,
                 collection: 1,
-                sensor: 500_000,
             },
             GcEvent::App { name: "port.close" },
         ];

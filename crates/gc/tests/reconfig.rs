@@ -1,8 +1,9 @@
 //! Mid-run policy reconfiguration property tests.
 //!
-//! The autotuner retunes `trigger_bytes`, `promotion`, and the
-//! `frequency` ladder on a live heap, always between collections. These
-//! tests pin down what makes that safe:
+//! An embedder may retune `trigger_bytes`, `promotion`, and the
+//! `frequency` ladder on a live heap through the `Heap::set_*` setters,
+//! always between collections. These tests pin down what makes that
+//! safe:
 //!
 //! 1. Policy fields are pure collection-time parameters: changes applied
 //!    *before the first collection* leave every observable identical to
@@ -257,16 +258,4 @@ fn suspended_incremental_collection_rejects_policy_changes() {
     heap.begin_incremental(0);
     assert!(heap.incremental_in_progress());
     heap.set_promotion(Promotion::Capped(1)); // must panic
-}
-
-#[test]
-#[should_panic(expected = "between collections")]
-fn suspended_incremental_collection_rejects_autotune_enable() {
-    let mut cfg = GcConfig::new();
-    cfg.pause_budget = Some(Duration::from_micros(100));
-    let mut heap = Heap::new(cfg);
-    let keep = heap.cons(Value::fixnum(1), Value::NIL);
-    let _root = heap.root(keep);
-    heap.begin_incremental(0);
-    heap.enable_autotune(guardians_gc::AutotuneConfig::active()); // must panic
 }

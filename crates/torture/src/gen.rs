@@ -308,9 +308,9 @@ impl Gen {
                 self.ops.push(Op::Collect { gen });
             }
             94 => {
-                // An occasional mid-trace promotion retune: the same
-                // between-collections path the autotuner's tenure knob
-                // uses, here exercised against the oracle with all four
+                // An occasional mid-trace promotion retune: the
+                // between-collections `set_promotion` path an embedder
+                // uses, exercised against the oracle with all four
                 // policies.
                 let promotion = *[
                     Promotion::NextGeneration,

@@ -8,7 +8,7 @@
 //! on *both* sides), and round-trips through a line-oriented text format
 //! ready to be committed as a regression test.
 
-use guardians_gc::{AutotuneMode, Promotion};
+use guardians_gc::Promotion;
 use std::fmt;
 use std::str::FromStr;
 
@@ -474,13 +474,6 @@ pub struct TortureConfig {
     /// model is engine-agnostic: a budget leg checks the incremental
     /// engine against the same oracle, observable for observable.
     pub pause_budget: Option<u64>,
-    /// Autotuner mode for the real heap (`Off` = the historical fixed
-    /// policy). `Active` lets the controller retune promotion between
-    /// collections — the rig syncs the shadow model's promotion rule from
-    /// the heap after every collection, so the oracle still pins every
-    /// observable. `trigger_bytes` / `frequency` retunes are inert here:
-    /// torture collections happen only at explicit `collect` safe points.
-    pub autotune: AutotuneMode,
 }
 
 impl Default for TortureConfig {
@@ -493,7 +486,6 @@ impl Default for TortureConfig {
             fail_acquisition_at: None,
             workers: 1,
             pause_budget: None,
-            autotune: AutotuneMode::Off,
         }
     }
 }
@@ -510,27 +502,17 @@ impl fmt::Display for TortureConfig {
             "config {} {promo} {} {} {fault}",
             self.generations, self.flat_protected as u8, self.ablate_weak_pass_first as u8
         )?;
-        // The workers, pause-budget, and autotune tokens are optional
-        // (and omitted at the defaults) so older traces keep parsing and
-        // default traces keep their historical textual form. They are
-        // positional (6th, 7th, 9th), so emitting a later one forces all
-        // earlier ones out; a pause budget of `None` prints as the `-`
-        // placeholder when a later token needs the slot filled. The 8th
-        // slot once named a Scheme interpreter tier; it is always `-`
-        // now and ignored on parse.
-        let emit_autotune = self.autotune != AutotuneMode::Off;
-        let emit_budget = self.pause_budget.is_some() || emit_autotune;
-        if self.workers != 1 || emit_budget {
+        // The workers and pause-budget tokens are optional (and omitted
+        // at the defaults) so older traces keep parsing and default
+        // traces keep their historical textual form. They are positional
+        // (6th, 7th), so emitting the budget forces the workers out. The
+        // 8th and 9th slots once named a Scheme interpreter tier and an
+        // autotuner mode; they are never written and ignored on parse.
+        if self.workers != 1 || self.pause_budget.is_some() {
             write!(f, " {}", self.workers)?;
         }
-        if emit_budget {
-            match self.pause_budget {
-                Some(us) => write!(f, " {us}")?,
-                None => write!(f, " -")?,
-            }
-        }
-        if emit_autotune {
-            write!(f, " - {}", self.autotune)?;
+        if let Some(us) = self.pause_budget {
+            write!(f, " {us}")?;
         }
         Ok(())
     }
@@ -571,8 +553,8 @@ impl FromStr for TortureConfig {
             None => 1,
         };
         let pause_budget = match it.next() {
-            // `-` is the placeholder a default budget prints as when a
-            // token behind it needs the slot filled.
+            // `-` is the placeholder historical lines carry when a
+            // since-retired token behind it needed the slot filled.
             Some("-") | None => None,
             Some(us) => Some(
                 us.parse()
@@ -585,10 +567,11 @@ impl FromStr for TortureConfig {
             Some("-" | "naive" | "staged" | "vm") | None => {}
             Some(other) => return Err(format!("config: bad interp mode {other:?}")),
         }
-        let autotune = match it.next() {
-            Some(m) => m.parse().map_err(|e| format!("config: {e}"))?,
-            None => AutotuneMode::Off,
-        };
+        // The retired autotuner-mode slot, likewise.
+        match it.next() {
+            Some("off" | "observe" | "active") | None => {}
+            Some(other) => return Err(format!("config: bad autotune mode {other:?}")),
+        }
         Ok(TortureConfig {
             generations: gens,
             promotion: promo,
@@ -597,7 +580,6 @@ impl FromStr for TortureConfig {
             fail_acquisition_at: fault,
             workers,
             pause_budget,
-            autotune,
         })
     }
 }
@@ -831,49 +813,33 @@ mod tests {
     }
 
     #[test]
-    fn autotune_token_round_trips_and_defaults() {
-        // The autotune mode is the 9th token: emitting it forces the
-        // whole placeholder chain out, including the retired 8th slot.
-        let active = TortureConfig {
-            autotune: AutotuneMode::Active,
-            ..TortureConfig::default()
-        };
-        let text = active.to_string();
-        assert!(text.ends_with(" 1 - - active"), "chain: {text}");
-        assert_eq!(text.parse::<TortureConfig>().unwrap(), active);
-        // The pre-retirement spelling of the same line still loads.
-        assert_eq!(
-            "config 4 next 0 0 - 1 - staged active"
-                .parse::<TortureConfig>()
-                .unwrap(),
-            active
-        );
-        // Both non-off modes round-trip against every earlier-token shape.
-        for autotune in [AutotuneMode::Observe, AutotuneMode::Active] {
-            for pause_budget in [None, Some(250u64)] {
-                let cfg = TortureConfig {
-                    autotune,
-                    pause_budget,
-                    workers: 2,
-                    ..TortureConfig::default()
-                };
-                assert_eq!(cfg.to_string().parse::<TortureConfig>().unwrap(), cfg);
+    fn retired_autotune_token_is_parsed_and_ignored() {
+        // The 9th token once selected an autotuner mode (behind the
+        // retired 8th, in either of its spellings); lines written then
+        // still load, as the configuration without it.
+        for mode in ["off", "observe", "active"] {
+            for tier in ["-", "staged"] {
+                for (budget, pause_budget) in [("-", None), ("250", Some(250u64))] {
+                    let cfg: TortureConfig =
+                        format!("config 4 next 0 0 - 2 {budget} {tier} {mode}")
+                            .parse()
+                            .unwrap();
+                    let expected = TortureConfig {
+                        workers: 2,
+                        pause_budget,
+                        ..TortureConfig::default()
+                    };
+                    assert_eq!(cfg, expected);
+                    // Display never emits past the pause-budget slot.
+                    let text = cfg.to_string();
+                    assert!(text.split_whitespace().count() <= 8, "{text}");
+                    assert_eq!(text.parse::<TortureConfig>().unwrap(), cfg);
+                }
             }
         }
-        // The default (off) stays token-free, and every historical config
-        // arity still parses with the autotuner off.
-        assert!(!TortureConfig::default().to_string().contains("off"));
-        for old in [
-            "config 4 next 0 0 -",
-            "config 4 next 0 0 - 4",
-            "config 4 next 0 0 - 1 250",
-            "config 4 next 0 0 - 1 - vm",
-        ] {
-            assert_eq!(
-                old.parse::<TortureConfig>().unwrap().autotune,
-                AutotuneMode::Off
-            );
-        }
+        assert!("config 4 next 0 0 - 1 - - eager"
+            .parse::<TortureConfig>()
+            .is_err());
     }
 
     #[test]

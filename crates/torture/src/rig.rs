@@ -37,8 +37,7 @@
 use crate::model::{MEntry, MNode, MReport, MTconc, MWeak, Model};
 use crate::ops::{NodeKind, Op, Ref, Trace};
 use guardians_gc::{
-    AutotuneConfig, AutotuneMode, CollectionReport, GcConfig, GcEvent, Guardian, Heap, Rooted,
-    TraceConfig, TracedEvent, Value,
+    CollectionReport, GcConfig, GcEvent, Guardian, Heap, Rooted, TraceConfig, TracedEvent, Value,
 };
 use guardians_gc_api::{
     impl_trace, ApiCtx, Guardian as TypedGuardian, Root as TypedRoot, Weak as TypedWeak,
@@ -221,11 +220,6 @@ impl Rig {
             ..GcConfig::default()
         };
         let mut heap = Heap::new(gc);
-        match cfg.autotune {
-            AutotuneMode::Off => {}
-            AutotuneMode::Observe => heap.enable_autotune(AutotuneConfig::observe()),
-            AutotuneMode::Active => heap.enable_autotune(AutotuneConfig::active()),
-        }
         if traced {
             heap.enable_tracing(TraceConfig {
                 capacity: 1 << 18,
@@ -870,13 +864,6 @@ impl Rig {
                 }
                 self.stats.collections += 1;
                 let mrep = self.model.collect(gen);
-                // An active autotuner may have retuned the promotion
-                // policy at the end of the collection that just ran; the
-                // change applies from the *next* collection, so sync the
-                // model after its own (old-policy) collection. Trigger and
-                // frequency retunes need no mirror — the rig collects only
-                // at explicit safe points.
-                self.model.cfg.promotion = self.heap.config().promotion;
                 self.stats.finalized += mrep.finalized;
                 let r = self.heap.last_report().expect("just collected").clone();
                 let real = [

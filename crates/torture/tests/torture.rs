@@ -274,57 +274,6 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
     );
 }
 
-/// The autotuner under the oracle: generated traces replay with the
-/// policy controller in `Observe` and `Active` mode on all three
-/// engines, with zero divergences — and because every controller sensor
-/// is deterministic and engine-agnostic, the observables (and hence the
-/// controller's decisions) are identical across engines. In `Active`
-/// mode the tenure knob may retune promotion mid-run; the rig replays
-/// the model against the heap's current policy after every collection,
-/// so survivor placement stays pinned observable-for-observable.
-#[test]
-fn autotune_matrix_agrees_with_the_oracle() {
-    use guardians_gc::AutotuneMode;
-    let seeds = env_num("TORTURE_AUTOTUNE_SEEDS", 4);
-    let ops = env_num("TORTURE_AUTOTUNE_OPS", 300) as usize;
-    let mut runs = 0;
-    for seed in 0..seeds {
-        let trace = generate(seed, ops);
-        for autotune in [AutotuneMode::Observe, AutotuneMode::Active] {
-            let mut baseline = None;
-            for (workers, budget_us) in [(1usize, None), (4, None), (1, Some(100u64))] {
-                let mut t = trace.clone();
-                t.config.autotune = autotune;
-                t.config.workers = workers;
-                t.config.pause_budget = budget_us;
-                let stats = run_trace(&t).unwrap_or_else(|f| {
-                    panic!(
-                        "autotune matrix seed {seed}, {autotune} mode, {workers} workers, \
-                         budget {budget_us:?}: {f}"
-                    )
-                });
-                runs += 1;
-                let key = (
-                    stats.applied,
-                    stats.collections,
-                    stats.finalized,
-                    stats.polled,
-                    stats.live_nodes,
-                );
-                match &baseline {
-                    None => baseline = Some(key),
-                    Some(b) => assert_eq!(
-                        *b, key,
-                        "seed {seed}, {autotune} mode: engine ({workers} workers, \
-                         {budget_us:?}) moved observables"
-                    ),
-                }
-            }
-        }
-    }
-    assert!(runs >= 24, "autotune matrix too small: {runs} runs");
-}
-
 /// A handwritten typed trace replayed from its text form, pinning the §4
 /// ordering through the typed surface: a typed node is guarded and
 /// weakly watched, dies, is salvaged by the guardian pass, and the typed

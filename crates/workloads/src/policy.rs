@@ -1,4 +1,4 @@
-//! Three adversarial mutators for the E22 policy-autotuner study, each
+//! Three adversarial mutators for the E22 static policy sweep, each
 //! engineered to punish a different default-policy assumption:
 //!
 //! * [`run_cache_workload`] — a large, stable cache with slow turnover.

@@ -9,8 +9,7 @@
 //! and experiment E21 pin.
 
 use guardians_gc::{
-    AutotuneConfig, AutotuneMode, GcConfig, Guardian as RawGuardian, Heap, Rooted, SegmentPool,
-    TraceConfig, TracedEvent, Value,
+    GcConfig, Guardian as RawGuardian, Heap, Rooted, SegmentPool, TraceConfig, TracedEvent, Value,
 };
 use guardians_gc_api::{impl_trace, GcHeap, Guardian as TypedGuardian, Root};
 use guardians_runtime::{BlockId, ExtArena, Fd, SimOs};
@@ -66,7 +65,7 @@ impl Engine {
         }
     }
 
-    /// Parses [`Engine::label`] output (the CI matrix env var format).
+    /// Parses [`Engine::label`] output.
     pub fn from_label(s: &str) -> Option<Engine> {
         if s == "serial" {
             return Some(Engine::Serial);
@@ -116,11 +115,6 @@ pub struct ZoneConfig {
     pub max_segments: Option<usize>,
     /// Simulated-OS fd table size for this tenant.
     pub fd_limit: usize,
-    /// Per-zone GC policy autotuner mode. Each zone's controller is
-    /// private — it tunes that tenant's heap to that tenant's workload;
-    /// `Observe` logs decisions without applying them (asserted
-    /// bit-identical to `Off`).
-    pub autotune: AutotuneMode,
 }
 
 impl ZoneConfig {
@@ -132,7 +126,6 @@ impl ZoneConfig {
             workload: WorkloadKind::Typed,
             max_segments: None,
             fd_limit: 4096,
-            autotune: AutotuneMode::Off,
         }
     }
 
@@ -160,12 +153,6 @@ impl ZoneConfig {
     /// collections).
     pub fn with_trigger_bytes(mut self, bytes: usize) -> ZoneConfig {
         self.gc.trigger_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-zone autotuner mode.
-    pub fn with_autotune(mut self, mode: AutotuneMode) -> ZoneConfig {
-        self.autotune = mode;
         self
     }
 }
@@ -393,15 +380,10 @@ impl Zone {
 
     fn build(id: u64, config: &ZoneConfig, pool: Option<Arc<SegmentPool>>) -> Zone {
         let gc = config.engine.apply(config.gc.clone());
-        let mut heap = match pool {
+        let heap = match pool {
             Some(p) => Heap::with_pool(gc, p, config.max_segments),
             None => Heap::new(gc),
         };
-        match config.autotune {
-            AutotuneMode::Off => {}
-            AutotuneMode::Observe => heap.enable_autotune(AutotuneConfig::observe()),
-            AutotuneMode::Active => heap.enable_autotune(AutotuneConfig::active()),
-        }
         let backend = match config.workload {
             WorkloadKind::Typed => {
                 let mut heap = Box::new(GcHeap::from_heap(heap));

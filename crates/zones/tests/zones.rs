@@ -2,7 +2,7 @@
 //! accounting, guardian-driven eviction reclamation, cross-engine
 //! identity, router determinism, and the soak harness.
 
-use guardians_gc::{AutotuneMode, SegmentPool};
+use guardians_gc::SegmentPool;
 use guardians_zones::soak::{self, SoakOp, SoakSchedule};
 use guardians_zones::{
     session_zone, Engine, Request, Zone, ZoneConfig, ZoneManager, ZoneObservables, ZoneRouter,
@@ -350,83 +350,6 @@ fn soak_skips_ops_on_dead_zones() {
 }
 
 #[test]
-fn observe_autotune_is_bit_identical_to_off() {
-    // A per-zone controller in observe mode logs the decisions it would
-    // have made but applies none: every observable — collections
-    // included — matches the untuned zone exactly.
-    for base in [ZoneConfig::typed(), ZoneConfig::scheme()] {
-        let reqs = script(24, 8);
-        let off = solo(3, &small_trigger(base.clone()), &reqs);
-        let observed = solo(
-            3,
-            &small_trigger(base.clone()).with_autotune(AutotuneMode::Observe),
-            &reqs,
-        );
-        assert_eq!(observed, off, "observe == off ({:?})", base.workload);
-    }
-}
-
-#[test]
-fn active_autotune_zone_is_deterministic_and_reclaims() {
-    // An actively autotuned zone stays deterministic (pooled == private
-    // for the same script), still reclaims every evicted session through
-    // its guardian, and its controller actually acts. The script is
-    // heavy enough (~6 MB of allocation against a 64 KB trigger) that
-    // old generations are collected repeatedly, giving the frequency
-    // knob the stable-survivor samples it decides on.
-    let heavy_script = || {
-        let mut reqs = Vec::new();
-        for s in 0..16u64 {
-            reqs.push(Request::Open { session: s });
-        }
-        for r in 0..80u32 {
-            for s in 0..16u64 {
-                reqs.push(Request::Work {
-                    session: s,
-                    amount: 48,
-                });
-            }
-            if r % 20 == 19 {
-                for s in 0..16u64 {
-                    reqs.push(Request::Evict { session: s });
-                    reqs.push(Request::Open { session: s });
-                }
-            }
-        }
-        reqs
-    };
-    for base in [ZoneConfig::typed(), ZoneConfig::scheme()] {
-        let cfg = small_trigger(base.clone()).with_autotune(AutotuneMode::Active);
-        let reqs = heavy_script();
-        let want = solo(5, &cfg, &reqs);
-        let mut mgr = ZoneManager::new();
-        mgr.create_zone(5, &cfg);
-        for &r in &reqs {
-            mgr.dispatch(5, r);
-        }
-        mgr.quiesce();
-        let zone = mgr.zone_mut(5).unwrap();
-        assert_eq!(
-            zone.observables(),
-            want,
-            "active-mode pooled == active-mode private ({:?})",
-            base.workload
-        );
-        assert_eq!(
-            zone.observables().sessions_evicted,
-            zone.observables().reclaimed_sessions,
-            "every evicted session reclaimed"
-        );
-        assert!(
-            !zone.heap_mut().autotune_decisions().is_empty(),
-            "the per-zone controller acted ({:?})",
-            base.workload
-        );
-        zone.verify().expect("autotuned zone verifies");
-    }
-}
-
-#[test]
 fn rebalance_quotas_divides_capacity_without_stranding_zones() {
     const CAPACITY: usize = 2048;
     let mut mgr = ZoneManager::with_capacity(CAPACITY);
@@ -510,27 +433,12 @@ fn fleet_stats_json_is_well_formed() {
 
 #[test]
 fn ci_matrix_engine_leg() {
-    // The zone-matrix CI job runs this test once per engine with
-    // ZONE_ENGINE=<label> pinning every zone in the fleet to that
-    // engine; without the variable the whole matrix runs. The
-    // autotune-matrix job additionally sets ZONE_AUTOTUNE=observe|active
-    // to run the same fleet with every zone's policy controller enabled.
-    // Each leg is a router fleet whose per-zone observables must match a
-    // private solo replay — the cross-engine identity check, scoped to
-    // one engine so a CI failure names the engine that broke.
-    let engines: Vec<Engine> = match std::env::var("ZONE_ENGINE") {
-        Ok(label) => vec![Engine::from_label(&label)
-            .unwrap_or_else(|| panic!("ZONE_ENGINE={label:?} is not an engine label"))],
-        Err(_) => Engine::MATRIX.to_vec(),
-    };
-    let autotune: AutotuneMode = match std::env::var("ZONE_AUTOTUNE") {
-        Ok(label) => label
-            .parse()
-            .unwrap_or_else(|e| panic!("ZONE_AUTOTUNE: {e}")),
-        Err(_) => AutotuneMode::Off,
-    };
+    // One leg per engine of `Engine::MATRIX`: a router fleet pinned to
+    // that engine whose per-zone observables must match a private solo
+    // replay — the cross-engine identity check, with the engine label in
+    // the assertion message so a CI failure names the engine that broke.
     const ZONES: usize = 4;
-    for engine in engines {
+    for engine in Engine::MATRIX {
         let router = ZoneRouter::new(2, SegmentPool::unbounded());
         let configs: Vec<ZoneConfig> = (0..ZONES as u64)
             .map(|id| {
@@ -539,9 +447,7 @@ fn ci_matrix_engine_leg() {
                 } else {
                     ZoneConfig::scheme()
                 };
-                small_trigger(base)
-                    .with_engine(engine)
-                    .with_autotune(autotune)
+                small_trigger(base).with_engine(engine)
             })
             .collect();
         for (id, cfg) in configs.iter().enumerate() {
