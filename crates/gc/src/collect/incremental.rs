@@ -70,8 +70,9 @@ pub(crate) struct IncrementalState {
     /// with the object's copy but its card mark does not, so
     /// [`settle_late_stores`] re-marks the card on the copy.
     pub(crate) late_stores: Vec<(Value, usize)>,
-    /// Whether `roots_traced` has been counted (roots are re-forwarded
-    /// every increment, but counted once for serial counter parity).
+    /// Whether the first roots pass has run: it is the one `roots_traced`
+    /// counts (serial counter parity); later passes add to
+    /// `roots_retraced`.
     roots_counted: bool,
     /// Pause time from the begin (flip) that the first increment's pause
     /// sample must absorb.
@@ -162,11 +163,15 @@ pub(crate) fn step(heap: &mut Heap, st: &mut IncrementalState) -> bool {
     let mut finished = false;
 
     // Roots are re-forwarded at every increment: the mutator may have
-    // stored stale (since-forwarded) or from-space pointers into rooted
-    // cells. Re-forwarding an already-forwarded root is a no-op, so the
-    // counters only move on the first increment.
+    // stored stale (since-forwarded) or from-space pointers into root
+    // slots. Every such store reset the slot's stamp to 0, so the pass
+    // finds it; a slot it has already forwarded is stamped with the target
+    // generation and is skipped when that is above `g` (when it is not, the
+    // pass revisits it, and forwarding it again is a no-op).
     let traced = forward_roots(heap, &mut st.s);
-    if !st.roots_counted {
+    if st.roots_counted {
+        st.s.report.roots_retraced += traced;
+    } else {
         st.s.report.roots_traced = traced;
         st.roots_counted = true;
     }

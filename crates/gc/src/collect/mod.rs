@@ -8,7 +8,8 @@
 //! 1. **Flip** — snapshot the from-space (every segment in a collected
 //!    generation) and reset allocation cursors for the collected and
 //!    target generations.
-//! 2. **Roots** — forward every registered root slot.
+//! 2. **Roots** — forward every registered root slot whose generation
+//!    stamp says this collection can move its referent.
 //! 3. **Remembered set** — scan dirty older-generation segments for
 //!    pointers into the from-space (see [`remset`]).
 //! 4. **Kleene sweep** — Cheney-style iterative scan of copied objects
@@ -69,6 +70,7 @@ pub(crate) mod weak_pass;
 
 use crate::header::Header;
 use crate::heap::Heap;
+use crate::roots::ROOT_CLEAN;
 use crate::stats::CollectionReport;
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
@@ -334,17 +336,24 @@ pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
     s.report
 }
 
-/// Phase 2: forwards every registered root slot; returns the slot count.
+/// Phase 2: forwards the root slots this collection can move — those
+/// stamped `<= g` (see [`crate::roots`]) — and stamps each with the
+/// generation its referent is now in. Returns the number of slots visited.
 pub(crate) fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
-    let mut roots = std::mem::take(&mut heap.roots);
-    let traced = roots.for_each_slot(|slot| {
+    let roots = heap.roots.clone();
+    roots.trace(s.g, |slot| {
         let v = *slot;
-        if v.is_ptr() {
-            *slot = forward(heap, s, v);
+        if !v.is_ptr() {
+            return ROOT_CLEAN;
         }
-    });
-    heap.roots = roots;
-    traced
+        let seg = v.addr().seg();
+        if s.in_from(seg) {
+            *slot = forward_from(heap, s, v);
+            s.target
+        } else {
+            heap.segs.info(seg).generation
+        }
+    })
 }
 
 /// Phases 5–8, for both drivers, once the sweep has reached its fixpoint.

@@ -1045,6 +1045,7 @@ impl Heap {
         m.add_counter("gc.pairs_copied", r.pairs_copied);
         m.add_counter("gc.objects_copied", r.objects_copied);
         m.add_counter("gc.roots_traced", r.roots_traced);
+        m.add_counter("gc.roots_retraced", r.roots_retraced);
         m.add_counter("gc.dirty_segments_scanned", r.dirty_segments_scanned);
         m.add_counter("gc.dirty_cards_scanned", r.dirty_cards_scanned);
         m.add_counter("gc.pure_words_skipped", r.pure_words_skipped);

@@ -59,6 +59,14 @@ impl Heap {
         }
     }
 
+    /// Test support: resets every root slot's generation stamp to 0, so
+    /// the next collection visits every root — the unfiltered reference
+    /// the stamp filter is property-tested against.
+    #[doc(hidden)]
+    pub fn zero_root_stamps(&mut self) {
+        self.roots.zero_stamps();
+    }
+
     /// Open-cursor bookkeeping as seen from both sides: segments whose
     /// `open_cursor` flag is set (linear scan over the segment table) and
     /// occupied allocation-cursor slots. The two must always be equal —
@@ -106,7 +114,7 @@ impl fmt::Display for CollectionReport {
         write!(
             f,
             "gc#{}: gen {}→{}, copied {} words ({} pairs, {} objects), \
-             roots {}, dirty segs {} ({} cards), guardians {}/{}/{} (visited/finalized/held), \
+             roots {}+{} (traced/retraced), dirty segs {} ({} cards), guardians {}/{}/{} (visited/finalized/held), \
              weak {}+{} (fwd/broken), {}us",
             self.collection_index,
             self.collected_generation,
@@ -115,6 +123,7 @@ impl fmt::Display for CollectionReport {
             self.pairs_copied,
             self.objects_copied,
             self.roots_traced,
+            self.roots_retraced,
             self.dirty_segments_scanned,
             self.dirty_cards_scanned,
             self.guardian_entries_visited,

@@ -91,8 +91,13 @@ pub struct CollectionReport {
     pub objects_copied: u64,
     /// Total words copied.
     pub words_copied: u64,
-    /// Root cells traced.
+    /// Root slots visited by the collection's (first) roots pass: those
+    /// whose generation stamp was at most the collected generation.
     pub roots_traced: u64,
+    /// Root slots visited by the roots passes after the first — the
+    /// incremental driver re-forwards the roots at every increment. Always
+    /// 0 for a stop-the-world collection.
+    pub roots_retraced: u64,
     /// Dirty old-generation runs with at least one card visited for the
     /// remembered set (a weak-pair segment counts whole).
     pub dirty_segments_scanned: u64,
@@ -184,6 +189,9 @@ pub struct HeapStats {
     pub total_weak_pairs_scanned: u64,
     /// Total remembered-set cards visited by all collections.
     pub total_dirty_cards_scanned: u64,
+    /// Total root slots re-visited by increments after a collection's
+    /// first ([`CollectionReport::roots_retraced`]).
+    pub total_roots_retraced: u64,
     /// Total time spent collecting.
     pub total_gc_time: Duration,
     /// Per-phase totals across all collections.
@@ -197,6 +205,7 @@ impl HeapStats {
         self.total_guardian_entries_visited += report.guardian_entries_visited;
         self.total_weak_pairs_scanned += report.weak_pairs_scanned;
         self.total_dirty_cards_scanned += report.dirty_cards_scanned;
+        self.total_roots_retraced += report.roots_retraced;
         self.total_gc_time += report.duration;
         self.total_phase_times.absorb(&report.phases);
     }
@@ -214,6 +223,7 @@ mod tests {
             guardian_entries_visited: 3,
             weak_pairs_scanned: 2,
             dirty_cards_scanned: 4,
+            roots_retraced: 7,
             duration: Duration::from_millis(5),
             ..CollectionReport::default()
         };
@@ -224,6 +234,7 @@ mod tests {
         assert_eq!(stats.total_guardian_entries_visited, 6);
         assert_eq!(stats.total_weak_pairs_scanned, 4);
         assert_eq!(stats.total_dirty_cards_scanned, 8);
+        assert_eq!(stats.total_roots_retraced, 14);
         assert_eq!(stats.total_gc_time, Duration::from_millis(10));
     }
 

@@ -47,7 +47,13 @@ impl Heap {
     ///   dirty, every flagged run is on the dirty index, and generation-0
     ///   segments (which includes every fresh or recycled one) are
     ///   all-clean;
-    /// * every root is valid;
+    /// * every root is valid, and the root table is coherent: every slot's
+    ///   generation stamp is a lower bound on its referent's generation
+    ///   (mid-cycle, a slot holding a from-space pointer is stamped at most
+    ///   the collected generation), free slots are non-pointers on the free
+    ///   list exactly once with no sharers, live slots have one, and no
+    ///   vector's stamped prefix is longer than the vector — checked on a
+    ///   suspended incremental collection too;
     /// * the segment table's free store is coherent with its allocation
     ///   state ([`SegmentTable::check_free_store`]) — checked on a
     ///   suspended incremental collection too;
@@ -73,7 +79,11 @@ impl Heap {
         self.segs
             .check_free_store()
             .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
-        if let Some(st) = self.incremental.as_ref() {
+        let cycle = self.incremental.as_ref();
+        self.roots
+            .check(&self.segs, cycle.map(|st| (&st.s.from_space, st.s.g)))
+            .map_err(|e| VerifyError::new(format!("root table: {e}")))?;
+        if let Some(st) = cycle {
             return self.verify_incremental(st);
         }
         // 1. Per-segment object walks.
@@ -160,7 +170,7 @@ impl Heap {
         }
 
         // 3. Roots.
-        for v in self.roots.snapshot() {
+        for v in self.roots.values() {
             self.check_value(v, "root")?;
         }
 
@@ -319,7 +329,7 @@ impl Heap {
         }
 
         // 3. Roots, 4. protected lists, 5. finalizer watches: relaxed.
-        for v in self.roots.snapshot() {
+        for v in self.roots.values() {
             self.check_value_relaxed(v, "root")?;
         }
         for list in self.protected.iter() {

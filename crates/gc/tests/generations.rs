@@ -544,3 +544,116 @@ fn same_generation_promotion_works_end_to_end() {
     assert_eq!(g.poll(&mut h).map(|v| h.car(v)), Some(Value::fixnum(7)));
     h.verify().unwrap();
 }
+
+// ---- the generation-stamped root table --------------------------------
+
+#[test]
+fn an_aged_root_is_not_traced_by_a_young_collection() {
+    let mut h = Heap::default();
+    let roots: Vec<_> = (0..100)
+        .map(|i| {
+            let p = h.cons(Value::fixnum(i), Value::NIL);
+            h.root(p)
+        })
+        .collect();
+    let stack = h.root_vec();
+    for r in &roots {
+        stack.push(r.get());
+    }
+    assert_eq!(h.collect(0).roots_traced, 200, "fresh roots are all due");
+    assert_eq!(h.collect(0).roots_traced, 0, "generation-1 referents");
+    let r = h.collect(1).clone();
+    assert_eq!((r.roots_traced, r.pairs_copied), (200, 100));
+    assert_eq!(h.collect(1).roots_traced, 0, "generation-2 referents");
+    assert_eq!(h.collect(0).roots_retraced, 0, "always 0 stop-the-world");
+    // Non-pointer roots are never due.
+    let _n = h.root(Value::fixnum(5));
+    assert_eq!(h.collect(3).roots_traced, 201);
+    assert_eq!(h.collect(3).roots_traced, 200, "the fixnum slot is clean");
+    for (i, r) in roots.iter().enumerate() {
+        assert_eq!(h.car(r.get()), Value::fixnum(i as i64));
+        assert_eq!(h.car(stack.get(i)), Value::fixnum(i as i64));
+    }
+    h.verify().unwrap();
+}
+
+#[test]
+fn a_store_into_an_aged_root_is_traced_and_survives() {
+    let mut h = Heap::default();
+    let old = h.cons(Value::fixnum(1), Value::NIL);
+    let r = h.root(old);
+    let stack = h.root_vec();
+    stack.push(old);
+    h.collect(0);
+    h.collect(1);
+    assert_eq!(h.collect(0).roots_traced, 0);
+    // The root write barrier: both stores must be found by the very next
+    // generation-0 collection, or the fresh pairs die under their roots.
+    let fresh = h.cons(Value::fixnum(2), Value::NIL);
+    r.set(fresh);
+    let fresh = h.cons(Value::fixnum(3), Value::NIL);
+    stack.set(0, fresh);
+    let report = h.collect(0).clone();
+    assert_eq!((report.roots_traced, report.pairs_copied), (2, 2));
+    h.verify().unwrap();
+    assert_eq!(h.car(r.get()), Value::fixnum(2));
+    assert_eq!(h.car(stack.get(0)), Value::fixnum(3));
+    assert_eq!(h.generation_of(r.get()), Some(1));
+}
+
+#[test]
+fn pop_then_push_into_a_stamped_position_is_traced() {
+    let mut h = Heap::default();
+    let stack = h.root_vec();
+    for i in 0..20 {
+        let p = h.cons(Value::fixnum(i), Value::NIL);
+        stack.push(p);
+    }
+    h.collect(0);
+    assert_eq!(h.collect(0).roots_traced, 0, "all twenty are stamped 1");
+    // Positions 17..20 are re-filled with fresh pairs: their old stamps
+    // must not outlive the pop.
+    stack.truncate(18);
+    stack.pop();
+    for i in 17..20 {
+        let p = h.cons(Value::fixnum(100 + i), Value::NIL);
+        stack.push(p);
+    }
+    let report = h.collect(0).clone();
+    assert_eq!((report.roots_traced, report.pairs_copied), (3, 3));
+    h.verify().unwrap();
+    for i in 0..20 {
+        let want = if i < 17 { i } else { 100 + i };
+        assert_eq!(h.car(stack.get(i as usize)), Value::fixnum(want));
+    }
+}
+
+#[test]
+fn stamps_follow_survivors_down_under_capped_and_same_generation() {
+    // Age a root to generation 3, then switch to a policy whose target is
+    // *below* the collected generation: the stamp must be the generation
+    // the survivor lands in, not `g + 1`.
+    for (promotion, lands_in) in [
+        (Promotion::Capped(1), 1u8),
+        (Promotion::Capped(2), 2),
+        (Promotion::SameGeneration, 3),
+    ] {
+        let mut h = Heap::default();
+        let p = h.cons(Value::fixnum(9), Value::NIL);
+        let r = h.root(p);
+        for g in 0..3 {
+            h.collect(g);
+        }
+        assert_eq!(h.generation_of(r.get()), Some(3));
+        h.set_promotion(promotion);
+        assert_eq!(h.collect(3).roots_traced, 1);
+        assert_eq!(h.generation_of(r.get()), Some(lands_in), "{promotion:?}");
+        h.verify().unwrap();
+        // The collection that can move it again must find it again.
+        let addr = h.address_of(r.get());
+        assert_eq!(h.collect(lands_in).roots_traced, 1, "{promotion:?}");
+        assert_ne!(h.address_of(r.get()), addr, "{promotion:?}: moved again");
+        assert_eq!(h.car(r.get()), Value::fixnum(9));
+        h.verify().unwrap();
+    }
+}

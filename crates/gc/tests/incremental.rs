@@ -400,3 +400,52 @@ fn store_of_a_fresh_object_into_an_unforwarded_one_is_remembered() {
     h.verify().expect("valid after the next minor collection");
     assert_eq!(h.car(h.cdr(keep.get(1_999))), Value::fixnum(4242));
 }
+
+/// After a collection's first roots pass, an increment re-forwards only
+/// the root slots whose stamp is still at most the collected generation:
+/// with the target above it, those are the slots stored since the last
+/// increment; when the target *is* the collected generation every
+/// forwarded slot is due again (the case the root log will remove).
+#[test]
+fn increments_retrace_stored_roots_not_the_whole_set() {
+    let mut h = Heap::new(incremental_config(Some(Duration::ZERO)));
+    let stack = h.root_vec();
+    for i in 0..2000 {
+        let p = h.cons(Value::fixnum(i), Value::NIL);
+        stack.push(p);
+    }
+    let r = h.root(stack.get(0));
+    h.begin_incremental(0);
+    assert!(h.gc_step().is_none(), "eight segments of sweeping remain");
+    // Forwarded on read, stored into a root: the barrier re-stamps it 0.
+    r.set(stack.get(5));
+    h.verify().expect("valid mid-cycle");
+    let report = loop {
+        if let Some(report) = h.gc_step() {
+            break report.clone();
+        }
+    };
+    assert!(report.increments >= 3, "{} increments", report.increments);
+    assert_eq!(report.roots_traced, 2001);
+    assert_eq!(report.roots_retraced, 1, "the stored slot, once");
+    assert_eq!(h.metrics().counter("gc.roots_retraced"), 1);
+
+    // Age everything into the oldest generation, then collect it into
+    // itself: every increment after the first finds all 2001 slots due.
+    for g in 1..=3 {
+        h.collect(g);
+    }
+    let report = h.collect(3).clone();
+    assert_eq!(report.roots_traced, 2001);
+    assert_eq!(
+        report.roots_retraced,
+        2001 * (report.increments - 1),
+        "{} increments",
+        report.increments
+    );
+    let total = h.stats().total_roots_retraced;
+    assert!(total > report.roots_retraced);
+    assert_eq!(h.metrics().counter("gc.roots_retraced"), total);
+    assert_eq!(h.car(r.get()), Value::fixnum(5));
+    h.verify().expect("valid at the end");
+}

@@ -214,10 +214,20 @@ impl Gen {
                     self.rooted.push(node);
                 }
             }
-            53..=59 => {
+            53..=56 => {
                 if !self.rooted.is_empty() {
                     let node = self.rooted.swap_remove(rng.gen_range(0..self.rooted.len()));
                     self.ops.push(Op::DropRoot { node });
+                }
+            }
+            57..=59 => {
+                // Re-aim an existing root, usually at something young.
+                if !self.rooted.is_empty() {
+                    if let Some(node) = self.pick_node(rng) {
+                        let i = rng.gen_range(0..self.rooted.len());
+                        let root = std::mem::replace(&mut self.rooted[i], node);
+                        self.ops.push(Op::SetRoot { root, node });
+                    }
                 }
             }
             60..=62 => {
@@ -356,5 +366,20 @@ mod tests {
         assert!(t.ops.iter().any(|o| matches!(o, Op::Collect { .. })));
         assert!(t.ops.iter().any(|o| matches!(o, Op::Register { .. })));
         assert!(t.ops.iter().any(|o| matches!(o, Op::AllocTyped { .. })));
+    }
+
+    /// The soak's shape (`--seeds 150 --ops 2500`): every trace overwrites
+    /// a live root, the one root operation that needs the write barrier.
+    #[test]
+    fn every_soak_trace_overwrites_a_root() {
+        for seed in 0..150 {
+            let t = generate(seed, 2500);
+            let n = t
+                .ops
+                .iter()
+                .filter(|o| matches!(o, Op::SetRoot { .. }))
+                .count();
+            assert!(n >= 20, "seed {seed}: {n} setroot ops");
+        }
     }
 }

@@ -293,6 +293,17 @@ pub enum Op {
         /// Garbage bytevector length.
         bytes: u32,
     },
+    /// Overwrite the strong root of `root` with `node` through
+    /// `Rooted::set` — the one root operation that needs the root write
+    /// barrier: the slot may be stamped with an old generation while
+    /// `node` is young. `root` is left unrooted. No-op unless `root` holds
+    /// a raw root and `node` is a live node without one.
+    SetRoot {
+        /// The node whose root slot is overwritten.
+        root: u32,
+        /// The node the slot roots from now on.
+        node: u32,
+    },
 }
 
 impl fmt::Display for Op {
@@ -337,6 +348,7 @@ impl fmt::Display for Op {
             Op::Collect { gen } => write!(f, "collect {gen}"),
             Op::Churn { n } => write!(f, "churn {n}"),
             Op::Grow { bytes } => write!(f, "grow {bytes}"),
+            Op::SetRoot { root, node } => write!(f, "setroot {root} {node}"),
         }
     }
 }
@@ -436,6 +448,10 @@ impl FromStr for Op {
             "churn" => Op::Churn { n: num("n")? },
             "grow" => Op::Grow {
                 bytes: num("bytes")?,
+            },
+            "setroot" => Op::SetRoot {
+                root: num("root")?,
+                node: num("node")?,
             },
             other => return Err(format!("unknown op {other:?}")),
         };
@@ -875,6 +891,7 @@ mod tests {
             ("tpoll 1", Op::PollTyped { g: 1 }),
             ("tweak 3 7", Op::AllocTypedWeak { wid: 3, node: 7 }),
             ("tupgrade 3", Op::UpgradeTypedWeak { wid: 3 }),
+            ("setroot 7 2", Op::SetRoot { root: 7, node: 2 }),
         ] {
             assert_eq!(text.parse::<Op>().unwrap(), op, "{text}");
             assert_eq!(op.to_string(), text);
@@ -895,7 +912,10 @@ mod tests {
             ],
         };
         let text = old.to_text();
-        assert!(!text.contains("tnode"), "{text}");
+        assert!(
+            !text.contains("tnode") && !text.contains("setroot"),
+            "{text}"
+        );
         assert_eq!(Trace::parse(&text).unwrap(), old);
     }
 

@@ -498,6 +498,23 @@ impl Rig {
                 self.model.roots.remove(&node);
                 Ok(true)
             }
+            Op::SetRoot { root, node } => {
+                // Only a raw root has a `Rooted` to overwrite, and a node
+                // is rooted at most once.
+                if !self.rooted.contains_key(&root)
+                    || !self.model.nodes.contains_key(&node)
+                    || self.model.roots.contains(&node)
+                {
+                    return Ok(false);
+                }
+                let v = self.node_value(node);
+                let handle = self.rooted.remove(&root).expect("checked");
+                handle.set(v);
+                self.rooted.insert(node, handle);
+                self.model.roots.remove(&root);
+                self.model.roots.insert(node);
+                Ok(true)
+            }
             Op::MakeGuardian { g } => {
                 if self.model.tconcs.contains_key(&g) {
                     return Ok(false);
