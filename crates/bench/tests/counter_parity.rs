@@ -29,6 +29,35 @@ struct Observed {
     weak_cars_forwarded: u64,
     pure_words_skipped: u64,
     finalized_ids: Vec<u64>,
+    // Layout-sensitive counters: equal only if the same objects land at
+    // the same to-space addresses in the same order. Compared by the
+    // scan-kernel workload's goldens, not by the pre-rewrite ones above.
+    segments_allocated: u64,
+    segments_freed: u64,
+    dirty_segments_scanned: u64,
+    dirty_cards_scanned: u64,
+    weak_pairs_scanned: u64,
+}
+
+impl Observed {
+    fn absorb(&mut self, r: &guardians_gc::CollectionReport) {
+        self.collections += 1;
+        self.words_copied += r.words_copied;
+        self.pairs_copied += r.pairs_copied;
+        self.objects_copied += r.objects_copied;
+        self.guardian_entries_visited += r.guardian_entries_visited;
+        self.guardian_entries_held += r.guardian_entries_held;
+        self.guardian_entries_finalized += r.guardian_entries_finalized;
+        self.weak_cars_broken += r.weak_cars_broken;
+        self.weak_cars_forwarded += r.weak_cars_forwarded;
+        self.pure_words_skipped += r.pure_words_skipped;
+        self.finalized_ids.extend(r.finalized_ids.iter().copied());
+        self.segments_allocated += r.segments_allocated;
+        self.segments_freed += r.segments_freed;
+        self.dirty_segments_scanned += r.dirty_segments_scanned;
+        self.dirty_cards_scanned += r.dirty_cards_scanned;
+        self.weak_pairs_scanned += r.weak_pairs_scanned;
+    }
 }
 
 /// Drives a deterministic mixed workload under `config` and accumulates
@@ -50,20 +79,6 @@ fn drive_with_report_sums(config: GcConfig) -> Observed {
     let descriptor = {
         let d = heap.make_symbol("parity-record");
         heap.root(d)
-    };
-
-    let absorb = |obs: &mut Observed, r: &guardians_gc::CollectionReport| {
-        obs.collections += 1;
-        obs.words_copied += r.words_copied;
-        obs.pairs_copied += r.pairs_copied;
-        obs.objects_copied += r.objects_copied;
-        obs.guardian_entries_visited += r.guardian_entries_visited;
-        obs.guardian_entries_held += r.guardian_entries_held;
-        obs.guardian_entries_finalized += r.guardian_entries_finalized;
-        obs.weak_cars_broken += r.weak_cars_broken;
-        obs.weak_cars_forwarded += r.weak_cars_forwarded;
-        obs.pure_words_skipped += r.pure_words_skipped;
-        obs.finalized_ids.extend(r.finalized_ids.iter().copied());
     };
 
     for i in 0..6_000u64 {
@@ -112,7 +127,7 @@ fn drive_with_report_sums(config: GcConfig) -> Observed {
         if i % 32 == 0 {
             let report = heap.maybe_collect().cloned();
             if let Some(r) = report {
-                absorb(&mut obs, &r);
+                obs.absorb(&r);
                 heap.verify().expect("heap valid after every collection");
             }
         }
@@ -121,8 +136,113 @@ fn drive_with_report_sums(config: GcConfig) -> Observed {
 
     let max_gen = heap.config().max_generation();
     let r = heap.collect(max_gen).clone();
-    absorb(&mut obs, &r);
+    obs.absorb(&r);
     heap.verify().expect("heap valid at end of parity workload");
+    obs
+}
+
+/// A second deterministic workload, aimed at the copy/scan kernel rather
+/// than at the guardian machinery: every round builds
+///
+/// * a 1,500-pair list rooted by its head only, so each to-space pair
+///   segment is scanned *while copies land in it*;
+/// * a 1,500-slot vector (a three-segment run) holding fresh pairs in the
+///   slots either side of both chunk boundaries (traced words 511/512 and
+///   1023/1024), the first and the last;
+/// * a chain of weak pairs whose cdrs are the only references to the pairs
+///   linking them, with cars alternately garbage and live;
+/// * a typed segment tiled with records, boxes, symbols and zero-length
+///   vectors;
+///
+/// hangs them off a ring of roots so they age through the generations and
+/// die, and stores fresh pairs into *aged* large vectors, weak pairs and
+/// list cells (multi-segment dirty runs, dirty weak segments). Every third
+/// round a guardian resurrects an otherwise dead large vector, so a run is
+/// also forwarded from the guardian pass.
+fn drive_scan_kernel_workload(config: GcConfig) -> Observed {
+    let mut heap = Heap::new(config);
+    let mut obs = Observed::default();
+    let guardian = heap.make_guardian();
+    let descriptor = {
+        let d = heap.make_symbol("kernel-record");
+        heap.root(d)
+    };
+    let ring = heap.root_vec();
+    for _ in 0..12 {
+        ring.push(Value::NIL);
+    }
+    const BOUNDARY_SLOTS: [usize; 6] = [0, 510, 511, 1022, 1023, 1499];
+
+    for round in 0..48u64 {
+        let tag = |k: u64| Value::fixnum((round * 10_000 + k) as i64);
+        let mut list = Value::NIL;
+        for k in 0..1500 {
+            list = heap.cons(tag(k), list);
+        }
+        let big = heap.make_vector(1500, Value::NIL);
+        for slot in BOUNDARY_SLOTS {
+            let p = heap.cons(tag(slot as u64), list);
+            heap.vector_set(big, slot, p);
+        }
+        let mut weaks = Value::NIL;
+        for k in 0..40 {
+            let link = heap.cons(tag(k), weaks);
+            let car = if k % 2 == 0 {
+                heap.cons(tag(k), Value::NIL)
+            } else {
+                list
+            };
+            weaks = heap.weak_cons(car, link);
+        }
+        let tiles = heap.make_vector(32, Value::NIL);
+        for k in 0..32 {
+            let tile = match k % 4 {
+                0 => heap.make_record(descriptor.get(), &[list, tag(k as u64)]),
+                1 => heap.make_box(weaks),
+                2 => heap.make_symbol("tile"),
+                _ => heap.make_vector(0, Value::NIL),
+            };
+            heap.vector_set(tiles, k, tile);
+        }
+        let holder = heap.make_vector(4, Value::NIL);
+        for (i, v) in [list, big, weaks, tiles].into_iter().enumerate() {
+            heap.vector_set(holder, i, v);
+        }
+        ring.set(round as usize % 12, holder);
+
+        // Old-to-young stores into a holder five rounds older.
+        let aged = ring.get((round as usize + 7) % 12);
+        if aged != Value::NIL {
+            let old_big = heap.vector_ref(aged, 1);
+            for slot in [511usize, 1023] {
+                let p = heap.cons(tag(slot as u64), Value::NIL);
+                heap.vector_set(old_big, slot, p);
+            }
+            let old_weak = heap.vector_ref(aged, 2);
+            let p = heap.cons(tag(1), heap.cdr(old_weak));
+            heap.set_cdr(old_weak, p);
+            let old_list = heap.vector_ref(aged, 0);
+            let p = heap.cons(tag(2), Value::NIL);
+            heap.set_car(old_list, p);
+        }
+        if round % 3 == 0 {
+            let doomed = heap.make_vector(1100, list);
+            guardian.register(&mut heap, doomed);
+        }
+
+        let report = heap.maybe_collect().cloned();
+        if let Some(r) = report {
+            obs.absorb(&r);
+            heap.verify().expect("heap valid after every collection");
+        }
+        while guardian.poll(&mut heap).is_some() {}
+    }
+
+    let max_gen = heap.config().max_generation();
+    let r = heap.collect(max_gen).clone();
+    obs.absorb(&r);
+    heap.verify()
+        .expect("heap valid at end of scan-kernel workload");
     obs
 }
 
@@ -180,6 +300,38 @@ fn counters_match_pre_rewrite_goldens() {
         GOLDEN_FINALIZED_IDS.to_vec(),
         "finalized_ids"
     );
+}
+
+/// The scan-kernel workload's counters, layout-sensitive ones included,
+/// against goldens recorded at `5bdc425` — the commit before the calling
+/// thread's two-pass candidate scan (and its large-run special case) was
+/// replaced by the shared in-place walker. Re-record as for the goldens
+/// above.
+#[test]
+fn scan_kernel_counters_match_goldens() {
+    let obs = drive_scan_kernel_workload(parity_config());
+    if std::env::var("PARITY_PRINT").is_ok() {
+        println!("scan-kernel golden: {obs:#?}");
+    }
+    let golden = Observed {
+        collections: 49,
+        words_copied: 595_212,
+        pairs_copied: 190_686,
+        objects_copied: 5_184,
+        guardian_entries_visited: 16,
+        guardian_entries_held: 0,
+        guardian_entries_finalized: 16,
+        weak_cars_broken: 960,
+        weak_cars_forwarded: 2_400,
+        pure_words_skipped: 1_932,
+        finalized_ids: Vec::new(),
+        segments_allocated: 1_336,
+        segments_freed: 1_893,
+        dirty_segments_scanned: 218,
+        dirty_cards_scanned: 231,
+        weak_pairs_scanned: 20_192,
+    };
+    assert_eq!(obs, golden);
 }
 
 #[test]

@@ -38,29 +38,32 @@
 //!
 //! # The copy/scan engine
 //!
-//! Object transport and scanning are *bulk* operations over whole-segment
-//! word slices rather than per-word loads through the segment table:
+//! One forward-in-place kernel, on raw segment bases, for every driver:
 //!
-//! * [`forward`] copies object bodies with
-//!   [`SegmentTable::copy_words`](guardians_segments::SegmentTable::copy_words)
-//!   (chunked `memcpy`s that handle cross-run copies).
-//! * [`scan_segment`] runs in two passes per batch: a read-only pass over
-//!   the segment's borrowed word slice collects the from-space pointers,
-//!   then the pointers are forwarded and the updated words written back
-//!   through one mutable borrow per segment.
-//! * The from-space membership test is a packed bitset ([`FromSpaceMap`])
-//!   instead of a `Vec<bool>`, and the flip drains the segment table's
-//!   per-generation lists instead of walking every segment.
+//! * [`forward_from`] copies by shape — a pair is two word moves, any other
+//!   object of at most a segment one `copy_nonoverlapping`, a multi-segment
+//!   run the chunked `SegmentTable::copy_words` — into the to-space bump
+//!   cursor ([`Heap::bump`], the allocator's own fast path).
+//! * [`walk_traced`] alone knows the three traced layouts, and
+//!   [`forward_span`] is it with the one visitor there is: read the slot,
+//!   test it, forward, write back. The calling thread ([`scan_segment`],
+//!   `remset::scan_weak_cdrs`) and the workers differ only in the forward
+//!   they pass — [`forward_from`], or claim-then-copy. The access contract
+//!   it all stands on is stated once, at `remset::walk_run`.
+//! * The from-space membership test is a packed bitset ([`FromSpaceMap`]),
+//!   and the flip drains the segment table's per-generation lists instead
+//!   of walking every segment.
 //! * [`kleene_sweep`] keeps a queue of segments with pending words and
 //!   *retires* fully-scanned segments. Only segments that can still grow
 //!   — the open allocation cursors of the target generation — are parked
 //!   and re-checked when the queue drains; everything else is visited
 //!   exactly once per word.
 //!
-//! All of this changes only how fast the collector runs: traversal still
-//! reaches exactly the same objects, so every deterministic work counter
-//! is byte-identical to the per-word engine (enforced by the
-//! `counter_parity` regression test in the bench crate).
+//! Slots are visited in increasing offset order within each `[off, used)`
+//! batch and `used` is re-read between batches, so the same objects are
+//! copied in the same order to the same addresses as by a per-word engine:
+//! every deterministic work counter is equal (the `counter_parity`
+//! regression tests in the bench crate).
 
 pub(crate) mod guardian_pass;
 pub(crate) mod incremental;
@@ -68,13 +71,15 @@ pub(crate) mod parallel;
 pub(crate) mod remset;
 pub(crate) mod weak_pass;
 
+use self::remset::{CardTracer, SerialTracer};
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::roots::ROOT_CLEAN;
 use crate::stats::CollectionReport;
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
-use guardians_segments::{SegIndex, Space, SEGMENT_WORDS};
+use guardians_segments::{SegIndex, SegmentTable, Space, SEGMENT_WORDS};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Packed bitset over segment indices: the from-space membership map.
@@ -127,9 +132,6 @@ pub(crate) struct Scratch {
     /// cursors, so copies may yet land in them; re-checked (and either
     /// re-queued or retired) whenever the queue drains.
     pub parked: Vec<(SegIndex, usize)>,
-    /// Reusable candidate buffer for the two-pass slice scan:
-    /// `(word offset from segment base, from-space pointer found there)`.
-    pub pending: Vec<(usize, Value)>,
     /// Reusable copy of the card bytes of the run being walked (the walk
     /// needs the whole heap mutably, so it works on a copy).
     pub cards: Vec<u8>,
@@ -198,7 +200,6 @@ impl Scratch {
             from_heads,
             queue: Vec::new(),
             parked: Vec::new(),
-            pending: Vec::new(),
             cards: Vec::new(),
             weak_tospace: Vec::new(),
             old_weak_dirty: Vec::new(),
@@ -462,7 +463,7 @@ pub(crate) fn get_fwd(heap: &Heap, from: &FromSpaceMap, v: Value) -> Value {
 
 /// Copies `v` to the target generation if it is an unforwarded from-space
 /// object; returns the (possibly updated) pointer. Leaves a broken heart
-/// behind. Object bodies move as bulk slice copies, not word loops.
+/// behind.
 pub(crate) fn forward(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
     if !v.is_ptr() || !s.in_from(v.addr().seg()) {
         return v;
@@ -471,132 +472,181 @@ pub(crate) fn forward(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
 }
 
 /// [`forward`] for a value already known to point into the from-space.
+/// Keeps the access contract stated at `remset::walk_run`, which every
+/// in-place scan relies on: it touches only the from-space object and the
+/// to-space words it has just allocated, through raw segment pointers.
 pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
     let addr = v.addr();
-    let first = heap.segs.word(addr);
+    // SAFETY: `base_ptr` checks the segment index and `offset()` is below
+    // `SEGMENT_WORDS`, so `src` is a word of that segment's storage; no
+    // reference into a word array is live (the `walk_run` contract).
+    let src = unsafe { heap.segs.base_ptr(addr.seg()).add(addr.offset()) };
+    let first = unsafe { src.read() };
     if let Some(new) = fwd::decode(first) {
         return v.retag_at(new);
     }
     // Pairs keep their space (a weak pair stays weak); typed objects keep
     // theirs trivially.
     let info = heap.segs.info(addr.seg());
-    let space = info.space;
-    let src_gen = info.generation;
-    let total = if v.is_pair_ptr() {
-        2
+    let (space, src_gen) = (info.space, info.generation);
+    let (total, copied) = if v.is_pair_ptr() {
+        (2, &mut s.report.pairs_copied)
     } else {
-        Header::decode(first)
-            .unwrap_or_else(|| panic!("corrupt header while forwarding {v:?}"))
-            .total_words()
+        let Some(header) = Header::decode(first) else {
+            panic!("corrupt header while forwarding {v:?}");
+        };
+        (header.total_words(), &mut s.report.objects_copied)
     };
-    let to = heap.alloc_words_internal(space, s.target, total);
-    heap.segs.copy_words(addr, to, total);
-    if v.is_pair_ptr() {
-        s.report.pairs_copied += 1;
+    *copied += 1;
+    let to = heap
+        .bump(space, s.target, total)
+        .unwrap_or_else(|| heap.alloc_words_internal(space, s.target, total));
+    if total > SEGMENT_WORDS {
+        heap.segs.copy_words(addr, to, total);
     } else {
-        s.report.objects_copied += 1;
+        let fits = addr.offset() + total <= SEGMENT_WORDS;
+        assert!(fits, "{v:?} runs off the end of its segment");
+        // SAFETY: the assert keeps the source words inside their segment;
+        // the allocator just reserved `total` words at `to` inside one
+        // to-space segment, distinct from the from-space source. Raw
+        // segment pointers only, as above.
+        unsafe {
+            let dst = heap.segs.base_ptr(to.seg()).add(to.offset());
+            if v.is_pair_ptr() {
+                dst.write(first);
+                dst.add(1).write(src.add(1).read());
+            } else {
+                std::ptr::copy_nonoverlapping(src, dst, total);
+            }
+        }
     }
     s.report.words_copied += total as u64;
     if s.trace_on {
         s.copied_per_gen[src_gen as usize] += total as u64;
     }
-    heap.segs.set_word(addr, fwd::encode(to));
+    // SAFETY: `src` is the from-space object's first word, as above.
+    unsafe { src.write(fwd::encode(to)) };
     v.retag_at(to)
 }
 
-/// Read-only candidate pass: pushes `(offset, value)` for every traced
-/// word in `[lo, hi)` of `seg` that holds a from-space pointer. Offsets
-/// are global within the segment's run (they may exceed one segment for a
-/// large object).
-fn collect_candidates(heap: &Heap, s: &mut Scratch, seg: SegIndex, lo: usize, hi: usize) {
-    let space = heap.segs.info(seg).space;
-    let push = |s: &mut Scratch, off: usize, w: u64| {
-        let v = Value(w);
-        if v.is_ptr() && s.from_space.contains(v.addr().seg()) {
-            s.pending.push((off, v));
+/// One word-storage base per segment of a run, as [`walk_traced`] and
+/// [`remset::walk_cards`] index it. A lone segment — every pair segment,
+/// nearly every typed one — needs no allocation.
+pub(crate) enum ChunkBases {
+    One([*mut u64; 1]),
+    Run(Box<[*mut u64]>),
+}
+
+impl ChunkBases {
+    /// The bases of the run headed by `head`.
+    pub fn of(segs: &SegmentTable, head: SegIndex) -> ChunkBases {
+        let base = |i| segs.base_ptr(SegIndex(head.0 + i as u32));
+        match segs.run_len(head) {
+            1 => ChunkBases::One([base(0)]),
+            n => ChunkBases::Run((0..n).map(base).collect()),
         }
-    };
+    }
+}
+
+impl std::ops::Deref for ChunkBases {
+    type Target = [*mut u64];
+    fn deref(&self) -> &[*mut u64] {
+        match self {
+            ChunkBases::One(base) => base,
+            ChunkBases::Run(bases) => bases,
+        }
+    }
+}
+
+/// The traced-slot walker: calls `visit` on every traced word of `span`, a
+/// word range of a run, in increasing offset order — the only code, on any
+/// driver, that knows the three layouts. `Pair`: every word. `WeakPair`:
+/// odd words only ("the car field is not touched"; the weak pass settles
+/// the cars). `Typed`: the span starts at a header; an object's traced
+/// words follow its header and its total size steps to the next, offsets
+/// running on across the run's chunk bases.
+///
+/// Panics if the span ends beyond the run, on a corrupt header, or if an
+/// object runs past the span.
+///
+/// # Safety
+///
+/// Every `bases[i]` must point to `SEGMENT_WORDS` valid words, and for the
+/// duration of the call nothing but `visit`, through the pointer it is
+/// handed, may read or write the span's words.
+pub(crate) unsafe fn walk_traced(
+    space: Space,
+    bases: &[*mut u64],
+    span: Range<usize>,
+    visit: impl FnMut(*mut u64),
+) {
+    let in_run = span.end <= bases.len() * SEGMENT_WORDS;
+    assert!(in_run, "span ends past its run");
+    // SAFETY (both): `walk_layout` asks only for positions inside the span,
+    // so below `SEGMENT_WORDS` when the run is one segment; for a longer
+    // run the index into `bases` is checked, and an offset below
+    // `SEGMENT_WORDS` stays inside that chunk's storage.
+    match bases {
+        [base] => walk_layout(space, span, |pos| unsafe { base.add(pos) }, visit),
+        _ => {
+            let slot = |p: usize| unsafe { bases[p / SEGMENT_WORDS].add(p % SEGMENT_WORDS) };
+            walk_layout(space, span, slot, visit)
+        }
+    }
+}
+
+/// [`walk_traced`] over `slot`, which resolves a position inside `span`.
+fn walk_layout(
+    space: Space,
+    span: Range<usize>,
+    slot: impl Fn(usize) -> *mut u64,
+    mut visit: impl FnMut(*mut u64),
+) {
     match space {
-        Space::Pair => {
-            // Pairs never span segments: one borrow covers the batch.
-            let words = heap.segs.words(seg);
-            for (i, &w) in words[lo..hi].iter().enumerate() {
-                push(s, lo + i, w);
-            }
-        }
-        Space::WeakPair => {
-            // Weak treatment: "the car field is not touched" during the
-            // normal trace; only cdrs (odd offsets) are candidates.
-            let words = heap.segs.words(seg);
-            let mut off = lo;
-            while off < hi {
-                push(s, off + 1, words[off + 1]);
-                off += 2;
-            }
-        }
-        Space::Typed if hi > SEGMENT_WORDS => {
-            // A multi-segment run holds exactly one object, scanned once
-            // from its start: header at word 0, then the traced fields,
-            // walked one per-segment sub-slice at a time.
-            debug_assert_eq!(lo, 0, "large runs are scanned exactly once");
-            let header = Header::decode(heap.segs.words(seg)[0])
-                .unwrap_or_else(|| panic!("corrupt header on run {seg:?}"));
-            let traced_end = 1 + header.traced_words();
-            let mut pos = 1;
-            while pos < traced_end {
-                let chunk = pos / SEGMENT_WORDS;
-                let chunk_base = chunk * SEGMENT_WORDS;
-                let chunk_end = (chunk_base + SEGMENT_WORDS).min(traced_end);
-                let words = heap.segs.words(SegIndex(seg.0 + chunk as u32));
-                for (i, &w) in words[pos - chunk_base..chunk_end - chunk_base]
-                    .iter()
-                    .enumerate()
-                {
-                    push(s, pos + i, w);
-                }
-                pos = chunk_end;
-            }
-        }
+        Space::Pair => span.for_each(|pos| visit(slot(pos))),
+        Space::WeakPair => (span.start | 1..span.end)
+            .step_by(2)
+            .for_each(|pos| visit(slot(pos))),
         Space::Typed => {
-            let words = heap.segs.words(seg);
-            let mut pos = lo;
-            while pos < hi {
-                let header = Header::decode(words[pos])
-                    .unwrap_or_else(|| panic!("corrupt header while scanning {seg:?}@{pos}"));
-                for i in 0..header.traced_words() {
-                    push(s, pos + 1 + i, words[pos + 1 + i]);
-                }
-                pos += header.total_words();
+            let mut pos = span.start;
+            while pos < span.end {
+                // SAFETY: the caller of `walk_traced` gave it the span's words.
+                let header = Header::decode(unsafe { slot(pos).read() })
+                    .unwrap_or_else(|| panic!("corrupt header while scanning span@{pos}"));
+                let next = pos + header.total_words();
+                assert!(next <= span.end, "object at span@{pos} runs past the span");
+                (pos + 1..=pos + header.traced_words()).for_each(|p| visit(slot(p)));
+                pos = next;
             }
         }
         Space::Pure => unreachable!("pure segments are skipped, not scanned"),
     }
 }
 
-/// Forward pass: forwards every pending candidate, then writes the
-/// updated words back in per-segment batches through one mutable borrow
-/// each. Candidates are collected in offset order, so the batching is a
-/// single monotone walk.
-fn flush_candidates(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
-    if s.pending.is_empty() {
-        return;
+/// Forwards, in place, every traced from-space pointer in `span`:
+/// [`walk_traced`] with the one visitor every driver uses — read the slot,
+/// test it, forward, write back. The calling thread's `t` forwards with
+/// [`forward_from`], a worker's claim-then-copy.
+///
+/// # Safety
+///
+/// [`walk_traced`]'s, with `t.forward` in the visitor's place: it must not
+/// touch the span's words.
+pub(crate) unsafe fn forward_span(
+    t: &mut impl CardTracer,
+    space: Space,
+    bases: &[*mut u64],
+    span: Range<usize>,
+) {
+    // SAFETY: the caller's; the visitor touches only the slot it is handed.
+    unsafe {
+        walk_traced(space, bases, span, |slot| {
+            let v = Value(slot.read());
+            if v.is_ptr() && t.in_from(v.addr().seg()) {
+                slot.write(t.forward(v).raw());
+            }
+        });
     }
-    let mut pending = std::mem::take(&mut s.pending);
-    for entry in pending.iter_mut() {
-        entry.1 = forward_from(heap, s, entry.1);
-    }
-    let mut i = 0;
-    while i < pending.len() {
-        let chunk = pending[i].0 / SEGMENT_WORDS;
-        let chunk_base = chunk * SEGMENT_WORDS;
-        let words = heap.segs.words_mut(SegIndex(seg.0 + chunk as u32));
-        while i < pending.len() && pending[i].0 / SEGMENT_WORDS == chunk {
-            words[pending[i].0 - chunk_base] = pending[i].1.raw();
-            i += 1;
-        }
-    }
-    pending.clear();
-    s.pending = pending;
 }
 
 /// Scans one to-space segment (or run) from `off`, forwarding every traced
@@ -605,6 +655,7 @@ fn flush_candidates(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
 /// objects into this very segment.
 fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize) -> usize {
     let space = heap.segs.info(seg).space;
+    let bases = ChunkBases::of(&heap.segs, seg);
     loop {
         let used = heap.segs.info(seg).used as usize;
         if off >= used {
@@ -614,12 +665,12 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
             // Pointer-free objects: nothing to scan — skip the segment
             // wholesale.
             s.report.pure_words_skipped += (used - off) as u64;
-            off = used;
-            continue;
+        } else {
+            // SAFETY: this run's own bases and watermark, and the
+            // `walk_run` contract: copies `forward_from` lands in this very
+            // run lie beyond `used`.
+            unsafe { forward_span(&mut SerialTracer { heap, s }, space, &bases, off..used) };
         }
-        debug_assert!(s.pending.is_empty());
-        collect_candidates(heap, s, seg, off, used);
-        flush_candidates(heap, s, seg);
         off = used;
     }
 }
@@ -642,7 +693,11 @@ pub(crate) fn kleene_sweep(heap: &mut Heap, s: &mut Scratch) {
 /// Moves the to-space segments logged since the last drain onto the scan
 /// queue, counting them and noting the weak-pair ones for the weak pass.
 pub(crate) fn drain_log(heap: &mut Heap, s: &mut Scratch) {
-    for seg in heap.drain_tospace_log() {
+    let Some(log) = heap.tospace_log.as_mut() else {
+        return;
+    };
+    // Drained in place: the log keeps its storage for the whole collection.
+    for seg in log.drain(..) {
         s.report.segments_allocated += heap.segs.run_len(seg) as u64;
         if heap.segs.info(seg).space == Space::WeakPair {
             s.weak_tospace.push(seg);
@@ -719,4 +774,82 @@ pub(crate) fn settled_generation(heap: &Heap, from: &FromSpaceMap, target: u8, v
         return target;
     }
     heap.segs.info(v.addr().seg()).generation.min(target)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::header::ObjKind;
+
+    /// A run whose word `p` holds the fixnum `p` (never a header).
+    fn numbered(chunks: usize) -> Vec<[u64; SEGMENT_WORDS]> {
+        let word = |p: usize| Value::fixnum(p as i64).raw();
+        (0..chunks)
+            .map(|c| std::array::from_fn(|i| word(c * SEGMENT_WORDS + i)))
+            .collect()
+    }
+
+    /// Walks `[lo, hi)` of `run` with a visitor that records, in order, the
+    /// position of every slot it is handed, read back through the slot.
+    fn visited(space: Space, run: &mut [[u64; SEGMENT_WORDS]], lo: usize, hi: usize) -> Vec<usize> {
+        let bases: Vec<*mut u64> = run.iter_mut().map(|c| c.as_mut_ptr()).collect();
+        let mut seen = Vec::new();
+        // SAFETY: every base is a whole array, touched by the visitor only.
+        unsafe {
+            walk_traced(space, &bases, lo..hi, |slot| {
+                seen.push(Value(slot.read()).as_fixnum() as usize);
+                slot.write(slot.read());
+            });
+        }
+        seen
+    }
+
+    #[test]
+    fn a_pair_span_visits_every_word_and_nothing_outside() {
+        let seen = visited(Space::Pair, &mut numbered(1), 6, 40);
+        assert_eq!(seen, (6..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_weak_pair_span_visits_odd_words_only() {
+        let seen = visited(Space::WeakPair, &mut numbered(1), 6, 40);
+        assert_eq!(seen, (7..40).step_by(2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_typed_span_lands_on_every_header_and_visits_the_traced_fields() {
+        use ObjKind::{Box, Record, Symbol, Vector};
+        let mut run = numbered(1);
+        let (mut pos, mut traced) = (8, Vec::new());
+        let tiles = [
+            (Record, 3),
+            (Box, 1),
+            (Vector, 0),
+            (Symbol, 2),
+            (Vector, 0),
+            (Vector, 2),
+        ];
+        for (kind, len) in tiles {
+            let header = Header::new(kind, len);
+            run[0][pos] = header.encode();
+            traced.extend(pos + 1..=pos + header.traced_words());
+            pos += header.total_words();
+        }
+        // A step that missed a header would decode a fixnum and panic.
+        assert_eq!(visited(Space::Typed, &mut run, 8, pos), traced);
+    }
+
+    #[test]
+    fn a_three_chunk_run_is_walked_across_both_chunk_boundaries() {
+        let mut run = numbered(3);
+        run[0][0] = Header::new(ObjKind::Vector, 1200).encode();
+        let seen = visited(Space::Typed, &mut run, 0, 1201);
+        assert_eq!(seen, (1..1201).collect::<Vec<_>>(), "511|512 and 1023|1024");
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt header while scanning")]
+    fn a_corrupt_header_panics() {
+        visited(Space::Typed, &mut numbered(1), 0, 8);
+    }
 }

@@ -17,7 +17,8 @@
 //!   round's closure, entered from [`super::kleene_sweep`] whenever
 //!   [`Scratch::par`] is set): the to-space log and the serial sweep's own
 //!   work lists (`Scratch::queue`, `Scratch::parked`) become
-//!   [`Unit::Span`]s and [`Unit::Run`]s over `[off, used)`. No worker ever
+//!   [`Unit::Span`]s over `[off, used)`, scanned with the calling thread's
+//!   own walker ([`forward_span`]); only the forward differs. No worker
 //!   allocates into a cursor segment — workers copy into private regions —
 //!   so `used` is frozen for the whole region and an open cursor is simply
 //!   re-parked at `used`. Workers chase the closure to its fixpoint
@@ -75,13 +76,14 @@
 //! [`PhaseTimes::worker_time`]: crate::PhaseTimes
 
 use super::remset::{self, CardTracer};
-use super::{drain_log, FromSpaceMap, Scratch};
+use super::{drain_log, forward_span, ChunkBases, FromSpaceMap, Scratch};
 use crate::header::Header;
 use crate::heap::{check_acquisition, Heap};
 use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
 use guardians_segments::{SegIndex, SegmentTable, Space, WordAddr, NO_OWNER, SEGMENT_WORDS};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -209,19 +211,16 @@ impl WorkerRegions {
 /// invariant that makes the plain (non-atomic) word access inside
 /// [`scan_unit`] sound.
 enum Unit {
-    /// The unscanned suffix `[lo, hi)` of a closed to-space region.
-    /// `lo` is always an object boundary (pair- or header-aligned).
+    /// The unscanned `words` of a run nobody allocates into: the
+    /// suffix of a closed region or a cursor segment; a freshly copied
+    /// multi-segment Typed object, whole (pushed only after its copy
+    /// completed); a dirty old-generation weak-pair segment, whose cars are
+    /// left for the weak pass ([`Scratch::old_weak_dirty`]). The range always
+    /// starts at an object boundary (pair- or header-aligned).
     Span {
-        base: *mut u64,
+        bases: ChunkBases,
         space: Space,
-        lo: usize,
-        hi: usize,
-    },
-    /// A freshly copied multi-segment Typed object; pushed only after its
-    /// copy completed. One base pointer per segment of the run.
-    Run {
-        bases: Box<[*mut u64]>,
-        total: usize,
+        words: Range<usize>,
     },
     /// A dirty old-generation Pair/Typed run (remset shard). `bases` are
     /// frozen run chunk bases, `cards` a copy of the run's card bytes
@@ -229,28 +228,17 @@ enum Unit {
     /// the holder's generation.
     Dirty {
         seg: SegIndex,
-        bases: Box<[*mut u64]>,
+        bases: ChunkBases,
         cards: Box<[u8]>,
         gen: u8,
         used: usize,
     },
-    /// A dirty old-generation weak-pair segment: cdrs (odd offsets) are
-    /// traced here, cars are left for the weak pass (which receives the
-    /// segment index through [`Scratch::old_weak_dirty`]).
-    DirtyWeak { base: *mut u64, used: usize },
 }
 
 // SAFETY: the pointers inside a unit refer to words no other live unit or
 // open region covers (see the type docs); moving the unit to the worker
 // that consumes it transfers that exclusive claim.
 unsafe impl Send for Unit {}
-
-/// One word-storage base pointer per segment of the run headed by `head`.
-fn run_bases(segs: &SegmentTable, head: SegIndex) -> Box<[*mut u64]> {
-    (0..segs.run_len(head))
-        .map(|i| segs.base_ptr(SegIndex(head.0 + i as u32)))
-        .collect()
-}
 
 // ---------------------------------------------------------------------
 // Shared state for one parallel region
@@ -419,18 +407,20 @@ fn self_scan(sh: &Shared<'_>, ctx: &mut WorkerCtx) {
     loop {
         let mut progressed = false;
         for slot in 0..4 {
-            let (base, space, lo, hi) = {
+            let (base, space, words) = {
                 let Some(r) = ctx.regions.open[slot].as_mut() else {
                     continue;
                 };
                 if r.space == Space::Pure || r.scanned >= r.used {
                     continue;
                 }
-                let (lo, hi) = (r.scanned, r.used);
-                r.scanned = hi;
-                (r.base, r.space, lo, hi)
+                let words = r.scanned..r.used;
+                r.scanned = r.used;
+                (r.base, r.space, words)
             };
-            scan_span(sh, ctx, base, space, lo, hi);
+            // SAFETY: as in `scan_unit`; an open region's words are its
+            // owner's alone.
+            unsafe { forward_span(&mut ParTracer { sh, ctx }, space, &[base], words) };
             progressed = true;
         }
         if !progressed {
@@ -440,28 +430,18 @@ fn self_scan(sh: &Shared<'_>, ctx: &mut WorkerCtx) {
 }
 
 fn scan_unit(sh: &Shared<'_>, ctx: &mut WorkerCtx, unit: Unit) {
+    let mut t = ParTracer { sh, ctx };
+    // SAFETY (both arms): the bases are the run's frozen chunk bases and the
+    // range ends at its watermark; the words are covered by exactly this
+    // unit (a large run's copy completed before its unit was pushed, and the
+    // pool hand-off makes those writes visible), and `forward_mt` touches
+    // only from-space objects and this worker's private to-space regions.
     match unit {
         Unit::Span {
-            base,
+            bases,
             space,
-            lo,
-            hi,
-        } => scan_span(sh, ctx, base, space, lo, hi),
-        Unit::Run { bases, total } => {
-            // SAFETY: the run was pushed only after its copy completed,
-            // and the pool hand-off makes those writes visible; exactly
-            // one worker consumes the unit.
-            let header = Header::decode(unsafe { *bases[0] })
-                .unwrap_or_else(|| panic!("corrupt header on copied run"));
-            let traced_end = 1 + header.traced_words();
-            debug_assert!(traced_end <= total);
-            for pos in 1..traced_end {
-                // SAFETY: `pos < total` words were all copied; chunk
-                // indexing mirrors the run's segment layout.
-                let slot = unsafe { bases[pos / SEGMENT_WORDS].add(pos % SEGMENT_WORDS) };
-                forward_slot(sh, ctx, slot);
-            }
-        }
+            words,
+        } => unsafe { forward_span(&mut t, space, &bases, words) },
         Unit::Dirty {
             seg,
             bases,
@@ -469,84 +449,12 @@ fn scan_unit(sh: &Shared<'_>, ctx: &mut WorkerCtx, unit: Unit) {
             gen,
             used,
         } => {
-            // SAFETY: the bases are the run's frozen chunk bases and
-            // `used` its watermark; the run's words are covered by exactly
-            // this unit, and `forward_mt` touches only from-space objects
-            // and this worker's private to-space regions.
             let (visited, still_dirty) = unsafe {
-                let mut t = ParTracer { sh, ctx };
                 remset::walk_cards(&mut t, &bases, &mut cards, used, gen, sh.g, sh.target)
             };
             ctx.dirty_cards_scanned += visited;
             ctx.dirty_done.push((seg, cards, still_dirty));
         }
-        Unit::DirtyWeak { base, used } => {
-            // Weak treatment: cdrs only; the weak pass settles the cars.
-            let mut off = 1;
-            while off < used {
-                // SAFETY: the dirty segment is covered by exactly this
-                // unit; odd offsets stay within `used`.
-                forward_slot(sh, ctx, unsafe { base.add(off) });
-                off += 2;
-            }
-        }
-    }
-}
-
-/// Forwards the value in `*slot` if it is a from-space pointer. Plain
-/// access: the slot belongs to exactly one unit or open region, consumed
-/// by exactly one worker.
-fn forward_slot(sh: &Shared<'_>, ctx: &mut WorkerCtx, slot: *mut u64) {
-    // SAFETY: exclusive slot per the unit-disjointness invariant.
-    let v = Value(unsafe { slot.read() });
-    if v.is_ptr() && sh.from_space.contains(v.addr().seg()) {
-        let nv = forward_mt(sh, ctx, v);
-        // SAFETY: as above.
-        unsafe { slot.write(nv.raw()) };
-    }
-}
-
-/// Walks the traced words of a to-space span, forwarding from-space
-/// referents. `lo` is an object boundary; spans never cross a segment
-/// (objects larger than a segment go through [`Unit::Run`]).
-fn scan_span(
-    sh: &Shared<'_>,
-    ctx: &mut WorkerCtx,
-    base: *mut u64,
-    space: Space,
-    lo: usize,
-    hi: usize,
-) {
-    match space {
-        Space::Pair => {
-            for off in lo..hi {
-                // SAFETY: `[lo, hi)` is exclusively this scanner's.
-                forward_slot(sh, ctx, unsafe { base.add(off) });
-            }
-        }
-        Space::WeakPair => {
-            // Cdrs only; cars get weak treatment in the weak pass.
-            let mut off = lo;
-            while off < hi {
-                // SAFETY: as above; pairs are 2-aligned so `off + 1 < hi`.
-                forward_slot(sh, ctx, unsafe { base.add(off + 1) });
-                off += 2;
-            }
-        }
-        Space::Typed => {
-            let mut pos = lo;
-            while pos < hi {
-                // SAFETY: `pos` is a header offset inside the span.
-                let header = Header::decode(unsafe { *base.add(pos) })
-                    .unwrap_or_else(|| panic!("corrupt header while scanning span@{pos}"));
-                for i in 0..header.traced_words() {
-                    // SAFETY: the object's words lie inside the span.
-                    forward_slot(sh, ctx, unsafe { base.add(pos + 1 + i) });
-                }
-                pos += header.total_words();
-            }
-        }
-        Space::Pure => unreachable!("pure regions are skipped, not scanned"),
     }
 }
 
@@ -638,7 +546,7 @@ fn copy_large(
         note_acquisitions_mt(&mut core, ctx, nsegs as u64);
         let head = core.segs.allocate_run(space, sh.target, nsegs);
         core.segs.info_mut(head).used = total as u32;
-        (head, run_bases(core.segs, head))
+        (head, ChunkBases::of(core.segs, head))
     };
     ctx.segments_allocated += nsegs as u64;
     // SAFETY: the destination run is exclusively this worker's until the
@@ -659,9 +567,10 @@ fn copy_large(
     match space {
         Space::Typed => push_scan_unit(
             sh,
-            Unit::Run {
+            Unit::Span {
                 bases: dst_bases,
-                total,
+                space,
+                words: 0..total,
             },
         ),
         Space::Pure => ctx.pure_words_skipped += total as u64,
@@ -737,10 +646,9 @@ fn close_region(segs: &mut SegmentTable, r: Region) -> (Option<Unit>, Option<Seg
     }
     let weak = (r.space == Space::WeakPair).then_some(r.seg);
     let span = (r.scanned < r.used).then_some(Unit::Span {
-        base: r.base,
+        bases: ChunkBases::One([r.base]),
         space: r.space,
-        lo: r.scanned,
-        hi: r.used,
+        words: r.scanned..r.used,
     });
     (span, weak, 0)
 }
@@ -886,19 +794,15 @@ pub(crate) fn sweep(heap: &mut Heap, s: &mut Scratch) {
         if off >= used {
             continue;
         }
-        match space {
-            Space::Pure => s.report.pure_words_skipped += (used - off) as u64,
-            Space::Typed if used > SEGMENT_WORDS => units.push(Unit::Run {
-                bases: run_bases(&heap.segs, seg),
-                total: used,
-            }),
-            _ => units.push(Unit::Span {
-                base: heap.segs.base_ptr(seg),
-                space,
-                lo: off,
-                hi: used,
-            }),
+        if space == Space::Pure {
+            s.report.pure_words_skipped += (used - off) as u64;
+            continue;
         }
+        units.push(Unit::Span {
+            bases: ChunkBases::of(&heap.segs, seg),
+            space,
+            words: off..used,
+        });
     }
     let walked = run_region(heap, s, units, false);
     debug_assert!(walked.is_empty() && heap.tospace_log_is_empty());
@@ -914,16 +818,19 @@ pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
             continue;
         };
         s.report.dirty_segments_scanned += 1;
+        let bases = ChunkBases::of(&heap.segs, seg);
         if space == Space::WeakPair {
-            units.push(Unit::DirtyWeak {
-                base: heap.segs.base_ptr(seg),
-                used,
+            // Cdrs only; the weak pass settles the cars.
+            units.push(Unit::Span {
+                bases,
+                space,
+                words: 0..used,
             });
             s.old_weak_dirty.push(seg);
         } else {
             units.push(Unit::Dirty {
                 seg,
-                bases: run_bases(&heap.segs, seg),
+                bases,
                 cards: heap.segs.run_cards(seg).into(),
                 gen,
                 used,

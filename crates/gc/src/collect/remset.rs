@@ -42,12 +42,13 @@
 //! decides whether each car is forwarded or broken *after* the guardian
 //! pass has saved what it is going to save.
 
-use super::{flush_candidates, forward_from, parallel, Scratch};
+use super::{forward_from, forward_span, parallel, ChunkBases, Scratch};
 use crate::heap::Heap;
 use crate::value::Value;
 use guardians_segments::{SegIndex, SegmentTable, Space, CARD_CLEAN, CARD_WORDS, SEGMENT_WORDS};
 
-/// What [`walk_cards`] needs from the engine driving it.
+/// What [`walk_cards`] and [`forward_span`] need from the engine driving
+/// them.
 pub(crate) trait CardTracer {
     /// Whether `seg` is in the from-space.
     fn in_from(&self, seg: SegIndex) -> bool;
@@ -144,10 +145,16 @@ pub(crate) fn drain_entry(
     segs.clear_dirty(seg);
     match info.space {
         Space::Pair | Space::Typed => {
-            if !segs.run_cards(seg).iter().any(|&c| c <= g) {
+            // One pass over the row: the youngest generation any card of
+            // the run may point to ([`CARD_CLEAN`] is the largest byte).
+            let youngest = segs
+                .run_cards(seg)
+                .iter()
+                .fold(CARD_CLEAN, |y, &c| y.min(c));
+            if youngest > g {
                 // Nothing here can point into the from-space; the run
                 // stays remembered for its cards' own generations.
-                if segs.run_cards(seg).iter().any(|&c| c != CARD_CLEAN) {
+                if youngest != CARD_CLEAN {
                     segs.flag_dirty(seg);
                 }
                 return None;
@@ -167,9 +174,9 @@ pub(crate) fn drain_entry(
 }
 
 /// The calling thread's [`CardTracer`].
-struct SerialTracer<'a> {
-    heap: &'a mut Heap,
-    s: &'a mut Scratch,
+pub(super) struct SerialTracer<'a> {
+    pub heap: &'a mut Heap,
+    pub s: &'a mut Scratch,
 }
 
 impl CardTracer for SerialTracer<'_> {
@@ -190,17 +197,7 @@ impl CardTracer for SerialTracer<'_> {
 fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u64 {
     let info = heap.segs.info(seg);
     let (gen, used) = (info.generation, info.used as usize);
-    let single = [heap.segs.base_ptr(seg)];
-    let run: Vec<*mut u64>;
-    let bases: &[*mut u64] = match heap.segs.run_len(seg) {
-        1 => &single,
-        n => {
-            run = (0..n)
-                .map(|i| heap.segs.base_ptr(SegIndex(seg.0 + i as u32)))
-                .collect();
-            &run
-        }
-    };
+    let bases = ChunkBases::of(&heap.segs, seg);
     let mut cards = std::mem::take(&mut s.cards);
     cards.clear();
     cards.extend_from_slice(heap.segs.run_cards(seg));
@@ -213,7 +210,7 @@ fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u6
     // reference into this run's word arrays.
     let (visited, still_dirty) = unsafe {
         let mut t = SerialTracer { heap, s };
-        walk_cards(&mut t, bases, &mut cards, used, gen, visit_le, target)
+        walk_cards(&mut t, &bases, &mut cards, used, gen, visit_le, target)
     };
     heap.segs.run_cards_mut(seg).copy_from_slice(&cards);
     s.cards = cards;
@@ -287,20 +284,11 @@ pub(crate) fn rescan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
 /// weak and untouched here; the weak pass settles them (and the dirty
 /// flag) after the guardian pass.
 fn scan_weak_cdrs(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
-    debug_assert!(s.pending.is_empty());
     let used = heap.segs.info(seg).used as usize;
-    {
-        let words = heap.segs.words(seg);
-        let mut off = 1;
-        while off < used {
-            let v = Value(words[off]);
-            if v.is_ptr() && s.from_space.contains(v.addr().seg()) {
-                s.pending.push((off, v));
-            }
-            off += 2;
-        }
-    }
-    flush_candidates(heap, s, seg);
+    let base = [heap.segs.base_ptr(seg)];
+    let mut t = SerialTracer { heap, s };
+    // SAFETY: the segment's own base and watermark; the `walk_run` contract.
+    unsafe { forward_span(&mut t, Space::WeakPair, &base, 0..used) };
 }
 
 #[cfg(test)]

@@ -181,11 +181,33 @@ impl Heap {
     // Allocation
     // ------------------------------------------------------------------
 
+    /// The bump-allocation *hit*: the (`space`, `gen`) cursor is open and
+    /// `words` more fit in its segment. The one definition of the fast path:
+    /// [`Heap::alloc_words_internal`] tries it first, and the collector's
+    /// `forward_from` calls it directly, falling back to the former on a
+    /// miss. `SegInfo::used` is the only watermark — nothing caches the
+    /// cursor, so the mutator, the copy loop, the guardian pass's tconc
+    /// appends and the weak pass's cursor close all see one state.
+    #[inline]
+    pub(crate) fn bump(&mut self, space: Space, gen: u8, words: usize) -> Option<WordAddr> {
+        let seg = self.cursors[gen as usize * 4 + space.index()]?;
+        let info = self.segs.info_mut(seg);
+        let used = info.used as usize;
+        if used + words > SEGMENT_WORDS {
+            return None;
+        }
+        info.used = (used + words) as u32;
+        Some(WordAddr::new(seg, used))
+    }
+
     /// Raw bump allocation of `words` words in (`space`, `gen`). Does not
     /// touch mutator accounting; used by both the mutator wrappers and the
     /// collector's to-space copying.
     pub(crate) fn alloc_words_internal(&mut self, space: Space, gen: u8, words: usize) -> WordAddr {
         debug_assert!(words > 0);
+        if let Some(addr) = self.bump(space, gen, words) {
+            return addr;
+        }
         if words > SEGMENT_WORDS {
             // A run of its own, reissued from the table's free store when a
             // dead large object left one long enough.
@@ -199,13 +221,6 @@ impl Heap {
             return self.segs.base_addr(head);
         }
         let key = gen as usize * 4 + space.index();
-        if let Some(seg) = self.cursors[key] {
-            let used = self.segs.info(seg).used as usize;
-            if used + words <= SEGMENT_WORDS {
-                self.segs.info_mut(seg).used = (used + words) as u32;
-                return WordAddr::new(seg, used);
-            }
-        }
         if let Some(old) = self.cursors[key] {
             self.segs.info_mut(old).open_cursor = false;
         }
@@ -413,14 +428,6 @@ impl Heap {
     /// [`SegInfo::open_cursor`]: guardians_segments::SegInfo
     pub(crate) fn is_open_cursor(&self, seg: SegIndex) -> bool {
         self.segs.info(seg).open_cursor
-    }
-
-    /// Takes the to-space segments logged since the last drain.
-    pub(crate) fn drain_tospace_log(&mut self) -> Vec<SegIndex> {
-        self.tospace_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Whether the to-space log is empty.
