@@ -53,11 +53,6 @@ impl<T: Trace> Guardian<T> {
         }
     }
 
-    /// The untyped handle (raw-layer escape hatch).
-    pub fn as_untyped(&self) -> &RawGuardian {
-        &self.raw
-    }
-
     /// Registers `obj` for preservation — the paper's `(G obj)`. Takes a
     /// root (registration is a `&mut Heap` operation, under which no
     /// borrowed handle can be live); the registration itself does not

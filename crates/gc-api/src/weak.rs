@@ -31,19 +31,6 @@ impl<T: Trace> Weak<T> {
         }
     }
 
-    /// Rebuilds a typed view over an existing weak pair (raw-layer
-    /// interop); the pair's car must currently be a `T` or `#f`.
-    pub fn from_pair(heap: &Heap, ctx: &ApiCtx, pair: Value) -> Weak<T> {
-        let car = heap.car(pair);
-        if !car.is_false() {
-            expect_typed::<T>(heap, car);
-        }
-        Weak {
-            slot: ctx.claim_slot(pair),
-            _marker: PhantomData,
-        }
-    }
-
     /// The underlying weak pair (raw-layer escape hatch).
     pub fn pair(&self) -> Value {
         self.slot_value()

@@ -116,7 +116,7 @@ impl Heap {
         let Some(st) = self.incremental.as_ref() else {
             return v;
         };
-        if !v.is_ptr() || !st.s.from_space.contains(v.addr().seg()) {
+        if !v.is_ptr() || !st.from_space.contains(v.addr().seg()) {
             return v;
         }
         match fwd::decode(self.segs.word(v.addr())) {
@@ -154,11 +154,11 @@ impl Heap {
             let seg = container.addr().seg();
             let stored_seg = stored.addr().seg();
             match (
-                st.s.from_space.contains(seg),
-                st.s.from_space.contains(stored_seg),
+                st.from_space.contains(seg),
+                st.from_space.contains(stored_seg),
             ) {
                 (false, true) => st.log_rescan(seg),
-                (true, false) if self.segs.info(stored_seg).generation < st.s.target => {
+                (true, false) if self.segs.info(stored_seg).generation < st.target => {
                     st.late_stores
                         .push((container, (slot.raw() - container.addr().raw()) as usize));
                 }

@@ -29,19 +29,14 @@
 //! becomes reachable are dropped, so "all objects registered at the time
 //! the guardian is dropped" are reclaimable immediately.
 //!
-//! Two extensions beyond the pseudo-code, both from the paper's own text:
-//!
-//! * **Agents** (Section 5): each entry carries a representative `rep`;
-//!   the finalize path forwards and enqueues `rep` instead of `obj`. With
-//!   `rep == obj` this is exactly the pseudo-code. With a distinct agent
-//!   the object itself stays dead, "allowing objects to be discarded if
-//!   something less than the object is needed to perform the
-//!   finalization"; the hold path keeps a distinct agent alive (it may be
-//!   referenced only by the entry), which requires one extra sweep.
-//! * **Flat-list ablation** (`GcConfig::flat_protected`): a single
-//!   protected list visited in full on every collection, reproducing the
-//!   generation-unfriendly behaviour the per-generation lists avoid
-//!   (experiment E3).
+//! One extension beyond the pseudo-code, from the paper's own text —
+//! **agents** (Section 5): each entry carries a representative `rep`; the
+//! finalize path forwards and enqueues `rep` instead of `obj`. With
+//! `rep == obj` this is exactly the pseudo-code. With a distinct agent the
+//! object itself stays dead, "allowing objects to be discarded if
+//! something less than the object is needed to perform the finalization";
+//! the hold path keeps a distinct agent alive (it may be referenced only by
+//! the entry), which requires one extra sweep.
 
 use super::{forward, forwarded_p, get_fwd, kleene_sweep, settled_generation, Scratch};
 use crate::heap::{GuardEntry, Heap};
@@ -59,12 +54,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     // Block 1: partition the protected lists of the collected generations.
     let mut pend_hold: Vec<GuardEntry> = Vec::new();
     let mut pend_final: Vec<GuardEntry> = Vec::new();
-    let list_indices: Vec<usize> = if heap.config.flat_protected {
-        vec![0]
-    } else {
-        (0..=s.g as usize).collect()
-    };
-    for i in list_indices {
+    for i in 0..=s.g as usize {
         for e in std::mem::take(&mut heap.protected[i]) {
             s.report.guardian_entries_visited += 1;
             if forwarded_p(heap, &s.from_space, e.obj) {
@@ -128,15 +118,11 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
                 agent_copied = agent_copied || e.rep.is_ptr();
                 forward(heap, s, e.rep)
             };
-            let dest = if heap.config.flat_protected {
-                0
-            } else {
-                [e.obj, e.rep, e.tconc]
-                    .iter()
-                    .map(|&v| settled_generation(heap, &s.from_space, s.target, v))
-                    .fold(s.target, u8::min) as usize
-            };
-            heap.protected[dest].push(GuardEntry { obj, rep, tconc });
+            let dest = [e.obj, e.rep, e.tconc]
+                .iter()
+                .map(|&v| settled_generation(heap, &s.from_space, s.target, v))
+                .fold(s.target, u8::min);
+            heap.protected[dest as usize].push(GuardEntry { obj, rep, tconc });
             s.report.guardian_entries_held += 1;
         } else {
             s.report.guardian_entries_dropped += 1;

@@ -25,20 +25,57 @@
 //! 8. **Reclaim** — return every from-space segment and run to the
 //!    segment table's free store, runs whole.
 //!
-//! # One core, two drivers
+//! # One driver
 //!
-//! [`run`] takes a collection to completion on the calling thread, for
-//! every worker count; [`incremental::step`] slices phases 2–4 into
-//! bounded increments (`pause_budget`, which takes precedence over
-//! `workers`). Both end in the same [`finish`] (phases 5–8), and both run
-//! the same [`forward`], guardian pass and weak pass. With `workers > 1`,
-//! [`run`] sets [`Scratch::par`], and the two transitive closures —
+//! A collection is [`begin`] (phase 1) followed by one or more calls of
+//! [`advance`], each of which resumes phases 2–4 where the last one left
+//! them and runs until the sweep's fixpoint or its deadline, whichever
+//! comes first; the advance that reaches the fixpoint runs [`finish`]
+//! (phases 5–8) before it returns. Stop-the-world is the schedule with no
+//! deadline: one advance, which never yields and reads no clock per work
+//! unit. `pause_budget` is the schedule that gives every advance a
+//! deadline. `workers > 1` changes only who scans: an advance that cannot
+//! yield sets [`Scratch::par`], and the two transitive closures —
 //! [`kleene_sweep`] and the remembered-set scan — fan out as parallel
-//! regions (see [`parallel`]); nothing else changes.
+//! regions (see [`parallel`]).
+//!
+//! # Between increments
+//!
+//! A collection that yielded lives in `Heap::incremental` until its next
+//! advance, and the mutator runs against a half-copied heap:
+//!
+//! * **Forwarded on read.** From-space objects are either intact
+//!   (unforwarded; every word still valid) or carry a broken heart in
+//!   word 0. Every typed accessor resolves its operands through
+//!   [`Heap::resolve_read`], so a stale pointer to a forwarded object is
+//!   transparently redirected to the to-space copy. Unforwarded
+//!   from-space objects are read and written in place — stores travel
+//!   with the wholesale copy if the object is later forwarded.
+//! * **Write barrier.** A store that lands a from-space pointer in a
+//!   non-from-space segment (one the collector may have scanned already)
+//!   logs the segment in [`Scratch::rescan`]; the next advance re-scans it
+//!   before declaring the sweep finished. Segment granularity and
+//!   idempotent forwarding make over-logging harmless.
+//! * **Allocation.** The to-space log stays live for the whole
+//!   collection, so mutator allocations between increments are swept
+//!   like to-space: their initializing stores (which bypass the write
+//!   barrier) are still traced.
+//!
+//! The state is *out* of the heap while an advance runs, so the
+//! collector's own barriered stores (the guardian pass's tconc appends) log
+//! no re-scans and the tconc trace attributes them to the collector.
+//!
+//! **Guardian atomicity.** [`finish`] runs after the sweep fixpoint is
+//! proven global (roots re-forwarded, remembered set and re-scan list
+//! drained, sweep dry) and never yields: no mutator step separates the
+//! guardian partition from the weak break, so guardian/weak observables do
+//! not depend on the schedule. The cost is a pause floor — the last
+//! increment cannot be shorter than those passes (measured in experiment
+//! E18, argued in DESIGN.md §10).
 //!
 //! # The copy/scan engine
 //!
-//! One forward-in-place kernel, on raw segment bases, for every driver:
+//! One forward-in-place kernel, on raw segment bases, for every schedule:
 //!
 //! * [`forward_from`] copies by shape — a pair is two word moves, any other
 //!   object of at most a segment one `copy_nonoverlapping`, a multi-segment
@@ -66,7 +103,6 @@
 //! regression tests in the bench crate).
 
 pub(crate) mod guardian_pass;
-pub(crate) mod incremental;
 pub(crate) mod parallel;
 pub(crate) mod remset;
 pub(crate) mod weak_pass;
@@ -115,7 +151,10 @@ impl FromSpaceMap {
     }
 }
 
-/// Collector-local scratch state for one collection.
+/// The state of one collection, from [`begin`] to the end of its last
+/// [`advance`]; between advances it is parked in `Heap::incremental`. The
+/// scan queue, parked segments, weak lists and remembered-set snapshot
+/// resume exactly where the last advance left them.
 pub(crate) struct Scratch {
     /// Highest generation being collected.
     pub g: u8,
@@ -148,10 +187,26 @@ pub(crate) struct Scratch {
     pub copied_per_gen: Vec<u64>,
     /// The report under construction.
     pub report: CollectionReport,
-    /// The worker side, set by [`run`] when `workers > 1`: the sweep and
-    /// the remembered-set scan then run as parallel regions. Always `None`
-    /// under the incremental driver.
+    /// The worker side, set by an [`advance`] that cannot yield on a heap
+    /// with `workers > 1`: the sweep and the remembered-set scan then run
+    /// as parallel regions.
     pub par: Option<parallel::Par>,
+    /// What is left of the dirty index as drained at the flip: the
+    /// remembered-set work list, scanned one run per yield check. Runs
+    /// dirtied after the flip belong to the next collection (their flags
+    /// survive).
+    pub remset_pending: std::vec::IntoIter<SegIndex>,
+    /// Segments the write barrier logged since the last advance
+    /// (deduplicated via `rescan_in`).
+    pub rescan: Vec<SegIndex>,
+    /// Membership bitset for `rescan`, grown on demand.
+    rescan_in: Vec<u64>,
+    /// `(container, field offset)` of barriered stores that put a pointer
+    /// younger than the target generation (something allocated since the
+    /// flip) into a still-unforwarded from-space object. The store travels
+    /// with the object's copy but its card mark does not, so
+    /// [`settle_late_stores`] re-marks the card on the copy.
+    pub late_stores: Vec<(Value, usize)>,
 }
 
 impl Scratch {
@@ -160,65 +215,108 @@ impl Scratch {
         self.from_space.contains(seg)
     }
 
-    /// Phase 1 for both drivers: the flip, a fresh scratch state and the
-    /// `CollectionBegin` event. The flip picks the target generation,
-    /// snapshots the from-space (every segment of a collected generation;
-    /// heads are also listed for the reclaim) and resets the allocation
-    /// cursors. It drains the per-generation segment lists instead of
-    /// walking the whole table; the bitset dedups entries for segments
-    /// freed and recycled back into the same generation.
-    pub fn begin(heap: &mut Heap, g: u8) -> Scratch {
-        let target = heap
-            .config
-            .promotion
-            .target(g, heap.config.max_generation());
-        let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
-        let mut from_heads = Vec::new();
-        for gen in 0..=g {
-            for seg in heap.segs.drain_generation(gen) {
-                if from_space.contains(seg) {
-                    continue;
-                }
-                from_space.insert(seg);
-                if heap.segs.info(seg).is_head() {
-                    from_heads.push(seg);
-                }
-            }
+    /// Logs a segment for re-scanning by the next advance (idempotent).
+    pub fn log_rescan(&mut self, seg: SegIndex) {
+        let i = seg.index();
+        let w = i >> 6;
+        if w >= self.rescan_in.len() {
+            self.rescan_in.resize(w + 1, 0);
         }
-        heap.reset_cursors(g, target);
-        heap.tospace_log = Some(Vec::new());
-        let index = heap.collections;
-        heap.trace_emit(|| GcEvent::CollectionBegin {
-            index,
-            collected_generation: g,
-            target_generation: target,
-        });
-        Scratch {
-            g,
-            target,
-            from_space,
-            from_heads,
-            queue: Vec::new(),
-            parked: Vec::new(),
-            cards: Vec::new(),
-            weak_tospace: Vec::new(),
-            old_weak_dirty: Vec::new(),
-            trace_on: heap.tracing_enabled(),
-            copied_per_gen: vec![0; heap.config.generations as usize],
-            report: CollectionReport {
-                collection_index: index,
-                collected_generation: g,
-                target_generation: target,
-                ..CollectionReport::default()
-            },
-            par: None,
+        if (self.rescan_in[w] >> (i & 63)) & 1 == 0 {
+            self.rescan_in[w] |= 1 << (i & 63);
+            self.rescan.push(seg);
         }
     }
+
+    /// Whether `seg` is covered by the collector's outstanding work — it
+    /// will (still) be scanned before the collection finishes. Used by
+    /// the verifier's barrier-coverage check: a from-space pointer in a
+    /// strong field of a non-from-space segment is only sound if the
+    /// segment is covered.
+    pub fn covered(&self, heap: &Heap, seg: SegIndex) -> bool {
+        if self.queue.iter().any(|&(q, _)| q == seg) || self.parked.iter().any(|&(p, _)| p == seg) {
+            return true;
+        }
+        if self.remset_pending.as_slice().contains(&seg) {
+            return true;
+        }
+        let i = seg.index();
+        if (self.rescan_in.get(i >> 6).copied().unwrap_or(0) >> (i & 63)) & 1 == 1 {
+            return true;
+        }
+        // Logged but not yet drained into the queue.
+        heap.tospace_log
+            .as_ref()
+            .is_some_and(|log| log.contains(&seg))
+    }
+}
+
+/// Phase 1: the flip, a fresh [`Scratch`] and the `CollectionBegin` event.
+/// The flip picks the target generation, snapshots the from-space (every
+/// segment of a collected generation; heads are also listed for the
+/// reclaim), resets the allocation cursors and drains the dirty index into
+/// the remembered-set work list. It drains the per-generation segment
+/// lists instead of walking the whole table; the bitset dedups entries for
+/// segments freed and recycled back into the same generation.
+pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
+    let mut mark = Instant::now();
+    let target = heap
+        .config
+        .promotion
+        .target(g, heap.config.max_generation());
+    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
+    let mut from_heads = Vec::new();
+    for gen in 0..=g {
+        for seg in heap.segs.drain_generation(gen) {
+            if from_space.contains(seg) {
+                continue;
+            }
+            from_space.insert(seg);
+            if heap.segs.info(seg).is_head() {
+                from_heads.push(seg);
+            }
+        }
+    }
+    heap.reset_cursors(g, target);
+    heap.tospace_log = Some(Vec::new());
+    let index = heap.collections;
+    heap.trace_emit(|| GcEvent::CollectionBegin {
+        index,
+        collected_generation: g,
+        target_generation: target,
+    });
+    let mut s = Box::new(Scratch {
+        g,
+        target,
+        from_space,
+        from_heads,
+        queue: Vec::new(),
+        parked: Vec::new(),
+        cards: Vec::new(),
+        weak_tospace: Vec::new(),
+        old_weak_dirty: Vec::new(),
+        trace_on: heap.tracing_enabled(),
+        copied_per_gen: vec![0; heap.config.generations as usize],
+        report: CollectionReport {
+            collection_index: index,
+            collected_generation: g,
+            target_generation: target,
+            ..CollectionReport::default()
+        },
+        par: None,
+        remset_pending: heap.segs.take_dirty().into_iter(),
+        rescan: Vec::new(),
+        rescan_in: Vec::new(),
+        late_stores: Vec::new(),
+    });
+    lap(heap, &mut s, &mut mark, GcPhase::Flip);
+    s.report.duration = s.report.phases.flip;
+    s
 }
 
 /// The closing events: one `GenCopied` per source generation that lost
 /// words (they are counted only while tracing), then `CollectionEnd`.
-pub(crate) fn emit_end(heap: &mut Heap, s: &Scratch) {
+fn emit_end(heap: &mut Heap, s: &Scratch) {
     let r = &s.report;
     for (generation, &words) in s.copied_per_gen.iter().enumerate() {
         if words > 0 {
@@ -266,20 +364,17 @@ pub(crate) fn emit_end(heap: &mut Heap, s: &Scratch) {
 ///   allocates one 2-word pair, at most once per visited entry:
 ///   `(2 · E).div_ceil(SEGMENT_WORDS)` segments (the pair cursor's open
 ///   segment is already counted above).
-/// * **Weak passes.** Each closes the target's weak cursor without an
-///   overflow forcing it — a close the pairing argument does not cover:
-///   at most 2 more segments (the ablation runs two passes).
-/// * Roots, remset and finalizer passes allocate nothing of their own.
+/// * Roots, remset, finalizer and weak passes allocate nothing of their
+///   own, and nothing is copied after the weak pass.
 ///
-/// The `+8` absorbs the 4 open cursors and the 2 early closes with margin.
+/// The `+8` absorbs the 4 open cursors with margin.
 ///
 /// **Workers.** The pairing argument is schedule-independent — an
 /// overflow close is forced by an overflowing object, whoever performs it
 /// — so `2 · F` covers the calling thread's and all workers' closed
 /// segments combined. What grows with `workers` is what can be *open*:
-/// beside the 4 cursors, up to 4 regions per worker, each of whose weak
-/// regions is also closed early at each weak pass — 6 per worker, absorbed
-/// by `8 · workers`. The formula is untouched when `workers <= 1`.
+/// beside the 4 cursors, up to 4 regions per worker, absorbed by
+/// `8 · workers`. The formula is untouched when `workers <= 1`.
 ///
 /// The torture rig's fault sweep is the soundness test for this bound, at
 /// 1 and at 4 workers: collections run with the acquisition fault armed
@@ -290,14 +385,10 @@ pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
         .iter()
         .filter(|(_, info)| info.generation <= g)
         .count() as u64;
-    let entries: u64 = if heap.config.flat_protected {
-        heap.protected[0].len() as u64
-    } else {
-        heap.protected[..=(g as usize).min(heap.protected.len() - 1)]
-            .iter()
-            .map(|l| l.len() as u64)
-            .sum()
-    };
+    let entries: u64 = heap.protected[..=g as usize]
+        .iter()
+        .map(|l| l.len() as u64)
+        .sum();
     let base = 2 * from_segments + (2 * entries).div_ceil(SEGMENT_WORDS as u64) + 8;
     if heap.config.workers > 1 {
         base + 8 * heap.config.workers as u64
@@ -306,41 +397,136 @@ pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
     }
 }
 
-/// Runs a full collection of generations `0..=g` to completion on the
-/// calling thread — the driver for every worker count. With `workers > 1`
-/// the remembered-set scan and every sweep fan out (see [`parallel`]);
-/// everything else is the same code either way.
-pub(crate) fn run(heap: &mut Heap, g: u8) -> CollectionReport {
+/// Advances the collection by one increment: resumes phases 2–4 and runs
+/// until the sweep's fixpoint or `deadline`, whichever comes first —
+/// always after at least one whole work unit, so a deadline already past
+/// gives one-unit increments, and `None` never yields and reads no clock
+/// per unit. Returns `true` when the collection completed ([`finish`] has
+/// run and `s.report` is final), `false` when it yielded with work
+/// remaining.
+///
+/// **Workers serve only an advance that cannot yield**: the first advance
+/// of a collection, given no deadline, has the heap to itself until the
+/// end, which is what the workers' flip-time snapshot and private regions
+/// need. `Heap::collect` passes `pause_budget` as every advance's
+/// deadline, so a budgeted heap never takes this branch — the whole of
+/// "`pause_budget` takes precedence over `workers`".
+pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant>) -> bool {
     let start = Instant::now();
-    let mut s = Scratch::begin(heap, g);
-    if heap.config.workers > 1 {
+    let mut mark = start;
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    // Every advance but a stop-the-world collection's only one counts as an
+    // increment (below), so this is the first exactly when none has.
+    let first = s.report.increments == 0;
+    if first && deadline.is_none() && heap.config.workers > 1 {
         s.par = Some(parallel::Par::new(heap));
     }
-    let mut mark = start;
-    lap(heap, &mut s, &mut mark, GcPhase::Flip);
 
-    // Phase 2: roots.
-    s.report.roots_traced = forward_roots(heap, &mut s);
-    lap(heap, &mut s, &mut mark, GcPhase::Roots);
+    // Phase 2. Roots are re-forwarded at every advance: the mutator may
+    // have stored stale (since-forwarded) or from-space pointers into root
+    // slots. Every such store reset the slot's stamp to 0, so the pass
+    // finds it; a slot it has already forwarded is stamped with the target
+    // generation and is skipped when that is above `g` (when it is not, the
+    // pass revisits it, and forwarding it again is a no-op). The first pass
+    // is the one `roots_traced` counts.
+    let traced = forward_roots(heap, s);
+    if first {
+        s.report.roots_traced = traced;
+    } else {
+        s.report.roots_retraced += traced;
+    }
+    lap(heap, s, &mut mark, GcPhase::Roots);
 
-    // Phase 3: remembered set.
-    remset::scan_dirty(heap, &mut s);
-    lap(heap, &mut s, &mut mark, GcPhase::Remset);
+    // Phase 3. First the write-barrier log: segments mutated since the
+    // last advance to hold from-space pointers (new copies land in the
+    // to-space log and are picked up by the sweep below). Then the
+    // remembered set, one run per yield check.
+    s.rescan_in.fill(0);
+    for seg in std::mem::take(&mut s.rescan) {
+        remset::rescan_segment(heap, s, seg);
+    }
+    let mut yielded = false;
+    if s.par.is_some() {
+        parallel::scan_dirty(heap, s);
+    } else {
+        while let Some(seg) = s.remset_pending.next() {
+            remset::scan_dirty_seg(heap, s, seg);
+            if expired() {
+                yielded = true;
+                break;
+            }
+        }
+    }
+    lap(heap, s, &mut mark, GcPhase::Remset);
 
-    // Phase 4: kleene sweep.
-    kleene_sweep(heap, &mut s);
-    lap(heap, &mut s, &mut mark, GcPhase::Sweep);
+    // Phase 4: the Kleene sweep, one unit per yield check. Reaching the
+    // unit fixpoint here is reaching the *global* fixpoint: no mutator ran
+    // since the re-scan drain above, the remembered set is exhausted, and
+    // roots are forwarded.
+    let mut finished = false;
+    if !yielded {
+        finished = match deadline {
+            None => {
+                kleene_sweep(heap, s);
+                true
+            }
+            Some(_) => loop {
+                if !sweep_unit(heap, s) {
+                    break true;
+                }
+                if expired() {
+                    break false;
+                }
+            },
+        };
+        lap(heap, s, &mut mark, GcPhase::Sweep);
+    }
 
-    finish(heap, &mut s, &mut mark, |_| {});
-    s.report.duration = start.elapsed();
-    emit_end(heap, &s);
-    s.report
+    if finished {
+        finish(heap, s, &mut mark);
+    } else {
+        settle_late_stores(heap, &mut s.late_stores);
+    }
+
+    // One `gc.pause_ns` sample per advance — the only place one is recorded
+    // — and the first also covers the flip. A collection that ran from its
+    // flip to its end in one advance with no deadline is stop-the-world and
+    // reports 0 increments.
+    let mut pause = start.elapsed();
+    s.report.duration += pause;
+    if first {
+        pause += s.report.phases.flip;
+    }
+    let samples = heap.metrics_mut().histogram("gc.pause_ns");
+    samples.record(pause.as_nanos() as u64);
+    if deadline.is_some() || !first {
+        s.report.increments += 1;
+    }
+    if finished {
+        emit_end(heap, s);
+    }
+    finished
+}
+
+/// Re-marks the card of every logged late store whose container has been
+/// copied by now, so no suspended state (and no finished collection) has
+/// an old→young pointer in a to-space copy without a card. Entries whose
+/// container is still unforwarded stay logged; when the collection ends
+/// those containers are dead.
+fn settle_late_stores(heap: &mut Heap, late_stores: &mut Vec<(Value, usize)>) {
+    late_stores.retain(|&(container, offset)| {
+        let Some(new) = fwd::decode(heap.segs.word(container.addr())) else {
+            return true;
+        };
+        heap.segs.mark_card(new.add(offset));
+        false
+    });
 }
 
 /// Phase 2: forwards the root slots this collection can move — those
 /// stamped `<= g` (see [`crate::roots`]) — and stamps each with the
 /// generation its referent is now in. Returns the number of slots visited.
-pub(crate) fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
+fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
     let roots = heap.roots.clone();
     roots.trace(s.g, |slot| {
         let v = *slot;
@@ -357,26 +543,10 @@ pub(crate) fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
     })
 }
 
-/// Phases 5–8, for both drivers, once the sweep has reached its fixpoint.
-/// Nothing in here yields: the guardian partition, the weak break and the
-/// reclaim are atomic with respect to the mutator. `before_reclaim` runs
-/// after the last pass, while the from-space's forwarding words are still
-/// readable.
-pub(crate) fn finish(
-    heap: &mut Heap,
-    s: &mut Scratch,
-    mark: &mut Instant,
-    before_reclaim: impl FnOnce(&mut Heap),
-) {
-    if heap.config.ablate_weak_pass_first {
-        // Ablation: break weak cars BEFORE the guardian pass gets to
-        // salvage their referents — the ordering bug the paper's Section 4
-        // warns against. The second pass below keeps the heap valid for
-        // weak pairs copied during the guardian pass itself.
-        weak_pass::run(heap, s);
-        lap(heap, s, mark, GcPhase::Weak);
-    }
-
+/// Phases 5–8, once the sweep has reached its fixpoint. Nothing in here
+/// yields: the guardian partition, the weak break and the reclaim are
+/// atomic with respect to the mutator.
+fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
     // Phase 5: guardians.
     guardian_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Guardian);
@@ -387,13 +557,18 @@ pub(crate) fn finish(
 
     // Phase 7: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
-    // object will still be in the car field after collection."
+    // object will still be in the car field after collection." Nothing is
+    // copied from here on, so the workers' regions close first: that hands
+    // the pass their weak segments and leaves the heap region-free.
+    parallel::close_regions(heap, s);
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 8: return every from-space run, whole, to the free store.
-    before_reclaim(heap);
-    parallel::close_regions(heap, s, None);
+    // Phase 8: return every from-space run, whole, to the free store. Late
+    // stores settle first — after the guardian pass (it may resurrect a
+    // logged container), while the from-space words holding the forwarding
+    // marks are still readable.
+    settle_late_stores(heap, &mut s.late_stores);
     for head in std::mem::take(&mut s.from_heads) {
         let run = heap.segs.run_len(head) as u64;
         s.report.segments_freed += run;
@@ -407,8 +582,8 @@ pub(crate) fn finish(
 /// Closes a timed section: accumulates the time since `mark` into the
 /// matching phase of the report, restarts `mark`, and emits the `PhaseEnd`
 /// event, so the trace's phase sum stays equal to `phases.total()` across
-/// any number of increments (or ablation re-runs of a phase).
-pub(crate) fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
+/// any number of increments.
+fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
     let now = Instant::now();
     let d = now - *mark;
     *mark = now;
@@ -423,11 +598,6 @@ pub(crate) fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: G
         GcPhase::Weak => &mut p.weak,
         GcPhase::Reclaim => &mut p.reclaim,
     } += d;
-    emit_phase(heap, phase, d);
-}
-
-/// Emits a `PhaseEnd` event (one null test when tracing is off).
-pub(crate) fn emit_phase(heap: &mut Heap, phase: GcPhase, d: std::time::Duration) {
     heap.trace_emit(|| GcEvent::PhaseEnd {
         phase,
         dur_ns: d.as_nanos() as u64,
@@ -560,7 +730,7 @@ impl std::ops::Deref for ChunkBases {
 
 /// The traced-slot walker: calls `visit` on every traced word of `span`, a
 /// word range of a run, in increasing offset order — the only code, on any
-/// driver, that knows the three layouts. `Pair`: every word. `WeakPair`:
+/// thread, that knows the three layouts. `Pair`: every word. `WeakPair`:
 /// odd words only ("the car field is not touched"; the weak pass settles
 /// the cars). `Typed`: the span starts at a header; an object's traced
 /// words follow its header and its total size steps to the next, offsets
@@ -624,7 +794,7 @@ fn walk_layout(
 }
 
 /// Forwards, in place, every traced from-space pointer in `span`:
-/// [`walk_traced`] with the one visitor every driver uses — read the slot,
+/// [`walk_traced`] with the one visitor every thread uses — read the slot,
 /// test it, forward, write back. The calling thread's `t` forwards with
 /// [`forward_from`], a worker's claim-then-copy.
 ///
@@ -706,13 +876,13 @@ pub(crate) fn drain_log(heap: &mut Heap, s: &mut Scratch) {
     }
 }
 
-/// One iteration of the Kleene sweep — the increment-shaped work unit the
-/// bounded-pause engine schedules between yields: drain the to-space log,
+/// One iteration of the Kleene sweep — the increment-shaped work unit
+/// [`advance`] schedules between yield checks: drain the to-space log,
 /// then either scan one queued segment or re-check the parked cursor
 /// segments. Returns `false` exactly when the sweep has reached its
 /// fixpoint (nothing queued, nothing grew, log empty); calling it again
 /// after more copies (or a re-scan) resumes correctly.
-pub(crate) fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
+fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
     drain_log(heap, s);
     if let Some((seg, off)) = s.queue.pop() {
         let new_off = scan_segment(heap, s, seg, off);
@@ -766,8 +936,7 @@ fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
 /// The generation a surviving referent of a held entry ends this
 /// collection in, capped at `target`: a from-space survivor is in the
 /// target generation, anything else stays where it is. Below `target`
-/// only for something allocated while this (incremental) collection was
-/// suspended — the entry is then filed under that generation, so that the
+/// only for something allocated while this collection was suspended — the entry is then filed under that generation, so that the
 /// collection that moves the referent visits the entry.
 pub(crate) fn settled_generation(heap: &Heap, from: &FromSpaceMap, target: u8, v: Value) -> u8 {
     if !v.is_ptr() || from.contains(v.addr().seg()) {

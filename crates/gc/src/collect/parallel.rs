@@ -1,9 +1,9 @@
 //! The worker side of a collection (`GcConfig::workers > 1`).
 //!
-//! There is one collector core: [`super::run`] drives every worker count,
-//! and the calling thread runs the *serial* code unchanged. This module
-//! adds the two places where a transitive closure is worth spreading over
-//! threads, each a *parallel region*: one scoped spawn of `workers`
+//! There is one collector core: [`super::advance`] drives every worker
+//! count, and the calling thread runs the *serial* code unchanged. This
+//! module adds the two places where a transitive closure is worth spreading
+//! over threads, each a *parallel region*: one scoped spawn of `workers`
 //! threads, joined before the caller continues.
 //!
 //! # What runs where
@@ -23,16 +23,15 @@
 //!   so `used` is frozen for the whole region and an open cursor is simply
 //!   re-parked at `used`. Workers chase the closure to its fixpoint
 //!   through the shared pool, so one region is one whole `kleene-sweep`.
-//! * **[`scan_dirty`]** (phase 3): the calling thread drains the dirty
-//!   index ([`remset::drain_entry`], the serial skip rules) into per-run
-//!   shards carrying a copy of the run's card bytes; workers walk them
-//!   with the shared [`remset::walk_cards`] and hand the refreshed bytes
-//!   back. Spans of copied-but-unscanned words are *deferred* to the
+//! * **[`scan_dirty`]** (phase 3): the calling thread turns the flip's
+//!   dirty snapshot ([`remset::drain_entry`], the serial skip rules) into
+//!   per-run shards carrying a copy of the run's card bytes; workers walk
+//!   them with the shared [`remset::walk_cards`] and hand the refreshed
+//!   bytes back. Spans of copied-but-unscanned words are *deferred* to the
 //!   sweep, mirroring the serial remset phase, which forwards but never
 //!   sweeps.
 //! * **[`close_regions`]** syncs the workers' open regions back into the
-//!   segment table: the weak ones before a weak pass, all of them before
-//!   the reclaim.
+//!   segment table, once, before the weak pass.
 //!
 //! # Copy protocol
 //!
@@ -68,8 +67,8 @@
 //! With `workers <= 1` nothing here runs, so the serial counters stay
 //! bit-identical (the `counter_parity` regression test). For
 //! `workers > 1`, copy counters, every guardian and weak counter, tconc
-//! contents and order are schedule-independent and equal to the serial
-//! driver's; segment counts (`segments_allocated`) and per-phase wall
+//! contents and order are schedule-independent and equal to a one-thread
+//! collection's; segment counts (`segments_allocated`) and per-phase wall
 //! times may differ. [`PhaseTimes::worker_time`] accumulates the workers'
 //! region residence time (thread-seconds, not wall time).
 //!
@@ -716,7 +715,7 @@ fn run_region(
             table: Mutex::new(TableCore {
                 segs: &mut heap.segs,
                 acquisitions: heap.acquisitions,
-                limit: heap.config.fail_acquisition_at,
+                limit: heap.acquisition_fault,
             }),
             pool: Mutex::new(WorkPool {
                 queue: initial.into(),
@@ -808,12 +807,12 @@ pub(crate) fn sweep(heap: &mut Heap, s: &mut Scratch) {
     debug_assert!(walked.is_empty() && heap.tospace_log_is_empty());
 }
 
-/// Phase 3 with workers: drains the dirty index (serial skip rules) into
-/// remset shards, walks them in a region whose copies are left unswept,
-/// and writes the refreshed card bytes back.
+/// Phase 3 with workers: turns the flip's dirty snapshot (serial skip
+/// rules) into remset shards, walks them in a region whose copies are left
+/// unswept, and writes the refreshed card bytes back.
 pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
     let mut units = Vec::new();
-    for seg in heap.segs.take_dirty() {
+    for seg in std::mem::take(&mut s.remset_pending) {
         let Some((space, gen, used)) = remset::drain_entry(&mut heap.segs, s.g, seg) else {
             continue;
         };
@@ -845,24 +844,19 @@ pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
     }
 }
 
-/// Closes the workers' open regions in `only` (or in every space): syncs
-/// their watermarks into the segment table and clears the ownership
-/// marks. Before a weak pass this hands it the weak segments (the pass
-/// fixes closed segments only; later copies open fresh ones); before the
-/// reclaim it leaves the heap region-free and verifier-clean. Only ever
-/// called after a sweep, so nothing closed here has unscanned words.
-pub(crate) fn close_regions(heap: &mut Heap, s: &mut Scratch, only: Option<Space>) {
+/// Closes the workers' open regions: syncs their watermarks into the
+/// segment table, clears the ownership marks and hands the weak pass their
+/// weak segments, leaving the heap region-free and verifier-clean. Called
+/// once, after the last sweep, so nothing closed here has unscanned words.
+pub(crate) fn close_regions(heap: &mut Heap, s: &mut Scratch) {
     let Some(par) = s.par.as_mut() else { return };
     debug_assert!(par.pending.is_empty(), "scan units left after a sweep");
-    for regions in &mut par.regions {
-        for slot in regions.open.iter_mut() {
-            if let Some(r) = slot.take_if(|r| only.is_none_or(|space| r.space == space)) {
-                let (span, weak, pure) = close_region(&mut heap.segs, r);
-                debug_assert!(span.is_none(), "region closed with unscanned words");
-                s.weak_tospace.extend(weak);
-                s.report.pure_words_skipped += pure;
-            }
-        }
+    let open = par.regions.iter_mut().flat_map(|w| w.open.iter_mut());
+    for r in open.filter_map(Option::take) {
+        let (span, weak, pure) = close_region(&mut heap.segs, r);
+        debug_assert!(span.is_none(), "region closed with unscanned words");
+        s.weak_tospace.extend(weak);
+        s.report.pure_words_skipped += pure;
     }
 }
 
@@ -936,12 +930,8 @@ mod tests {
     /// weak pair, and a large run reachable only through a resurrected pair.
     #[test]
     fn parallel_counters_match_the_serial_engine() {
-        let run = |workers: usize, flat_protected: bool| {
-            let mut h = Heap::new(GcConfig {
-                workers,
-                flat_protected,
-                ..GcConfig::new()
-            });
+        let run = |workers: usize| {
+            let mut h = heap_with_workers(workers);
             let list = build_mixed_graph(&mut h, 40);
             let root = h.root(list);
             let g = h.make_guardian();
@@ -996,20 +986,18 @@ mod tests {
             (r.segments_allocated, r.duration, r.phases) = Default::default();
             (r, order)
         };
-        for flat in [false, true] {
-            let serial = run(1, flat);
-            assert_eq!(
-                serial.0.guardian_loop_iterations, 3,
-                "two rounds, then the exit"
-            );
-            assert_eq!(serial.0.guardian_entries_held, 1);
-            assert_eq!(serial.0.finalized_ids, [77]);
-            assert_eq!(serial.0.weak_cars_forwarded, 3);
-            assert_eq!(serial.0.weak_cars_broken, 1);
-            assert_eq!(serial.1, [7, 1002, -1, 700, 138]);
-            for workers in [2, 4] {
-                assert_eq!(run(workers, flat), serial, "{workers} workers, flat={flat}");
-            }
+        let serial = run(1);
+        assert_eq!(
+            serial.0.guardian_loop_iterations, 3,
+            "two rounds, then the exit"
+        );
+        assert_eq!(serial.0.guardian_entries_held, 1);
+        assert_eq!(serial.0.finalized_ids, [77]);
+        assert_eq!(serial.0.weak_cars_forwarded, 3);
+        assert_eq!(serial.0.weak_cars_broken, 1);
+        assert_eq!(serial.1, [7, 1002, -1, 700, 138]);
+        for workers in [2, 4] {
+            assert_eq!(run(workers), serial, "{workers} workers");
         }
     }
 

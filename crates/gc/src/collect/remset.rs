@@ -20,7 +20,7 @@
 //! whose byte is `<= g`: every from-space pointer lies in one, and a card
 //! whose referents were all promoted beyond `g` costs nothing until their
 //! generation is collected. [`walk_cards`] is the one routine that does
-//! this, on the calling thread of either driver and on the workers.
+//! this, on the calling thread and on the workers.
 //!
 //! Pair and Typed segments need no object-start table: a Typed segment
 //! holds only headers and fully-traced objects (untraced kinds live in
@@ -42,7 +42,7 @@
 //! decides whether each car is forwarded or broken *after* the guardian
 //! pass has saved what it is going to save.
 
-use super::{forward_from, forward_span, parallel, ChunkBases, Scratch};
+use super::{forward_from, forward_span, ChunkBases, Scratch};
 use crate::heap::Heap;
 use crate::value::Value;
 use guardians_segments::{SegIndex, SegmentTable, Space, CARD_CLEAN, CARD_WORDS, SEGMENT_WORDS};
@@ -123,9 +123,9 @@ pub(crate) unsafe fn walk_cards(
     (visited, still_dirty)
 }
 
-/// Drains one dirty-index entry: applies the skip rules shared by every
-/// driver and clears the run's flag. Returns the run's space, generation
-/// and used words if it is to be scanned.
+/// Drains one dirty-index entry: applies the skip rules (shared with the
+/// workers' shard builder) and clears the run's flag. Returns the run's
+/// space, generation and used words if it is to be scanned.
 pub(crate) fn drain_entry(
     segs: &mut SegmentTable,
     g: u8,
@@ -220,19 +220,8 @@ fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u6
     visited
 }
 
-/// Phase 3 (as a parallel region when the collection has workers).
-pub(crate) fn scan_dirty(heap: &mut Heap, s: &mut Scratch) {
-    if s.par.is_some() {
-        return parallel::scan_dirty(heap, s);
-    }
-    for seg in heap.segs.take_dirty() {
-        scan_dirty_seg(heap, s, seg);
-    }
-}
-
-/// Scans one dirty-index entry — the per-run body of [`scan_dirty`],
-/// exposed so the incremental engine can walk a drained dirty snapshot
-/// one run per yield check.
+/// Scans one entry of the flip's dirty snapshot — the remembered-set work
+/// unit [`super::advance`] schedules between yield checks.
 pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
     let Some((space, ..)) = drain_entry(&mut heap.segs, s.g, seg) else {
         return;
@@ -248,9 +237,9 @@ pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
     }
 }
 
-/// Re-scans a segment the incremental write barrier logged: a mutator
-/// store landed a from-space pointer in a region the collector may have
-/// already scanned. Unlike [`scan_dirty_seg`] this applies to *any*
+/// Re-scans a segment the write barrier logged between increments: a
+/// mutator store landed a from-space pointer in a region the collector may
+/// have already scanned. Unlike [`scan_dirty_seg`] this applies to *any*
 /// non-from-space generation (including to-space and generation 0),
 /// visits every card (refreshing its byte), and does not touch the
 /// remembered-set counters — the barrier log is a collection-internal

@@ -15,33 +15,23 @@
 //! weak-pair segment found by the remembered-set scan — never clean old
 //! segments, preserving generation-friendliness for weak pairs too.
 //!
-//! **Coverage rule.** A to-space weak segment is fixed by the first pass
-//! that runs after it was logged, and only by that one. That is sound only
-//! if nothing is copied into a segment after its pass, so the pass first
-//! *closes* every place a weak pair can still be copied to — the target
-//! generation's weak cursor and the workers' weak regions. A weak pair
-//! copied later (the ablation's guardian pass, between its two weak
-//! passes) opens a fresh segment, which is logged and fixed by the next
-//! pass.
+//! **Coverage.** The pass runs once, last: every copy this collection
+//! makes — the guardian pass's included — has been made and swept, every
+//! to-space weak segment has been logged ([`Scratch::weak_tospace`]; the
+//! workers' open weak regions were closed into it just before), and
+//! nothing is copied afterwards, so a segment fixed here stays fixed.
 
-use super::{parallel, Scratch};
+use super::Scratch;
 use crate::heap::Heap;
 use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
-use guardians_segments::{SegIndex, SegmentTable, Space};
+use guardians_segments::{SegIndex, SegmentTable};
 
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
-    heap.close_cursor(Space::WeakPair, s.target);
-    parallel::close_regions(heap, s, Some(Space::WeakPair));
-    let scanned_before = s.report.weak_pairs_scanned;
-    let broken_before = s.report.weak_cars_broken;
-    let forwarded_before = s.report.weak_cars_forwarded;
-    let to_space: Vec<SegIndex> = s.weak_tospace.drain(..).collect();
-    for seg in to_space {
+    for seg in std::mem::take(&mut s.weak_tospace) {
         fix_segment(heap, s, seg);
     }
-    let old_dirty: Vec<SegIndex> = s.old_weak_dirty.drain(..).collect();
-    for seg in old_dirty {
+    for seg in std::mem::take(&mut s.old_weak_dirty) {
         // The remembered-set drain cleared the flag and every card;
         // re-mark (whole, and re-index) only segments that still hold
         // old→young pointers.
@@ -49,12 +39,10 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
             heap.segs.mark_dirty(seg);
         }
     }
-    // Per-run deltas: the ablation mode runs this pass twice and the two
-    // events must sum to the report's counters.
     heap.trace_emit(|| GcEvent::WeakSweep {
-        scanned: s.report.weak_pairs_scanned - scanned_before,
-        broken: s.report.weak_cars_broken - broken_before,
-        forwarded: s.report.weak_cars_forwarded - forwarded_before,
+        scanned: s.report.weak_pairs_scanned,
+        broken: s.report.weak_cars_broken,
+        forwarded: s.report.weak_cars_forwarded,
     });
 }
 

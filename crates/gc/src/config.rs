@@ -3,10 +3,12 @@
 //! The paper notes that "the number of generations and the promotion and
 //! tenure strategies supported by the collector are under programmer
 //! control", then assumes a simple fixed policy for exposition. This
-//! configuration captures the same knobs: generation count, collection
-//! frequency per generation, the allocation trigger, and (for the
-//! experiments) an ablation switch that disables the per-generation
-//! protected lists.
+//! configuration captures the same knobs — generation count, collection
+//! frequency per generation, the allocation trigger, the promotion
+//! strategy — plus the two that pick a collection's schedule: `workers`
+//! and `pause_budget`. Nothing here switches a mechanism of the paper off:
+//! the per-generation protected lists and the weak-pass-after-guardians
+//! order are the collector, not options of it.
 
 use guardians_segments::SEGMENT_BYTES;
 use std::time::Duration;
@@ -61,35 +63,8 @@ pub struct GcConfig {
     /// `maybe_collect` triggers once this many bytes have been allocated
     /// since the previous collection.
     pub trigger_bytes: usize,
-    /// Ablation switch for experiment E3: when set, guardian entries are
-    /// kept on a single flat list that is visited in its entirety on every
-    /// collection, instead of the paper's per-generation protected lists.
-    /// This reproduces the "generation-unfriendly" behaviour the paper's
-    /// design eliminates.
-    pub flat_protected: bool,
     /// Where survivors are promoted (see [`Promotion`]).
     pub promotion: Promotion,
-    /// Ablation switch for the weak-pass ordering requirement (paper §4):
-    /// when set, the weak-pair pass runs *before* the guardian pass
-    /// instead of after it, so weak pointers to guardian-salvaged objects
-    /// are wrongly broken — the bug the paper's ordering rule prevents.
-    /// (A second weak pass still runs afterwards for pairs copied during
-    /// the guardian pass, so the heap stays structurally valid.) For
-    /// tests only.
-    pub ablate_weak_pass_first: bool,
-    /// Fault-injection knob (doubling as a hard heap-size cap): when set
-    /// to `Some(n)`, the heap's *n+1-th* lifetime segment acquisition — and
-    /// every one after it — fails, simulating memory exhaustion at an
-    /// arbitrary point. The fallible entry points
-    /// ([`Heap::try_cons`](crate::Heap::try_cons) and friends,
-    /// [`Heap::try_collect`](crate::Heap::try_collect)) check their full
-    /// segment demand against the remaining budget *before* mutating
-    /// anything, so they fail cleanly with
-    /// [`GcError::Exhausted`](crate::GcError) and an intact heap. If an
-    /// infallible path crosses the limit instead, the heap panics — in the
-    /// torture rig that panic is the tripwire proving a preflight bound
-    /// unsound.
-    pub fail_acquisition_at: Option<u64>,
     /// Number of collector worker threads. `1` (the default, and any
     /// value `<= 1`) runs every phase on the calling thread, bit-identical
     /// to the historical serial counters. With a value `> 1` the
@@ -105,7 +80,7 @@ pub struct GcConfig {
     pub workers: usize,
     /// Bounded-pause ("incremental") collection. `None` (the default)
     /// keeps every collection a single stop-the-world pause. `Some(b)`
-    /// selects the incremental engine: a collection is split into
+    /// is every increment's deadline: a collection is split into
     /// *increments*, each yielding back to the mutator once `b` of
     /// wall-clock work has been done (always completing at least one work
     /// unit, so `Duration::ZERO` gives the finest possible slicing).
@@ -113,8 +88,9 @@ pub struct GcConfig {
     /// invariant and a write barrier that re-queues already-scanned
     /// segments mutated to hold from-space pointers; the guardian and
     /// weak passes stay atomic inside the final increment, so
-    /// guardian/weak observables are identical to the serial engine.
-    /// Takes precedence over `workers`: increments always run serially.
+    /// guardian/weak observables are identical to a stop-the-world
+    /// collection's. Takes precedence over `workers`: increments always
+    /// run serially.
     pub pause_budget: Option<Duration>,
 }
 
@@ -124,16 +100,14 @@ impl GcConfig {
     pub(crate) const MAX_WORKERS: usize = guardians_segments::NO_OWNER as usize - 1;
 
     /// The default configuration: 4 generations, frequencies 1/4/16/64,
-    /// 1 MB allocation trigger, paper-faithful protected lists.
+    /// 1 MB allocation trigger, the paper's promotion, one collector
+    /// thread, stop-the-world.
     pub fn new() -> GcConfig {
         GcConfig {
             generations: 4,
             frequency: vec![1, 4, 16, 64],
             trigger_bytes: 256 * SEGMENT_BYTES,
-            flat_protected: false,
             promotion: Promotion::NextGeneration,
-            ablate_weak_pass_first: false,
-            fail_acquisition_at: None,
             workers: 1,
             pause_budget: None,
         }
@@ -259,6 +233,24 @@ mod tests {
     #[should_panic(expected = "at least one generation")]
     fn zero_generations_rejected() {
         let _ = GcConfig::with_generations(0);
+    }
+
+    /// Every field, by name: adding one stops this compiling. A field is an
+    /// axis every test matrix and the benchmark must then cover, so a new
+    /// one needs a `BENCHMARK.json` workload that sets it — policy
+    /// (`generations`, `frequency`, `trigger_bytes`, `promotion`) aside,
+    /// the two here that select code are `workers` and `pause_budget`, and
+    /// each has one.
+    #[test]
+    fn the_configuration_is_exactly_six_fields() {
+        let GcConfig {
+            generations: _,
+            frequency: _,
+            trigger_bytes: _,
+            promotion: _,
+            workers: _,
+            pause_budget: _,
+        } = GcConfig::new();
     }
 
     #[test]

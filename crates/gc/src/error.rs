@@ -15,7 +15,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GcError {
     /// Segment acquisition would exceed the configured budget (the
-    /// [`GcConfig::fail_acquisition_at`](crate::GcConfig::fail_acquisition_at)
+    /// [`Heap::set_acquisition_fault`](crate::Heap::set_acquisition_fault)
     /// fault-injection knob, which doubles as a hard heap-size cap).
     ///
     /// The operation that reported this error performed **no** heap

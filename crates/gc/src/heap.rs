@@ -24,6 +24,7 @@ use crate::trace::{GcEvent, SiteProfile, SiteStats, TraceConfig, TracedEvent, Tr
 use crate::value::Value;
 use guardians_segments::{SegIndex, SegmentPool, SegmentTable, Space, WordAddr, SEGMENT_WORDS};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A guardian protected-list entry: the paper's "object/guardian pair",
 /// extended with the Section 5 *agent* generalisation (`rep` is what gets
@@ -53,32 +54,35 @@ pub struct Heap {
     /// a hash lookup.
     pub(crate) cursors: Vec<Option<SegIndex>>,
     pub(crate) roots: RootSet,
-    /// Protected lists, one per generation (a single flat list when the
-    /// `flat_protected` ablation is enabled).
+    /// Protected lists, one per generation.
     pub(crate) protected: Vec<Vec<GuardEntry>>,
     /// Dickey-baseline watch lists, one per generation.
     pub(crate) finalize_watch: Vec<Vec<FinEntry>>,
-    /// When a collection is running, newly allocated (to-space) segments
-    /// are logged here for the Cheney sweep. For an incremental
-    /// collection it stays `Some` across all increments, so mutator
-    /// allocations between increments are swept too.
+    /// While a collection is in flight, newly allocated (to-space)
+    /// segments are logged here for the Cheney sweep. It stays `Some`
+    /// across all increments, so mutator allocations between increments
+    /// are swept too.
     pub(crate) tospace_log: Option<Vec<SegIndex>>,
-    /// A bounded-pause collection suspended between increments (see
-    /// [`GcConfig::pause_budget`] and `collect::incremental`). Taken out
-    /// of the heap while an increment runs, so accessor read/write
-    /// barriers see `None` exactly when the collector itself is running.
-    pub(crate) incremental: Option<Box<collect::incremental::IncrementalState>>,
+    /// The collection in flight, between `collect::begin` and its
+    /// completing `collect::advance`; with a [`GcConfig::pause_budget`] it
+    /// rests here between increments. Taken out of the heap while an
+    /// advance runs, so accessor read/write barriers see `None` exactly
+    /// when the collector itself is running.
+    pub(crate) incremental: Option<Box<collect::Scratch>>,
     pub(crate) stats: HeapStats,
     last_report: Option<CollectionReport>,
     pub(crate) collections: u64,
     bytes_since_gc: usize,
     alloc_forbidden: bool,
     /// Lifetime count of segment acquisitions (runs count one per
-    /// segment), compared against
-    /// [`GcConfig::fail_acquisition_at`] by the fallible entry points.
-    /// `pub(crate)` so a parallel region can mirror the count through its
-    /// table lock and write the final tally back when it ends.
+    /// segment), compared against `acquisition_fault` by the fallible
+    /// entry points. Both are `pub(crate)` so a parallel region can mirror
+    /// them through its table lock and write the final tally back when it
+    /// ends.
     pub(crate) acquisitions: u64,
+    /// The fault-injection limit on `acquisitions` (see
+    /// [`Heap::set_acquisition_fault`]).
+    pub(crate) acquisition_fault: Option<u64>,
     /// The event tracer; `None` (one null test per instrumentation site)
     /// unless [`Heap::enable_tracing`] was called.
     pub(crate) tracer: Option<Box<Tracer>>,
@@ -99,8 +103,12 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers` is above 254.
+    /// Panics if `config.generations` is 0 or `config.workers` is above 254.
     pub fn new(config: GcConfig) -> Heap {
+        assert!(
+            config.generations >= 1,
+            "GcConfig::generations is 0: at least one generation is required"
+        );
         assert!(
             config.workers <= GcConfig::MAX_WORKERS,
             "GcConfig::workers is {}, above the limit of {} collector workers",
@@ -108,12 +116,11 @@ impl Heap {
             GcConfig::MAX_WORKERS
         );
         let gens = config.generations as usize;
-        let lists = if config.flat_protected { 1 } else { gens };
         Heap {
             segs: SegmentTable::new(),
             cursors: vec![None; gens * 4],
             roots: RootSet::default(),
-            protected: (0..lists).map(|_| Vec::new()).collect(),
+            protected: (0..gens).map(|_| Vec::new()).collect(),
             finalize_watch: (0..gens).map(|_| Vec::new()).collect(),
             tospace_log: None,
             incremental: None,
@@ -123,6 +130,7 @@ impl Heap {
             bytes_since_gc: 0,
             alloc_forbidden: false,
             acquisitions: 0,
+            acquisition_fault: None,
             tracer: None,
             metrics: MetricsRegistry::default(),
             alloc_site: None,
@@ -155,11 +163,6 @@ impl Heap {
         heap
     }
 
-    /// The shared segment pool this heap draws from, if any.
-    pub fn segment_pool(&self) -> Option<&Arc<SegmentPool>> {
-        self.segs.pool()
-    }
-
     /// Segments the heap's table can still acquire before its zone
     /// watermark or shared-pool capacity binds; `u64::MAX` when neither
     /// does (see [`SegmentTable::acquirable`] for the conservative
@@ -186,8 +189,8 @@ impl Heap {
     /// [`Heap::alloc_words_internal`] tries it first, and the collector's
     /// `forward_from` calls it directly, falling back to the former on a
     /// miss. `SegInfo::used` is the only watermark — nothing caches the
-    /// cursor, so the mutator, the copy loop, the guardian pass's tconc
-    /// appends and the weak pass's cursor close all see one state.
+    /// cursor, so the mutator, the copy loop and the guardian pass's tconc
+    /// appends all see one state.
     #[inline]
     pub(crate) fn bump(&mut self, space: Space, gen: u8, words: usize) -> Option<WordAddr> {
         let seg = self.cursors[gen as usize * 4 + space.index()]?;
@@ -409,15 +412,6 @@ impl Heap {
         }
     }
 
-    /// Closes the (`space`, `gen`) allocation cursor, if one is open: the
-    /// next allocation there opens — and, during a collection, logs — a
-    /// fresh segment.
-    pub(crate) fn close_cursor(&mut self, space: Space, gen: u8) {
-        if let Some(seg) = self.cursors[gen as usize * 4 + space.index()].take() {
-            self.segs.info_mut(seg).open_cursor = false;
-        }
-    }
-
     /// Whether `seg` is an open allocation cursor — the only segments
     /// whose `used` watermark can still advance without the segment being
     /// (re-)logged, so the only ones the Cheney sweep must re-check. An
@@ -443,7 +437,7 @@ impl Heap {
     // compute the operation's full segment demand *up front* and fail with
     // a clean [`GcError::Exhausted`] — no partial mutation, heap still
     // `verify()`-valid — when the demand exceeds the remaining
-    // [`GcConfig::fail_acquisition_at`] budget. The torture rig drives
+    // [`Heap::set_acquisition_fault`] budget. The torture rig drives
     // these with the fault placed at every offset in a sweep.
 
     /// Records `n` segment acquisitions, enforcing the fault-injection
@@ -453,7 +447,7 @@ impl Heap {
     /// panic would mean [`Heap::try_collect`]'s worst-case reservation
     /// was unsound.
     pub(crate) fn note_acquisitions(&mut self, n: u64) {
-        check_acquisition(self.acquisitions, n, self.config.fail_acquisition_at);
+        check_acquisition(self.acquisitions, n, self.acquisition_fault);
         self.acquisitions += n;
         self.trace_emit(|| GcEvent::SegmentsAcquired { count: n });
     }
@@ -469,19 +463,27 @@ impl Heap {
 
     /// Segments still acquirable before the configured fault fires
     /// (`u64::MAX` when no fault is configured).
-    pub fn acquisitions_remaining(&self) -> u64 {
-        match self.config.fail_acquisition_at {
+    fn acquisitions_remaining(&self) -> u64 {
+        match self.acquisition_fault {
             Some(limit) => limit.saturating_sub(self.acquisitions),
             None => u64::MAX,
         }
     }
 
-    /// Installs, moves, or clears the segment-acquisition fault at
-    /// runtime (see [`GcConfig::fail_acquisition_at`]). The limit counts
-    /// *lifetime* acquisitions, so a limit at or below
-    /// [`Heap::acquisitions`] makes every further acquisition fail.
+    /// Installs, moves, or clears the segment-acquisition fault — the
+    /// fault-injection knob, doubling as a hard heap-size cap. With
+    /// `Some(n)` the heap's *n+1-th* lifetime segment acquisition — and
+    /// every one after it — fails, simulating memory exhaustion at an
+    /// arbitrary point (the limit counts *lifetime* acquisitions, so one at
+    /// or below [`Heap::acquisitions`] makes every further acquisition
+    /// fail). The fallible entry points ([`Heap::try_cons`] and friends,
+    /// [`Heap::try_collect`]) check their full segment demand against the
+    /// remaining budget *before* mutating anything, so they fail cleanly
+    /// with [`GcError::Exhausted`] and an intact heap. If an infallible path
+    /// crosses the limit instead, the heap panics — in the torture rig that
+    /// panic is the tripwire proving a preflight bound unsound.
     pub fn set_acquisition_fault(&mut self, fail_at: Option<u64>) {
-        self.config.fail_acquisition_at = fail_at;
+        self.acquisition_fault = fail_at;
     }
 
     /// Errors unless `segments` more segments can be acquired. Lets a
@@ -542,16 +544,6 @@ impl Heap {
         Ok(self.cons(car, cdr))
     }
 
-    /// Fallible [`Heap::weak_cons`].
-    ///
-    /// # Errors
-    ///
-    /// [`GcError::Exhausted`] (heap untouched) on insufficient budget.
-    pub fn try_weak_cons(&mut self, car: Value, cdr: Value) -> Result<Value, GcError> {
-        self.check_budget(self.segments_needed(Space::WeakPair, 2))?;
-        Ok(self.weak_cons(car, cdr))
-    }
-
     /// Fallible [`Heap::make_vector`].
     ///
     /// # Errors
@@ -563,17 +555,6 @@ impl Heap {
         Ok(self.make_vector(len, fill))
     }
 
-    /// Fallible [`Heap::make_string`].
-    ///
-    /// # Errors
-    ///
-    /// [`GcError::Exhausted`] (heap untouched) on insufficient budget.
-    pub fn try_make_string(&mut self, s: &str) -> Result<Value, GcError> {
-        let header = Header::new(ObjKind::String, s.len());
-        self.check_budget(self.segments_needed(space_for(&header), header.total_words()))?;
-        Ok(self.make_string(s))
-    }
-
     /// Fallible [`Heap::make_bytevector`].
     ///
     /// # Errors
@@ -583,17 +564,6 @@ impl Heap {
         let header = Header::new(ObjKind::Bytevector, len);
         self.check_budget(self.segments_needed(space_for(&header), header.total_words()))?;
         Ok(self.make_bytevector(len, fill))
-    }
-
-    /// Fallible [`Heap::make_guardian`]: a guardian's tconc is two pairs,
-    /// so the demand is that of one 4-word pair-space allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`GcError::Exhausted`] (heap untouched) on insufficient budget.
-    pub fn try_make_guardian(&mut self) -> Result<Guardian, GcError> {
-        self.check_budget(self.segments_needed(Space::Pair, 4))?;
-        Ok(self.make_guardian())
     }
 
     /// The conservative worst-case segment reservation a collection of
@@ -623,9 +593,9 @@ impl Heap {
     #[must_use = "a dropped Exhausted error silently skips the fault-injection path; handle or propagate it"]
     pub fn try_collect(&mut self, gen: u8) -> Result<&CollectionReport, GcError> {
         assert!(gen < self.config.generations, "no such generation: {gen}");
-        // When resuming a suspended incremental collection, the bound is
-        // for *its* generation (`gen` applies to the next cycle).
-        let g = self.incremental.as_ref().map_or(gen, |st| st.s.g);
+        // When resuming a suspended collection, the bound is for *its*
+        // generation (`gen` applies to the next cycle).
+        let g = self.incremental.as_ref().map_or(gen, |s| s.g);
         self.check_budget(collect::estimate_worst_case(self, g))?;
         Ok(self.collect(gen))
     }
@@ -711,7 +681,12 @@ impl Heap {
     // Collection
     // ------------------------------------------------------------------
 
-    /// Collects generations `0..=gen`, returning the report.
+    /// Collects generations `0..=gen`, returning the report: begins a
+    /// collection unless one is already in flight (then that one is
+    /// finished — its own generation choice wins, and `gen` applies to no
+    /// cycle), and advances it to its end. [`GcConfig::pause_budget`] is
+    /// each advance's deadline; without one there is a single advance that
+    /// never yields — a stop-the-world collection.
     ///
     /// # Panics
     ///
@@ -724,25 +699,35 @@ impl Heap {
             !self.alloc_forbidden,
             "cannot collect while allocation is forbidden"
         );
-        if self.incremental.is_some() || self.config.pause_budget.is_some() {
-            // Bounded-pause engine, run synchronously to completion. If a
-            // collection is already in flight it is finished (its own
-            // generation choice wins; `gen` applies to the next cycle).
-            if self.incremental.is_none() {
-                self.begin_incremental(gen);
-            }
-            while self.gc_step().is_none() {}
-            return self.last_report.as_ref().expect("completing step set it");
+        if self.incremental.is_none() {
+            self.begin_incremental(gen);
         }
-        self.collections += 1;
-        let report = collect::run(self, gen);
-        self.finish_collection(report)
+        let budget = self.config.pause_budget;
+        while self.advance(budget).is_none() {}
+        self.last_report
+            .as_ref()
+            .expect("completing advance set it")
     }
 
-    /// Post-collection bookkeeping shared by every engine: fold the
-    /// report into the cumulative stats and the metrics registry, reset
-    /// the allocation trigger, take the end-of-collection census if the
-    /// tracer asked for one, and publish the report.
+    /// Runs one advance of the collection in flight, with `budget` from
+    /// now as its deadline. Returns the final report on the completing
+    /// advance, `None` while work remains *or* when no collection is in
+    /// flight.
+    fn advance(&mut self, budget: Option<Duration>) -> Option<&CollectionReport> {
+        let mut s = self.incremental.take()?;
+        let deadline = budget.map(|b| Instant::now() + b);
+        if collect::advance(self, &mut s, deadline) {
+            Some(self.finish_collection(s.report))
+        } else {
+            self.incremental = Some(s);
+            None
+        }
+    }
+
+    /// Post-collection bookkeeping: fold the report into the cumulative
+    /// stats and the metrics registry, reset the allocation trigger, take
+    /// the end-of-collection census if the tracer asked for one, and
+    /// publish the report.
     fn finish_collection(&mut self, report: CollectionReport) -> &CollectionReport {
         self.stats.absorb(&report);
         self.absorb_metrics(&report);
@@ -762,11 +747,10 @@ impl Heap {
     /// last collection, choosing the generation from the configured
     /// schedule. Call this at safe points (no unrooted live values).
     ///
-    /// With [`GcConfig::pause_budget`] set this is the incremental
-    /// engine's driver: an in-flight collection advances by one bounded
-    /// increment per call (returning `Some` only on the completing one),
-    /// and a newly triggered collection begins and runs its first
-    /// increment.
+    /// With [`GcConfig::pause_budget`] set, an in-flight collection
+    /// advances by one bounded increment per call (returning `Some` only
+    /// on the completing one), and a newly triggered collection begins and
+    /// runs its first increment.
     #[inline]
     pub fn maybe_collect(&mut self) -> Option<&CollectionReport> {
         if self.incremental.is_some() {
@@ -776,11 +760,8 @@ impl Heap {
             return None;
         }
         let gen = self.config.generation_for_collection(self.collections + 1);
-        if self.config.pause_budget.is_some() {
-            self.begin_incremental(gen);
-            return self.gc_step();
-        }
-        Some(self.collect(gen))
+        self.begin_incremental(gen);
+        self.advance(self.config.pause_budget)
     }
 
     /// Begins a bounded-pause collection of generations `0..=gen`
@@ -806,25 +787,16 @@ impl Heap {
             "an incremental collection is already in flight"
         );
         self.collections += 1;
-        let st = collect::incremental::begin(self, gen);
-        self.incremental = Some(st);
+        self.incremental = Some(collect::begin(self, gen));
     }
 
-    /// Runs one increment of the in-flight bounded-pause collection:
-    /// at least one work unit, then more until the
-    /// [`GcConfig::pause_budget`] deadline passes. Returns the final
-    /// report on the completing increment, `None` while work remains
-    /// *or* when no collection is in flight.
+    /// Runs one increment of the in-flight collection: at least one work
+    /// unit, then more until the [`GcConfig::pause_budget`] deadline passes
+    /// (without a budget, one-unit increments). Returns the final report on
+    /// the completing increment, `None` while work remains *or* when no
+    /// collection is in flight.
     pub fn gc_step(&mut self) -> Option<&CollectionReport> {
-        let mut st = self.incremental.take()?;
-        let finished = collect::incremental::step(self, &mut st);
-        if finished {
-            let report = st.s.report;
-            Some(self.finish_collection(report))
-        } else {
-            self.incremental = Some(st);
-            None
-        }
+        self.advance(Some(self.config.pause_budget.unwrap_or(Duration::ZERO)))
     }
 
     /// Fallible [`Heap::gc_step`]: preflights a conservative bound on
@@ -838,8 +810,8 @@ impl Heap {
     /// [`GcError::Exhausted`] if the bound exceeds the remaining budget.
     #[must_use = "a dropped Exhausted error silently skips the fault-injection path; handle or propagate it"]
     pub fn try_gc_step(&mut self) -> Result<Option<&CollectionReport>, GcError> {
-        if let Some(st) = self.incremental.as_ref() {
-            let g = st.s.g;
+        if let Some(s) = self.incremental.as_ref() {
+            let g = s.g;
             // `estimate_worst_case` stays a sound bound mid-collection:
             // the from-space segments are still in the table (freed only
             // by the terminal increment), remaining survivors are a
@@ -871,11 +843,6 @@ impl Heap {
         &self.stats
     }
 
-    /// Bytes allocated by the mutator since the last collection.
-    pub fn bytes_since_collection(&self) -> usize {
-        self.bytes_since_gc
-    }
-
     /// Current heap capacity in bytes (allocated segments).
     pub fn capacity_bytes(&self) -> usize {
         self.segs.words_allocated() * 8
@@ -887,7 +854,7 @@ impl Heap {
     //
     // Policy knobs (trigger, promotion, frequency, zone quota) may change
     // at runtime, but only *between* collections: every setter asserts no
-    // incremental collection is suspended, so the engines never see a
+    // incremental collection is suspended, so a collection never sees a
     // policy flip mid-cycle — the collected generation, promotion target,
     // and budget preflight of one collection all come from one
     // configuration. `verify()` remains callable after any change (it
@@ -1066,16 +1033,7 @@ impl Heap {
         m.add_counter("gc.weak.scanned", r.weak_pairs_scanned);
         m.add_counter("gc.weak.broken", r.weak_cars_broken);
         m.add_counter("gc.weak.forwarded", r.weak_cars_forwarded);
-        if r.increments == 0 {
-            // Stop-the-world: the whole collection is one pause. The
-            // incremental engine records each increment's pause as it
-            // happens ([`Heap::record_pause`]); recording the cumulative
-            // duration here too would double-count it.
-            m.histogram("gc.pause_ns")
-                .record(r.duration.as_nanos() as u64);
-        } else {
-            m.add_counter("gc.increments", r.increments);
-        }
+        m.add_counter("gc.increments", r.increments);
         let p = &r.phases;
         for (name, d) in [
             ("gc.phase.flip_ns", p.flip),
@@ -1089,14 +1047,6 @@ impl Heap {
         ] {
             m.histogram(name).record(d.as_nanos() as u64);
         }
-    }
-
-    /// Records one mutator pause sample into the `gc.pause_ns`
-    /// histogram; the incremental engine calls this once per increment.
-    pub(crate) fn record_pause(&mut self, d: std::time::Duration) {
-        self.metrics
-            .histogram("gc.pause_ns")
-            .record(d.as_nanos() as u64);
     }
 
     /// The metrics registry, with mutator-side counters and gauges
@@ -1164,12 +1114,6 @@ impl Heap {
     #[inline]
     pub fn set_alloc_site(&mut self, site: &'static str) {
         self.alloc_site = Some(site);
-    }
-
-    /// Clears the allocation-site tag; subsequent allocations attribute
-    /// to `"<untagged>"`.
-    pub fn clear_alloc_site(&mut self) {
-        self.alloc_site = None;
     }
 
     /// Disables site profiling and returns the attribution table, sorted
@@ -1386,6 +1330,15 @@ mod tests {
         assert_eq!(h.box_ref(b), Value::fixnum(10));
         h.box_set(b, Value::TRUE);
         assert_eq!(h.box_ref(b), Value::TRUE);
+    }
+
+    #[test]
+    #[should_panic(expected = "GcConfig::generations is 0")]
+    fn zero_generations_are_rejected() {
+        Heap::new(GcConfig {
+            generations: 0,
+            ..GcConfig::new()
+        });
     }
 
     #[test]

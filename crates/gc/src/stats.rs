@@ -94,9 +94,9 @@ pub struct CollectionReport {
     /// Root slots visited by the collection's (first) roots pass: those
     /// whose generation stamp was at most the collected generation.
     pub roots_traced: u64,
-    /// Root slots visited by the roots passes after the first — the
-    /// incremental driver re-forwards the roots at every increment. Always
-    /// 0 for a stop-the-world collection.
+    /// Root slots visited by the roots passes after the first — the roots
+    /// are re-forwarded at every increment. Always 0 for a stop-the-world
+    /// collection.
     pub roots_retraced: u64,
     /// Dirty old-generation runs with at least one card visited for the
     /// remembered set (a weak-pair segment counts whole).
@@ -147,8 +147,8 @@ pub struct CollectionReport {
     /// Per-phase breakdown of `duration`.
     pub phases: PhaseTimes,
     /// Number of bounded-pause increments the collection ran in. `0`
-    /// means a single stop-the-world pause (the serial and parallel
-    /// engines); the incremental engine reports at least 1.
+    /// means a single stop-the-world pause (one advance with no deadline);
+    /// a collection that was given a deadline reports at least 1.
     pub increments: u64,
 }
 

@@ -63,12 +63,10 @@ impl Heap {
         // Final, publishing update: only now can the mutator see the
         // element (its test is `car(tc) != cdr(tc)`).
         self.set_cdr(tc, p);
-        // The to-space log is live exactly while a collection runs, which
-        // distinguishes the guardian pass's appends from mutator ones.
-        // During an *incremental* cycle the log stays live between
-        // increments too, but the collector takes the `incremental` state
-        // out while it runs an increment — so `incremental` is `None`
-        // exactly when the caller is the collector.
+        // The to-space log is live while a collection is in flight —
+        // between increments too — and the collector takes the
+        // `incremental` state out of the heap while it runs an advance, so
+        // `incremental` is `None` exactly when the caller is the collector.
         let during_collection = self.tospace_log.is_some() && self.incremental.is_none();
         self.trace_emit(|| crate::trace::GcEvent::TconcAppend { during_collection });
     }

@@ -29,7 +29,7 @@ use crate::stats::HeapStats;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Identifies one of the eight collection phases (see `collect::run`).
+/// Identifies one of the eight collection phases (see `collect`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GcPhase {
     /// Phase 1: snapshot the from-space, reset cursors.
@@ -44,8 +44,7 @@ pub enum GcPhase {
     Guardian,
     /// Phase 6: the Dickey-baseline finalizer pass.
     Finalizer,
-    /// Phase 7: the weak-pair pass (may fire twice under the
-    /// `ablate_weak_pass_first` ablation).
+    /// Phase 7: the weak-pair pass.
     Weak,
     /// Phase 8: return from-space segments to the free pool.
     Reclaim,
@@ -126,8 +125,7 @@ pub enum GcEvent {
         /// Fixpoint loop iterations (including the final empty one).
         loop_iterations: u64,
     },
-    /// One weak-pass run finished (fires twice per collection under the
-    /// `ablate_weak_pass_first` ablation; counts are per-run deltas).
+    /// The weak pass finished.
     WeakSweep {
         /// Weak pairs examined.
         scanned: u64,

@@ -3,8 +3,7 @@
 //! at the moment they corrupt the heap rather than when the corruption is
 //! finally observed.
 
-use crate::collect::incremental::IncrementalState;
-use crate::collect::FromSpaceMap;
+use crate::collect::{FromSpaceMap, Scratch};
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::value::{fwd, Value, TAG_MASK};
@@ -81,7 +80,7 @@ impl Heap {
             .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
         let cycle = self.incremental.as_ref();
         self.roots
-            .check(&self.segs, cycle.map(|st| (&st.s.from_space, st.s.g)))
+            .check(&self.segs, cycle.map(|s| (&s.from_space, s.g)))
             .map_err(|e| VerifyError::new(format!("root table: {e}")))?;
         if let Some(st) = cycle {
             return self.verify_incremental(st);
@@ -186,14 +185,12 @@ impl Heap {
                         e.tconc
                     )));
                 }
-                if !self.config.flat_protected {
-                    for (what, v) in [("object", e.obj), ("agent", e.rep), ("tconc", e.tconc)] {
-                        if let Some(gen) = self.generation_of(v) {
-                            if (gen as usize) < i {
-                                return Err(VerifyError::new(format!(
-                                    "protected[{i}] {what} lives in younger generation {gen}"
-                                )));
-                            }
+                for (what, v) in [("object", e.obj), ("agent", e.rep), ("tconc", e.tconc)] {
+                    if let Some(gen) = self.generation_of(v) {
+                        if (gen as usize) < i {
+                            return Err(VerifyError::new(format!(
+                                "protected[{i}] {what} lives in younger generation {gen}"
+                            )));
                         }
                     }
                 }
@@ -225,7 +222,7 @@ impl Heap {
     ///   the relaxed target check);
     /// * **barrier coverage**: a from-space pointer in a *strong* field
     ///   of a non-from-space segment is sound only if the collector's
-    ///   remaining work ([`IncrementalState::covered`]) will re-visit the
+    ///   remaining work ([`Scratch::covered`]) will re-visit the
     ///   segment — otherwise terminal reclaim would leave it dangling.
     ///   Weak cars are exempt (the terminal weak pass settles them);
     /// * from-space segments are not walked (copied objects carry broken
@@ -242,10 +239,10 @@ impl Heap {
     ///   increment), so only well-formedness is checked, and the
     ///   protected generation invariants — re-established by the
     ///   terminal guardian pass — are skipped.
-    fn verify_incremental(&self, st: &IncrementalState) -> Result<(), VerifyError> {
+    fn verify_incremental(&self, st: &Scratch) -> Result<(), VerifyError> {
         // 1. Per-segment object walks, skipping the from-space.
         for (seg, info) in self.segs.iter() {
-            if !info.is_head() || st.s.from_space.contains(seg) {
+            if !info.is_head() || st.from_space.contains(seg) {
                 continue;
             }
             let base = self.segs.base_addr(seg);
@@ -261,7 +258,7 @@ impl Heap {
                         self.check_value_incremental(st, cdr, seg, false, "cdr")?;
                         if !weak_car {
                             for (i, v) in [car, cdr].into_iter().enumerate() {
-                                self.check_remembered(Some(&st.s.from_space), seg, off + i, v)?;
+                                self.check_remembered(Some(&st.from_space), seg, off + i, v)?;
                             }
                         }
                         off += 2;
@@ -277,7 +274,7 @@ impl Heap {
                         for i in 0..header.traced_words() {
                             let v = Value(self.segs.word(base.add(off + 1 + i)));
                             self.check_value_incremental(st, v, seg, false, "object field")?;
-                            self.check_remembered(Some(&st.s.from_space), seg, off + 1 + i, v)?;
+                            self.check_remembered(Some(&st.from_space), seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
                     }
@@ -297,9 +294,9 @@ impl Heap {
         // at the terminal reclaim.
         for (seg, info) in self.segs.iter() {
             if info.dirty
-                && !st.s.from_space.contains(seg)
+                && !st.from_space.contains(seg)
                 && !self.segs.dirty_index().contains(&seg)
-                && !st.remset_pending[st.remset_cursor..].contains(&seg)
+                && !st.remset_pending.as_slice().contains(&seg)
             {
                 return Err(VerifyError::new(format!(
                     "{seg:?} is dirty but missing from the dirty index and the \
@@ -308,7 +305,7 @@ impl Heap {
             }
         }
 
-        self.check_card_summary(Some(&st.s.from_space))?;
+        self.check_card_summary(Some(&st.from_space))?;
 
         // 2b/2c. Cursor and ownership coherence hold between increments
         // exactly as between collections (increments run serially).
@@ -358,13 +355,13 @@ impl Heap {
     /// outstanding work; its referent is checked with the relaxed rules.
     fn check_value_incremental(
         &self,
-        st: &IncrementalState,
+        st: &Scratch,
         v: Value,
         holder: SegIndex,
         weak_car: bool,
         what: &str,
     ) -> Result<(), VerifyError> {
-        if v.is_ptr() && st.s.from_space.contains(v.addr().seg()) {
+        if v.is_ptr() && st.from_space.contains(v.addr().seg()) {
             if !weak_car && !st.covered(self, holder) {
                 return Err(VerifyError::new(format!(
                     "{what} in {holder:?} holds a from-space pointer {v:?} but the \

@@ -233,45 +233,6 @@ fn guardian_entries_park_with_their_objects() {
 }
 
 #[test]
-fn flat_ablation_visits_every_entry_every_collection() {
-    let mut h = Heap::new(GcConfig {
-        flat_protected: true,
-        ..GcConfig::new()
-    });
-    let g = h.make_guardian();
-    let mut roots = Vec::new();
-    for i in 0..50 {
-        let x = h.cons(Value::fixnum(i), Value::NIL);
-        roots.push(h.root(x));
-        g.register(&mut h, x);
-    }
-    h.collect(0);
-    assert_eq!(h.last_report().unwrap().guardian_entries_visited, 50);
-    h.collect(0);
-    // The flat list pays for all 50 entries on every single collection —
-    // the overhead the paper's design eliminates.
-    assert_eq!(h.last_report().unwrap().guardian_entries_visited, 50);
-    h.verify().unwrap();
-}
-
-#[test]
-fn flat_ablation_still_finalizes_correctly() {
-    let mut h = Heap::new(GcConfig {
-        flat_protected: true,
-        ..GcConfig::new()
-    });
-    let g = h.make_guardian();
-    let x = h.cons(Value::fixnum(9), Value::NIL);
-    let r = h.root(x);
-    g.register(&mut h, x);
-    h.collect(0);
-    h.collect(0);
-    r.set(Value::FALSE);
-    h.collect(3);
-    assert_eq!(g.poll(&mut h).map(|v| h.car(v)), Some(Value::fixnum(9)));
-}
-
-#[test]
 fn maybe_collect_fires_on_the_allocation_trigger() {
     let mut h = Heap::new(GcConfig {
         trigger_bytes: 4096,

@@ -253,39 +253,49 @@ fn mid_cycle_exhaustion_is_clean_and_resumable() {
     }
 }
 
-/// `maybe_collect` drives the engine one increment per safe point, the
-/// report counts its increments, and the metrics registry records one
-/// pause sample per increment (plus the increment counter) instead of
-/// one whole-collection sample.
+/// `maybe_collect` advances a budgeted collection one increment per safe
+/// point, the report counts its increments, and the metrics registry
+/// records one pause sample per increment (plus the increment counter)
+/// instead of one whole-collection sample. Without a budget the same
+/// driver makes one advance per collection: one sample each, no increments.
 #[test]
 fn maybe_collect_paces_increments_and_metrics_record_them() {
-    let mut cfg = incremental_config(Some(Duration::ZERO));
-    cfg.trigger_bytes = 16 * 1024;
-    let mut h = Heap::new(cfg);
-    let keep = h.root_vec();
-    let mut completed = 0u64;
-    let mut safe_points = 0u64;
-    for i in 0..30_000i64 {
-        let p = h.cons(Value::fixnum(i), Value::NIL);
-        if i % 50 == 0 {
-            keep.push(p);
+    let run = |budget: Option<Duration>| {
+        let mut cfg = incremental_config(budget);
+        cfg.trigger_bytes = 16 * 1024;
+        let mut h = Heap::new(cfg);
+        let keep = h.root_vec();
+        let mut completed = 0u64;
+        let mut safe_points = 0u64;
+        for i in 0..30_000i64 {
+            let p = h.cons(Value::fixnum(i), Value::NIL);
+            if i % 50 == 0 {
+                keep.push(p);
+            }
+            if i % 64 == 0 {
+                safe_points += 1;
+                if h.maybe_collect().is_some() {
+                    completed += 1;
+                }
+            }
         }
-        if i % 64 == 0 {
-            safe_points += 1;
-            if h.maybe_collect().is_some() {
+        while h.incremental_in_progress() {
+            if h.gc_step().is_some() {
                 completed += 1;
             }
         }
-    }
-    while h.incremental_in_progress() {
-        if h.gc_step().is_some() {
-            completed += 1;
-        }
-    }
-    assert!(completed >= 1, "the trigger fired at least once");
-    let total_increments: u64 = h.stats().collections;
-    assert_eq!(total_increments, completed);
-    let increments = h.metrics().counter("gc.increments");
+        assert!(completed >= 1, "the trigger fired at least once");
+        assert_eq!(h.stats().collections, completed);
+        h.verify().expect("valid at the end");
+        let increments = h.metrics().counter("gc.increments");
+        let hist = h
+            .metrics()
+            .get_histogram("gc.pause_ns")
+            .expect("pause histogram exists");
+        (completed, increments, hist.count(), safe_points)
+    };
+
+    let (completed, increments, samples, safe_points) = run(Some(Duration::ZERO));
     assert!(
         increments > completed,
         "multi-increment collections: {increments} increments over {completed} collections"
@@ -294,16 +304,14 @@ fn maybe_collect_paces_increments_and_metrics_record_them() {
         safe_points > increments,
         "increments only run at safe points"
     );
-    let hist = h
-        .metrics()
-        .get_histogram("gc.pause_ns")
-        .expect("pause histogram exists");
     assert_eq!(
-        hist.count(),
-        increments,
+        samples, increments,
         "one pause sample per increment, none for the whole collection"
     );
-    h.verify().expect("valid at the end");
+
+    let (completed, increments, samples, _) = run(None);
+    assert_eq!(increments, 0, "no deadline, no increments");
+    assert_eq!(samples, completed, "one pause sample per collection");
 }
 
 /// Registering with a guardian while a collection is suspended: the

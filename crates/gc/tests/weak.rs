@@ -266,43 +266,12 @@ fn broken_weak_car_counts_are_reported() {
 }
 
 #[test]
-fn ablation_weak_pass_before_guardians_breaks_salvaged_objects() {
-    // DESIGN.md decision 4: running the weak pass first (the ablation)
-    // wrongly breaks weak pointers to objects the guardian pass then
-    // salvages — exactly the failure the paper's ordering rule prevents.
-    use guardians_gc::GcConfig;
-    let mut h = Heap::new(GcConfig {
-        ablate_weak_pass_first: true,
-        ..GcConfig::new()
-    });
-    let g = h.make_guardian();
-    let x = h.cons(Value::fixnum(42), Value::NIL);
-    let w = h.weak_cons(x, Value::NIL);
-    let wr = h.root(w);
-    g.register(&mut h, x);
-
-    h.collect(h.config().max_generation());
-    h.verify().unwrap();
-    let saved = g.poll(&mut h).expect("still salvaged");
-    assert_eq!(
-        h.car(saved),
-        Value::fixnum(42),
-        "the object itself is intact"
-    );
-    assert_eq!(
-        h.car(wr.get()),
-        Value::FALSE,
-        "ablation: the weak pointer broke even though the object survives — \
-         the inconsistency the paper's ordering avoids"
-    );
-}
-
-#[test]
-fn ablation_second_weak_pass_covers_pairs_copied_by_the_guardian_pass() {
-    // The ablation's first weak pass drains the to-space weak segments; a
-    // weak pair the guardian pass then resurrects must still get its car
-    // fixed by the second pass, on every driver, for both a pair reached
-    // through a guarded object and a guarded weak pair itself.
+fn weak_pairs_copied_by_the_guardian_pass_are_fixed_by_the_weak_pass() {
+    // A weak pair the guardian pass resurrects is copied late, into a weak
+    // segment (or a worker's weak region) that has been open since the
+    // sweep. The one weak pass comes after and must still fix its car, on
+    // every schedule, for both a pair reached through a guarded object and
+    // a guarded weak pair itself.
     use guardians_gc::GcConfig;
     use std::time::Duration;
     let drivers = [
@@ -314,7 +283,6 @@ fn ablation_second_weak_pass_covers_pairs_copied_by_the_guardian_pass() {
     for (name, workers, pause_budget) in drivers {
         for guard_the_pair_itself in [false, true] {
             let mut h = Heap::new(GcConfig {
-                ablate_weak_pass_first: true,
                 workers,
                 pause_budget,
                 ..GcConfig::new()

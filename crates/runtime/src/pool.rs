@@ -71,11 +71,6 @@ impl GuardedPool {
         self.guardian.register(heap, obj);
         obj
     }
-
-    /// Objects currently waiting on the free list.
-    pub fn free_len(&self, heap: &Heap) -> usize {
-        crate::lists::length(heap, self.free.get())
-    }
 }
 
 impl std::fmt::Debug for GuardedPool {

@@ -236,11 +236,6 @@ impl SegmentTable {
         watermark.min(pool)
     }
 
-    /// The shared pool this table draws from, if any.
-    pub fn pool(&self) -> Option<&Arc<SegmentPool>> {
-        self.pool.as_ref()
-    }
-
     /// The table's `max_segments` watermark, if any.
     pub fn max_segments(&self) -> Option<usize> {
         self.max_segments
@@ -746,15 +741,6 @@ impl SegmentTable {
             .filter_map(|(i, info)| info.as_ref().map(|info| (SegIndex(i as u32), info)))
     }
 
-    /// All allocated head segments in `space` whose generation satisfies
-    /// `pred`, in index order.
-    pub fn heads_in(&self, space: Space, mut pred: impl FnMut(u8) -> bool) -> Vec<SegIndex> {
-        self.iter()
-            .filter(|(_, info)| info.space == space && info.is_head() && pred(info.generation))
-            .map(|(idx, _)| idx)
-            .collect()
-    }
-
     /// Number of currently allocated segments (including run tails).
     pub fn segments_allocated(&self) -> usize {
         self.allocated
@@ -867,16 +853,6 @@ mod tests {
         let r2 = t.allocate_run(Space::Typed, 0, 2);
         assert_eq!(t.run_len(r1), 2);
         assert_eq!(t.run_len(r2), 2);
-    }
-
-    #[test]
-    fn heads_in_filters_by_space_and_generation() {
-        let mut t = SegmentTable::new();
-        let a = t.allocate(Space::Pair, 0);
-        let _b = t.allocate(Space::Pair, 2);
-        let _c = t.allocate(Space::Typed, 0);
-        let young_pairs = t.heads_in(Space::Pair, |g| g == 0);
-        assert_eq!(young_pairs, vec![a]);
     }
 
     #[test]

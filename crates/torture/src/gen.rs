@@ -9,10 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Derives the heap configuration a seed runs under: the promotion policy
-/// and the flat-protected ablation are rotated so the fleet of seeds
-/// covers every combination. The weak-ordering ablation is never enabled
-/// here — the model implements the paper's correct ordering, so that
-/// ablation is exercised by a dedicated regression trace instead.
+/// is rotated so the fleet of seeds covers every one.
 pub fn config_for_seed(seed: u64) -> TortureConfig {
     TortureConfig {
         promotion: match seed % 3 {
@@ -20,7 +17,6 @@ pub fn config_for_seed(seed: u64) -> TortureConfig {
             1 => Promotion::Capped(2),
             _ => Promotion::SameGeneration,
         },
-        flat_protected: seed % 4 == 3,
         ..TortureConfig::default()
     }
 }

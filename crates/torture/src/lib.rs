@@ -11,7 +11,7 @@
 //! occupancy, and the collector's own guardian counters.
 //!
 //! On top of the oracle sits segment-exhaustion fault injection
-//! ([`GcConfig::fail_acquisition_at`](guardians_gc::GcConfig)): a sweep
+//! ([`Heap::set_acquisition_fault`](guardians_gc::Heap::set_acquisition_fault)): a sweep
 //! re-runs a trace with the heap's Nth segment acquisition failing, for
 //! every N, asserting each failure point is clean — the op either
 //! completes or errors with the heap still `verify()`-valid, never

@@ -89,7 +89,7 @@ pub struct MReport {
     pub loop_iterations: u64,
     /// Weak cars the post-guardian weak pass breaks to `#f` — trackers
     /// included, since they are ordinary weak pairs of the heap under
-    /// test. Exact under the paper's pass ordering (not the ablation).
+    /// test.
     pub weak_cars_broken: u64,
     /// Weak cars the pass forwards to a copied referent (ditto).
     pub weak_cars_forwarded: u64,
@@ -119,7 +119,7 @@ pub struct Model {
     pub tconc_tracker_gen: HashMap<u32, u8>,
     /// Strongly rooted node ids.
     pub roots: HashSet<u32>,
-    /// Protected lists, one per generation (flat ablation uses only `[0]`).
+    /// Protected lists, one per generation.
     pub protected: Vec<Vec<MEntry>>,
 }
 
@@ -222,14 +222,9 @@ impl Model {
         // ---- Guardian pass (paper Section 4 pseudo-code) ----------------
         // Block 1: drain the protected lists of the collected generations,
         // partitioning on the accessibility of each watched object.
-        let lists: Vec<usize> = if self.cfg.flat_protected {
-            vec![0]
-        } else {
-            (0..=(g as usize).min(self.protected.len() - 1)).collect()
-        };
         let mut pend_hold: Vec<MEntry> = Vec::new();
         let mut pend_final: Vec<MEntry> = Vec::new();
-        for i in lists {
+        for i in 0..=g as usize {
             for e in std::mem::take(&mut self.protected[i]) {
                 report.visited += 1;
                 if accessible(&live_n, &live_t, e.obj) {
@@ -275,11 +270,7 @@ impl Model {
         // same loop (`forward` marks the object immediately; only its
         // children wait for the closing sweep), so liveness is updated
         // object-by-object and the reachability closure runs after.
-        let dest = if self.cfg.flat_protected {
-            0
-        } else {
-            target as usize
-        };
+        let dest = target as usize;
         let mut held: Vec<MEntry> = Vec::new();
         let mut agents: VecDeque<Ref> = VecDeque::new();
         for e in pend_hold {

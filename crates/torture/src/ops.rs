@@ -470,14 +470,6 @@ pub struct TortureConfig {
     pub generations: u8,
     /// Survivor promotion policy.
     pub promotion: Promotion,
-    /// Run with the flat protected-list ablation.
-    pub flat_protected: bool,
-    /// Run with the weak-pass-first ordering ablation. The shadow model
-    /// always implements the paper's (correct) ordering, so a trace that
-    /// exercises salvage-then-weak-read *fails* under this flag — it is
-    /// the rig's built-in demonstration that the oracle detects the §4
-    /// ordering bug when the fix is reverted.
-    pub ablate_weak_pass_first: bool,
     /// Arm the segment-acquisition fault at this lifetime offset.
     pub fail_acquisition_at: Option<u64>,
     /// Collector worker threads (`1` = the serial engine). The shadow
@@ -497,14 +489,17 @@ impl Default for TortureConfig {
         TortureConfig {
             generations: 4,
             promotion: Promotion::NextGeneration,
-            flat_protected: false,
-            ablate_weak_pass_first: false,
             fail_acquisition_at: None,
             workers: 1,
             pause_budget: None,
         }
     }
 }
+
+/// The collector switches the 4th and 5th `config` slots once set, in slot
+/// order; both left the collector, and the parser names them when refusing
+/// a line that sets one.
+const RETIRED_SWITCHES: [&str; 2] = ["flat_protected", "ablate_weak_pass_first"];
 
 impl fmt::Display for TortureConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -513,11 +508,10 @@ impl fmt::Display for TortureConfig {
             Some(n) => n.to_string(),
             None => "-".to_string(),
         };
-        write!(
-            f,
-            "config {} {promo} {} {} {fault}",
-            self.generations, self.flat_protected as u8, self.ablate_weak_pass_first as u8
-        )?;
+        // The 4th and 5th slots once held two ablation switches
+        // ([`RETIRED_SWITCHES`]); they are always written `0`, so every
+        // committed trace keeps its text.
+        write!(f, "config {} {promo} 0 0 {fault}", self.generations)?;
         // The workers and pause-budget tokens are optional (and omitted
         // at the defaults) so older traces keep parsing and default
         // traces keep their historical textual form. They are positional
@@ -548,15 +542,21 @@ impl FromStr for TortureConfig {
             .map_err(|e| format!("config: bad generations: {e}"))?;
         let promo = parse_promotion(it.next().ok_or("config: missing promotion")?)
             .map_err(|e| format!("config: {e}"))?;
-        let flag = |s: Option<&str>, what: &str| -> Result<bool, String> {
-            match s {
-                Some("0") => Ok(false),
-                Some("1") => Ok(true),
-                other => Err(format!("config: bad {what} flag {other:?}")),
+        // A trace recorded with a retired switch set ran on a collector
+        // that no longer exists, so it is refused, not silently replayed
+        // on another.
+        for switch in RETIRED_SWITCHES {
+            match it.next() {
+                Some("0") => {}
+                Some("1") => {
+                    return Err(format!(
+                        "config: the {switch} switch was removed from the collector; \
+                         its slot must read 0"
+                    ))
+                }
+                other => return Err(format!("config: bad {switch} slot {other:?}")),
             }
-        };
-        let flat = flag(it.next(), "flat_protected")?;
-        let ablate = flag(it.next(), "ablate")?;
+        }
         let fault = match it.next().ok_or("config: missing fault")? {
             "-" => None,
             n => Some(n.parse().map_err(|e| format!("config: bad fault: {e}"))?),
@@ -591,8 +591,6 @@ impl FromStr for TortureConfig {
         Ok(TortureConfig {
             generations: gens,
             promotion: promo,
-            flat_protected: flat,
-            ablate_weak_pass_first: ablate,
             fail_acquisition_at: fault,
             workers,
             pause_budget,
@@ -752,7 +750,6 @@ mod tests {
                 seed: Some(42),
                 config: TortureConfig {
                     promotion,
-                    flat_protected: promotion == Promotion::SameGeneration,
                     fail_acquisition_at: Some(99),
                     ..TortureConfig::default()
                 },
@@ -780,6 +777,18 @@ mod tests {
             "config 4 next 0 0 -".parse::<TortureConfig>().unwrap(),
             serial
         );
+    }
+
+    #[test]
+    fn retired_switch_slots_must_read_zero() {
+        let lines = ["config 4 next 1 0 -", "config 4 next 0 1 -"];
+        for (line, switch) in lines.into_iter().zip(RETIRED_SWITCHES) {
+            let err = line.parse::<TortureConfig>().unwrap_err();
+            assert!(err.contains(switch) && err.contains("removed"), "{err}");
+        }
+        assert!("config 4 next 2 0 -".parse::<TortureConfig>().is_err());
+        let text = TortureConfig::default().to_string();
+        assert_eq!(text, "config 4 next 0 0 -", "the slots are still written");
     }
 
     #[test]

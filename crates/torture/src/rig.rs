@@ -212,14 +212,12 @@ impl Rig {
         let gc = GcConfig {
             generations: cfg.generations,
             promotion: cfg.promotion,
-            flat_protected: cfg.flat_protected,
-            ablate_weak_pass_first: cfg.ablate_weak_pass_first,
-            fail_acquisition_at: cfg.fail_acquisition_at,
             workers: cfg.workers,
             pause_budget: cfg.pause_budget.map(std::time::Duration::from_micros),
             ..GcConfig::default()
         };
         let mut heap = Heap::new(gc);
+        heap.set_acquisition_fault(cfg.fail_acquisition_at);
         if traced {
             heap.enable_tracing(TraceConfig {
                 capacity: 1 << 18,
@@ -908,19 +906,14 @@ impl Rig {
                     mrep.visited == mrep.held + mrep.finalized + mrep.dropped,
                     "collect {gen}: model violates visited == held+finalized+dropped: {mrep:?}"
                 );
-                if !self.model.cfg.ablate_weak_pass_first {
-                    // The model's weak-car accounting assumes the paper's
-                    // pass ordering; under the ablation the real pass
-                    // (deliberately) breaks cars the model forwards.
-                    let real = [r.weak_cars_broken, r.weak_cars_forwarded];
-                    let predicted = [mrep.weak_cars_broken, mrep.weak_cars_forwarded];
-                    check!(
-                        self,
-                        real == predicted,
-                        "collect {gen}: weak counters [broken, forwarded] diverge: \
-                         heap {real:?}, model {predicted:?}"
-                    );
-                }
+                let real = [r.weak_cars_broken, r.weak_cars_forwarded];
+                let predicted = [mrep.weak_cars_broken, mrep.weak_cars_forwarded];
+                check!(
+                    self,
+                    real == predicted,
+                    "collect {gen}: weak counters [broken, forwarded] diverge: \
+                     heap {real:?}, model {predicted:?}"
+                );
                 if self.traced {
                     self.check_events(gen, &mrep, &r)?;
                 }

@@ -11,9 +11,9 @@
 //! returned in [`SchemeDiffStats`] and pinned against a recorded table
 //! by `tests/scheme_counters.rs`.
 //!
-//! The trace's `ablate_weak_pass_first` and `fail_acquisition_at` knobs
-//! are deliberately ignored here: both perturb allocation-order-derived
-//! behaviour, which differs between the VM and the oracle by design.
+//! The trace's `fail_acquisition_at` knob is deliberately ignored here:
+//! it perturbs allocation-order-derived behaviour, which differs between
+//! the VM and the oracle by design.
 
 use crate::ops::TortureConfig;
 use crate::rig::Failure;
@@ -59,7 +59,6 @@ fn gc_config(cfg: &TortureConfig) -> GcConfig {
     GcConfig {
         generations: cfg.generations,
         promotion: cfg.promotion,
-        flat_protected: cfg.flat_protected,
         workers: cfg.workers,
         pause_budget: cfg.pause_budget.map(Duration::from_micros),
         ..GcConfig::default()

@@ -5,7 +5,7 @@
 //!   TORTURE_SEEDS  extra random-base seeds in the smoke test (default 4)
 //!   TORTURE_OPS    ops per smoke trace                       (default 600)
 
-use guardians_torture::{fault_sweep, generate, run_trace, shrink, Trace};
+use guardians_torture::{fault_sweep, generate, run_trace, Trace};
 
 fn env_num(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -20,8 +20,8 @@ fn must_pass(trace: &Trace, what: &str) {
     }
 }
 
-/// Fixed seeds, every promotion/flat combination (seed mod 12 covers the
-/// rotation in `config_for_seed`), plus a few seeds from an arbitrary
+/// Fixed seeds, every promotion policy (seed mod 3, the rotation in
+/// `config_for_seed`), plus a few seeds from an arbitrary
 /// time-derived base so every CI run explores fresh territory. Any
 /// failure prints the seed — which reproduces it deterministically — and
 /// the shrunk minimal trace.
@@ -395,7 +395,8 @@ fn load_trace(name: &str) -> Trace {
     Trace::parse(&text).unwrap_or_else(|e| panic!("parsing {name}: {e}"))
 }
 
-/// Every committed regression trace replays green.
+/// Every committed regression trace replays green, and its `config` line
+/// is still what `Display` writes (the two retired switch slots included).
 #[test]
 fn regression_corpus_replays_clean() {
     let mut found = 0;
@@ -408,37 +409,16 @@ fn regression_corpus_replays_clean() {
                 .expect("file name")
                 .to_string_lossy()
                 .into_owned();
-            must_pass(&load_trace(&name), &name);
+            let text = std::fs::read_to_string(&path).expect("readable trace");
+            let trace = Trace::parse(&text).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
+            let config = trace.config.to_string();
+            assert!(text.lines().any(|l| l == config), "{name}: {config}");
+            must_pass(&trace, &name);
         }
     }
     assert!(
-        found >= 2,
+        found >= 3,
         "regression corpus went missing ({found} traces)"
-    );
-}
-
-/// The committed §4 trace fails on demand when the fix is reverted: with
-/// `ablate_weak_pass_first` (weak pass before the guardian pass), the
-/// oracle catches the wrongly broken weak pointer — and the shrinker
-/// still produces a failing minimal trace from it.
-#[test]
-fn weak_ordering_trace_fails_when_the_fix_is_reverted() {
-    let good = load_trace("weak-ordering.trace");
-    must_pass(&good, "weak-ordering (fix in place)");
-
-    let mut reverted = good.clone();
-    reverted.config.ablate_weak_pass_first = true;
-    let failure = run_trace(&reverted).expect_err("ablation must break the §4 ordering");
-    assert!(
-        failure.message.contains("weak") || failure.message.contains("tracker"),
-        "unexpected failure mode: {failure}"
-    );
-
-    let minimal = shrink(&reverted);
-    assert!(minimal.ops.len() <= reverted.ops.len());
-    assert!(
-        run_trace(&minimal).is_err(),
-        "shrunk trace must still fail under the ablation"
     );
 }
 
@@ -457,7 +437,7 @@ fn guardian_chain_trace_exercises_the_fixpoint() {
 
 /// The traced rig: every collection's GC events are cross-checked against
 /// the shadow oracle and the collection report, across a spread of seeds
-/// covering the promotion/flat rotation.
+/// covering the promotion rotation.
 #[test]
 fn traced_seeds_agree_event_for_event() {
     for seed in 0..6u64 {
