@@ -35,6 +35,9 @@ pub struct IndirectPorts {
     registry: Rooted,
     /// Entries examined by clean-up scans.
     pub entries_scanned: u64,
+    /// Header dereferences paid by port operations: one per character
+    /// read or written, where a direct port pays none.
+    pub derefs: u64,
     /// Ports closed by clean-up scans.
     pub dropped_closed: u64,
 }
@@ -45,6 +48,7 @@ impl IndirectPorts {
         IndirectPorts {
             registry: heap.root(Value::NIL),
             entries_scanned: 0,
+            derefs: 0,
             dropped_closed: 0,
         }
     }
@@ -93,8 +97,9 @@ impl IndirectPorts {
     /// The forwarded port (the Atkins automatic-indirection step, paid on
     /// every operation).
     #[inline]
-    pub fn deref(&self, heap: &Heap, header: Value) -> Value {
+    pub fn deref(&mut self, heap: &Heap, header: Value) -> Value {
         debug_assert!(heap.record_descriptor(header) == header_tag());
+        self.derefs += 1;
         heap.record_ref(header, 0)
     }
 
@@ -105,7 +110,7 @@ impl IndirectPorts {
     ///
     /// As for [`ports::read_byte`].
     pub fn read_byte(
-        &self,
+        &mut self,
         heap: &mut Heap,
         os: &mut SimOs,
         header: Value,
@@ -120,7 +125,7 @@ impl IndirectPorts {
     ///
     /// As for [`ports::write_byte`].
     pub fn write_byte(
-        &self,
+        &mut self,
         heap: &mut Heap,
         os: &mut SimOs,
         header: Value,

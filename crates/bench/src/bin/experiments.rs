@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (E1..E12, E17..E22) —
+//! Regenerates every experiment table (E1..E12, E18, E21, E22) —
 //! the artifact behind EXPERIMENTS.md.
 //!
 //! Usage:
@@ -10,14 +10,14 @@
 //! cargo run -p guardians-bench --bin experiments -- --json out.json # machine-readable
 //! ```
 //!
-//! `--json <path>` additionally writes the selected tables' exact
-//! columns — labels and deterministic counts; no timed column, no note —
-//! as a JSON document `{"quick": bool, "tables": [...]}`. The committed
-//! `BENCH_quick.json` is that document for the whole quick suite: it
-//! reads the same on every host, and CI regenerates it and fails on
+//! `--json <path>` additionally writes the selected tables (every
+//! column; notes stay out) as a JSON document `{"quick": bool, "tables":
+//! [...]}`. No experiment reads a clock, so the committed
+//! `BENCH_quick.json` — that document for the whole quick suite — reads
+//! the same on every host, and CI regenerates it and fails on
 //! `git diff --exit-code`.
 
-use guardians_bench::experiments::{exact_document, SUITE};
+use guardians_bench::experiments::{document, SUITE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +67,7 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, exact_document(quick, &tables)) {
+        if let Err(e) = std::fs::write(&path, document(quick, &tables)) {
             eprintln!("error: writing {path}: {e}");
             std::process::exit(1);
         }

@@ -196,24 +196,54 @@ fn profile_e18(quick: bool, out_dir: &str) {
     write_exports(out_dir, "e18", &events);
 }
 
+/// The two allocation-heavy Scheme programs `--scenario e19` profiles:
+/// `(name, definitions, driver expression, quick iterations)`.
+const E19_PROGRAMS: [(&str, &str, &str, usize); 2] = [
+    (
+        "list churn (allocation + HOFs)",
+        "(define (iota n) \
+           (let lp ((i 0) (acc '())) \
+             (if (= i n) (reverse acc) (lp (+ i 1) (cons i acc))))) \
+         (define (filter p l) \
+           (cond ((null? l) '()) \
+                 ((p (car l)) (cons (car l) (filter p (cdr l)))) \
+                 (else (filter p (cdr l))))) \
+         (define (churn n) \
+           (length (map (lambda (x) (* x x)) \
+                        (filter odd? (iota n)))))",
+        "(churn 250)",
+        20,
+    ),
+    (
+        "guardian churn (collects at safe points)",
+        "(define (gchurn n) \
+           (let ((g (make-guardian))) \
+             (let lp ((i 0)) \
+               (unless (= i n) (g (cons i i)) (lp (+ i 1)))) \
+             (collect 3) \
+             (let drain ((k 0)) \
+               (if (g) (drain (+ k 1)) k))))",
+        "(gchurn 500)",
+        6,
+    ),
+];
+
 fn profile_e19(quick: bool, out_dir: &str) {
-    // E19's allocation-heavy programs (list churn and guardian churn)
-    // run under the bytecode VM with tracing and site profiling on, which
-    // also arms the per-opcode dispatch counters: the profile shows where
-    // the words come from *and* where the dispatch loop spends its
-    // instructions.
-    let programs = guardians_bench::experiments::e19::workloads(quick)
-        .into_iter()
-        .filter(|(w, _)| w.name.contains("churn"));
+    // Two allocation-heavy programs run under the bytecode VM with
+    // tracing and site profiling on, which also arms the per-opcode
+    // dispatch counters: the profile shows where the words come from
+    // *and* where the dispatch loop spends its instructions.
+    let scale = if quick { 1 } else { 4 };
     let mut it = Interp::new();
     it.heap_mut().enable_tracing(profile_trace_config());
     it.heap_mut().enable_site_profile();
-    for (w, iters) in programs {
-        it.eval_str(w.setup).expect("setup evaluates");
+    for (name, setup, driver, quick_iters) in E19_PROGRAMS {
+        let iters = quick_iters * scale;
+        it.eval_str(setup).expect("setup evaluates");
         for _ in 0..iters {
-            it.eval_to_string(w.driver).expect("driver evaluates");
+            it.eval_to_string(driver).expect("driver evaluates");
         }
-        println!("ran {} x{iters}", w.name);
+        println!("ran {name} x{iters}");
     }
     let events = it.heap_mut().drain_trace_events();
     let sites = it.heap_mut().take_site_profile();

@@ -38,7 +38,6 @@ pub fn run(quick: bool) -> (Table, Vec<E1Row>) {
             "lookup misses",
         ],
     );
-    table.exact_all();
     let mut rows = Vec::new();
     for kind in [
         TableKind::Guarded,

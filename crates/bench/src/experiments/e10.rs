@@ -75,7 +75,6 @@ pub fn run(quick: bool) -> (Table, E10Result) {
         "E10: weak pairs — breaks, forwards, and scan scope",
         &["metric", "value"],
     );
-    table.exact_all();
     table.row(&["weak pairs".into(), fmt_count(pairs as u64)]);
     table.row(&["referents dropped".into(), fmt_count(deaths as u64)]);
     table.row(&["cars broken (collection 1)".into(), fmt_count(broken)]);

@@ -69,7 +69,6 @@ pub fn run(quick: bool) -> (Table, Vec<E12Row>) {
             "words copied at finalization",
         ],
     );
-    table.exact_all();
     for r in &rows {
         table.row(&[
             r.mode.to_string(),

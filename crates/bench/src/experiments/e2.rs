@@ -1,28 +1,23 @@
 //! **E2 — Figures 2–4: the tconc representation and its lock-free
 //! protocols.**
 //!
-//! Measures the raw cost of the mutator-side operations (register, poll,
-//! append) and verifies, for every cut point of the collector's append
-//! protocol, that a concurrent pop observes a consistent queue — the
-//! paper's "critical sections are unnecessary in both the mutator and
-//! collector".
+//! Verifies, for every cut point of the collector's append protocol,
+//! that a concurrent pop observes a consistent queue — the paper's
+//! "critical sections are unnecessary in both the mutator and
+//! collector". What the mutator-side operations cost is a time, and
+//! `benchmark/` samples it (`gc-api.guard_ns`, `gc-api.poll_ns`).
 
 use guardians_gc::{Heap, Value};
 use guardians_workloads::report::fmt_count;
 use guardians_workloads::Table;
-use std::time::Instant;
 
-/// Results of the protocol verification and microbenchmarks.
+/// Results of the protocol verification.
 #[derive(Debug, Clone)]
 pub struct E2Result {
     /// Interleaving states checked (all consistent).
     pub interleavings_checked: u64,
     /// Torn states observed (must be 0).
     pub torn_states: u64,
-    pub register_ns: f64,
-    pub poll_hit_ns: f64,
-    pub poll_empty_ns: f64,
-    pub append_ns: f64,
 }
 
 /// Exhaustively cuts the 3-write append protocol against pops at every
@@ -64,60 +59,20 @@ pub fn verify_interleavings() -> (u64, u64) {
     (checked, torn)
 }
 
-/// Runs the experiment.
-pub fn run(quick: bool) -> (Table, E2Result) {
+/// Runs the experiment (one size: the cut-point enumeration is
+/// exhaustive, so `quick` changes nothing).
+pub fn run(_quick: bool) -> (Table, E2Result) {
     let (checked, torn) = verify_interleavings();
-    let n = if quick { 20_000 } else { 200_000 };
-
-    let mut h = Heap::default();
-    let g = h.make_guardian();
-    let obj = h.cons(Value::fixnum(1), Value::NIL);
-    let _keep = h.root(obj);
-    let t0 = Instant::now();
-    for _ in 0..n {
-        g.register(&mut h, obj);
-    }
-    let register_ns = t0.elapsed().as_nanos() as f64 / n as f64;
-
-    let mut h = Heap::default();
-    let tc = h.make_tconc();
-    let t0 = Instant::now();
-    for i in 0..n {
-        h.tconc_append(tc, Value::fixnum(i as i64));
-    }
-    let append_ns = t0.elapsed().as_nanos() as f64 / n as f64;
-    let t0 = Instant::now();
-    for _ in 0..n {
-        let _ = h.tconc_pop(tc);
-    }
-    let poll_hit_ns = t0.elapsed().as_nanos() as f64 / n as f64;
-    let t0 = Instant::now();
-    for _ in 0..n {
-        let _ = h.tconc_pop(tc);
-    }
-    let poll_empty_ns = t0.elapsed().as_nanos() as f64 / n as f64;
-
     let result = E2Result {
         interleavings_checked: checked,
         torn_states: torn,
-        register_ns,
-        poll_hit_ns,
-        poll_empty_ns,
-        append_ns,
     };
     let mut table = Table::new(
-        "E2 (Figures 2-4): tconc protocol — consistency and mutator cost",
+        "E2 (Figures 2-4): tconc protocol — consistency at every cut of the append",
         &["metric", "value"],
     );
     table.row(&["append interleavings checked".into(), fmt_count(checked)]);
     table.row(&["torn queue states observed".into(), fmt_count(torn)]);
-    table.row(&[
-        "guardian register, ns/op".into(),
-        format!("{register_ns:.0}"),
-    ]);
-    table.row(&["tconc append, ns/op".into(), format!("{append_ns:.0}")]);
-    table.row(&["poll (element), ns/op".into(), format!("{poll_hit_ns:.0}")]);
-    table.row(&["poll (empty), ns/op".into(), format!("{poll_empty_ns:.0}")]);
     table.note(
         "paper: no critical sections needed — every cut of the append leaves the queue consistent",
     );
@@ -130,15 +85,14 @@ mod tests {
 
     #[test]
     fn no_torn_states_at_any_cut() {
-        let (checked, torn) = verify_interleavings();
-        assert_eq!(checked, 36, "9 queue lengths x 4 cut points");
-        assert_eq!(torn, 0, "Figure 3's write order admits no torn observation");
-    }
-
-    #[test]
-    fn costs_are_finite_and_small() {
         let (_t, r) = run(true);
-        assert!(r.register_ns > 0.0 && r.register_ns < 100_000.0);
-        assert!(r.poll_empty_ns <= r.poll_hit_ns * 10.0 + 1_000.0);
+        assert_eq!(
+            r.interleavings_checked, 36,
+            "9 queue lengths x 4 cut points"
+        );
+        assert_eq!(
+            r.torn_states, 0,
+            "Figure 3's write order admits no torn observation"
+        );
     }
 }

@@ -12,8 +12,7 @@
 //! *GC-work geomean*: the geometric mean across workloads of words
 //! copied plus guardian entries visited — a machine-independent proxy
 //! for GC time (both terms scale linearly with pause time and neither
-//! depends on the host), so the score is bit-reproducible: every column
-//! of this table is exact and committed in `BENCH_quick.json`.
+//! depends on the host), so the score is bit-reproducible.
 //!
 //! The sweep is an E11-style grid a practitioner could actually ship
 //! under a bounded memory budget: nursery triggers up to 4× default and
@@ -165,7 +164,6 @@ pub fn run(quick: bool) -> (Table, Vec<E22Row>) {
             "vs default",
         ],
     );
-    table.exact_all();
     for row in &rows {
         let cap_mb = row.peak_capacity_bytes() as f64 / MB as f64;
         table.row(&[
@@ -179,7 +177,6 @@ pub fn run(quick: bool) -> (Table, Vec<E22Row>) {
             format!("{:.2}x", default_work / row.geomean_work),
         ]);
     }
-    table.note(super::env_note(1, None));
     table.note(super::config_note(&GcConfig::new()));
     table.note(format!(
         "GC work = words copied + guardian entries visited, a deterministic machine-independent proxy for GC time; geomean across the {} workloads; kw = kilowords/kilo-entries",

@@ -77,7 +77,6 @@ pub fn run(quick: bool) -> (Table, Vec<E3Row>) {
             "registered (a flat list visits all)",
         ],
     );
-    table.exact_all();
     let mut rows = Vec::new();
     for &n in sizes {
         let (per_gen, registered) = measure(n, young);

@@ -98,7 +98,6 @@ pub fn run(quick: bool) -> (Table, Vec<E4Row>) {
             "weak-set touched",
         ],
     );
-    table.exact_all();
     let mut rows = Vec::new();
     for &t in sizes {
         let row = measure(t, deaths);

@@ -98,7 +98,6 @@ pub fn run(quick: bool) -> (Table, Vec<E6Row>) {
             "transport-guardian touched",
         ],
     );
-    table.exact_all();
     let mut rows = Vec::new();
     for &n in sizes {
         let row = measure(n, young);

@@ -4,16 +4,15 @@
 //! figures and a set of complexity claims. This crate regenerates all of
 //! them:
 //!
-//! * [`experiments`] — E1..E12 and E17..E22, one per entry in DESIGN.md's
-//!   experiment index. Each returns a printable table and carries a unit
-//!   test asserting the claimed shape. A table declares which of its
-//!   columns are exact (labels and deterministic work counters); timed
-//!   columns are printed beside them with an `environment:` note.
+//! * [`experiments`] — E1..E12, E18, E21 and E22, one per entry in
+//!   DESIGN.md's experiment index. Each returns a printable table and
+//!   carries a unit test asserting the claimed shape. No experiment reads
+//!   a clock: every cell is a label or a deterministic work counter.
 //! * [`replay`] — churn-script replayer comparing table mechanisms on
 //!   identical inputs.
 //! * The `experiments` binary (`cargo run -p guardians-bench --bin
 //!   experiments [--quick]`) prints every table — the artifact behind
-//!   EXPERIMENTS.md — and with `--json` writes the exact columns alone.
+//!   EXPERIMENTS.md — and with `--json` writes them as one document.
 //!   The committed `BENCH_quick.json` is that document for the quick
 //!   suite; CI regenerates it and fails on any difference, with no
 //!   tolerance, because nothing in it depends on the host or the clock.

@@ -51,11 +51,11 @@ impl Heap {
     ///   (mid-cycle, a slot holding a from-space pointer is stamped at most
     ///   the collected generation), free slots are non-pointers on the free
     ///   list exactly once with no sharers, live slots have one, and no
-    ///   vector's stamped prefix is longer than the vector — checked on a
-    ///   suspended incremental collection too;
+    ///   vector's stamped prefix is longer than the vector;
     /// * the segment table's free store is coherent with its allocation
-    ///   state ([`SegmentTable::check_free_store`]) — checked on a
-    ///   suspended incremental collection too;
+    ///   state ([`SegmentTable::check_free_store`]);
+    /// * an allocation cursor is open exactly on the segments flagged so,
+    ///   and no segment is owned by a collector worker;
     /// * protected-list entries satisfy the generation invariants
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
     ///   via a tconc, and with an agent, in generation ≥ i), which is
@@ -63,11 +63,31 @@ impl Heap {
     ///   per-generation lists sound;
     /// * finalizer watch entries satisfy the same object invariant.
     ///
-    /// While an incremental collection is suspended between increments
-    /// the stop-the-world invariants do not all hold; the walk dispatches
-    /// to `Heap::verify_incremental`, which checks the between-increment
-    /// invariants instead (forwarded-on-read well-formedness and write-
-    /// barrier coverage).
+    /// It is one walk whether or not a collection is suspended between
+    /// increments. While one is, the stop-the-world invariants do not all
+    /// hold, and each of these is relaxed where the walk says so:
+    ///
+    /// * from-space segments are not walked (copied objects carry broken
+    ///   hearts in word 0 and are reclaimed wholesale at the end), their
+    ///   dirty flags and card marks die with them, and a pointer into
+    ///   them may find its referent already copied — a forwarding mark
+    ///   where the header was;
+    /// * **barrier coverage**: a from-space pointer in a *strong* field
+    ///   of a walked segment is sound only if the collector's remaining
+    ///   work (`Scratch::covered`) will re-visit the segment —
+    ///   otherwise terminal reclaim would leave it dangling. Weak cars
+    ///   are exempt (the terminal weak pass settles them);
+    /// * remembered-set completeness is owed for pointers that do not
+    ///   lead into the from-space (those are the coverage check's) out
+    ///   of strong segments (a drained weak-pair segment is all-clean
+    ///   until the terminal weak pass re-marks it), and a dirty flag may
+    ///   be backed by the collection's remembered-set snapshot instead of
+    ///   the table's dirty index;
+    /// * roots, protected entries and finalizer watches may hold
+    ///   from-space pointers (roots are re-forwarded at every increment;
+    ///   guardian/finalizer entries are settled by the terminal
+    ///   increment), and the protected and finalizer generation bounds —
+    ///   re-established by the terminal passes — are skipped.
     ///
     /// # Errors
     ///
@@ -78,18 +98,21 @@ impl Heap {
         self.segs
             .check_free_store()
             .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
-        let cycle = self.incremental.as_ref();
+        // The collection suspended between increments, if there is one.
+        let cycle = self.incremental.as_deref();
+        let from = cycle.map(|st| &st.from_space);
+        let in_from = |seg: SegIndex| from.is_some_and(|f| f.contains(seg));
         self.roots
             .check(&self.segs, cycle.map(|s| (&s.from_space, s.g)))
             .map_err(|e| VerifyError::new(format!("root table: {e}")))?;
-        if let Some(st) = cycle {
-            return self.verify_incremental(st);
-        }
-        // 1. Per-segment object walks.
+
+        // 1. Per-segment object walks (mid-cycle: not of the from-space).
         for (seg, info) in self.segs.iter() {
-            if !info.is_head() {
+            if !info.is_head() || in_from(seg) {
                 continue;
             }
+            // Mid-cycle: a drained weak-pair segment owes no card marks.
+            let remset_owed = cycle.is_none() || info.space != Space::WeakPair;
             let base = self.segs.base_addr(seg);
             let used = info.used as usize;
             let mut off = 0;
@@ -99,8 +122,11 @@ impl Heap {
                         // Weak cars are values too (forwarded or #f).
                         for (i, what) in ["car", "cdr"].into_iter().enumerate() {
                             let v = Value(self.segs.word(base.add(off + i)));
-                            self.check_value(v, what)?;
-                            self.check_remembered(None, seg, off + i, v)?;
+                            let weak_car = i == 0 && info.space == Space::WeakPair;
+                            self.check_field(cycle, v, seg, weak_car, what)?;
+                            if remset_owed {
+                                self.check_remembered(from, seg, off + i, v)?;
+                            }
                         }
                         off += 2;
                     }
@@ -114,8 +140,8 @@ impl Heap {
                         })?;
                         for i in 0..header.traced_words() {
                             let v = Value(self.segs.word(base.add(off + 1 + i)));
-                            self.check_value(v, "object field")?;
-                            self.check_remembered(None, seg, off + 1 + i, v)?;
+                            self.check_field(cycle, v, seg, false, "object field")?;
+                            self.check_remembered(from, seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
                     }
@@ -132,20 +158,29 @@ impl Heap {
         // flag is set must be present in the table's dirty index, or the
         // remembered-set scan would miss it. (The index may also hold
         // stale or duplicate entries; those are harmless by design.)
+        // Mid-cycle the flip's dirty snapshot (the unscanned tail of
+        // `remset_pending`) stands in for index membership — those
+        // segments keep their flags until scanned — and from-space flags
+        // are left to die with the segment at the terminal reclaim.
         for (seg, info) in self.segs.iter() {
-            if info.dirty && !self.segs.dirty_index().contains(&seg) {
+            if info.dirty
+                && !in_from(seg)
+                && !self.segs.dirty_index().contains(&seg)
+                && !cycle.is_some_and(|st| st.remset_pending.as_slice().contains(&seg))
+            {
                 return Err(VerifyError::new(format!(
-                    "{seg:?} is dirty but missing from the dirty index"
+                    "{seg:?} is dirty but missing from the dirty index (and, mid-cycle, \
+                     from the suspended collection's remembered-set snapshot)"
                 )));
             }
         }
-        self.check_card_summary(None)?;
+        self.check_card_summary(from)?;
 
-        // 2b. Open-cursor coherence: a segment's `open_cursor` flag must
-        // agree exactly with the allocation-cursor table, or the Cheney
-        // sweep would park a still-advancing segment (or spin re-checking
-        // a retired one).
         for (seg, info) in self.segs.iter() {
+            // 2b. Open-cursor coherence: a segment's `open_cursor` flag
+            // must agree exactly with the allocation-cursor table, or the
+            // Cheney sweep would park a still-advancing segment (or spin
+            // re-checking a retired one).
             let in_table = self.cursors.contains(&Some(seg));
             if info.open_cursor != in_table {
                 return Err(VerifyError::new(format!(
@@ -153,16 +188,14 @@ impl Heap {
                     info.open_cursor, in_table
                 )));
             }
-        }
-
-        // 2c. Worker-ownership coherence: region ownership marks exist
-        // only while a parallel collection is running, and the verifier
-        // runs only between collections — a lingering mark means a region
-        // escaped its close (its `used` watermark may be stale).
-        for (seg, info) in self.segs.iter() {
+            // 2c. Worker-ownership coherence: region ownership marks
+            // exist only while collector workers are running, and the
+            // verifier runs between collections or between increments
+            // (which are serial) — a lingering mark means a region escaped
+            // its close (its `used` watermark may be stale).
             if info.owner != NO_OWNER {
                 return Err(VerifyError::new(format!(
-                    "{seg:?} is still owned by collector worker {} outside a collection",
+                    "{seg:?} is still owned by collector worker {} with no worker running",
                     info.owner
                 )));
             }
@@ -170,20 +203,25 @@ impl Heap {
 
         // 3. Roots.
         for v in self.roots.values() {
-            self.check_value(v, "root")?;
+            self.check_value(cycle, v, "root")?;
         }
 
-        // 4. Protected lists.
+        // 4. Protected lists. The generation bounds are the terminal
+        // guardian pass's to re-establish, so they are checked only
+        // between collections.
         for (i, list) in self.protected.iter().enumerate() {
             for e in list {
-                self.check_value(e.obj, "guarded object")?;
-                self.check_value(e.rep, "guardian representative")?;
-                self.check_value(e.tconc, "guardian tconc")?;
+                self.check_value(cycle, e.obj, "guarded object")?;
+                self.check_value(cycle, e.rep, "guardian representative")?;
+                self.check_value(cycle, e.tconc, "guardian tconc")?;
                 if !e.tconc.is_pair_ptr() {
                     return Err(VerifyError::new(format!(
                         "tconc is not a pair: {:?}",
                         e.tconc
                     )));
+                }
+                if cycle.is_some() {
+                    continue;
                 }
                 for (what, v) in [("object", e.obj), ("agent", e.rep), ("tconc", e.tconc)] {
                     if let Some(gen) = self.generation_of(v) {
@@ -197,10 +235,13 @@ impl Heap {
             }
         }
 
-        // 5. Finalizer watch lists.
+        // 5. Finalizer watch lists, likewise.
         for (i, list) in self.finalize_watch.iter().enumerate() {
             for e in list {
-                self.check_value(e.obj, "finalizer-watched object")?;
+                self.check_value(cycle, e.obj, "finalizer-watched object")?;
+                if cycle.is_some() {
+                    continue;
+                }
                 if let Some(gen) = self.generation_of(e.obj) {
                     if (gen as usize) < i {
                         return Err(VerifyError::new(format!(
@@ -213,165 +254,31 @@ impl Heap {
         Ok(())
     }
 
-    /// The between-increment invariants of a suspended incremental
-    /// collection:
-    ///
-    /// * non-from-space segments still parse and their fields are
-    ///   well-formed, except that a pointer's referent may already have
-    ///   been copied (its first word is a forwarding mark, accepted by
-    ///   the relaxed target check);
-    /// * **barrier coverage**: a from-space pointer in a *strong* field
-    ///   of a non-from-space segment is sound only if the collector's
-    ///   remaining work ([`Scratch::covered`]) will re-visit the
-    ///   segment — otherwise terminal reclaim would leave it dangling.
-    ///   Weak cars are exempt (the terminal weak pass settles them);
-    /// * from-space segments are not walked (copied objects carry broken
-    ///   hearts in word 0 and are reclaimed wholesale at the end);
-    /// * a dirty flag may be backed by the state's remembered-set
-    ///   snapshot instead of the table's dirty index; remembered-set
-    ///   completeness is checked for pointers that do not lead into the
-    ///   from-space (those are the coverage check's) out of strong
-    ///   segments (a drained weak-pair segment is all-clean until the
-    ///   terminal weak pass re-marks it);
-    /// * roots, protected entries, and finalizer watches may hold
-    ///   from-space pointers (roots are re-forwarded at every increment;
-    ///   guardian/finalizer entries are settled by the terminal
-    ///   increment), so only well-formedness is checked, and the
-    ///   protected generation invariants — re-established by the
-    ///   terminal guardian pass — are skipped.
-    fn verify_incremental(&self, st: &Scratch) -> Result<(), VerifyError> {
-        // 1. Per-segment object walks, skipping the from-space.
-        for (seg, info) in self.segs.iter() {
-            if !info.is_head() || st.from_space.contains(seg) {
-                continue;
-            }
-            let base = self.segs.base_addr(seg);
-            let used = info.used as usize;
-            let mut off = 0;
-            while off < used {
-                match info.space {
-                    Space::Pair | Space::WeakPair => {
-                        let weak_car = info.space == Space::WeakPair;
-                        let car = Value(self.segs.word(base.add(off)));
-                        self.check_value_incremental(st, car, seg, weak_car, "car")?;
-                        let cdr = Value(self.segs.word(base.add(off + 1)));
-                        self.check_value_incremental(st, cdr, seg, false, "cdr")?;
-                        if !weak_car {
-                            for (i, v) in [car, cdr].into_iter().enumerate() {
-                                self.check_remembered(Some(&st.from_space), seg, off + i, v)?;
-                            }
-                        }
-                        off += 2;
-                    }
-                    Space::Typed | Space::Pure => {
-                        let word = self.segs.word(base.add(off));
-                        let header = Header::decode(word).ok_or_else(|| {
-                            VerifyError::new(format!(
-                                "bad header {word:#x} at {seg:?}+{off} (space {:?})",
-                                info.space
-                            ))
-                        })?;
-                        for i in 0..header.traced_words() {
-                            let v = Value(self.segs.word(base.add(off + 1 + i)));
-                            self.check_value_incremental(st, v, seg, false, "object field")?;
-                            self.check_remembered(Some(&st.from_space), seg, off + 1 + i, v)?;
-                        }
-                        off += header.total_words();
-                    }
-                }
-            }
-            if off != used {
-                return Err(VerifyError::new(format!(
-                    "object walk of {seg:?} overshot: used={used}, walked to {off}"
-                )));
-            }
-        }
-
-        // 2. Dirty-index coherence: mid-cycle, the flip's dirty snapshot
-        // (the unscanned tail of `remset_pending`) stands in for index
-        // membership — those segments keep their flags until scanned —
-        // and from-space flags are simply left to die with the segment
-        // at the terminal reclaim.
-        for (seg, info) in self.segs.iter() {
-            if info.dirty
-                && !st.from_space.contains(seg)
-                && !self.segs.dirty_index().contains(&seg)
-                && !st.remset_pending.as_slice().contains(&seg)
-            {
-                return Err(VerifyError::new(format!(
-                    "{seg:?} is dirty but missing from the dirty index and the \
-                     suspended collection's remembered-set snapshot"
-                )));
-            }
-        }
-
-        self.check_card_summary(Some(&st.from_space))?;
-
-        // 2b/2c. Cursor and ownership coherence hold between increments
-        // exactly as between collections (increments run serially).
-        for (seg, info) in self.segs.iter() {
-            let in_table = self.cursors.contains(&Some(seg));
-            if info.open_cursor != in_table {
-                return Err(VerifyError::new(format!(
-                    "{seg:?} open_cursor flag is {} but cursor table says {}",
-                    info.open_cursor, in_table
-                )));
-            }
-            if info.owner != NO_OWNER {
-                return Err(VerifyError::new(format!(
-                    "{seg:?} is owned by collector worker {} during an incremental cycle",
-                    info.owner
-                )));
-            }
-        }
-
-        // 3. Roots, 4. protected lists, 5. finalizer watches: relaxed.
-        for v in self.roots.values() {
-            self.check_value_relaxed(v, "root")?;
-        }
-        for list in self.protected.iter() {
-            for e in list {
-                self.check_value_relaxed(e.obj, "guarded object")?;
-                self.check_value_relaxed(e.rep, "guardian representative")?;
-                self.check_value_relaxed(e.tconc, "guardian tconc")?;
-                if !e.tconc.is_pair_ptr() {
-                    return Err(VerifyError::new(format!(
-                        "tconc is not a pair: {:?}",
-                        e.tconc
-                    )));
-                }
-            }
-        }
-        for list in self.finalize_watch.iter() {
-            for e in list {
-                self.check_value_relaxed(e.obj, "finalizer-watched object")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Field check for [`Heap::verify_incremental`]: a from-space pointer
-    /// in a strong field must be covered by the suspended collection's
-    /// outstanding work; its referent is checked with the relaxed rules.
-    fn check_value_incremental(
+    /// One traced field of a walked segment: a valid value, and mid-cycle
+    /// barrier coverage — a from-space pointer in a strong field must be
+    /// covered by the suspended collection's outstanding work.
+    fn check_field(
         &self,
-        st: &Scratch,
+        cycle: Option<&Scratch>,
         v: Value,
         holder: SegIndex,
         weak_car: bool,
         what: &str,
     ) -> Result<(), VerifyError> {
-        if v.is_ptr() && st.from_space.contains(v.addr().seg()) {
-            if !weak_car && !st.covered(self, holder) {
+        if let Some(st) = cycle {
+            if !weak_car
+                && v.is_ptr()
+                && st.from_space.contains(v.addr().seg())
+                && !st.covered(self, holder)
+            {
                 return Err(VerifyError::new(format!(
                     "{what} in {holder:?} holds a from-space pointer {v:?} but the \
                      segment is in none of the suspended collection's work lists \
                      (write-barrier coverage violation)"
                 )));
             }
-            return self.check_value_relaxed(v, what);
         }
-        self.check_value(v, what)
+        self.check_value(cycle, v, what)
     }
 
     /// Remembered-set completeness for one (already value-checked) field:
@@ -428,82 +335,17 @@ impl Heap {
         Ok(())
     }
 
-    fn check_value(&self, v: Value, what: &str) -> Result<(), VerifyError> {
-        if fwd::decode(v.raw()).is_some() {
-            return Err(VerifyError::new(format!(
-                "{what} holds a forwarding mark: {:#x}",
-                v.raw()
-            )));
-        }
-        if Header::decode(v.raw()).is_some() {
-            return Err(VerifyError::new(format!(
-                "{what} holds a header word: {:#x}",
-                v.raw()
-            )));
-        }
-        if v.raw() & TAG_MASK == 0b101 || v.raw() & TAG_MASK == 0b110 {
-            return Err(VerifyError::new(format!(
-                "{what} holds an undefined tag: {:#x}",
-                v.raw()
-            )));
-        }
-        if !v.is_ptr() {
-            return Ok(());
-        }
-        let addr = v.addr();
-        let Some(info) = self.segs.try_info(addr.seg()) else {
-            return Err(VerifyError::new(format!(
-                "{what} points into a freed segment: {v:?}"
-            )));
-        };
-        match info.kind {
-            SegKind::Head => {
-                if addr.offset() >= info.used as usize {
-                    return Err(VerifyError::new(format!(
-                        "{what} points past the used region: {v:?} (used {})",
-                        info.used
-                    )));
-                }
-            }
-            SegKind::Tail { .. } => {
-                return Err(VerifyError::new(format!(
-                    "{what} points into the middle of a large object run: {v:?}"
-                )));
-            }
-        }
-        match info.space {
-            Space::Pair | Space::WeakPair => {
-                if !v.is_pair_ptr() {
-                    return Err(VerifyError::new(format!(
-                        "{what}: non-pair pointer into a pair space: {v:?}"
-                    )));
-                }
-                if !addr.offset().is_multiple_of(2) {
-                    return Err(VerifyError::new(format!("{what}: misaligned pair: {v:?}")));
-                }
-            }
-            Space::Typed | Space::Pure => {
-                if !v.is_obj_ptr() {
-                    return Err(VerifyError::new(format!(
-                        "{what}: pair pointer into an object space: {v:?}"
-                    )));
-                }
-                if Header::decode(self.segs.word(addr)).is_none() {
-                    return Err(VerifyError::new(format!(
-                        "{what}: typed pointer does not target a header: {v:?}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Heap::check_value`] with one relaxation for suspended
-    /// incremental collections: a typed pointer's target word may be a
-    /// forwarding mark instead of a header (the referent was already
-    /// copied; readers chase the broken heart). From-space `used`
-    /// watermarks are frozen at the flip, so the range checks stay exact.
-    fn check_value_relaxed(&self, v: Value, what: &str) -> Result<(), VerifyError> {
+    /// A well-formed value whose referent, if it has one, is a live
+    /// object of the matching space. Mid-cycle a from-space referent may
+    /// already have been copied: its first word is then a forwarding mark
+    /// (readers chase the broken heart). From-space `used` watermarks are
+    /// frozen at the flip, so the range checks stay exact.
+    fn check_value(
+        &self,
+        cycle: Option<&Scratch>,
+        v: Value,
+        what: &str,
+    ) -> Result<(), VerifyError> {
         if fwd::decode(v.raw()).is_some() {
             return Err(VerifyError::new(format!(
                 "{what} holds a forwarding mark: {:#x}",
@@ -564,10 +406,11 @@ impl Heap {
                     )));
                 }
                 let w = self.segs.word(addr);
-                if Header::decode(w).is_none() && fwd::decode(w).is_none() {
+                let copied = fwd::decode(w).is_some()
+                    && cycle.is_some_and(|st| st.from_space.contains(addr.seg()));
+                if Header::decode(w).is_none() && !copied {
                     return Err(VerifyError::new(format!(
-                        "{what}: typed pointer targets neither header nor \
-                         forwarding mark: {v:?}"
+                        "{what}: typed pointer does not target a header: {v:?}"
                     )));
                 }
             }

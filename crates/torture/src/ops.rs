@@ -496,11 +496,13 @@ impl Default for TortureConfig {
     }
 }
 
-/// The collector switches the 4th and 5th `config` slots once set, in slot
-/// order; both left the collector, and the parser names them when refusing
-/// a line that sets one.
-const RETIRED_SWITCHES: [&str; 2] = ["flat_protected", "ablate_weak_pass_first"];
+/// Trace format version: the number in the header [`Trace::to_text`]
+/// writes and in every refusal of an older `config` line.
+const FORMAT_VERSION: u32 = 2;
 
+/// `config <gens> <promotion> <fault> [workers [budget_us]]`: the two
+/// optional tokens are positional and omitted at their defaults, so
+/// emitting the budget forces the workers out.
 impl fmt::Display for TortureConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let promo = promotion_text(self.promotion);
@@ -508,18 +510,11 @@ impl fmt::Display for TortureConfig {
             Some(n) => n.to_string(),
             None => "-".to_string(),
         };
-        // The 4th and 5th slots once held two ablation switches
-        // ([`RETIRED_SWITCHES`]); they are always written `0`, so every
-        // committed trace keeps its text.
-        write!(f, "config {} {promo} 0 0 {fault}", self.generations)?;
-        // The workers and pause-budget tokens are optional (and omitted
-        // at the defaults) so older traces keep parsing and default
-        // traces keep their historical textual form. They are positional
-        // (6th, 7th), so emitting the budget forces the workers out. The
-        // 8th and 9th slots once named a Scheme interpreter tier and an
-        // autotuner mode; they are never written and ignored on parse.
+        write!(f, "config {} {promo} {fault}", self.generations)?;
         if self.workers != 1 || self.pause_budget.is_some() {
-            write!(f, " {}", self.workers)?;
+            // The collector runs 0 workers as 1, and the parser keeps `0`
+            // for telling a v1 line apart.
+            write!(f, " {}", self.workers.max(1))?;
         }
         if let Some(us) = self.pause_budget {
             write!(f, " {us}")?;
@@ -542,51 +537,36 @@ impl FromStr for TortureConfig {
             .map_err(|e| format!("config: bad generations: {e}"))?;
         let promo = parse_promotion(it.next().ok_or("config: missing promotion")?)
             .map_err(|e| format!("config: {e}"))?;
-        // A trace recorded with a retired switch set ran on a collector
-        // that no longer exists, so it is refused, not silently replayed
-        // on another.
-        for switch in RETIRED_SWITCHES {
-            match it.next() {
-                Some("0") => {}
-                Some("1") => {
-                    return Err(format!(
-                        "config: the {switch} switch was removed from the collector; \
-                         its slot must read 0"
-                    ))
-                }
-                other => return Err(format!("config: bad {switch} slot {other:?}")),
-            }
-        }
         let fault = match it.next().ok_or("config: missing fault")? {
             "-" => None,
             n => Some(n.parse().map_err(|e| format!("config: bad fault: {e}"))?),
         };
         let workers = match it.next() {
-            Some(n) => {
-                let n: usize = n.parse().map_err(|e| format!("config: bad workers: {e}"))?;
-                n.max(1)
+            // A v1 line carried two switch slots, always `0 0`, ahead of
+            // the fault, so it arrives here as "fault 0, workers 0". No v2
+            // writer emits zero workers: refuse the line rather than replay
+            // it under a fault it never recorded.
+            Some("0") => {
+                return Err(format!(
+                    "config: 0 workers: this is a trace format v1 line \
+                     (`config <gens> <promotion> 0 0 <fault> ...`), and this rig reads \
+                     v{FORMAT_VERSION} (`config <gens> <promotion> <fault> [workers [budget_us]]`)"
+                ))
             }
+            Some(n) => n.parse().map_err(|e| format!("config: bad workers: {e}"))?,
             None => 1,
         };
-        let pause_budget = match it.next() {
-            // `-` is the placeholder historical lines carry when a
-            // since-retired token behind it needed the slot filled.
-            Some("-") | None => None,
-            Some(us) => Some(
+        let pause_budget = it
+            .next()
+            .map(|us| {
                 us.parse()
-                    .map_err(|e| format!("config: bad pause budget: {e}"))?,
-            ),
-        };
-        // The retired interpreter-tier slot: historical lines carry one
-        // of the three tier names here.
-        match it.next() {
-            Some("-" | "naive" | "staged" | "vm") | None => {}
-            Some(other) => return Err(format!("config: bad interp mode {other:?}")),
-        }
-        // The retired autotuner-mode slot, likewise.
-        match it.next() {
-            Some("off" | "observe" | "active") | None => {}
-            Some(other) => return Err(format!("config: bad autotune mode {other:?}")),
+                    .map_err(|e| format!("config: bad pause budget: {e}"))
+            })
+            .transpose()?;
+        if let Some(extra) = it.next() {
+            return Err(format!(
+                "config: trailing token {extra:?} (trace format v{FORMAT_VERSION} ends at the budget)"
+            ));
         }
         Ok(TortureConfig {
             generations: gens,
@@ -615,7 +595,7 @@ impl Trace {
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "# guardians torture trace v1");
+        let _ = writeln!(out, "# guardians torture trace v{FORMAT_VERSION}");
         if let Some(seed) = self.seed {
             let _ = writeln!(out, "# seed {seed}");
         }
@@ -769,32 +749,34 @@ mod tests {
         let text = parallel.to_string();
         assert!(text.ends_with(" 4"), "workers token emitted: {text}");
         assert_eq!(text.parse::<TortureConfig>().unwrap(), parallel);
-        // The default stays token-free (old traces keep their exact text)
-        // and pre-parallel five-token lines still parse as serial.
+        // The default stays token-free.
         let serial = TortureConfig::default();
-        assert!(!serial.to_string().ends_with(" 1"), "{serial}");
-        assert_eq!(
-            "config 4 next 0 0 -".parse::<TortureConfig>().unwrap(),
-            serial
-        );
+        assert_eq!(serial.to_string(), "config 4 next -");
+        assert_eq!(serial.to_string().parse::<TortureConfig>().unwrap(), serial);
     }
 
     #[test]
-    fn retired_switch_slots_must_read_zero() {
-        let lines = ["config 4 next 1 0 -", "config 4 next 0 1 -"];
-        for (line, switch) in lines.into_iter().zip(RETIRED_SWITCHES) {
-            let err = line.parse::<TortureConfig>().unwrap_err();
-            assert!(err.contains(switch) && err.contains("removed"), "{err}");
+    fn v1_config_lines_are_refused_by_format_version() {
+        // The v1 default line and the longest line a v1 writer ever
+        // emitted (workers, budget, interpreter tier, autotuner mode).
+        // Read as v2 both would replay under a fault at offset 0.
+        for old in ["config 4 next 0 0 -", "config 4 next 0 0 - 2 250 vm active"] {
+            let err = old.parse::<TortureConfig>().unwrap_err();
+            assert!(err.contains("format v1") && err.contains("v2"), "{err}");
+            let err = Trace::parse(&format!("{old}\npair 0 null null")).unwrap_err();
+            assert!(err.contains("line 1") && err.contains("format v1"), "{err}");
         }
-        assert!("config 4 next 2 0 -".parse::<TortureConfig>().is_err());
-        let text = TortureConfig::default().to_string();
-        assert_eq!(text, "config 4 next 0 0 -", "the slots are still written");
+        // Past the budget a v2 line has no slot.
+        let err = "config 4 next - 2 250 vm"
+            .parse::<TortureConfig>()
+            .unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]
     fn pause_budget_token_round_trips_and_defaults() {
-        // The budget is the 7th token: emitting it forces the workers
-        // token out even at its default.
+        // The budget follows the workers token: emitting it forces the
+        // workers token out even at its default.
         let budgeted = TortureConfig {
             pause_budget: Some(250),
             ..TortureConfig::default()
@@ -808,63 +790,10 @@ mod tests {
             ..TortureConfig::default()
         };
         assert_eq!(finest.to_string().parse::<TortureConfig>().unwrap(), finest);
-        // Six-token (pre-incremental) and five-token (pre-parallel)
-        // lines still parse as stop-the-world.
-        for old in ["config 4 next 0 0 - 4", "config 4 next 0 0 -"] {
-            assert_eq!(old.parse::<TortureConfig>().unwrap().pause_budget, None);
+        // Without the token a line is stop-the-world.
+        for short in ["config 4 next - 4", "config 4 next -"] {
+            assert_eq!(short.parse::<TortureConfig>().unwrap().pause_budget, None);
         }
-    }
-
-    #[test]
-    fn retired_interp_token_is_parsed_and_ignored() {
-        // The 8th token once selected a Scheme interpreter tier; lines
-        // written then still load, as the configuration without it.
-        for tier in ["naive", "staged", "vm", "-"] {
-            for (budget, pause_budget) in [("-", None), ("250", Some(250u64))] {
-                let cfg: TortureConfig = format!("config 4 next 0 0 - 2 {budget} {tier}")
-                    .parse()
-                    .unwrap();
-                let expected = TortureConfig {
-                    workers: 2,
-                    pause_budget,
-                    ..TortureConfig::default()
-                };
-                assert_eq!(cfg, expected);
-            }
-        }
-        assert!("config 4 next 0 0 - 1 - jit"
-            .parse::<TortureConfig>()
-            .is_err());
-    }
-
-    #[test]
-    fn retired_autotune_token_is_parsed_and_ignored() {
-        // The 9th token once selected an autotuner mode (behind the
-        // retired 8th, in either of its spellings); lines written then
-        // still load, as the configuration without it.
-        for mode in ["off", "observe", "active"] {
-            for tier in ["-", "staged"] {
-                for (budget, pause_budget) in [("-", None), ("250", Some(250u64))] {
-                    let cfg: TortureConfig =
-                        format!("config 4 next 0 0 - 2 {budget} {tier} {mode}")
-                            .parse()
-                            .unwrap();
-                    let expected = TortureConfig {
-                        workers: 2,
-                        pause_budget,
-                        ..TortureConfig::default()
-                    };
-                    assert_eq!(cfg, expected);
-                    // Display never emits past the pause-budget slot.
-                    let text = cfg.to_string();
-                    assert!(text.split_whitespace().count() <= 8, "{text}");
-                    assert_eq!(text.parse::<TortureConfig>().unwrap(), cfg);
-                }
-            }
-        }
-        assert!("config 4 next 0 0 - 1 - - eager"
-            .parse::<TortureConfig>()
-            .is_err());
     }
 
     #[test]
@@ -930,11 +859,11 @@ mod tests {
 
     #[test]
     fn parse_reports_bad_lines() {
-        let err = Trace::parse("config 4 next 0 0 -\nfrobnicate 1").unwrap_err();
+        let err = Trace::parse("config 4 next -\nfrobnicate 1").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         let err = Trace::parse("pair 0 null null").unwrap_err();
         assert!(err.contains("no config"), "{err}");
-        let err = Trace::parse("config 4 next 0 0 -\npair 0 null null extra").unwrap_err();
+        let err = Trace::parse("config 4 next -\npair 0 null null extra").unwrap_err();
         assert!(err.contains("trailing"), "{err}");
     }
 }

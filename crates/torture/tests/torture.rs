@@ -282,7 +282,7 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
 #[test]
 fn typed_trace_replays_from_text_and_pins_weak_ordering() {
     let text = "\
-config 4 next 0 0 -
+config 4 next -
 tnode 0 null null
 troot 0
 tnode 1 n0 null

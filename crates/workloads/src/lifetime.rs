@@ -4,7 +4,7 @@
 //! load in other experiments.
 
 use crate::keys::KeyGen;
-use guardians_gc::{Heap, PhaseTimes, Rooted, Value};
+use guardians_gc::{Heap, Rooted, Value};
 
 /// Parameters for the lifetime workload.
 #[derive(Clone, Debug)]
@@ -46,12 +46,6 @@ pub struct LifetimeStats {
     pub collections: u64,
     /// Total words copied by those collections.
     pub words_copied: u64,
-    /// Maximum single-collection duration, in nanoseconds.
-    pub max_pause_ns: u128,
-    /// Total GC time, nanoseconds.
-    pub total_gc_ns: u128,
-    /// Cumulative per-phase pause breakdown across all collections.
-    pub phase_times: PhaseTimes,
     /// Permanent objects retained at the end.
     pub permanent: usize,
 }
@@ -81,15 +75,11 @@ pub fn run_lifetime_workload(heap: &mut Heap, params: &LifetimeParams) -> Lifeti
             }
         }
         if params.safe_point_every > 0 && i % params.safe_point_every == 0 {
-            if let Some(report) = heap.maybe_collect() {
-                stats.max_pause_ns = stats.max_pause_ns.max(report.duration.as_nanos());
-            }
+            heap.maybe_collect();
         }
     }
     stats.collections = heap.collection_count() - start_collections;
     stats.words_copied = heap.stats().total_words_copied;
-    stats.total_gc_ns = heap.stats().total_gc_time.as_nanos();
-    stats.phase_times = heap.stats().total_phase_times;
     stats.permanent = permanent.len();
     stats
 }

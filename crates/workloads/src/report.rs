@@ -11,8 +11,6 @@ pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
     notes: Vec<String>,
-    /// Indices of the columns declared [`exact`](Table::exact).
-    exact: Vec<usize>,
 }
 
 impl Table {
@@ -23,35 +21,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
-            exact: Vec::new(),
         }
-    }
-
-    /// Declares the columns whose cells are labels or deterministic
-    /// counts: equal on every run and every host, so they can be committed
-    /// and compared byte for byte. Anything timed, or derived from a
-    /// timed value, stays undeclared and is only printed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a name is not one of the table's headers.
-    pub fn exact(&mut self, columns: &[&str]) -> &mut Table {
-        self.exact = columns
-            .iter()
-            .map(|c| {
-                self.headers
-                    .iter()
-                    .position(|h| h == c)
-                    .unwrap_or_else(|| panic!("exact column {c:?} is not a header"))
-            })
-            .collect();
-        self
-    }
-
-    /// Declares every column [`exact`](Table::exact).
-    pub fn exact_all(&mut self) -> &mut Table {
-        self.exact = (0..self.headers.len()).collect();
-        self
     }
 
     /// Appends a data row.
@@ -71,35 +41,28 @@ impl Table {
         self
     }
 
-    /// The table's exact projection as a JSON object
-    /// (`{"name", "title", "headers", "rows"}`, one row per line): the
-    /// columns declared [`exact`](Table::exact) and nothing else — no
-    /// timed column, no note (notes carry host shape and timed headlines).
-    /// `None` when no column is declared. No external serializer: cells
-    /// are strings, so escaping is all that is needed, and key order is
-    /// fixed by construction — the same counts give the same bytes, which
-    /// is what lets `experiments --json` output be committed and gated by
-    /// `git diff`.
-    pub fn exact_json(&self, name: &str) -> Option<String> {
-        if self.exact.is_empty() {
-            return None;
-        }
+    /// The table as a JSON object (`{"name", "title", "headers", "rows"}`,
+    /// one row per line; notes are prose and stay out). No external
+    /// serializer: cells are strings, so escaping is all that is needed,
+    /// and key order is fixed by construction — the same cells give the
+    /// same bytes, which is what lets `experiments --json` output be
+    /// committed and gated by `git diff`.
+    pub fn json(&self, name: &str) -> String {
         let arr = |cells: &[String]| {
-            let picked: Vec<String> = self
-                .exact
+            let quoted: Vec<String> = cells
                 .iter()
-                .map(|&i| format!("\"{}\"", json_escape(&cells[i])))
+                .map(|c| format!("\"{}\"", json_escape(c)))
                 .collect();
-            format!("[{}]", picked.join(","))
+            format!("[{}]", quoted.join(","))
         };
         let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
-        Some(format!(
+        format!(
             "{{\"name\":\"{}\",\"title\":\"{}\",\"headers\":{},\"rows\":[\n{}]}}",
             json_escape(name),
             json_escape(&self.title),
             arr(&self.headers),
             rows.join(",\n")
-        ))
+        )
     }
 
     /// Renders with aligned columns.
@@ -206,43 +169,11 @@ mod tests {
         let mut t = Table::new("quotes \"here\"", &["a", "b"]);
         t.row(&["x\n".into(), "1".into()]);
         t.row(&["50% of \\ cases".into(), "2".into()]);
-        t.exact_all();
         assert_eq!(
-            t.exact_json("demo").unwrap(),
+            t.json("demo"),
             "{\"name\":\"demo\",\"title\":\"quotes \\\"here\\\"\",\"headers\":[\"a\",\"b\"],\
              \"rows\":[\n[\"x\\n\",\"1\"],\n[\"50% of \\\\ cases\",\"2\"]]}"
         );
-    }
-
-    #[test]
-    fn exact_projection_is_declared_columns_only_and_byte_stable() {
-        let build = |timed: &str, host: &str| {
-            let mut t = Table::new("demo", &["config", "Mw/s", "collections"]);
-            t.row(&["a".into(), timed.into(), "1,024".into()]);
-            t.note(format!("environment: {host} hardware threads"));
-            t.exact(&["config", "collections"]);
-            t
-        };
-        let fast = build("98.3", "8");
-        let slow = build("41.7", "1");
-        let json = fast.exact_json("demo").unwrap();
-        assert_eq!(
-            json,
-            "{\"name\":\"demo\",\"title\":\"demo\",\"headers\":[\"config\",\"collections\"],\
-             \"rows\":[\n[\"a\",\"1,024\"]]}"
-        );
-        // Two runs that differ only in timed cells and host notes project
-        // to the same bytes; the printed table still shows both.
-        assert_eq!(json, slow.exact_json("demo").unwrap());
-        assert!(fast.render().contains("98.3") && fast.render().contains("note: environment"));
-        // Nothing declared, nothing projected.
-        assert_eq!(Table::new("demo", &["a"]).exact_json("demo"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a header")]
-    fn exact_rejects_unknown_columns() {
-        Table::new("demo", &["a"]).exact(&["b"]);
     }
 
     #[test]

@@ -64,20 +64,6 @@ impl Engine {
             Engine::PauseBudgetUs(us) => format!("budget{us}us"),
         }
     }
-
-    /// Parses [`Engine::label`] output.
-    pub fn from_label(s: &str) -> Option<Engine> {
-        if s == "serial" {
-            return Some(Engine::Serial);
-        }
-        if let Some(n) = s.strip_prefix("workers") {
-            return n.parse().ok().map(Engine::Workers);
-        }
-        if let Some(us) = s.strip_prefix("budget").and_then(|t| t.strip_suffix("us")) {
-            return us.parse().ok().map(Engine::PauseBudgetUs);
-        }
-        None
-    }
 }
 
 /// Which workload surface the zone serves requests through.

@@ -398,20 +398,6 @@ fn rebalance_quotas_divides_capacity_without_stranding_zones() {
 }
 
 #[test]
-fn engine_labels_roundtrip() {
-    for engine in [
-        Engine::Serial,
-        Engine::Workers(4),
-        Engine::Workers(16),
-        Engine::PauseBudgetUs(100),
-        Engine::PauseBudgetUs(250),
-    ] {
-        assert_eq!(Engine::from_label(&engine.label()), Some(engine));
-    }
-    assert_eq!(Engine::from_label("warp9"), None);
-}
-
-#[test]
 fn fleet_stats_json_is_well_formed() {
     let mut mgr = ZoneManager::with_capacity(2048);
     for id in 0..3 {
