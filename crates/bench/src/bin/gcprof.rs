@@ -281,7 +281,7 @@ fn profile_e21(quick: bool, out_dir: &str) {
     use guardians_zones::{session_zone, Engine, Request, ZoneConfig, ZoneManager};
 
     // E21's fleet shape — 8 zones alternating typed/Scheme over one shared
-    // segment pool, engines cycling through the zone matrix — but driven
+    // segment pool, schedules cycling through the zone matrix — but driven
     // single-threaded through the manager so every zone's heap stays
     // reachable for tracing. Each zone gets its own trace ring, census,
     // and metrics snapshot; the fleet rollup lands in e21.fleet.json.
@@ -294,7 +294,7 @@ fn profile_e21(quick: bool, out_dir: &str) {
             ZoneConfig::scheme()
         };
         let cfg = base
-            .with_engine(Engine::MATRIX[(id % 3) as usize])
+            .with_engine(Engine::MATRIX[(id / 2) as usize % Engine::MATRIX.len()])
             .with_trigger_bytes(1 << 16);
         mgr.create_zone(id, &cfg)
             .enable_tracing(profile_trace_config());

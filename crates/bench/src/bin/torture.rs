@@ -9,16 +9,11 @@
 //!   --seeds N        number of seeds to run            (default 200)
 //!   --start N        first seed                        (default 0)
 //!   --ops N          ops per trace                     (default 10000)
-//!   --workers N      collector workers for the soak traces and the fault
-//!                    sweep (default 1; >1 fans the sweeps and the
-//!                    remembered-set scan out over that many threads, and
-//!                    the oracle checks the result op-for-op)
-//!   --pause-budget N run the soak traces under the bounded-pause
-//!                    incremental engine with an N-microsecond budget
-//!                    (0 = one work unit per increment, the finest
-//!                    slicing; omit the flag for the default engine).
-//!                    Applies to the soak and traced legs, not the
-//!                    fault sweep
+//!   --pause-budget N run the soak traces in increments with an
+//!                    N-microsecond budget (0 = one work unit per
+//!                    increment, the finest slicing; omit the flag for
+//!                    stop-the-world). Applies to the soak, traced and
+//!                    scheme legs, not the fault sweep
 //!   --fault-sweep N  additionally run an exhaustive acquisition-fault
 //!                    sweep on the first N seeds with short traces
 //!                    (default 0 = none)
@@ -29,8 +24,8 @@
 //!   --scheme-seeds N additionally run N seeds of the scheme-differential
 //!                    leg: the seed's guardian-heavy Scheme workload under
 //!                    the bytecode VM vs the naive oracle, on the seed's
-//!                    rotated heap config (plus --workers /
-//!                    --pause-budget overrides)        (default 0 = none)
+//!                    rotated heap config (plus the --pause-budget
+//!                    override)                        (default 0 = none)
 //!   --scheme-forms N top-level forms per scheme workload  (default 200)
 //!   --zone-soak N    additionally run N seeds of the multi-zone soak:
 //!                    a randomized create/dispatch/evict/teardown schedule
@@ -49,7 +44,6 @@ fn main() {
     let mut seeds: u64 = 200;
     let mut start: u64 = 0;
     let mut ops: usize = 10_000;
-    let mut workers: usize = 1;
     let mut pause_budget: Option<u64> = None;
     let mut sweep_seeds: u64 = 0;
     let mut sweep_ops: usize = 150;
@@ -73,7 +67,6 @@ fn main() {
             "--seeds" => seeds = val(i),
             "--start" => start = val(i),
             "--ops" => ops = val(i) as usize,
-            "--workers" => workers = (val(i) as usize).max(1),
             "--pause-budget" => pause_budget = Some(val(i)),
             "--fault-sweep" => sweep_seeds = val(i),
             "--sweep-ops" => sweep_ops = val(i) as usize,
@@ -96,10 +89,9 @@ fn main() {
     }
 
     println!(
-        "torture soak: {seeds} seeds from {start}, {ops} ops each, {workers} collector worker{}{}",
-        if workers == 1 { "" } else { "s" },
+        "torture soak: {seeds} seeds from {start}, {ops} ops each{}",
         match pause_budget {
-            Some(us) => format!(", {us} us pause budget (incremental engine)"),
+            Some(us) => format!(", {us} us pause budget (incremental schedule)"),
             None => String::new(),
         }
     );
@@ -110,7 +102,6 @@ fn main() {
     let mut total_polled = 0u64;
     for seed in start..start + seeds {
         let mut trace = guardians_torture::generate(seed, ops);
-        trace.config.workers = workers;
         trace.config.pause_budget = pause_budget;
         match guardians_torture::run_trace(&trace) {
             Ok(stats) => {
@@ -145,14 +136,12 @@ fn main() {
     );
 
     if sweep_seeds > 0 {
-        println!(
-            "fault sweep: {sweep_seeds} seeds, {sweep_ops} ops, {workers} worker(s), every acquisition offset"
-        );
+        println!("fault sweep: {sweep_seeds} seeds, {sweep_ops} ops, every acquisition offset");
         let t1 = Instant::now();
         let mut runs = 0u64;
         let mut fired = 0u64;
         for seed in start..start + sweep_seeds {
-            match guardians_torture::fault_sweep(seed, sweep_ops, workers) {
+            match guardians_torture::fault_sweep(seed, sweep_ops) {
                 Ok((r, f)) => {
                     runs += r;
                     fired += f;
@@ -209,7 +198,6 @@ fn main() {
         let mut polled = 0u64;
         for seed in start..start + scheme_seeds {
             let mut cfg = guardians_torture::config_for_seed(seed);
-            cfg.workers = workers;
             cfg.pause_budget = pause_budget;
             match guardians_torture::run_scheme_differential(seed, scheme_forms, &cfg) {
                 Ok(stats) => {

@@ -11,9 +11,8 @@
 //! scale.
 //!
 //! The experiment runs the same fleet workload (8 zones, half typed /
-//! half Scheme, ≥1000 concurrent simulated sessions) under each engine
-//! of the zone matrix — serial, 4-worker parallel, 100 µs bounded-pause —
-//! and reports the fleet totals and the guardian-reclaimed resource
+//! half Scheme, ≥1000 concurrent simulated sessions) under each schedule
+//! of the zone matrix — stop-the-world, 100 µs bounded-pause — and reports the fleet totals and the guardian-reclaimed resource
 //! counts. Each run also replays
 //! every zone's recorded request subsequence on a private solo zone and
 //! asserts the observables byte-identical (all but the wall-clock
@@ -150,7 +149,7 @@ fn measure(engine: Engine, sessions: u64, rounds: u32) -> E21Row {
     }
 }
 
-/// Runs the experiment: the engine matrix over the same fleet workload.
+/// Runs the experiment: the schedule matrix over the same fleet workload.
 pub fn run(quick: bool) -> (Table, Vec<E21Row>) {
     let sessions: u64 = if quick { 1000 } else { 2500 };
     let rounds: u32 = if quick { 2 } else { 4 };
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn fleet_hits_the_acceptance_floor_and_reclaims() {
         let (_t, rows) = run(true);
-        assert_eq!(rows.len(), 3, "the full engine matrix");
+        assert_eq!(rows.len(), 2, "both schedules");
         for row in &rows {
             assert!(row.zones >= 8, "{}: >=8 zones", row.label);
             assert!(row.sessions >= 1000, "{}: >=1000 sessions", row.label);

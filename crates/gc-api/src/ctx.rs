@@ -146,7 +146,7 @@ impl ApiCtx {
     ///
     /// Routed through [`Heap::record_ref`], so the read chases forwarding
     /// pointers while an incremental collection is in flight — correct
-    /// under all three engines.
+    /// under both schedules.
     ///
     /// # Panics
     ///

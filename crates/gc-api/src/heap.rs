@@ -22,8 +22,8 @@ pub struct GcHeap {
 
 impl GcHeap {
     /// Creates a heap with the given collector configuration — the same
-    /// [`GcConfig`] the raw layer takes, so the typed API runs under any
-    /// engine (serial, `workers > 1`, `pause_budget`).
+    /// [`GcConfig`] the raw layer takes, so the typed API runs under either
+    /// schedule (stop-the-world, `pause_budget`).
     pub fn new(config: GcConfig) -> GcHeap {
         let mut heap = Heap::new(config);
         let ctx = ApiCtx::new(&mut heap);
@@ -157,7 +157,7 @@ impl GcHeap {
 
     /// The policy-driven safe point: collects when the allocation trigger
     /// has tripped, and runs one bounded increment per call under a
-    /// `pause_budget` engine.
+    /// `pause_budget`.
     pub fn maybe_collect(&mut self) -> Option<&CollectionReport> {
         self.heap.maybe_collect()
     }

@@ -14,7 +14,7 @@
 //!
 //! All accessors route through the raw layer's public record accessors,
 //! which apply `resolve_read` (forwarded-on-read during incremental
-//! cycles) and the write barrier — the typed API is engine-agnostic by
+//! cycles) and the write barrier — the typed API is schedule-agnostic by
 //! construction.
 
 pub mod ctx;
@@ -242,19 +242,12 @@ mod tests {
 
     #[test]
     fn works_under_all_three_engines() {
-        for cfg in [
-            GcConfig::new(),
-            {
-                let mut c = GcConfig::new();
-                c.workers = 4;
-                c
-            },
-            {
-                let mut c = GcConfig::new();
-                c.pause_budget = Some(std::time::Duration::from_micros(100));
-                c
-            },
-        ] {
+        // Both schedules (the name predates the worker engine's removal).
+        let budgeted = GcConfig {
+            pause_budget: Some(std::time::Duration::from_micros(100)),
+            ..GcConfig::new()
+        };
+        for cfg in [GcConfig::new(), budgeted] {
             let mut h = GcHeap::new(cfg);
             let g: Guardian<Node> = h.guardian();
             let mut chain = h.alloc(&Node { id: 0, next: None });
@@ -272,7 +265,7 @@ mod tests {
             let w = h.downgrade(&doomed);
             drop(doomed);
             h.collect(0);
-            // Incremental engines may leave the cycle mid-flight from a
+            // A budgeted heap may leave the cycle mid-flight from a
             // `maybe_collect`; `collect` runs to completion regardless.
             let saved = h.poll(&g).expect("doomed node saved by guardian");
             assert_eq!(h.read(&saved).id, 999);

@@ -219,9 +219,9 @@ proptest! {
     }
 }
 
-/// The same parity holds under the parallel and incremental engines (a
-/// fixed dense plan rather than the full random sweep, to keep the
-/// three-engine matrix cheap).
+/// The same parity holds under both schedules, stop-the-world and
+/// incremental (a fixed dense plan rather than the full random sweep, to
+/// keep the matrix cheap; the name predates the worker engine's removal).
 #[test]
 fn parity_holds_under_all_three_engines() {
     let p = plan(
@@ -239,11 +239,9 @@ fn parity_holds_under_all_three_engines() {
         &[1, 2, 5, 7],
         &[0, 1, 0],
     );
-    let mut workers = GcConfig::new();
-    workers.workers = 4;
     let mut budget = GcConfig::new();
     budget.pause_budget = Some(std::time::Duration::from_micros(100));
-    for cfg in [GcConfig::new(), workers, budget] {
+    for cfg in [GcConfig::new(), budget] {
         check_parity(cfg, &p);
     }
 }

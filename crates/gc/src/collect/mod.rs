@@ -34,10 +34,8 @@
 //! (phases 5–8) before it returns. Stop-the-world is the schedule with no
 //! deadline: one advance, which never yields and reads no clock per work
 //! unit. `pause_budget` is the schedule that gives every advance a
-//! deadline. `workers > 1` changes only who scans: an advance that cannot
-//! yield sets [`Scratch::par`], and the two transitive closures —
-//! [`kleene_sweep`] and the remembered-set scan — fan out as parallel
-//! regions (see [`parallel`]).
+//! deadline. There is no third schedule and no second thread: the collector
+//! holds no thread, atomic, lock or condvar (DESIGN.md §9 says why).
 //!
 //! # Between increments
 //!
@@ -75,7 +73,7 @@
 //!
 //! # The copy/scan engine
 //!
-//! One forward-in-place kernel, on raw segment bases, for every schedule:
+//! One forward-in-place kernel, on raw segment bases, for both schedules:
 //!
 //! * [`forward_from`] copies by shape — a pair is two word moves, any other
 //!   object of at most a segment one `copy_nonoverlapping`, a multi-segment
@@ -83,10 +81,9 @@
 //!   cursor ([`Heap::bump`], the allocator's own fast path).
 //! * [`walk_traced`] alone knows the three traced layouts, and
 //!   [`forward_span`] is it with the one visitor there is: read the slot,
-//!   test it, forward, write back. The calling thread ([`scan_segment`],
-//!   `remset::scan_weak_cdrs`) and the workers differ only in the forward
-//!   they pass — [`forward_from`], or claim-then-copy. The access contract
-//!   it all stands on is stated once, at `remset::walk_run`.
+//!   test it, forward with [`forward_from`], write back ([`scan_segment`],
+//!   `remset::scan_weak_cdrs`). The access contract it all stands on is
+//!   stated once, at `remset::walk_run`.
 //! * The from-space membership test is a packed bitset ([`FromSpaceMap`]),
 //!   and the flip drains the segment table's per-generation lists instead
 //!   of walking every segment.
@@ -103,11 +100,10 @@
 //! regression tests in the bench crate).
 
 pub(crate) mod guardian_pass;
-pub(crate) mod parallel;
 pub(crate) mod remset;
 pub(crate) mod weak_pass;
 
-use self::remset::{CardTracer, SerialTracer};
+use self::remset::{CardTracer, HeapTracer};
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::roots::ROOT_CLEAN;
@@ -187,10 +183,6 @@ pub(crate) struct Scratch {
     pub copied_per_gen: Vec<u64>,
     /// The report under construction.
     pub report: CollectionReport,
-    /// The worker side, set by an [`advance`] that cannot yield on a heap
-    /// with `workers > 1`: the sweep and the remembered-set scan then run
-    /// as parallel regions.
-    pub par: Option<parallel::Par>,
     /// What is left of the dirty index as drained at the flip: the
     /// remembered-set work list, scanned one run per yield check. Runs
     /// dirtied after the flip belong to the next collection (their flags
@@ -303,7 +295,6 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
             target_generation: target,
             ..CollectionReport::default()
         },
-        par: None,
         remset_pending: heap.segs.take_dirty().into_iter(),
         rescan: Vec::new(),
         rescan_in: Vec::new(),
@@ -369,16 +360,9 @@ fn emit_end(heap: &mut Heap, s: &Scratch) {
 ///
 /// The `+8` absorbs the 4 open cursors with margin.
 ///
-/// **Workers.** The pairing argument is schedule-independent — an
-/// overflow close is forced by an overflowing object, whoever performs it
-/// — so `2 · F` covers the calling thread's and all workers' closed
-/// segments combined. What grows with `workers` is what can be *open*:
-/// beside the 4 cursors, up to 4 regions per worker, absorbed by
-/// `8 · workers`. The formula is untouched when `workers <= 1`.
-///
-/// The torture rig's fault sweep is the soundness test for this bound, at
-/// 1 and at 4 workers: collections run with the acquisition fault armed
-/// just past the reservation, and any acquisition beyond it panics.
+/// The torture rig's fault sweep is the soundness test for this bound:
+/// collections run with the acquisition fault armed exactly at the
+/// reservation, and any acquisition beyond it panics.
 pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
     let from_segments = heap
         .segs
@@ -389,12 +373,7 @@ pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
         .iter()
         .map(|l| l.len() as u64)
         .sum();
-    let base = 2 * from_segments + (2 * entries).div_ceil(SEGMENT_WORDS as u64) + 8;
-    if heap.config.workers > 1 {
-        base + 8 * heap.config.workers as u64
-    } else {
-        base
-    }
+    2 * from_segments + (2 * entries).div_ceil(SEGMENT_WORDS as u64) + 8
 }
 
 /// Advances the collection by one increment: resumes phases 2–4 and runs
@@ -404,13 +383,6 @@ pub(crate) fn estimate_worst_case(heap: &Heap, g: u8) -> u64 {
 /// per unit. Returns `true` when the collection completed ([`finish`] has
 /// run and `s.report` is final), `false` when it yielded with work
 /// remaining.
-///
-/// **Workers serve only an advance that cannot yield**: the first advance
-/// of a collection, given no deadline, has the heap to itself until the
-/// end, which is what the workers' flip-time snapshot and private regions
-/// need. `Heap::collect` passes `pause_budget` as every advance's
-/// deadline, so a budgeted heap never takes this branch — the whole of
-/// "`pause_budget` takes precedence over `workers`".
 pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant>) -> bool {
     let start = Instant::now();
     let mut mark = start;
@@ -418,9 +390,6 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     // Every advance but a stop-the-world collection's only one counts as an
     // increment (below), so this is the first exactly when none has.
     let first = s.report.increments == 0;
-    if first && deadline.is_none() && heap.config.workers > 1 {
-        s.par = Some(parallel::Par::new(heap));
-    }
 
     // Phase 2. Roots are re-forwarded at every advance: the mutator may
     // have stored stale (since-forwarded) or from-space pointers into root
@@ -446,15 +415,11 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
         remset::rescan_segment(heap, s, seg);
     }
     let mut yielded = false;
-    if s.par.is_some() {
-        parallel::scan_dirty(heap, s);
-    } else {
-        while let Some(seg) = s.remset_pending.next() {
-            remset::scan_dirty_seg(heap, s, seg);
-            if expired() {
-                yielded = true;
-                break;
-            }
+    while let Some(seg) = s.remset_pending.next() {
+        remset::scan_dirty_seg(heap, s, seg);
+        if expired() {
+            yielded = true;
+            break;
         }
     }
     lap(heap, s, &mut mark, GcPhase::Remset);
@@ -557,10 +522,7 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
 
     // Phase 7: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
-    // object will still be in the car field after collection." Nothing is
-    // copied from here on, so the workers' regions close first: that hands
-    // the pass their weak segments and leaves the heap region-free.
-    parallel::close_regions(heap, s);
+    // object will still be in the car field after collection."
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
@@ -729,8 +691,8 @@ impl std::ops::Deref for ChunkBases {
 }
 
 /// The traced-slot walker: calls `visit` on every traced word of `span`, a
-/// word range of a run, in increasing offset order — the only code, on any
-/// thread, that knows the three layouts. `Pair`: every word. `WeakPair`:
+/// word range of a run, in increasing offset order — the only code that
+/// knows the three layouts. `Pair`: every word. `WeakPair`:
 /// odd words only ("the car field is not touched"; the weak pass settles
 /// the cars). `Typed`: the span starts at a header; an object's traced
 /// words follow its header and its total size steps to the next, offsets
@@ -794,9 +756,8 @@ fn walk_layout(
 }
 
 /// Forwards, in place, every traced from-space pointer in `span`:
-/// [`walk_traced`] with the one visitor every thread uses — read the slot,
-/// test it, forward, write back. The calling thread's `t` forwards with
-/// [`forward_from`], a worker's claim-then-copy.
+/// [`walk_traced`] with the one visitor there is — read the slot, test it,
+/// forward, write back. `t` forwards with [`forward_from`].
 ///
 /// # Safety
 ///
@@ -839,7 +800,7 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
             // SAFETY: this run's own bases and watermark, and the
             // `walk_run` contract: copies `forward_from` lands in this very
             // run lie beyond `used`.
-            unsafe { forward_span(&mut SerialTracer { heap, s }, space, &bases, off..used) };
+            unsafe { forward_span(&mut HeapTracer { heap, s }, space, &bases, off..used) };
         }
         off = used;
     }
@@ -854,15 +815,12 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
 /// copies without being (re-)logged. Those are parked and re-checked when
 /// the queue runs dry, so the sweep never re-walks finished segments.
 pub(crate) fn kleene_sweep(heap: &mut Heap, s: &mut Scratch) {
-    if s.par.is_some() {
-        return parallel::sweep(heap, s);
-    }
     while sweep_unit(heap, s) {}
 }
 
 /// Moves the to-space segments logged since the last drain onto the scan
 /// queue, counting them and noting the weak-pair ones for the weak pass.
-pub(crate) fn drain_log(heap: &mut Heap, s: &mut Scratch) {
+fn drain_log(heap: &mut Heap, s: &mut Scratch) {
     let Some(log) = heap.tospace_log.as_mut() else {
         return;
     };
@@ -1020,5 +978,54 @@ mod tests {
     #[should_panic(expected = "corrupt header while scanning")]
     fn a_corrupt_header_panics() {
         visited(Space::Typed, &mut numbered(1), 0, 8);
+    }
+
+    /// A surviving large Typed object is copied into a run *reissued* from
+    /// the free store — at indices the table already had at the flip — and
+    /// the guardian pass resurrects a second one the same way.
+    #[test]
+    fn a_large_run_is_copied_into_a_run_reissued_from_the_free_store() {
+        let mut h = Heap::default();
+        // Five dead 2-segment vectors leave five free runs of 2; the first
+        // pair segment takes one apart, the two large vectors below take
+        // one each, two are still free at the flip.
+        for _ in 0..5 {
+            h.make_vector(700, Value::NIL);
+        }
+        h.collect(0);
+        let elem = h.cons(Value::fixnum(5), Value::NIL);
+        let big = h.make_vector(700, elem);
+        // Reachable only through a pair: the pair is copied with the roots,
+        // `big` by the scan of it.
+        let holder = h.cons(big, Value::NIL);
+        let root = h.root(holder);
+        let g = h.make_guardian();
+        for dead in [
+            h.cons(Value::fixnum(7), Value::NIL),
+            h.make_vector(600, elem),
+            h.cons(Value::fixnum(8), Value::NIL),
+        ] {
+            g.register(&mut h, dead);
+        }
+        let table_at_flip = h.segs.segments_total();
+        h.collect(0);
+        h.verify().expect("valid heap");
+        let big = h.car(root.get());
+        assert!(
+            big.addr().seg().index() + 2 <= table_at_flip,
+            "the copy of the large vector was not made in a reissued run"
+        );
+        assert_eq!(h.vector_len(big), 700);
+        assert_eq!(h.car(h.vector_ref(big, 699)), Value::fixnum(5));
+        let mut order = Vec::new();
+        while let Some(v) = g.poll(&mut h) {
+            order.push(if h.is_vector(v) {
+                assert_eq!(h.car(h.vector_ref(v, 599)), Value::fixnum(5));
+                1000 + h.vector_len(v) as i64
+            } else {
+                h.car(v).as_fixnum()
+            });
+        }
+        assert_eq!(order, [7, 1600, 8]);
     }
 }

@@ -20,7 +20,7 @@
 //! whose byte is `<= g`: every from-space pointer lies in one, and a card
 //! whose referents were all promoted beyond `g` costs nothing until their
 //! generation is collected. [`walk_cards`] is the one routine that does
-//! this, on the calling thread and on the workers.
+//! this.
 //!
 //! Pair and Typed segments need no object-start table: a Typed segment
 //! holds only headers and fully-traced objects (untraced kinds live in
@@ -45,7 +45,7 @@
 use super::{forward_from, forward_span, ChunkBases, Scratch};
 use crate::heap::Heap;
 use crate::value::Value;
-use guardians_segments::{SegIndex, SegmentTable, Space, CARD_CLEAN, CARD_WORDS, SEGMENT_WORDS};
+use guardians_segments::{SegIndex, Space, CARD_CLEAN, CARD_WORDS, SEGMENT_WORDS};
 
 /// What [`walk_cards`] and [`forward_span`] need from the engine driving
 /// them.
@@ -123,63 +123,14 @@ pub(crate) unsafe fn walk_cards(
     (visited, still_dirty)
 }
 
-/// Drains one dirty-index entry: applies the skip rules (shared with the
-/// workers' shard builder) and clears the run's flag. Returns the run's
-/// space, generation and used words if it is to be scanned.
-pub(crate) fn drain_entry(
-    segs: &mut SegmentTable,
-    g: u8,
-    seg: SegIndex,
-) -> Option<(Space, u8, usize)> {
-    // Stale entries: freed (possibly recycled) or already cleaned.
-    let info = *segs.try_info(seg)?;
-    if !info.dirty || !info.is_head() {
-        return None;
-    }
-    if info.generation <= g {
-        // From-space: about to be traced (and freed) wholesale; its flag
-        // and cards die with the segment.
-        return None;
-    }
-    let found = (info.space, info.generation, info.used as usize);
-    segs.clear_dirty(seg);
-    match info.space {
-        Space::Pair | Space::Typed => {
-            // One pass over the row: the youngest generation any card of
-            // the run may point to ([`CARD_CLEAN`] is the largest byte).
-            let youngest = segs
-                .run_cards(seg)
-                .iter()
-                .fold(CARD_CLEAN, |y, &c| y.min(c));
-            if youngest > g {
-                // Nothing here can point into the from-space; the run
-                // stays remembered for its cards' own generations.
-                if youngest != CARD_CLEAN {
-                    segs.flag_dirty(seg);
-                }
-                return None;
-            }
-        }
-        // Whole-segment treatment: the weak pass re-marks what is still
-        // dirty.
-        Space::WeakPair => segs.run_cards_mut(seg).fill(CARD_CLEAN),
-        Space::Pure => {
-            // No pointers: a pure segment cannot hold old->young edges;
-            // the mark was spurious.
-            segs.run_cards_mut(seg).fill(CARD_CLEAN);
-            return None;
-        }
-    }
-    Some(found)
-}
-
-/// The calling thread's [`CardTracer`].
-pub(super) struct SerialTracer<'a> {
+/// The collector's [`CardTracer`]; the other implementor is the unit-test
+/// mock below, which lets [`walk_cards`] run over plain arrays (under miri).
+pub(super) struct HeapTracer<'a> {
     pub heap: &'a mut Heap,
     pub s: &'a mut Scratch,
 }
 
-impl CardTracer for SerialTracer<'_> {
+impl CardTracer for HeapTracer<'_> {
     fn in_from(&self, seg: SegIndex) -> bool {
         self.s.from_space.contains(seg)
     }
@@ -191,9 +142,9 @@ impl CardTracer for SerialTracer<'_> {
     }
 }
 
-/// Runs [`walk_cards`] over the Pair/Typed run headed by `seg` on the
-/// calling thread, writes the refreshed bytes back and re-flags the run
-/// if a card is still not clean. Returns the number of cards visited.
+/// Runs [`walk_cards`] over the Pair/Typed run headed by `seg`, writes the
+/// refreshed bytes back and re-flags the run if a card is still not clean.
+/// Returns the number of cards visited.
 fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u64 {
     let info = heap.segs.info(seg);
     let (gen, used) = (info.generation, info.used as usize);
@@ -209,7 +160,7 @@ fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u6
     // reaches them through raw segment pointers, never through a
     // reference into this run's word arrays.
     let (visited, still_dirty) = unsafe {
-        let mut t = SerialTracer { heap, s };
+        let mut t = HeapTracer { heap, s };
         walk_cards(&mut t, &bases, &mut cards, used, gen, visit_le, target)
     };
     heap.segs.run_cards_mut(seg).copy_from_slice(&cards);
@@ -221,19 +172,54 @@ fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u6
 }
 
 /// Scans one entry of the flip's dirty snapshot — the remembered-set work
-/// unit [`super::advance`] schedules between yield checks.
+/// unit [`super::advance`] schedules between yield checks: applies the skip
+/// rules, clears the run's flag (before the scan, see the module docs) and
+/// walks what is left.
 pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
-    let Some((space, ..)) = drain_entry(&mut heap.segs, s.g, seg) else {
+    let segs = &mut heap.segs;
+    // Stale entries: freed (possibly recycled) or already cleaned.
+    let Some(&info) = segs.try_info(seg) else {
         return;
     };
-    s.report.dirty_segments_scanned += 1;
-    if space == Space::WeakPair {
-        // Trace the cdrs now; defer the cars (and the re-marking) to the
-        // weak pass.
-        scan_weak_cdrs(heap, s, seg);
-        s.old_weak_dirty.push(seg);
-    } else {
-        s.report.dirty_cards_scanned += walk_run(heap, s, seg, s.g);
+    if !info.dirty || !info.is_head() {
+        return;
+    }
+    if info.generation <= s.g {
+        // From-space: about to be traced (and freed) wholesale; its flag
+        // and cards die with the segment.
+        return;
+    }
+    segs.clear_dirty(seg);
+    match info.space {
+        Space::Pair | Space::Typed => {
+            // One pass over the row: the youngest generation any card of
+            // the run may point to ([`CARD_CLEAN`] is the largest byte).
+            let youngest = segs
+                .run_cards(seg)
+                .iter()
+                .fold(CARD_CLEAN, |y, &c| y.min(c));
+            if youngest > s.g {
+                // Nothing here can point into the from-space; the run
+                // stays remembered for its cards' own generations.
+                if youngest != CARD_CLEAN {
+                    segs.flag_dirty(seg);
+                }
+                return;
+            }
+            s.report.dirty_segments_scanned += 1;
+            s.report.dirty_cards_scanned += walk_run(heap, s, seg, s.g);
+        }
+        Space::WeakPair => {
+            // Whole-segment treatment: trace the cdrs now; the weak pass
+            // settles the cars and re-marks what is still dirty.
+            segs.run_cards_mut(seg).fill(CARD_CLEAN);
+            s.report.dirty_segments_scanned += 1;
+            scan_weak_cdrs(heap, s, seg);
+            s.old_weak_dirty.push(seg);
+        }
+        // No pointers: a pure segment cannot hold old->young edges; the
+        // mark was spurious.
+        Space::Pure => segs.run_cards_mut(seg).fill(CARD_CLEAN),
     }
 }
 
@@ -275,7 +261,7 @@ pub(crate) fn rescan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
 fn scan_weak_cdrs(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
     let used = heap.segs.info(seg).used as usize;
     let base = [heap.segs.base_ptr(seg)];
-    let mut t = SerialTracer { heap, s };
+    let mut t = HeapTracer { heap, s };
     // SAFETY: the segment's own base and watermark; the `walk_run` contract.
     unsafe { forward_span(&mut t, Space::WeakPair, &base, 0..used) };
 }

@@ -17,8 +17,7 @@
 //!
 //! **Coverage.** The pass runs once, last: every copy this collection
 //! makes — the guardian pass's included — has been made and swept, every
-//! to-space weak segment has been logged ([`Scratch::weak_tospace`]; the
-//! workers' open weak regions were closed into it just before), and
+//! to-space weak segment has been logged ([`Scratch::weak_tospace`]), and
 //! nothing is copied afterwards, so a segment fixed here stays fixed.
 
 use super::Scratch;

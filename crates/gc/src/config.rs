@@ -5,8 +5,8 @@
 //! control", then assumes a simple fixed policy for exposition. This
 //! configuration captures the same knobs — generation count, collection
 //! frequency per generation, the allocation trigger, the promotion
-//! strategy — plus the two that pick a collection's schedule: `workers`
-//! and `pause_budget`. Nothing here switches a mechanism of the paper off:
+//! strategy — plus the one that picks a collection's schedule,
+//! `pause_budget`. Nothing here switches a mechanism of the paper off:
 //! the per-generation protected lists and the weak-pass-after-guardians
 //! order are the collector, not options of it.
 
@@ -65,18 +65,8 @@ pub struct GcConfig {
     pub trigger_bytes: usize,
     /// Where survivors are promoted (see [`Promotion`]).
     pub promotion: Promotion,
-    /// Number of collector worker threads. `1` (the default, and any
-    /// value `<= 1`) runs every phase on the calling thread, bit-identical
-    /// to the historical serial counters. With a value `> 1` the
-    /// remembered-set scan and the sweeps fan out: that many workers run
-    /// the Cheney loop over work-stealing segment chunks with per-worker
-    /// to-space allocation regions and CAS-installed forwarding, while
-    /// roots and the guardian, finalizer and weak passes stay on the
-    /// calling thread. The final heap state is equivalent (same live set,
-    /// same guardian queue contents in registration order); only
-    /// scheduling-dependent telemetry such as segment counts and
-    /// per-phase timings may differ. At most 254:
-    /// [`Heap::new`](crate::Heap::new) rejects more.
+    /// Inert, read by nothing: the benchmark-only PR deletes it together with
+    /// `resident_cache_par2`, `par_speedup` and `worker_time_s`.
     pub workers: usize,
     /// Bounded-pause ("incremental") collection. `None` (the default)
     /// keeps every collection a single stop-the-world pause. `Some(b)`
@@ -89,19 +79,13 @@ pub struct GcConfig {
     /// segments mutated to hold from-space pointers; the guardian and
     /// weak passes stay atomic inside the final increment, so
     /// guardian/weak observables are identical to a stop-the-world
-    /// collection's. Takes precedence over `workers`: increments always
-    /// run serially.
+    /// collection's.
     pub pause_budget: Option<Duration>,
 }
 
 impl GcConfig {
-    /// The largest accepted [`GcConfig::workers`]: worker ids mark region
-    /// ownership in a `u8` whose top value means "unowned".
-    pub(crate) const MAX_WORKERS: usize = guardians_segments::NO_OWNER as usize - 1;
-
     /// The default configuration: 4 generations, frequencies 1/4/16/64,
-    /// 1 MB allocation trigger, the paper's promotion, one collector
-    /// thread, stop-the-world.
+    /// 1 MB allocation trigger, the paper's promotion, stop-the-world.
     pub fn new() -> GcConfig {
         GcConfig {
             generations: 4,
@@ -239,8 +223,8 @@ mod tests {
     /// axis every test matrix and the benchmark must then cover, so a new
     /// one needs a `BENCHMARK.json` workload that sets it — policy
     /// (`generations`, `frequency`, `trigger_bytes`, `promotion`) aside,
-    /// the two here that select code are `workers` and `pause_budget`, and
-    /// each has one.
+    /// the one here that selects code is `pause_budget`, and it has one.
+    /// `workers` is inert and leaves with the benchmark-only PR.
     #[test]
     fn the_configuration_is_exactly_six_fields() {
         let GcConfig {

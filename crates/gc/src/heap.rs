@@ -76,13 +76,11 @@ pub struct Heap {
     alloc_forbidden: bool,
     /// Lifetime count of segment acquisitions (runs count one per
     /// segment), compared against `acquisition_fault` by the fallible
-    /// entry points. Both are `pub(crate)` so a parallel region can mirror
-    /// them through its table lock and write the final tally back when it
-    /// ends.
-    pub(crate) acquisitions: u64,
+    /// entry points.
+    acquisitions: u64,
     /// The fault-injection limit on `acquisitions` (see
     /// [`Heap::set_acquisition_fault`]).
-    pub(crate) acquisition_fault: Option<u64>,
+    acquisition_fault: Option<u64>,
     /// The event tracer; `None` (one null test per instrumentation site)
     /// unless [`Heap::enable_tracing`] was called.
     pub(crate) tracer: Option<Box<Tracer>>,
@@ -103,17 +101,11 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `config.generations` is 0 or `config.workers` is above 254.
+    /// Panics if `config.generations` is 0.
     pub fn new(config: GcConfig) -> Heap {
         assert!(
             config.generations >= 1,
             "GcConfig::generations is 0: at least one generation is required"
-        );
-        assert!(
-            config.workers <= GcConfig::MAX_WORKERS,
-            "GcConfig::workers is {}, above the limit of {} collector workers",
-            config.workers,
-            GcConfig::MAX_WORKERS
         );
         let gens = config.generations as usize;
         Heap {
@@ -447,7 +439,15 @@ impl Heap {
     /// panic would mean [`Heap::try_collect`]'s worst-case reservation
     /// was unsound.
     pub(crate) fn note_acquisitions(&mut self, n: u64) {
-        check_acquisition(self.acquisitions, n, self.acquisition_fault);
+        if let Some(limit) = self.acquisition_fault {
+            let acquired = self.acquisitions;
+            assert!(
+                acquired + n <= limit,
+                "segment-acquisition fault fired inside an infallible path: \
+                 {acquired} acquired, {n} more requested, limit {limit} — a fallible \
+                 entry point's preflight should have rejected this operation",
+            );
+        }
         self.acquisitions += n;
         self.trace_emit(|| GcEvent::SegmentsAcquired { count: n });
     }
@@ -1169,19 +1169,6 @@ impl std::fmt::Debug for Heap {
 
 /// The space a typed allocation goes to: pointer-free kinds land in the
 /// pure space, which the collector copies without scanning.
-/// The fault-injection tripwire behind [`Heap::note_acquisitions`] and
-/// its mirror under the parallel workers' table lock.
-pub(crate) fn check_acquisition(acquired: u64, n: u64, limit: Option<u64>) {
-    if let Some(limit) = limit {
-        assert!(
-            acquired + n <= limit,
-            "segment-acquisition fault fired inside an infallible path: \
-             {acquired} acquired, {n} more requested, limit {limit} — a fallible \
-             entry point's preflight should have rejected this operation",
-        );
-    }
-}
-
 fn space_for(header: &Header) -> Space {
     if header.traced_words() == 0
         && header.kind != ObjKind::Vector
@@ -1337,15 +1324,6 @@ mod tests {
     fn zero_generations_are_rejected() {
         Heap::new(GcConfig {
             generations: 0,
-            ..GcConfig::new()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "above the limit of 254 collector workers")]
-    fn more_workers_than_owner_ids_are_rejected() {
-        Heap::new(GcConfig {
-            workers: 255,
             ..GcConfig::new()
         });
     }

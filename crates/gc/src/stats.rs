@@ -38,20 +38,15 @@ pub struct PhaseTimes {
     pub weak: Duration,
     /// Phase 8: return from-space segments to the free pool.
     pub reclaim: Duration,
-    /// Thread-seconds the collector's workers spent inside their
-    /// parallel regions, summed over all workers. This is *work* time,
-    /// not wall time: with 4 busy workers it can approach 4× the wall
-    /// time of the phases that spawned them. Deliberately **not** part of
-    /// [`PhaseTimes::total`], which remains the wall-clock pause
-    /// breakdown (and the quantity the event trace's `PhaseEnd` records
-    /// must sum to). Always zero with `workers <= 1`.
+    /// Inert, always zero: the benchmark-only PR deletes it together with
+    /// `resident_cache_par2`, `par_speedup` and `worker_time_s`.
     pub worker_time: Duration,
 }
 
 impl PhaseTimes {
-    /// Sum of all phase durations: the wall-clock pause breakdown.
-    /// Excludes [`PhaseTimes::worker_time`], which counts the same wall
-    /// time once per busy worker.
+    /// Sum of all phase durations: the wall-clock pause breakdown (and
+    /// the quantity the event trace's `PhaseEnd` records must sum to).
+    /// Excludes the inert [`PhaseTimes::worker_time`].
     pub fn total(&self) -> Duration {
         self.flip
             + self.roots
@@ -72,7 +67,6 @@ impl PhaseTimes {
         self.finalizer += other.finalizer;
         self.weak += other.weak;
         self.reclaim += other.reclaim;
-        self.worker_time += other.worker_time;
     }
 }
 

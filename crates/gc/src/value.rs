@@ -251,15 +251,6 @@ pub(crate) mod fwd {
     pub fn decode(word: u64) -> Option<WordAddr> {
         (word & TAG_MASK == TAG_FWD).then_some(WordAddr(word >> TAG_BITS))
     }
-
-    /// Claim marker the parallel engine CAS-installs into an object's
-    /// first word while copying it: tag `0b101` is used by no value,
-    /// header, or forwarding encoding, so a racing worker can tell
-    /// "being copied, spin for the forwarding word" from every other
-    /// state. Must never survive a collection region barrier — the
-    /// claiming worker always overwrites it with [`encode`]`(to)` before
-    /// finishing the object, and the verifier rejects it in heap words.
-    pub const BUSY: u64 = 0b101;
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use crate::collect::{FromSpaceMap, Scratch};
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::value::{fwd, Value, TAG_MASK};
-use guardians_segments::{SegIndex, SegKind, Space, CARD_CLEAN, CARD_WORDS, NO_OWNER};
+use guardians_segments::{SegIndex, SegKind, Space, CARD_CLEAN, CARD_WORDS};
 use std::fmt;
 
 /// A heap invariant violation found by [`Heap::verify`].
@@ -186,17 +186,6 @@ impl Heap {
                 return Err(VerifyError::new(format!(
                     "{seg:?} open_cursor flag is {} but cursor table says {}",
                     info.open_cursor, in_table
-                )));
-            }
-            // 2c. Worker-ownership coherence: region ownership marks
-            // exist only while collector workers are running, and the
-            // verifier runs between collections or between increments
-            // (which are serial) — a lingering mark means a region escaped
-            // its close (its `used` watermark may be stale).
-            if info.owner != NO_OWNER {
-                return Err(VerifyError::new(format!(
-                    "{seg:?} is still owned by collector worker {} with no worker running",
-                    info.owner
                 )));
             }
         }
@@ -464,20 +453,6 @@ mod tests {
         h.segs.info_mut(p.addr().seg()).open_cursor = false;
         let err = h.verify().expect_err("must detect the cleared flag");
         assert!(err.to_string().contains("open_cursor"), "got: {err}");
-    }
-
-    #[test]
-    fn lingering_worker_ownership_is_detected() {
-        let mut h = Heap::default();
-        let p = h.cons(Value::NIL, Value::NIL);
-        let _root = h.root(p);
-        h.verify().expect("fresh segment is unowned");
-        h.segs.info_mut(p.addr().seg()).owner = 2;
-        let err = h.verify().expect_err("must detect the ownership mark");
-        assert!(
-            err.to_string().contains("owned by collector worker 2"),
-            "got: {err}"
-        );
     }
 
     #[test]

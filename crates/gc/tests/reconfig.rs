@@ -8,9 +8,9 @@
 //! 1. Policy fields are pure collection-time parameters: changes applied
 //!    *before the first collection* leave every observable identical to
 //!    a fresh heap constructed with the final configuration and replayed.
-//! 2. Changes applied *mid-run* (between collections) keep the three
-//!    engines — serial, parallel workers=4, incremental pause-budget —
-//!    in exact agreement on counters, guardian deliveries (content and
+//! 2. Changes applied *mid-run* (between collections) keep the two
+//!    schedules — stop-the-world, incremental pause-budget — in exact
+//!    agreement on counters, guardian deliveries (content and
 //!    order), weak-pointer observables, and survivor placement.
 //! 3. A suspended incremental collection rejects policy changes: the
 //!    setters panic rather than let a collection see two configurations.
@@ -195,13 +195,11 @@ fn run_program(mut heap: Heap, steps: &[Step], apply_policy_steps: bool) -> Outc
     }
 }
 
-/// The three engines the acceptance criteria name.
+/// The two schedules: 0 is stop-the-world, 1 a 100 µs pause budget.
 fn engine_config(engine: usize) -> GcConfig {
     let mut cfg = GcConfig::new();
-    match engine {
-        0 => {}
-        1 => cfg.workers = 4,
-        _ => cfg.pause_budget = Some(Duration::from_micros(100)),
+    if engine == 1 {
+        cfg.pause_budget = Some(Duration::from_micros(100));
     }
     cfg
 }
@@ -215,7 +213,7 @@ proptest! {
     #[test]
     fn policy_changes_before_first_collection_replay_as_fresh_config(
         steps in proptest::collection::vec(step_strategy(), 1..60),
-        engine in 0usize..3,
+        engine in 0usize..2,
     ) {
         let policy: Vec<Step> =
             steps.iter().filter(|s| is_policy(s)).cloned().collect();
@@ -232,7 +230,7 @@ proptest! {
     }
 
     /// Mid-run changes (always between collections — the only place the
-    /// setters allow them) keep all three engines in exact agreement on
+    /// setters allow them) keep both schedules in exact agreement on
     /// every observable, including guardian delivery order and survivor
     /// placement.
     #[test]
@@ -240,9 +238,7 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..80),
     ) {
         let serial = run_program(Heap::new(engine_config(0)), &steps, true);
-        let parallel = run_program(Heap::new(engine_config(1)), &steps, true);
-        let incremental = run_program(Heap::new(engine_config(2)), &steps, true);
-        prop_assert_eq!(&serial, &parallel);
+        let incremental = run_program(Heap::new(engine_config(1)), &steps, true);
         prop_assert_eq!(&serial, &incremental);
     }
 }

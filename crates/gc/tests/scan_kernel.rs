@@ -1,21 +1,14 @@
-//! The copy/scan kernel, end to end, on all three collection drivers: the
-//! calling thread alone, four workers, and one-unit increments. Every
-//! driver forwards and scans through the one traced-slot walker, so the
-//! same script must leave the same heap and the same counts.
+//! The copy/scan kernel, end to end, on both collection schedules:
+//! stop-the-world and one-unit increments. Both forward and scan through
+//! the one traced-slot walker, so the same script must leave the same heap
+//! and the same counts.
 
 use guardians_gc::{CollectionReport, GcConfig, Heap, Value};
 use std::time::Duration;
 
-fn drivers() -> [(&'static str, GcConfig); 3] {
+fn drivers() -> [(&'static str, GcConfig); 2] {
     [
         ("serial", GcConfig::new()),
-        (
-            "workers 4",
-            GcConfig {
-                workers: 4,
-                ..GcConfig::new()
-            },
-        ),
         (
             "budget 0",
             GcConfig {
@@ -38,7 +31,6 @@ fn collect_and_verify(h: &mut Heap, gen: u8) -> CollectionReport {
 #[test]
 fn a_deep_list_is_copied_by_scanning_the_segment_it_lands_in() {
     for (name, config) in drivers() {
-        let workers = config.workers;
         let mut h = Heap::new(config);
         let mut list = Value::NIL;
         for i in 0..5_000 {
@@ -48,13 +40,7 @@ fn a_deep_list_is_copied_by_scanning_the_segment_it_lands_in() {
         let report = collect_and_verify(&mut h, 0);
         assert_eq!(report.pairs_copied, 5_000, "{name}");
         assert_eq!(report.words_copied, 10_000, "{name}");
-        if workers > 1 {
-            // A worker that takes over a closed region's remainder opens a
-            // region of its own, so the count is schedule-dependent.
-            assert!(report.segments_allocated >= 20, "{name}");
-        } else {
-            assert_eq!(report.segments_allocated, 20, "{name}: 10,000 words");
-        }
+        assert_eq!(report.segments_allocated, 20, "{name}: 10,000 words");
         let mut v = root.get();
         for i in (0..5_000).rev() {
             assert_eq!(h.car(v), Value::fixnum(i), "{name}: element {i}");
@@ -117,70 +103,121 @@ fn a_weak_pair_keeps_its_cdr_and_loses_a_garbage_car() {
     }
 }
 
+/// A list interleaved with vectors and strings, so all four spaces see
+/// traffic, survives a collection intact — and a second one that finds it
+/// through the remembered set.
+#[test]
+fn a_mixed_graph_survives_two_collections() {
+    let check = |h: &Heap, mut list: Value, name: &str| {
+        for i in (0..60).rev() {
+            let head = h.car(list);
+            if i % 5 == 0 {
+                assert!(h.is_vector(head), "{name}: element {i}");
+                assert_eq!(h.string_value(h.vector_ref(head, 0)), "spine", "{name}");
+            } else {
+                assert_eq!(head, Value::fixnum(i), "{name}: element {i}");
+            }
+            list = h.cdr(list);
+        }
+        assert!(list.is_nil(), "{name}");
+    };
+    for (name, config) in drivers() {
+        let mut h = Heap::new(config);
+        let mut list = Value::NIL;
+        for i in 0..60 {
+            let cell = if i % 5 == 0 {
+                let s = h.make_string("spine");
+                h.make_vector(3, s)
+            } else {
+                Value::fixnum(i)
+            };
+            list = h.cons(cell, list);
+        }
+        let root = h.root(list);
+        collect_and_verify(&mut h, 0);
+        check(&h, root.get(), name);
+        // The list now lives in generation 1 and gets a young head.
+        let young = h.cons(Value::fixnum(-1), root.get());
+        root.set(young);
+        collect_and_verify(&mut h, 0);
+        assert_eq!(h.car(root.get()), Value::fixnum(-1), "{name}");
+        check(&h, h.cdr(root.get()), name);
+    }
+}
+
 /// One script — lists, tiled typed segments, large runs, weak pairs, a
 /// guardian, old-to-young stores into an aged run and an aged weak pair —
-/// gives the same counts on every driver. How workers carve up to-space
-/// decides how many segments hold the survivors, and so what the next
-/// collection frees and finds dirty; those counts are compared between
-/// the two drivers that copy on the calling thread only.
+/// run on a heap of the given configuration. Returns every collection's
+/// report, clock fields and increment counts cleared, and the final
+/// per-generation usage.
+fn script(config: GcConfig) -> (Vec<CollectionReport>, Vec<guardians_gc::GenerationUsage>) {
+    let mut h = Heap::new(config);
+    let g = h.make_guardian();
+    let keep = h.root_vec();
+    let mut reports = Vec::new();
+    for round in 0..6i64 {
+        let mut list = Value::NIL;
+        for i in 0..700 {
+            let cell = match i % 50 {
+                0 => h.make_box(list),
+                1 => h.make_symbol("tile"),
+                2 => h.make_vector(0, Value::NIL),
+                3 => h.make_string("pure"),
+                _ => Value::fixnum(round * 1_000 + i),
+            };
+            list = h.cons(cell, list);
+        }
+        let big = h.make_vector(1_500, Value::NIL);
+        for slot in [0, 511, 1_023, 1_499] {
+            let p = h.cons(Value::fixnum(slot as i64), list);
+            h.vector_set(big, slot, p);
+        }
+        let dead_car = h.cons(Value::fixnum(round), Value::NIL);
+        let link = h.cons(big, Value::NIL);
+        let weak = h.weak_cons(dead_car, link);
+        keep.push(weak);
+        let doomed = h.make_vector(600, list);
+        g.register(&mut h, doomed);
+        if round >= 2 {
+            // Stores into objects two collections old.
+            let old_weak = keep.get(round as usize - 2);
+            let old_big = h.car(h.cdr(old_weak));
+            let p = h.cons(Value::fixnum(-round), Value::NIL);
+            h.vector_set(old_big, 512, p);
+            let q = h.cons(old_big, p);
+            h.set_cdr(old_weak, q);
+        }
+        let mut r = collect_and_verify(&mut h, (round % 3) as u8);
+        (r.duration, r.phases, r.increments, r.roots_retraced) = Default::default();
+        reports.push(r);
+        while g.poll(&mut h).is_some() {}
+    }
+    (reports, h.generation_usage())
+}
+
+/// The script gives the same counts, layout counts included, and the same
+/// final heap on both schedules. (Two drivers; the name predates the
+/// worker engine's removal and is kept so the test id holds.)
 #[test]
 fn the_three_drivers_report_identical_counts() {
-    let run = |config: GcConfig| {
-        let mut h = Heap::new(config);
-        let g = h.make_guardian();
-        let keep = h.root_vec();
-        let mut reports = Vec::new();
-        for round in 0..6i64 {
-            let mut list = Value::NIL;
-            for i in 0..700 {
-                let cell = match i % 50 {
-                    0 => h.make_box(list),
-                    1 => h.make_symbol("tile"),
-                    2 => h.make_vector(0, Value::NIL),
-                    3 => h.make_string("pure"),
-                    _ => Value::fixnum(round * 1_000 + i),
-                };
-                list = h.cons(cell, list);
-            }
-            let big = h.make_vector(1_500, Value::NIL);
-            for slot in [0, 511, 1_023, 1_499] {
-                let p = h.cons(Value::fixnum(slot as i64), list);
-                h.vector_set(big, slot, p);
-            }
-            let dead_car = h.cons(Value::fixnum(round), Value::NIL);
-            let link = h.cons(big, Value::NIL);
-            let weak = h.weak_cons(dead_car, link);
-            keep.push(weak);
-            let doomed = h.make_vector(600, list);
-            g.register(&mut h, doomed);
-            if round >= 2 {
-                // Stores into objects two collections old.
-                let old_weak = keep.get(round as usize - 2);
-                let old_big = h.car(h.cdr(old_weak));
-                let p = h.cons(Value::fixnum(-round), Value::NIL);
-                h.vector_set(old_big, 512, p);
-                let q = h.cons(old_big, p);
-                h.set_cdr(old_weak, q);
-            }
-            let mut r = collect_and_verify(&mut h, (round % 3) as u8);
-            (r.duration, r.phases, r.increments, r.roots_retraced) = Default::default();
-            reports.push(r);
-            while g.poll(&mut h).is_some() {}
-        }
-        reports
+    let [(_, serial), (_, budget)] = drivers();
+    let expected = script(serial);
+    assert!(expected.0.iter().any(|r| r.dirty_cards_scanned > 0));
+    assert!(expected.0.iter().all(|r| r.guardian_entries_finalized == 1));
+    assert_eq!(script(budget), expected, "budget 0");
+}
+
+/// `GcConfig::workers` selects nothing: the script yields equal reports
+/// (`segments_allocated` included) and equal generation usage whatever it
+/// is set to, which is what keeps `benchmark check`'s par2 ≡ serial rule
+/// true. Delete this test together with the field.
+#[test]
+fn workers_is_inert() {
+    let with = |workers| {
+        script(GcConfig {
+            workers,
+            ..GcConfig::new()
+        })
     };
-    let without_layout_counts = |mut reports: Vec<CollectionReport>| {
-        for r in &mut reports {
-            (r.segments_allocated, r.segments_freed) = Default::default();
-            (r.dirty_segments_scanned, r.dirty_cards_scanned) = Default::default();
-        }
-        reports
-    };
-    let [(_, serial), (_, workers), (_, budget)] = drivers();
-    let expected = run(serial);
-    assert!(expected.iter().any(|r| r.dirty_cards_scanned > 0));
-    assert!(expected.iter().all(|r| r.guardian_entries_finalized == 1));
-    assert_eq!(run(budget), expected, "budget 0");
-    let (workers, expected) = (run(workers), without_layout_counts(expected));
-    assert_eq!(without_layout_counts(workers), expected, "workers 4");
+    assert_eq!(with(1), with(2));
 }

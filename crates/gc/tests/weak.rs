@@ -268,22 +268,15 @@ fn broken_weak_car_counts_are_reported() {
 #[test]
 fn weak_pairs_copied_by_the_guardian_pass_are_fixed_by_the_weak_pass() {
     // A weak pair the guardian pass resurrects is copied late, into a weak
-    // segment (or a worker's weak region) that has been open since the
-    // sweep. The one weak pass comes after and must still fix its car, on
-    // every schedule, for both a pair reached through a guarded object and
-    // a guarded weak pair itself.
+    // segment that has been open since the sweep. The one weak pass comes
+    // after and must still fix its car, on both schedules, for both a pair
+    // reached through a guarded object and a guarded weak pair itself.
     use guardians_gc::GcConfig;
     use std::time::Duration;
-    let drivers = [
-        ("serial", 1, None),
-        ("workers 2", 2, None),
-        ("workers 4", 4, None),
-        ("zero budget", 1, Some(Duration::ZERO)),
-    ];
-    for (name, workers, pause_budget) in drivers {
+    let drivers = [("serial", None), ("zero budget", Some(Duration::ZERO))];
+    for (name, pause_budget) in drivers {
         for guard_the_pair_itself in [false, true] {
             let mut h = Heap::new(GcConfig {
-                workers,
                 pause_budget,
                 ..GcConfig::new()
             });

@@ -10,7 +10,8 @@
 //! opens/closes/leaks, and durable file contents — so the finalization
 //! experiments can *measure* leaks instead of hand-waving about them.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// A simulated file descriptor.
@@ -82,6 +83,10 @@ pub struct OsStats {
 pub struct SimOs {
     files: HashMap<String, Vec<u8>>,
     fds: Vec<Option<OpenFile>>,
+    /// Exactly the `None` slots of `fds`, lowest first: an open takes the
+    /// lowest free descriptor, like `open(2)`, without walking the table,
+    /// and the open count is the difference of the two lengths.
+    free: BinaryHeap<Reverse<u32>>,
     limit: usize,
     stats: OsStats,
 }
@@ -100,6 +105,7 @@ impl SimOs {
         SimOs {
             files: HashMap::new(),
             fds: Vec::new(),
+            free: BinaryHeap::new(),
             limit,
             stats: OsStats::default(),
         }
@@ -145,14 +151,16 @@ impl SimOs {
             return Err(OsError::TooManyOpen { limit: self.limit });
         }
         self.stats.opens += 1;
-        for (i, slot) in self.fds.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(open);
-                return Ok(Fd(i as u32));
+        match self.free.pop() {
+            Some(Reverse(i)) => {
+                self.fds[i as usize] = Some(open);
+                Ok(Fd(i))
+            }
+            None => {
+                self.fds.push(Some(open));
+                Ok(Fd(self.fds.len() as u32 - 1))
             }
         }
-        self.fds.push(Some(open));
-        Ok(Fd(self.fds.len() as u32 - 1))
     }
 
     /// Opens an existing file for reading.
@@ -242,6 +250,7 @@ impl SimOs {
         if slot.take().is_none() {
             return Err(OsError::BadFd(fd));
         }
+        self.free.push(Reverse(fd.0));
         self.stats.closes += 1;
         Ok(())
     }
@@ -253,7 +262,7 @@ impl SimOs {
 
     /// Number of currently open descriptors — the leak metric.
     pub fn open_count(&self) -> usize {
-        self.fds.iter().filter(|s| s.is_some()).count()
+        self.fds.len() - self.free.len()
     }
 
     /// The descriptor limit.
@@ -276,6 +285,49 @@ impl Default for SimOs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The descriptor table as it was kept before the free list: one walk
+    /// counts the open slots for the limit check, a second finds the first
+    /// free one. Returns `None` where `SimOs` says `TooManyOpen`.
+    fn reference_open(table: &mut Vec<bool>, limit: usize) -> Option<Fd> {
+        if table.iter().filter(|&&open| open).count() >= limit {
+            return None;
+        }
+        let i = table.iter().position(|&open| !open).unwrap_or_else(|| {
+            table.push(false);
+            table.len() - 1
+        });
+        table[i] = true;
+        Some(Fd(i as u32))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Lowest-free-descriptor-first, exactly: a random open/close script
+        /// gets the same `Fd` sequence, the same `TooManyOpen` points and
+        /// the same `BadFd` closes as the linear scan.
+        #[test]
+        fn issue_hands_out_what_the_linear_scan_did(
+            limit in 1usize..12,
+            script in proptest::collection::vec((any::<bool>(), 0u32..16), 1..200),
+        ) {
+            let mut os = SimOs::with_fd_limit(limit);
+            let mut table = Vec::new();
+            for (open, pick) in script {
+                if open {
+                    let want = reference_open(&mut table, limit).ok_or(OsError::TooManyOpen { limit });
+                    prop_assert_eq!(os.open_output("/f"), want);
+                } else {
+                    let was_open = table.get_mut(pick as usize).is_some_and(std::mem::take);
+                    prop_assert_eq!(os.close(Fd(pick)).is_ok(), was_open);
+                }
+                let open_now = table.iter().filter(|&&open| open).count();
+                prop_assert_eq!(os.open_count(), open_now);
+            }
+        }
+    }
 
     #[test]
     fn write_then_read_round_trips() {

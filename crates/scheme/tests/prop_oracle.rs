@@ -333,9 +333,8 @@ fn deep_recursion_error_matches() {
     ]);
 }
 
-/// A guardian/weak/tconc-heavy transcript under the serial engine, the
-/// 4-worker parallel engine, and the 100µs incremental engine, with
-/// byte-identical observables in every cell.
+/// A guardian/weak/tconc-heavy transcript stop-the-world and under a
+/// 100 µs pause budget, with byte-identical observables in every cell.
 #[test]
 fn vm_and_oracle_agree_across_gc_engines() {
     use guardians_gc::GcConfig;
@@ -368,15 +367,8 @@ fn vm_and_oracle_agree_across_gc_engines() {
     .map(|s| s.to_string())
     .collect();
 
-    let engines: [(&str, GcConfig); 3] = [
+    let engines: [(&str, GcConfig); 2] = [
         ("serial", GcConfig::default()),
-        (
-            "workers=4",
-            GcConfig {
-                workers: 4,
-                ..GcConfig::default()
-            },
-        ),
         (
             "pause_budget=100us",
             GcConfig {

@@ -59,10 +59,6 @@ pub enum SegKind {
     },
 }
 
-/// Sentinel for [`SegInfo::owner`]: the segment is not a worker-owned
-/// allocation region.
-pub const NO_OWNER: u8 = u8::MAX;
-
 /// Per-segment metadata held in the segment information table.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SegInfo {
@@ -91,13 +87,6 @@ pub struct SegInfo {
     /// Cheney sweep's park/requeue decision is an O(1) flag test instead
     /// of a scan over the cursor table.
     pub open_cursor: bool,
-    /// Which parallel-collection worker currently owns this segment as an
-    /// open bump-allocation region, or [`NO_OWNER`]. Distinct from
-    /// `open_cursor`: worker regions live outside the heap's cursor table,
-    /// and the verifier's cursor-coherence check must not see them as
-    /// cursors. Only meaningful during a parallel collection; cleared when
-    /// the owning worker's region is closed.
-    pub owner: u8,
 }
 
 impl SegInfo {
@@ -111,7 +100,6 @@ impl SegInfo {
             dirty: false,
             run: 1,
             open_cursor: false,
-            owner: NO_OWNER,
         }
     }
 
@@ -125,7 +113,6 @@ impl SegInfo {
             dirty: false,
             run: 0,
             open_cursor: false,
-            owner: NO_OWNER,
         }
     }
 
@@ -146,7 +133,6 @@ mod tests {
         assert_eq!(info.used, 0);
         assert!(!info.dirty);
         assert_eq!(info.generation, 2);
-        assert_eq!(info.owner, NO_OWNER);
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod seg;
 mod table;
 
 pub use addr::{SegIndex, WordAddr, SEGMENT_BYTES, SEGMENT_WORDS, SEGMENT_WORDS_LOG2};
-pub use info::{SegInfo, SegKind, Space, NO_OWNER};
+pub use info::{SegInfo, SegKind, Space};
 pub use pool::{PoolStats, SegmentPool};
 pub use seg::Segment;
 pub use table::{SegmentTable, CARDS_PER_SEGMENT, CARD_CLEAN, CARD_WORDS};

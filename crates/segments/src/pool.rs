@@ -51,9 +51,9 @@ struct PoolInner {
 
 /// A shared, thread-safe pool of segment storage.
 ///
-/// `Segment` is `Send + Sync` raw storage, so the pool is safely shared
-/// across the router's worker threads; each worker's heaps draw from and
-/// return to the same budget.
+/// `Segment` is `Send` raw storage behind the pool's mutex, so the pool is
+/// safely shared across the router's worker threads; each worker's heaps
+/// draw from and return to the same budget.
 pub struct SegmentPool {
     inner: Mutex<PoolInner>,
 }

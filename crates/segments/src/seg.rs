@@ -14,18 +14,18 @@ pub(crate) const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 /// the word array's address is independent of where the `Segment` value
 /// itself lives: moving a `Segment` (for example when the segment table's
 /// `Vec<Segment>` grows) never changes the address of its words. The
-/// parallel collector relies on this to hold raw per-worker copy regions
-/// across table growth.
+/// collector relies on this to hold a run's chunk bases across a walk that
+/// allocates to-space segments.
 pub struct Segment {
     words: NonNull<u64>,
 }
 
 // SAFETY: a `Segment` exclusively owns its word allocation and contains no
 // interior mutability or thread-affine state; it is a plain word array.
-// Concurrent raw-pointer access from the parallel collector is governed by
-// the disjoint-region contract documented on [`Segment::base_ptr`].
+// `Send` is needed because the `SegmentPool` moves idle segments between
+// the router threads that own the zones' heaps. Nothing shares one
+// between threads, so there is no `Sync`.
 unsafe impl Send for Segment {}
-unsafe impl Sync for Segment {}
 
 impl Segment {
     /// A zero-filled segment.
@@ -78,12 +78,12 @@ impl Segment {
     /// # Contract for unsafe callers
     ///
     /// Dereferencing the returned pointer is `unsafe`; callers must ensure
-    /// that every concurrently accessed word range is touched by at most
-    /// one thread unless all concurrent accesses are reads, and that no
-    /// `&`/`&mut` reference overlapping the range is live across the raw
-    /// access. The parallel collector upholds this by carving to-space into
-    /// per-worker regions and claiming from-space objects via CAS before
-    /// copying them.
+    /// that no `&`/`&mut` reference overlapping the accessed words is live
+    /// across the raw access. The collector's in-place scans uphold this by
+    /// the contract stated at `collect::remset::walk_run` in `guardians-gc`:
+    /// a walk holds a run's bases and watermark, and the forwarding it calls
+    /// touches only from-space objects and to-space words beyond that
+    /// watermark, through raw pointers.
     #[inline]
     pub fn base_ptr(&self) -> *mut u64 {
         self.words.as_ptr()

@@ -532,9 +532,9 @@ impl SegmentTable {
         self.segs[seg.index()].words_mut()
     }
 
-    /// The raw base address of a segment's word array, for the parallel
-    /// collector's per-worker copy regions. Stays valid until the table is
-    /// dropped; see [`Segment::base_ptr`] for the access contract.
+    /// The raw base address of a segment's word array, for the collector's
+    /// forward-in-place kernel. Stays valid until the table is dropped; see
+    /// [`Segment::base_ptr`] for the access contract.
     ///
     /// # Panics
     ///
@@ -561,10 +561,7 @@ impl SegmentTable {
             // `copy_within` behaviour when source and destination overlap
             // within one segment. No references into the word arrays are
             // live here (base_ptr reads only the segment's pointer field),
-            // and `&mut self` rules out concurrent table access on this
-            // path; the parallel collector instead calls this under its
-            // table lock or on thread-private regions per the
-            // [`Segment::base_ptr`] contract.
+            // and `&mut self` rules out any other table access.
             unsafe {
                 let s = self.segs[src.seg().index()].base_ptr().add(src.offset());
                 let d = self.segs[dst.seg().index()].base_ptr().add(dst.offset());

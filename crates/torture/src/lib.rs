@@ -41,23 +41,13 @@ pub fn check_seed(seed: u64, nops: usize) -> Result<RunStats, Failure> {
     run_trace(&generate(seed, nops))
 }
 
-/// [`check_seed`] under `workers` collector threads: the unit of the
-/// parallel campaign. The shadow oracle is engine-agnostic, so a pass
-/// here *is* the parallel engine's model-equivalence check (same live
-/// graph, same weak-car outcomes, same guardian queue contents in the
-/// same FIFO order).
-pub fn check_seed_parallel(seed: u64, nops: usize, workers: usize) -> Result<RunStats, Failure> {
-    let mut trace = generate(seed, nops);
-    trace.config.workers = workers;
-    run_trace(&trace)
-}
-
 /// [`check_seed`] under a bounded-pause budget (in microseconds): the
-/// unit of the incremental campaign. Like the parallel leg, the shadow
-/// oracle is engine-agnostic, so a pass here is the incremental engine's
+/// unit of the incremental campaign. The shadow oracle is
+/// schedule-agnostic, so a pass here is the incremental schedule's
 /// model-equivalence check — and because the event trace is checked per
 /// collection when enabled, guardian/weak observables must match the
-/// serial engine's exactly, whatever the budget slices the work into.
+/// stop-the-world schedule's exactly, whatever the budget slices the work
+/// into.
 pub fn check_seed_budget(seed: u64, nops: usize, budget_us: u64) -> Result<RunStats, Failure> {
     let mut trace = generate(seed, nops);
     trace.config.pause_budget = Some(budget_us);
@@ -74,16 +64,15 @@ pub fn check_seed_traced(
     run_trace_traced(&generate(seed, nops))
 }
 
-/// Generates and runs one seed with `workers` collector workers, then
-/// re-runs it with the segment-acquisition fault placed at every offset
-/// of the lifetime acquisition count the fault-free run needed. Returns
-/// `(fault_runs, faults_fired)` on success or the first divergence — with
-/// racing workers too, a fallible entry point must refuse cleanly, never
-/// trip the collector's tripwire (which would mean `try_collect`'s
-/// worst-case reservation is unsound).
-pub fn fault_sweep(seed: u64, nops: usize, workers: usize) -> Result<(u64, u64), Failure> {
-    let mut trace = generate(seed, nops);
-    trace.config.workers = workers;
+/// Generates and runs one seed, then re-runs it with the
+/// segment-acquisition fault placed at every offset of the lifetime
+/// acquisition count the fault-free run needed. Returns
+/// `(fault_runs, faults_fired)` on success or the first divergence: a
+/// fallible entry point must refuse cleanly, never trip the collector's
+/// tripwire (which would mean `try_collect`'s worst-case reservation is
+/// unsound).
+pub fn fault_sweep(seed: u64, nops: usize) -> Result<(u64, u64), Failure> {
+    let trace = generate(seed, nops);
     let base = run_trace(&trace)?;
     let mut fired = 0;
     for offset in 0..=base.acquisitions {

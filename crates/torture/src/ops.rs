@@ -472,15 +472,11 @@ pub struct TortureConfig {
     pub promotion: Promotion,
     /// Arm the segment-acquisition fault at this lifetime offset.
     pub fail_acquisition_at: Option<u64>,
-    /// Collector worker threads (`1` = the serial engine). The shadow
-    /// model is engine-agnostic, so a parallel campaign leg is the
-    /// oracle-equivalence check the parallel engine's contract promises.
-    pub workers: usize,
     /// Bounded-pause budget in microseconds (`None` = stop-the-world).
-    /// `Some` selects the incremental engine; `Some(0)` is the finest
-    /// slicing (one work unit per increment). Like `workers`, the shadow
-    /// model is engine-agnostic: a budget leg checks the incremental
-    /// engine against the same oracle, observable for observable.
+    /// `Some` selects the incremental schedule; `Some(0)` is the finest
+    /// slicing (one work unit per increment). The shadow model is
+    /// schedule-agnostic: a budget leg checks the increments against the
+    /// same oracle, observable for observable.
     pub pause_budget: Option<u64>,
 }
 
@@ -490,19 +486,25 @@ impl Default for TortureConfig {
             generations: 4,
             promotion: Promotion::NextGeneration,
             fail_acquisition_at: None,
-            workers: 1,
             pause_budget: None,
         }
     }
 }
 
 /// Trace format version: the number in the header [`Trace::to_text`]
-/// writes and in every refusal of an older `config` line.
-const FORMAT_VERSION: u32 = 2;
+/// writes, [`Trace::parse`] requires, and every refusal names.
+const FORMAT_VERSION: u32 = 3;
 
-/// `config <gens> <promotion> <fault> [workers [budget_us]]`: the two
-/// optional tokens are positional and omitted at their defaults, so
-/// emitting the budget forces the workers out.
+/// The `config` line of [`FORMAT_VERSION`], for refusals.
+const CONFIG_SHAPE: &str = "`config <gens> <promotion> <fault> [budget_us]`";
+
+/// The first line of a trace's text.
+fn header() -> String {
+    format!("# guardians torture trace v{FORMAT_VERSION}")
+}
+
+/// `config <gens> <promotion> <fault> [budget_us]`: the optional token is
+/// omitted when there is no pause budget.
 impl fmt::Display for TortureConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let promo = promotion_text(self.promotion);
@@ -511,11 +513,6 @@ impl fmt::Display for TortureConfig {
             None => "-".to_string(),
         };
         write!(f, "config {} {promo} {fault}", self.generations)?;
-        if self.workers != 1 || self.pause_budget.is_some() {
-            // The collector runs 0 workers as 1, and the parser keeps `0`
-            // for telling a v1 line apart.
-            write!(f, " {}", self.workers.max(1))?;
-        }
         if let Some(us) = self.pause_budget {
             write!(f, " {us}")?;
         }
@@ -541,21 +538,6 @@ impl FromStr for TortureConfig {
             "-" => None,
             n => Some(n.parse().map_err(|e| format!("config: bad fault: {e}"))?),
         };
-        let workers = match it.next() {
-            // A v1 line carried two switch slots, always `0 0`, ahead of
-            // the fault, so it arrives here as "fault 0, workers 0". No v2
-            // writer emits zero workers: refuse the line rather than replay
-            // it under a fault it never recorded.
-            Some("0") => {
-                return Err(format!(
-                    "config: 0 workers: this is a trace format v1 line \
-                     (`config <gens> <promotion> 0 0 <fault> ...`), and this rig reads \
-                     v{FORMAT_VERSION} (`config <gens> <promotion> <fault> [workers [budget_us]]`)"
-                ))
-            }
-            Some(n) => n.parse().map_err(|e| format!("config: bad workers: {e}"))?,
-            None => 1,
-        };
         let pause_budget = it
             .next()
             .map(|us| {
@@ -564,15 +546,19 @@ impl FromStr for TortureConfig {
             })
             .transpose()?;
         if let Some(extra) = it.next() {
+            // A v2 line put a workers token ahead of the budget (and a v1
+            // line two switch slots ahead of the fault): either runs past
+            // the one optional slot there is now.
             return Err(format!(
-                "config: trailing token {extra:?} (trace format v{FORMAT_VERSION} ends at the budget)"
+                "config: trailing token {extra:?}: trace format v{FORMAT_VERSION} ({CONFIG_SHAPE}) \
+                 ends at the budget; a v2 line (`config <gens> <promotion> <fault> [workers \
+                 [budget_us]]`) or older is refused, not reinterpreted"
             ));
         }
         Ok(TortureConfig {
             generations: gens,
             promotion: promo,
             fail_acquisition_at: fault,
-            workers,
             pause_budget,
         })
     }
@@ -595,7 +581,7 @@ impl Trace {
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "# guardians torture trace v{FORMAT_VERSION}");
+        let _ = writeln!(out, "{}", header());
         if let Some(seed) = self.seed {
             let _ = writeln!(out, "# seed {seed}");
         }
@@ -608,7 +594,10 @@ impl Trace {
 
     /// Parses the textual form produced by [`Trace::to_text`]. Blank
     /// lines and `#` comments are skipped; a `# seed N` comment restores
-    /// the recorded seed.
+    /// the recorded seed. The format header must come before the `config`
+    /// line: a v2 line's workers token sits where the budget is now, so a
+    /// trace that does not say it is v3 is refused, never replayed under a
+    /// schedule it did not record.
     ///
     /// # Errors
     ///
@@ -617,6 +606,7 @@ impl Trace {
         let mut seed = None;
         let mut config = None;
         let mut ops = Vec::new();
+        let mut headed = false;
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() {
@@ -629,9 +619,27 @@ impl Trace {
                         seed = Some(s);
                     }
                 }
+                if let Some(version) = comment.trim().strip_prefix("guardians torture trace ") {
+                    if line != header() {
+                        return Err(format!(
+                            "line {}: trace format {version}, and this rig reads \
+                             v{FORMAT_VERSION} ({CONFIG_SHAPE})",
+                            n + 1
+                        ));
+                    }
+                    headed = true;
+                }
                 continue;
             }
             if line.starts_with("config") {
+                if !headed {
+                    return Err(format!(
+                        "line {}: config line with no `{}` line before it: an unheaded \
+                         trace may be v2, whose workers token would read as a pause budget",
+                        n + 1,
+                        header()
+                    ));
+                }
                 config = Some(
                     line.parse::<TortureConfig>()
                         .map_err(|e| format!("line {}: {e}", n + 1))?,
@@ -741,48 +749,41 @@ mod tests {
     }
 
     #[test]
-    fn workers_token_round_trips_and_defaults() {
-        let parallel = TortureConfig {
-            workers: 4,
-            ..TortureConfig::default()
-        };
-        let text = parallel.to_string();
-        assert!(text.ends_with(" 4"), "workers token emitted: {text}");
-        assert_eq!(text.parse::<TortureConfig>().unwrap(), parallel);
-        // The default stays token-free.
-        let serial = TortureConfig::default();
-        assert_eq!(serial.to_string(), "config 4 next -");
-        assert_eq!(serial.to_string().parse::<TortureConfig>().unwrap(), serial);
-    }
-
-    #[test]
-    fn v1_config_lines_are_refused_by_format_version() {
-        // The v1 default line and the longest line a v1 writer ever
-        // emitted (workers, budget, interpreter tier, autotuner mode).
-        // Read as v2 both would replay under a fault at offset 0.
-        for old in ["config 4 next 0 0 -", "config 4 next 0 0 - 2 250 vm active"] {
-            let err = old.parse::<TortureConfig>().unwrap_err();
-            assert!(err.contains("format v1") && err.contains("v2"), "{err}");
-            let err = Trace::parse(&format!("{old}\npair 0 null null")).unwrap_err();
-            assert!(err.contains("line 1") && err.contains("format v1"), "{err}");
+    fn older_formats_are_refused_by_name() {
+        // A v2-headed trace is refused at its header, whatever its config
+        // line: `config 4 next - 4` meant four workers, and would read
+        // here as a 4 µs pause budget.
+        for old in ["v2", "v1"] {
+            let text =
+                format!("# guardians torture trace {old}\nconfig 4 next - 4\npair 0 null null");
+            let err = Trace::parse(&text).unwrap_err();
+            assert!(
+                err.contains("line 1") && err.contains(old) && err.contains("v3"),
+                "{err}"
+            );
         }
-        // Past the budget a v2 line has no slot.
-        let err = "config 4 next - 2 250 vm"
-            .parse::<TortureConfig>()
-            .unwrap_err();
-        assert!(err.contains("trailing"), "{err}");
+        // So is a trace that does not say what it is.
+        let err = Trace::parse("config 4 next - 4\npair 0 null null").unwrap_err();
+        assert!(err.contains("line 1") && err.contains("v2"), "{err}");
+        // A config line on its own: v2's workers-and-budget pair and the v1
+        // default line both run past the one optional slot.
+        for old in ["config 4 next - 1 250", "config 4 next 0 0 -"] {
+            let err = old.parse::<TortureConfig>().unwrap_err();
+            assert!(
+                err.contains("trailing") && err.contains("v2") && err.contains("v3"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn pause_budget_token_round_trips_and_defaults() {
-        // The budget follows the workers token: emitting it forces the
-        // workers token out even at its default.
         let budgeted = TortureConfig {
             pause_budget: Some(250),
             ..TortureConfig::default()
         };
         let text = budgeted.to_string();
-        assert!(text.ends_with(" 1 250"), "both tokens emitted: {text}");
+        assert_eq!(text, "config 4 next - 250");
         assert_eq!(text.parse::<TortureConfig>().unwrap(), budgeted);
         // Zero (finest slicing) round-trips distinctly from None.
         let finest = TortureConfig {
@@ -790,10 +791,11 @@ mod tests {
             ..TortureConfig::default()
         };
         assert_eq!(finest.to_string().parse::<TortureConfig>().unwrap(), finest);
-        // Without the token a line is stop-the-world.
-        for short in ["config 4 next - 4", "config 4 next -"] {
-            assert_eq!(short.parse::<TortureConfig>().unwrap().pause_budget, None);
-        }
+        // The default stays token-free, and without the token a line is
+        // stop-the-world.
+        let serial = TortureConfig::default();
+        assert_eq!(serial.to_string(), "config 4 next -");
+        assert_eq!(serial.to_string().parse::<TortureConfig>().unwrap(), serial);
     }
 
     #[test]
@@ -859,11 +861,13 @@ mod tests {
 
     #[test]
     fn parse_reports_bad_lines() {
-        let err = Trace::parse("config 4 next -\nfrobnicate 1").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+        let head = header();
+        let err = Trace::parse(&format!("{head}\nconfig 4 next -\nfrobnicate 1")).unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
         let err = Trace::parse("pair 0 null null").unwrap_err();
         assert!(err.contains("no config"), "{err}");
-        let err = Trace::parse("config 4 next -\npair 0 null null extra").unwrap_err();
+        let err =
+            Trace::parse(&format!("{head}\nconfig 4 next -\npair 0 null null extra")).unwrap_err();
         assert!(err.contains("trailing"), "{err}");
     }
 }

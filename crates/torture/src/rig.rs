@@ -212,7 +212,6 @@ impl Rig {
         let gc = GcConfig {
             generations: cfg.generations,
             promotion: cfg.promotion,
-            workers: cfg.workers,
             pause_budget: cfg.pause_budget.map(std::time::Duration::from_micros),
             ..GcConfig::default()
         };

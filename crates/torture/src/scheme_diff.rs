@@ -59,7 +59,6 @@ fn gc_config(cfg: &TortureConfig) -> GcConfig {
     GcConfig {
         generations: cfg.generations,
         promotion: cfg.promotion,
-        workers: cfg.workers,
         pause_budget: cfg.pause_budget.map(Duration::from_micros),
         ..GcConfig::default()
     }

@@ -62,46 +62,10 @@ fn fixed_and_random_seeds_agree_with_the_oracle() {
 fn exhaustive_fault_offset_sweep_is_clean() {
     for seed in 0..3u64 {
         let (runs, fired) =
-            fault_sweep(seed, 80, 1).unwrap_or_else(|f| panic!("fault sweep diverged: {f}"));
+            fault_sweep(seed, 80).unwrap_or_else(|f| panic!("fault sweep diverged: {f}"));
         assert!(runs > 10, "sweep of seed {seed} too small: {runs} runs");
         assert!(fired > 0, "sweep of seed {seed} never fired the fault");
     }
-}
-
-/// The parallel campaign matrix: every seed replays under 1, 2, and 4
-/// collector workers with zero oracle divergences, and the deterministic
-/// observables — applied ops, collections, finalized guardian entries,
-/// successful polls (whose FIFO order the oracle checks), surviving
-/// nodes — are identical across worker counts. This is the parallel
-/// engine's shadow-oracle-equivalence acceptance check.
-#[test]
-fn parallel_worker_matrix_agrees_with_the_oracle() {
-    let seeds = env_num("TORTURE_PAR_SEEDS", 17);
-    let ops = env_num("TORTURE_PAR_OPS", 300) as usize;
-    let mut runs = 0;
-    for seed in 0..seeds {
-        let mut baseline = None;
-        for workers in [1usize, 2, 4] {
-            let stats = guardians_torture::check_seed_parallel(seed, ops, workers)
-                .unwrap_or_else(|f| panic!("seed {seed}, {workers} workers: {f}"));
-            runs += 1;
-            let key = (
-                stats.applied,
-                stats.collections,
-                stats.finalized,
-                stats.polled,
-                stats.live_nodes,
-            );
-            match &baseline {
-                None => baseline = Some(key),
-                Some(b) => assert_eq!(
-                    *b, key,
-                    "seed {seed}: {workers} workers changed the deterministic observables"
-                ),
-            }
-        }
-    }
-    assert!(runs >= 50, "parallel campaign too small: {runs} runs");
 }
 
 /// The bounded-pause budget matrix: every seed replays stop-the-world,
@@ -148,10 +112,10 @@ fn pause_budget_matrix_agrees_with_the_oracle() {
 
 /// The typed-API matrix: generated traces (which interleave typed-layer
 /// ops — `tnode`/`troot`/`tregister`/`tpoll`/`tweak`/`tupgrade` — with
-/// the raw ops) replay under the serial engine, 4 collector workers, and
-/// a 100 µs pause budget with zero oracle divergences, and the
-/// deterministic observables are identical across the three engines.
-/// This is the typed front-end's engine-agnosticism acceptance check:
+/// the raw ops) replay stop-the-world and under a 100 µs pause budget
+/// with zero oracle divergences, and the deterministic observables are
+/// identical across the two schedules. This is the typed front-end's
+/// schedule-agnosticism acceptance check:
 /// every typed accessor funnels through the same resolve/barrier paths
 /// the oracle already pins.
 #[test]
@@ -175,13 +139,11 @@ fn typed_api_matrix_agrees_with_the_oracle() {
             typed_traces += 1;
         }
         let mut baseline = None;
-        for (workers, budget_us) in [(1usize, None), (4, None), (1, Some(100u64))] {
+        for budget_us in [None, Some(100u64)] {
             let mut t = trace.clone();
-            t.config.workers = workers;
             t.config.pause_budget = budget_us;
-            let stats = run_trace(&t).unwrap_or_else(|f| {
-                panic!("typed matrix seed {seed}, {workers} workers, budget {budget_us:?}: {f}")
-            });
+            let stats = run_trace(&t)
+                .unwrap_or_else(|f| panic!("typed matrix seed {seed}, budget {budget_us:?}: {f}"));
             runs += 1;
             let key = (
                 stats.applied,
@@ -194,12 +156,12 @@ fn typed_api_matrix_agrees_with_the_oracle() {
                 None => baseline = Some(key),
                 Some(b) => assert_eq!(
                     *b, key,
-                    "seed {seed}: engine ({workers} workers, {budget_us:?}) moved observables"
+                    "seed {seed}: budget {budget_us:?} moved observables"
                 ),
             }
         }
     }
-    assert!(runs >= 30, "typed matrix too small: {runs} runs");
+    assert!(runs >= 20, "typed matrix too small: {runs} runs");
     assert!(
         typed_traces == seeds,
         "typed ops missing from some traces ({typed_traces}/{seeds})"
@@ -208,11 +170,11 @@ fn typed_api_matrix_agrees_with_the_oracle() {
 
 /// The promotion-strategy matrix: every seed replays under all four
 /// promotion policies — `next`, `cap1`, `cap2`, `same` — on each of the
-/// three engines (serial, 4 workers, 100 µs budget) with zero oracle
+/// two schedules (stop-the-world, 100 µs budget) with zero oracle
 /// divergences, and the deterministic observables are identical across
-/// engines within each policy. Generated traces also interleave
+/// schedules within each policy. Generated traces also interleave
 /// `setpromo` retunes, so the between-collections reconfiguration path
-/// is exercised against the oracle on every engine.
+/// is exercised against the oracle on both.
 #[test]
 fn promotion_strategy_matrix_agrees_with_the_oracle() {
     use guardians_gc::Promotion;
@@ -237,16 +199,12 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
             Promotion::SameGeneration,
         ] {
             let mut baseline = None;
-            for (workers, budget_us) in [(1usize, None), (4, None), (1, Some(100u64))] {
+            for budget_us in [None, Some(100u64)] {
                 let mut t = trace.clone();
                 t.config.promotion = promotion;
-                t.config.workers = workers;
                 t.config.pause_budget = budget_us;
                 let stats = run_trace(&t).unwrap_or_else(|f| {
-                    panic!(
-                        "promotion matrix seed {seed}, {promotion:?}, {workers} workers, \
-                         budget {budget_us:?}: {f}"
-                    )
+                    panic!("promotion matrix seed {seed}, {promotion:?}, budget {budget_us:?}: {f}")
                 });
                 runs += 1;
                 let key = (
@@ -260,14 +218,13 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
                     None => baseline = Some(key),
                     Some(b) => assert_eq!(
                         *b, key,
-                        "seed {seed}, {promotion:?}: engine ({workers} workers, \
-                         {budget_us:?}) moved observables"
+                        "seed {seed}, {promotion:?}: budget {budget_us:?} moved observables"
                     ),
                 }
             }
         }
     }
-    assert!(runs >= 60, "promotion matrix too small: {runs} runs");
+    assert!(runs >= 40, "promotion matrix too small: {runs} runs");
     assert!(
         retuned_traces > 0,
         "no generated trace exercised setpromo ({retuned_traces}/{seeds})"
@@ -282,6 +239,7 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
 #[test]
 fn typed_trace_replays_from_text_and_pins_weak_ordering() {
     let text = "\
+# guardians torture trace v3
 config 4 next -
 tnode 0 null null
 troot 0
@@ -305,8 +263,8 @@ tupgrade 0
 
 /// The scheme-differential engine matrix: every seed's guardian-heavy
 /// Scheme workload replays under the VM and the naive oracle on the
-/// serial, parallel (4 workers), and bounded-pause (100 µs) engines —
-/// observables byte-identical everywhere.
+/// stop-the-world and bounded-pause (100 µs) schedules — observables
+/// byte-identical everywhere.
 #[test]
 fn scheme_vm_matches_the_oracle_on_every_engine() {
     use guardians_torture::{run_scheme_differential, TortureConfig};
@@ -315,20 +273,18 @@ fn scheme_vm_matches_the_oracle_on_every_engine() {
     let mut runs = 0;
     let mut collections = 0;
     for seed in 0..seeds {
-        for (workers, budget_us) in [(1usize, None), (4, None), (1, Some(100u64))] {
+        for budget_us in [None, Some(100u64)] {
             let cfg = TortureConfig {
-                workers,
                 pause_budget: budget_us,
                 ..guardians_torture::config_for_seed(seed)
             };
-            let stats = run_scheme_differential(seed, forms, &cfg).unwrap_or_else(|f| {
-                panic!("seed {seed}, {workers} workers, budget {budget_us:?}: {f}")
-            });
+            let stats = run_scheme_differential(seed, forms, &cfg)
+                .unwrap_or_else(|f| panic!("seed {seed}, budget {budget_us:?}: {f}"));
             collections += stats.counters.collections;
             runs += 1;
         }
     }
-    assert!(runs >= 9, "scheme matrix too small: {runs} runs");
+    assert!(runs >= 6, "scheme matrix too small: {runs} runs");
     assert!(collections > 0, "scheme matrix never collected");
 }
 
@@ -370,20 +326,6 @@ fn incremental_fault_injection_stays_clean() {
     }
 }
 
-/// The acquisition fault with racing workers: under `workers = 4` the
-/// fallible entry points must still refuse cleanly (`GcError::Exhausted`
-/// with the heap verify-valid, then recover) — never a tripwire panic
-/// from a worker crossing the limit mid-collection, which would mean the
-/// parallel engine broke `try_collect`'s worst-case reservation.
-#[test]
-fn parallel_fault_injection_stays_clean() {
-    for seed in 0..2u64 {
-        let (_, fired) = fault_sweep(seed, 80, 4)
-            .unwrap_or_else(|f| panic!("4-worker fault sweep of seed {seed}: {f}"));
-        assert!(fired > 0, "seed {seed} never fired the fault");
-    }
-}
-
 fn regression_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("regressions")
 }
@@ -396,7 +338,7 @@ fn load_trace(name: &str) -> Trace {
 }
 
 /// Every committed regression trace replays green, and its `config` line
-/// is still what `Display` writes (the two retired switch slots included).
+/// is still what `Display` writes.
 #[test]
 fn regression_corpus_replays_clean() {
     let mut found = 0;

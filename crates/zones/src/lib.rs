@@ -7,7 +7,7 @@
 //! [`SegmentPool`](guardians_gc::SegmentPool). Scarcity is shared;
 //! everything observable is not: a zone's request-level observables are
 //! byte-identical whether its heap is private or pooled, whichever
-//! collector engine runs it, and whether it runs alone or among a fleet.
+//! collection schedule runs it, and whether it runs alone or among a fleet.
 //!
 //! Tenant sessions hold real external resources (an fd, an arena block).
 //! Eviction just drops the session's root; the zone's guardian proves the

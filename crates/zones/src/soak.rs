@@ -64,12 +64,12 @@ pub struct SoakSchedule {
     pub ops: Vec<SoakOp>,
 }
 
-/// The zone configuration the soak derives from a zone id: the engine
-/// rotates through [`Engine::MATRIX`], the workload alternates
-/// typed/Scheme, and the trigger is small enough that even short
-/// schedules collect.
+/// The zone configuration the soak derives from a zone id: the workload
+/// alternates typed/Scheme, the schedule ([`Engine::MATRIX`]) changes every
+/// second zone so every pairing occurs, and the trigger is small enough
+/// that even short schedules collect.
 pub fn zone_config_for(zone: u64) -> ZoneConfig {
-    let engine = Engine::MATRIX[(zone % 3) as usize];
+    let engine = Engine::MATRIX[(zone / 2) as usize % Engine::MATRIX.len()];
     let base = if zone.is_multiple_of(2) {
         ZoneConfig::typed()
     } else {

@@ -4,7 +4,7 @@
 //!
 //! A zone is deterministic: given the same request sequence it produces
 //! the same [`ZoneObservables`] whether its heap is private or drawn from
-//! a shared [`SegmentPool`], whichever collector engine runs it, and
+//! a shared [`SegmentPool`], whichever collection schedule runs it, and
 //! whether it lives alone or among a fleet — the identity the zone tests
 //! and experiment E21 pin.
 
@@ -17,50 +17,34 @@ use guardians_scheme::{EvalMode, Interp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Collector engine selection for a zone, as an explicit axis (the same
-/// three engines `GcConfig` encodes implicitly): serial stop-the-world,
-/// parallel copy/scan with `n` workers, or incremental bounded-pause.
+/// The collection schedule of a zone, as an explicit axis (the same two
+/// schedules `GcConfig::pause_budget` encodes): stop-the-world, or
+/// increments under a pause budget.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// One collector thread, stop-the-world.
+    /// Stop-the-world: every collection is one pause.
     Serial,
-    /// Parallel copy/scan with this many workers.
-    Workers(usize),
-    /// Incremental engine with a pause budget in microseconds.
+    /// Increments with a pause budget in microseconds.
     PauseBudgetUs(u64),
 }
 
 impl Engine {
-    /// The engine matrix CI and E21 sweep: serial, 4 workers, 100 µs.
-    pub const MATRIX: [Engine; 3] = [
-        Engine::Serial,
-        Engine::Workers(4),
-        Engine::PauseBudgetUs(100),
-    ];
+    /// The schedule matrix CI and E21 sweep: stop-the-world, 100 µs.
+    pub const MATRIX: [Engine; 2] = [Engine::Serial, Engine::PauseBudgetUs(100)];
 
-    /// Applies the engine to a base collector configuration.
+    /// Applies the schedule to a base collector configuration.
     pub fn apply(self, mut gc: GcConfig) -> GcConfig {
-        match self {
-            Engine::Serial => {
-                gc.workers = 1;
-                gc.pause_budget = None;
-            }
-            Engine::Workers(n) => {
-                gc.workers = n.max(1);
-                gc.pause_budget = None;
-            }
-            Engine::PauseBudgetUs(us) => {
-                gc.pause_budget = Some(std::time::Duration::from_micros(us));
-            }
-        }
+        gc.pause_budget = match self {
+            Engine::Serial => None,
+            Engine::PauseBudgetUs(us) => Some(std::time::Duration::from_micros(us)),
+        };
         gc
     }
 
-    /// Stable label, e.g. `serial`, `workers4`, `budget100us`.
+    /// Stable label, e.g. `serial`, `budget100us`.
     pub fn label(self) -> String {
         match self {
             Engine::Serial => "serial".to_string(),
-            Engine::Workers(n) => format!("workers{n}"),
             Engine::PauseBudgetUs(us) => format!("budget{us}us"),
         }
     }
@@ -201,13 +185,13 @@ impl Request {
     }
 }
 
-/// The deterministic observables of one zone: identical across engines,
+/// The deterministic observables of one zone: identical across schedules,
 /// across private-vs-pooled heaps, and across solo-vs-fleet placement for
 /// the same request sequence — with one exception. Under
 /// [`Engine::PauseBudgetUs`] a collection lasts as many safe points as
 /// the wall clock makes it and the allocation trigger re-arms only when
 /// it ends, so `collections` depends on timing there; every other field,
-/// and `collections` under the serial and workers engines, is exact.
+/// and `collections` under [`Engine::Serial`], is exact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ZoneObservables {
     /// Requests dispatched.
@@ -641,8 +625,7 @@ impl Zone {
         }
     }
 
-    /// Verifies the zone's heap invariants (including the §2c
-    /// no-lingering-collector-owner check).
+    /// Verifies the zone's heap invariants.
     ///
     /// # Errors
     ///

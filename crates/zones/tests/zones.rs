@@ -222,7 +222,8 @@ fn router_fleet_matches_solo_replay_per_zone() {
             } else {
                 ZoneConfig::scheme()
             };
-            small_trigger(base).with_engine(Engine::MATRIX[(id % 3) as usize])
+            small_trigger(base)
+                .with_engine(Engine::MATRIX[(id / 2) as usize % Engine::MATRIX.len()])
         })
         .collect();
     for (id, cfg) in configs.iter().enumerate() {
