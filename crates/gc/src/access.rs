@@ -113,10 +113,7 @@ impl Heap {
     /// case) this is a single branch on `None`.
     #[inline]
     pub(crate) fn resolve_read(&self, v: Value) -> Value {
-        let Some(st) = self.incremental.as_ref() else {
-            return v;
-        };
-        if !v.is_ptr() || !st.from_space.contains(v.addr().seg()) {
+        if self.incremental.is_none() || !v.is_ptr() || !self.segs.in_from_space(v.addr().seg()) {
             return v;
         }
         match fwd::decode(self.segs.word(v.addr())) {
@@ -154,8 +151,8 @@ impl Heap {
             let seg = container.addr().seg();
             let stored_seg = stored.addr().seg();
             match (
-                st.from_space.contains(seg),
-                st.from_space.contains(stored_seg),
+                self.segs.in_from_space(seg),
+                self.segs.in_from_space(stored_seg),
             ) {
                 (false, true) => st.log_rescan(seg),
                 (true, false) if self.segs.info(stored_seg).generation < st.target => {

@@ -57,7 +57,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     for i in 0..=s.g as usize {
         for e in std::mem::take(&mut heap.protected[i]) {
             s.report.guardian_entries_visited += 1;
-            if forwarded_p(heap, &s.from_space, e.obj) {
+            if forwarded_p(heap, e.obj) {
                 pend_hold.push(e);
             } else {
                 pend_final.push(e);
@@ -76,7 +76,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
         let mut final_list = Vec::new();
         let mut remaining = Vec::new();
         for e in pend_final {
-            if forwarded_p(heap, &s.from_space, e.tconc) {
+            if forwarded_p(heap, e.tconc) {
                 final_list.push(e);
             } else {
                 remaining.push(e);
@@ -93,7 +93,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
             // Paper: forward(obj). With an agent, the representative is
             // forwarded (saved from destruction) in the object's place.
             let rep = forward(heap, s, e.rep);
-            let tconc = get_fwd(heap, &s.from_space, e.tconc);
+            let tconc = get_fwd(heap, e.tconc);
             append_to_tconc(heap, s, tconc, rep);
             s.report.guardian_entries_finalized += 1;
         }
@@ -108,9 +108,9 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     // to a younger referent's (see `settled_generation`).
     let mut agent_copied = false;
     for e in pend_hold {
-        if forwarded_p(heap, &s.from_space, e.tconc) {
-            let obj = get_fwd(heap, &s.from_space, e.obj);
-            let tconc = get_fwd(heap, &s.from_space, e.tconc);
+        if forwarded_p(heap, e.tconc) {
+            let obj = get_fwd(heap, e.obj);
+            let tconc = get_fwd(heap, e.tconc);
             let rep = if e.rep == e.obj {
                 obj
             } else {
@@ -120,7 +120,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
             };
             let dest = [e.obj, e.rep, e.tconc]
                 .iter()
-                .map(|&v| settled_generation(heap, &s.from_space, s.target, v))
+                .map(|&v| settled_generation(heap, s.target, v))
                 .fold(s.target, u8::min);
             heap.protected[dest as usize].push(GuardEntry { obj, rep, tconc });
             s.report.guardian_entries_held += 1;

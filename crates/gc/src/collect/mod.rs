@@ -5,9 +5,9 @@
 //! generations are collected as well") into the *target generation*
 //! `min(g+1, n)`. The phases, in order:
 //!
-//! 1. **Flip** — snapshot the from-space (every segment in a collected
-//!    generation) and reset allocation cursors for the collected and
-//!    target generations.
+//! 1. **Flip** — move every segment of a collected generation into the
+//!    from-space and reset allocation cursors for the collected and target
+//!    generations.
 //! 2. **Roots** — forward every registered root slot whose generation
 //!    stamp says this collection can move its referent.
 //! 3. **Remembered set** — scan dirty older-generation segments for
@@ -84,9 +84,10 @@
 //!   test it, forward with [`forward_from`], write back ([`scan_segment`],
 //!   `remset::scan_weak_cdrs`). The access contract it all stands on is
 //!   stated once, at `remset::walk_run`.
-//! * The from-space membership test is a packed bitset ([`FromSpaceMap`]),
-//!   and the flip drains the segment table's per-generation lists instead
-//!   of walking every segment.
+//! * The from-space membership test is one byte load from the segment
+//!   table's whereabouts table (`SegmentTable::in_from_space`), which the
+//!   flip writes as it drains the table's per-generation lists instead of
+//!   walking every segment, and which `remset::gather` reads generations in.
 //! * [`kleene_sweep`] keeps a queue of segments with pending words and
 //!   *retires* fully-scanned segments. Only segments that can still grow
 //!   — the open allocation cursors of the target generation — are parked
@@ -103,7 +104,6 @@ pub(crate) mod guardian_pass;
 pub(crate) mod remset;
 pub(crate) mod weak_pass;
 
-use self::remset::{CardTracer, HeapTracer};
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::roots::ROOT_CLEAN;
@@ -114,39 +114,6 @@ use guardians_segments::{SegIndex, SegmentTable, Space, SEGMENT_WORDS};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Packed bitset over segment indices: the from-space membership map.
-/// Indices beyond the snapshot (segments created during the collection)
-/// answer `false`, which is exactly what the collector needs.
-pub(crate) struct FromSpaceMap {
-    bits: Vec<u64>,
-}
-
-impl FromSpaceMap {
-    /// An empty map able to hold `n_segs` segment indices.
-    pub fn with_capacity(n_segs: usize) -> FromSpaceMap {
-        FromSpaceMap {
-            bits: vec![0; n_segs.div_ceil(64)],
-        }
-    }
-
-    /// Adds a segment to the from-space.
-    #[inline]
-    pub fn insert(&mut self, seg: SegIndex) {
-        let i = seg.index();
-        self.bits[i >> 6] |= 1 << (i & 63);
-    }
-
-    /// Whether a segment is in the from-space.
-    #[inline]
-    pub fn contains(&self, seg: SegIndex) -> bool {
-        let i = seg.index();
-        match self.bits.get(i >> 6) {
-            Some(word) => (word >> (i & 63)) & 1 == 1,
-            None => false,
-        }
-    }
-}
-
 /// The state of one collection, from [`begin`] to the end of its last
 /// [`advance`]; between advances it is parked in `Heap::incremental`. The
 /// scan queue, parked segments, weak lists and remembered-set snapshot
@@ -156,10 +123,8 @@ pub(crate) struct Scratch {
     pub g: u8,
     /// Generation survivors are copied into.
     pub target: u8,
-    /// From-space membership bitset. Segments created during the
-    /// collection are beyond the snapshot and therefore not in it.
-    pub from_space: FromSpaceMap,
-    /// Head segments to free at the end.
+    /// The from-space's head segments, to free at the end. Membership is
+    /// the segment table's whereabouts byte (`SegmentTable::in_from_space`).
     pub from_heads: Vec<SegIndex>,
     /// To-space segments with unscanned words (Cheney scan state).
     pub queue: Vec<(SegIndex, usize)>,
@@ -167,9 +132,6 @@ pub(crate) struct Scratch {
     /// cursors, so copies may yet land in them; re-checked (and either
     /// re-queued or retired) whenever the queue drains.
     pub parked: Vec<(SegIndex, usize)>,
-    /// Reusable copy of the card bytes of the run being walked (the walk
-    /// needs the whole heap mutably, so it works on a copy).
-    pub cards: Vec<u8>,
     /// To-space weak-pair segments, for the weak pass.
     pub weak_tospace: Vec<SegIndex>,
     /// Dirty old-generation weak-pair segments, for the weak pass.
@@ -202,11 +164,6 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    #[inline]
-    pub fn in_from(&self, seg: SegIndex) -> bool {
-        self.from_space.contains(seg)
-    }
-
     /// Logs a segment for re-scanning by the next advance (idempotent).
     pub fn log_rescan(&mut self, seg: SegIndex) {
         let i = seg.index();
@@ -244,26 +201,25 @@ impl Scratch {
 }
 
 /// Phase 1: the flip, a fresh [`Scratch`] and the `CollectionBegin` event.
-/// The flip picks the target generation, snapshots the from-space (every
-/// segment of a collected generation; heads are also listed for the
-/// reclaim), resets the allocation cursors and drains the dirty index into
-/// the remembered-set work list. It drains the per-generation segment
-/// lists instead of walking the whole table; the bitset dedups entries for
-/// segments freed and recycled back into the same generation.
+/// The flip picks the target generation, moves every segment of a collected
+/// generation into the from-space (heads are also listed for the reclaim),
+/// resets the allocation cursors and drains the dirty index into the
+/// remembered-set work list. It drains the per-generation segment lists
+/// instead of walking the whole table; the whereabouts byte dedups entries
+/// for segments freed and recycled back into the same generation.
 pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
     let mut mark = Instant::now();
     let target = heap
         .config
         .promotion
         .target(g, heap.config.max_generation());
-    let mut from_space = FromSpaceMap::with_capacity(heap.segs.segments_total());
     let mut from_heads = Vec::new();
     for gen in 0..=g {
         for seg in heap.segs.drain_generation(gen) {
-            if from_space.contains(seg) {
+            if heap.segs.in_from_space(seg) {
                 continue;
             }
-            from_space.insert(seg);
+            heap.segs.enter_from_space(seg);
             if heap.segs.info(seg).is_head() {
                 from_heads.push(seg);
             }
@@ -280,11 +236,9 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
     let mut s = Box::new(Scratch {
         g,
         target,
-        from_space,
         from_heads,
         queue: Vec::new(),
         parked: Vec::new(),
-        cards: Vec::new(),
         weak_tospace: Vec::new(),
         old_weak_dirty: Vec::new(),
         trace_on: heap.tracing_enabled(),
@@ -499,7 +453,7 @@ fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
             return ROOT_CLEAN;
         }
         let seg = v.addr().seg();
-        if s.in_from(seg) {
+        if heap.segs.in_from_space(seg) {
             *slot = forward_from(heap, s, v);
             s.target
         } else {
@@ -570,11 +524,8 @@ fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
 /// during this collection or when it resides in a generation older than
 /// those being collected". Non-pointers (fixnums, immediates) are
 /// trivially "accessible".
-pub(crate) fn forwarded_p(heap: &Heap, from: &FromSpaceMap, v: Value) -> bool {
-    if !v.is_ptr() {
-        return true;
-    }
-    if !from.contains(v.addr().seg()) {
+pub(crate) fn forwarded_p(heap: &Heap, v: Value) -> bool {
+    if !v.is_ptr() || !heap.segs.in_from_space(v.addr().seg()) {
         return true;
     }
     fwd::decode(heap.segs.word(v.addr())).is_some()
@@ -583,8 +534,8 @@ pub(crate) fn forwarded_p(heap: &Heap, from: &FromSpaceMap, v: Value) -> bool {
 /// The paper's `get-fwd-addr`: "returns either the forwarding address of
 /// obj or the address of obj itself". The caller must know the object is
 /// accessible (`forwarded_p`).
-pub(crate) fn get_fwd(heap: &Heap, from: &FromSpaceMap, v: Value) -> Value {
-    if !v.is_ptr() || !from.contains(v.addr().seg()) {
+pub(crate) fn get_fwd(heap: &Heap, v: Value) -> Value {
+    if !v.is_ptr() || !heap.segs.in_from_space(v.addr().seg()) {
         return v;
     }
     match fwd::decode(heap.segs.word(v.addr())) {
@@ -597,7 +548,7 @@ pub(crate) fn get_fwd(heap: &Heap, from: &FromSpaceMap, v: Value) -> Value {
 /// object; returns the (possibly updated) pointer. Leaves a broken heart
 /// behind.
 pub(crate) fn forward(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value {
-    if !v.is_ptr() || !s.in_from(v.addr().seg()) {
+    if !v.is_ptr() || !heap.segs.in_from_space(v.addr().seg()) {
         return v;
     }
     forward_from(heap, s, v)
@@ -661,9 +612,8 @@ pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value 
     v.retag_at(to)
 }
 
-/// One word-storage base per segment of a run, as [`walk_traced`] and
-/// [`remset::walk_cards`] index it. A lone segment — every pair segment,
-/// nearly every typed one — needs no allocation.
+/// One word-storage base per segment of a run, as [`walk_traced`] indexes
+/// it. A lone segment — nearly every segment — needs no allocation.
 pub(crate) enum ChunkBases {
     One([*mut u64; 1]),
     Run(Box<[*mut u64]>),
@@ -757,14 +707,15 @@ fn walk_layout(
 
 /// Forwards, in place, every traced from-space pointer in `span`:
 /// [`walk_traced`] with the one visitor there is — read the slot, test it,
-/// forward, write back. `t` forwards with [`forward_from`].
+/// forward with [`forward_from`], write back.
 ///
 /// # Safety
 ///
-/// [`walk_traced`]'s, with `t.forward` in the visitor's place: it must not
-/// touch the span's words.
+/// [`walk_traced`]'s, with [`forward_from`] in the visitor's place: under
+/// the `remset::walk_run` contract it does not touch the span's words.
 pub(crate) unsafe fn forward_span(
-    t: &mut impl CardTracer,
+    heap: &mut Heap,
+    s: &mut Scratch,
     space: Space,
     bases: &[*mut u64],
     span: Range<usize>,
@@ -773,8 +724,8 @@ pub(crate) unsafe fn forward_span(
     unsafe {
         walk_traced(space, bases, span, |slot| {
             let v = Value(slot.read());
-            if v.is_ptr() && t.in_from(v.addr().seg()) {
-                slot.write(t.forward(v).raw());
+            if v.is_ptr() && heap.segs.in_from_space(v.addr().seg()) {
+                slot.write(forward_from(heap, s, v).raw());
             }
         });
     }
@@ -800,7 +751,7 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
             // SAFETY: this run's own bases and watermark, and the
             // `walk_run` contract: copies `forward_from` lands in this very
             // run lie beyond `used`.
-            unsafe { forward_span(&mut HeapTracer { heap, s }, space, &bases, off..used) };
+            unsafe { forward_span(heap, s, space, &bases, off..used) };
         }
         off = used;
     }
@@ -873,13 +824,12 @@ fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
 /// Runs after the guardian pass, so an object that is both guarded and
 /// watched is seen alive here (guardians win; documented in DESIGN.md).
 fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
-    let from = &s.from_space;
     let mut migrated = Vec::new();
     for i in 0..=s.g as usize {
         for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
-            if forwarded_p(heap, from, e.obj) {
-                let dest = settled_generation(heap, from, s.target, e.obj);
-                e.obj = get_fwd(heap, from, e.obj);
+            if forwarded_p(heap, e.obj) {
+                let dest = settled_generation(heap, s.target, e.obj);
+                e.obj = get_fwd(heap, e.obj);
                 migrated.push((dest, e));
             } else {
                 s.report.finalized_ids.push(e.id);
@@ -896,8 +846,8 @@ fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
 /// target generation, anything else stays where it is. Below `target`
 /// only for something allocated while this collection was suspended — the entry is then filed under that generation, so that the
 /// collection that moves the referent visits the entry.
-pub(crate) fn settled_generation(heap: &Heap, from: &FromSpaceMap, target: u8, v: Value) -> u8 {
-    if !v.is_ptr() || from.contains(v.addr().seg()) {
+pub(crate) fn settled_generation(heap: &Heap, target: u8, v: Value) -> u8 {
+    if !v.is_ptr() || heap.segs.in_from_space(v.addr().seg()) {
         return target;
     }
     heap.segs.info(v.addr().seg()).generation.min(target)

@@ -57,7 +57,7 @@ fn fix_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) -> bool {
         s.report.weak_pairs_scanned += 1;
         let car_addr = base.add(off);
         let car = Value(heap.segs.word(car_addr));
-        if car.is_ptr() && s.in_from(car.addr().seg()) {
+        if car.is_ptr() && heap.segs.in_from_space(car.addr().seg()) {
             match fwd::decode(heap.segs.word(car.addr())) {
                 Some(new) => {
                     // Referent survived (root-reachable or salvaged by a

@@ -49,7 +49,7 @@ impl Promotion {
 /// Configuration for a [`Heap`](crate::Heap).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GcConfig {
-    /// Number of generations (`>= 1`). Generation `0` is youngest; objects
+    /// Number of generations (`1..=254`). Generation `0` is youngest; objects
     /// surviving a collection of generation `g` are placed in generation
     /// `min(g + 1, generations - 1)` (the paper's promotion strategy).
     pub generations: u8,

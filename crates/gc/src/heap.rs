@@ -22,7 +22,9 @@ use crate::roots::{RootSet, Rooted, RootedVec};
 use crate::stats::{CollectionReport, HeapStats};
 use crate::trace::{GcEvent, SiteProfile, SiteStats, TraceConfig, TracedEvent, Tracer};
 use crate::value::Value;
-use guardians_segments::{SegIndex, SegmentPool, SegmentTable, Space, WordAddr, SEGMENT_WORDS};
+use guardians_segments::{
+    SegIndex, SegmentPool, SegmentTable, Space, WordAddr, SEGMENT_WORDS, WHERE_FROM,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,11 +103,18 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `config.generations` is 0.
+    /// Panics if `config.generations` is 0 or above 254.
     pub fn new(config: GcConfig) -> Heap {
         assert!(
             config.generations >= 1,
             "GcConfig::generations is 0: at least one generation is required"
+        );
+        // Generations are bytes in the segment table's whereabouts table,
+        // where two values are reserved, as `CARD_CLEAN` is in the card table.
+        assert!(
+            config.generations <= WHERE_FROM,
+            "GcConfig::generations is {}: at most {WHERE_FROM} generations are supported",
+            config.generations
         );
         let gens = config.generations as usize;
         Heap {
@@ -1326,6 +1335,34 @@ mod tests {
             generations: 0,
             ..GcConfig::new()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "GcConfig::generations is 255: at most 254")]
+    fn more_than_254_generations_are_rejected() {
+        Heap::new(GcConfig {
+            generations: 255,
+            ..GcConfig::new()
+        });
+    }
+
+    #[test]
+    fn a_heap_of_254_generations_builds_and_collects() {
+        // The oldest generation, 253, is the last byte below the reserved
+        // two; survivors reach it and are collected in it.
+        let mut h = Heap::new(GcConfig::with_generations(254));
+        let p = h.cons(Value::fixnum(1), Value::NIL);
+        let root = h.root(p);
+        for gen in 0..=253 {
+            h.collect(gen);
+        }
+        h.verify().expect("valid heap");
+        assert_eq!(h.generation_of(root.get()), Some(253));
+        let young = h.cons(Value::fixnum(2), Value::NIL);
+        h.set_cdr(root.get(), young);
+        h.collect(0);
+        h.verify().expect("valid heap");
+        assert_eq!(h.car(h.cdr(root.get())), Value::fixnum(2));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 //! The visit order is deterministic: slab slots by index, then vectors in
 //! registration order, each by index.
 
-use crate::collect::FromSpaceMap;
 use crate::value::Value;
 use guardians_segments::SegmentTable;
 use std::cell::RefCell;
@@ -392,16 +391,12 @@ impl RootSet {
 
     /// Checks the table's own invariants, for [`Heap::verify`]:
     /// free-list/share-count coherence, stamped prefixes no longer than
-    /// their vectors, and the stamp lower bound against `segs`. `from` is
-    /// the from-space and collected generation of a suspended incremental
-    /// collection.
+    /// their vectors, and the stamp lower bound against `segs`. `collected`
+    /// is the collected generation of a suspended incremental collection
+    /// (its from-space is in `segs`).
     ///
     /// [`Heap::verify`]: crate::Heap::verify
-    pub(crate) fn check(
-        &self,
-        segs: &SegmentTable,
-        from: Option<(&FromSpaceMap, u8)>,
-    ) -> Result<(), String> {
+    pub(crate) fn check(&self, segs: &SegmentTable, collected: Option<u8>) -> Result<(), String> {
         let table = self.table.borrow();
         let mut on_free_list = vec![false; table.values.len()];
         for &slot in &table.free {
@@ -436,8 +431,8 @@ impl RootSet {
                 let Some(info) = segs.try_info(v.addr().seg()) else {
                     continue;
                 };
-                if let Some((from, g)) = from {
-                    if from.contains(v.addr().seg()) && stamp > g {
+                if let Some(g) = collected {
+                    if segs.in_from_space(v.addr().seg()) && stamp > g {
                         return Err(format!(
                             "{what} {i} holds the from-space pointer {v:?} but is stamped \
                              {stamp}, above the collected generation {g}"

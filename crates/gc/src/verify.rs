@@ -3,7 +3,7 @@
 //! at the moment they corrupt the heap rather than when the corruption is
 //! finally observed.
 
-use crate::collect::{FromSpaceMap, Scratch};
+use crate::collect::Scratch;
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::value::{fwd, Value, TAG_MASK};
@@ -53,7 +53,11 @@ impl Heap {
     ///   list exactly once with no sharers, live slots have one, and no
     ///   vector's stamped prefix is longer than the vector;
     /// * the segment table's free store is coherent with its allocation
-    ///   state ([`SegmentTable::check_free_store`]);
+    ///   state ([`SegmentTable::check_free_store`]), and so is its
+    ///   whereabouts table ([`SegmentTable::check_whereabouts`]): a byte is
+    ///   its segment's generation, "not allocated" exactly on the free
+    ///   indices, and "from-space" exactly on the segments a suspended
+    ///   collection will reclaim — on none between collections;
     /// * an allocation cursor is open exactly on the segments flagged so,
     ///   and no segment is owned by a collector worker;
     /// * protected-list entries satisfy the generation invariants
@@ -94,21 +98,25 @@ impl Heap {
     /// Returns the first violation found.
     ///
     /// [`SegmentTable::check_free_store`]: guardians_segments::SegmentTable::check_free_store
+    /// [`SegmentTable::check_whereabouts`]: guardians_segments::SegmentTable::check_whereabouts
     pub fn verify(&self) -> Result<(), VerifyError> {
         self.segs
             .check_free_store()
             .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
         // The collection suspended between increments, if there is one.
         let cycle = self.incremental.as_deref();
-        let from = cycle.map(|st| &st.from_space);
-        let in_from = |seg: SegIndex| from.is_some_and(|f| f.contains(seg));
+        // First, because every check below tests from-space membership
+        // with it.
+        self.segs
+            .check_whereabouts(cycle.map_or(&[], |st| &st.from_heads))
+            .map_err(|e| VerifyError::new(format!("whereabouts table: {e}")))?;
         self.roots
-            .check(&self.segs, cycle.map(|s| (&s.from_space, s.g)))
+            .check(&self.segs, cycle.map(|s| s.g))
             .map_err(|e| VerifyError::new(format!("root table: {e}")))?;
 
         // 1. Per-segment object walks (mid-cycle: not of the from-space).
         for (seg, info) in self.segs.iter() {
-            if !info.is_head() || in_from(seg) {
+            if !info.is_head() || self.segs.in_from_space(seg) {
                 continue;
             }
             // Mid-cycle: a drained weak-pair segment owes no card marks.
@@ -125,7 +133,7 @@ impl Heap {
                             let weak_car = i == 0 && info.space == Space::WeakPair;
                             self.check_field(cycle, v, seg, weak_car, what)?;
                             if remset_owed {
-                                self.check_remembered(from, seg, off + i, v)?;
+                                self.check_remembered(seg, off + i, v)?;
                             }
                         }
                         off += 2;
@@ -141,7 +149,7 @@ impl Heap {
                         for i in 0..header.traced_words() {
                             let v = Value(self.segs.word(base.add(off + 1 + i)));
                             self.check_field(cycle, v, seg, false, "object field")?;
-                            self.check_remembered(from, seg, off + 1 + i, v)?;
+                            self.check_remembered(seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
                     }
@@ -164,7 +172,7 @@ impl Heap {
         // are left to die with the segment at the terminal reclaim.
         for (seg, info) in self.segs.iter() {
             if info.dirty
-                && !in_from(seg)
+                && !self.segs.in_from_space(seg)
                 && !self.segs.dirty_index().contains(&seg)
                 && !cycle.is_some_and(|st| st.remset_pending.as_slice().contains(&seg))
             {
@@ -174,7 +182,7 @@ impl Heap {
                 )));
             }
         }
-        self.check_card_summary(from)?;
+        self.check_card_summary()?;
 
         for (seg, info) in self.segs.iter() {
             // 2b. Open-cursor coherence: a segment's `open_cursor` flag
@@ -192,7 +200,7 @@ impl Heap {
 
         // 3. Roots.
         for v in self.roots.values() {
-            self.check_value(cycle, v, "root")?;
+            self.check_value(v, "root")?;
         }
 
         // 4. Protected lists. The generation bounds are the terminal
@@ -200,9 +208,9 @@ impl Heap {
         // between collections.
         for (i, list) in self.protected.iter().enumerate() {
             for e in list {
-                self.check_value(cycle, e.obj, "guarded object")?;
-                self.check_value(cycle, e.rep, "guardian representative")?;
-                self.check_value(cycle, e.tconc, "guardian tconc")?;
+                self.check_value(e.obj, "guarded object")?;
+                self.check_value(e.rep, "guardian representative")?;
+                self.check_value(e.tconc, "guardian tconc")?;
                 if !e.tconc.is_pair_ptr() {
                     return Err(VerifyError::new(format!(
                         "tconc is not a pair: {:?}",
@@ -227,7 +235,7 @@ impl Heap {
         // 5. Finalizer watch lists, likewise.
         for (i, list) in self.finalize_watch.iter().enumerate() {
             for e in list {
-                self.check_value(cycle, e.obj, "finalizer-watched object")?;
+                self.check_value(e.obj, "finalizer-watched object")?;
                 if cycle.is_some() {
                     continue;
                 }
@@ -257,7 +265,7 @@ impl Heap {
         if let Some(st) = cycle {
             if !weak_car
                 && v.is_ptr()
-                && st.from_space.contains(v.addr().seg())
+                && self.segs.in_from_space(v.addr().seg())
                 && !st.covered(self, holder)
             {
                 return Err(VerifyError::new(format!(
@@ -267,23 +275,17 @@ impl Heap {
                 )));
             }
         }
-        self.check_value(cycle, v, what)
+        self.check_value(v, what)
     }
 
     /// Remembered-set completeness for one (already value-checked) field:
     /// `v` sits at word `word` of the run headed by `holder`. If it points
     /// into a generation younger than the holder's, its card must carry a
     /// lower bound on that generation and the run must be flagged dirty.
-    /// Pointers into `from`, the from-space of a suspended collection, are
-    /// the coverage check's business and are skipped.
-    fn check_remembered(
-        &self,
-        from: Option<&FromSpaceMap>,
-        holder: SegIndex,
-        word: usize,
-        v: Value,
-    ) -> Result<(), VerifyError> {
-        if !v.is_ptr() || from.is_some_and(|f| f.contains(v.addr().seg())) {
+    /// Pointers into the from-space of a suspended collection are the
+    /// coverage check's business and are skipped.
+    fn check_remembered(&self, holder: SegIndex, word: usize, v: Value) -> Result<(), VerifyError> {
+        if !v.is_ptr() || self.segs.in_from_space(v.addr().seg()) {
             return Ok(());
         }
         let info = self.segs.info(holder);
@@ -305,11 +307,11 @@ impl Heap {
     /// The card table's summary invariants: a card that is not clean
     /// belongs to a run whose head is flagged dirty, and generation-0
     /// segments — every fresh or recycled segment starts as one or as
-    /// to-space — never have one. `from`, the from-space of a suspended
-    /// collection, is exempt: its marks die with it.
-    fn check_card_summary(&self, from: Option<&FromSpaceMap>) -> Result<(), VerifyError> {
+    /// to-space — never have one. The from-space of a suspended collection
+    /// is exempt: its marks die with it.
+    fn check_card_summary(&self) -> Result<(), VerifyError> {
         for (seg, info) in self.segs.iter() {
-            if !info.is_head() || from.is_some_and(|f| f.contains(seg)) {
+            if !info.is_head() || self.segs.in_from_space(seg) {
                 continue;
             }
             let marked = self.segs.run_cards(seg).iter().any(|&c| c != CARD_CLEAN);
@@ -329,12 +331,7 @@ impl Heap {
     /// already have been copied: its first word is then a forwarding mark
     /// (readers chase the broken heart). From-space `used` watermarks are
     /// frozen at the flip, so the range checks stay exact.
-    fn check_value(
-        &self,
-        cycle: Option<&Scratch>,
-        v: Value,
-        what: &str,
-    ) -> Result<(), VerifyError> {
+    fn check_value(&self, v: Value, what: &str) -> Result<(), VerifyError> {
         if fwd::decode(v.raw()).is_some() {
             return Err(VerifyError::new(format!(
                 "{what} holds a forwarding mark: {:#x}",
@@ -395,8 +392,7 @@ impl Heap {
                     )));
                 }
                 let w = self.segs.word(addr);
-                let copied = fwd::decode(w).is_some()
-                    && cycle.is_some_and(|st| st.from_space.contains(addr.seg()));
+                let copied = fwd::decode(w).is_some() && self.segs.in_from_space(addr.seg());
                 if Header::decode(w).is_none() && !copied {
                     return Err(VerifyError::new(format!(
                         "{what}: typed pointer does not target a header: {v:?}"
@@ -453,6 +449,45 @@ mod tests {
         h.segs.info_mut(p.addr().seg()).open_cursor = false;
         let err = h.verify().expect_err("must detect the cleared flag");
         assert!(err.to_string().contains("open_cursor"), "got: {err}");
+    }
+
+    #[test]
+    fn whereabouts_incoherence_is_detected() {
+        let expect = |h: &Heap, needle: &str| {
+            let err = h.verify().expect_err("must detect the whereabouts byte");
+            assert!(err.to_string().contains(needle), "got: {err}");
+        };
+        let mut h = Heap::new(crate::GcConfig {
+            pause_budget: Some(std::time::Duration::ZERO),
+            ..crate::GcConfig::new()
+        });
+        let old = h.cons(Value::NIL, Value::NIL);
+        let root = h.root(old);
+        h.collect(0);
+        let old_seg = root.get().addr().seg();
+        let young = h.cons(Value::NIL, Value::NIL);
+        let _young_root = h.root(young);
+        h.verify().expect("coherent between collections");
+        // Between collections: a byte that is not the generation, and a
+        // from-space byte with no collection suspended.
+        h.segs.info_mut(old_seg).generation = 2;
+        expect(&h, "has whereabouts byte 1 where 2 is due");
+        h.segs.info_mut(old_seg).generation = 1;
+        h.segs.enter_from_space(old_seg);
+        expect(&h, "has whereabouts byte 254 where 1 is due");
+        // Mid-cycle the same byte is wrong on a segment the suspended
+        // collection will not reclaim, and right on the ones it will.
+        let mut h = Heap::new(h.config().clone());
+        let old = h.cons(Value::NIL, Value::NIL);
+        let root = h.root(old);
+        h.collect(0);
+        let young = h.cons(Value::NIL, Value::NIL);
+        let _young_root = h.root(young);
+        h.begin_incremental(0);
+        h.verify().expect("coherent mid-cycle");
+        assert!(h.segs.in_from_space(young.addr().seg()));
+        h.segs.enter_from_space(root.get().addr().seg());
+        expect(&h, "has whereabouts byte 254 where 1 is due");
     }
 
     #[test]

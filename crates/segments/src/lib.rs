@@ -42,4 +42,4 @@ pub use addr::{SegIndex, WordAddr, SEGMENT_BYTES, SEGMENT_WORDS, SEGMENT_WORDS_L
 pub use info::{SegInfo, SegKind, Space};
 pub use pool::{PoolStats, SegmentPool};
 pub use seg::Segment;
-pub use table::{SegmentTable, CARDS_PER_SEGMENT, CARD_CLEAN, CARD_WORDS};
+pub use table::{SegmentTable, CARDS_PER_SEGMENT, CARD_CLEAN, CARD_WORDS, WHERE_FROM, WHERE_NONE};

@@ -21,6 +21,18 @@
 //! request can grow the table while singles (or shorter runs) sit free; on
 //! a stream of one run length and no singles the table's size is exactly
 //! the high-water mark of live segments.
+//!
+//! # The whereabouts table
+//!
+//! Beside the information table sits one byte per segment index: the
+//! segment's generation, [`WHERE_FROM`] while it is in the from-space of
+//! the collection in flight, [`WHERE_NONE`] when the index is not
+//! allocated. It is what the collector tests from-space membership with
+//! and what its card walk looks referents up in — one load that needs no
+//! `Option` test and no 20-byte stride. Allocation, the collector's flip
+//! ([`SegmentTable::enter_from_space`]) and [`SegmentTable::free`] are its
+//! only writers; [`SegmentTable::check_whereabouts`] checks it against the
+//! information table.
 
 use crate::addr::{SegIndex, WordAddr, SEGMENT_WORDS};
 use crate::info::{SegInfo, SegKind, Space};
@@ -39,6 +51,15 @@ pub const CARDS_PER_SEGMENT: usize = SEGMENT_WORDS / CARD_WORDS;
 /// younger than the segment's own". Any other value is a lower bound on
 /// the youngest generation a word of the card points to.
 pub const CARD_CLEAN: u8 = u8::MAX;
+
+/// Whereabouts byte of a segment index that is not allocated (free, or
+/// never issued). Like [`CARD_CLEAN`] in the card table it is a reserved
+/// byte, so generations stop at 253.
+pub const WHERE_NONE: u8 = 0xFF;
+
+/// Whereabouts byte of a segment in the from-space of the collection in
+/// flight (see [`SegmentTable::enter_from_space`]).
+pub const WHERE_FROM: u8 = 0xFE;
 
 /// Freed storage awaiting reissue (see the module docs). An index is in
 /// the store exactly when it exists in the table and has no [`SegInfo`].
@@ -112,6 +133,11 @@ pub struct SegmentTable {
     info: Vec<Option<SegInfo>>,
     free: FreeStore,
     allocated: usize,
+    /// The whereabouts table (see the module docs): one byte per segment
+    /// index — its generation, [`WHERE_FROM`] or [`WHERE_NONE`].
+    /// [`SegInfo::generation`] is never changed after allocation and stays
+    /// readable in the from-space.
+    whereabouts: Vec<u8>,
     /// The card table: one row per segment index (tails included, so a
     /// run's rows are contiguous), one byte per [`CARD_WORDS`]-word card.
     /// A byte is [`CARD_CLEAN`] or a lower bound on the youngest
@@ -149,6 +175,7 @@ impl SegmentTable {
             info: Vec::new(),
             free: FreeStore::default(),
             allocated: 0,
+            whereabouts: Vec::new(),
             cards: Vec::new(),
             dirty_list: Vec::new(),
             by_gen: Vec::new(),
@@ -261,7 +288,21 @@ impl SegmentTable {
         self.max_segments = max;
     }
 
-    fn note_generation(&mut self, seg: SegIndex, generation: u8) {
+    /// Issues the index `seg` as `info`: the one place an index becomes
+    /// allocated, so its whereabouts byte and per-generation entry cannot
+    /// be missed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generation is one of the reserved whereabouts bytes.
+    fn issue(&mut self, seg: SegIndex, info: SegInfo) {
+        let generation = info.generation;
+        assert!(
+            generation < WHERE_FROM,
+            "generation {generation} is a reserved whereabouts byte"
+        );
+        self.info[seg.index()] = Some(info);
+        self.whereabouts[seg.index()] = generation;
         let g = generation as usize;
         if self.by_gen.len() <= g {
             self.by_gen.resize_with(g + 1, Vec::new);
@@ -283,12 +324,17 @@ impl SegmentTable {
         self.segs.push(storage);
         self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
         self.info.push(None);
+        self.whereabouts.push(WHERE_NONE);
         idx
     }
 
     /// Allocates one segment belonging to `space` / `generation`: the most
     /// recently freed single, else the head of the shortest free run
     /// (taken apart into singles), else a fresh index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `generation` is 254 or 255, the reserved whereabouts bytes.
     pub fn allocate(&mut self, space: Space, generation: u8) -> SegIndex {
         self.charge_watermark(1);
         let idx = match self.free.singles.pop() {
@@ -298,9 +344,8 @@ impl SegmentTable {
             }
             None => self.allocate_without_a_free_single(),
         };
-        self.info[idx.index()] = Some(SegInfo::head(space, generation));
+        self.issue(idx, SegInfo::head(space, generation));
         self.allocated += 1;
-        self.note_generation(idx, generation);
         idx
     }
 
@@ -334,7 +379,8 @@ impl SegmentTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if `generation` is 254 or 255, the reserved
+    /// whereabouts bytes.
     pub fn allocate_run(&mut self, space: Space, generation: u8, n: usize) -> SegIndex {
         assert!(n > 0, "empty run requested");
         if n == 1 {
@@ -365,8 +411,7 @@ impl SegmentTable {
             } else {
                 SegInfo::tail(space, generation, head)
             };
-            self.info[idx.index()] = Some(info);
-            self.note_generation(idx, generation);
+            self.issue(idx, info);
         }
         self.allocated += n;
         head
@@ -389,6 +434,7 @@ impl SegmentTable {
         let run = self.run_len(seg);
         for i in seg.index()..seg.index() + run {
             self.info[i] = None;
+            self.whereabouts[i] = WHERE_NONE;
             if cfg!(debug_assertions) {
                 self.segs[i].fill(POISON);
             }
@@ -672,8 +718,7 @@ impl SegmentTable {
         self.cards[seg.index()..seg.index() + n].as_flattened()
     }
 
-    /// Mutable form of [`SegmentTable::run_cards`], for the collector's
-    /// write-back of refreshed bytes.
+    /// Mutable form of [`SegmentTable::run_cards`].
     ///
     /// # Panics
     ///
@@ -681,6 +726,79 @@ impl SegmentTable {
     pub fn run_cards_mut(&mut self, seg: SegIndex) -> &mut [u8] {
         let n = self.run_len(seg);
         self.cards[seg.index()..seg.index() + n].as_flattened_mut()
+    }
+
+    /// The card bytes of the one segment `seg` (a head or a tail), mutably,
+    /// together with the whereabouts table: the two byte tables the
+    /// collector's card gather works on, split-borrowed so it can refresh
+    /// the row in place while it looks referents up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is beyond the table.
+    pub fn card_row_and_whereabouts(
+        &mut self,
+        seg: SegIndex,
+    ) -> (&mut [u8; CARDS_PER_SEGMENT], &[u8]) {
+        (&mut self.cards[seg.index()], &self.whereabouts)
+    }
+
+    // ------------------------------------------------------------------
+    // Whereabouts table
+    // ------------------------------------------------------------------
+
+    /// Whether `seg` is in the from-space of the collection in flight. The
+    /// one from-space membership test there is; `false` for segments
+    /// allocated since the flip, free ones and indices beyond the table.
+    #[inline]
+    pub fn in_from_space(&self, seg: SegIndex) -> bool {
+        self.whereabouts.get(seg.index()) == Some(&WHERE_FROM)
+    }
+
+    /// Moves an allocated segment into the from-space: the collector's
+    /// flip calls this for every segment (heads and tails) of a collected
+    /// generation. The byte stays [`WHERE_FROM`] until the segment's run is
+    /// freed by the reclaim.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment is not allocated.
+    pub fn enter_from_space(&mut self, seg: SegIndex) {
+        assert!(
+            self.info[seg.index()].is_some(),
+            "segment not allocated: {seg:?} cannot enter the from-space"
+        );
+        self.whereabouts[seg.index()] = WHERE_FROM;
+    }
+
+    /// Checks the whereabouts table against the information table: a byte
+    /// is [`WHERE_NONE`] exactly on the unallocated indices, [`WHERE_FROM`]
+    /// exactly on the segments of the runs headed by `from_heads` (the
+    /// from-space of a collection suspended between increments; empty when
+    /// none is), and the segment's generation everywhere else.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn check_whereabouts(&self, from_heads: &[SegIndex]) -> Result<(), String> {
+        let mut from = vec![false; self.segs.len()];
+        for &head in from_heads {
+            from[head.index()..head.index() + self.run_len(head)].fill(true);
+        }
+        for (i, (info, &byte)) in self.info.iter().zip(&self.whereabouts).enumerate() {
+            let expected = match info {
+                None => WHERE_NONE,
+                Some(_) if from[i] => WHERE_FROM,
+                Some(info) => info.generation,
+            };
+            if byte != expected {
+                return Err(format!(
+                    "segment {i} has whereabouts byte {byte} where {expected} is due \
+                     ({WHERE_NONE}: not allocated, {WHERE_FROM}: from-space, else its generation)"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Takes the dirty index. Entries may be stale (freed, recycled, or
@@ -1272,6 +1390,90 @@ mod tests {
         let (mut t, ..) = build();
         t.free.runs.insert(5, Vec::new());
         expect(&t, "holds 0 runs");
+    }
+
+    #[test]
+    fn whereabouts_follow_allocation_the_flip_and_free() {
+        let mut t = SegmentTable::new();
+        let single = t.allocate(Space::Pair, 2);
+        let run = t.allocate_run(Space::Typed, 253, 3);
+        let tail = SegIndex(run.0 + 2);
+        assert_eq!(t.whereabouts, [2, 253, 253, 253]);
+        assert!(!t.in_from_space(SegIndex(4)), "beyond the table");
+        t.check_whereabouts(&[]).expect("generations everywhere");
+        // The flip moves heads and tails alike; the information table
+        // keeps the generation readable.
+        for i in 0..3 {
+            t.enter_from_space(SegIndex(run.0 + i));
+        }
+        assert!(t.in_from_space(run) && t.in_from_space(tail));
+        assert!(!t.in_from_space(single));
+        assert_eq!(t.info(tail).generation, 253);
+        t.check_whereabouts(&[run])
+            .expect("exactly the run is from-space");
+        let err = t
+            .check_whereabouts(&[])
+            .expect_err("from-space without a cycle");
+        assert!(
+            err.contains("segment 1 has whereabouts byte 254"),
+            "got: {err}"
+        );
+        let err = t
+            .check_whereabouts(&[run, single])
+            .expect_err("a missed flip");
+        assert!(
+            err.contains("segment 0 has whereabouts byte 2"),
+            "got: {err}"
+        );
+        // The reclaim's free clears it, and a reissue writes the new
+        // generation: a recycled index never reads from-space.
+        t.free(run);
+        assert_eq!(t.whereabouts[tail.index()], WHERE_NONE);
+        t.check_whereabouts(&[]).expect("free is not-allocated");
+        let again = t.allocate_run(Space::Pure, 1, 3);
+        assert_eq!(again, run);
+        assert_eq!(t.whereabouts[tail.index()], 1);
+        t.free(single);
+        t.whereabouts[1] = WHERE_NONE;
+        let err = t
+            .check_whereabouts(&[])
+            .expect_err("an allocated segment reads free");
+        assert!(
+            err.contains("segment 1 has whereabouts byte 255 where 1"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "generation 254 is a reserved whereabouts byte")]
+    fn a_reserved_byte_is_not_a_generation() {
+        SegmentTable::new().allocate(Space::Pair, WHERE_FROM);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enter the from-space")]
+    fn a_free_segment_cannot_enter_the_from_space() {
+        let mut t = SegmentTable::new();
+        let a = t.allocate(Space::Pair, 0);
+        t.free(a);
+        t.enter_from_space(a);
+    }
+
+    #[test]
+    fn the_card_row_is_borrowed_beside_the_whereabouts() {
+        let mut t = SegmentTable::new();
+        let young = t.allocate(Space::Pair, 0);
+        let run = t.allocate_run(Space::Typed, 2, 2);
+        let tail = SegIndex(run.0 + 1);
+        t.mark_card(t.base_addr(run).add(SEGMENT_WORDS + 9));
+        let (row, whereabouts) = t.card_row_and_whereabouts(tail);
+        assert_eq!(whereabouts, [0, 2, 2]);
+        assert_eq!(row[1], 0);
+        // Written in place: no copy to put back.
+        row[1] = whereabouts[young.index()];
+        row[0] = 1;
+        assert_eq!(t.run_cards(run)[CARDS_PER_SEGMENT], 1);
+        assert_eq!(t.run_cards(run)[CARDS_PER_SEGMENT + 1], 0);
     }
 
     #[test]
