@@ -59,9 +59,11 @@
 //!   like to-space: their initializing stores (which bypass the write
 //!   barrier) are still traced.
 //!
-//! The state is *out* of the heap while an advance runs, so the
-//! collector's own barriered stores (the guardian pass's tconc appends) log
-//! no re-scans and the tconc trace attributes them to the collector.
+//! The state is *out* of the heap while an advance runs. The collector's
+//! own stores (the guardian pass's tconc appends) do not pass the mutator's
+//! barrier at all: they are raw word writes with an exact card stamp
+//! (`SegmentTable::note_collector_store`), and being the collector's they
+//! owe no re-scan and no late store.
 //!
 //! **Guardian atomicity.** [`finish`] runs after the sweep fixpoint is
 //! proven global (roots re-forwarded, remembered set and re-scan list
@@ -110,7 +112,7 @@ use crate::roots::ROOT_CLEAN;
 use crate::stats::CollectionReport;
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
-use guardians_segments::{SegIndex, SegmentTable, Space, SEGMENT_WORDS};
+use guardians_segments::{SegIndex, SegmentTable, Space, SEGMENT_WORDS, WHERE_FROM, WHERE_NONE};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -531,17 +533,34 @@ pub(crate) fn forwarded_p(heap: &Heap, v: Value) -> bool {
     fwd::decode(heap.segs.word(v.addr())).is_some()
 }
 
-/// The paper's `get-fwd-addr`: "returns either the forwarding address of
-/// obj or the address of obj itself". The caller must know the object is
-/// accessible (`forwarded_p`).
-pub(crate) fn get_fwd(heap: &Heap, v: Value) -> Value {
-    if !v.is_ptr() || !heap.segs.in_from_space(v.addr().seg()) {
-        return v;
+/// [`forwarded_p`] and the paper's `get-fwd-addr` ("returns either the
+/// forwarding address of obj or the address of obj itself") in one
+/// whereabouts lookup, together with the generation the referent ends this
+/// collection in: `None` for an unforwarded from-space object, else its
+/// address and generation — `target` for a from-space survivor, its own
+/// otherwise (below `target` only for something allocated while this
+/// collection was suspended), and `u8::MAX` for an immediate, which lives in
+/// no generation.
+///
+/// # Panics
+///
+/// Panics if `v` points into a segment that is not allocated.
+#[inline]
+pub(crate) fn settle(heap: &Heap, target: u8, v: Value) -> Option<(Value, u8)> {
+    if !v.is_ptr() {
+        return Some((v, u8::MAX));
     }
-    match fwd::decode(heap.segs.word(v.addr())) {
-        Some(new) => v.retag_at(new),
-        None => panic!("get_fwd of an unforwarded from-space object: {v:?}"),
+    match heap.segs.whereabouts(v.addr().seg()) {
+        WHERE_FROM => fwd::decode(heap.segs.word(v.addr())).map(|new| (v.retag_at(new), target)),
+        WHERE_NONE => panic!("segment not allocated: {v:?}"),
+        generation => Some((v, generation)),
     }
+}
+
+/// [`forward`] that also yields the generation `v` ends this collection in
+/// (see [`settle`]): an unforwarded from-space object is copied to `target`.
+pub(crate) fn forward_settled(heap: &mut Heap, s: &mut Scratch, v: Value) -> (Value, u8) {
+    settle(heap, s.target, v).unwrap_or_else(|| (forward_from(heap, s, v), s.target))
 }
 
 /// Copies `v` to the target generation if it is an unforwarded from-space
@@ -827,30 +846,21 @@ fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
     let mut migrated = Vec::new();
     for i in 0..=s.g as usize {
         for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
-            if forwarded_p(heap, e.obj) {
-                let dest = settled_generation(heap, s.target, e.obj);
-                e.obj = get_fwd(heap, e.obj);
-                migrated.push((dest, e));
-            } else {
-                s.report.finalized_ids.push(e.id);
+            match settle(heap, s.target, e.obj) {
+                // Filed under the target generation, or under a younger
+                // referent's (see `settle`), so that the collection that
+                // moves the object visits the entry.
+                Some((obj, generation)) => {
+                    e.obj = obj;
+                    migrated.push((generation.min(s.target), e));
+                }
+                None => s.report.finalized_ids.push(e.id),
             }
         }
     }
     for (dest, e) in migrated {
         heap.finalize_watch[dest as usize].push(e);
     }
-}
-
-/// The generation a surviving referent of a held entry ends this
-/// collection in, capped at `target`: a from-space survivor is in the
-/// target generation, anything else stays where it is. Below `target`
-/// only for something allocated while this collection was suspended — the entry is then filed under that generation, so that the
-/// collection that moves the referent visits the entry.
-pub(crate) fn settled_generation(heap: &Heap, target: u8, v: Value) -> u8 {
-    if !v.is_ptr() || heap.segs.in_from_space(v.addr().seg()) {
-        return target;
-    }
-    heap.segs.info(v.addr().seg()).generation.min(target)
 }
 
 #[cfg(test)]

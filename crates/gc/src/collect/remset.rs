@@ -4,8 +4,8 @@
 //! With the paper's promotion policy (collecting generation `g` collects
 //! all younger generations and promotes survivors together), a pointer
 //! from an older generation into a younger one can only be created by
-//! *mutation*, and every mutating store passes the write barrier, which
-//! sets the card holding the slot to 0 and flags its run. The segment
+//! *mutation* — the mutator's stores, which pass the write barrier, and the
+//! guardian pass's tconc appends, which stamp their own cards. The segment
 //! table's card table keeps three invariants between collections:
 //!
 //! 1. **Lower bound.** A card byte is [`CARD_CLEAN`] or at most the
@@ -13,8 +13,12 @@
 //!    into generation `y` lies in a card whose byte is `<= y`.
 //! 2. **Summary.** A run with a card that is not clean has its dirty flag
 //!    set and is on the dirty index.
-//! 3. **Who writes what.** The barrier only ever writes 0; only the
-//!    collector raises a byte, to the exact minimum it just computed.
+//! 3. **Who writes what.** The mutator barrier (`mark_card`) only ever
+//!    writes 0 and looks nothing up. Only the collector raises a byte, to
+//!    the exact minimum the card walk just computed; its own stores lower a
+//!    byte to the stored referent's exact generation
+//!    (`SegmentTable::note_collector_store`), and only when that is younger
+//!    than the holder's.
 //!
 //! A collection of generations `0..=g` therefore visits exactly the cards
 //! whose byte is `<= g`: every from-space pointer lies in one, and a card
@@ -37,10 +41,9 @@
 //! entries can be stale (freed, recycled, or already-cleaned segments), so
 //! each entry is re-checked against its live `dirty` flag. A run's flag is
 //! cleared when its entry is drained — *before* it is scanned — so that a
-//! barriered store performed later in this very collection (the guardian
-//! pass appends to tconcs with ordinary barriered stores) re-flags and
-//! re-indexes it; runs with a card still not clean after scanning are
-//! re-flagged here.
+//! store performed later in this very collection (the guardian pass's
+//! stamped tconc appends) re-flags and re-indexes it; runs with a card
+//! still not clean after scanning are re-flagged here.
 //!
 //! Weak-pair segments keep whole-segment treatment, expressed through the
 //! same table as "all cards 0 / all cards clean": only cdr fields are

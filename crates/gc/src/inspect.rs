@@ -4,7 +4,7 @@
 use crate::heap::Heap;
 use crate::stats::CollectionReport;
 use crate::value::Value;
-use guardians_segments::Space;
+use guardians_segments::{Space, CARD_WORDS};
 use std::fmt;
 
 /// Occupancy of one generation.
@@ -57,6 +57,16 @@ impl Heap {
         if self.segs.info(seg).generation > 0 {
             self.segs.mark_dirty(seg);
         }
+    }
+
+    /// Test support: the card byte covering word `word` of `v` (a pair's
+    /// car is word 0), for an object that starts in a run's head segment —
+    /// `u8::MAX` is clean, anything else a lower bound on the youngest
+    /// generation the card points to.
+    #[doc(hidden)]
+    pub fn card_byte(&self, v: Value, word: usize) -> u8 {
+        let addr = self.resolve_read(v).addr();
+        self.segs.run_cards(addr.seg())[(addr.offset() + word) / CARD_WORDS]
     }
 
     /// Test support: resets every root slot's generation stamp to 0, so

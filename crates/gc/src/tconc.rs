@@ -13,6 +13,11 @@
 //! writes the header's car. The interleaving tests in this module (and the
 //! E2 experiment) check every cut point of the append against a concurrent
 //! pop.
+//!
+//! This module is the mutator's side: [`Heap::tconc_append`] is the same
+//! protocol through the barriered accessors. The collector's append, one
+//! chain per tconc per round with its own exact card stamps, is
+//! `collect::guardian_pass::append_all`.
 
 use crate::heap::Heap;
 use crate::value::Value;
@@ -52,30 +57,21 @@ impl Heap {
         Some(y)
     }
 
-    /// Appends `obj` using a caller-supplied fresh pair `p` as the new
-    /// last cell, following Figure 3's write order (header cdr last). The
-    /// collector passes a to-space pair; the mutator-level
-    /// [`Heap::tconc_append`] passes a freshly consed one.
-    pub(crate) fn tconc_append_with(&mut self, tc: Value, obj: Value, p: Value) {
+    /// Appends `obj` to the rear of the tconc (Figure 3) from the mutator:
+    /// the new last pair is consed normally and every store passes the
+    /// write barrier, in Figure 3's order (header cdr last). The collector
+    /// appends through its own store path (`collect::guardian_pass`).
+    pub fn tconc_append(&mut self, tc: Value, obj: Value) {
+        let p = self.cons(Value::FALSE, Value::FALSE);
         let old_last = self.cdr(tc);
         self.set_car(old_last, obj);
         self.set_cdr(old_last, p);
         // Final, publishing update: only now can the mutator see the
         // element (its test is `car(tc) != cdr(tc)`).
         self.set_cdr(tc, p);
-        // The to-space log is live while a collection is in flight —
-        // between increments too — and the collector takes the
-        // `incremental` state out of the heap while it runs an advance, so
-        // `incremental` is `None` exactly when the caller is the collector.
-        let during_collection = self.tospace_log.is_some() && self.incremental.is_none();
-        self.trace_emit(|| crate::trace::GcEvent::TconcAppend { during_collection });
-    }
-
-    /// Appends `obj` to the rear of the tconc (mutator-level; allocates
-    /// the new last pair normally).
-    pub fn tconc_append(&mut self, tc: Value, obj: Value) {
-        let p = self.cons(Value::FALSE, Value::FALSE);
-        self.tconc_append_with(tc, obj, p);
+        self.trace_emit(|| crate::trace::GcEvent::TconcAppend {
+            during_collection: false,
+        });
     }
 
     /// Number of elements currently in the tconc (walks the list).

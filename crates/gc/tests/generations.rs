@@ -202,6 +202,79 @@ fn cards_stay_dirty_while_the_target_is_younger_than_the_holder() {
     }
 }
 
+/// Registers `n` objects with `g` and drops them, so the next collection
+/// of generation 0 finalizes all of them.
+fn register_dead(h: &mut Heap, g: &guardians_gc::Guardian, n: i64) {
+    for i in 0..n {
+        let obj = h.cons(Value::fixnum(i), Value::NIL);
+        g.register(h, obj);
+    }
+}
+
+#[test]
+fn the_collectors_tconc_appends_stamp_exact_cards() {
+    // A generation-3 tconc whose entries a generation-0 collection
+    // finalizes into generation 1: every store the guardian pass makes
+    // into it points into generation 1, so its cards read 1 — not the
+    // barrier's 0 — and minor collections do not visit them.
+    let mut h = Heap::default();
+    let g = h.make_guardian();
+    for gen in 0..3 {
+        h.collect(gen);
+    }
+    let tconc = g.tconc();
+    let sentinel = h.cdr(tconc);
+    assert_eq!(h.generation_of(tconc), Some(3));
+    assert_eq!(h.generation_of(sentinel), Some(3));
+    register_dead(&mut h, &g, 3);
+    h.collect(0);
+    h.verify().unwrap();
+    assert_eq!(h.last_report().unwrap().guardian_entries_finalized, 3);
+    assert_eq!(h.card_byte(tconc, 1), 1, "header cdr: a generation-1 pair");
+    assert_eq!(h.card_byte(sentinel, 0), 1, "old last cell: rep and pair");
+    assert_eq!(h.card_byte(sentinel, 1), 1);
+    h.collect(0);
+    assert_eq!(remset_work(&h), (0, 0), "not a minor collection's cards");
+    h.verify().unwrap();
+    // The mutator's pop stores through its own barrier: 0, as ever.
+    assert_eq!(g.poll(&mut h).map(|v| h.car(v)), Some(Value::fixnum(0)));
+    assert_eq!(h.card_byte(tconc, 0), 0);
+    h.collect(0);
+    assert_eq!(remset_work(&h).0, 1, "the popped header is visited");
+    h.verify().unwrap();
+    let rest: Vec<i64> = g
+        .drain(&mut h)
+        .iter()
+        .map(|&v| h.car(v).as_fixnum())
+        .collect();
+    assert_eq!(rest, [1, 2]);
+
+    // With one generation every holder is in the target generation: the
+    // header and every cell of its list, the last included, stay unmarked.
+    let mut h = Heap::new(GcConfig::with_generations(1));
+    let g = h.make_guardian();
+    h.collect(0);
+    register_dead(&mut h, &g, 3);
+    h.collect(0);
+    assert_eq!(h.last_report().unwrap().guardian_entries_finalized, 3);
+    let tconc = g.tconc();
+    let mut cells = vec![tconc, h.car(tconc)];
+    while cells[cells.len() - 1] != h.cdr(tconc) {
+        cells.push(h.cdr(cells[cells.len() - 1]));
+    }
+    assert_eq!(cells.len(), 5);
+    for cell in cells {
+        assert_eq!(
+            (h.card_byte(cell, 0), h.card_byte(cell, 1)),
+            (u8::MAX, u8::MAX)
+        );
+    }
+    h.collect(0);
+    assert_eq!(remset_work(&h), (0, 0));
+    h.verify().unwrap();
+    assert_eq!(g.drain(&mut h).len(), 3);
+}
+
 #[test]
 fn guardian_entries_park_with_their_objects() {
     // THE generation-friendliness property (experiment E3's correctness

@@ -2,7 +2,7 @@
 //! collector-invoked finalization baseline, and stress shapes for the
 //! protected-list machinery.
 
-use guardians_gc::{GcConfig, Heap, Value};
+use guardians_gc::{GcConfig, GcEvent, Heap, TraceConfig, Value};
 
 fn full_collect(h: &mut Heap) {
     h.collect(h.config().max_generation());
@@ -204,6 +204,67 @@ fn many_guardians_many_objects_stress() {
         .sum();
     assert_eq!(total_watched, 200);
     h.verify().unwrap();
+}
+
+#[test]
+fn interleaved_guardians_finalized_in_one_round_poll_in_registration_order() {
+    // The collector appends a round's entries one chain per run of entries
+    // on one tconc: A | B | A | C | B | A A, the last a distinct agent's.
+    // The tconcs are aged first, so the appends land in generation 2
+    // cells and stamp their cards.
+    let mut h = Heap::default();
+    let guardians = [h.make_guardian(), h.make_guardian(), h.make_guardian()];
+    h.collect(0);
+    h.collect(1);
+    h.verify().unwrap();
+    h.enable_tracing(TraceConfig {
+        capacity: 1 << 16,
+        ..TraceConfig::default()
+    });
+    for (i, k) in [0, 1, 0, 2, 1, 0].into_iter().enumerate() {
+        let obj = h.cons(Value::fixnum(i as i64), Value::NIL);
+        guardians[k].register(&mut h, obj);
+    }
+    let obj = h.cons(Value::fixnum(6), Value::NIL);
+    let agent = h.make_box(Value::fixnum(60));
+    guardians[0].register_with_agent(&mut h, obj, agent);
+    h.drain_trace_events();
+
+    h.collect(0);
+    h.verify().unwrap();
+    let report = h.last_report().unwrap().clone();
+    let events = h.disable_tracing();
+    let count = |pick: fn(&GcEvent) -> bool| events.iter().filter(|e| pick(&e.event)).count();
+    let appends = count(|e| {
+        matches!(
+            e,
+            GcEvent::TconcAppend {
+                during_collection: true
+            }
+        )
+    });
+    let rounds = count(|e| matches!(e, GcEvent::GuardianRound { resurrected: 7, .. }));
+    assert_eq!(report.guardian_entries_finalized, 7);
+    assert_eq!(appends as u64, report.guardian_entries_finalized);
+    assert_eq!(rounds, 1, "all seven in one round");
+
+    let polled: Vec<Vec<i64>> = guardians
+        .iter()
+        .map(|g| {
+            g.drain(&mut h)
+                .into_iter()
+                .map(|v| match h.is_box(v) {
+                    true => h.box_ref(v).as_fixnum(),
+                    false => h.car(v).as_fixnum(),
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(polled, [vec![0, 2, 5, 60], vec![1, 4], vec![3]]);
+    for g in 0..=h.config().max_generation() {
+        h.collect(g);
+        h.verify().unwrap();
+    }
 }
 
 #[test]

@@ -28,11 +28,12 @@
 //! segment's generation, [`WHERE_FROM`] while it is in the from-space of
 //! the collection in flight, [`WHERE_NONE`] when the index is not
 //! allocated. It is what the collector tests from-space membership with
-//! and what its card walk looks referents up in — one load that needs no
-//! `Option` test and no 20-byte stride. Allocation, the collector's flip
-//! ([`SegmentTable::enter_from_space`]) and [`SegmentTable::free`] are its
-//! only writers; [`SegmentTable::check_whereabouts`] checks it against the
-//! information table.
+//! and what its card walk and guardian pass look referents up in — one
+//! load that needs no `Option` test and no 20-byte stride. Allocation, the
+//! collector's flip ([`SegmentTable::enter_from_space`]) and
+//! [`SegmentTable::free`] are its only writers;
+//! [`SegmentTable::check_whereabouts`] checks it against the information
+//! table.
 
 use crate::addr::{SegIndex, WordAddr, SEGMENT_WORDS};
 use crate::info::{SegInfo, SegKind, Space};
@@ -639,14 +640,32 @@ impl SegmentTable {
     /// Panics if `addr`'s segment is not allocated.
     #[inline]
     pub fn mark_card(&mut self, addr: WordAddr) {
+        // A referent in generation 0 is the bound that holds for any.
+        self.note_collector_store(addr, 0);
+    }
+
+    /// The collector's store barrier: `addr` was just written with a
+    /// pointer into generation `referent_gen`, which the collector knows
+    /// exactly. When that is younger than the holder's generation, the
+    /// card holding `addr` is lowered to it (never raised: a 0 the mutator
+    /// left stays) and the run `addr` lies in is flagged; otherwise nothing
+    /// is marked. The bytes it writes are as exact as the card walk's, so a
+    /// collection that cannot move the referent does not visit the card.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s segment is not allocated.
+    #[inline]
+    pub fn note_collector_store(&mut self, addr: WordAddr, referent_gen: u8) {
         let seg = addr.seg();
         let info = self.info[seg.index()]
             .as_mut()
             .expect("segment not allocated");
-        if info.generation == 0 {
+        if referent_gen >= info.generation {
             return;
         }
-        self.cards[seg.index()][addr.offset() / CARD_WORDS] = 0;
+        let card = &mut self.cards[seg.index()][addr.offset() / CARD_WORDS];
+        *card = (*card).min(referent_gen);
         match info.kind {
             SegKind::Head if info.dirty => {}
             SegKind::Head => {
@@ -753,6 +772,16 @@ impl SegmentTable {
     #[inline]
     pub fn in_from_space(&self, seg: SegIndex) -> bool {
         self.whereabouts.get(seg.index()) == Some(&WHERE_FROM)
+    }
+
+    /// The whereabouts byte of `seg`: its generation, [`WHERE_FROM`], or
+    /// [`WHERE_NONE`] (also for indices beyond the table).
+    #[inline]
+    pub fn whereabouts(&self, seg: SegIndex) -> u8 {
+        self.whereabouts
+            .get(seg.index())
+            .copied()
+            .unwrap_or(WHERE_NONE)
     }
 
     /// Moves an allocated segment into the from-space: the collector's
@@ -1072,6 +1101,55 @@ mod tests {
         assert!(t.info(run).dirty);
         assert!(!t.info(SegIndex(run.0 + 1)).dirty);
         assert_eq!(t.dirty_index(), &[single, run]);
+    }
+
+    #[test]
+    fn a_collector_store_of_an_equal_or_older_referent_marks_nothing() {
+        let mut t = SegmentTable::new();
+        let holder = t.allocate(Space::Pair, 2);
+        let young = t.allocate(Space::Pair, 0);
+        for referent_gen in [2, 3, u8::MAX] {
+            t.note_collector_store(t.base_addr(holder).add(9), referent_gen);
+        }
+        // Generation 0 has nothing younger to point into.
+        t.note_collector_store(t.base_addr(young), 0);
+        for seg in [holder, young] {
+            assert!(t.run_cards(seg).iter().all(|&c| c == CARD_CLEAN));
+            assert!(!t.info(seg).dirty);
+        }
+        assert!(t.dirty_index().is_empty());
+    }
+
+    #[test]
+    fn a_collector_store_lowers_the_card_to_its_referent_and_never_raises_it() {
+        let mut t = SegmentTable::new();
+        let holder = t.allocate(Space::Pair, 3);
+        let at = |card: usize| t.base_addr(holder).add(card * CARD_WORDS + 1);
+        let (one, two) = (at(1), at(2));
+        t.note_collector_store(one, 2);
+        assert_eq!(t.run_cards(holder)[1], 2);
+        t.note_collector_store(one, 1);
+        t.note_collector_store(one, 2); // not raised back
+        assert_eq!(t.run_cards(holder)[1], 1);
+        // The mutator's 0 stays: a collector store only ever lowers.
+        t.mark_card(two);
+        t.note_collector_store(two, 2);
+        assert_eq!(t.run_cards(holder)[..3], [CARD_CLEAN, 1, 0]);
+        assert!(t.info(holder).dirty);
+        assert_eq!(t.dirty_index(), &[holder], "flagged and indexed once");
+    }
+
+    #[test]
+    fn a_collector_store_into_a_run_tail_flags_the_head() {
+        let mut t = SegmentTable::new();
+        let run = t.allocate_run(Space::Typed, 2, 3);
+        t.note_collector_store(t.base_addr(run).add(2 * SEGMENT_WORDS + 17), 1);
+        let cards = t.run_cards(run);
+        assert_eq!(cards[2 * CARDS_PER_SEGMENT + 2], 1);
+        assert_eq!(cards.iter().filter(|&&c| c != CARD_CLEAN).count(), 1);
+        assert!(t.info(run).dirty);
+        assert!(!t.info(SegIndex(run.0 + 2)).dirty);
+        assert_eq!(t.dirty_index(), &[run]);
     }
 
     #[test]
@@ -1408,6 +1486,8 @@ mod tests {
         }
         assert!(t.in_from_space(run) && t.in_from_space(tail));
         assert!(!t.in_from_space(single));
+        let bytes = [run, single, SegIndex(4)].map(|seg| t.whereabouts(seg));
+        assert_eq!(bytes, [WHERE_FROM, 2, WHERE_NONE]);
         assert_eq!(t.info(tail).generation, 253);
         t.check_whereabouts(&[run])
             .expect("exactly the run is from-space");
