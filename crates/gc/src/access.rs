@@ -467,11 +467,13 @@ impl Heap {
 
     /// Reads record field `i` with the dynamic kind/range checks demoted
     /// to debug assertions, for callers whose layout is *statically
-    /// audited* — the bytecode VM's fixed frame layouts, where
-    /// `audit_frame_slots` has already proven every (depth, slot) pair in
-    /// range. Still resolves forwarded-on-read pointers, so it is safe
-    /// across incremental collections. Misuse cannot break memory safety
-    /// (segment reads stay bounds-checked); it returns a wrong word.
+    /// checked* — the bytecode VM's fixed frame layouts, where the Scheme
+    /// analyzer's frame-slot check refused, at the single point that
+    /// emits them, every (depth, slot) pair outside the frames in scope,
+    /// and every frame with more inits than slots. Still resolves
+    /// forwarded-on-read pointers, so it is safe across incremental
+    /// collections. Misuse cannot break memory safety (segment reads stay
+    /// bounds-checked); it returns a wrong word.
     #[inline]
     pub fn record_ref_audited(&self, v: Value, i: usize) -> Value {
         let v = self.resolve_read(v);
@@ -485,9 +487,10 @@ impl Heap {
         Value(self.segs.word(v.addr().add(2 + i)))
     }
 
-    /// Writes record field `i` under the audited-layout contract of
-    /// [`Heap::record_ref_audited`]. The write barrier always runs — only
-    /// the kind/range checks are demoted to debug assertions.
+    /// Writes record field `i` under the checked-layout contract of
+    /// [`Heap::record_ref_audited`] (the Scheme analyzer's frame-slot
+    /// check). The write barrier always runs — only the kind/range checks
+    /// are demoted to debug assertions.
     #[inline]
     pub fn record_set_audited(&mut self, v: Value, i: usize, x: Value) {
         let v = self.resolve_read(v);

@@ -1,15 +1,29 @@
-//! One-time syntax analysis: the front half of the production evaluator.
+//! Syntax analysis: the production evaluator's front end, which emits
+//! the bytecode as it goes.
 //!
-//! `analyze_top` walks a top-level form once and produces an opcode tree
-//! ([`Code`]) in which every special form has been resolved to an enum
-//! variant, every local variable reference has been replaced by a
-//! `(frame depth, slot)` pair against a compile-time scope map, and every
-//! global reference goes through the symbol's interned value cell with a
-//! one-entry inline cache at the reference site. `compile.rs` lowers the
-//! tree to bytecode and `vm.rs` runs it without ever re-inspecting source
-//! syntax — the cost of parsing special forms, walking binding lists,
-//! and searching association-list environments is paid once per form
-//! instead of once per evaluation.
+//! `analyze_top` walks a top-level form once. Every special form is
+//! resolved as it is met and its code is emitted then, into the block
+//! emitter of `compile.rs` (which also defines the instruction set);
+//! `vm.rs` runs the result without ever re-inspecting source syntax.
+//! Every local variable reference becomes a `(frame depth, slot)` pair
+//! against a compile-time scope map, and every global reference goes
+//! through the symbol's interned value cell with a one-entry inline cache
+//! at the reference site — the cost of parsing special forms, walking
+//! binding lists, and searching association-list environments is paid
+//! once per form instead of once per evaluation. The top-level form, each
+//! lambda clause body and each quasiquote unquote site get a code object
+//! of their own; finished lambdas join `Interp::lambdas` in post-order.
+//! Every `analyze_*` takes a `tail` flag: in tail position every path of
+//! a form's code ends in a return, a tail call or a loop entry.
+//!
+//! The frame-slot check is made where slots are made. Lexical addresses
+//! are emitted in one place (`Analyzer::local`), which refuses any
+//! `(depth, slot)` outside the live scope stack — at that moment exactly
+//! the runtime frame chain the instruction will walk — and frames are
+//! opened in one place (`Analyzer::push_frame`), which refuses more
+//! inits than slots. Both are hard errors, and together they license the
+//! VM's audited frame accessors (`Heap::record_ref_audited` /
+//! `record_set_audited`).
 //!
 //! The analyzer deliberately mirrors the naive (cons-walking) evaluator's
 //! observable behaviour: error messages are byte-identical, scope rules
@@ -23,14 +37,13 @@
 //! to conditionally-executed `define`s inside bodies, which the analyzer
 //! allocates a slot for unconditionally.
 
+use crate::compile::{narrow, CodeObject, Emitter, Insn, VmClause, VmLambda};
 use crate::error::{err, SResult};
 use crate::interp::Interp;
+use crate::reader::MAX_NESTING;
 use guardians_gc::{Rooted, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Shared handle to an analyzed code node.
-pub(crate) type CodeRef = Rc<Code>;
 
 /// A global-variable reference site.
 ///
@@ -48,183 +61,22 @@ pub(crate) struct GlobalSite {
     pub cell: RefCell<Option<Rooted>>,
 }
 
-/// Analyzed code for one `lambda`/`case-lambda`, stored in the
-/// interpreter's code table; compiled-closure records refer to it by
-/// index so closures stay ordinary heap values.
-pub(crate) struct LambdaCode {
-    /// One entry per clause, tried in order (a plain `lambda` has one).
-    pub clauses: Vec<ClauseCode>,
-}
-
-/// One clause of an analyzed lambda.
-pub(crate) struct ClauseCode {
-    /// Number of required (positional) parameters.
-    pub n_req: usize,
-    /// Whether a rest parameter follows the required ones.
-    pub variadic: bool,
-    /// Total frame slots: parameters, rest, then body `define`s.
-    pub n_slots: usize,
-    /// The clause body as a single code node.
-    pub body: CodeRef,
-}
-
-/// One clause of an analyzed `case`.
-pub(crate) struct CaseClause {
-    /// The datum list to `eqv?` the key against; `None` for `else`.
-    pub datums: Option<Rooted>,
-    /// The clause body.
-    pub body: CodeRef,
-}
-
-/// The opcode tree. Every variant holds pre-resolved operands; nothing
-/// here requires walking source syntax at execution time.
-pub(crate) enum Code {
-    /// A self-evaluating immediate (fixnum, boolean, char, ...).
-    Imm(Value),
-    /// A heap constant (quoted data, literal strings), kept rooted.
-    Const(Rooted),
-    /// A lexical variable: `depth` frames out, slot `slot`.
-    LocalRef {
-        /// Frames to walk outward from the current environment.
-        depth: usize,
-        /// Slot index within that frame.
-        slot: usize,
-        /// Name for "used before initialization" errors.
-        name: Rc<str>,
-    },
-    /// A global variable through its interned value cell.
-    GlobalRef(Rc<GlobalSite>),
-    /// `set!` of a lexical variable (evaluates to void).
-    LocalSet {
-        /// Frames to walk outward.
-        depth: usize,
-        /// Slot index within that frame.
-        slot: usize,
-        /// The value expression.
-        value: CodeRef,
-    },
-    /// `set!` of a global variable.
-    GlobalSet {
-        /// The reference site (with inline cache).
-        site: Rc<GlobalSite>,
-        /// The value expression.
-        value: CodeRef,
-    },
-    /// Top-level `define`: evaluate, then bind the global cell.
-    GlobalDefine {
-        /// The reference site (with inline cache).
-        site: Rc<GlobalSite>,
-        /// The value expression.
-        value: CodeRef,
-    },
-    /// `(if test then [else])`.
-    If {
-        /// The condition.
-        test: CodeRef,
-        /// Taken when the condition is truthy.
-        then_: CodeRef,
-        /// Taken otherwise; `None` evaluates to void.
-        else_: Option<CodeRef>,
-    },
-    /// A `lambda`/`case-lambda`: builds a compiled closure over the
-    /// current environment from the code table entry at `index`.
-    Lambda {
-        /// Index into the interpreter's code table.
-        index: usize,
-        /// The procedure's name (a rooted symbol, or `#f`).
-        name: Rooted,
-    },
-    /// A sequence; empty evaluates to void, last form is in tail position.
-    Seq(Vec<CodeRef>),
-    /// `(let ([x e] ...) body)` and `letrec` (with empty `inits`): make a
-    /// fresh frame of `n_slots` slots, fill from `inits` evaluated in the
-    /// *outer* environment, run `body` in the extended environment.
-    Let {
-        /// Slot count of the new frame.
-        n_slots: usize,
-        /// Init expressions (outer scope); slots beyond them start
-        /// `UNBOUND` (letrec-style).
-        inits: Vec<CodeRef>,
-        /// The body, in the extended environment.
-        body: CodeRef,
-    },
-    /// Named `let` (and the `do` desugar): allocate the loop closure and
-    /// tail-call it on the evaluated `args`.
-    NamedLet {
-        /// Code-table index of the loop lambda.
-        index: usize,
-        /// The loop name (rooted symbol, or `#f` for `do`).
-        name: Rooted,
-        /// The init expressions, evaluated in the outer environment.
-        args: Vec<CodeRef>,
-        /// Whether to bump the interpreter's gensym counter first (the
-        /// naive `do` desugar allocates a gensym per evaluation; the VM's
-        /// `do` must keep the counter in lockstep).
-        bump_gensym: bool,
-    },
-    /// `(and e ...)`; empty is folded to `Imm(#t)` at analysis time.
-    And(Vec<CodeRef>),
-    /// `(or e ...)`; empty is folded to `Imm(#f)` at analysis time.
-    Or(Vec<CodeRef>),
-    /// `when` (`want` = true) / `unless` (`want` = false).
-    When {
-        /// The condition.
-        test: CodeRef,
-        /// The truthiness that runs the body.
-        want: bool,
-        /// The body sequence.
-        body: CodeRef,
-    },
-    /// A `cond` clause of the form `(test => receiver)`: if `test` is
-    /// truthy, apply the receiver to its value (non-tail, matching the
-    /// naive evaluator); otherwise continue with `rest`.
-    CondArrow {
-        /// The condition.
-        test: CodeRef,
-        /// The receiver expression.
-        recv: CodeRef,
-        /// The remaining clauses.
-        rest: CodeRef,
-    },
-    /// `(case key clauses...)` with pre-split datum lists.
-    Case {
-        /// The key expression.
-        key: CodeRef,
-        /// The clauses, in order; an `else` clause always matches.
-        clauses: Vec<CaseClause>,
-    },
-    /// A procedure application.
-    App {
-        /// The operator expression.
-        op: CodeRef,
-        /// The operand expressions.
-        args: Vec<CodeRef>,
-    },
-    /// A quasiquote template with its unquote sites pre-analyzed, in the
-    /// order the runtime walk reaches them.
-    Quasi {
-        /// The (rooted) template datum.
-        template: Rooted,
-        /// Analyzed `unquote`/`unquote-splicing` expressions.
-        sites: Vec<CodeRef>,
-    },
-}
-
-/// Analyzes one top-level form. Defines at top level become
-/// [`Code::GlobalDefine`]; everything else is an expression in the empty
-/// lexical scope.
-pub(crate) fn analyze_top(it: &mut Interp, form: Value) -> SResult<CodeRef> {
+/// Analyzes one top-level form and returns its code object; the lambdas
+/// it creates join `Interp::lambdas`. Defines at top level bind globals;
+/// everything else is an expression in the empty lexical scope.
+pub(crate) fn analyze_top(it: &mut Interp, form: Value) -> SResult<Rc<CodeObject>> {
     let mut a = Analyzer {
         it,
         scopes: Vec::new(),
         depth: 0,
+        code: Emitter::default(),
     };
-    a.analyze(form)
+    a.analyze(form, true)?;
+    Ok(a.code.finish())
 }
 
-/// Maximum analysis nesting; guards the Rust stack against
-/// pathologically deep source forms.
-const MAX_ANALYZE_DEPTH: usize = 1000;
+/// A special form's analyzer, called with the whole form and the tail flag.
+type SpecialForm<'a> = fn(&mut Analyzer<'a>, Value, bool) -> SResult<()>;
 
 struct Analyzer<'a> {
     it: &'a mut Interp,
@@ -237,6 +89,8 @@ struct Analyzer<'a> {
     /// evaluator's behaviour of binding them inertly in the alist.
     scopes: Vec<Vec<Value>>,
     depth: usize,
+    /// The code object being emitted; see [`Analyzer::block`].
+    code: Emitter,
 }
 
 impl<'a> Analyzer<'a> {
@@ -295,7 +149,7 @@ impl<'a> Analyzer<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Scope map
+    // Scope map and frames
     // ------------------------------------------------------------------
 
     /// Resolves `sym` in the compile-time scope map. Duplicate names in
@@ -310,187 +164,265 @@ impl<'a> Analyzer<'a> {
         None
     }
 
-    fn global_site(&mut self, sym: Value) -> Rc<GlobalSite> {
+    /// Emits a lexical reference (`name` given, for the
+    /// uninitialized-variable error) or a lexical `set!` (`None`): the one
+    /// emission point of `(depth, slot)` addresses. An address outside
+    /// the live scope stack — at emission exactly the frame chain the
+    /// insn walks at run time — is refused.
+    fn local(&mut self, depth: usize, slot: usize, name: Option<Rc<str>>) -> SResult<()> {
+        let Some(frame) = self.scopes.iter().rev().nth(depth) else {
+            return err(format!(
+                "frame-slot check: depth {depth} escapes the {} frames in scope",
+                self.scopes.len()
+            ));
+        };
+        if slot >= frame.len() {
+            return err(format!(
+                "frame-slot check: slot {slot} outside its frame's {} slots at depth {depth}",
+                frame.len()
+            ));
+        }
+        let (depth, slot) = (narrow(depth, "frame depth")?, narrow(slot, "frame slot")?);
+        let insn = match name {
+            Some(name) => Insn::LocalRef {
+                depth,
+                slot,
+                name: self.code.name(name)?,
+            },
+            None => Insn::LocalSet { depth, slot },
+        };
+        self.code.emit(insn);
+        Ok(())
+    }
+
+    /// Emits a frame of one slot per name, its first `n_inits` slots
+    /// filled from the values just pushed, and brings the names into
+    /// scope: the one place a `let`-style frame is made, so the one place
+    /// its layout is checked — never more inits than slots.
+    fn push_frame(&mut self, names: Vec<Value>, n_inits: usize) -> SResult<()> {
+        if n_inits > names.len() {
+            return err(format!(
+                "frame-slot check: {n_inits} inits for a frame of {} slots",
+                names.len()
+            ));
+        }
+        self.code.emit(Insn::PushFrame {
+            n_slots: narrow(names.len(), "let slots")?,
+            n_inits: narrow(n_inits, "let inits")?,
+        });
+        self.scopes.push(names);
+        Ok(())
+    }
+
+    /// Outside tail position a frame is pushed over a saved environment
+    /// (emitted before the inits) and popped back to it; in tail position
+    /// the activation's environment is simply replaced.
+    fn save_env(&mut self, tail: bool) {
+        if !tail {
+            self.code.emit(Insn::SaveEnv);
+        }
+    }
+
+    /// Closes the frame of [`Analyzer::push_frame`].
+    fn pop_frame(&mut self, tail: bool) {
+        self.scopes.pop();
+        if !tail {
+            self.code.emit(Insn::RestoreEnv);
+        }
+    }
+
+    fn global_site(&mut self, sym: Value) -> GlobalSite {
         let name: Rc<str> = Rc::from(self.it.heap.symbol_name(sym).as_str());
-        Rc::new(GlobalSite {
+        GlobalSite {
             sym: self.it.heap.root(sym),
             name,
             cell: RefCell::new(None),
-        })
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Emission helpers
+    // ------------------------------------------------------------------
+
+    /// Ends a value push: in tail position, with a return.
+    fn done(&mut self, tail: bool) -> SResult<()> {
+        if tail {
+            self.code.emit_return();
+        }
+        Ok(())
     }
 
     /// An immediate stays unrooted; heap data gets a rooted handle.
-    fn constant(&mut self, v: Value) -> CodeRef {
+    fn constant(&mut self, v: Value, tail: bool) -> SResult<()> {
         if v.is_ptr() {
-            Rc::new(Code::Const(self.it.heap.root(v)))
+            let r = self.it.heap.root(v);
+            self.code.konst(r)?;
         } else {
-            Rc::new(Code::Imm(v))
+            self.code.imm(v)?;
         }
+        self.done(tail)
+    }
+
+    fn void(&mut self, tail: bool) -> SResult<()> {
+        self.constant(Value::VOID, tail)
+    }
+
+    /// Ends a non-tail branch with a jump to the join point (a tail
+    /// branch has already returned).
+    fn branch_end(&mut self, tail: bool) -> Option<usize> {
+        (!tail).then(|| self.code.emit_jump(Insn::Jmp))
+    }
+
+    /// Binds a [`Analyzer::branch_end`] jump here.
+    fn join(&mut self, at: Option<usize>) -> SResult<()> {
+        match at {
+            Some(at) => self.code.patch_here(at),
+            None => Ok(()),
+        }
+    }
+
+    /// Every form but the last for effect, the last in position; empty
+    /// is void.
+    fn seq(&mut self, items: &[Value], tail: bool) -> SResult<()> {
+        let Some((&last, init)) = items.split_last() else {
+            return self.void(tail);
+        };
+        for &item in init {
+            self.analyze(item, false)?;
+            self.code.emit(Insn::Pop);
+        }
+        self.analyze(last, tail)
+    }
+
+    /// Emits into a code object of its own (a lambda clause body or an
+    /// unquote site), then resumes the current one.
+    fn block(&mut self, emit: impl FnOnce(&mut Self) -> SResult<()>) -> SResult<Rc<CodeObject>> {
+        let outer = std::mem::take(&mut self.code);
+        emit(self)?;
+        Ok(std::mem::replace(&mut self.code, outer).finish())
     }
 
     // ------------------------------------------------------------------
     // Entry
     // ------------------------------------------------------------------
 
-    fn analyze(&mut self, form: Value) -> SResult<CodeRef> {
-        if self.depth >= MAX_ANALYZE_DEPTH {
+    fn analyze(&mut self, form: Value, tail: bool) -> SResult<()> {
+        if self.depth >= MAX_NESTING {
             return err("form nesting too deep");
         }
         self.depth += 1;
-        let r = self.analyze_inner(form);
+        self.analyze_inner(form, tail)?;
         self.depth -= 1;
-        r
+        Ok(())
     }
 
-    fn analyze_inner(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_inner(&mut self, form: Value, tail: bool) -> SResult<()> {
         let heap = &self.it.heap;
         if !heap.is_pair(form) {
             if heap.is_symbol(form) {
-                return self.analyze_var(form);
+                return self.analyze_var(form, tail);
             }
-            return Ok(self.constant(form));
+            return self.constant(form, tail);
         }
         let head = heap.car(form);
-        if heap.is_symbol(head) {
-            // Special forms are resolved by symbol identity *before* the
-            // scope map is consulted: like the naive evaluator, they are
-            // not shadowable by local bindings.
-            let sf = &self.it.sf;
-            if head == sf.quote.get() {
-                let datum = self.nth(form, 1)?;
-                return Ok(self.constant(datum));
-            }
-            if head == sf.quasiquote.get() {
-                let template = self.nth(form, 1)?;
-                return self.analyze_quasiquote(template);
-            }
-            if head == sf.unquote.get() || head == sf.unquote_splicing.get() {
-                return err("unquote outside quasiquote");
-            }
-            if head == sf.iff.get() {
-                return self.analyze_if(form);
-            }
-            if head == sf.define.get() {
-                return self.analyze_define(form);
-            }
-            if head == sf.set.get() {
-                return self.analyze_set(form);
-            }
-            if head == sf.lambda.get() {
-                let params = self.nth(form, 1)?;
-                let body = self.tail_from(form, 2);
-                let clause = vec![(params, body)];
-                let index = self.analyze_lambda_clauses(&clause)?;
-                let name = self.it.heap.root(Value::FALSE);
-                return Ok(Rc::new(Code::Lambda { index, name }));
-            }
-            if head == sf.case_lambda.get() {
-                let mut clauses = Vec::new();
-                for c in self.list_items(self.it.heap.cdr(form)) {
-                    let params = self.scar(c)?;
-                    let body = self.it.heap.cdr(c);
-                    clauses.push((params, body));
-                }
-                let index = self.analyze_lambda_clauses(&clauses)?;
-                let name = self.it.heap.root(Value::FALSE);
-                return Ok(Rc::new(Code::Lambda { index, name }));
-            }
-            if head == sf.begin.get() {
-                let body = self.it.heap.cdr(form);
-                return self.analyze_body(body);
-            }
-            if head == sf.let_.get() {
-                return self.analyze_let(form);
-            }
-            if head == sf.let_star.get() {
-                let bindings = self.nth(form, 1)?;
-                let body = self.tail_from(form, 2);
-                return self.analyze_let_star(bindings, body);
-            }
-            if head == sf.letrec.get() {
-                return self.analyze_letrec(form);
-            }
-            if head == sf.cond.get() {
-                let clauses = self.it.heap.cdr(form);
-                return self.analyze_cond(clauses);
-            }
-            if head == sf.and.get() || head == sf.or.get() {
-                let is_and = head == sf.and.get();
-                let items = self.list_items(self.it.heap.cdr(form));
-                if items.is_empty() {
-                    return Ok(Rc::new(Code::Imm(Value::bool(is_and))));
-                }
-                let mut parts = Vec::with_capacity(items.len());
-                for e in items {
-                    parts.push(self.analyze(e)?);
-                }
-                return Ok(Rc::new(if is_and {
-                    Code::And(parts)
-                } else {
-                    Code::Or(parts)
-                }));
-            }
-            if head == sf.when.get() || head == sf.unless.get() {
-                let want = head == sf.when.get();
-                let test = self.nth(form, 1)?;
-                let body = self.tail_from(form, 2);
-                let test = self.analyze(test)?;
-                let body = self.analyze_body(body)?;
-                return Ok(Rc::new(Code::When { test, want, body }));
-            }
-            if head == sf.case.get() {
-                return self.analyze_case(form);
-            }
-            if head == sf.do_.get() {
-                return self.analyze_do(form);
-            }
-            if head == sf.define_record_type.get() {
-                let forms = self.expand_define_record_type(form)?;
-                let mut parts = Vec::with_capacity(forms.len());
-                for f in forms {
-                    parts.push(self.analyze(f)?);
-                }
-                return Ok(Rc::new(Code::Seq(parts)));
-            }
+        if let Some(special) = self.special_form(head) {
+            return special(self, form, tail);
         }
         // Application.
-        let op = self.analyze(head)?;
-        let arg_forms = self.list_items(self.it.heap.cdr(form));
-        let mut args = Vec::with_capacity(arg_forms.len());
-        for a in arg_forms {
-            args.push(self.analyze(a)?);
+        self.analyze(head, false)?;
+        let args = self.list_items(self.it.heap.cdr(form));
+        for &a in &args {
+            self.analyze(a, false)?;
         }
-        Ok(Rc::new(Code::App { op, args }))
+        self.code.emit_call(args.len(), tail)
     }
 
-    fn analyze_var(&mut self, sym: Value) -> SResult<CodeRef> {
-        if let Some((depth, slot)) = self.resolve_local(sym) {
-            let name: Rc<str> = Rc::from(self.it.heap.symbol_name(sym).as_str());
-            return Ok(Rc::new(Code::LocalRef { depth, slot, name }));
+    /// The analyzer of the special form `head` names, if it names one.
+    /// Special forms are resolved by symbol identity *before* the scope
+    /// map is consulted: like the naive evaluator's, they are not
+    /// shadowable by local bindings. The answer is a function pointer so
+    /// that the recursion through `analyze_inner` keeps a small frame:
+    /// deep nesting must fit [`MAX_NESTING`] levels in a 2 MiB stack,
+    /// debug builds included.
+    fn special_form(&self, head: Value) -> Option<SpecialForm<'a>> {
+        if !self.it.heap.is_symbol(head) {
+            return None;
         }
-        let site = self.global_site(sym);
-        Ok(Rc::new(Code::GlobalRef(site)))
-    }
-
-    fn analyze_if(&mut self, form: Value) -> SResult<CodeRef> {
-        let test = self.nth(form, 1)?;
-        let test = self.analyze(test)?;
-        let then_form = self.nth(form, 2)?;
-        let then_ = self.analyze(then_form)?;
-        let rest = self.tail_from(form, 3);
-        let else_ = if rest.is_nil() {
-            None
+        let sf = &self.it.sf;
+        let is = |name: &Rooted| head == name.get();
+        let analyze: SpecialForm<'a> = if is(&sf.quote) {
+            |a, form, tail| {
+                let datum = a.nth(form, 1)?;
+                a.constant(datum, tail)
+            }
+        } else if is(&sf.quasiquote) {
+            |a, form, tail| {
+                let template = a.nth(form, 1)?;
+                a.analyze_quasiquote(template, tail)
+            }
+        } else if is(&sf.unquote) || is(&sf.unquote_splicing) {
+            |_, _, _| err("unquote outside quasiquote")
+        } else if is(&sf.iff) {
+            Self::analyze_if
+        } else if is(&sf.define) {
+            Self::analyze_define
+        } else if is(&sf.set) {
+            Self::analyze_set
+        } else if is(&sf.lambda) {
+            |a, form, tail| {
+                let params = a.nth(form, 1)?;
+                let body = a.tail_from(form, 2);
+                a.analyze_lambda(&[(params, body)], Value::FALSE, tail)
+            }
+        } else if is(&sf.case_lambda) {
+            |a, form, tail| {
+                let mut clauses = Vec::new();
+                for c in a.list_items(a.it.heap.cdr(form)) {
+                    clauses.push((a.scar(c)?, a.it.heap.cdr(c)));
+                }
+                a.analyze_lambda(&clauses, Value::FALSE, tail)
+            }
+        } else if is(&sf.begin) {
+            |a, form, tail| a.analyze_body(a.it.heap.cdr(form), tail)
+        } else if is(&sf.let_) {
+            Self::analyze_let
+        } else if is(&sf.let_star) {
+            |a, form, tail| {
+                let bindings = a.nth(form, 1)?;
+                let body = a.tail_from(form, 2);
+                a.analyze_let_star(bindings, body, tail)
+            }
+        } else if is(&sf.letrec) {
+            Self::analyze_letrec
+        } else if is(&sf.cond) {
+            |a, form, tail| a.analyze_cond(a.it.heap.cdr(form), tail)
+        } else if is(&sf.and) {
+            |a, form, tail| a.analyze_and_or(form, true, tail)
+        } else if is(&sf.or) {
+            |a, form, tail| a.analyze_and_or(form, false, tail)
+        } else if is(&sf.when) {
+            |a, form, tail| a.analyze_when(form, true, tail)
+        } else if is(&sf.unless) {
+            |a, form, tail| a.analyze_when(form, false, tail)
+        } else if is(&sf.case) {
+            Self::analyze_case
+        } else if is(&sf.do_) {
+            Self::analyze_do
+        } else if is(&sf.define_record_type) {
+            |a, form, tail| {
+                let forms = a.expand_define_record_type(form)?;
+                a.seq(&forms, tail)
+            }
         } else {
-            let e = self.scar(rest)?;
-            Some(self.analyze(e)?)
+            return None;
         };
-        Ok(Rc::new(Code::If { test, then_, else_ }))
+        Some(analyze)
     }
 
-    fn analyze_set(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_set(&mut self, form: Value, tail: bool) -> SResult<()> {
         let target = self.nth(form, 1)?;
-        let value_form = self.nth(form, 2)?;
-        let value = self.analyze(value_form)?;
+        let value = self.nth(form, 2)?;
+        self.analyze(value, false)?;
         if !self.it.heap.is_symbol(target) {
             // The naive evaluator's set_var never finds a non-symbol in
             // any alist, so it reports an unbound variable through the
@@ -498,50 +430,77 @@ impl<'a> Analyzer<'a> {
             // clean syntax error here.
             return err("set!: bad target");
         }
-        if let Some((depth, slot)) = self.resolve_local(target) {
-            return Ok(Rc::new(Code::LocalSet { depth, slot, value }));
+        self.store(target, Insn::GlobalSet, tail)
+    }
+
+    fn analyze_var(&mut self, sym: Value, tail: bool) -> SResult<()> {
+        match self.resolve_local(sym) {
+            Some((depth, slot)) => {
+                let name: Rc<str> = Rc::from(self.it.heap.symbol_name(sym).as_str());
+                self.local(depth, slot, Some(name))?;
+            }
+            None => {
+                let site = self.global_site(sym);
+                self.code.global(Insn::GlobalRef, site)?;
+            }
         }
-        let site = self.global_site(target);
-        Ok(Rc::new(Code::GlobalSet { site, value }))
+        self.done(tail)
+    }
+
+    /// Stores the value just pushed into `sym`: a lexical `set!` when it
+    /// resolves locally, else the global `op` (`set!` or define).
+    fn store(&mut self, sym: Value, op: fn(u32) -> Insn, tail: bool) -> SResult<()> {
+        match self.resolve_local(sym) {
+            Some((depth, slot)) => self.local(depth, slot, None)?,
+            None => {
+                let site = self.global_site(sym);
+                self.code.global(op, site)?;
+            }
+        }
+        self.done(tail)
+    }
+
+    fn analyze_if(&mut self, form: Value, tail: bool) -> SResult<()> {
+        let test = self.nth(form, 1)?;
+        self.analyze(test, false)?;
+        let to_else = self.code.emit_jump(Insn::JmpIfFalse);
+        let then_form = self.nth(form, 2)?;
+        self.analyze(then_form, tail)?;
+        let to_end = self.branch_end(tail);
+        self.code.patch_here(to_else)?;
+        let rest = self.tail_from(form, 3);
+        if rest.is_nil() {
+            self.void(tail)?;
+        } else {
+            let e = self.scar(rest)?;
+            self.analyze(e, tail)?;
+        }
+        self.join(to_end)
     }
 
     /// A top-level or body `define`. Inside bodies the enclosing
     /// `analyze_body` has already registered the name in the scope map,
     /// so it resolves locally; at top level it becomes a global define.
-    fn analyze_define(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_define(&mut self, form: Value, tail: bool) -> SResult<()> {
         let target = self.nth(form, 1)?;
         let heap = &self.it.heap;
         if heap.is_symbol(target) {
-            let value_form = self.nth(form, 2)?;
-            let value = self.analyze(value_form)?;
-            return self.finish_define(target, value);
+            let value = self.nth(form, 2)?;
+            self.analyze(value, false)?;
+            return self.store(target, Insn::GlobalDefine, tail);
         }
         if heap.is_pair(target) {
             // (define (f . params) body...)
             let name = heap.car(target);
             let params = heap.cdr(target);
             let body = self.tail_from(form, 2);
-            let clause = vec![(params, body)];
-            let index = self.analyze_lambda_clauses(&clause)?;
-            let rooted_name = self.it.heap.root(name);
-            let value = Rc::new(Code::Lambda {
-                index,
-                name: rooted_name,
-            });
+            self.analyze_lambda(&[(params, body)], name, false)?;
             if !self.it.heap.is_symbol(name) {
                 return err("define: bad target");
             }
-            return self.finish_define(name, value);
+            return self.store(name, Insn::GlobalDefine, tail);
         }
         err("define: bad target")
-    }
-
-    fn finish_define(&mut self, sym: Value, value: CodeRef) -> SResult<CodeRef> {
-        if let Some((depth, slot)) = self.resolve_local(sym) {
-            return Ok(Rc::new(Code::LocalSet { depth, slot, value }));
-        }
-        let site = self.global_site(sym);
-        Ok(Rc::new(Code::GlobalDefine { site, value }))
     }
 
     // ------------------------------------------------------------------
@@ -577,8 +536,14 @@ impl<'a> Analyzer<'a> {
         false
     }
 
-    /// Expands a body item list: splices define-carrying `begin`s and
-    /// expands `define-record-type` into its constituent defines.
+    /// A body's item list: define-carrying `begin`s spliced in and
+    /// `define-record-type` expanded into its constituent defines.
+    fn expand_body(&mut self, body: Value) -> SResult<Vec<Value>> {
+        let mut items = Vec::new();
+        self.expand_body_items(body, &mut items)?;
+        Ok(items)
+    }
+
     fn expand_body_items(&mut self, body: Value, out: &mut Vec<Value>) -> SResult<()> {
         for item in self.list_items(body) {
             let heap = &self.it.heap;
@@ -626,291 +591,212 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Analyzes a body (the forms of a `begin`, a `cond`/`case`/`when`
-    /// clause, or an empty-bindings `let*`). Defines get a fresh frame of
-    /// their own (a `Let` with zero inits) — unless the scope map is
-    /// empty, in which case this is top level and the defines are global,
-    /// exactly as the naive evaluator's `define-into-current-env` gives.
-    fn analyze_body(&mut self, body: Value) -> SResult<CodeRef> {
-        let mut items = Vec::new();
-        self.expand_body_items(body, &mut items)?;
-        let defines: Vec<Value> = {
-            let mut names = Vec::new();
-            for &it_form in &items {
-                if let Some(name) = self.defined_name(it_form) {
-                    if !names.contains(&name) {
-                        names.push(name);
-                    }
-                }
-            }
-            names
-        };
-        if defines.is_empty() || self.scopes.is_empty() {
-            let mut parts = Vec::with_capacity(items.len());
-            for item in items {
-                parts.push(self.analyze(item)?);
-            }
-            return Ok(seq_of(parts));
-        }
-        // Wrap in a fresh frame holding the defined names.
-        self.scopes.push(defines.clone());
-        let result = (|| {
-            let mut parts = Vec::with_capacity(items.len());
-            for item in items {
-                parts.push(self.analyze(item)?);
-            }
-            Ok(seq_of(parts))
-        })();
-        self.scopes.pop();
-        let body = result?;
-        Ok(Rc::new(Code::Let {
-            n_slots: defines.len(),
-            inits: Vec::new(),
-            body,
-        }))
-    }
-
-    // ------------------------------------------------------------------
-    // Lambda
-    // ------------------------------------------------------------------
-
-    /// Analyzes lambda clauses `(params, body)` and registers a
-    /// [`LambdaCode`] in the interpreter's code table, returning its
-    /// index.
-    fn analyze_lambda_clauses(&mut self, clauses: &[(Value, Value)]) -> SResult<usize> {
-        let mut out = Vec::with_capacity(clauses.len());
-        for &(params, body) in clauses {
-            out.push(self.analyze_clause(params, body)?);
-        }
-        let index = self.it.code_tab.len();
-        self.it.code_tab.push(Rc::new(LambdaCode { clauses: out }));
-        Ok(index)
-    }
-
-    fn analyze_clause(&mut self, params: Value, body: Value) -> SResult<ClauseCode> {
-        let heap = &self.it.heap;
-        let mut frame: Vec<Value> = Vec::new();
-        let mut p = params;
-        while heap.is_pair(p) {
-            frame.push(heap.car(p));
-            p = heap.cdr(p);
-        }
-        let n_req = frame.len();
-        let variadic = heap.is_symbol(p);
-        if variadic {
-            frame.push(p);
-        }
-        // Body defines extend the same frame after the parameters.
-        let mut items = Vec::new();
-        self.expand_body_items(body, &mut items)?;
-        for &item in &items {
+    /// Appends the names `items` define to `frame`, each once: body
+    /// defines extend the frame they appear in.
+    fn add_defines(&self, frame: &mut Vec<Value>, items: &[Value]) {
+        for &item in items {
             if let Some(name) = self.defined_name(item) {
                 if !frame.contains(&name) {
                     frame.push(name);
                 }
             }
         }
+    }
+
+    /// A body (the forms of a `begin`, a `cond`/`case`/`when` clause, or
+    /// an empty-bindings `let*`). Defines get a fresh frame of their own
+    /// — unless the scope map is empty, in which case this is top level
+    /// and the defines are global, exactly as the naive evaluator's
+    /// `define-into-current-env` gives.
+    fn analyze_body(&mut self, body: Value, tail: bool) -> SResult<()> {
+        let items = self.expand_body(body)?;
+        let mut defines = Vec::new();
+        self.add_defines(&mut defines, &items);
+        if defines.is_empty() || self.scopes.is_empty() {
+            return self.seq(&items, tail);
+        }
+        self.save_env(tail);
+        self.push_frame(defines, 0)?;
+        self.seq(&items, tail)?;
+        self.pop_frame(tail);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Lambda
+    // ------------------------------------------------------------------
+
+    /// A `lambda`/`case-lambda` of clauses `(params, body)`: the lambda
+    /// joins `Interp::lambdas`, and a closure named `name` over the
+    /// current environment is pushed.
+    fn analyze_lambda(
+        &mut self,
+        clauses: &[(Value, Value)],
+        name: Value,
+        tail: bool,
+    ) -> SResult<()> {
+        let mut out = Vec::with_capacity(clauses.len());
+        for &(params, body) in clauses {
+            let heap = &self.it.heap;
+            let mut frame = Vec::new();
+            let mut p = params;
+            while heap.is_pair(p) {
+                frame.push(heap.car(p));
+                p = heap.cdr(p);
+            }
+            let variadic = heap.is_symbol(p);
+            if variadic {
+                frame.push(p);
+            }
+            out.push(self.clause(frame, variadic, body, |a, items| a.seq(items, true))?);
+        }
+        let index = self.push_lambda(out);
+        let name = self.it.heap.root(name);
+        self.code.make_closure(index, name)?;
+        self.done(tail)
+    }
+
+    /// One lambda clause over a frame of `params` (the rest parameter
+    /// last when `variadic`), extended by the body's defines; `emit`
+    /// writes the body, in tail position, into its own code object.
+    fn clause(
+        &mut self,
+        mut frame: Vec<Value>,
+        variadic: bool,
+        body: Value,
+        emit: impl FnOnce(&mut Self, &[Value]) -> SResult<()>,
+    ) -> SResult<VmClause> {
+        let n_req = frame.len() - usize::from(variadic);
+        let items = self.expand_body(body)?;
+        self.add_defines(&mut frame, &items);
         let n_slots = frame.len();
         self.scopes.push(frame);
-        let result = (|| {
-            let mut parts = Vec::with_capacity(items.len());
-            for item in items {
-                parts.push(self.analyze(item)?);
-            }
-            Ok(seq_of(parts))
-        })();
+        let body = self.block(|a| emit(a, &items))?;
         self.scopes.pop();
-        Ok(ClauseCode {
+        Ok(VmClause {
             n_req,
             variadic,
             n_slots,
-            body: result?,
+            body,
         })
+    }
+
+    /// Adds a finished lambda to the interpreter's table, after every
+    /// lambda its body created; returns its index.
+    fn push_lambda(&mut self, clauses: Vec<VmClause>) -> usize {
+        self.it.lambdas.push(Rc::new(VmLambda { clauses }));
+        self.it.lambdas.len() - 1
     }
 
     // ------------------------------------------------------------------
     // let / let* / letrec / named let / do
     // ------------------------------------------------------------------
 
-    fn analyze_let(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_let(&mut self, form: Value, tail: bool) -> SResult<()> {
         let second = self.nth(form, 1)?;
         if self.it.heap.is_symbol(second) {
-            return self.analyze_named_let(form);
+            return self.analyze_named_let(form, tail);
         }
+        self.save_env(tail);
         let bindings = self.list_items(second);
         let mut names = Vec::with_capacity(bindings.len());
-        let mut inits = Vec::with_capacity(bindings.len());
-        for b in &bindings {
-            let sym = self.scar(*b)?;
-            let init = self.nth(*b, 1)?;
-            names.push(sym);
-            inits.push(self.analyze(init)?);
+        for &b in &bindings {
+            names.push(self.scar(b)?);
+            let init = self.nth(b, 1)?;
+            self.analyze(init, false)?;
         }
-        let body = self.tail_from(form, 2);
-        // Body defines extend the let frame.
-        let mut items = Vec::new();
-        self.expand_body_items(body, &mut items)?;
-        for &item in &items {
-            if let Some(name) = self.defined_name(item) {
-                if !names.contains(&name) {
-                    names.push(name);
-                }
-            }
-        }
-        let n_slots = names.len();
-        self.scopes.push(names);
-        let result = (|| {
-            let mut parts = Vec::with_capacity(items.len());
-            for item in items {
-                parts.push(self.analyze(item)?);
-            }
-            Ok(seq_of(parts))
-        })();
-        self.scopes.pop();
-        Ok(Rc::new(Code::Let {
-            n_slots,
-            inits,
-            body: result?,
-        }))
+        let items = self.expand_body(self.tail_from(form, 2))?;
+        self.add_defines(&mut names, &items);
+        self.push_frame(names, bindings.len())?;
+        self.seq(&items, tail)?;
+        self.pop_frame(tail);
+        Ok(())
     }
 
-    fn analyze_let_star(&mut self, bindings: Value, body: Value) -> SResult<CodeRef> {
+    fn analyze_let_star(&mut self, bindings: Value, body: Value, tail: bool) -> SResult<()> {
         if !self.it.heap.is_pair(bindings) {
             // No bindings left: the body in its own frame (for defines).
-            return self.analyze_body(body);
+            return self.analyze_body(body, tail);
         }
         let binding = self.scar(bindings)?;
         let sym = self.scar(binding)?;
         let init = self.nth(binding, 1)?;
-        let init = self.analyze(init)?;
-        let rest = self.it.heap.cdr(bindings);
-        self.scopes.push(vec![sym]);
-        let result = self.analyze_let_star(rest, body);
-        self.scopes.pop();
-        Ok(Rc::new(Code::Let {
-            n_slots: 1,
-            inits: vec![init],
-            body: result?,
-        }))
+        self.save_env(tail);
+        self.analyze(init, false)?;
+        self.push_frame(vec![sym], 1)?;
+        self.analyze_let_star(self.it.heap.cdr(bindings), body, tail)?;
+        self.pop_frame(tail);
+        Ok(())
     }
 
-    fn analyze_letrec(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_letrec(&mut self, form: Value, tail: bool) -> SResult<()> {
         let bindings = self.list_items(self.nth(form, 1)?);
         let mut names = Vec::with_capacity(bindings.len());
-        let mut init_forms = Vec::with_capacity(bindings.len());
-        for b in &bindings {
-            names.push(self.scar(*b)?);
-            init_forms.push(self.nth(*b, 1)?);
+        let mut inits = Vec::with_capacity(bindings.len());
+        for &b in &bindings {
+            names.push(self.scar(b)?);
+            inits.push(self.nth(b, 1)?);
         }
-        let body = self.tail_from(form, 2);
-        let mut items = Vec::new();
-        self.expand_body_items(body, &mut items)?;
-        for &item in &items {
-            if let Some(name) = self.defined_name(item) {
-                if !names.contains(&name) {
-                    names.push(name);
-                }
+        let items = self.expand_body(self.tail_from(form, 2))?;
+        self.add_defines(&mut names, &items);
+        self.save_env(tail);
+        self.push_frame(names, 0)?;
+        // Slot i gets init i, evaluated inside the new scope; each store
+        // is one more form of the body.
+        for (i, &init) in inits.iter().enumerate() {
+            self.analyze(init, false)?;
+            self.local(0, i, None)?;
+            if i + 1 == inits.len() && items.is_empty() {
+                self.done(tail)?;
+            } else {
+                self.code.emit(Insn::Pop);
             }
         }
-        let n_binds = bindings.len();
-        let n_slots = names.len();
-        self.scopes.push(names);
-        let result = (|| {
-            let mut parts = Vec::with_capacity(n_binds + items.len());
-            // Slot i gets init i, evaluated inside the new scope.
-            for (i, init_form) in init_forms.into_iter().enumerate() {
-                let value = self.analyze(init_form)?;
-                parts.push(Rc::new(Code::LocalSet {
-                    depth: 0,
-                    slot: i,
-                    value,
-                }));
-            }
-            for item in items {
-                parts.push(self.analyze(item)?);
-            }
-            Ok(seq_of(parts))
-        })();
-        self.scopes.pop();
-        Ok(Rc::new(Code::Let {
-            n_slots,
-            inits: Vec::new(),
-            body: result?,
-        }))
+        if !items.is_empty() || inits.is_empty() {
+            self.seq(&items, tail)?;
+        }
+        self.pop_frame(tail);
+        Ok(())
     }
 
-    fn analyze_named_let(&mut self, form: Value) -> SResult<CodeRef> {
+    fn analyze_named_let(&mut self, form: Value, tail: bool) -> SResult<()> {
         let name = self.nth(form, 1)?;
         let bindings = self.list_items(self.nth(form, 2)?);
         let body = self.tail_from(form, 3);
-        let mut params = Vec::with_capacity(bindings.len());
-        let mut args = Vec::with_capacity(bindings.len());
+        self.save_env(tail);
         // Inits are analyzed in the OUTER scope (before the loop-name
         // frame is pushed), matching the naive evaluator.
-        for b in &bindings {
-            params.push(self.scar(*b)?);
-            let init = self.nth(*b, 1)?;
-            args.push(self.analyze(init)?);
+        let mut params = Vec::with_capacity(bindings.len());
+        for &b in &bindings {
+            params.push(self.scar(b)?);
+            let init = self.nth(b, 1)?;
+            self.analyze(init, false)?;
         }
-        let index = self.analyze_loop_lambda(name, &params, body)?;
-        let rooted_name = self.it.heap.root(name);
-        Ok(Rc::new(Code::NamedLet {
-            index,
-            name: rooted_name,
-            args,
-            bump_gensym: false,
-        }))
+        self.enter_loop(name, params, body, tail, |a, items| a.seq(items, true))
     }
 
-    /// Analyzes the loop lambda of a named `let`/`do` under a one-slot
-    /// scope frame holding the loop name, and registers it in the code
-    /// table. The runtime builds the matching one-slot name frame.
-    fn analyze_loop_lambda(
+    /// Emits a named-`let` loop entry on the inits already pushed: the
+    /// loop lambda is one clause over `params`, analyzed under a one-slot
+    /// scope frame holding the loop name — the runtime builds the
+    /// matching one-slot frame holding the loop closure.
+    fn enter_loop(
         &mut self,
         name: Value,
-        params: &[Value],
+        params: Vec<Value>,
         body: Value,
-    ) -> SResult<usize> {
+        tail: bool,
+        emit: impl FnOnce(&mut Self, &[Value]) -> SResult<()>,
+    ) -> SResult<()> {
+        let argc = params.len();
         self.scopes.push(vec![name]);
-        let result = (|| {
-            let mut frame: Vec<Value> = params.to_vec();
-            let n_req = frame.len();
-            let mut items = Vec::new();
-            self.expand_body_items(body, &mut items)?;
-            for &item in &items {
-                if let Some(n) = self.defined_name(item) {
-                    if !frame.contains(&n) {
-                        frame.push(n);
-                    }
-                }
-            }
-            let n_slots = frame.len();
-            self.scopes.push(frame);
-            let body_code = (|| {
-                let mut parts = Vec::with_capacity(items.len());
-                for item in items {
-                    parts.push(self.analyze(item)?);
-                }
-                Ok(seq_of(parts))
-            })();
-            self.scopes.pop();
-            Ok(ClauseCode {
-                n_req,
-                variadic: false,
-                n_slots,
-                body: body_code?,
-            })
-        })();
+        let clause = self.clause(params, false, body, emit)?;
         self.scopes.pop();
-        let clause = result?;
-        let index = self.it.code_tab.len();
-        self.it.code_tab.push(Rc::new(LambdaCode {
-            clauses: vec![clause],
-        }));
-        Ok(index)
+        let index = self.push_lambda(vec![clause]);
+        let name = self.it.heap.root(name);
+        self.code.enter_loop(index, name, argc, tail)
     }
 
-    /// `(do ([var init step] ...) (test result ...) body ...)`, analyzed
+    /// `(do ([var init step] ...) (test result ...) body ...)`, emitted
     /// as the same named-let shape the naive evaluator desugars to:
     ///
     /// ```text
@@ -919,175 +805,179 @@ impl<'a> Analyzer<'a> {
     /// ```
     ///
     /// The loop-name slot is an unmatchable marker (`#f`) — source code
-    /// cannot name the gensym — and the recursion is a direct
-    /// `LocalRef` to it.
-    fn analyze_do(&mut self, form: Value) -> SResult<CodeRef> {
+    /// cannot name the gensym — and the recursion is a direct local
+    /// reference to it.
+    fn analyze_do(&mut self, form: Value, tail: bool) -> SResult<()> {
         let specs = self.list_items(self.nth(form, 1)?);
         let exit = self.nth(form, 2)?;
         let body = self.tail_from(form, 3);
+        // The naive `do` desugar allocates a gensym per evaluation; keep
+        // the counter in lockstep.
+        self.code.emit(Insn::BumpGensym);
+        self.save_env(tail);
         let mut vars = Vec::with_capacity(specs.len());
-        let mut args = Vec::with_capacity(specs.len());
-        let mut step_forms = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            let var = self.nth(*spec, 0)?;
-            let init = self.nth(*spec, 1)?;
-            let step = {
-                let rest = self.tail_from(*spec, 2);
-                if rest.is_nil() {
-                    var
-                } else {
-                    self.it.heap.car(rest)
-                }
-            };
+        let mut steps = Vec::with_capacity(specs.len());
+        for &spec in &specs {
+            let var = self.nth(spec, 0)?;
+            let init = self.nth(spec, 1)?;
+            let rest = self.tail_from(spec, 2);
+            let step = if rest.is_nil() { var } else { self.scar(rest)? };
             vars.push(var);
-            args.push(self.analyze(init)?);
-            step_forms.push(step);
+            self.analyze(init, false)?;
+            steps.push(step);
         }
-        let test_form = self.scar(exit)?;
-        let results = self.it.heap.cdr(exit);
-        // Loop-name frame: slot 0 is the closure; the marker symbol is
-        // `#f` so no source variable can resolve to it.
-        self.scopes.push(vec![Value::FALSE]);
-        let clause = (|| {
-            let n_req = vars.len();
-            let mut frame = vars.clone();
-            // Body defines extend the loop frame (the naive desugar's
-            // defines land in the per-iteration call frame).
-            let mut items = Vec::new();
-            self.expand_body_items(body, &mut items)?;
-            for &item in &items {
-                if let Some(n) = self.defined_name(item) {
-                    if !frame.contains(&n) {
-                        frame.push(n);
-                    }
-                }
+        let test = self.scar(exit)?;
+        let results = self.list_items(self.it.heap.cdr(exit));
+        // Body defines extend the loop frame (the naive desugar's defines
+        // land in the per-iteration call frame).
+        self.enter_loop(Value::FALSE, vars, body, tail, |a, items| {
+            a.analyze(test, false)?;
+            let to_else = a.code.emit_jump(Insn::JmpIfFalse);
+            a.seq(&results, true)?;
+            a.code.patch_here(to_else)?;
+            for &item in items {
+                a.analyze(item, false)?;
+                a.code.emit(Insn::Pop);
             }
-            let n_slots = frame.len();
-            self.scopes.push(frame);
-            let body_code = (|| {
-                let test = self.analyze(test_form)?;
-                let then_ = if results.is_nil() {
-                    Rc::new(Code::Imm(Value::VOID))
-                } else {
-                    let parts = self
-                        .list_items(results)
-                        .into_iter()
-                        .map(|r| self.analyze(r))
-                        .collect::<SResult<Vec<_>>>()?;
-                    seq_of(parts)
-                };
-                let mut seq = Vec::new();
-                for item in items {
-                    seq.push(self.analyze(item)?);
-                }
-                let mut step_code = Vec::with_capacity(step_forms.len());
-                for &s in &step_forms {
-                    step_code.push(self.analyze(s)?);
-                }
-                let recur = Rc::new(Code::App {
-                    op: Rc::new(Code::LocalRef {
-                        depth: 1,
-                        slot: 0,
-                        name: Rc::from("do-loop"),
-                    }),
-                    args: step_code,
-                });
-                seq.push(recur);
-                Ok(Rc::new(Code::If {
-                    test,
-                    then_,
-                    else_: Some(seq_of(seq)),
-                }))
-            })();
-            self.scopes.pop();
-            Ok(ClauseCode {
-                n_req,
-                variadic: false,
-                n_slots,
-                body: body_code?,
-            })
-        })();
-        self.scopes.pop();
-        let clause = clause?;
-        let index = self.it.code_tab.len();
-        self.it.code_tab.push(Rc::new(LambdaCode {
-            clauses: vec![clause],
-        }));
-        let name = self.it.heap.root(Value::FALSE);
-        Ok(Rc::new(Code::NamedLet {
-            index,
-            name,
-            args,
-            bump_gensym: true,
-        }))
+            a.local(1, 0, Some(Rc::from("do-loop")))?;
+            for &step in &steps {
+                a.analyze(step, false)?;
+            }
+            a.code.emit_call(steps.len(), true)
+        })
     }
 
     // ------------------------------------------------------------------
-    // cond / case
+    // and / or / when / cond / case
     // ------------------------------------------------------------------
 
-    fn analyze_cond(&mut self, clauses: Value) -> SResult<CodeRef> {
+    /// `and`/`or`: short-circuit through keep-jumps to a common end; the
+    /// empty forms are constants.
+    fn analyze_and_or(&mut self, form: Value, is_and: bool, tail: bool) -> SResult<()> {
+        let items = self.list_items(self.it.heap.cdr(form));
+        let Some((&last, init)) = items.split_last() else {
+            return self.constant(Value::bool(is_and), tail);
+        };
+        let jump: fn(u32) -> Insn = if is_and {
+            Insn::JmpIfFalseKeep
+        } else {
+            Insn::JmpIfTrueKeep
+        };
+        let mut outs = Vec::with_capacity(init.len());
+        for &e in init {
+            self.analyze(e, false)?;
+            outs.push(self.code.emit_jump(jump));
+        }
+        self.analyze(last, tail)?;
+        for at in outs {
+            self.code.patch_here(at)?;
+        }
+        if tail && !init.is_empty() {
+            self.code.emit(Insn::Return);
+        }
+        Ok(())
+    }
+
+    /// `when` (`want` = true) / `unless` (`want` = false).
+    fn analyze_when(&mut self, form: Value, want: bool, tail: bool) -> SResult<()> {
+        let test = self.nth(form, 1)?;
+        let body = self.tail_from(form, 2);
+        self.analyze(test, false)?;
+        let to_void = self.code.emit_jump(if want {
+            Insn::JmpIfFalse
+        } else {
+            Insn::JmpIfTrue
+        });
+        self.analyze_body(body, tail)?;
+        let to_end = self.branch_end(tail);
+        self.code.patch_here(to_void)?;
+        self.void(tail)?;
+        self.join(to_end)
+    }
+
+    fn analyze_cond(&mut self, clauses: Value, tail: bool) -> SResult<()> {
         if clauses.is_nil() {
-            return Ok(Rc::new(Code::Imm(Value::VOID)));
+            return self.void(tail);
         }
         let clause = self.scar(clauses)?;
         let test = self.scar(clause)?;
-        let rest_clauses = self.scdr(clauses)?;
-        let heap = &self.it.heap;
-        if heap.is_symbol(test) && test == self.it.sf.else_.get() {
-            let body = self.it.heap.cdr(clause);
-            return self.analyze_body(body);
+        let rest = self.scdr(clauses)?;
+        let body = self.it.heap.cdr(clause);
+        if self.it.heap.is_symbol(test) && test == self.it.sf.else_.get() {
+            return self.analyze_body(body, tail);
         }
-        let body = heap.cdr(clause);
+        self.analyze(test, false)?;
         if body.is_nil() {
-            // (test): the test's value, or fall through.
-            let test = self.analyze(test)?;
-            let rest = self.analyze_cond(rest_clauses)?;
-            return Ok(Rc::new(Code::Or(vec![test, rest])));
+            // (test): the test's value, or fall through — an `or`.
+            let out = self.code.emit_jump(Insn::JmpIfTrueKeep);
+            self.analyze_cond(rest, tail)?;
+            self.code.patch_here(out)?;
+            if tail {
+                self.code.emit(Insn::Return);
+            }
+            return Ok(());
         }
-        let first = self.it.heap.car(body);
+        let first = self.scar(body)?;
         if self.it.heap.is_symbol(first) && first == self.it.sf.arrow.get() {
-            let test = self.analyze(test)?;
-            let recv_form = self.nth(body, 1)?;
-            let recv = self.analyze(recv_form)?;
-            let rest = self.analyze_cond(rest_clauses)?;
-            return Ok(Rc::new(Code::CondArrow { test, recv, rest }));
+            // (test => receiver): apply the receiver to the test's value,
+            // non-tail like the naive evaluator.
+            let to_rest = self.code.emit_jump(Insn::JmpIfFalsePop);
+            let recv = self.nth(body, 1)?;
+            self.analyze(recv, false)?;
+            self.code.emit(Insn::CondApply);
+            let to_end = if tail {
+                self.code.emit(Insn::Return);
+                None
+            } else {
+                Some(self.code.emit_jump(Insn::Jmp))
+            };
+            self.code.patch_here(to_rest)?;
+            self.analyze_cond(rest, tail)?;
+            return self.join(to_end);
         }
-        let test = self.analyze(test)?;
-        let then_ = self.analyze_body(body)?;
-        let rest = self.analyze_cond(rest_clauses)?;
-        Ok(Rc::new(Code::If {
-            test,
-            then_,
-            else_: Some(rest),
-        }))
+        let to_else = self.code.emit_jump(Insn::JmpIfFalse);
+        self.analyze_body(body, tail)?;
+        let to_end = self.branch_end(tail);
+        self.code.patch_here(to_else)?;
+        self.analyze_cond(rest, tail)?;
+        self.join(to_end)
     }
 
-    fn analyze_case(&mut self, form: Value) -> SResult<CodeRef> {
-        let key_form = self.nth(form, 1)?;
-        let key = self.analyze(key_form)?;
-        let mut clauses = Vec::new();
+    /// `(case key clauses...)`: the key stays on the stack through a
+    /// `CaseMatch` per datum clause — every dispatch first, an `else` as
+    /// a plain jump — and each body starts by popping it.
+    fn analyze_case(&mut self, form: Value, tail: bool) -> SResult<()> {
+        let key = self.nth(form, 1)?;
+        self.analyze(key, false)?;
+        let mut arms = Vec::new();
         let mut c = self.tail_from(form, 2);
         while !c.is_nil() {
             let clause = self.scar(c)?;
             let head = self.scar(clause)?;
-            let heap = &self.it.heap;
-            let is_else = heap.is_symbol(head) && head == self.it.sf.else_.get();
-            let body_forms = heap.cdr(clause);
-            let datums = if is_else {
-                None
-            } else {
-                Some(self.it.heap.root(head))
-            };
-            let body = self.analyze_body(body_forms)?;
-            clauses.push(CaseClause { datums, body });
-            if is_else {
+            let body = self.it.heap.cdr(clause);
+            if self.it.heap.is_symbol(head) && head == self.it.sf.else_.get() {
                 // The naive evaluator stops at the first else clause.
+                arms.push((self.code.emit_jump(Insn::Jmp), body));
                 break;
             }
+            let datums = self.it.heap.root(head);
+            arms.push((self.code.case_match(datums)?, body));
             c = self.scdr(c)?;
         }
-        Ok(Rc::new(Code::Case { key, clauses }))
+        // No clause matched: drop the key, produce void.
+        self.code.emit(Insn::Pop);
+        self.void(tail)?;
+        let mut to_end: Vec<usize> = self.branch_end(tail).into_iter().collect();
+        for (at, body) in arms {
+            self.code.patch_here(at)?;
+            self.code.emit(Insn::Pop);
+            self.analyze_body(body, tail)?;
+            to_end.extend(self.branch_end(tail));
+        }
+        for at in to_end {
+            self.code.patch_here(at)?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1200,27 +1090,25 @@ impl<'a> Analyzer<'a> {
     // quasiquote
     // ------------------------------------------------------------------
 
-    /// Collects the `unquote`/`unquote-splicing` expressions of a
-    /// template in the exact order the runtime expansion walk reaches
-    /// them, analyzing each in the current scope. The runtime `Quasi`
-    /// executor performs the same walk, consuming sites by cursor.
-    fn analyze_quasiquote(&mut self, template: Value) -> SResult<CodeRef> {
+    /// Emits each `unquote`/`unquote-splicing` expression of a template
+    /// as a code object of its own, in the exact order the runtime
+    /// expansion walk reaches them, in the current scope. The runtime
+    /// `Quasi` executor performs the same walk, consuming sites by cursor.
+    fn analyze_quasiquote(&mut self, template: Value, tail: bool) -> SResult<()> {
         let mut sites = Vec::new();
         self.qq_collect(template, 1, &mut sites)?;
-        let rooted = self.it.heap.root(template);
-        Ok(Rc::new(Code::Quasi {
-            template: rooted,
-            sites,
-        }))
+        let template = self.it.heap.root(template);
+        self.code.quasi(template, sites)?;
+        self.done(tail)
     }
 
     fn qq_collect(
         &mut self,
         template: Value,
         depth: usize,
-        sites: &mut Vec<CodeRef>,
+        sites: &mut Vec<Rc<CodeObject>>,
     ) -> SResult<()> {
-        if self.depth >= MAX_ANALYZE_DEPTH {
+        if self.depth >= MAX_NESTING {
             return err("quasiquote nesting too deep");
         }
         self.depth += 1;
@@ -1233,7 +1121,7 @@ impl<'a> Analyzer<'a> {
         &mut self,
         template: Value,
         depth: usize,
-        sites: &mut Vec<CodeRef>,
+        sites: &mut Vec<Rc<CodeObject>>,
     ) -> SResult<()> {
         let heap = &self.it.heap;
         if heap.is_vector(template) {
@@ -1251,7 +1139,7 @@ impl<'a> Analyzer<'a> {
             if head == self.it.sf.unquote.get() {
                 let inner = self.nth(template, 1)?;
                 if depth == 1 {
-                    sites.push(self.analyze(inner)?);
+                    sites.push(self.block(|a| a.analyze(inner, true))?);
                     return Ok(());
                 }
                 return self.qq_collect(inner, depth - 1, sites);
@@ -1284,7 +1172,7 @@ impl<'a> Analyzer<'a> {
                 && self.it.heap.car(e) == self.it.sf.unquote_splicing.get();
             if is_splice {
                 let inner = self.nth(e, 1)?;
-                sites.push(self.analyze(inner)?);
+                sites.push(self.block(|a| a.analyze(inner, true))?);
             } else {
                 self.qq_collect(e, depth, sites)?;
             }
@@ -1306,164 +1194,64 @@ fn list3(heap: &mut guardians_gc::Heap, a: Value, b: Value, c: Value) -> Value {
     heap.cons(a, t)
 }
 
-/// Wraps parts in a `Seq` unless a single node suffices.
-fn seq_of(mut parts: Vec<CodeRef>) -> CodeRef {
-    if parts.len() == 1 {
-        parts.pop().expect("len checked")
-    } else {
-        Rc::new(Code::Seq(parts))
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-// ----------------------------------------------------------------------
-// Frame-slot audit
-// ----------------------------------------------------------------------
-
-/// Audits the frame-slot accounting of an analyzed tree against the
-/// static frame layouts in force at each position: every
-/// `LocalRef`/`LocalSet` must address a slot strictly inside the frame
-/// `depth` levels out, and `depth` must not escape the frames the tree
-/// itself introduces. The VM compiles fixed frame layouts straight from
-/// `n_slots`, so this is the proof obligation that lets it treat slot
-/// indices as exact.
-///
-/// `env` is the stack of static frame sizes, innermost last; lambdas
-/// reached through `Lambda`/`NamedLet` nodes are audited at their
-/// closure-creation point, where the enclosing static environment is
-/// exactly the runtime frame chain.
-pub(crate) fn audit_frame_slots(
-    code_tab: &[Rc<LambdaCode>],
-    code: &Code,
-    env: &mut Vec<usize>,
-) -> Result<(), String> {
-    fn check(env: &[usize], depth: usize, slot: usize, what: &str) -> Result<(), String> {
-        let Some(i) = env.len().checked_sub(depth + 1) else {
-            return Err(format!(
-                "{what}: depth {depth} escapes the {} static frames",
-                env.len()
-            ));
+    /// The two frame-slot checks refuse forged layouts by name: a
+    /// lexical address outside the live scope stack, and a frame with
+    /// more inits than slots. In-range addresses emit.
+    #[test]
+    fn frame_slot_check_refuses_forged_addresses() {
+        let mut it = Interp::new();
+        let x = it.intern("x");
+        let mut a = Analyzer {
+            it: &mut it,
+            scopes: vec![vec![x, x], vec![x]],
+            depth: 0,
+            code: Emitter::default(),
         };
-        let n = env[i];
-        if slot >= n {
-            return Err(format!(
-                "{what}: slot {slot} outside its frame's {n} slots at depth {depth}"
-            ));
+        a.local(0, 0, Some(Rc::from("x")))
+            .expect("slot 0 of the inner frame");
+        a.local(1, 1, None).expect("slot 1 of the outer frame");
+        for (depth, slot, name, expected) in [
+            (
+                0,
+                1,
+                Some("x"),
+                "slot 1 outside its frame's 1 slots at depth 0",
+            ),
+            (1, 2, None, "slot 2 outside its frame's 2 slots at depth 1"),
+            (2, 0, None, "depth 2 escapes the 2 frames in scope"),
+        ] {
+            let e = a.local(depth, slot, name.map(Rc::from)).unwrap_err();
+            assert_eq!(e.message(), format!("frame-slot check: {expected}"));
         }
-        Ok(())
+        let e = a.push_frame(vec![x], 2).unwrap_err();
+        assert_eq!(
+            e.message(),
+            "frame-slot check: 2 inits for a frame of 1 slots"
+        );
+        a.push_frame(vec![x, x], 1).expect("one init, two slots");
     }
-    fn audit_lambda(
-        code_tab: &[Rc<LambdaCode>],
-        index: usize,
-        env: &mut Vec<usize>,
-    ) -> Result<(), String> {
-        let lc = code_tab
-            .get(index)
-            .ok_or_else(|| format!("lambda index {index} outside the code table"))?
-            .clone();
-        for clause in &lc.clauses {
-            env.push(clause.n_slots);
-            let r = audit_frame_slots(code_tab, &clause.body, env);
-            env.pop();
-            r?;
-        }
-        Ok(())
-    }
-    match code {
-        Code::Imm(_) | Code::Const(_) | Code::GlobalRef(_) => Ok(()),
-        Code::LocalRef { depth, slot, name } => check(env, *depth, *slot, name),
-        Code::LocalSet { depth, slot, value } => {
-            check(env, *depth, *slot, "set!")?;
-            audit_frame_slots(code_tab, value, env)
-        }
-        Code::GlobalSet { value, .. } | Code::GlobalDefine { value, .. } => {
-            audit_frame_slots(code_tab, value, env)
-        }
-        Code::If { test, then_, else_ } => {
-            audit_frame_slots(code_tab, test, env)?;
-            audit_frame_slots(code_tab, then_, env)?;
-            match else_ {
-                Some(e) => audit_frame_slots(code_tab, e, env),
-                None => Ok(()),
+
+    /// The analyzer's own guard, on forms built past the reader:
+    /// `(+ 1 (+ 1 … 0))` analyzes 999 levels deep and refuses 1000.
+    #[test]
+    fn analysis_refuses_forms_nested_past_the_bound() {
+        let mut it = Interp::new();
+        let plus = it.intern("+");
+        let mut form = Value::fixnum(0);
+        for depth in 1..=1000 {
+            let heap = &mut it.heap;
+            let args = heap.cons(form, Value::NIL);
+            let args = heap.cons(Value::fixnum(1), args);
+            form = heap.cons(plus, args);
+            if depth == 999 {
+                assert!(analyze_top(&mut it, form).is_ok());
             }
         }
-        Code::Lambda { index, .. } => audit_lambda(code_tab, *index, env),
-        Code::Seq(parts) | Code::And(parts) | Code::Or(parts) => {
-            for p in parts {
-                audit_frame_slots(code_tab, p, env)?;
-            }
-            Ok(())
-        }
-        Code::Let {
-            n_slots,
-            inits,
-            body,
-        } => {
-            if inits.len() > *n_slots {
-                return Err(format!(
-                    "let: {} inits for a frame of {n_slots} slots",
-                    inits.len()
-                ));
-            }
-            for init in inits {
-                audit_frame_slots(code_tab, init, env)?;
-            }
-            env.push(*n_slots);
-            let r = audit_frame_slots(code_tab, body, env);
-            env.pop();
-            r
-        }
-        Code::NamedLet { index, args, .. } => {
-            for a in args {
-                audit_frame_slots(code_tab, a, env)?;
-            }
-            // The runtime name frame holds exactly one slot (the loop
-            // closure); the clause frame sits inside it.
-            env.push(1);
-            let r = audit_lambda(code_tab, *index, env);
-            env.pop();
-            r?;
-            let lc = &code_tab[*index];
-            for clause in &lc.clauses {
-                if clause.variadic || args.len() != clause.n_req {
-                    continue;
-                }
-                if clause.n_req > clause.n_slots {
-                    return Err(format!(
-                        "named let: {} params for a frame of {} slots",
-                        clause.n_req, clause.n_slots
-                    ));
-                }
-            }
-            Ok(())
-        }
-        Code::When { test, body, .. } => {
-            audit_frame_slots(code_tab, test, env)?;
-            audit_frame_slots(code_tab, body, env)
-        }
-        Code::CondArrow { test, recv, rest } => {
-            audit_frame_slots(code_tab, test, env)?;
-            audit_frame_slots(code_tab, recv, env)?;
-            audit_frame_slots(code_tab, rest, env)
-        }
-        Code::Case { key, clauses } => {
-            audit_frame_slots(code_tab, key, env)?;
-            for cl in clauses {
-                audit_frame_slots(code_tab, &cl.body, env)?;
-            }
-            Ok(())
-        }
-        Code::App { op, args } => {
-            audit_frame_slots(code_tab, op, env)?;
-            for a in args {
-                audit_frame_slots(code_tab, a, env)?;
-            }
-            Ok(())
-        }
-        Code::Quasi { sites, .. } => {
-            for s in sites {
-                audit_frame_slots(code_tab, s, env)?;
-            }
-            Ok(())
-        }
+        let e = analyze_top(&mut it, form).err().expect("past the bound");
+        assert_eq!(e.message(), "form nesting too deep");
     }
 }

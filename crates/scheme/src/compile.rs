@@ -1,11 +1,13 @@
-//! Bytecode compiler: lowers the analyzer's opcode tree into flat
-//! [`CodeObject`]s for the VM.
+//! The bytecode: the instruction set, the flat [`CodeObject`]s the VM
+//! runs, and the block [`Emitter`] the analyzer (`analyze.rs`) writes
+//! them with as it walks a form.
 //!
-//! The compiler is *pure* with respect to the heap: it clones `Rooted`
-//! handles and `Rc<GlobalSite>`s out of the analyzed tree into per-object
-//! constant pools and never allocates, so the VM's allocation sequence is
-//! a function of the analyzed tree alone — the property the golden
-//! counter table (`crates/torture/tests/scheme_counters.rs`) pins down.
+//! The emitter is *pure* with respect to the heap: it moves the
+//! analyzer's `Rooted` handles and global sites into per-object constant
+//! pools and never allocates, so the VM's allocation sequence is a
+//! function of the analyzer's own allocations alone — the property the
+//! golden counter table (`crates/torture/tests/scheme_counters.rs`) pins
+//! down.
 //!
 //! Layout decisions (see DESIGN §11):
 //! - one `CodeObject` per straight-line region: the top-level form, each
@@ -21,25 +23,24 @@
 //!   (`local-ref+call`, `imm+call`, `const+call`) unless a jump target
 //!   lands between them.
 
-use crate::analyze::{self, Code, CodeRef, GlobalSite, LambdaCode};
-use crate::error::{err, SResult};
+use crate::analyze::GlobalSite;
+use crate::error::{SResult, SchemeError};
 use guardians_gc::{Heap, Rooted, Value};
 use guardians_runtime::printer::write_value;
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Sentinel for an empty [`CallCache`] slot.
 const CACHE_EMPTY: u32 = u32::MAX;
 
-/// Per-call-site monomorphic inline cache: the code-table index of the
-/// last closure applied here and the clause it selected. Sound because a
+/// Per-call-site monomorphic inline cache: the lambda index of the last
+/// closure applied here and the clause it selected. Sound because a
 /// call site's argument count is fixed, so for a given lambda the clause
 /// choice can never change; a hit skips the clause walk and its arity
 /// error checks (the miss path re-validates from scratch).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CallCache {
-    /// Code-table index of the cached lambda, or `CACHE_EMPTY`.
+    /// Lambda index of the cached lambda, or `CACHE_EMPTY`.
     pub lambda: u32,
     /// Clause index selected for this site's argc.
     pub clause: u32,
@@ -61,10 +62,10 @@ impl CallCache {
     }
 }
 
-/// A lambda creation site: the interpreter code-table index plus the
-/// procedure name used in the closure record.
+/// A lambda creation site: the lambda's index in `Interp::lambdas` plus
+/// the procedure name used in the closure record.
 pub(crate) struct LambdaRef {
-    /// Index into `Interp::code_tab` / `Interp::vm_tab`.
+    /// Index into `Interp::lambdas`.
     pub index: usize,
     /// The procedure's name (rooted symbol, or `#f`).
     pub name: Rooted,
@@ -79,20 +80,20 @@ pub(crate) struct QuasiBlock {
     pub sites: Vec<Rc<CodeObject>>,
 }
 
-/// One clause of a compiled lambda, mirroring `ClauseCode` with the body
-/// lowered to bytecode.
+/// One clause of a compiled lambda.
 pub(crate) struct VmClause {
     /// Number of required parameters.
     pub n_req: usize,
     /// Whether a rest parameter follows.
     pub variadic: bool,
-    /// Exact frame slot count (audited by `audit_frame_slots`).
+    /// Exact frame slot count: the length of the clause's scope frame,
+    /// against which the analyzer checked every address into it.
     pub n_slots: usize,
     /// The clause body.
     pub body: Rc<CodeObject>,
 }
 
-/// A compiled lambda: clauses tried in order, like `LambdaCode`.
+/// A compiled lambda: clauses tried in order (a plain `lambda` has one).
 pub(crate) struct VmLambda {
     /// One entry per clause.
     pub clauses: Vec<VmClause>,
@@ -107,9 +108,9 @@ pub(crate) struct CodeObject {
     pub imms: Vec<Value>,
     /// Rooted heap constants (quoted data, `case` datum lists).
     pub consts: Vec<Rooted>,
-    /// Global reference sites (shared with the analyzed tree, so every
-    /// code object compiled from one site warms the same inline cache).
-    pub sites: Vec<Rc<GlobalSite>>,
+    /// Global reference sites, one per source reference, each with its
+    /// inline cache.
+    pub sites: Vec<GlobalSite>,
     /// Variable names for "used before initialization" errors.
     pub names: Vec<Rc<str>>,
     /// Lambda creation sites.
@@ -426,98 +427,15 @@ impl Insn {
     }
 }
 
-/// The result of [`compile_top`]: the top-level code object plus every
-/// lambda compiled while lowering it, keyed by code-table index (to be
-/// merged into `Interp::vm_tab`).
-pub(crate) struct Compiled {
-    /// The top-level form's code.
-    pub co: Rc<CodeObject>,
-    /// Newly compiled lambdas: `(code_tab index, compiled)`.
-    pub lambdas: Vec<(usize, Rc<VmLambda>)>,
-}
-
-/// Shared compilation context: the interpreter's code table (read-only)
-/// and the lambdas compiled so far.
-struct Ctx<'tab> {
-    code_tab: &'tab [Rc<LambdaCode>],
-    out: Vec<(usize, Rc<VmLambda>)>,
-    done: HashSet<usize>,
-}
-
-/// Compiles one analyzed top-level form. Runs the frame-slot audit
-/// first — the VM's fixed layouts assume every (`depth`, `slot`) pair is
-/// in range — then lowers the tree and, eagerly, every lambda it
-/// creates (each code-table index has exactly one creation site, so the
-/// static environment is fully known here).
-pub(crate) fn compile_top(code_tab: &[Rc<LambdaCode>], code: &CodeRef) -> SResult<Compiled> {
-    if let Err(e) = analyze::audit_frame_slots(code_tab, code, &mut Vec::new()) {
-        return err(format!("compile: frame-slot audit failed: {e}"));
-    }
-    let mut cx = Ctx {
-        code_tab,
-        out: Vec::new(),
-        done: HashSet::new(),
-    };
-    let co = compile_block(&mut cx, code)?;
-    Ok(Compiled {
-        co,
-        lambdas: cx.out,
-    })
-}
-
-/// Compiles just the lambda at `index` (and any lambdas its body
-/// creates), for the VM's lazy fallback when a closure arrives from a
-/// form the eager pass never saw.
-pub(crate) fn compile_lambda(
-    code_tab: &[Rc<LambdaCode>],
-    index: usize,
-) -> SResult<Vec<(usize, Rc<VmLambda>)>> {
-    let mut cx = Ctx {
-        code_tab,
-        out: Vec::new(),
-        done: HashSet::new(),
-    };
-    register_lambda(&mut cx, index)?;
-    Ok(cx.out)
-}
-
-/// Compiles `code` into a self-contained code object ending in a return
-/// (used for the top level, lambda clause bodies, and quasiquote sites).
-fn compile_block(cx: &mut Ctx<'_>, code: &Code) -> SResult<Rc<CodeObject>> {
-    let mut c = Compiler::new(cx);
-    c.compile_tail(code)?;
-    Ok(Rc::new(c.finish()))
-}
-
-/// Compiles the clauses of the lambda at `index`, if not already done.
-fn register_lambda(cx: &mut Ctx<'_>, index: usize) -> SResult<()> {
-    if !cx.done.insert(index) {
-        return Ok(());
-    }
-    let Some(lc) = cx.code_tab.get(index).cloned() else {
-        return err(format!("compile: lambda index {index} out of range"));
-    };
-    let mut clauses = Vec::with_capacity(lc.clauses.len());
-    for clause in &lc.clauses {
-        let body = compile_block(cx, &clause.body)?;
-        clauses.push(VmClause {
-            n_req: clause.n_req,
-            variadic: clause.variadic,
-            n_slots: clause.n_slots,
-            body,
-        });
-    }
-    cx.out.push((index, Rc::new(VmLambda { clauses })));
-    Ok(())
-}
-
-/// Single-block bytecode emitter.
-struct Compiler<'c, 'tab> {
-    cx: &'c mut Ctx<'tab>,
+/// The block emitter: one [`CodeObject`] under construction. The
+/// analyzer emits into it as it walks a form; a jump is emitted with a
+/// placeholder target and bound later by [`Emitter::patch_here`].
+#[derive(Default)]
+pub(crate) struct Emitter {
     insns: Vec<Insn>,
     imms: Vec<Value>,
     consts: Vec<Rooted>,
-    sites: Vec<Rc<GlobalSite>>,
+    sites: Vec<GlobalSite>,
     names: Vec<Rc<str>>,
     lambdas: Vec<LambdaRef>,
     quasis: Vec<QuasiBlock>,
@@ -529,24 +447,10 @@ struct Compiler<'c, 'tab> {
     barrier: usize,
 }
 
-impl<'c, 'tab> Compiler<'c, 'tab> {
-    fn new(cx: &'c mut Ctx<'tab>) -> Compiler<'c, 'tab> {
-        Compiler {
-            cx,
-            insns: Vec::new(),
-            imms: Vec::new(),
-            consts: Vec::new(),
-            sites: Vec::new(),
-            names: Vec::new(),
-            lambdas: Vec::new(),
-            quasis: Vec::new(),
-            n_caches: 0,
-            barrier: 0,
-        }
-    }
-
-    fn finish(self) -> CodeObject {
-        CodeObject {
+impl Emitter {
+    /// The finished code object.
+    pub(crate) fn finish(self) -> Rc<CodeObject> {
+        Rc::new(CodeObject {
             insns: self.insns,
             imms: self.imms,
             consts: self.consts,
@@ -555,444 +459,119 @@ impl<'c, 'tab> Compiler<'c, 'tab> {
             lambdas: self.lambdas,
             quasis: self.quasis,
             caches: vec![Cell::new(CallCache::empty()); self.n_caches],
-        }
+        })
     }
 
-    // ---- pools ----------------------------------------------------
+    // ---- pooled pushes ----------------------------------------------
 
-    fn imm(&mut self, v: Value) -> SResult<u32> {
-        pool_push(&mut self.imms, v, "immediate")
+    /// Emits a push of the immediate `v`.
+    pub(crate) fn imm(&mut self, v: Value) -> SResult<()> {
+        let i = pool_push(&mut self.imms, v, "immediate")?;
+        self.emit(Insn::Imm(i));
+        Ok(())
     }
 
-    fn konst(&mut self, r: &Rooted) -> SResult<u32> {
-        pool_push(&mut self.consts, r.clone(), "constant")
+    /// Emits a push of the heap constant `r`.
+    pub(crate) fn konst(&mut self, r: Rooted) -> SResult<()> {
+        let i = pool_push(&mut self.consts, r, "constant")?;
+        self.emit(Insn::Const(i));
+        Ok(())
     }
 
-    fn site(&mut self, s: &Rc<GlobalSite>) -> SResult<u32> {
-        pool_push(&mut self.sites, s.clone(), "global site")
+    /// Emits `op` — a global reference, `set!` or define — on `site`.
+    pub(crate) fn global(&mut self, op: fn(u32) -> Insn, site: GlobalSite) -> SResult<()> {
+        let i = pool_push(&mut self.sites, site, "global site")?;
+        self.emit(op(i));
+        Ok(())
     }
 
-    fn name(&mut self, n: &Rc<str>) -> SResult<u16> {
-        narrow(
-            pool_push(&mut self.names, n.clone(), "name")? as usize,
-            "name",
-        )
+    /// Pools a variable name for a lexical reference's error message.
+    pub(crate) fn name(&mut self, name: Rc<str>) -> SResult<u16> {
+        narrow(pool_push(&mut self.names, name, "name")? as usize, "name")
     }
 
-    fn lambda_ref(&mut self, index: usize, name: &Rooted) -> SResult<u32> {
-        register_lambda(self.cx, index)?;
-        pool_push(
-            &mut self.lambdas,
-            LambdaRef {
-                index,
-                name: name.clone(),
-            },
-            "lambda",
-        )
+    /// Emits a closure creation for the lambda at `index`.
+    pub(crate) fn make_closure(&mut self, index: usize, name: Rooted) -> SResult<()> {
+        let i = pool_push(&mut self.lambdas, LambdaRef { index, name }, "lambda")?;
+        self.emit(Insn::MakeClosure(i));
+        Ok(())
     }
 
-    fn cache(&mut self) -> SResult<u16> {
-        let i = self.n_caches;
-        self.n_caches += 1;
-        narrow(i, "call cache")
+    /// Emits a named-`let` entry into the loop lambda at `index` on the
+    /// `argc` arguments just pushed: `EnterLoop` in tail position,
+    /// `EnterLoopCall` (over a saved environment) otherwise.
+    pub(crate) fn enter_loop(
+        &mut self,
+        index: usize,
+        name: Rooted,
+        argc: usize,
+        tail: bool,
+    ) -> SResult<()> {
+        let i = pool_push(&mut self.lambdas, LambdaRef { index, name }, "lambda")?;
+        let lambda = narrow(i as usize, "loop lambda")?;
+        let argc = narrow(argc, "loop argc")?;
+        self.emit(if tail {
+            Insn::EnterLoop { lambda, argc }
+        } else {
+            Insn::EnterLoopCall { lambda, argc }
+        });
+        Ok(())
     }
 
-    // ---- emission -------------------------------------------------
+    /// Emits the expansion of `template` over its compiled unquote
+    /// `sites`.
+    pub(crate) fn quasi(&mut self, template: Rooted, sites: Vec<Rc<CodeObject>>) -> SResult<()> {
+        let i = pool_push(
+            &mut self.quasis,
+            QuasiBlock { template, sites },
+            "quasiquote",
+        )?;
+        self.emit(Insn::Quasi(i));
+        Ok(())
+    }
 
-    fn emit(&mut self, insn: Insn) {
+    /// Emits a `case` dispatch on `datums` with a placeholder target;
+    /// returns its index for [`Emitter::patch_here`].
+    pub(crate) fn case_match(&mut self, datums: Rooted) -> SResult<usize> {
+        let datums = pool_push(&mut self.consts, datums, "constant")?;
+        let at = self.insns.len();
+        self.emit(Insn::CaseMatch {
+            datums,
+            target: u32::MAX,
+        });
+        Ok(at)
+    }
+
+    // ---- control ----------------------------------------------------
+
+    /// Emits `insn`.
+    pub(crate) fn emit(&mut self, insn: Insn) {
         self.insns.push(insn);
     }
 
     /// Emits a jump with a placeholder target; returns its index for
-    /// [`Compiler::patch_here`].
-    fn emit_jump(&mut self, mk: fn(u32) -> Insn) -> usize {
+    /// [`Emitter::patch_here`].
+    pub(crate) fn emit_jump(&mut self, mk: fn(u32) -> Insn) -> usize {
         let at = self.insns.len();
         self.insns.push(mk(u32::MAX));
         at
     }
 
-    /// Binds the jump at `at` to the current position and raises the
-    /// fusion barrier (a label now lands here).
-    fn patch_here(&mut self, at: usize) -> SResult<()> {
+    /// Binds the jump (or `case` dispatch) at `at` to the current
+    /// position and raises the fusion barrier (a label now lands here).
+    pub(crate) fn patch_here(&mut self, at: usize) -> SResult<()> {
         let target = narrow32(self.insns.len(), "jump target")?;
         set_jump_target(&mut self.insns[at], target);
         self.barrier = self.insns.len();
         Ok(())
     }
 
-    // ---- expression compilation -----------------------------------
-
-    /// Compiles `code` so it leaves exactly one value on the stack.
-    fn compile_push(&mut self, code: &Code) -> SResult<()> {
-        match code {
-            Code::Imm(v) => {
-                let i = self.imm(*v)?;
-                self.emit(Insn::Imm(i));
-            }
-            Code::Const(r) => {
-                let i = self.konst(r)?;
-                self.emit(Insn::Const(i));
-            }
-            Code::LocalRef { depth, slot, name } => {
-                let name = self.name(name)?;
-                self.emit(Insn::LocalRef {
-                    depth: narrow(*depth, "frame depth")?,
-                    slot: narrow(*slot, "frame slot")?,
-                    name,
-                });
-            }
-            Code::GlobalRef(site) => {
-                let i = self.site(site)?;
-                self.emit(Insn::GlobalRef(i));
-            }
-            Code::LocalSet { depth, slot, value } => {
-                self.compile_push(value)?;
-                self.emit(Insn::LocalSet {
-                    depth: narrow(*depth, "frame depth")?,
-                    slot: narrow(*slot, "frame slot")?,
-                });
-            }
-            Code::GlobalSet { site, value } => {
-                self.compile_push(value)?;
-                let i = self.site(site)?;
-                self.emit(Insn::GlobalSet(i));
-            }
-            Code::GlobalDefine { site, value } => {
-                self.compile_push(value)?;
-                let i = self.site(site)?;
-                self.emit(Insn::GlobalDefine(i));
-            }
-            Code::If { test, then_, else_ } => {
-                self.compile_push(test)?;
-                let to_else = self.emit_jump(Insn::JmpIfFalse);
-                self.compile_push(then_)?;
-                let to_end = self.emit_jump(Insn::Jmp);
-                self.patch_here(to_else)?;
-                match else_ {
-                    Some(e) => self.compile_push(e)?,
-                    None => {
-                        let i = self.imm(Value::VOID)?;
-                        self.emit(Insn::Imm(i));
-                    }
-                }
-                self.patch_here(to_end)?;
-            }
-            Code::Lambda { index, name } => {
-                let i = self.lambda_ref(*index, name)?;
-                self.emit(Insn::MakeClosure(i));
-            }
-            Code::Seq(parts) => match parts.split_last() {
-                None => {
-                    let i = self.imm(Value::VOID)?;
-                    self.emit(Insn::Imm(i));
-                }
-                Some((last, inits)) => {
-                    for p in inits {
-                        self.compile_push(p)?;
-                        self.emit(Insn::Pop);
-                    }
-                    self.compile_push(last)?;
-                }
-            },
-            Code::Let {
-                n_slots,
-                inits,
-                body,
-            } => {
-                self.emit(Insn::SaveEnv);
-                self.compile_let_frame(*n_slots, inits)?;
-                self.compile_push(body)?;
-                self.emit(Insn::RestoreEnv);
-            }
-            Code::NamedLet {
-                index,
-                name,
-                args,
-                bump_gensym,
-            } => {
-                if *bump_gensym {
-                    self.emit(Insn::BumpGensym);
-                }
-                self.emit(Insn::SaveEnv);
-                for a in args {
-                    self.compile_push(a)?;
-                }
-                let lambda = self.lambda_ref(*index, name)?;
-                self.emit(Insn::EnterLoopCall {
-                    lambda: narrow(lambda as usize, "loop lambda")?,
-                    argc: narrow(args.len(), "loop argc")?,
-                });
-            }
-            Code::And(parts) => self.compile_and_or(parts, Insn::JmpIfFalseKeep, false)?,
-            Code::Or(parts) => self.compile_and_or(parts, Insn::JmpIfTrueKeep, false)?,
-            Code::When { test, want, body } => {
-                self.compile_push(test)?;
-                let to_void = self.emit_jump(if *want {
-                    Insn::JmpIfFalse
-                } else {
-                    Insn::JmpIfTrue
-                });
-                self.compile_push(body)?;
-                let to_end = self.emit_jump(Insn::Jmp);
-                self.patch_here(to_void)?;
-                let i = self.imm(Value::VOID)?;
-                self.emit(Insn::Imm(i));
-                self.patch_here(to_end)?;
-            }
-            Code::CondArrow { test, recv, rest } => {
-                self.compile_push(test)?;
-                let to_rest = self.emit_jump(Insn::JmpIfFalsePop);
-                self.compile_push(recv)?;
-                self.emit(Insn::CondApply);
-                let to_end = self.emit_jump(Insn::Jmp);
-                self.patch_here(to_rest)?;
-                self.compile_push(rest)?;
-                self.patch_here(to_end)?;
-            }
-            Code::Case { key, clauses } => self.compile_case(key, clauses, false)?,
-            Code::App { op, args } => {
-                self.compile_push(op)?;
-                for a in args {
-                    self.compile_push(a)?;
-                }
-                self.emit_call(args.len(), false)?;
-            }
-            Code::Quasi { template, sites } => {
-                let mut compiled = Vec::with_capacity(sites.len());
-                for s in sites {
-                    compiled.push(compile_block(self.cx, s)?);
-                }
-                let i = pool_push(
-                    &mut self.quasis,
-                    QuasiBlock {
-                        template: template.clone(),
-                        sites: compiled,
-                    },
-                    "quasiquote",
-                )?;
-                self.emit(Insn::Quasi(i));
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles `code` in tail position: every path ends in `Return`,
-    /// `TailCall`, or `EnterLoop`.
-    fn compile_tail(&mut self, code: &Code) -> SResult<()> {
-        match code {
-            Code::If { test, then_, else_ } => {
-                self.compile_push(test)?;
-                let to_else = self.emit_jump(Insn::JmpIfFalse);
-                self.compile_tail(then_)?;
-                self.patch_here(to_else)?;
-                match else_ {
-                    Some(e) => self.compile_tail(e)?,
-                    None => {
-                        let i = self.imm(Value::VOID)?;
-                        self.emit(Insn::Imm(i));
-                        self.emit(Insn::Return);
-                    }
-                }
-            }
-            Code::Seq(parts) => match parts.split_last() {
-                None => {
-                    let i = self.imm(Value::VOID)?;
-                    self.emit(Insn::Imm(i));
-                    self.emit(Insn::Return);
-                }
-                Some((last, inits)) => {
-                    for p in inits {
-                        self.compile_push(p)?;
-                        self.emit(Insn::Pop);
-                    }
-                    self.compile_tail(last)?;
-                }
-            },
-            Code::Let {
-                n_slots,
-                inits,
-                body,
-            } => {
-                // Tail let: the activation's environment slot is simply
-                // replaced.
-                self.compile_let_frame(*n_slots, inits)?;
-                self.compile_tail(body)?;
-            }
-            Code::NamedLet {
-                index,
-                name,
-                args,
-                bump_gensym,
-            } => {
-                if *bump_gensym {
-                    self.emit(Insn::BumpGensym);
-                }
-                for a in args {
-                    self.compile_push(a)?;
-                }
-                let lambda = self.lambda_ref(*index, name)?;
-                self.emit(Insn::EnterLoop {
-                    lambda: narrow(lambda as usize, "loop lambda")?,
-                    argc: narrow(args.len(), "loop argc")?,
-                });
-            }
-            Code::And(parts) => self.compile_and_or(parts, Insn::JmpIfFalseKeep, true)?,
-            Code::Or(parts) => self.compile_and_or(parts, Insn::JmpIfTrueKeep, true)?,
-            Code::When { test, want, body } => {
-                self.compile_push(test)?;
-                let to_void = self.emit_jump(if *want {
-                    Insn::JmpIfFalse
-                } else {
-                    Insn::JmpIfTrue
-                });
-                self.compile_tail(body)?;
-                self.patch_here(to_void)?;
-                let i = self.imm(Value::VOID)?;
-                self.emit(Insn::Imm(i));
-                self.emit(Insn::Return);
-            }
-            Code::CondArrow { test, recv, rest } => {
-                self.compile_push(test)?;
-                let to_rest = self.emit_jump(Insn::JmpIfFalsePop);
-                self.compile_push(recv)?;
-                self.emit(Insn::CondApply);
-                self.emit(Insn::Return);
-                self.patch_here(to_rest)?;
-                self.compile_tail(rest)?;
-            }
-            Code::Case { key, clauses } => self.compile_case(key, clauses, true)?,
-            Code::App { op, args } => {
-                self.compile_push(op)?;
-                for a in args {
-                    self.compile_push(a)?;
-                }
-                self.emit_call(args.len(), true)?;
-            }
-            _ => {
-                self.compile_push(code)?;
-                self.emit_return();
-            }
-        }
-        Ok(())
-    }
-
-    /// Emits init evaluation + `PushFrame` for a `let`/`letrec` frame.
-    fn compile_let_frame(&mut self, n_slots: usize, inits: &[CodeRef]) -> SResult<()> {
-        for init in inits {
-            self.compile_push(init)?;
-        }
-        self.emit(Insn::PushFrame {
-            n_slots: narrow(n_slots, "let slots")?,
-            n_inits: narrow(inits.len(), "let inits")?,
-        });
-        Ok(())
-    }
-
-    /// `and`/`or`: short-circuit through keep-jumps to a common end.
-    fn compile_and_or(
-        &mut self,
-        parts: &[CodeRef],
-        jump: fn(u32) -> Insn,
-        tail: bool,
-    ) -> SResult<()> {
-        // The analyzer folds the empty forms to immediates, so `parts`
-        // is non-empty here.
-        let (last, inits) = parts.split_last().expect("analyzer folds empty and/or");
-        let mut outs = Vec::with_capacity(inits.len());
-        for p in inits {
-            self.compile_push(p)?;
-            outs.push(self.emit_jump(jump));
-        }
-        if tail {
-            self.compile_tail(last)?;
-            for at in outs {
-                self.patch_here(at)?;
-            }
-            if !inits.is_empty() {
-                self.emit(Insn::Return);
-            }
-        } else {
-            self.compile_push(last)?;
-            for at in outs {
-                self.patch_here(at)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// `case`: key on the stack, `CaseMatch` per datum clause, bodies
-    /// popping the key first.
-    fn compile_case(
-        &mut self,
-        key: &Code,
-        clauses: &[analyze::CaseClause],
-        tail: bool,
-    ) -> SResult<()> {
-        self.compile_push(key)?;
-        let mut dispatches = Vec::with_capacity(clauses.len());
-        let mut to_else = None;
-        for clause in clauses {
-            match &clause.datums {
-                Some(datums) => {
-                    let d = self.konst(datums)?;
-                    let at = self.insns.len();
-                    self.emit(Insn::CaseMatch {
-                        datums: d,
-                        target: u32::MAX,
-                    });
-                    dispatches.push(Some(at));
-                }
-                None => {
-                    dispatches.push(None);
-                    to_else = Some(self.emit_jump(Insn::Jmp));
-                    break; // an else clause always matches
-                }
-            }
-        }
-        // No clause matched: drop the key, produce void.
-        self.emit(Insn::Pop);
-        let i = self.imm(Value::VOID)?;
-        self.emit(Insn::Imm(i));
-        let mut to_end = Vec::new();
-        if tail {
-            self.emit(Insn::Return);
-        } else {
-            to_end.push(self.emit_jump(Insn::Jmp));
-        }
-        for (clause, at) in clauses.iter().zip(dispatches) {
-            let target = narrow32(self.insns.len(), "case target")?;
-            self.barrier = self.insns.len();
-            match at {
-                Some(at) => {
-                    if let Insn::CaseMatch { target: t, .. } = &mut self.insns[at] {
-                        *t = target;
-                    }
-                }
-                None => {
-                    if let Some(at) = to_else.take() {
-                        set_jump_target(&mut self.insns[at], target);
-                    }
-                }
-            }
-            self.emit(Insn::Pop);
-            if tail {
-                self.compile_tail(&clause.body)?;
-            } else {
-                self.compile_push(&clause.body)?;
-                to_end.push(self.emit_jump(Insn::Jmp));
-            }
-        }
-        for at in to_end {
-            self.patch_here(at)?;
-        }
-        Ok(())
-    }
-
     /// Emits a call, fusing the preceding value push when no jump target
     /// separates them.
-    fn emit_call(&mut self, argc: usize, tail: bool) -> SResult<()> {
+    pub(crate) fn emit_call(&mut self, argc: usize, tail: bool) -> SResult<()> {
         let argc = narrow(argc, "call argc")?;
-        let cache = self.cache()?;
+        let cache = narrow(self.n_caches, "call cache")?;
+        self.n_caches += 1;
         if self.insns.len() > self.barrier {
             let fused = match *self.insns.last().expect("non-empty past barrier") {
                 Insn::LocalRef { depth, slot, name } => Some(if tail {
@@ -1038,7 +617,7 @@ impl<'c, 'tab> Compiler<'c, 'tab> {
     }
 
     /// Emits a return, fusing a preceding `LocalRef`.
-    fn emit_return(&mut self) {
+    pub(crate) fn emit_return(&mut self) {
         if self.insns.len() > self.barrier {
             if let Some(&Insn::LocalRef { depth, slot, name }) = self.insns.last() {
                 *self.insns.last_mut().expect("non-empty past barrier") =
@@ -1058,13 +637,12 @@ fn pool_push<T>(pool: &mut Vec<T>, item: T, what: &str) -> SResult<u32> {
 }
 
 fn narrow32(n: usize, what: &str) -> SResult<u32> {
-    u32::try_from(n)
-        .map_err(|_| crate::error::SchemeError::new(format!("compile: {what} overflow")))
+    u32::try_from(n).map_err(|_| SchemeError::new(format!("compile: {what} overflow")))
 }
 
-fn narrow(n: usize, what: &str) -> SResult<u16> {
-    u16::try_from(n)
-        .map_err(|_| crate::error::SchemeError::new(format!("compile: {what} overflow")))
+/// Narrows an operand to an insn's `u16` field.
+pub(crate) fn narrow(n: usize, what: &str) -> SResult<u16> {
+    u16::try_from(n).map_err(|_| SchemeError::new(format!("compile: {what} overflow")))
 }
 
 /// Rewrites the target operand of a jump-family insn.

@@ -8,8 +8,9 @@
 //! live intermediate value on a rooted shadow stack and re-reads values
 //! from their slots after any sub-evaluation.
 //!
-//! Production evaluation is `analyze → compile → vm` (`analyze.rs`,
-//! `compile.rs`, `vm.rs`). The cons-walking evaluator in this file
+//! Production evaluation is two stages: `analyze.rs` emits bytecode (the
+//! format of `compile.rs`) and `vm.rs` runs it; this file holds the one
+//! table of analyzed lambdas they share. The cons-walking evaluator here
 //! ([`EvalMode::Naive`]) is the oracle the VM is tested against: it
 //! re-walks the source list on every evaluation and is kept because it
 //! is obviously right, not because it is fast.
@@ -19,7 +20,7 @@
 //! the paper's tail-recursive idioms (`close-dropped-ports`, Figure 1's
 //! `let loop`) run in constant Rust stack.
 
-use crate::analyze::{self, GlobalSite, LambdaCode};
+use crate::analyze::{self, GlobalSite};
 use crate::compile::{CodeObject, VmLambda};
 use crate::error::{err, SResult};
 use crate::prims::{self, PrimEntry};
@@ -67,11 +68,10 @@ pub(crate) struct SpecialForms {
 /// byte-identical between them at any [`GcConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalMode {
-    /// The production evaluator: one-time syntax analysis to an opcode
-    /// tree with lexical addressing (`analyze.rs`), lowered to flat
-    /// bytecode (`compile.rs`) and run by the direct-threaded dispatch
-    /// loop in `vm.rs` with fused super-instructions and per-call-site
-    /// inline caches.
+    /// The production evaluator: one-time syntax analysis with lexical
+    /// addressing that emits flat bytecode as it goes (`analyze.rs`),
+    /// run by the direct-threaded dispatch loop in `vm.rs` with fused
+    /// super-instructions and per-call-site inline caches.
     #[default]
     Vm,
     /// The reference oracle: the cons-walking evaluator with
@@ -131,12 +131,10 @@ pub struct Interp {
     /// top-level entry so the per-opcode dispatch pays one local bool
     /// test when profiling is off.
     pub(crate) profile: bool,
-    /// Analyzed lambda bodies; compiled-closure records index into this
-    /// table so closures remain plain heap values.
-    pub(crate) code_tab: Vec<Rc<LambdaCode>>,
-    /// Compiled (VM) lambda bodies, parallel to `code_tab`; filled by
-    /// `compile_top` as closures are compiled in VM mode.
-    pub(crate) vm_tab: Vec<Option<Rc<VmLambda>>>,
+    /// Every lambda the analyzer has finished, in post-order;
+    /// compiled-closure records index into this table so closures remain
+    /// plain heap values.
+    pub(crate) lambdas: Vec<Rc<VmLambda>>,
     /// Per-opcode dispatch counts, indexed by `Insn::op_index`; only
     /// maintained while site profiling is enabled, flushed into the
     /// metrics registry as `vm.dispatch.*` counters per top-level form.
@@ -214,8 +212,7 @@ impl Interp {
             sf,
             mode,
             profile: false,
-            code_tab: Vec::new(),
-            vm_tab: Vec::new(),
+            lambdas: Vec::new(),
             vm_counters: vec![0; crate::compile::OP_COUNT],
         };
         prims::register_all(&mut interp);
@@ -297,13 +294,10 @@ impl Interp {
                     let env = self.global.get();
                     self.eval(form, env)
                 }
-                // Analyze the form once (allocates expansions and rooted
-                // constants but never collects, so the raw `form` stays
-                // valid), lower the tree to bytecode (pure Rust-side
-                // work: no heap access, no collection) and dispatch.
-                EvalMode::Vm => {
-                    analyze::analyze_top(self, form).and_then(|code| self.vm_eval_top(&code))
-                }
+                // Analyze the form once, emitting its bytecode (allocates
+                // expansions and rooted constants but never collects, so
+                // the raw `form` stays valid), and dispatch.
+                EvalMode::Vm => analyze::analyze_top(self, form).and_then(|co| self.vm_top(&co)),
             };
             match outcome {
                 Ok(v) => result = v,

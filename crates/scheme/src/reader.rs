@@ -9,6 +9,12 @@ use crate::lexer::{tokenize, Token};
 use guardians_gc::{Heap, Value};
 use guardians_runtime::symtab::SymbolTable;
 
+/// Maximum form nesting, shared by the reader and the analyzer: both
+/// recurse once per level, and this many levels fit a 2 MiB thread.
+/// Deeper input is a "form nesting too deep" error, not a stack
+/// overflow.
+pub(crate) const MAX_NESTING: usize = 1000;
+
 /// Reads every datum in `src`.
 ///
 /// # Errors
@@ -21,6 +27,7 @@ pub fn read_all(heap: &mut Heap, symbols: &mut SymbolTable, src: &str) -> SResul
         symbols,
         tokens,
         pos: 0,
+        depth: 0,
     };
     let mut forms = Vec::new();
     while !reader.at_end() {
@@ -47,6 +54,8 @@ struct Reader<'a> {
     symbols: &'a mut SymbolTable,
     tokens: Vec<Token>,
     pos: usize,
+    /// How many datums enclose the one being read.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -68,7 +77,11 @@ impl Reader<'_> {
     }
 
     fn read(&mut self) -> SResult<Value> {
-        match self.next()? {
+        if self.depth >= MAX_NESTING {
+            return err("form nesting too deep");
+        }
+        self.depth += 1;
+        let datum = match self.next()? {
             Token::Fixnum(n) => Ok(Value::fixnum(n)),
             Token::Flonum(f) => Ok(self.heap.make_flonum(f)),
             Token::Bool(b) => Ok(Value::bool(b)),
@@ -83,7 +96,9 @@ impl Reader<'_> {
             Token::VecOpen => self.read_vector(),
             Token::RParen => err("unexpected )"),
             Token::Dot => err("unexpected ."),
-        }
+        }?;
+        self.depth -= 1;
+        Ok(datum)
     }
 
     fn wrap(&mut self, tag: &str) -> SResult<Value> {

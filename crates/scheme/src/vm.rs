@@ -1,5 +1,8 @@
 //! The bytecode VM: a direct-threaded dispatch loop over the flat
-//! [`CodeObject`]s produced by [`crate::compile`].
+//! [`CodeObject`]s the analyzer emits (`analyze.rs`, in the format of
+//! [`crate::compile`]). It runs what it is given and decides nothing
+//! about syntax; a closure's code is `Interp::lambdas[index]`, finished
+//! before any closure over it can exist.
 //!
 //! The VM is the production evaluator ([`crate::EvalMode::Vm`]). Its
 //! contract with the naive oracle ([`crate::EvalMode::Naive`]) is
@@ -28,7 +31,6 @@
 //! identical, and both recover; the property generators stay far below
 //! the limit.
 
-use crate::analyze::CodeRef;
 use crate::compile::{self, CallCache, CodeObject, Insn, VmLambda, OP_COUNT};
 use crate::error::{err, SResult};
 use crate::interp::Interp;
@@ -95,44 +97,21 @@ enum TailStep {
 }
 
 impl Interp {
-    /// Compiles and runs one analyzed top-level form.
-    pub(crate) fn vm_eval_top(&mut self, code: &CodeRef) -> SResult<Value> {
-        let compiled = compile::compile_top(&self.code_tab, code)?;
-        self.install_vm_lambdas(compiled.lambdas);
-        self.vm_top(compiled.co)
-    }
-
-    /// Merges freshly compiled lambdas into `vm_tab`, keyed by their
-    /// code-table index.
-    fn install_vm_lambdas(&mut self, lambdas: Vec<(usize, Rc<VmLambda>)>) {
-        for (index, vl) in lambdas {
-            if self.vm_tab.len() <= index {
-                self.vm_tab.resize(index + 1, None);
-            }
-            self.vm_tab[index] = Some(vl);
+    /// The lambda behind a compiled closure's index.
+    fn vm_lambda(&self, index: usize) -> SResult<Rc<VmLambda>> {
+        match self.lambdas.get(index) {
+            Some(vl) => Ok(vl.clone()),
+            None => err(format!("vm: no compiled lambda for index {index}")),
         }
     }
 
-    /// The compiled lambda behind a closure's code-table index,
-    /// compiling lazily if a closure reaches the VM from a form the
-    /// compiler has not seen (the eager pass in `compile_top` makes
-    /// this the cold path).
-    fn vm_lambda(&mut self, index: usize) -> SResult<Rc<VmLambda>> {
-        if let Some(Some(vl)) = self.vm_tab.get(index) {
-            return Ok(vl.clone());
-        }
-        let lambdas = compile::compile_lambda(&self.code_tab, index)?;
-        self.install_vm_lambdas(lambdas);
-        match self.vm_tab.get(index) {
-            Some(Some(vl)) => Ok(vl.clone()),
-            _ => err(format!("vm: no compiled lambda for index {index}")),
-        }
-    }
-
-    /// Runs a compiled top-level form. The bottom environment is `#f`:
-    /// analysis guarantees no `LocalRef` reaches past the frames it
-    /// created, so the sentinel is never dereferenced.
-    pub(crate) fn vm_top(&mut self, co: Rc<CodeObject>) -> SResult<Value> {
+    /// Runs a top-level form's code. The bottom environment is `#f`:
+    /// the analyzer's frame-slot check refuses any `LocalRef` past the
+    /// frames the form creates, so the sentinel is never dereferenced.
+    /// The caller keeps `co` until the form has finished, so its rooted
+    /// constants and global sites stay rooted for the whole form even
+    /// after a tail call has left the code.
+    pub(crate) fn vm_top(&mut self, co: &Rc<CodeObject>) -> SResult<Value> {
         self.profile = self.heap.site_profile_enabled();
         if self.depth >= self.max_depth {
             return err(format!(
@@ -143,7 +122,7 @@ impl Interp {
         self.depth += 1;
         let base = self.stack.len();
         self.stack.push(Value::FALSE);
-        let result = self.vm_run(co, base);
+        let result = self.vm_run(co.clone(), base);
         self.stack.truncate(base);
         self.depth -= 1;
         if self.profile {
@@ -399,8 +378,9 @@ impl Interp {
         name: u16,
     ) -> SResult<Value> {
         let env = self.stack.get(base);
-        // Audited layout: `audit_frame_slots` proved every (depth, slot)
-        // pair in range before this code object existed.
+        // Audited layout: the analyzer's frame-slot check (`local`)
+        // refused every (depth, slot) pair outside the scope stack it was
+        // emitted under, and that stack is this frame chain.
         let mut frame = env;
         for _ in 0..depth {
             frame = self.heap.record_ref_audited(frame, 0);
@@ -804,7 +784,7 @@ impl Interp {
         ))
     }
 
-    /// Compiles one source string's forms and returns their disassembly
+    /// Analyzes one source string's forms and returns their disassembly
     /// (drives the `--dump-bytecode` flag; does not execute anything,
     /// though analysis registers lambdas and interns constants).
     pub fn dump_bytecode(&mut self, src: &str) -> SResult<String> {
@@ -829,18 +809,17 @@ impl Interp {
             let form = self.heap.car(rest);
             let next = self.heap.cdr(rest);
             self.stack.set(base, next);
-            let compiled = match crate::analyze::analyze_top(self, form)
-                .and_then(|code| compile::compile_top(&self.code_tab, &code))
-            {
-                Ok(c) => c,
+            let first = self.lambdas.len();
+            let co = match crate::analyze::analyze_top(self, form) {
+                Ok(co) => co,
                 Err(e) => {
                     self.stack.truncate(base);
                     return Err(e);
                 }
             };
             let _ = writeln!(out, ";; form {i}:");
-            out.push_str(&compile::disassemble(&self.heap, &compiled.co));
-            for (index, vl) in &compiled.lambdas {
+            out.push_str(&compile::disassemble(&self.heap, &co));
+            for (index, vl) in self.lambdas.iter().enumerate().skip(first) {
                 for (ci, clause) in vl.clauses.iter().enumerate() {
                     let _ = writeln!(
                         out,
@@ -850,7 +829,6 @@ impl Interp {
                     out.push_str(&compile::disassemble(&self.heap, &clause.body));
                 }
             }
-            self.install_vm_lambdas(compiled.lambdas);
             i += 1;
         }
         self.stack.truncate(base);

@@ -382,6 +382,44 @@ fn vm_and_oracle_agree_across_gc_engines() {
     }
 }
 
+/// Closures made and called from every context that creates one:
+/// `lambda`, `case-lambda`, a `let` init, named `let`, `do`, a
+/// quasiquote unquote site, a `define-record-type` expansion (at top
+/// level and in a body), and a lambda nested in a lambda.
+#[test]
+fn closures_from_every_creation_context_agree() {
+    assert_identical(&[
+        "(define (adder n) (lambda (x) (+ x n)))".into(),
+        "((adder 3) 4)".into(),
+        "((lambda (f) (f (f 1))) (lambda (x) (* x 10)))".into(),
+        "(define pick (case-lambda ((a) (lambda () a)) ((a b . r) (lambda () (list a b r)))))"
+            .into(),
+        "(list ((pick 1)) ((pick 1 2 3 4)))".into(),
+        "(let ((twice (lambda (f) (lambda (x) (f (f x)))))) ((twice (adder 5)) 0))".into(),
+        "(let lp ((i 0) (fs '())) \
+           (if (= i 3) (map (lambda (f) (f)) fs) (lp (+ i 1) (cons (lambda () (* i i)) fs))))"
+            .into(),
+        "(do ((i 0 (+ i 1)) (fs '() (cons (lambda (k) (+ k i)) fs))) \
+           ((= i 3) (map (lambda (f) (f 100)) fs)))"
+            .into(),
+        "`(a ,((lambda (x) (+ x 1)) 1) ,@(map (lambda (x) (* x x)) '(2 3)))".into(),
+        "(let ((q `(,(lambda () 'from-a-site)))) ((car q)))".into(),
+        "(define-record-type point (make-point x y) point? (x point-x set-point-x!) (y point-y))"
+            .into(),
+        "(let ((p (make-point 1 2))) (set-point-x! p 5) \
+           (list (point-x p) (point-y p) (point? p) (point? 1) (map point-y (list p p))))"
+            .into(),
+        "((lambda () (define-record-type box (make-box v) box? (v box-v)) \
+           (box-v (make-box (lambda () 7)))))"
+            .into(),
+        "(((lambda () (define-record-type box (make-box v) box? (v box-v)) \
+           (box-v (make-box (lambda () 7))))))"
+            .into(),
+        "(define (counter) (let ((n 0)) (lambda () (set! n (+ n 1)) n)))".into(),
+        "(let ((c (counter))) (c) (c) (c))".into(),
+    ]);
+}
+
 #[test]
 fn tail_calls_do_not_grow_either_stack() {
     assert_identical(&[

@@ -66,3 +66,47 @@ proptest! {
         }
     }
 }
+
+/// Runs `f` on a thread with a 2 MiB stack: a stack overflow there
+/// aborts the whole process, so these tests fail by dying.
+fn on_2mib_thread(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a test thread")
+        .join()
+        .expect("test thread finished");
+}
+
+/// Input nested past the reader's bound is a Scheme error, not a
+/// process abort, and the interpreter stays usable.
+#[test]
+fn deeply_nested_input_is_an_error() {
+    on_2mib_thread(|| {
+        let mut interp = Interp::new();
+        let lists = format!(
+            "(begin (quote {}{}) 1)",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        );
+        let quotes = format!("(car {}(1))", "'".repeat(100_000));
+        for src in [lists, quotes] {
+            let e = interp.eval_str(&src).unwrap_err();
+            assert_eq!(e.message(), "form nesting too deep");
+        }
+        assert_eq!(interp.eval_to_string("(+ 1 2)").unwrap(), "3");
+    });
+}
+
+/// The nesting bound shared by reader and analyzer: 999 levels read,
+/// analyze and run on a 2 MiB stack, 1000 are refused.
+#[test]
+fn nesting_bound_holds_at_its_edge() {
+    on_2mib_thread(|| {
+        let nested = |n: usize| format!("{}0{}", "(+ 1 ".repeat(n), ")".repeat(n));
+        let mut interp = Interp::new();
+        assert_eq!(interp.eval_to_string(&nested(999)).unwrap(), "999");
+        let e = interp.eval_str(&nested(1000)).unwrap_err();
+        assert_eq!(e.message(), "form nesting too deep");
+    });
+}
