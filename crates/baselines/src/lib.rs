@@ -7,8 +7,9 @@
 //!   traverses the full list.
 //! * [`WeakHasher`] — MIT-Scheme / T `hash`/`unhash` weak pointers.
 //! * [`FinalizationRegistry`] — Dickey's `register-for-finalization`:
-//!   collector-invoked thunks, with the no-allocation restriction and
-//!   error suppression the paper criticises reproduced faithfully.
+//!   thunks run right after the collection that reclaimed their object,
+//!   with the no-allocation restriction (a thunk only gets `&Heap`) and
+//!   the error suppression the paper criticises; built on weak pairs.
 //! * [`IndirectPorts`] — the weak-pointer + forwarding-header workaround
 //!   (Atkins), paying an extra dereference per I/O operation and a
 //!   full-registry scan per clean-up.

@@ -17,12 +17,11 @@
 //! 5. **Guardian pass** — the paper's three-block protected-list
 //!    algorithm, including the `pend-final-list` fixpoint loop (see
 //!    [`guardian_pass`]).
-//! 6. **Finalizer pass** — the Dickey-style baseline watch lists.
-//! 7. **Weak pass** — break or forward weak-pair cars; runs after the
+//! 6. **Weak pass** — break or forward weak-pair cars; runs after the
 //!    guardian pass "so if the car field of a weak pair points to an
 //!    object that has been salvaged, the object will still be in the car
 //!    field after collection" (see [`weak_pass`]).
-//! 8. **Reclaim** — return every from-space segment and run to the
+//! 7. **Reclaim** — return every from-space segment and run to the
 //!    segment table's free store, runs whole.
 //!
 //! # One driver
@@ -31,7 +30,7 @@
 //! [`advance`], each of which resumes phases 2–4 where the last one left
 //! them and runs until the sweep's fixpoint or its deadline, whichever
 //! comes first; the advance that reaches the fixpoint runs [`finish`]
-//! (phases 5–8) before it returns. Stop-the-world is the schedule with no
+//! (phases 5–7) before it returns. Stop-the-world is the schedule with no
 //! deadline: one advance, which never yields and reads no clock per work
 //! unit. `pause_budget` is the schedule that gives every advance a
 //! deadline. There is no third schedule and no second thread: the collector
@@ -311,7 +310,7 @@ fn emit_end(heap: &mut Heap, s: &Scratch) {
 ///   allocates one 2-word pair, at most once per visited entry:
 ///   `(2 · E).div_ceil(SEGMENT_WORDS)` segments (the pair cursor's open
 ///   segment is already counted above).
-/// * Roots, remset, finalizer and weak passes allocate nothing of their
+/// * Roots, remset and weak passes allocate nothing of their
 ///   own, and nothing is copied after the weak pass.
 ///
 /// The `+8` absorbs the 4 open cursors with margin.
@@ -464,7 +463,7 @@ fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
     })
 }
 
-/// Phases 5–8, once the sweep has reached its fixpoint. Nothing in here
+/// Phases 5–7, once the sweep has reached its fixpoint. Nothing in here
 /// yields: the guardian partition, the weak break and the reclaim are
 /// atomic with respect to the mutator.
 fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
@@ -472,17 +471,13 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
     guardian_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Guardian);
 
-    // Phase 6: Dickey-baseline finalizers.
-    finalizer_pass(heap, s);
-    lap(heap, s, mark, GcPhase::Finalizer);
-
-    // Phase 7: weak pairs — after the guardian pass, "so if the car field
+    // Phase 6: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
     // object will still be in the car field after collection."
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 8: return every from-space run, whole, to the free store. Late
+    // Phase 7: return every from-space run, whole, to the free store. Late
     // stores settle first — after the guardian pass (it may resurrect a
     // logged container), while the from-space words holding the forwarding
     // marks are still readable.
@@ -512,7 +507,6 @@ fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
         GcPhase::Remset => &mut p.remset,
         GcPhase::Sweep => &mut p.sweep,
         GcPhase::Guardian => &mut p.guardian,
-        GcPhase::Finalizer => &mut p.finalizer,
         GcPhase::Weak => &mut p.weak,
         GcPhase::Reclaim => &mut p.reclaim,
     } += d;
@@ -836,31 +830,6 @@ fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
         }
     }
     grew || !heap.tospace_log_is_empty()
-}
-
-/// Processes the Dickey-baseline watch lists: dead objects are *not*
-/// preserved — their ids are reported so the embedding can run thunks.
-/// Runs after the guardian pass, so an object that is both guarded and
-/// watched is seen alive here (guardians win; documented in DESIGN.md).
-fn finalizer_pass(heap: &mut Heap, s: &mut Scratch) {
-    let mut migrated = Vec::new();
-    for i in 0..=s.g as usize {
-        for mut e in std::mem::take(&mut heap.finalize_watch[i]) {
-            match settle(heap, s.target, e.obj) {
-                // Filed under the target generation, or under a younger
-                // referent's (see `settle`), so that the collection that
-                // moves the object visits the entry.
-                Some((obj, generation)) => {
-                    e.obj = obj;
-                    migrated.push((generation.min(s.target), e));
-                }
-                None => s.report.finalized_ids.push(e.id),
-            }
-        }
-    }
-    for (dest, e) in migrated {
-        heap.finalize_watch[dest as usize].push(e);
-    }
 }
 
 #[cfg(test)]

@@ -39,13 +39,6 @@ pub(crate) struct GuardEntry {
     pub tconc: Value,
 }
 
-/// An entry for the Dickey-style `register-for-finalization` baseline.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct FinEntry {
-    pub obj: Value,
-    pub id: u64,
-}
-
 /// A generation-based copying heap with guardians and weak pairs.
 pub struct Heap {
     pub(crate) segs: SegmentTable,
@@ -58,8 +51,6 @@ pub struct Heap {
     pub(crate) roots: RootSet,
     /// Protected lists, one per generation.
     pub(crate) protected: Vec<Vec<GuardEntry>>,
-    /// Dickey-baseline watch lists, one per generation.
-    pub(crate) finalize_watch: Vec<Vec<FinEntry>>,
     /// While a collection is in flight, newly allocated (to-space)
     /// segments are logged here for the Cheney sweep. It stays `Some`
     /// across all increments, so mutator allocations between increments
@@ -75,7 +66,6 @@ pub struct Heap {
     last_report: Option<CollectionReport>,
     pub(crate) collections: u64,
     bytes_since_gc: usize,
-    alloc_forbidden: bool,
     /// Lifetime count of segment acquisitions (runs count one per
     /// segment), compared against `acquisition_fault` by the fallible
     /// entry points.
@@ -122,14 +112,12 @@ impl Heap {
             cursors: vec![None; gens * 4],
             roots: RootSet::default(),
             protected: (0..gens).map(|_| Vec::new()).collect(),
-            finalize_watch: (0..gens).map(|_| Vec::new()).collect(),
             tospace_log: None,
             incremental: None,
             stats: HeapStats::default(),
             last_report: None,
             collections: 0,
             bytes_since_gc: 0,
-            alloc_forbidden: false,
             acquisitions: 0,
             acquisition_fault: None,
             tracer: None,
@@ -240,14 +228,8 @@ impl Heap {
         WordAddr::new(seg, 0)
     }
 
-    /// Mutator allocation: generation 0, with accounting and the
-    /// allocation-forbidden check.
+    /// Mutator allocation: generation 0, with accounting.
     fn alloc_mutator(&mut self, space: Space, words: usize) -> WordAddr {
-        assert!(
-            !self.alloc_forbidden,
-            "heap allocation is forbidden here (e.g. inside a collector-invoked \
-             finalization thunk — one of the restrictions guardians remove)"
-        );
         self.bytes_since_gc += words * 8;
         self.stats.words_allocated += words as u64;
         // Observability off: two null tests, nothing else.
@@ -665,28 +647,6 @@ impl Heap {
     }
 
     // ------------------------------------------------------------------
-    // Dickey-style finalization baseline
-    // ------------------------------------------------------------------
-
-    /// Registers `obj` for collector-invoked finalization (the baseline
-    /// mechanism the paper's Section 2 attributes to Dickey). When a
-    /// collection proves `obj` inaccessible it is **not** preserved; `id`
-    /// is reported in [`CollectionReport::finalized_ids`] so an external
-    /// table can run the associated thunk — under the allocation
-    /// restriction the paper criticises (see
-    /// [`Heap::set_allocation_forbidden`]).
-    pub fn register_for_finalization(&mut self, obj: Value, id: u64) {
-        self.finalize_watch[0].push(FinEntry { obj, id });
-    }
-
-    /// Forbids (or re-allows) mutator allocation. Used to enforce the
-    /// "finalization thunks must not allocate" restriction of the
-    /// collector-invoked baseline; guardians need no such restriction.
-    pub fn set_allocation_forbidden(&mut self, forbidden: bool) {
-        self.alloc_forbidden = forbidden;
-    }
-
-    // ------------------------------------------------------------------
     // Collection
     // ------------------------------------------------------------------
 
@@ -699,15 +659,9 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `gen` is not a valid generation or if allocation is
-    /// currently forbidden (a collection moves objects, which a
-    /// collector-invoked finalizer must never trigger).
+    /// Panics if `gen` is not a valid generation.
     pub fn collect(&mut self, gen: u8) -> &CollectionReport {
         assert!(gen < self.config.generations, "no such generation: {gen}");
-        assert!(
-            !self.alloc_forbidden,
-            "cannot collect while allocation is forbidden"
-        );
         if self.incremental.is_none() {
             self.begin_incremental(gen);
         }
@@ -783,14 +737,9 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if `gen` is invalid, allocation is forbidden, or a
-    /// collection is already in flight.
+    /// Panics if `gen` is invalid or a collection is already in flight.
     pub fn begin_incremental(&mut self, gen: u8) {
         assert!(gen < self.config.generations, "no such generation: {gen}");
-        assert!(
-            !self.alloc_forbidden,
-            "cannot collect while allocation is forbidden"
-        );
         assert!(
             self.incremental.is_none(),
             "an incremental collection is already in flight"
@@ -861,27 +810,13 @@ impl Heap {
     // Online policy reconfiguration
     // ------------------------------------------------------------------
     //
-    // Policy knobs (trigger, promotion, frequency, zone quota) may change
+    // Policy knobs (promotion, zone quota) may change
     // at runtime, but only *between* collections: every setter asserts no
     // incremental collection is suspended, so a collection never sees a
     // policy flip mid-cycle — the collected generation, promotion target,
     // and budget preflight of one collection all come from one
     // configuration. `verify()` remains callable after any change (it
     // reads the live config, not a snapshot).
-
-    /// Sets [`GcConfig::trigger_bytes`] at runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded-pause collection is suspended between
-    /// increments — policy changes apply only between collections.
-    pub fn set_trigger_bytes(&mut self, bytes: usize) {
-        assert!(
-            self.incremental.is_none(),
-            "policy changes apply only between collections"
-        );
-        self.config.trigger_bytes = bytes;
-    }
 
     /// Sets [`GcConfig::promotion`] at runtime. Safe between collections
     /// because every promotion strategy moves *all* survivors of a
@@ -899,22 +834,6 @@ impl Heap {
             "policy changes apply only between collections"
         );
         self.config.promotion = promotion;
-    }
-
-    /// Replaces the [`GcConfig::frequency`] ladder at runtime. Affects
-    /// only which generation [`Heap::maybe_collect`] picks for future
-    /// collections.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded-pause collection is suspended between
-    /// increments.
-    pub fn set_frequency(&mut self, frequency: Vec<u64>) {
-        assert!(
-            self.incremental.is_none(),
-            "policy changes apply only between collections"
-        );
-        self.config.frequency = frequency;
     }
 
     /// Resets this heap's segment-quota watermark (multi-tenant zones;
@@ -1050,7 +969,6 @@ impl Heap {
             ("gc.phase.remset_ns", p.remset),
             ("gc.phase.sweep_ns", p.sweep),
             ("gc.phase.guardian_ns", p.guardian),
-            ("gc.phase.finalizer_ns", p.finalizer),
             ("gc.phase.weak_ns", p.weak),
             ("gc.phase.reclaim_ns", p.reclaim),
         ] {
@@ -1363,14 +1281,6 @@ mod tests {
         h.collect(0);
         h.verify().expect("valid heap");
         assert_eq!(h.car(h.cdr(root.get())), Value::fixnum(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "allocation is forbidden")]
-    fn forbidden_allocation_panics() {
-        let mut h = Heap::default();
-        h.set_allocation_forbidden(true);
-        let _ = h.cons(Value::NIL, Value::NIL);
     }
 
     #[test]

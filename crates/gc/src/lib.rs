@@ -32,8 +32,9 @@
 //! * Weak pairs — [`Heap::weak_cons`]; car fields are weak pointers
 //!   broken to `#f` when their referent is reclaimed, *after* the
 //!   guardian pass so guardian-saved objects keep their weak references.
-//! * [`Heap::register_for_finalization`] — the collector-invoked baseline
-//!   mechanism the paper compares against (Section 2).
+//!   A broken car is also all a collector-invoked finalizer needs: the
+//!   Section 2 baseline (`guardians_baselines::FinalizationRegistry`) is
+//!   built on weak pairs outside the collector.
 //!
 //! # Example: the paper's opening example
 //!

@@ -32,12 +32,13 @@ pub struct PhaseTimes {
     pub sweep: Duration,
     /// Phase 5: the guardian protected-list pass (with its sweeps).
     pub guardian: Duration,
-    /// Phase 6: the collector-invoked finalization baseline pass.
-    pub finalizer: Duration,
-    /// Phase 7: break or forward weak-pair cars.
+    /// Phase 6: break or forward weak-pair cars.
     pub weak: Duration,
-    /// Phase 8: return from-space segments to the free pool.
+    /// Phase 7: return from-space segments to the free pool.
     pub reclaim: Duration,
+    /// Inert, always zero: the collector has no finalizer phase. Kept
+    /// because `benchmark/` reads it; the benchmark-only PR deletes it.
+    pub finalizer: Duration,
     /// Inert, always zero: the benchmark-only PR deletes it together with
     /// `resident_cache_par2`, `par_speedup` and `worker_time_s`.
     pub worker_time: Duration,
@@ -46,16 +47,10 @@ pub struct PhaseTimes {
 impl PhaseTimes {
     /// Sum of all phase durations: the wall-clock pause breakdown (and
     /// the quantity the event trace's `PhaseEnd` records must sum to).
-    /// Excludes the inert [`PhaseTimes::worker_time`].
+    /// Excludes the inert [`PhaseTimes::finalizer`] and
+    /// [`PhaseTimes::worker_time`].
     pub fn total(&self) -> Duration {
-        self.flip
-            + self.roots
-            + self.remset
-            + self.sweep
-            + self.guardian
-            + self.finalizer
-            + self.weak
-            + self.reclaim
+        self.flip + self.roots + self.remset + self.sweep + self.guardian + self.weak + self.reclaim
     }
 
     pub(crate) fn absorb(&mut self, other: &PhaseTimes) {
@@ -64,7 +59,6 @@ impl PhaseTimes {
         self.remset += other.remset;
         self.sweep += other.sweep;
         self.guardian += other.guardian;
-        self.finalizer += other.finalizer;
         self.weak += other.weak;
         self.reclaim += other.reclaim;
     }
@@ -121,11 +115,6 @@ pub struct CollectionReport {
     pub weak_cars_broken: u64,
     /// Weak cars updated to a forwarded referent.
     pub weak_cars_forwarded: u64,
-    /// Objects registered with [`register_for_finalization`]
-    /// (the Dickey-style baseline) found dead this collection; their ids.
-    ///
-    /// [`register_for_finalization`]: crate::Heap::register_for_finalization
-    pub finalized_ids: Vec<u64>,
     /// Words of pointer-free (pure-space) objects copied without any
     /// scanning — work the space segregation saved.
     pub pure_words_skipped: u64,
@@ -236,6 +225,5 @@ mod tests {
     fn defaults_are_zero() {
         let r = CollectionReport::default();
         assert_eq!(r.words_copied, 0);
-        assert!(r.finalized_ids.is_empty());
     }
 }

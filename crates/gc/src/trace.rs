@@ -29,7 +29,7 @@ use crate::stats::HeapStats;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Identifies one of the eight collection phases (see `collect`).
+/// Identifies one of the seven collection phases (see `collect`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GcPhase {
     /// Phase 1: snapshot the from-space, reset cursors.
@@ -42,11 +42,9 @@ pub enum GcPhase {
     Sweep,
     /// Phase 5: the guardian protected-list pass.
     Guardian,
-    /// Phase 6: the Dickey-baseline finalizer pass.
-    Finalizer,
-    /// Phase 7: the weak-pair pass.
+    /// Phase 6: the weak-pair pass.
     Weak,
-    /// Phase 8: return from-space segments to the free pool.
+    /// Phase 7: return from-space segments to the free pool.
     Reclaim,
 }
 
@@ -59,7 +57,6 @@ impl GcPhase {
             GcPhase::Remset => "remset",
             GcPhase::Sweep => "sweep",
             GcPhase::Guardian => "guardian",
-            GcPhase::Finalizer => "finalizer",
             GcPhase::Weak => "weak",
             GcPhase::Reclaim => "reclaim",
         }
@@ -344,7 +341,6 @@ pub fn replay_stats(events: &[TracedEvent]) -> HeapStats {
                     GcPhase::Remset => p.remset += d,
                     GcPhase::Sweep => p.sweep += d,
                     GcPhase::Guardian => p.guardian += d,
-                    GcPhase::Finalizer => p.finalizer += d,
                     GcPhase::Weak => p.weak += d,
                     GcPhase::Reclaim => p.reclaim += d,
                 }

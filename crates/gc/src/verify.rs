@@ -64,8 +64,7 @@ impl Heap {
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
     ///   via a tconc, and with an agent, in generation ≥ i), which is
     ///   what makes the paper's
-    ///   per-generation lists sound;
-    /// * finalizer watch entries satisfy the same object invariant.
+    ///   per-generation lists sound.
     ///
     /// It is one walk whether or not a collection is suspended between
     /// increments. While one is, the stop-the-world invariants do not all
@@ -87,11 +86,10 @@ impl Heap {
     ///   until the terminal weak pass re-marks it), and a dirty flag may
     ///   be backed by the collection's remembered-set snapshot instead of
     ///   the table's dirty index;
-    /// * roots, protected entries and finalizer watches may hold
-    ///   from-space pointers (roots are re-forwarded at every increment;
-    ///   guardian/finalizer entries are settled by the terminal
-    ///   increment), and the protected and finalizer generation bounds —
-    ///   re-established by the terminal passes — are skipped.
+    /// * roots and protected entries may hold from-space pointers (roots
+    ///   are re-forwarded at every increment; guardian entries are settled
+    ///   by the terminal increment), and the protected generation bounds —
+    ///   re-established by the terminal guardian pass — are skipped.
     ///
     /// # Errors
     ///
@@ -232,22 +230,6 @@ impl Heap {
             }
         }
 
-        // 5. Finalizer watch lists, likewise.
-        for (i, list) in self.finalize_watch.iter().enumerate() {
-            for e in list {
-                self.check_value(e.obj, "finalizer-watched object")?;
-                if cycle.is_some() {
-                    continue;
-                }
-                if let Some(gen) = self.generation_of(e.obj) {
-                    if (gen as usize) < i {
-                        return Err(VerifyError::new(format!(
-                            "finalize_watch[{i}] object lives in younger generation {gen}"
-                        )));
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -425,7 +407,6 @@ mod tests {
         let _root2 = h.root(w);
         let g = h.make_guardian();
         g.register(&mut h, p);
-        h.register_for_finalization(p, 1);
         h.verify().expect("well-formed heap");
     }
 

@@ -113,66 +113,6 @@ fn mixed_registrations_on_one_object() {
 }
 
 #[test]
-fn dickey_finalization_reports_dead_ids_once() {
-    let mut h = Heap::default();
-    let a = h.cons(Value::fixnum(1), Value::NIL);
-    let b = h.cons(Value::fixnum(2), Value::NIL);
-    let keep = h.root(b);
-    h.register_for_finalization(a, 100);
-    h.register_for_finalization(b, 200);
-
-    full_collect(&mut h);
-    assert_eq!(
-        h.last_report().unwrap().finalized_ids,
-        vec![100],
-        "only the dead object"
-    );
-    full_collect(&mut h);
-    assert!(
-        h.last_report().unwrap().finalized_ids.is_empty(),
-        "never reported twice"
-    );
-
-    drop(keep);
-    full_collect(&mut h);
-    assert_eq!(h.last_report().unwrap().finalized_ids, vec![200]);
-}
-
-#[test]
-fn dickey_watch_lists_are_generation_friendly_but_object_is_lost() {
-    let mut h = Heap::default();
-    let a = h.cons(Value::fixnum(1), Value::NIL);
-    let w = h.weak_cons(a, Value::NIL);
-    let wr = h.root(w);
-    h.register_for_finalization(a, 7);
-    full_collect(&mut h);
-    assert_eq!(h.last_report().unwrap().finalized_ids, vec![7]);
-    // Unlike a guardian, the mechanism discards the object.
-    assert_eq!(
-        h.car(wr.get()),
-        Value::FALSE,
-        "object is gone — only the id remains"
-    );
-}
-
-#[test]
-fn guardian_wins_over_dickey_watch() {
-    // An object both guarded and watched: the guardian pass runs first and
-    // resurrects it, so the watch keeps seeing it alive.
-    let mut h = Heap::default();
-    let g = h.make_guardian();
-    let a = h.cons(Value::fixnum(1), Value::NIL);
-    g.register(&mut h, a);
-    h.register_for_finalization(a, 9);
-    full_collect(&mut h);
-    assert!(
-        h.last_report().unwrap().finalized_ids.is_empty(),
-        "guardian resurrection wins"
-    );
-    assert!(g.poll(&mut h).is_some());
-}
-
-#[test]
 fn many_guardians_many_objects_stress() {
     let mut h = Heap::default();
     let guardians: Vec<_> = (0..20).map(|_| h.make_guardian()).collect();

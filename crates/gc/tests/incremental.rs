@@ -340,7 +340,6 @@ fn register_mid_cycle_is_safe() {
             mid_cycle += u64::from(h.incremental_in_progress());
             let r = h.make_record(descriptor.get(), &[Value::fixnum(i as i64)]);
             g.register(&mut h, r);
-            h.register_for_finalization(r, i as u64);
             dropped += u64::from(window.get(i % 256) != Value::FALSE);
             window.set(i % 256, r);
             for _ in 0..4 {

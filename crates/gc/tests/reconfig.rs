@@ -1,9 +1,10 @@
 //! Mid-run policy reconfiguration property tests.
 //!
-//! An embedder may retune `trigger_bytes`, `promotion`, and the
-//! `frequency` ladder on a live heap through the `Heap::set_*` setters,
-//! always between collections. These tests pin down what makes that
-//! safe:
+//! An embedder may retune `promotion` on a live heap through
+//! `Heap::set_promotion`, always between collections. (The allocation
+//! trigger and the frequency ladder are configuration only: they decide
+//! when `maybe_collect` collects and which generation, and have no
+//! setter.) These tests pin down what makes that safe:
 //!
 //! 1. Policy fields are pure collection-time parameters: changes applied
 //!    *before the first collection* leave every observable identical to
@@ -28,20 +29,13 @@ enum Step {
     DropRoot { idx: usize },
     /// Explicit full-stop collection of generations `0..=gen % gens`.
     Collect { gen: u8 },
-    /// Policy change: set the allocation trigger.
-    SetTrigger { bytes: usize },
     /// Policy change: set the promotion strategy (0 = next, 1 = cap 1,
     /// 2 = cap 2, 3 = same-generation).
     SetPromotion { p: u8 },
-    /// Policy change: swap in one of the canned frequency ladders.
-    SetFrequency { ladder: u8 },
 }
 
 fn is_policy(s: &Step) -> bool {
-    matches!(
-        s,
-        Step::SetTrigger { .. } | Step::SetPromotion { .. } | Step::SetFrequency { .. }
-    )
+    matches!(s, Step::SetPromotion { .. })
 }
 
 fn promotion_of(p: u8) -> Promotion {
@@ -53,30 +47,17 @@ fn promotion_of(p: u8) -> Promotion {
     }
 }
 
-fn ladder_of(l: u8) -> Vec<u64> {
-    match l % 3 {
-        0 => vec![1, 4, 16, 64],
-        1 => vec![1, 8, 32, 128],
-        _ => vec![1, 2], // short: generations beyond it use the 4x rule
-    }
-}
-
 fn apply_policy(heap: &mut Heap, step: &Step) {
     match step {
-        Step::SetTrigger { bytes } => heap.set_trigger_bytes(*bytes),
         Step::SetPromotion { p } => heap.set_promotion(promotion_of(*p)),
-        Step::SetFrequency { ladder } => heap.set_frequency(ladder_of(*ladder)),
         _ => unreachable!("not a policy step"),
     }
 }
 
 fn folded_config(mut cfg: GcConfig, steps: &[Step]) -> GcConfig {
     for s in steps {
-        match s {
-            Step::SetTrigger { bytes } => cfg.trigger_bytes = *bytes,
-            Step::SetPromotion { p } => cfg.promotion = promotion_of(*p),
-            Step::SetFrequency { ladder } => cfg.frequency = ladder_of(*ladder),
-            _ => {}
+        if let Step::SetPromotion { p } = s {
+            cfg.promotion = promotion_of(*p);
         }
     }
     cfg
@@ -88,11 +69,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             .prop_map(|(guarded, weak)| Step::Alloc { guarded, weak }),
         3 => any::<usize>().prop_map(|idx| Step::DropRoot { idx }),
         3 => (0u8..4).prop_map(|gen| Step::Collect { gen }),
-        1 => (0usize..4).prop_map(|t| Step::SetTrigger {
-            bytes: [16, 64, 256, 1024][t] * 4096
-        }),
         1 => (0u8..4).prop_map(|p| Step::SetPromotion { p }),
-        1 => (0u8..3).prop_map(|l| Step::SetFrequency { ladder: l }),
     ]
 }
 

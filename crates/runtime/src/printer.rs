@@ -60,34 +60,49 @@ impl<'h> Printer<'h> {
     }
 
     /// First pass: count in-edges of pairs and vectors, stopping at
-    /// already-seen nodes (which also terminates on cycles).
-    fn scan(&mut self, v: Value) {
-        if !v.is_ptr() {
-            return;
-        }
-        let addr = v.addr().raw();
-        let count = self.seen.entry(addr).or_insert(0);
-        *count += 1;
-        if *count > 1 {
-            return;
-        }
-        if self.heap.is_pair(v) {
-            self.scan(self.heap.car(v));
-            self.scan(self.heap.cdr(v));
-        } else if self.heap.is_vector(v) {
-            for i in 0..self.heap.vector_len(v) {
-                self.scan(self.heap.vector_ref(v, i));
+    /// already-seen nodes (which also terminates on cycles). A work stack,
+    /// not recursion, so neither a long list nor a deep nesting can
+    /// overflow the thread's stack; the counts do not depend on the order.
+    fn scan(&mut self, root: Value) {
+        let mut stack = vec![root];
+        while let Some(v) = stack.pop() {
+            if !v.is_ptr() {
+                continue;
             }
-        } else if self.heap.is_box(v) {
-            self.scan(self.heap.box_ref(v));
-        } else if self.heap.is_record(v) {
-            for i in 0..self.heap.record_len(v) {
-                self.scan(self.heap.record_ref(v, i));
+            let count = self.seen.entry(v.addr().raw()).or_insert(0);
+            *count += 1;
+            if *count > 1 {
+                continue;
+            }
+            let heap = self.heap;
+            if heap.is_pair(v) {
+                stack.extend([heap.cdr(v), heap.car(v)]);
+            } else if heap.is_vector(v) {
+                stack.extend((0..heap.vector_len(v)).map(|i| heap.vector_ref(v, i)));
+            } else if heap.is_box(v) {
+                stack.push(heap.box_ref(v));
+            } else if heap.is_record(v) {
+                stack.extend((0..heap.record_len(v)).map(|i| heap.record_ref(v, i)));
             }
         }
     }
 
-    fn emit(&mut self, v: Value, out: &mut String) {
+    /// Second pass: the text, from a work stack of jobs popped in output
+    /// order, so that labels are numbered as the text is written.
+    fn emit(&mut self, root: Value, out: &mut String) {
+        let mut jobs = vec![Job::Value(root)];
+        while let Some(job) = jobs.pop() {
+            match job {
+                Job::Text(text) => out.push_str(text),
+                Job::Value(v) => self.emit_value(v, &mut jobs, out),
+                Job::Tail(cdr) => self.emit_tail(cdr, &mut jobs, out),
+            }
+        }
+    }
+
+    /// Writes `v` itself; what it contains is pushed onto `jobs`, last
+    /// part first.
+    fn emit_value(&mut self, v: Value, jobs: &mut Vec<Job>, out: &mut String) {
         use std::fmt::Write;
         if v.is_ptr() {
             let addr = v.addr().raw();
@@ -131,7 +146,12 @@ impl<'h> Printer<'h> {
             return;
         }
         if self.heap.is_pair(v) {
-            self.emit_list(v, out);
+            out.push('(');
+            jobs.extend([
+                Job::Text(")"),
+                Job::Tail(self.heap.cdr(v)),
+                Job::Value(self.heap.car(v)),
+            ]);
             return;
         }
         match self.heap.kind_of(v) {
@@ -154,13 +174,13 @@ impl<'h> Printer<'h> {
             }
             Some(ObjKind::Vector) => {
                 out.push_str("#(");
-                for i in 0..self.heap.vector_len(v) {
+                jobs.push(Job::Text(")"));
+                for i in (0..self.heap.vector_len(v)).rev() {
+                    jobs.push(Job::Value(self.heap.vector_ref(v, i)));
                     if i > 0 {
-                        out.push(' ');
+                        jobs.push(Job::Text(" "));
                     }
-                    self.emit(self.heap.vector_ref(v, i), out);
                 }
-                out.push(')');
             }
             Some(ObjKind::Bytevector) => {
                 out.push_str("#vu8(");
@@ -175,14 +195,14 @@ impl<'h> Printer<'h> {
             }
             Some(ObjKind::Box) => {
                 out.push_str("#&");
-                self.emit(self.heap.box_ref(v), out);
+                jobs.push(Job::Value(self.heap.box_ref(v)));
             }
-            Some(ObjKind::Record) => self.emit_record(v, out),
+            Some(ObjKind::Record) => self.emit_record(v, jobs, out),
             None => out.push_str("#<unknown>"),
         }
     }
 
-    fn emit_record(&mut self, v: Value, out: &mut String) {
+    fn emit_record(&mut self, v: Value, jobs: &mut Vec<Job>, out: &mut String) {
         use std::fmt::Write;
         let desc = self.heap.record_descriptor(v);
         if desc == rtags::port() {
@@ -199,46 +219,42 @@ impl<'h> Printer<'h> {
             out.push_str("#<hash-table>");
         } else {
             out.push_str("#[");
-            self.emit(desc, out);
-            for i in 0..self.heap.record_len(v) {
-                out.push(' ');
-                self.emit(self.heap.record_ref(v, i), out);
+            jobs.push(Job::Text("]"));
+            for i in (0..self.heap.record_len(v)).rev() {
+                jobs.extend([Job::Value(self.heap.record_ref(v, i)), Job::Text(" ")]);
             }
-            out.push(']');
+            jobs.push(Job::Value(desc));
         }
     }
 
-    fn emit_list(&mut self, mut v: Value, out: &mut String) {
-        out.push('(');
-        let mut first = true;
-        loop {
-            if !first {
-                out.push(' ');
-            }
-            first = false;
-            let car = self.heap.car(v);
-            self.emit(car, out);
-            let cdr = self.heap.cdr(v);
-            if cdr.is_nil() {
-                break;
-            }
-            if cdr.is_pair_ptr() {
-                // A shared/cyclic tail must break the list notation.
-                let addr = cdr.addr().raw();
-                if self.labels.contains_key(&addr) {
-                    out.push_str(" . ");
-                    self.emit(cdr, out);
-                    break;
-                }
-                v = cdr;
-                continue;
-            }
-            out.push_str(" . ");
-            self.emit(cdr, out);
-            break;
+    /// The rest of a list after an element: nothing at its `()` end, the
+    /// next element while the tail is an unlabelled pair, else ` . ` and
+    /// the tail — a shared or cyclic tail must break the list notation.
+    fn emit_tail(&mut self, cdr: Value, jobs: &mut Vec<Job>, out: &mut String) {
+        if cdr.is_nil() {
+            return;
         }
-        out.push(')');
+        if cdr.is_pair_ptr() && !self.labels.contains_key(&cdr.addr().raw()) {
+            out.push(' ');
+            jobs.extend([
+                Job::Tail(self.heap.cdr(cdr)),
+                Job::Value(self.heap.car(cdr)),
+            ]);
+        } else {
+            out.push_str(" . ");
+            jobs.push(Job::Value(cdr));
+        }
     }
+}
+
+/// One step of [`Printer::emit`].
+enum Job {
+    /// Literal text.
+    Text(&'static str),
+    /// A value, with its label if it has one.
+    Value(Value),
+    /// A list's remainder after an element: its cdr.
+    Tail(Value),
 }
 
 #[cfg(test)]
@@ -312,6 +328,59 @@ mod tests {
         let early = h.cons(Value::fixnum(1), Value::NIL);
         let l = list(&mut h, &[early, early, late, late]);
         assert_eq!(write_value(&h, l), "(#0=(1) #0# #1=(2) #1#)");
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack: a stack overflow there
+    /// aborts the whole process, so these tests fail by dying.
+    fn on_2mib_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn a test thread")
+            .join()
+            .expect("test thread finished");
+    }
+
+    #[test]
+    fn a_long_flat_list_prints_on_a_small_stack() {
+        on_2mib_thread(|| {
+            let mut h = Heap::default();
+            let mut l = Value::NIL;
+            for i in (0..100_000).rev() {
+                l = h.cons(Value::fixnum(i), l);
+            }
+            let s = write_value(&h, l);
+            assert!(s.starts_with("(0 1 2 "), "{}", &s[..16]);
+            assert!(s.ends_with(" 99998 99999)"));
+            assert_eq!(s.split(' ').count(), 100_000);
+        });
+    }
+
+    #[test]
+    fn a_deep_car_nesting_prints_on_a_small_stack() {
+        on_2mib_thread(|| {
+            let mut h = Heap::default();
+            let mut v = Value::fixnum(0);
+            for _ in 0..100_000 {
+                v = h.cons(v, Value::NIL);
+            }
+            let depth = 100_000;
+            let expected = format!("{}0{}", "(".repeat(depth), ")".repeat(depth));
+            assert!(write_value(&h, v) == expected);
+        });
+    }
+
+    #[test]
+    fn nested_shared_and_cyclic_structure_keeps_its_labels() {
+        let mut h = Heap::default();
+        let shared = h.cons(Value::fixnum(9), Value::NIL);
+        let v = h.make_vector(3, shared);
+        let b = h.make_box(v);
+        let tail = h.cons(Value::fixnum(2), Value::NIL);
+        let l = list(&mut h, &[b, Value::fixnum(1)]);
+        h.set_cdr(h.cdr(l), tail);
+        h.set_cdr(tail, l);
+        assert_eq!(write_value(&h, l), "#0=(#&#(#1=(9) #1# #1#) 1 2 . #0#)");
     }
 
     #[test]
