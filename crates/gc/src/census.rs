@@ -9,9 +9,13 @@
 //! every collection (see
 //! [`TraceConfig::census_at_collection_end`](crate::TraceConfig)).
 //!
-//! A census is only meaningful at a safe point (outside a collection):
-//! mid-collection, from-space segments hold broken hearts where headers
-//! used to be.
+//! A census may be taken at any safe point, including between the
+//! increments of a suspended collection. Then the walk skips that
+//! collection's from-space, whose copied objects hold broken hearts where
+//! headers used to be: a survivor already copied is counted at its copy,
+//! in the target generation, and one not yet copied is undecided until the
+//! terminal increment and is not counted. Once the collection ends, the
+//! census is the one a stop-the-world collection leaves.
 
 use crate::header::{Header, ObjKind};
 use crate::heap::Heap;
@@ -116,11 +120,11 @@ impl HeapCensus {
 }
 
 impl Heap {
-    /// Takes a live census by walking every head segment: pair spaces by
-    /// watermark, typed and pure spaces header by header (large runs are
-    /// walked across their consecutive segments). Call only at safe
-    /// points — never from inside a finalization callback running during
-    /// a collection.
+    /// Takes a live census by walking every head segment outside the
+    /// from-space: pair spaces by watermark, typed and pure spaces header
+    /// by header (large runs are walked across their consecutive
+    /// segments). Between increments the from-space is not counted (see
+    /// the module docs).
     pub fn census(&self) -> HeapCensus {
         use guardians_segments::Space;
         let mut out: Vec<GenCensus> = (0..self.config.generations)
@@ -130,6 +134,9 @@ impl Heap {
             })
             .collect();
         for (seg, info) in self.segs.iter() {
+            if self.segs.in_from_space(seg) {
+                continue;
+            }
             let slot = &mut out[info.generation as usize];
             slot.segments += 1;
             if !info.is_head() {

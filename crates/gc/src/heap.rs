@@ -13,7 +13,7 @@
 //! from one.
 
 use crate::collect;
-use crate::config::{GcConfig, Promotion};
+use crate::config::GcConfig;
 use crate::error::GcError;
 use crate::guardian::Guardian;
 use crate::header::{Header, ObjKind};
@@ -89,7 +89,10 @@ pub struct Heap {
 }
 
 impl Heap {
-    /// Creates a heap with the given configuration.
+    /// Creates a heap with the given configuration. The configuration is
+    /// fixed for the heap's life: no method changes it afterwards, so a
+    /// survivor's generation never decreases under any
+    /// [`Promotion`](crate::Promotion).
     ///
     /// # Panics
     ///
@@ -131,10 +134,10 @@ impl Heap {
     /// Creates a heap whose segment storage comes from a shared
     /// [`SegmentPool`] — the multi-tenant configuration, where many heaps
     /// ("zones") draw on one fleet-level capacity budget. `max_segments`
-    /// is this heap's watermark: a per-tenant quota that both bounds the
-    /// tenant and, when the fleet's watermarks sum to at most the pool
-    /// capacity, guarantees its `try_*` preflights stay race-free against
-    /// concurrent tenants.
+    /// is this heap's watermark, fixed like the rest of its policy: a
+    /// per-tenant quota that both bounds the tenant and, when the fleet's
+    /// watermarks sum to at most the pool capacity, guarantees its `try_*`
+    /// preflights stay race-free against concurrent tenants.
     ///
     /// Allocation behaviour (addresses, recycling of freed segments and
     /// runs, observables) is byte-identical to [`Heap::new`]; pool exhaustion and the watermark
@@ -804,64 +807,6 @@ impl Heap {
     /// Current heap capacity in bytes (allocated segments).
     pub fn capacity_bytes(&self) -> usize {
         self.segs.words_allocated() * 8
-    }
-
-    // ------------------------------------------------------------------
-    // Online policy reconfiguration
-    // ------------------------------------------------------------------
-    //
-    // Policy knobs (promotion, zone quota) may change
-    // at runtime, but only *between* collections: every setter asserts no
-    // incremental collection is suspended, so a collection never sees a
-    // policy flip mid-cycle — the collected generation, promotion target,
-    // and budget preflight of one collection all come from one
-    // configuration. `verify()` remains callable after any change (it
-    // reads the live config, not a snapshot).
-
-    /// Sets [`GcConfig::promotion`] at runtime. Safe between collections
-    /// because every promotion strategy moves *all* survivors of a
-    /// collection uniformly — the remembered-set invariant (old-to-young
-    /// pointers arise only from mutation) is preserved no matter when
-    /// the strategy flips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded-pause collection is suspended between
-    /// increments.
-    pub fn set_promotion(&mut self, promotion: Promotion) {
-        assert!(
-            self.incremental.is_none(),
-            "policy changes apply only between collections"
-        );
-        self.config.promotion = promotion;
-    }
-
-    /// Resets this heap's segment-quota watermark (multi-tenant zones;
-    /// see [`Heap::with_pool`]) at runtime — the zone layer's
-    /// `rebalance_quotas` actuator. Emits a [`GcEvent::PolicyChange`]
-    /// with knob `"max_segments"` (`0` encodes "unbounded").
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bounded-pause collection is suspended between
-    /// increments, or if the new watermark is below the segments the
-    /// heap already holds (shrinking below occupancy would make the
-    /// budget discipline retroactively unsound).
-    pub fn set_max_segments(&mut self, max: Option<usize>) {
-        assert!(
-            self.incremental.is_none(),
-            "policy changes apply only between collections"
-        );
-        let from = self.segs.max_segments().map_or(0, |m| m as u64);
-        self.segs.set_max_segments(max);
-        let to = max.map_or(0, |m| m as u64);
-        let collection = self.collections;
-        self.trace_emit(|| GcEvent::PolicyChange {
-            knob: "max_segments",
-            from,
-            to,
-            collection,
-        });
     }
 
     // ------------------------------------------------------------------

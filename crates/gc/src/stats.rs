@@ -135,19 +135,6 @@ pub struct CollectionReport {
     pub increments: u64,
 }
 
-impl CollectionReport {
-    /// Copy throughput: words copied per second of total pause time.
-    /// `0.0` when nothing was copied or the pause was too short to time.
-    pub fn words_per_sec(&self) -> f64 {
-        let secs = self.duration.as_secs_f64();
-        if secs > 0.0 {
-            self.words_copied as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Cumulative statistics over the lifetime of a heap.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeapStats {

@@ -64,7 +64,9 @@ impl GcPhase {
 }
 
 /// A typed trace event. All payloads are plain scalars so emitting an
-/// event never allocates.
+/// event never allocates. Events record what a collection, the mutator
+/// or the embedding did; the heap's policy is fixed at construction, so
+/// no event reports a change to it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GcEvent {
     /// A collection started.
@@ -193,19 +195,6 @@ pub enum GcEvent {
         dirty_cards_scanned: u64,
         /// Wall-clock nanoseconds for the whole collection.
         dur_ns: u64,
-    },
-    /// A runtime policy change applied between collections (see
-    /// [`Heap::set_max_segments`](crate::Heap::set_max_segments), its
-    /// one emitter).
-    PolicyChange {
-        /// Knob name: `"max_segments"`.
-        knob: &'static str,
-        /// Old knob value (`0` encodes "unbounded" for `max_segments`).
-        from: u64,
-        /// New knob value.
-        to: u64,
-        /// 1-based index of the collection the change followed.
-        collection: u64,
     },
     /// An application-level marker emitted through
     /// [`Heap::trace_app_event`](crate::Heap::trace_app_event) — the
@@ -501,20 +490,6 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
                 ("dur_ns", u(dur_ns)),
             ],
         ),
-        GcEvent::PolicyChange {
-            knob,
-            from,
-            to,
-            collection,
-        } => (
-            "policy_change",
-            vec![
-                ("knob", format!("\"{knob}\"")),
-                ("from", u(from)),
-                ("to", u(to)),
-                ("collection", u(collection)),
-            ],
-        ),
         GcEvent::App { name } => ("app", vec![("name", format!("\"{name}\""))]),
     }
 }
@@ -746,12 +721,6 @@ mod tests {
                 weak_pairs_scanned: 5,
                 dirty_cards_scanned: 0,
                 dur_ns: 100,
-            },
-            GcEvent::PolicyChange {
-                knob: "max_segments",
-                from: 0,
-                to: 64,
-                collection: 1,
             },
             GcEvent::App { name: "port.close" },
         ];

@@ -58,8 +58,7 @@ impl Heap {
     ///   its segment's generation, "not allocated" exactly on the free
     ///   indices, and "from-space" exactly on the segments a suspended
     ///   collection will reclaim — on none between collections;
-    /// * an allocation cursor is open exactly on the segments flagged so,
-    ///   and no segment is owned by a collector worker;
+    /// * an allocation cursor is open exactly on the segments flagged so;
     /// * protected-list entries satisfy the generation invariants
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
     ///   via a tconc, and with an agent, in generation ≥ i), which is

@@ -164,42 +164,30 @@ fn store_into_the_tail_of_a_large_vector_is_found() {
 fn cards_stay_dirty_while_the_target_is_younger_than_the_holder() {
     // Under SameGeneration a generation-1 collection promotes into
     // generation 1, so a generation-2 holder's card must be visited by
-    // every one of them; likewise once a tenure cap is lowered below the
-    // holder's generation.
-    let same = GcConfig {
+    // every one of them.
+    let mut h = Heap::new(GcConfig {
         promotion: Promotion::SameGeneration,
         ..GcConfig::new()
-    };
-    for (config, age, cap) in [
-        (same, [0u8, 2], None),
-        (GcConfig::new(), [1, 2], Some(Promotion::Capped(1))),
-    ] {
-        let mut h = Heap::new(config);
-        let holder = h.make_vector(8, Value::NIL);
-        let r = h.root(holder);
+    });
+    let holder = h.make_vector(8, Value::NIL);
+    let r = h.root(holder);
+    h.collect(0);
+    h.collect(2);
+    let holder_gen = h.generation_of(r.get()).unwrap();
+    assert_eq!(holder_gen, 2);
+    let young = h.cons(Value::fixnum(5), Value::NIL);
+    h.vector_set(r.get(), 0, young);
+    h.collect(0);
+    assert_eq!(remset_work(&h), (1, 1));
+    for _ in 0..3 {
+        h.collect(1);
+        assert_eq!(remset_work(&h), (1, 1), "target 1 < holder {holder_gen}");
+        assert_eq!(h.generation_of(h.vector_ref(r.get(), 0)), Some(1));
         h.collect(0);
-        for gen in age {
-            h.collect(gen);
-        }
-        let holder_gen = h.generation_of(r.get()).unwrap();
-        assert!(holder_gen >= 2);
-        if let Some(cap) = cap {
-            h.set_promotion(cap);
-        }
-        let young = h.cons(Value::fixnum(5), Value::NIL);
-        h.vector_set(r.get(), 0, young);
-        h.collect(0);
-        assert_eq!(remset_work(&h), (1, 1));
-        for _ in 0..3 {
-            h.collect(1);
-            assert_eq!(remset_work(&h), (1, 1), "target 1 < holder {holder_gen}");
-            assert_eq!(h.generation_of(h.vector_ref(r.get(), 0)), Some(1));
-            h.collect(0);
-            assert_eq!(remset_work(&h), (0, 0));
-            h.verify().unwrap();
-        }
-        assert_eq!(h.car(h.vector_ref(r.get(), 0)), Value::fixnum(5));
+        assert_eq!(remset_work(&h), (0, 0));
+        h.verify().unwrap();
     }
+    assert_eq!(h.car(h.vector_ref(r.get(), 0)), Value::fixnum(5));
 }
 
 /// Registers `n` objects with `g` and drops them, so the next collection
@@ -663,24 +651,25 @@ fn pop_then_push_into_a_stamped_position_is_traced() {
 }
 
 #[test]
-fn stamps_follow_survivors_down_under_capped_and_same_generation() {
-    // Age a root to generation 3, then switch to a policy whose target is
-    // *below* the collected generation: the stamp must be the generation
-    // the survivor lands in, not `g + 1`.
-    for (promotion, lands_in) in [
-        (Promotion::Capped(1), 1u8),
-        (Promotion::Capped(2), 2),
-        (Promotion::SameGeneration, 3),
+fn stamps_are_exact_when_the_target_is_below_g_plus_one() {
+    // Under a tenure cap or SameGeneration, collecting `0..=g` can land a
+    // survivor below `g + 1`: the stamp must be the generation it lands
+    // in, or the next collection of that generation would skip it.
+    for (promotion, age, g, lands_in) in [
+        (Promotion::Capped(1), &[0u8][..], 3u8, 1u8),
+        (Promotion::Capped(2), &[0, 1], 3, 2),
+        (Promotion::SameGeneration, &[0], 2, 2),
     ] {
-        let mut h = Heap::default();
+        let mut h = Heap::new(GcConfig {
+            promotion,
+            ..GcConfig::new()
+        });
         let p = h.cons(Value::fixnum(9), Value::NIL);
         let r = h.root(p);
-        for g in 0..3 {
-            h.collect(g);
+        for &gen in age {
+            h.collect(gen);
         }
-        assert_eq!(h.generation_of(r.get()), Some(3));
-        h.set_promotion(promotion);
-        assert_eq!(h.collect(3).roots_traced, 1);
+        assert_eq!(h.collect(g).roots_traced, 1, "{promotion:?}");
         assert_eq!(h.generation_of(r.get()), Some(lands_in), "{promotion:?}");
         h.verify().unwrap();
         // The collection that can move it again must find it again.

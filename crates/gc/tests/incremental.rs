@@ -4,7 +4,7 @@
 //! write-barrier coverage) under a randomized interleaved mutator, and
 //! clean mid-cycle fault behaviour.
 
-use guardians_gc::{CollectionReport, GcConfig, GcError, Heap, PhaseTimes, Value};
+use guardians_gc::{CollectionReport, GcConfig, GcError, Heap, PhaseTimes, Promotion, Value};
 use std::time::Duration;
 
 /// Deterministic xorshift64 so both heaps of a comparison run the exact
@@ -75,8 +75,12 @@ fn populate(h: &mut Heap, rng: &mut XorShift) -> guardians_gc::RootedVec {
     objs
 }
 
+/// The report without what only the schedule decides: timings, the
+/// increment count, and the root slots re-traced by the increments of a
+/// collection whose target is its own generation (DESIGN §10).
 fn work_counters(r: &CollectionReport) -> CollectionReport {
     CollectionReport {
+        roots_retraced: 0,
         duration: Duration::ZERO,
         phases: PhaseTimes::default(),
         increments: 0,
@@ -87,30 +91,49 @@ fn work_counters(r: &CollectionReport) -> CollectionReport {
 /// With a quiescent mutator the incremental engine visits objects in the
 /// same order as the serial engine, so every deterministic work counter
 /// of the report is byte-identical — only timings and the increment
-/// count may differ.
+/// count may differ — and every survivor lands in the same generation.
+/// Each promotion rule is fixed at construction, and the collection
+/// sequence reaches the oldest generation under each.
 #[test]
 fn quiescent_work_counters_match_serial_exactly() {
-    let run = |budget: Option<Duration>| {
-        let mut h = Heap::new(incremental_config(budget));
+    let run = |promotion: Promotion, budget: Option<Duration>| {
+        let mut h = Heap::new(GcConfig {
+            promotion,
+            ..incremental_config(budget)
+        });
         let mut rng = XorShift::new(0x1E51);
-        let _objs = populate(&mut h, &mut rng);
+        let objs = populate(&mut h, &mut rng);
         let mut reports = Vec::new();
-        for gen in [0u8, 0, 1, 0, 2] {
+        for gen in [0u8, 0, 1, 0, 2, 3, 0, 1, 3] {
             reports.push(work_counters(h.collect(gen)));
         }
         h.verify().expect("valid after every collection");
-        reports
+        let placement: Vec<Option<u8>> = (0..objs.len())
+            .map(|i| h.generation_of(objs.get(i)))
+            .collect();
+        (reports, placement)
     };
-    let serial = run(None);
-    for budget in [
-        Some(Duration::ZERO),
-        Some(Duration::from_micros(20)),
-        Some(Duration::from_millis(5)),
+    for promotion in [
+        Promotion::NextGeneration,
+        Promotion::Capped(1),
+        Promotion::Capped(2),
+        Promotion::SameGeneration,
     ] {
-        assert_eq!(run(budget), serial, "budget {budget:?} diverged");
+        let serial = run(promotion, None);
+        for budget in [
+            Some(Duration::ZERO),
+            Some(Duration::from_micros(20)),
+            Some(Duration::from_millis(5)),
+        ] {
+            assert_eq!(
+                run(promotion, budget),
+                serial,
+                "{promotion:?}, budget {budget:?} diverged"
+            );
+        }
+        // The serial reports really did come from the stop-the-world engine…
+        assert!(serial.0.iter().all(|r| r.increments == 0));
     }
-    // The serial reports really did come from the stop-the-world engine…
-    assert!(serial.iter().all(|r| r.increments == 0));
 }
 
 /// Guardian resurrection order and weak breaking are observably
@@ -455,4 +478,44 @@ fn increments_retrace_stored_roots_not_the_whole_set() {
     assert_eq!(h.metrics().counter("gc.roots_retraced"), total);
     assert_eq!(h.car(r.get()), Value::fixnum(5));
     h.verify().expect("valid at the end");
+}
+
+/// A census may be taken between increments: it skips the suspended
+/// collection's from-space, whose copied objects hold broken hearts, and
+/// counts only what is decided — the copies, in the target generation.
+/// Once the cycle ends it equals the census a stop-the-world collection
+/// leaves.
+#[test]
+fn census_between_increments_skips_the_from_space() {
+    let build = |budget: Option<Duration>| {
+        let mut h = Heap::new(incremental_config(budget));
+        let keep = h.root_vec();
+        for i in 0..2000 {
+            let v = h.make_vector(3, Value::fixnum(i));
+            keep.push(v);
+        }
+        (h, keep)
+    };
+    let (mut serial, _serial_roots) = build(None);
+    serial.collect(0);
+    let want = serial.census();
+
+    let (mut h, _roots) = build(Some(Duration::ZERO));
+    h.begin_incremental(0);
+    let mut increments = 0;
+    loop {
+        let census = h.census();
+        assert_eq!(
+            census.generations[0].words(),
+            0,
+            "generation 0 is all from-space"
+        );
+        assert!(census.generations[1].words() <= want.generations[1].words());
+        increments += 1;
+        if h.gc_step().is_some() {
+            break;
+        }
+    }
+    assert!(increments > 3, "{increments} increments");
+    assert_eq!(h.census(), want);
 }

@@ -14,10 +14,12 @@
 //! `verify()` (or the payload check) fails.
 //!
 //! Both schedules (stop-the-world, `pause_budget: 0 µs`), every
-//! `Promotion` (`Capped` moves survivors *down*, so stamps must be exact
-//! generations) and 1, 4 and 254 generations — the most a heap takes — (the
-//! eight-at-a-time stamp test must be exact for every legal generation) are
-//! covered.
+//! `Promotion` (under `Capped` and `SameGeneration` a collection's target
+//! can be below `g + 1`, so stamps must be exact generations) and 1, 4 and
+//! 254 generations — the most a heap takes — (the eight-at-a-time stamp
+//! test must be exact for every legal generation) are covered. A heap's
+//! promotion rule is fixed when it is built, so the model also checks that
+//! no rooted referent's generation decreases across a collection.
 
 use guardians_gc::{
     CollectionReport, GcConfig, Heap, PhaseTimes, Promotion, Rooted, RootedVec, Value,
@@ -55,6 +57,9 @@ struct World {
     stacks: Vec<(RootedVec, Vec<i64>)>,
     next_payload: i64,
     reports: Vec<CollectionReport>,
+    /// Every root's referent generation just before the last collection
+    /// call, handle by handle (see [`World::root_generations`]).
+    generations: Vec<Option<u8>>,
 }
 
 impl World {
@@ -86,15 +91,40 @@ impl World {
         }
     }
 
+    /// The generation of every root's referent (`None` for a fixnum):
+    /// singles, then each stack by index.
+    fn root_generations(&self) -> Vec<Option<u8>> {
+        let mut gens: Vec<Option<u8>> = self
+            .singles
+            .iter()
+            .map(|s| self.h.generation_of(s.handle.get()))
+            .collect();
+        for (stack, _) in &self.stacks {
+            gens.extend((0..stack.len()).map(|i| self.h.generation_of(stack.get(i))));
+        }
+        gens
+    }
+
     fn before_collection(&mut self) {
         if self.unfiltered {
             self.h.zero_root_stamps();
+        }
+        self.generations = self.root_generations();
+    }
+
+    /// With the policy fixed at construction, a collection (or one of its
+    /// increments) moves no rooted referent to a younger generation.
+    fn check_no_demotion(&self) {
+        let after = self.root_generations();
+        for (i, (was, now)) in self.generations.iter().zip(&after).enumerate() {
+            assert!(now >= was, "root {i}: generation {was:?} -> {now:?}");
         }
     }
 
     fn after_collection(&mut self, report: CollectionReport) {
         self.reports.push(report);
         self.h.verify().expect("valid after a collection");
+        self.check_no_demotion();
         self.check_model();
     }
 
@@ -182,7 +212,7 @@ impl World {
                 let report = self.h.collect(g).clone();
                 self.after_collection(report);
             }
-            85..=94 => {
+            _ => {
                 // Garbage, then a safe point: under a pause budget this
                 // runs one increment, with root operations in between.
                 for _ in 0..self.rng.gen_range(10..120) {
@@ -193,19 +223,8 @@ impl World {
                     self.after_collection(report);
                 } else {
                     self.h.verify().expect("valid mid-cycle");
+                    self.check_no_demotion();
                 }
-            }
-            _ => {
-                if self.h.incremental_in_progress() {
-                    return;
-                }
-                let promotion = [
-                    Promotion::NextGeneration,
-                    Promotion::Capped(1),
-                    Promotion::Capped(2),
-                    Promotion::SameGeneration,
-                ][self.rng.gen_range(0..4usize)];
-                self.h.set_promotion(promotion);
             }
         }
     }
@@ -226,6 +245,7 @@ fn drive(seed: u64, config: &GcConfig, unfiltered: bool) -> (Vec<CollectionRepor
         stacks,
         next_payload: 0,
         reports: Vec::new(),
+        generations: Vec::new(),
     };
     for _ in 0..600 {
         w.step();

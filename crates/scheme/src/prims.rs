@@ -240,9 +240,16 @@ fn want_num(heap: &Heap, v: Value, who: &str) -> SResult<Num> {
     }
 }
 
+/// An integer as a Scheme number: a fixnum, or outside the fixnum range
+/// the flonum nearest it — what `fold_nums` does on `i64` overflow. Every
+/// integer a primitive computes or the reader reads comes through here.
+pub(crate) fn int_value(heap: &mut Heap, i: i64) -> Value {
+    Value::try_fixnum(i).unwrap_or_else(|| heap.make_flonum(i as f64))
+}
+
 fn num_value(heap: &mut Heap, n: Num) -> Value {
     match n {
-        Num::Fix(i) => Value::fixnum(i),
+        Num::Fix(i) => int_value(heap, i),
         Num::Flo(f) => heap.make_flonum(f),
     }
 }
@@ -637,10 +644,13 @@ fn p_mul(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 
 fn p_sub(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     if a.len() == 1 {
-        return match want_num(&it.heap, a[0], "-")? {
-            Num::Fix(i) => Ok(Value::fixnum(-i)),
-            Num::Flo(f) => Ok(it.heap.make_flonum(-f)),
+        // A fixnum's negation cannot overflow `i64`; `-FIXNUM_MIN` is
+        // past the fixnum range and becomes a flonum.
+        let negated = match want_num(&it.heap, a[0], "-")? {
+            Num::Fix(i) => Num::Fix(-i),
+            Num::Flo(f) => Num::Flo(-f),
         };
+        return Ok(num_value(&mut it.heap, negated));
     }
     let first = want_num(&it.heap, a[0], "-")?;
     let mut acc = first;
@@ -689,7 +699,8 @@ fn int2(it: &Interp, a: &[Value], who: &str) -> SResult<(i64, i64)> {
 
 fn p_quotient(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     let (x, y) = int2(it, a, "quotient")?;
-    Ok(Value::fixnum(x / y))
+    // `FIXNUM_MIN / -1` is past the fixnum range, not past `i64`'s.
+    Ok(int_value(&mut it.heap, x / y))
 }
 
 fn p_remainder(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -721,10 +732,11 @@ fn p_is_number(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_abs(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    match want_num(&it.heap, a[0], "abs")? {
-        Num::Fix(i) => Ok(Value::fixnum(i.abs())),
-        Num::Flo(f) => Ok(it.heap.make_flonum(f.abs())),
-    }
+    let n = match want_num(&it.heap, a[0], "abs")? {
+        Num::Fix(i) => Num::Fix(i.abs()),
+        Num::Flo(f) => Num::Flo(f.abs()),
+    };
+    Ok(num_value(&mut it.heap, n))
 }
 
 fn p_min(it: &mut Interp, a: &[Value]) -> SResult<Value> {

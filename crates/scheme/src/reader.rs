@@ -82,7 +82,7 @@ impl Reader<'_> {
         }
         self.depth += 1;
         let datum = match self.next()? {
-            Token::Fixnum(n) => Ok(Value::fixnum(n)),
+            Token::Fixnum(n) => Ok(crate::prims::int_value(self.heap, n)),
             Token::Flonum(f) => Ok(self.heap.make_flonum(f)),
             Token::Bool(b) => Ok(Value::bool(b)),
             Token::Char(c) => Ok(Value::char(c)),

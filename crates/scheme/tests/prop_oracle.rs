@@ -324,6 +324,30 @@ fn runtime_errors_match_byte_for_byte() {
     }
 }
 
+/// Integers at and just past the fixnum range (±2^60), read or computed:
+/// both evaluators return the same number, a flonum past the range.
+#[test]
+fn fixnum_boundaries_agree() {
+    let forms: Vec<String> = [
+        "1152921504606846975",
+        "1152921504606846976",
+        "-1152921504606846976",
+        "-1152921504606846977",
+        "(+ 1152921504606846975 1)",
+        "(- -1152921504606846976 1)",
+        "(* 1152921504606846975 2)",
+        "(- -1152921504606846976)",
+        "(quotient -1152921504606846976 -1)",
+        "(abs -1152921504606846976)",
+        "(define big (+ 1152921504606846975 1))",
+        "(list big (number? big) (- big 1) (< 1152921504606846975 big))",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    assert_identical(&forms);
+}
+
 #[test]
 fn deep_recursion_error_matches() {
     assert_identical(&[

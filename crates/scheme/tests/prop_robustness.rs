@@ -110,3 +110,34 @@ fn nesting_bound_holds_at_its_edge() {
         assert_eq!(e.message(), "form nesting too deep");
     });
 }
+
+/// Integers just past the fixnum range (±2^60) become flonums, whether
+/// the reader reads them or a primitive computes them; just inside it they
+/// stay fixnums. Nothing here may panic.
+#[test]
+fn fixnum_boundaries_are_numbers() {
+    let mut interp = Interp::new();
+    for (src, want) in [
+        ("1152921504606846975", "1152921504606846975"),
+        ("1152921504606846976", "1152921504606846976.0"),
+        ("-1152921504606846976", "-1152921504606846976"),
+        ("-1152921504606846977", "-1152921504606846976.0"),
+        ("(+ 1152921504606846974 1)", "1152921504606846975"),
+        ("(+ 1152921504606846975 1)", "1152921504606846976.0"),
+        ("(- -1152921504606846975 1)", "-1152921504606846976"),
+        ("(- -1152921504606846976 1)", "-1152921504606846976.0"),
+        ("(* 1152921504606846975 2)", "2305843009213693952.0"),
+        ("(- 1152921504606846975)", "-1152921504606846975"),
+        ("(- -1152921504606846976)", "1152921504606846976.0"),
+        ("(quotient 1152921504606846975 -1)", "-1152921504606846975"),
+        (
+            "(quotient -1152921504606846976 -1)",
+            "1152921504606846976.0",
+        ),
+        ("(abs -1152921504606846975)", "1152921504606846975"),
+        ("(abs -1152921504606846976)", "1152921504606846976.0"),
+    ] {
+        assert_eq!(interp.eval_to_string(src).unwrap(), want, "{src}");
+    }
+    interp.heap().verify().expect("heap valid afterwards");
+}

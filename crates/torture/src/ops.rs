@@ -12,8 +12,9 @@ use guardians_gc::Promotion;
 use std::fmt;
 use std::str::FromStr;
 
-/// The textual form of a promotion policy, shared by the config line's
-/// mandatory second token and the `setpromo` op.
+/// The textual form of a promotion policy: the config line's mandatory
+/// second token. A trace's policy is fixed for its whole run, as a heap's
+/// is fixed when it is built.
 fn promotion_text(p: Promotion) -> String {
     match p {
         Promotion::NextGeneration => "next".to_string(),
@@ -268,15 +269,6 @@ pub enum Op {
         /// The upgraded weak.
         wid: u32,
     },
-    /// Retune the survivor promotion policy mid-trace through the heap's
-    /// between-collections reconfiguration path ([`guardians_gc::Heap::
-    /// set_promotion`]). The shadow model switches in lockstep, so the
-    /// oracle checks that a policy change is exactly a policy change —
-    /// survivor placement follows the new rule, nothing else moves.
-    SetPromotion {
-        /// The policy every later collection promotes under.
-        promotion: Promotion,
-    },
     /// Collect generations `0..=gen`.
     Collect {
         /// Highest generation collected.
@@ -344,7 +336,6 @@ impl fmt::Display for Op {
             Op::PollTyped { g } => write!(f, "tpoll {g}"),
             Op::AllocTypedWeak { wid, node } => write!(f, "tweak {wid} {node}"),
             Op::UpgradeTypedWeak { wid } => write!(f, "tupgrade {wid}"),
-            Op::SetPromotion { promotion } => write!(f, "setpromo {}", promotion_text(*promotion)),
             Op::Collect { gen } => write!(f, "collect {gen}"),
             Op::Churn { n } => write!(f, "churn {n}"),
             Op::Grow { bytes } => write!(f, "grow {bytes}"),
@@ -438,10 +429,6 @@ impl FromStr for Op {
                 node: num("node")?,
             },
             "tupgrade" => Op::UpgradeTypedWeak { wid: num("wid")? },
-            "setpromo" => Op::SetPromotion {
-                promotion: parse_promotion(it.next().ok_or("setpromo: missing promotion")?)
-                    .map_err(|e| format!("setpromo: {e}"))?,
-            },
             "collect" => Op::Collect {
                 gen: num("gen")? as u8,
             },
@@ -722,9 +709,6 @@ mod tests {
             Op::PollTyped { g: 0 },
             Op::AllocTypedWeak { wid: 1, node: 4 },
             Op::UpgradeTypedWeak { wid: 1 },
-            Op::SetPromotion {
-                promotion: Promotion::Capped(1),
-            },
             Op::Collect { gen: 2 },
             Op::Churn { n: 300 },
             Op::Grow { bytes: 9000 },
@@ -799,19 +783,18 @@ mod tests {
     }
 
     #[test]
-    fn setpromo_token_round_trips() {
+    fn promotion_token_round_trips() {
         for (text, promotion) in [
-            ("setpromo next", Promotion::NextGeneration),
-            ("setpromo cap1", Promotion::Capped(1)),
-            ("setpromo cap2", Promotion::Capped(2)),
-            ("setpromo same", Promotion::SameGeneration),
+            ("config 4 next -", Promotion::NextGeneration),
+            ("config 4 cap1 -", Promotion::Capped(1)),
+            ("config 4 cap2 -", Promotion::Capped(2)),
+            ("config 4 same -", Promotion::SameGeneration),
         ] {
-            let op = text.parse::<Op>().unwrap();
-            assert_eq!(op, Op::SetPromotion { promotion }, "{text}");
-            assert_eq!(op.to_string(), text);
+            let config = text.parse::<TortureConfig>().unwrap();
+            assert_eq!(config.promotion, promotion, "{text}");
+            assert_eq!(config.to_string(), text);
         }
-        assert!("setpromo sideways".parse::<Op>().is_err());
-        assert!("setpromo".parse::<Op>().is_err());
+        assert!("config 4 sideways -".parse::<TortureConfig>().is_err());
     }
 
     #[test]

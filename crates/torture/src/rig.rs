@@ -846,15 +846,6 @@ impl Rig {
                 }
                 Ok(true)
             }
-            Op::SetPromotion { promotion } => {
-                // A policy change between collections: the real heap goes
-                // through the runtime setter, the model switches its rule
-                // in lockstep, and the next collection's oracle check
-                // proves survivor placement follows the new policy.
-                self.heap.set_promotion(promotion);
-                self.model.cfg.promotion = promotion;
-                Ok(true)
-            }
             Op::Collect { gen } => {
                 let gen = gen.min(self.model.cfg.generations - 1);
                 if self.traced {

@@ -20,7 +20,7 @@ fn must_pass(trace: &Trace, what: &str) {
     }
 }
 
-/// Fixed seeds, every promotion policy (seed mod 3, the rotation in
+/// Fixed seeds, every promotion policy (seed mod 4, the rotation in
 /// `config_for_seed`), plus a few seeds from an arbitrary
 /// time-derived base so every CI run explores fresh territory. Any
 /// failure prints the seed — which reproduces it deterministically — and
@@ -172,26 +172,16 @@ fn typed_api_matrix_agrees_with_the_oracle() {
 /// promotion policies — `next`, `cap1`, `cap2`, `same` — on each of the
 /// two schedules (stop-the-world, 100 µs budget) with zero oracle
 /// divergences, and the deterministic observables are identical across
-/// schedules within each policy. Generated traces also interleave
-/// `setpromo` retunes, so the between-collections reconfiguration path
-/// is exercised against the oracle on both.
+/// schedules within each policy. A trace's policy is its config line's,
+/// fixed for the whole run.
 #[test]
 fn promotion_strategy_matrix_agrees_with_the_oracle() {
     use guardians_gc::Promotion;
-    use guardians_torture::Op;
     let seeds = env_num("TORTURE_PROMO_SEEDS", 5);
     let ops = env_num("TORTURE_PROMO_OPS", 300) as usize;
     let mut runs = 0;
-    let mut retuned_traces = 0;
     for seed in 0..seeds {
         let trace = generate(seed, ops);
-        if trace
-            .ops
-            .iter()
-            .any(|o| matches!(o, Op::SetPromotion { .. }))
-        {
-            retuned_traces += 1;
-        }
         for promotion in [
             Promotion::NextGeneration,
             Promotion::Capped(1),
@@ -225,10 +215,6 @@ fn promotion_strategy_matrix_agrees_with_the_oracle() {
         }
     }
     assert!(runs >= 40, "promotion matrix too small: {runs} runs");
-    assert!(
-        retuned_traces > 0,
-        "no generated trace exercised setpromo ({retuned_traces}/{seeds})"
-    );
 }
 
 /// A handwritten typed trace replayed from its text form, pinning the §4

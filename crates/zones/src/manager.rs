@@ -119,68 +119,6 @@ impl ZoneManager {
     pub fn snapshots(&mut self) -> Vec<ZoneSnapshot> {
         self.zones.values_mut().map(Zone::snapshot).collect()
     }
-
-    /// Re-divides the bounded pool's capacity among live zones in
-    /// proportion to each zone's current segment holdings, applying the
-    /// result through each heap's watermark
-    /// ([`guardians_gc::Heap::set_max_segments`]): an idle tenant's
-    /// unused quota flows to its busy siblings without any zone losing
-    /// what it already holds.
-    ///
-    /// Invariants of the returned `(zone id, quota)` assignment, in
-    /// ascending id order:
-    ///
-    /// * every quota ≥ the zone's currently held segments (a quota below
-    ///   the zone's footprint could never be satisfied), with one spare
-    ///   segment of headroom per zone when the capacity affords it;
-    /// * the quotas sum to ≤ the pool's capacity, so the watermarks are
-    ///   collectively admissible — the pool can honor all of them at
-    ///   once.
-    ///
-    /// Returns an empty vec when the pool is unbounded (no capacity to
-    /// divide) or the manager has no zones. Deterministic: holdings are
-    /// read and quotas applied in ascending zone-id order, and the
-    /// arithmetic is integer-exact.
-    pub fn rebalance_quotas(&mut self) -> Vec<(u64, usize)> {
-        let Some(capacity) = self.pool.stats().capacity else {
-            return Vec::new();
-        };
-        if self.zones.is_empty() {
-            return Vec::new();
-        }
-        let held: Vec<(u64, usize)> = self
-            .zones
-            .iter()
-            .map(|(id, z)| (*id, z.segments_held()))
-            .collect();
-        let n = held.len();
-        let total_held: usize = held.iter().map(|&(_, h)| h).sum();
-        // The pool enforces outstanding <= capacity, so total_held fits;
-        // grant per-zone headroom only when it also fits.
-        let (headroom, budget) = if total_held + n <= capacity {
-            (1usize, capacity - total_held - n)
-        } else {
-            (0, capacity - total_held)
-        };
-        let mut out = Vec::with_capacity(n);
-        for &(id, h) in &held {
-            // Proportional share of the leftover budget (equal split for
-            // an all-idle fleet); flooring keeps the sum within budget.
-            let share = if total_held == 0 {
-                budget / n
-            } else {
-                usize::try_from(budget as u128 * h as u128 / total_held as u128)
-                    .expect("share <= budget")
-            };
-            let quota = h + headroom + share;
-            self.zones
-                .get_mut(&id)
-                .expect("held was built from live zones")
-                .set_quota(Some(quota));
-            out.push((id, quota));
-        }
-        out
-    }
 }
 
 impl Default for ZoneManager {

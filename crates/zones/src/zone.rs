@@ -81,7 +81,8 @@ pub struct ZoneConfig {
     pub engine: Engine,
     /// Workload surface.
     pub workload: WorkloadKind,
-    /// Per-zone segment watermark (quota) against the shared pool.
+    /// Per-zone segment watermark (quota) against the shared pool, fixed
+    /// for the zone's life.
     pub max_segments: Option<usize>,
     /// Simulated-OS fd table size for this tenant.
     pub fd_limit: usize,
@@ -418,20 +419,15 @@ impl Zone {
     }
 
     /// Segments the zone's heap currently holds against the shared pool
-    /// (or its private backing) — the demand signal quota rebalancing
-    /// divides the pool by.
+    /// (or its private backing), as [`ZoneSnapshot::segments`] reports
+    /// them. The quota they count against is fixed when the zone is
+    /// created ([`ZoneConfig::with_max_segments`]).
     pub fn segments_held(&self) -> usize {
         self.heap()
             .generation_usage()
             .iter()
             .map(|u| u.segments)
             .sum()
-    }
-
-    /// Replaces the zone's segment quota (watermark against the shared
-    /// pool). `None` removes the watermark.
-    pub fn set_quota(&mut self, max: Option<usize>) {
-        self.heap_mut().set_max_segments(max);
     }
 
     /// The tenant's simulated OS (fd accounting).

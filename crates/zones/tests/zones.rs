@@ -351,54 +351,6 @@ fn soak_skips_ops_on_dead_zones() {
 }
 
 #[test]
-fn rebalance_quotas_divides_capacity_without_stranding_zones() {
-    const CAPACITY: usize = 2048;
-    let mut mgr = ZoneManager::with_capacity(CAPACITY);
-    // One busy tenant, one light tenant, one idle tenant.
-    mgr.create_zone(0, &small_trigger(ZoneConfig::typed()));
-    mgr.create_zone(1, &small_trigger(ZoneConfig::typed()));
-    mgr.create_zone(2, &small_trigger(ZoneConfig::typed()));
-    for &r in &script(48, 10) {
-        mgr.dispatch(0, r);
-    }
-    for &r in &script(6, 2) {
-        mgr.dispatch(1, r);
-    }
-    let quotas = mgr.rebalance_quotas();
-    assert_eq!(quotas.len(), 3);
-    let total: usize = quotas.iter().map(|&(_, q)| q).sum();
-    assert!(
-        total <= CAPACITY,
-        "quotas are collectively admissible ({total} <= {CAPACITY})"
-    );
-    for &(id, q) in &quotas {
-        let held = mgr.zone(id).unwrap().segments_held();
-        assert!(q >= held, "zone {id}: quota {q} covers holdings {held}");
-    }
-    let q = |id: u64| quotas.iter().find(|&&(z, _)| z == id).unwrap().1;
-    assert!(
-        q(0) > q(2),
-        "the busy zone outbids the idle one ({} vs {})",
-        q(0),
-        q(2)
-    );
-    // Every zone keeps working under its new watermark.
-    for id in 0..3 {
-        for &r in &script(8, 3) {
-            mgr.dispatch(id, r);
-        }
-    }
-    mgr.quiesce();
-    for id in mgr.zone_ids() {
-        mgr.zone(id).unwrap().verify().expect("zone verifies");
-    }
-    // An unbounded pool has no capacity to divide.
-    let mut unbounded = ZoneManager::new();
-    unbounded.create_zone(0, &ZoneConfig::typed());
-    assert!(unbounded.rebalance_quotas().is_empty());
-}
-
-#[test]
 fn fleet_stats_json_is_well_formed() {
     let mut mgr = ZoneManager::with_capacity(2048);
     for id in 0..3 {
