@@ -43,7 +43,7 @@
 //! collection in. The "add obj to the tconc" step is [`append_all`]: one
 //! chain per tconc per round, written with the collector's own stores.
 
-use super::{forward, forward_settled, forwarded_p, kleene_sweep, settle, Scratch};
+use super::{forward, forward_settled, forwarded_p, kleene_sweep, settle, to_alloc, Scratch};
 use crate::heap::{GuardEntry, Heap};
 use crate::trace::GcEvent;
 use crate::value::Value;
@@ -147,7 +147,9 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
 /// is forwarded; then the entry fills the current last cell (car := rep,
 /// cdr := the fresh pair). The header's cdr is written once per run, last:
 /// the publishing store. That allocation order is one append per entry's,
-/// which keeps the to-space layout and every count.
+/// which keeps the to-space layout and every count. The fresh pairs come
+/// from [`to_alloc`], the Pair window the copies share: the cursor's
+/// `SegInfo::used` is stale inside an advance.
 ///
 /// Every store is a raw word write plus [`SegmentTable::note_collector_store`]
 /// with the referent's generation, never the mutator's barrier: the
@@ -167,7 +169,7 @@ fn append_all(heap: &mut Heap, s: &mut Scratch, entries: &[(Value, Value)]) {
         let mut last = None;
         for &(rep, _) in run {
             let (rep, rep_gen) = forward_settled(heap, s, rep);
-            let p_addr = heap.alloc_words_internal(Space::Pair, target, 2);
+            let (p_addr, _) = to_alloc(heap, s, Space::Pair, 2);
             heap.segs.set_word(p_addr, Value::FALSE.raw());
             heap.segs.set_word(p_addr.add(1), Value::FALSE.raw());
             let p = Value::pair_at(p_addr);

@@ -78,8 +78,11 @@
 //!
 //! * [`forward_from`] copies by shape — a pair is two word moves, any other
 //!   object of at most a segment one `copy_nonoverlapping`, a multi-segment
-//!   run the chunked `SegmentTable::copy_words` — into the to-space bump
-//!   cursor ([`Heap::bump`], the allocator's own fast path).
+//!   run the chunked `SegmentTable::copy_words` — into the target
+//!   generation's cursor through [`to_alloc`], the collector's one to-space
+//!   allocator: a [`Window`] per space that makes a hit one add and one
+//!   compare, and whose watermark is written back to `SegInfo::used` on a
+//!   miss, at every phase boundary and when the advance returns.
 //! * [`walk_traced`] alone knows the three traced layouts, and
 //!   [`forward_span`] is it with the one visitor there is: read the slot,
 //!   test it, forward with [`forward_from`], write back ([`scan_segment`],
@@ -96,10 +99,10 @@
 //!   exactly once per word.
 //!
 //! Slots are visited in increasing offset order within each `[off, used)`
-//! batch and `used` is re-read between batches, so the same objects are
-//! copied in the same order to the same addresses as by a per-word engine:
-//! every deterministic work counter is equal (the `counter_parity`
-//! regression tests in the bench crate).
+//! batch and `used` (the [`watermark`]) is re-read between batches, so the
+//! same objects are copied in the same order to the same addresses as by a
+//! per-word engine: every deterministic work counter is equal (the
+//! `counter_parity` regression tests in the bench crate).
 
 pub(crate) mod guardian_pass;
 pub(crate) mod remset;
@@ -111,7 +114,9 @@ use crate::roots::ROOT_CLEAN;
 use crate::stats::CollectionReport;
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
-use guardians_segments::{SegIndex, SegmentTable, Space, SEGMENT_WORDS, WHERE_FROM, WHERE_NONE};
+use guardians_segments::{
+    SegIndex, SegmentTable, Space, WordAddr, SEGMENT_WORDS, WHERE_FROM, WHERE_NONE,
+};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -162,9 +167,98 @@ pub(crate) struct Scratch {
     /// with the object's copy but its card mark does not, so
     /// [`settle_late_stores`] re-marks the card on the copy.
     pub late_stores: Vec<(Value, usize)>,
+    /// The to-space bump windows, one per space (indexed by
+    /// `Space::index`), over the target generation's cursors. Loaded at the
+    /// start of every [`advance`] and emptied when it returns, so a
+    /// suspended collection holds none (checked by `Heap::verify`).
+    windows: [Window; 4],
+}
+
+/// A to-space bump window: the open cursor segment of one space in the
+/// target generation, with its watermark held here instead of in
+/// `SegInfo::used`, so a copy that fits costs one add and one compare
+/// ([`to_alloc`]). Inside an advance the window's `used` is the
+/// authoritative watermark of its segment; `SegInfo::used` is brought up
+/// to date at every write-back point:
+///
+/// 1. a miss ([`to_alloc_miss`]), before the allocator reads the cursor;
+/// 2. every phase boundary ([`lap`]), so the remembered-set walk, the
+///    re-scan and the weak pass read a watermark from the last one — which
+///    covers every object the mutator could have stored into, while
+///    anything copied since is the sweep's;
+/// 3. the end of the advance, which also empties every window
+///    ([`Scratch::close_windows`]): between increments the mutator,
+///    `verify`, the census and the `try_*` preflights see only
+///    `SegInfo::used` — with `generations: 1` the target cursor is the
+///    mutator's own.
+///
+/// The sweep's two readers of the watermark of a segment that may be a
+/// window's ([`scan_segment`]'s batch loop, [`sweep_unit`]'s parked
+/// re-check) go through [`watermark`].
+#[derive(Copy, Clone, Debug, PartialEq)]
+struct Window {
+    /// The segment's first word.
+    start: WordAddr,
+    /// The segment's word storage; null for an empty window.
+    base: *mut u64,
+    /// Words in use.
+    used: usize,
+}
+
+impl Window {
+    /// No segment: full, so every request misses.
+    const EMPTY: Window = Window {
+        start: WordAddr(u64::MAX),
+        base: std::ptr::null_mut(),
+        used: SEGMENT_WORDS,
+    };
+
+    /// The window over `space`'s cursor in generation `gen`, or
+    /// [`Window::EMPTY`] if that cursor is closed.
+    fn load(heap: &Heap, space: Space, gen: u8) -> Window {
+        match heap.cursors[gen as usize * 4 + space.index()] {
+            Some(seg) => Window {
+                start: heap.segs.base_addr(seg),
+                base: heap.segs.base_ptr(seg),
+                used: heap.segs.info(seg).used as usize,
+            },
+            None => Window::EMPTY,
+        }
+    }
+
+    /// The window's watermark if it is over `seg`.
+    fn used_of(&self, seg: SegIndex) -> Option<usize> {
+        (!self.base.is_null() && self.start.seg() == seg).then_some(self.used)
+    }
 }
 
 impl Scratch {
+    /// Loads every window from the target generation's cursors (the start
+    /// of an advance).
+    fn open_windows(&mut self, heap: &Heap) {
+        for space in Space::ALL {
+            self.windows[space.index()] = Window::load(heap, space, self.target);
+        }
+    }
+
+    /// Writes every window's watermark back to its `SegInfo::used`.
+    fn write_back(&self, heap: &mut Heap) {
+        for w in self.windows.iter().filter(|w| !w.base.is_null()) {
+            heap.segs.info_mut(w.start.seg()).used = w.used as u32;
+        }
+    }
+
+    /// Writes every window back and empties it (the end of an advance).
+    fn close_windows(&mut self, heap: &mut Heap) {
+        self.write_back(heap);
+        self.windows = [Window::EMPTY; 4];
+    }
+
+    /// Whether every window is empty, as between increments.
+    pub fn holds_no_window(&self) -> bool {
+        self.windows.iter().all(|w| *w == Window::EMPTY)
+    }
+
     /// Logs a segment for re-scanning by the next advance (idempotent).
     pub fn log_rescan(&mut self, seg: SegIndex) {
         let i = seg.index();
@@ -254,6 +348,7 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
         rescan: Vec::new(),
         rescan_in: Vec::new(),
         late_stores: Vec::new(),
+        windows: [Window::EMPTY; 4],
     });
     lap(heap, &mut s, &mut mark, GcPhase::Flip);
     s.report.duration = s.report.phases.flip;
@@ -345,6 +440,9 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     // Every advance but a stop-the-world collection's only one counts as an
     // increment (below), so this is the first exactly when none has.
     let first = s.report.increments == 0;
+    // The windows live inside this advance (see `Window`): the mutator may
+    // have moved a target cursor since the last one.
+    s.open_windows(heap);
 
     // Phase 2. Roots are re-forwarded at every advance: the mutator may
     // have stored stale (since-forwarded) or from-space pointers into root
@@ -407,6 +505,7 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     } else {
         settle_late_stores(heap, &mut s.late_stores);
     }
+    s.close_windows(heap);
 
     // One `gc.pause_ns` sample per advance — the only place one is recorded
     // — and the first also covers the flip. A collection that ran from its
@@ -443,23 +542,20 @@ fn settle_late_stores(heap: &mut Heap, late_stores: &mut Vec<(Value, usize)>) {
     });
 }
 
+// A root holding an immediate is stamped with the generation [`settle`]
+// gives it.
+const _: () = assert!(ROOT_CLEAN == u8::MAX);
+
 /// Phase 2: forwards the root slots this collection can move — those
 /// stamped `<= g` (see [`crate::roots`]) — and stamps each with the
-/// generation its referent is now in. Returns the number of slots visited.
+/// generation its referent is now in ([`forward_settled`]'s). Returns the
+/// number of slots visited.
 fn forward_roots(heap: &mut Heap, s: &mut Scratch) -> u64 {
     let roots = heap.roots.clone();
     roots.trace(s.g, |slot| {
-        let v = *slot;
-        if !v.is_ptr() {
-            return ROOT_CLEAN;
-        }
-        let seg = v.addr().seg();
-        if heap.segs.in_from_space(seg) {
-            *slot = forward_from(heap, s, v);
-            s.target
-        } else {
-            heap.segs.info(seg).generation
-        }
+        let (v, gen) = forward_settled(heap, s, *slot);
+        *slot = v;
+        gen
     })
 }
 
@@ -492,11 +588,13 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
     lap(heap, s, mark, GcPhase::Reclaim);
 }
 
-/// Closes a timed section: accumulates the time since `mark` into the
+/// Closes a timed section: writes the to-space windows back (a phase
+/// boundary, see [`Window`]), accumulates the time since `mark` into the
 /// matching phase of the report, restarts `mark`, and emits the `PhaseEnd`
 /// event, so the trace's phase sum stays equal to `phases.total()` across
 /// any number of increments.
 fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
+    s.write_back(heap);
     let now = Instant::now();
     let d = now - *mark;
     *mark = now;
@@ -594,20 +692,17 @@ pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value 
         (header.total_words(), &mut s.report.objects_copied)
     };
     *copied += 1;
-    let to = heap
-        .bump(space, s.target, total)
-        .unwrap_or_else(|| heap.alloc_words_internal(space, s.target, total));
+    let (to, dst) = to_alloc(heap, s, space, total);
     if total > SEGMENT_WORDS {
         heap.segs.copy_words(addr, to, total);
     } else {
         let fits = addr.offset() + total <= SEGMENT_WORDS;
         assert!(fits, "{v:?} runs off the end of its segment");
         // SAFETY: the assert keeps the source words inside their segment;
-        // the allocator just reserved `total` words at `to` inside one
+        // `to_alloc` just reserved the `total` words at `dst` inside one
         // to-space segment, distinct from the from-space source. Raw
         // segment pointers only, as above.
         unsafe {
-            let dst = heap.segs.base_ptr(to.seg()).add(to.offset());
             if v.is_pair_ptr() {
                 dst.write(first);
                 dst.add(1).write(src.add(1).read());
@@ -623,6 +718,59 @@ pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value 
     // SAFETY: `src` is the from-space object's first word, as above.
     unsafe { src.write(fwd::encode(to)) };
     v.retag_at(to)
+}
+
+/// The collector's one to-space allocator: reserves `total` words of
+/// `space` in the target generation and returns their address and a raw
+/// pointer to the first of them (for a run, the head segment's first
+/// word). A hit is an add and a compare on `space`'s [`Window`]; anything
+/// else is [`to_alloc_miss`]. The copies land exactly where the cursor's
+/// bump allocation put them, so copy order, addresses and every count are
+/// those of the allocator itself.
+#[inline]
+pub(crate) fn to_alloc(
+    heap: &mut Heap,
+    s: &mut Scratch,
+    space: Space,
+    total: usize,
+) -> (WordAddr, *mut u64) {
+    let w = &mut s.windows[space.index()];
+    let used = w.used;
+    if used + total <= SEGMENT_WORDS {
+        w.used = used + total;
+        // `used + total` words fit, so `used` is an offset inside the
+        // window's segment and its storage (a full empty window never
+        // gets here).
+        return (w.start.add(used), w.base.wrapping_add(used));
+    }
+    to_alloc_miss(heap, s, space, total)
+}
+
+/// [`to_alloc`]'s miss: writes every window back, so the allocator reads
+/// the exact watermark, allocates — a fresh cursor segment, or a run of
+/// its own that leaves the window as it was — and reloads `space`'s
+/// window from the cursor.
+#[cold]
+#[inline(never)]
+fn to_alloc_miss(
+    heap: &mut Heap,
+    s: &mut Scratch,
+    space: Space,
+    total: usize,
+) -> (WordAddr, *mut u64) {
+    s.write_back(heap);
+    let to = heap.alloc_words_internal(space, s.target, total);
+    s.windows[space.index()] = Window::load(heap, space, s.target);
+    (to, heap.segs.base_ptr(to.seg()).wrapping_add(to.offset()))
+}
+
+/// The watermark of to-space segment `seg`: its window's while it has one,
+/// else `SegInfo::used`.
+fn watermark(heap: &Heap, s: &Scratch, seg: SegIndex) -> usize {
+    let info = heap.segs.info(seg);
+    s.windows[info.space.index()]
+        .used_of(seg)
+        .unwrap_or(info.used as usize)
 }
 
 /// One word-storage base per segment of a run, as [`walk_traced`] indexes
@@ -746,13 +894,13 @@ pub(crate) unsafe fn forward_span(
 
 /// Scans one to-space segment (or run) from `off`, forwarding every traced
 /// field that points into the from-space. Returns the new scan offset.
-/// `used` is re-read after every batch because scanning may copy further
-/// objects into this very segment.
+/// The [`watermark`] is re-read after every batch because scanning may copy
+/// further objects into this very segment.
 fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize) -> usize {
     let space = heap.segs.info(seg).space;
     let bases = ChunkBases::of(&heap.segs, seg);
     loop {
-        let used = heap.segs.info(seg).used as usize;
+        let used = watermark(heap, s, seg);
         if off >= used {
             return off;
         }
@@ -819,7 +967,7 @@ fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
     let mut i = 0;
     while i < s.parked.len() {
         let (seg, off) = s.parked[i];
-        if (heap.segs.info(seg).used as usize) > off {
+        if watermark(heap, s, seg) > off {
             s.parked.swap_remove(i);
             s.queue.push((seg, off));
             grew = true;
@@ -956,5 +1104,120 @@ mod tests {
             });
         }
         assert_eq!(order, [7, 1600, 8]);
+    }
+
+    /// A heap with a collection of generation 0 begun and its windows
+    /// opened, as at the start of an advance: every target cursor was
+    /// closed by the flip, so every window is empty.
+    fn advancing() -> (Heap, Box<Scratch>) {
+        let mut h = Heap::default();
+        h.cons(Value::NIL, Value::NIL);
+        let mut s = begin(&mut h, 0);
+        s.open_windows(&h);
+        assert!(s.holds_no_window());
+        (h, s)
+    }
+
+    /// Ends the collection `advancing` began: the windows are closed, the
+    /// copies and the words reserved by hand are swept, and the heap checks.
+    fn finish_and_verify(mut h: Heap, mut s: Box<Scratch>) {
+        s.close_windows(&mut h);
+        assert!(advance(&mut h, &mut s, None));
+        h.verify().expect("valid heap");
+    }
+
+    #[test]
+    fn a_window_hit_is_an_add_on_the_window_alone() {
+        let (mut h, mut s) = advancing();
+        let (first, dst) = to_alloc(&mut h, &mut s, Space::Pair, 2);
+        let seg = first.seg();
+        assert_eq!(first.offset(), 0, "the miss opened a fresh segment");
+        assert_eq!(s.windows[Space::Pair.index()].used, 2);
+        // SAFETY: `to_alloc` reserved two words at `dst`.
+        unsafe {
+            dst.write(Value::fixnum(1).raw());
+            dst.add(1).write(Value::NIL.raw());
+        }
+        let (second, dst) = to_alloc(&mut h, &mut s, Space::Pair, 2);
+        assert_eq!(second, first.add(2), "bumped in the same segment");
+        // SAFETY: as above.
+        unsafe { dst.write(Value::fixnum(2).raw()) };
+        assert_eq!(h.segs.word(second), Value::fixnum(2).raw());
+        // The hit left `SegInfo::used` behind; the window is the watermark
+        // until the next write-back point.
+        assert_eq!(h.segs.info(seg).used, 2);
+        assert_eq!(watermark(&h, &s, seg), 4);
+        s.write_back(&mut h);
+        assert_eq!(h.segs.info(seg).used, 4);
+        finish_and_verify(h, s);
+    }
+
+    #[test]
+    fn a_window_miss_writes_back_and_reloads_on_a_fresh_segment() {
+        let (mut h, mut s) = advancing();
+        let (first, _) = to_alloc(&mut h, &mut s, Space::Pair, 2);
+        let old = first.seg();
+        while s.windows[Space::Pair.index()].used < SEGMENT_WORDS {
+            to_alloc(&mut h, &mut s, Space::Pair, 2);
+        }
+        assert_eq!(h.segs.info(old).used, 2, "hits only, so far");
+        let (next, dst) = to_alloc(&mut h, &mut s, Space::Pair, 2);
+        assert_ne!(next.seg(), old);
+        assert_eq!(next.offset(), 0);
+        assert_eq!(dst, h.segs.base_ptr(next.seg()));
+        assert_eq!(
+            h.segs.info(old).used as usize,
+            SEGMENT_WORDS,
+            "written back"
+        );
+        assert!(!h.is_open_cursor(old));
+        let w = s.windows[Space::Pair.index()];
+        assert_eq!((w.start, w.used), (next, 2));
+        assert_eq!(h.segs.info(next.seg()).used, 2);
+        finish_and_verify(h, s);
+    }
+
+    #[test]
+    fn a_large_run_leaves_the_window_untouched() {
+        let (mut h, mut s) = advancing();
+        let (small, dst) = to_alloc(&mut h, &mut s, Space::Typed, 2);
+        // SAFETY: two words reserved at `dst`.
+        unsafe { dst.write(Header::new(ObjKind::Box, 1).encode()) };
+        let before = s.windows[Space::Typed.index()];
+        let total = 700 + 1;
+        let (run, dst) = to_alloc(&mut h, &mut s, Space::Typed, total);
+        assert_eq!(s.windows[Space::Typed.index()], before);
+        assert_ne!(run.seg(), small.seg());
+        assert_eq!((run.offset(), h.segs.run_len(run.seg())), (0, 2));
+        assert_eq!(h.segs.info(run.seg()).used as usize, total);
+        assert_eq!(dst, h.segs.base_ptr(run.seg()));
+        // SAFETY: the run's head segment starts at `dst`.
+        unsafe { dst.write(Header::new(ObjKind::Vector, 700).encode()) };
+        let (next, _) = to_alloc(&mut h, &mut s, Space::Typed, 2);
+        assert_eq!(next, small.add(2), "the window still bumps where it was");
+        h.segs.set_word(next, Header::new(ObjKind::Box, 1).encode());
+        finish_and_verify(h, s);
+    }
+
+    #[test]
+    fn verify_rejects_a_window_held_between_increments() {
+        let mut h = Heap::new(crate::GcConfig {
+            pause_budget: Some(std::time::Duration::ZERO),
+            ..crate::GcConfig::new()
+        });
+        let list = (0..600).fold(Value::NIL, |l, i| h.cons(Value::fixnum(i), l));
+        let root = h.root(list);
+        h.begin_incremental(0);
+        assert!(h.gc_step().is_none(), "one unit does not finish 600 pairs");
+        h.verify().expect("the advance emptied its windows");
+        let mut s = h.incremental.take().expect("suspended");
+        s.open_windows(&h);
+        h.incremental = Some(s);
+        let err = h.verify().expect_err("a window outlived its advance");
+        assert!(err.to_string().contains("to-space window"), "got: {err}");
+        h.incremental.as_mut().expect("suspended").windows = [Window::EMPTY; 4];
+        h.collect(0);
+        h.verify().expect("sound after the cycle");
+        assert_eq!(h.car(root.get()), Value::fixnum(599));
     }
 }

@@ -193,6 +193,12 @@ pub(crate) unsafe fn gather(
 /// has just allocated — beyond `used` even when the run being scanned is
 /// itself an open to-space segment — through raw segment pointers, never
 /// through a reference into a run's word arrays.
+///
+/// Here (and in [`rescan_segment`] and [`scan_weak_cdrs`]) `used` is
+/// `SegInfo::used`, which for a segment under a to-space window is the
+/// watermark of the last phase boundary (see `collect::Window`): it covers
+/// every object the mutator could have stored into, and whatever was copied
+/// into the segment since lies beyond it and is the sweep's.
 fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u64 {
     let info = heap.segs.info(seg);
     let used = info.used as usize;

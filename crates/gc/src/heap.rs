@@ -44,9 +44,9 @@ pub struct Heap {
     pub(crate) segs: SegmentTable,
     pub(crate) config: GcConfig,
     /// Open allocation segment per (space, generation), as a flat table
-    /// indexed `generation * 4 + space.index()`: the allocation fast path
-    /// (mutator and collector copy loop alike) costs one array load, not
-    /// a hash lookup.
+    /// indexed `generation * 4 + space.index()`: the mutator's allocation
+    /// fast path costs one array load, not a hash lookup (the collector
+    /// loads its to-space windows from here once per advance).
     pub(crate) cursors: Vec<Option<SegIndex>>,
     pub(crate) roots: RootSet,
     /// Protected lists, one per generation.
@@ -177,12 +177,12 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// The bump-allocation *hit*: the (`space`, `gen`) cursor is open and
-    /// `words` more fit in its segment. The one definition of the fast path:
-    /// [`Heap::alloc_words_internal`] tries it first, and the collector's
-    /// `forward_from` calls it directly, falling back to the former on a
-    /// miss. `SegInfo::used` is the only watermark — nothing caches the
-    /// cursor, so the mutator, the copy loop and the guardian pass's tconc
-    /// appends all see one state.
+    /// `words` more fit in its segment; [`Heap::alloc_words_internal`] tries
+    /// it first. Outside a collection's advance `SegInfo::used` is the only
+    /// watermark. Inside one the collector copies through its own to-space
+    /// windows (`collect::to_alloc`), which cache the target generation's
+    /// cursors and write their watermarks back before this runs on their
+    /// miss, at every phase boundary and when the advance returns.
     #[inline]
     pub(crate) fn bump(&mut self, space: Space, gen: u8, words: usize) -> Option<WordAddr> {
         let seg = self.cursors[gen as usize * 4 + space.index()]?;
@@ -197,7 +197,7 @@ impl Heap {
 
     /// Raw bump allocation of `words` words in (`space`, `gen`). Does not
     /// touch mutator accounting; used by both the mutator wrappers and the
-    /// collector's to-space copying.
+    /// miss of the collector's to-space window.
     pub(crate) fn alloc_words_internal(&mut self, space: Space, gen: u8, words: usize) -> WordAddr {
         debug_assert!(words > 0);
         if let Some(addr) = self.bump(space, gen, words) {

@@ -59,6 +59,8 @@ impl Heap {
     ///   indices, and "from-space" exactly on the segments a suspended
     ///   collection will reclaim — on none between collections;
     /// * an allocation cursor is open exactly on the segments flagged so;
+    /// * a suspended collection holds no to-space window (its windows
+    ///   live inside one advance, so `SegInfo::used` is every watermark);
     /// * protected-list entries satisfy the generation invariants
     ///   (an entry on `protected[i]` watches an object in generation ≥ i
     ///   via a tconc, and with an agent, in generation ≥ i), which is
@@ -100,8 +102,15 @@ impl Heap {
         self.segs
             .check_free_store()
             .map_err(|e| VerifyError::new(format!("segment free store: {e}")))?;
-        // The collection suspended between increments, if there is one.
+        // The collection suspended between increments, if there is one. Its
+        // to-space windows live inside one advance: every watermark read
+        // below is `SegInfo::used`.
         let cycle = self.incremental.as_deref();
+        if cycle.is_some_and(|st| !st.holds_no_window()) {
+            return Err(VerifyError::new(
+                "the suspended collection holds a to-space window between increments",
+            ));
+        }
         // First, because every check below tests from-space membership
         // with it.
         self.segs

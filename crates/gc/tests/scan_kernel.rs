@@ -207,6 +207,105 @@ fn the_three_drivers_report_identical_counts() {
     assert_eq!(script(budget), expected, "budget 0");
 }
 
+/// One collection of generation 0 over a 5,000-pair list, a 1,500-slot
+/// vector with fresh pairs at both chunk boundaries, and a guardian that
+/// finalizes 300 pairs in one round, so its tconc pairs are allocated in
+/// the Pair window between the copies. `verify` runs after every
+/// increment. With `between` set, the mutator conses a pair after each of
+/// the first eight increments: with `generations: 1` that is the target
+/// generation's Pair cursor, the one the next advance reloads its window
+/// from. Returns the report with its clock fields, increment counts and
+/// target generation cleared.
+fn windowed(config: GcConfig, between: bool) -> CollectionReport {
+    let mut h = Heap::new(config);
+    let list = (0..5_000).fold(Value::NIL, |l, i| h.cons(Value::fixnum(i), l));
+    let list = h.root(list);
+    let big = h.make_vector(1_500, Value::NIL);
+    const SLOTS: [usize; 4] = [510, 511, 1_022, 1_023];
+    for slot in SLOTS {
+        let p = h.cons(Value::fixnum(slot as i64), Value::NIL);
+        h.vector_set(big, slot, p);
+    }
+    let big = h.root(big);
+    let g = h.make_guardian();
+    for i in 0..300 {
+        let dead = h.cons(Value::fixnum(i), Value::NIL);
+        g.register(&mut h, dead);
+    }
+    let fresh = h.root_vec();
+    h.begin_incremental(0);
+    let mut r = if h.config().pause_budget.is_none() {
+        h.collect(0).clone()
+    } else {
+        loop {
+            if let Some(r) = h.gc_step() {
+                break r.clone();
+            }
+            h.verify().expect("heap valid between increments");
+            if between && fresh.len() < 8 {
+                let i = fresh.len() as i64;
+                let p = h.cons(Value::fixnum(-i), Value::fixnum(i));
+                fresh.push(p);
+            }
+        }
+    };
+    h.verify().expect("heap valid after the collection");
+    let mut v = list.get();
+    for i in (0..5_000).rev() {
+        assert_eq!(h.car(v), Value::fixnum(i), "list element {i}");
+        v = h.cdr(v);
+    }
+    for slot in SLOTS {
+        let p = h.vector_ref(big.get(), slot);
+        assert_eq!(h.car(p), Value::fixnum(slot as i64), "vector slot {slot}");
+    }
+    for i in 0..fresh.len() {
+        let p = fresh.get(i);
+        let (car, cdr) = (h.car(p), h.cdr(p));
+        assert_eq!(
+            (car, cdr),
+            (Value::fixnum(-(i as i64)), Value::fixnum(i as i64))
+        );
+    }
+    assert_eq!(fresh.len(), if between { 8 } else { 0 });
+    let mut polled = Vec::new();
+    while let Some(p) = g.poll(&mut h) {
+        polled.push(h.car(p).as_fixnum());
+    }
+    assert_eq!(polled, (0..300).collect::<Vec<_>>(), "registration order");
+    (r.duration, r.phases, r.increments, r.roots_retraced) = Default::default();
+    r.target_generation = 0;
+    r
+}
+
+/// The collector's to-space windows give the counts of the allocator they
+/// stand in for on every schedule, `segments_allocated` included, and the
+/// mutator's allocations into a window's own cursor between increments
+/// are neither overwritten nor lost.
+#[test]
+fn the_window_schedules_report_identical_counts() {
+    let [(_, serial), (_, budget)] = drivers();
+    let one_generation = GcConfig {
+        pause_budget: Some(Duration::ZERO),
+        ..GcConfig::with_generations(1)
+    };
+    let expected = windowed(serial, false);
+    let pinned = (
+        expected.pairs_copied,
+        expected.objects_copied,
+        expected.words_copied,
+        expected.segments_allocated,
+        expected.guardian_entries_finalized,
+    );
+    assert_eq!(pinned, (5_306, 1, 12_113, 25, 300));
+    assert_eq!(windowed(budget, false), expected, "budget 0");
+    assert_eq!(
+        windowed(one_generation, true),
+        expected,
+        "generations 1, budget 0"
+    );
+}
+
 /// `GcConfig::workers` selects nothing: the script yields equal reports
 /// (`segments_allocated` included) and equal generation usage whatever it
 /// is set to, which is what keeps `benchmark check`'s par2 ≡ serial rule

@@ -16,7 +16,7 @@ pub fn list(heap: &mut Heap, items: &[Value]) -> Value {
 ///
 /// # Panics
 ///
-/// Panics if `v` is not a proper list.
+/// Panics if `v` is not a proper list; never returns if it is circular.
 pub fn list_to_vec(heap: &Heap, mut v: Value) -> Vec<Value> {
     let mut out = Vec::new();
     while !v.is_nil() {
@@ -30,7 +30,7 @@ pub fn list_to_vec(heap: &Heap, mut v: Value) -> Vec<Value> {
 ///
 /// # Panics
 ///
-/// Panics if `v` is not a proper list.
+/// Panics if `v` is not a proper list; never returns if it is circular.
 pub fn length(heap: &Heap, mut v: Value) -> usize {
     let mut n = 0;
     while !v.is_nil() {
@@ -41,6 +41,10 @@ pub fn length(heap: &Heap, mut v: Value) -> usize {
 }
 
 /// Reverses a proper list (fresh pairs).
+///
+/// # Panics
+///
+/// Panics if `v` is not a proper list; never returns if it is circular.
 pub fn reverse(heap: &mut Heap, mut v: Value) -> Value {
     let mut out = Value::NIL;
     while !v.is_nil() {
@@ -52,6 +56,10 @@ pub fn reverse(heap: &mut Heap, mut v: Value) -> Value {
 }
 
 /// Appends two proper lists (copying the first).
+///
+/// # Panics
+///
+/// Panics if `a` is not a proper list; never returns if it is circular.
 pub fn append(heap: &mut Heap, a: Value, b: Value) -> Value {
     let items = list_to_vec(heap, a);
     let mut out = b;
@@ -62,6 +70,11 @@ pub fn append(heap: &mut Heap, a: Value, b: Value) -> Value {
 }
 
 /// `memq`: the first tail of `ls` whose car is `x` (by `eq?`), or `#f`.
+///
+/// # Panics
+///
+/// Panics if the walk reaches an end of `ls` that is not `()`; never
+/// returns if `ls` is circular and holds no match.
 pub fn memq(heap: &Heap, x: Value, mut ls: Value) -> Value {
     while !ls.is_nil() {
         if heap.car(ls) == x {
@@ -76,6 +89,11 @@ pub fn memq(heap: &Heap, x: Value, mut ls: Value) -> Value {
 /// (by `eq?`), or `#f`. Works over weak pairs too (Figure 1 relies on
 /// this: "weak pairs ... manipulated using normal list processing
 /// operations, car, cdr, pair?, map, etc.").
+///
+/// # Panics
+///
+/// Panics if the walk reaches an end of `ls` that is not `()`; never
+/// returns if `ls` is circular and holds no match.
 pub fn assq(heap: &Heap, x: Value, mut ls: Value) -> Value {
     while !ls.is_nil() {
         let entry = heap.car(ls);
@@ -88,6 +106,10 @@ pub fn assq(heap: &Heap, x: Value, mut ls: Value) -> Value {
 }
 
 /// `remq`: a copy of `ls` with every element `eq?` to `x` removed.
+///
+/// # Panics
+///
+/// Panics if `ls` is not a proper list; never returns if it is circular.
 pub fn remq(heap: &mut Heap, x: Value, ls: Value) -> Value {
     let items = list_to_vec(heap, ls);
     let mut out = Value::NIL;

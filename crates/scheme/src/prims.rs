@@ -198,6 +198,34 @@ fn want_pair(heap: &Heap, v: Value, who: &str) -> SResult<Value> {
     }
 }
 
+/// The length of `v` if it is a proper list, `None` if it is improper or
+/// circular: one tortoise-and-hare walk.
+fn proper_length(heap: &Heap, v: Value) -> Option<usize> {
+    let (mut slow, mut fast, mut n) = (v, v, 0);
+    loop {
+        for _ in 0..2 {
+            if fast.is_nil() {
+                return Some(n);
+            }
+            if !heap.is_pair(fast) {
+                return None;
+            }
+            fast = heap.cdr(fast);
+            n += 1;
+        }
+        slow = heap.cdr(slow);
+        if slow == fast {
+            return None;
+        }
+    }
+}
+
+/// `v`'s length, or an error unless it is a proper list. The message does
+/// not print `v`: it may be circular.
+fn want_list(heap: &Heap, v: Value, who: &str) -> SResult<usize> {
+    proper_length(heap, v).map_or_else(|| err(format!("{who}: not a proper list")), Ok)
+}
+
 fn want_fixnum(v: Value, who: &str) -> SResult<i64> {
     if v.is_fixnum() {
         Ok(v.as_fixnum())
@@ -342,37 +370,50 @@ fn p_list(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_length(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let mut n = 0i64;
-    let mut cur = a[0];
-    while !cur.is_nil() {
-        want_pair(&it.heap, cur, "length")?;
-        n += 1;
-        cur = it.heap.cdr(cur);
-    }
-    Ok(Value::fixnum(n))
+    let n = want_list(&it.heap, a[0], "length")?;
+    Ok(Value::fixnum(n as i64))
 }
 
 fn p_reverse(it: &mut Interp, a: &[Value]) -> SResult<Value> {
+    want_list(&it.heap, a[0], "reverse")?;
     Ok(lists::reverse(&mut it.heap, a[0]))
 }
 
 fn p_append(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let mut out = *a.last().unwrap_or(&Value::NIL);
-    for &l in a[..a.len().saturating_sub(1)].iter().rev() {
+    let (last, init) = a.split_last().unwrap_or((&Value::NIL, &[]));
+    let mut out = *last;
+    for &l in init.iter().rev() {
+        want_list(&it.heap, l, "append")?;
         out = lists::append(&mut it.heap, l, out);
     }
     Ok(out)
 }
 
+/// The first tail of `ls` whose car satisfies `hit`, or `#f`; an error if
+/// `ls` ends in something other than `()`.
+fn member_by(heap: &Heap, mut ls: Value, who: &str, hit: impl Fn(Value) -> bool) -> SResult<Value> {
+    while !ls.is_nil() {
+        if !heap.is_pair(ls) {
+            return err(format!("{who}: not a proper list"));
+        }
+        if hit(heap.car(ls)) {
+            return Ok(ls);
+        }
+        ls = heap.cdr(ls);
+    }
+    Ok(Value::FALSE)
+}
+
 fn p_memq(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    Ok(lists::memq(&it.heap, a[0], a[1]))
+    member_by(&it.heap, a[1], "memq", |x| x == a[0])
 }
 
 fn p_assq(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    Ok(lists::assq(&it.heap, a[0], a[1]))
+    assoc_by(it, a[0], a[1], "assq", |_, x, y| x == y)
 }
 
 fn p_remq(it: &mut Interp, a: &[Value]) -> SResult<Value> {
+    want_list(&it.heap, a[1], "remq")?;
     Ok(lists::remq(&mut it.heap, a[0], a[1]))
 }
 
@@ -388,49 +429,41 @@ fn p_list_ref(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_memv(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let mut ls = a[1];
-    while !ls.is_nil() {
-        if it.heap.eqv(it.heap.car(ls), a[0]) {
-            return Ok(ls);
-        }
-        ls = it.heap.cdr(ls);
-    }
-    Ok(Value::FALSE)
+    let heap = &it.heap;
+    member_by(heap, a[1], "memv", |x| heap.eqv(x, a[0]))
 }
 
 fn p_member(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let mut ls = a[1];
-    while !ls.is_nil() {
-        if equal_rec(&it.heap, it.heap.car(ls), a[0], 0) {
-            return Ok(ls);
-        }
-        ls = it.heap.cdr(ls);
-    }
-    Ok(Value::FALSE)
+    let heap = &it.heap;
+    member_by(heap, a[1], "member", |x| equal_rec(heap, x, a[0], 0))
 }
 
+/// The first pair of the association list `ls` whose car matches `key`
+/// under `pred`, or `#f` ([`member_by`]'s walk and error).
 fn assoc_by(
     it: &Interp,
     key: Value,
-    mut ls: Value,
+    ls: Value,
+    who: &str,
     pred: impl Fn(&Heap, Value, Value) -> bool,
-) -> Value {
-    while !ls.is_nil() {
-        let entry = it.heap.car(ls);
-        if it.heap.is_pair(entry) && pred(&it.heap, it.heap.car(entry), key) {
-            return entry;
-        }
-        ls = it.heap.cdr(ls);
-    }
-    Value::FALSE
+) -> SResult<Value> {
+    let heap = &it.heap;
+    let tail = member_by(heap, ls, who, |entry| {
+        heap.is_pair(entry) && pred(heap, heap.car(entry), key)
+    })?;
+    Ok(if heap.is_pair(tail) {
+        heap.car(tail)
+    } else {
+        Value::FALSE
+    })
 }
 
 fn p_assv(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    Ok(assoc_by(it, a[0], a[1], |h, x, y| h.eqv(x, y)))
+    assoc_by(it, a[0], a[1], "assv", |h, x, y| h.eqv(x, y))
 }
 
 fn p_assoc(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    Ok(assoc_by(it, a[0], a[1], |h, x, y| equal_rec(h, x, y, 0)))
+    assoc_by(it, a[0], a[1], "assoc", |h, x, y| equal_rec(h, x, y, 0))
 }
 
 fn p_list_tail(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -444,29 +477,7 @@ fn p_list_tail(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_is_list(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    // Proper-list check with a cycle guard (tortoise and hare).
-    let mut slow = a[0];
-    let mut fast = a[0];
-    loop {
-        if fast.is_nil() {
-            return Ok(Value::TRUE);
-        }
-        if !it.heap.is_pair(fast) {
-            return Ok(Value::FALSE);
-        }
-        fast = it.heap.cdr(fast);
-        if fast.is_nil() {
-            return Ok(Value::TRUE);
-        }
-        if !it.heap.is_pair(fast) {
-            return Ok(Value::FALSE);
-        }
-        fast = it.heap.cdr(fast);
-        slow = it.heap.cdr(slow);
-        if slow == fast {
-            return Ok(Value::FALSE); // cyclic
-        }
-    }
+    Ok(Value::bool(proper_length(&it.heap, a[0]).is_some()))
 }
 
 fn cxr(it: &Interp, v: Value, path: &[char], who: &str) -> SResult<Value> {
@@ -982,16 +993,8 @@ fn p_vector_to_list(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_list_to_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let items = {
-        let mut items = Vec::new();
-        let mut cur = a[0];
-        while !cur.is_nil() {
-            want_pair(&it.heap, cur, "list->vector")?;
-            items.push(it.heap.car(cur));
-            cur = it.heap.cdr(cur);
-        }
-        items
-    };
+    want_list(&it.heap, a[0], "list->vector")?;
+    let items = lists::list_to_vec(&it.heap, a[0]);
     let v = it.heap.make_vector(items.len(), Value::NIL);
     for (i, x) in items.into_iter().enumerate() {
         it.heap.vector_set(v, i, x);
@@ -1260,13 +1263,10 @@ fn p_newline(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 
 fn p_apply(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     let f = a[0];
+    let rest = *a.last().expect("apply has >= 2 args");
+    want_list(&it.heap, rest, "apply")?;
     let mut args: Vec<Value> = a[1..a.len() - 1].to_vec();
-    let mut rest = *a.last().expect("apply has >= 2 args");
-    while !rest.is_nil() {
-        want_pair(&it.heap, rest, "apply")?;
-        args.push(it.heap.car(rest));
-        rest = it.heap.cdr(rest);
-    }
+    args.extend(lists::list_to_vec(&it.heap, rest));
     it.apply(f, &args)
 }
 

@@ -324,6 +324,52 @@ fn runtime_errors_match_byte_for_byte() {
     }
 }
 
+/// Improper and circular lists handed to the list primitives are Scheme
+/// errors — the same one under both evaluators — never a panic or a hang.
+#[test]
+fn improper_and_circular_lists_are_errors_in_both() {
+    let forms: Vec<String> = [
+        "(reverse '(1 . 2))",
+        "(reverse 5)",
+        "(append '(1 . 2) '(3))",
+        "(append 5 '(1))",
+        "(memq 3 '(1 . 2))",
+        "(memv 3 '(1 . 2))",
+        "(member 3 '(1 . 2))",
+        "(assq 1 '(1 . 2))",
+        "(assoc 1 '((2 . 3) . 4))",
+        "(remq 1 '(1 . 2))",
+        "(remq 1 5)",
+        "(length '(1 . 2))",
+        "(list->vector '(1 . 2))",
+        "(apply + '(1 . 2))",
+        "(define x (list 1 2))",
+        "(set-cdr! (cdr x) x)",
+        "(length x)",
+        "(list->vector x)",
+        "(reverse x)",
+        "(append x '(3))",
+        "(remq 1 x)",
+        "(apply + x)",
+        "(list? x)",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    assert_identical(&forms);
+    let (results, _) = run_mode(InterpConfig::default(), &forms);
+    for (form, result) in forms.iter().zip(&results) {
+        match form.as_str() {
+            "(define x (list 1 2))" | "(set-cdr! (cdr x) x)" => assert!(result.is_ok(), "{form}"),
+            "(list? x)" => assert_eq!(result.as_deref(), Ok("#f")),
+            _ => {
+                let e = result.as_ref().expect_err(form);
+                assert!(e.contains("not a proper list"), "{form}: {e}");
+            }
+        }
+    }
+}
+
 /// Integers at and just past the fixnum range (±2^60), read or computed:
 /// both evaluators return the same number, a flonum past the range.
 #[test]

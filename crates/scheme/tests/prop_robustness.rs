@@ -42,6 +42,14 @@ proptest! {
                 Just("make-guardian".to_string()),
                 Just("weak-cons".to_string()),
                 Just("collect".to_string()),
+                Just("reverse".to_string()),
+                Just("append".to_string()),
+                Just("memq".to_string()),
+                Just("assq".to_string()),
+                Just("remq".to_string()),
+                Just("length".to_string()),
+                Just("set-cdr!".to_string()),
+                Just(".".to_string()),
             ],
             0..40,
         )
