@@ -278,7 +278,7 @@ fn profile_e19(quick: bool, out_dir: &str) {
 }
 
 fn profile_e21(quick: bool, out_dir: &str) {
-    use guardians_zones::{session_zone, Engine, Request, ZoneConfig, ZoneManager};
+    use guardians_zones::{session_zone, Request, ZoneConfig, ZoneManager, SCHEDULES};
 
     // E21's fleet shape — 8 zones alternating typed/Scheme over one shared
     // segment pool, schedules cycling through the zone matrix — but driven
@@ -294,7 +294,7 @@ fn profile_e21(quick: bool, out_dir: &str) {
             ZoneConfig::scheme()
         };
         let cfg = base
-            .with_engine(Engine::MATRIX[(id / 2) as usize % Engine::MATRIX.len()])
+            .with_pause_budget(SCHEDULES[(id / 2) as usize % SCHEDULES.len()])
             .with_trigger_bytes(1 << 16);
         mgr.create_zone(id, &cfg)
             .enable_tracing(profile_trace_config());

@@ -26,15 +26,17 @@
 use guardians_workloads::report::fmt_count;
 use guardians_workloads::Table;
 use guardians_zones::{
-    session_zone, Engine, FleetStats, Request, Zone, ZoneConfig, ZoneRouter, ZoneSnapshot,
+    schedule_label, session_zone, FleetStats, Request, Zone, ZoneConfig, ZoneRouter, ZoneSnapshot,
+    SCHEDULES,
 };
+use std::time::Duration;
 
 /// Zones in the fleet (acceptance floor: at least 8).
 const ZONES: usize = 8;
 /// Router worker threads.
 const WORKERS: usize = 4;
 
-/// One engine's fleet outcome.
+/// One schedule's fleet outcome.
 #[derive(Debug, Clone)]
 pub struct E21Row {
     pub label: String,
@@ -51,10 +53,10 @@ pub struct E21Row {
     pub identity_checked: usize,
 }
 
-/// The per-zone configurations of the fleet: engine fixed per run,
+/// The per-zone configurations of the fleet: schedule fixed per run,
 /// workload alternating typed/Scheme, trigger small enough that every
 /// zone collects during the run.
-fn fleet_configs(engine: Engine) -> Vec<ZoneConfig> {
+fn fleet_configs(pause_budget: Option<Duration>) -> Vec<ZoneConfig> {
     (0..ZONES as u64)
         .map(|id| {
             let base = if id % 2 == 0 {
@@ -62,7 +64,8 @@ fn fleet_configs(engine: Engine) -> Vec<ZoneConfig> {
             } else {
                 ZoneConfig::scheme()
             };
-            base.with_engine(engine).with_trigger_bytes(1 << 16)
+            base.with_pause_budget(pause_budget)
+                .with_trigger_bytes(1 << 16)
         })
         .collect()
 }
@@ -102,7 +105,7 @@ fn check_identity(snap: &ZoneSnapshot, config: &ZoneConfig, reqs: &[Request]) {
     }
     zone.quiesce();
     let mut solo = zone.observables();
-    if matches!(config.engine, Engine::PauseBudgetUs(_)) {
+    if config.gc.pause_budget.is_some() {
         // A budgeted collection spans as many safe points as the clock
         // makes it, and the allocation trigger only re-arms when it ends,
         // so `collections` is wall-clock there (see `ZoneObservables`).
@@ -115,8 +118,8 @@ fn check_identity(snap: &ZoneSnapshot, config: &ZoneConfig, reqs: &[Request]) {
     );
 }
 
-fn measure(engine: Engine, sessions: u64, rounds: u32) -> E21Row {
-    let configs = fleet_configs(engine);
+fn measure(pause_budget: Option<Duration>, sessions: u64, rounds: u32) -> E21Row {
+    let configs = fleet_configs(pause_budget);
     let (stream, per_zone) = request_stream(sessions, rounds);
     let pool = guardians_gc::SegmentPool::unbounded();
     let router = ZoneRouter::new(WORKERS, pool);
@@ -138,7 +141,7 @@ fn measure(engine: Engine, sessions: u64, rounds: u32) -> E21Row {
     let fleet = FleetStats::aggregate(&snaps);
     assert_eq!(fleet.sessions_opened, sessions, "every session landed");
     E21Row {
-        label: engine.label(),
+        label: schedule_label(pause_budget),
         zones: snaps.len(),
         sessions: fleet.sessions_opened,
         requests: fleet.requests,
@@ -165,8 +168,8 @@ pub fn run(quick: bool) -> (Table, Vec<E21Row>) {
         ],
     );
     let mut rows = Vec::new();
-    for engine in Engine::MATRIX {
-        let row = measure(engine, sessions, rounds);
+    for pause_budget in SCHEDULES {
+        let row = measure(pause_budget, sessions, rounds);
         table.row(&[
             row.label.clone(),
             row.zones.to_string(),
@@ -210,11 +213,11 @@ mod tests {
             assert_eq!(row.fds_closed, row.reclaimed);
             assert_eq!(row.blocks_freed, row.reclaimed);
         }
-        // Engine must not change what the fleet computes.
+        // The schedule must not change what the fleet computes.
         assert!(
             rows.windows(2)
                 .all(|w| w[0].requests == w[1].requests && w[0].reclaimed == w[1].reclaimed),
-            "deterministic fleet totals across engines"
+            "deterministic fleet totals across schedules"
         );
     }
 }

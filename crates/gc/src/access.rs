@@ -132,35 +132,36 @@ impl Heap {
     /// referent's generation is not looked up.
     ///
     /// While an incremental collection is suspended this is also the
-    /// *collector's* write barrier: storing a from-space pointer into any
-    /// segment outside the from-space may hide it in a region an earlier
-    /// increment already scanned, so the segment is logged for re-scan by
-    /// the next increment. A store *into* a from-space object travels
-    /// wholesale if the object is ever copied (callers resolve the
-    /// container first, so such stores only hit genuinely-unforwarded
-    /// objects) — but the card marked here dies with the from-space, so a
-    /// store of something allocated since the flip (which stays young) is
-    /// logged for the collector to re-mark on the copy.
+    /// *collector's* write barrier, [`Heap::log_store`].
     #[inline]
     pub(crate) fn barrier(&mut self, container: Value, slot: WordAddr, stored: Value) {
         if !stored.is_ptr() {
             return;
         }
         self.segs.mark_card(slot);
-        if let Some(st) = self.incremental.as_mut() {
-            let seg = container.addr().seg();
-            let stored_seg = stored.addr().seg();
-            match (
-                self.segs.in_from_space(seg),
-                self.segs.in_from_space(stored_seg),
-            ) {
-                (false, true) => st.log_rescan(seg),
-                (true, false) if self.segs.info(stored_seg).generation < st.target => {
-                    st.late_stores
-                        .push((container, (slot.raw() - container.addr().raw()) as usize));
-                }
-                _ => {}
-            }
+        if self.incremental.is_some() {
+            self.log_store(container, slot, stored);
+        }
+    }
+
+    /// The mid-cycle arm of [`Heap::barrier`]: logs the store in the
+    /// suspended collection's store log when `container` (resolved by the
+    /// caller, so an unforwarded object) or `stored` is in the from-space.
+    /// A from-space pointer may land in a slot an earlier increment already
+    /// scanned, and a store into a from-space object travels with its copy
+    /// while its card mark dies with the from-space; the next advance
+    /// settles both (`collect::settle_stores`).
+    #[cold]
+    #[inline(never)]
+    fn log_store(&mut self, container: Value, slot: WordAddr, stored: Value) {
+        let Some(st) = self.incremental.as_mut() else {
+            return;
+        };
+        if self.segs.in_from_space(container.addr().seg())
+            || self.segs.in_from_space(stored.addr().seg())
+        {
+            st.stores
+                .push((container, (slot.raw() - container.addr().raw()) as usize));
         }
     }
 

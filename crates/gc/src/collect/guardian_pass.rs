@@ -153,9 +153,8 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
 ///
 /// Every store is a raw word write plus [`SegmentTable::note_collector_store`]
 /// with the referent's generation, never the mutator's barrier: the
-/// collector runs with `Heap::incremental` taken out, so there is no
-/// re-scan to log, and no holder is in the from-space, so no late store
-/// either.
+/// collector runs with `Heap::incremental` taken out, so none of its
+/// stores reaches the store log (`Scratch::stores`).
 ///
 /// # Panics
 ///

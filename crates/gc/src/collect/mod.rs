@@ -48,11 +48,14 @@
 //!   transparently redirected to the to-space copy. Unforwarded
 //!   from-space objects are read and written in place — stores travel
 //!   with the wholesale copy if the object is later forwarded.
-//! * **Write barrier.** A store that lands a from-space pointer in a
-//!   non-from-space segment (one the collector may have scanned already)
-//!   logs the segment in [`Scratch::rescan`]; the next advance re-scans it
-//!   before declaring the sweep finished. Segment granularity and
-//!   idempotent forwarding make over-logging harmless.
+//! * **Write barrier.** A store that puts a from-space pointer anywhere,
+//!   or any pointer into an unforwarded from-space object, is logged as
+//!   `(container, field offset)` in [`Scratch::stores`], the one store log.
+//!   [`settle_stores`] drains it at every advance: the slot of the
+//!   container's current copy has its value forwarded and its card stamped
+//!   exactly, so neither a slot the sweep has passed nor a card that died
+//!   with the from-space is lost. The rule is the same in every generation,
+//!   generation 0 included, and entries are idempotent.
 //! * **Allocation.** The to-space log stays live for the whole
 //!   collection, so mutator allocations between increments are swept
 //!   like to-space: their initializing stores (which bypass the write
@@ -62,10 +65,10 @@
 //! own stores (the guardian pass's tconc appends) do not pass the mutator's
 //! barrier at all: they are raw word writes with an exact card stamp
 //! (`SegmentTable::note_collector_store`), and being the collector's they
-//! owe no re-scan and no late store.
+//! are never logged.
 //!
 //! **Guardian atomicity.** [`finish`] runs after the sweep fixpoint is
-//! proven global (roots re-forwarded, remembered set and re-scan list
+//! proven global (roots re-forwarded, store log and remembered set
 //! drained, sweep dry) and never yields: no mutator step separates the
 //! guardian partition from the weak break, so guardian/weak observables do
 //! not depend on the schedule. The cost is a pause floor — the last
@@ -115,7 +118,7 @@ use crate::stats::CollectionReport;
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
 use guardians_segments::{
-    SegIndex, SegmentTable, Space, WordAddr, SEGMENT_WORDS, WHERE_FROM, WHERE_NONE,
+    SegIndex, SegKind, SegmentTable, Space, WordAddr, SEGMENT_WORDS, WHERE_FROM, WHERE_NONE,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -156,17 +159,12 @@ pub(crate) struct Scratch {
     /// dirtied after the flip belong to the next collection (their flags
     /// survive).
     pub remset_pending: std::vec::IntoIter<SegIndex>,
-    /// Segments the write barrier logged since the last advance
-    /// (deduplicated via `rescan_in`).
-    pub rescan: Vec<SegIndex>,
-    /// Membership bitset for `rescan`, grown on demand.
-    rescan_in: Vec<u64>,
-    /// `(container, field offset)` of barriered stores that put a pointer
-    /// younger than the target generation (something allocated since the
-    /// flip) into a still-unforwarded from-space object. The store travels
-    /// with the object's copy but its card mark does not, so
-    /// [`settle_late_stores`] re-marks the card on the copy.
-    pub late_stores: Vec<(Value, usize)>,
+    /// The store log: `(container, field offset)` of every mutator store,
+    /// made while this collection was suspended, whose container or stored
+    /// value was in the from-space (`Heap::barrier`). Drained by
+    /// [`settle_stores`]; an entry whose container is still an unforwarded
+    /// from-space object stays until the container is copied.
+    pub stores: Vec<(Value, usize)>,
     /// The to-space bump windows, one per space (indexed by
     /// `Space::index`), over the target generation's cursors. Loaded at the
     /// start of every [`advance`] and emptied when it returns, so a
@@ -182,10 +180,10 @@ pub(crate) struct Scratch {
 /// to date at every write-back point:
 ///
 /// 1. a miss ([`to_alloc_miss`]), before the allocator reads the cursor;
-/// 2. every phase boundary ([`lap`]), so the remembered-set walk, the
-///    re-scan and the weak pass read a watermark from the last one — which
-///    covers every object the mutator could have stored into, while
-///    anything copied since is the sweep's;
+/// 2. every phase boundary ([`lap`]), so the remembered-set walk and the
+///    weak pass read a watermark from the last one — which covers every
+///    object the mutator could have stored into, while anything copied
+///    since is the sweep's;
 /// 3. the end of the advance, which also empties every window
 ///    ([`Scratch::close_windows`]): between increments the mutator,
 ///    `verify`, the census and the `try_*` preflights see only
@@ -259,39 +257,26 @@ impl Scratch {
         self.windows.iter().all(|w| *w == Window::EMPTY)
     }
 
-    /// Logs a segment for re-scanning by the next advance (idempotent).
-    pub fn log_rescan(&mut self, seg: SegIndex) {
-        let i = seg.index();
-        let w = i >> 6;
-        if w >= self.rescan_in.len() {
-            self.rescan_in.resize(w + 1, 0);
-        }
-        if (self.rescan_in[w] >> (i & 63)) & 1 == 0 {
-            self.rescan_in[w] |= 1 << (i & 63);
-            self.rescan.push(seg);
-        }
-    }
-
-    /// Whether `seg` is covered by the collector's outstanding work — it
-    /// will (still) be scanned before the collection finishes. Used by
-    /// the verifier's barrier-coverage check: a from-space pointer in a
-    /// strong field of a non-from-space segment is only sound if the
-    /// segment is covered.
-    pub fn covered(&self, heap: &Heap, seg: SegIndex) -> bool {
-        if self.queue.iter().any(|&(q, _)| q == seg) || self.parked.iter().any(|&(p, _)| p == seg) {
-            return true;
-        }
-        if self.remset_pending.as_slice().contains(&seg) {
-            return true;
-        }
-        let i = seg.index();
-        if (self.rescan_in.get(i >> 6).copied().unwrap_or(0) >> (i & 63)) & 1 == 1 {
-            return true;
-        }
-        // Logged but not yet drained into the queue.
-        heap.tospace_log
-            .as_ref()
-            .is_some_and(|log| log.contains(&seg))
+    /// Whether `slot`, a word outside the from-space, is covered by the
+    /// collector's outstanding work — it will (still) be scanned before the
+    /// collection finishes. Used by the verifier's barrier-coverage check:
+    /// a from-space pointer in a strong field outside the from-space is
+    /// only sound if its slot is covered.
+    pub fn covered(&self, heap: &Heap, slot: WordAddr) -> bool {
+        let head = match heap.segs.info(slot.seg()).kind {
+            SegKind::Head => slot.seg(),
+            SegKind::Tail { head } => head,
+        };
+        let listed = |segs: &[(SegIndex, usize)]| segs.iter().any(|&(q, _)| q == head);
+        listed(&self.queue)
+            || listed(&self.parked)
+            || self.remset_pending.as_slice().contains(&head)
+            // Logged but not yet drained into the queue.
+            || heap.tospace_log.as_ref().is_some_and(|log| log.contains(&head))
+            || self.stores.iter().any(|&(container, offset)| {
+                settle(heap, self.target, container)
+                    .is_some_and(|(copy, _)| copy.addr().add(offset) == slot)
+            })
     }
 }
 
@@ -345,9 +330,7 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
             ..CollectionReport::default()
         },
         remset_pending: heap.segs.take_dirty().into_iter(),
-        rescan: Vec::new(),
-        rescan_in: Vec::new(),
-        late_stores: Vec::new(),
+        stores: Vec::new(),
         windows: [Window::EMPTY; 4],
     });
     lap(heap, &mut s, &mut mark, GcPhase::Flip);
@@ -459,14 +442,11 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     }
     lap(heap, s, &mut mark, GcPhase::Roots);
 
-    // Phase 3. First the write-barrier log: segments mutated since the
-    // last advance to hold from-space pointers (new copies land in the
-    // to-space log and are picked up by the sweep below). Then the
-    // remembered set, one run per yield check.
-    s.rescan_in.fill(0);
-    for seg in std::mem::take(&mut s.rescan) {
-        remset::rescan_segment(heap, s, seg);
-    }
+    // Phase 3. First the store log: slots the mutator stored into since the
+    // last advance (new copies land in the to-space log and are picked up
+    // by the sweep below). Then the remembered set, one run per yield
+    // check.
+    settle_stores(heap, s);
     let mut yielded = false;
     while let Some(seg) = s.remset_pending.next() {
         remset::scan_dirty_seg(heap, s, seg);
@@ -479,8 +459,8 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
 
     // Phase 4: the Kleene sweep, one unit per yield check. Reaching the
     // unit fixpoint here is reaching the *global* fixpoint: no mutator ran
-    // since the re-scan drain above, the remembered set is exhausted, and
-    // roots are forwarded.
+    // since the store log was drained above, the remembered set is
+    // exhausted, and roots are forwarded.
     let mut finished = false;
     if !yielded {
         finished = match deadline {
@@ -503,7 +483,9 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     if finished {
         finish(heap, s, &mut mark);
     } else {
-        settle_late_stores(heap, &mut s.late_stores);
+        // No suspended state leaves a settled slot unforwarded or a copy's
+        // card unstamped.
+        settle_stores(heap, s);
     }
     s.close_windows(heap);
 
@@ -527,19 +509,47 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     finished
 }
 
-/// Re-marks the card of every logged late store whose container has been
-/// copied by now, so no suspended state (and no finished collection) has
-/// an old→young pointer in a to-space copy without a card. Entries whose
-/// container is still unforwarded stay logged; when the collection ends
-/// those containers are dead.
-fn settle_late_stores(heap: &mut Heap, late_stores: &mut Vec<(Value, usize)>) {
-    late_stores.retain(|&(container, offset)| {
-        let Some(new) = fwd::decode(heap.segs.word(container.addr())) else {
+/// Drains the store log ([`Scratch::stores`]), the mid-cycle barrier's one
+/// rule. [`settle`]s each container: one that is still an unforwarded
+/// from-space object stays logged, because its words travel with its copy.
+/// Otherwise the entry names a slot of the container's current copy. A weak
+/// car is not forwarded: its segment is handed to the weak pass, and its
+/// card is stamped from a referent outside the from-space. Any other slot
+/// has its value forwarded ([`forward_settled`]) and its card stamped
+/// exactly (`SegmentTable::note_collector_store`), which also carries a
+/// card the from-space took with it over to the copy. Entries are
+/// idempotent, so nothing is deduplicated.
+fn settle_stores(heap: &mut Heap, s: &mut Scratch) {
+    let mut stores = std::mem::take(&mut s.stores);
+    stores.retain(|&(container, offset)| {
+        let Some((copy, _)) = settle(heap, s.target, container) else {
             return true;
         };
-        heap.segs.mark_card(new.add(offset));
+        let slot = copy.addr().add(offset);
+        let seg = slot.seg();
+        if offset == 0 && copy.is_pair_ptr() && heap.segs.info(seg).space == Space::WeakPair {
+            let visited = s.weak_tospace.contains(&seg)
+                || s.old_weak_dirty.contains(&seg)
+                || heap
+                    .tospace_log
+                    .as_ref()
+                    .is_some_and(|log| log.contains(&seg));
+            if !visited {
+                s.old_weak_dirty.push(seg);
+            }
+            // The weak pass fixes only from-space referents; one allocated
+            // after the flip is remembered by the copy's card alone.
+            if let Some((_, gen)) = settle(heap, s.target, Value(heap.segs.word(slot))) {
+                heap.segs.note_collector_store(slot, gen);
+            }
+        } else {
+            let (v, gen) = forward_settled(heap, s, Value(heap.segs.word(slot)));
+            heap.segs.set_word(slot, v.raw());
+            heap.segs.note_collector_store(slot, gen);
+        }
         false
     });
+    s.stores = stores;
 }
 
 // A root holding an immediate is stamped with the generation [`settle`]
@@ -567,17 +577,23 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
     guardian_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Guardian);
 
+    // The guardian pass may have resurrected a logged container; its copy
+    // is swept, so settling copies nothing — it stamps the copy's cards and
+    // hands weak cars to the weak pass below.
+    let copied = s.report.words_copied;
+    settle_stores(heap, s);
+    assert_eq!(
+        s.report.words_copied, copied,
+        "settling the store log copied"
+    );
+
     // Phase 6: weak pairs — after the guardian pass, "so if the car field
     // of a weak pair points to an object that has been salvaged, the
     // object will still be in the car field after collection."
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 7: return every from-space run, whole, to the free store. Late
-    // stores settle first — after the guardian pass (it may resurrect a
-    // logged container), while the from-space words holding the forwarding
-    // marks are still readable.
-    settle_late_stores(heap, &mut s.late_stores);
+    // Phase 7: return every from-space run, whole, to the free store.
     for head in std::mem::take(&mut s.from_heads) {
         let run = heap.segs.run_len(head) as u64;
         s.report.segments_freed += run;
@@ -951,7 +967,8 @@ fn drain_log(heap: &mut Heap, s: &mut Scratch) {
 /// then either scan one queued segment or re-check the parked cursor
 /// segments. Returns `false` exactly when the sweep has reached its
 /// fixpoint (nothing queued, nothing grew, log empty); calling it again
-/// after more copies (or a re-scan) resumes correctly.
+/// after more copies (or a [`settle_stores`] that copied) resumes
+/// correctly.
 fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
     drain_log(heap, s);
     if let Some((seg, off)) = s.queue.pop() {

@@ -50,6 +50,13 @@
 //! traced here, and the segment is queued for the weak pass, which
 //! decides whether each car is forwarded or broken *after* the guardian
 //! pass has saved what it is going to save.
+//!
+//! The walk covers the dirty snapshot the flip drained, and nothing else.
+//! Stores the mutator makes while the collection is suspended are the
+//! store log's (`collect::settle_stores`): it forwards each logged slot and
+//! stamps its card like any other collector store, so no run is walked
+//! twice, and a generation-0 slot, whose card is never marked, is covered
+//! the same way as an old one.
 
 use super::{forward_from, forward_span, Scratch};
 use crate::heap::Heap;
@@ -178,12 +185,13 @@ pub(crate) unsafe fn gather(
     out
 }
 
-/// Walks the cards of the Pair/Typed run headed by `seg`, one segment at a
-/// time (so the tables may grow in between): [`gather`] refreshes its due
-/// cards in place and lists its from-space slots, then those are forwarded
-/// in word order — a per-word walk's copy order, so the to-space layout is
-/// the same. Re-flags the run if a card is still not clean; returns the
-/// number of cards visited.
+/// Walks the cards of the Pair/Typed run headed by `seg` that are due in a
+/// collection of generations `0..=s.g`, one segment at a time (so the
+/// tables may grow in between): [`gather`] refreshes its due cards in place
+/// and lists its from-space slots, then those are forwarded in word order —
+/// a per-word walk's copy order, so the to-space layout is the same.
+/// Re-flags the run if a card is still not clean; returns the number of
+/// cards visited.
 ///
 /// # The access contract of every in-place scan
 ///
@@ -194,17 +202,17 @@ pub(crate) unsafe fn gather(
 /// itself an open to-space segment — through raw segment pointers, never
 /// through a reference into a run's word arrays.
 ///
-/// Here (and in [`rescan_segment`] and [`scan_weak_cdrs`]) `used` is
-/// `SegInfo::used`, which for a segment under a to-space window is the
-/// watermark of the last phase boundary (see `collect::Window`): it covers
-/// every object the mutator could have stored into, and whatever was copied
-/// into the segment since lies beyond it and is the sweep's.
-fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, visit_le: u8) -> u64 {
+/// Here (and in [`scan_weak_cdrs`]) `used` is `SegInfo::used`, which for a
+/// segment under a to-space window is the watermark of the last phase
+/// boundary (see `collect::Window`): it covers every object the mutator
+/// could have stored into, and whatever was copied into the segment since
+/// lies beyond it and is the sweep's.
+fn walk_run(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) -> u64 {
     let info = heap.segs.info(seg);
     let used = info.used as usize;
     let gens = WalkGens {
         holder: info.generation,
-        visit_le,
+        visit_le: s.g,
         target: s.target,
     };
     let mut slots = [0u16; SEGMENT_WORDS];
@@ -258,7 +266,7 @@ pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
         Space::Pair | Space::Typed => {
             // A run with nothing due stays remembered for its cards' own
             // generations (the walk re-flags it) and is not counted.
-            let visited = walk_run(heap, s, seg, s.g);
+            let visited = walk_run(heap, s, seg);
             s.report.dirty_segments_scanned += u64::from(visited > 0);
             s.report.dirty_cards_scanned += visited;
         }
@@ -273,38 +281,6 @@ pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
         // No pointers: a pure segment cannot hold old->young edges; the
         // mark was spurious.
         Space::Pure => segs.run_cards_mut(seg).fill(CARD_CLEAN),
-    }
-}
-
-/// Re-scans a segment the write barrier logged between increments: a
-/// mutator store landed a from-space pointer in a region the collector may
-/// have already scanned. Unlike [`scan_dirty_seg`] this applies to *any*
-/// non-from-space generation (including to-space and generation 0),
-/// visits every card (refreshing its byte), and does not touch the
-/// remembered-set counters — the barrier log is a collection-internal
-/// work list, not a remembered set.
-pub(crate) fn rescan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
-    let Some(info) = heap.segs.try_info(seg) else {
-        return;
-    };
-    if !info.is_head() || heap.segs.in_from_space(seg) {
-        // From-space containers need no re-scan: an unforwarded object's
-        // stores travel with the wholesale copy if it is ever forwarded.
-        return;
-    }
-    match info.space {
-        Space::Pair | Space::Typed => {
-            walk_run(heap, s, seg, u8::MAX);
-        }
-        Space::WeakPair => {
-            scan_weak_cdrs(heap, s, seg);
-            // The weak pass settles the cars; queue the segment unless it
-            // is already queued as to-space or old-dirty.
-            if !s.weak_tospace.contains(&seg) && !s.old_weak_dirty.contains(&seg) {
-                s.old_weak_dirty.push(seg);
-            }
-        }
-        Space::Pure => {}
     }
 }
 
@@ -477,8 +453,8 @@ mod tests {
         assert_eq!(forwarded, [8]);
         assert_eq!(cards[..2], [1, CARD_CLEAN]);
         assert_eq!(cards[64], 2);
-        // `u8::MAX` (the re-scan) visits every card, clean ones included,
-        // and none beyond `used`.
+        // `u8::MAX` visits every card, clean ones included, and none beyond
+        // `used`.
         let (visited, ..) = walk(&whereabouts, &mut run, &mut cards, 519, gens(u8::MAX, 3));
         assert_eq!(visited, 65);
         assert_eq!(run[1][7], pair_in(1, 40));

@@ -75,8 +75,9 @@ pub struct GcConfig {
     /// wall-clock work has been done (always completing at least one work
     /// unit, so `Duration::ZERO` gives the finest possible slicing).
     /// Between increments the mutator runs against a forwarded-on-read
-    /// invariant and a write barrier that re-queues already-scanned
-    /// segments mutated to hold from-space pointers; the guardian and
+    /// invariant and a write barrier that logs every store of a from-space
+    /// pointer, and every store into a from-space object, for the next
+    /// increment to settle slot by slot; the guardian and
     /// weak passes stay atomic inside the final increment, so
     /// guardian/weak observables are identical to a stop-the-world
     /// collection's.

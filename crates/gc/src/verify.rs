@@ -7,7 +7,7 @@ use crate::collect::Scratch;
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::value::{fwd, Value, TAG_MASK};
-use guardians_segments::{SegIndex, SegKind, Space, CARD_CLEAN, CARD_WORDS};
+use guardians_segments::{SegIndex, SegKind, Space, WordAddr, CARD_CLEAN, CARD_WORDS};
 use std::fmt;
 
 /// A heap invariant violation found by [`Heap::verify`].
@@ -78,9 +78,11 @@ impl Heap {
     ///   where the header was;
     /// * **barrier coverage**: a from-space pointer in a *strong* field
     ///   of a walked segment is sound only if the collector's remaining
-    ///   work (`Scratch::covered`) will re-visit the segment —
-    ///   otherwise terminal reclaim would leave it dangling. Weak cars
-    ///   are exempt (the terminal weak pass settles them);
+    ///   work (`Scratch::covered`) will re-visit it — its segment is
+    ///   queued, parked, logged or in the remembered-set snapshot, or the
+    ///   slot is in the store log — otherwise terminal reclaim would leave
+    ///   it dangling. Weak cars are exempt (the terminal weak pass settles
+    ///   them);
     /// * remembered-set completeness is owed for pointers that do not
     ///   lead into the from-space (those are the coverage check's) out
     ///   of strong segments (a drained weak-pair segment is all-clean
@@ -135,9 +137,10 @@ impl Heap {
                     Space::Pair | Space::WeakPair => {
                         // Weak cars are values too (forwarded or #f).
                         for (i, what) in ["car", "cdr"].into_iter().enumerate() {
-                            let v = Value(self.segs.word(base.add(off + i)));
+                            let slot = base.add(off + i);
+                            let v = Value(self.segs.word(slot));
                             let weak_car = i == 0 && info.space == Space::WeakPair;
-                            self.check_field(cycle, v, seg, weak_car, what)?;
+                            self.check_field(cycle, v, slot, weak_car, what)?;
                             if remset_owed {
                                 self.check_remembered(seg, off + i, v)?;
                             }
@@ -153,8 +156,9 @@ impl Heap {
                             ))
                         })?;
                         for i in 0..header.traced_words() {
-                            let v = Value(self.segs.word(base.add(off + 1 + i)));
-                            self.check_field(cycle, v, seg, false, "object field")?;
+                            let slot = base.add(off + 1 + i);
+                            let v = Value(self.segs.word(slot));
+                            self.check_field(cycle, v, slot, false, "object field")?;
                             self.check_remembered(seg, off + 1 + i, v)?;
                         }
                         off += header.total_words();
@@ -241,14 +245,14 @@ impl Heap {
         Ok(())
     }
 
-    /// One traced field of a walked segment: a valid value, and mid-cycle
-    /// barrier coverage — a from-space pointer in a strong field must be
-    /// covered by the suspended collection's outstanding work.
+    /// One traced field of a walked segment, at `slot`: a valid value, and
+    /// mid-cycle barrier coverage — a from-space pointer in a strong field
+    /// must be covered by the suspended collection's outstanding work.
     fn check_field(
         &self,
         cycle: Option<&Scratch>,
         v: Value,
-        holder: SegIndex,
+        slot: WordAddr,
         weak_car: bool,
         what: &str,
     ) -> Result<(), VerifyError> {
@@ -256,12 +260,12 @@ impl Heap {
             if !weak_car
                 && v.is_ptr()
                 && self.segs.in_from_space(v.addr().seg())
-                && !st.covered(self, holder)
+                && !st.covered(self, slot)
             {
                 return Err(VerifyError::new(format!(
-                    "{what} in {holder:?} holds a from-space pointer {v:?} but the \
-                     segment is in none of the suspended collection's work lists \
-                     (write-barrier coverage violation)"
+                    "{what} at {slot:?} holds a from-space pointer {v:?} but neither \
+                     its segment nor the slot is in the suspended collection's work \
+                     lists (write-barrier coverage violation)"
                 )));
             }
         }

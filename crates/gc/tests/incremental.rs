@@ -4,7 +4,9 @@
 //! write-barrier coverage) under a randomized interleaved mutator, and
 //! clean mid-cycle fault behaviour.
 
-use guardians_gc::{CollectionReport, GcConfig, GcError, Heap, PhaseTimes, Promotion, Value};
+use guardians_gc::{
+    CollectionReport, GcConfig, GcError, Heap, PhaseTimes, Promotion, Rooted, RootedVec, Value,
+};
 use std::time::Duration;
 
 /// Deterministic xorshift64 so both heaps of a comparison run the exact
@@ -194,6 +196,14 @@ fn interleaved_mutator_stays_covered_and_valid() {
         let mut h = Heap::new(incremental_config(Some(Duration::ZERO)));
         let mut rng = XorShift::new(seed);
         let objs = populate(&mut h, &mut rng);
+        // Lists rooted only at their heads: read through `cdr`, they hand
+        // the mutator pairs the sweep has not copied yet, and storing one
+        // into a swept object is what the store log is for.
+        let heads = h.root_vec();
+        for _ in 0..16 {
+            let list = (0..64).fold(Value::NIL, |l, j| h.cons(Value::fixnum(j), l));
+            heads.push(list);
+        }
         for round in 0..4u64 {
             h.begin_incremental((round % 2) as u8);
             h.verify().expect("valid right after the flip");
@@ -204,13 +214,14 @@ fn interleaved_mutator_stays_covered_and_valid() {
                     break;
                 }
                 // The mutator runs between increments: reads that may
-                // return stale pointers, barriered stores that smuggle
-                // them into already-scanned objects, and allocations.
+                // return stale or unforwarded from-space pointers,
+                // barriered stores that smuggle them into already-scanned
+                // objects, and allocations.
                 for _ in 0..rng.below(6) {
                     let n = objs.len() as u64;
                     let a = objs.get(rng.below(n) as usize);
                     let b = objs.get(rng.below(n) as usize);
-                    match rng.below(6) {
+                    match rng.below(7) {
                         0 if h.is_pair(a) && !h.is_weak_pair(a) => h.set_car(a, b),
                         1 if h.is_pair(a) && !h.is_weak_pair(a) => h.set_cdr(a, b),
                         2 if h.is_vector(a) => {
@@ -223,6 +234,17 @@ fn interleaved_mutator_stays_covered_and_valid() {
                             // store what comes back somewhere else.
                             let v = if h.is_pair(a) { h.car(a) } else { a };
                             if h.is_box(b) {
+                                h.box_set(b, v);
+                            }
+                        }
+                        5 => {
+                            let mut v = heads.get(rng.below(heads.len() as u64) as usize);
+                            for _ in 0..rng.below(64) {
+                                v = h.cdr(v);
+                            }
+                            if h.is_pair(b) && !h.is_weak_pair(b) {
+                                h.set_car(b, v);
+                            } else if h.is_box(b) {
                                 h.box_set(b, v);
                             }
                         }
@@ -429,6 +451,310 @@ fn store_of_a_fresh_object_into_an_unforwarded_one_is_remembered() {
     h.collect(0);
     h.verify().expect("valid after the next minor collection");
     assert_eq!(h.car(h.cdr(keep.get(1_999))), Value::fixnum(4242));
+}
+
+/// The weak-pair form of the test above: the fresh object goes into the car
+/// of an unforwarded weak pair, a field the sweep never visits. Its copy's
+/// card must still remember the young referent.
+#[test]
+fn store_of_a_fresh_object_into_an_unforwarded_weak_car_is_remembered() {
+    let mut h = Heap::new(incremental_config(Some(Duration::ZERO)));
+    let keep = h.root_vec();
+    for i in 0..2_000 {
+        let p = h.cons(Value::fixnum(i), Value::NIL);
+        keep.push(p);
+    }
+    let w = h.weak_cons(Value::NIL, Value::NIL);
+    keep.push(w);
+    h.begin_incremental(0);
+    let fresh = h.cons(Value::fixnum(4242), Value::NIL);
+    let fresh = h.root(fresh);
+    h.set_car(keep.get(2_000), fresh.get());
+    while h.gc_step().is_none() {
+        h.verify().expect("between-increment invariants hold");
+    }
+    h.verify().expect("valid after the cycle");
+    let w = keep.get(2_000);
+    assert_eq!(h.generation_of(w), Some(1));
+    assert_eq!(
+        h.generation_of(h.car(w)),
+        Some(0),
+        "allocated black, stays young"
+    );
+    for _ in 0..5_000 {
+        let _ = h.cons(Value::NIL, Value::NIL);
+    }
+    h.collect(0);
+    h.verify().expect("valid after the next minor collection");
+    let w = keep.get(2_000);
+    assert_eq!(h.car(w), fresh.get());
+    assert_eq!(h.car(h.car(w)), Value::fixnum(4242));
+}
+
+/// The heap every store-log case starts from: `holder`, a rooted pair whose
+/// cdr is a list of the fixnums `0..2000`, and `keep`, the case's own
+/// rooted containers.
+struct Chain {
+    holder: Rooted,
+    keep: RootedVec,
+}
+
+/// The index of the list pair the store-log cases store: well past what the
+/// first increment's one sweep unit (one segment, 256 pairs) reaches, so it
+/// is an unforwarded from-space pair when the store is made.
+const STORED: usize = 1000;
+
+fn chain(h: &mut Heap) -> Chain {
+    let list = (0..2000)
+        .rev()
+        .fold(Value::NIL, |l, i| h.cons(Value::fixnum(i), l));
+    let holder = h.cons(Value::FALSE, list);
+    Chain {
+        holder: h.root(holder),
+        keep: h.root_vec(),
+    }
+}
+
+/// The `i`th pair of the chain's list.
+fn nth_pair(h: &Heap, c: &Chain, i: usize) -> Value {
+    (0..=i).fold(c.holder.get(), |v, _| h.cdr(v))
+}
+
+/// The length of the list at `v`.
+fn list_len(h: &Heap, mut v: Value) -> usize {
+    let mut n = 0;
+    while h.is_pair(v) {
+        (n, v) = (n + 1, h.cdr(v));
+    }
+    n
+}
+
+/// The fixnums of the list at `v`.
+fn fixnums(h: &Heap, mut v: Value) -> Vec<i64> {
+    let mut out = Vec::new();
+    while h.is_pair(v) {
+        out.push(h.car(v).as_fixnum());
+        v = h.cdr(v);
+    }
+    out
+}
+
+/// Cuts the chain's list before pair `STORED` (whose from-space address at
+/// the flip was `stored_at`) after it has been stored somewhere, so the
+/// store is all that keeps pairs `STORED..` alive. While a collection is
+/// suspended it first checks what the store wrote: the pair's from-space
+/// address, so the store landed in the store log.
+fn cut_after_storing(h: &mut Heap, c: &Chain, stored: Value, stored_at: u64) {
+    if h.incremental_in_progress() {
+        assert_eq!(h.address_of(stored), Some(stored_at), "stored a copy");
+    }
+    let before = nth_pair(h, c, STORED - 1);
+    h.set_cdr(before, Value::NIL);
+}
+
+/// Runs a store-log case twice from `build`'s heap and returns what
+/// `observe` sees at the end of each run, which must agree. Stepped, a
+/// collection of generation 0 is begun and given one increment, `store`
+/// runs while it is suspended, and it is stepped to its end with `verify`
+/// after every increment. Stop-the-world, `store` runs first and the
+/// collection follows.
+fn store_log_case<S, T: PartialEq + std::fmt::Debug>(
+    generations: u8,
+    build: impl Fn(&mut Heap) -> S,
+    store: impl Fn(&mut Heap, &S),
+    observe: impl Fn(&Heap, &S) -> T,
+) -> T {
+    let run = |pause_budget| {
+        let mut h = Heap::new(GcConfig {
+            generations,
+            pause_budget,
+            ..GcConfig::new()
+        });
+        let state = build(&mut h);
+        if pause_budget.is_some() {
+            h.begin_incremental(0);
+            assert!(h.gc_step().is_none(), "one unit does not sweep the chain");
+            h.verify().expect("valid after the first increment");
+            store(&mut h, &state);
+            loop {
+                let done = h.gc_step().is_some();
+                h.verify().expect("between-increment invariants hold");
+                if done {
+                    break;
+                }
+            }
+        } else {
+            store(&mut h, &state);
+            h.collect(0);
+        }
+        h.verify().expect("valid after the collection");
+        observe(&h, &state)
+    };
+    let stepped = run(Some(Duration::ZERO));
+    assert_eq!(stepped, run(None), "stepped and stop-the-world disagree");
+    stepped
+}
+
+/// A chain and a container aged into generation 2 before it, so the
+/// collection neither collects the container nor has it in its
+/// remembered-set snapshot; with it, pair `STORED`'s address at the flip.
+fn old_container(h: &mut Heap, make: impl Fn(&mut Heap) -> Value) -> (Chain, u64) {
+    let container = make(h);
+    let kept = h.root(container);
+    h.collect(0);
+    h.collect(1);
+    assert_eq!(h.generation_of(kept.get()), Some(2));
+    let c = chain(h);
+    c.keep.push(kept.get());
+    let at = h.address_of(nth_pair(h, &c, STORED)).expect("a pair");
+    (c, at)
+}
+
+/// (a) A from-space pointer stored into an old box: nothing but the store
+/// log leads the collection to it.
+#[test]
+fn a_from_space_pointer_stored_into_an_old_box_survives() {
+    let seen = store_log_case(
+        4,
+        |h| old_container(h, |h| h.make_box(Value::NIL)),
+        |h, (c, at)| {
+            let (bx, p) = (c.keep.get(0), nth_pair(h, c, STORED));
+            h.box_set(bx, p);
+            cut_after_storing(h, c, h.box_ref(bx), *at);
+        },
+        |h, (c, _)| {
+            let stored = h.box_ref(c.keep.get(0));
+            (
+                list_len(h, h.cdr(c.holder.get())),
+                fixnums(h, stored),
+                h.generation_of(stored),
+            )
+        },
+    );
+    assert_eq!(seen.0, STORED);
+    assert_eq!(seen.1, (STORED as i64..2000).collect::<Vec<_>>());
+    assert_eq!(seen.2, Some(1));
+}
+
+/// (b) The same into a generation-0 pair allocated after the flip, once the
+/// sweep has scanned its segment: it has no card to mark, and the sweep
+/// does not come back to it.
+#[test]
+fn a_from_space_pointer_stored_into_a_swept_young_pair_survives() {
+    let seen = store_log_case(
+        4,
+        |h| {
+            let c = chain(h);
+            let at = h.address_of(nth_pair(h, &c, STORED)).expect("a pair");
+            (c, at)
+        },
+        |h, (c, at)| {
+            // The young pair's cdr is a from-space pointer further down the
+            // list; the slot changes once the sweep has scanned it.
+            let further = nth_pair(h, c, 3 * STORED / 2);
+            let young = h.cons(Value::NIL, further);
+            c.keep.push(young);
+            if h.incremental_in_progress() {
+                let further_at = h.address_of(h.cdr(young));
+                assert!(h.gc_step().is_none(), "the chain is not swept yet");
+                assert_ne!(
+                    h.address_of(h.cdr(young)),
+                    further_at,
+                    "young pair not swept"
+                );
+                h.verify().expect("valid after the young pair's increment");
+            }
+            let p = nth_pair(h, c, STORED);
+            h.set_car(young, p);
+            cut_after_storing(h, c, h.car(young), *at);
+        },
+        |h, (c, _)| {
+            let young = c.keep.get(0);
+            let chain = list_len(h, h.cdr(c.holder.get()));
+            (chain, fixnums(h, h.car(young)), h.car(h.cdr(young)))
+        },
+    );
+    assert_eq!(seen.0, STORED);
+    assert_eq!(seen.1, (STORED as i64..2000).collect::<Vec<_>>());
+    assert_eq!(seen.2, Value::fixnum(3 * STORED as i64 / 2));
+}
+
+/// (c) Into old weak pairs' cars: the one whose referent the store log
+/// alone held breaks, the one whose referent stays reachable is forwarded —
+/// exactly as stop-the-world.
+#[test]
+fn a_from_space_pointer_stored_into_an_old_weak_car_breaks_or_forwards() {
+    let seen = store_log_case(
+        4,
+        |h| {
+            let (c, at) = old_container(h, |h| h.weak_cons(Value::NIL, Value::NIL));
+            let kept = h.weak_cons(Value::NIL, Value::NIL);
+            c.keep.push(kept);
+            (c, at)
+        },
+        |h, (c, at)| {
+            let (dies, lives) = (c.keep.get(0), c.keep.get(1));
+            let p = nth_pair(h, c, STORED);
+            h.set_car(dies, p);
+            let q = nth_pair(h, c, STORED / 2);
+            h.set_car(lives, q);
+            cut_after_storing(h, c, h.car(dies), *at);
+        },
+        |h, (c, _)| {
+            let (dies, lives) = (c.keep.get(0), c.keep.get(1));
+            (h.car(dies), fixnums(h, h.car(lives)).first().copied())
+        },
+    );
+    assert_eq!(seen, (Value::FALSE, Some(STORED as i64 / 2)));
+}
+
+/// (d) Into the second segment of an old multi-segment vector run.
+#[test]
+fn a_from_space_pointer_stored_into_a_vector_runs_second_segment_survives() {
+    const AT: usize = 700;
+    let seen = store_log_case(
+        4,
+        |h| old_container(h, |h| h.make_vector(1000, Value::NIL)),
+        |h, (c, at)| {
+            let (v, p) = (c.keep.get(0), nth_pair(h, c, STORED));
+            h.vector_set(v, AT, p);
+            cut_after_storing(h, c, h.vector_ref(v, AT), *at);
+        },
+        |h, (c, _)| fixnums(h, h.vector_ref(c.keep.get(0), AT)),
+    );
+    assert_eq!(seen, (STORED as i64..2000).collect::<Vec<_>>());
+}
+
+/// (e) (a) with one generation: every collection collects it into itself,
+/// so there is no old box; the container is a pair of the list that the
+/// first increment copied and swept, in the generation the from-space was.
+#[test]
+fn a_from_space_pointer_stored_with_one_generation_survives() {
+    const SWEPT: usize = 10;
+    let seen = store_log_case(
+        1,
+        |h| {
+            let c = chain(h);
+            let at = |i| h.address_of(nth_pair(h, &c, i)).expect("a pair");
+            let (next_at, stored_at) = (at(SWEPT + 1), at(STORED));
+            (c, next_at, stored_at)
+        },
+        |h, (c, next_at, stored_at)| {
+            let (swept, p) = (nth_pair(h, c, SWEPT), nth_pair(h, c, STORED));
+            if h.incremental_in_progress() {
+                let next = h.address_of(h.cdr(swept));
+                assert_ne!(next, Some(*next_at), "the container is not swept yet");
+            }
+            h.set_car(swept, p);
+            cut_after_storing(h, c, h.car(swept), *stored_at);
+        },
+        |h, (c, ..)| {
+            let list = h.cdr(c.holder.get());
+            (list_len(h, list), fixnums(h, h.car(nth_pair(h, c, SWEPT))))
+        },
+    );
+    assert_eq!(seen.0, STORED);
+    assert_eq!(seen.1, (STORED as i64..2000).collect::<Vec<_>>());
 }
 
 /// After a collection's first roots pass, an increment re-forwards only

@@ -871,7 +871,11 @@ fn p_make_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {
         return err("make-vector: negative length");
     }
     let fill = a.get(1).copied().unwrap_or(Value::NIL);
-    Ok(it.heap.make_vector(n as usize, fill))
+    // Fallible: a vector larger than what is left of a zone's quota is a
+    // Scheme error, not a panic.
+    it.heap
+        .try_make_vector(n as usize, fill)
+        .or_else(|e| err(format!("make-vector: {e}")))
 }
 
 fn p_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {

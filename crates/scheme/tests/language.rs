@@ -384,3 +384,26 @@ fn vm_attributes_sites_and_counts_dispatches() {
     cold.eval_str("(+ 1 2)").unwrap();
     assert!(!cold.heap_mut().metrics_json().contains("vm.dispatch."));
 }
+
+/// A vector larger than what is left of a zone's segment quota is a
+/// Scheme error the program can recover from, not a panic; the heap is
+/// untouched and smaller vectors still allocate.
+#[test]
+fn make_vector_past_a_quota_is_a_scheme_error() {
+    use guardians_gc::{Heap, SegmentPool};
+    use guardians_scheme::EvalMode;
+    let heap = Heap::with_pool(GcConfig::new(), SegmentPool::unbounded(), Some(64));
+    let mut i = Interp::with_heap(heap, EvalMode::Vm);
+    let e = i
+        .eval_str("(make-vector 100000 0)")
+        .expect_err("100,000 words do not fit in 64 segments");
+    assert!(e.to_string().contains("make-vector: heap exhausted"), "{e}");
+    i.heap()
+        .verify()
+        .expect("the failed allocation left the heap valid");
+    assert_eq!(
+        i.eval_to_string("(vector-length (make-vector 1000 0))")
+            .unwrap(),
+        "1000"
+    );
+}

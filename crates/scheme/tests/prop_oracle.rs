@@ -324,6 +324,37 @@ fn runtime_errors_match_byte_for_byte() {
     }
 }
 
+/// `make-vector` past a zone's segment quota is the same Scheme error under
+/// both evaluators, and both go on evaluating.
+#[test]
+fn make_vector_past_a_quota_fails_identically() {
+    use guardians_gc::{GcConfig, Heap, SegmentPool};
+    let forms = [
+        "(define v (make-vector 100000 0))",
+        "(vector-length (make-vector 1000 7))",
+        "(vector-ref (make-vector 3 'x) 2)",
+    ];
+    let run = |mode| {
+        let heap = Heap::with_pool(GcConfig::new(), SegmentPool::unbounded(), Some(64));
+        let mut it = Interp::with_heap(heap, mode);
+        let results: Vec<Result<String, String>> = forms
+            .iter()
+            .map(|f| it.eval_to_string(f).map_err(|e| e.to_string()))
+            .collect();
+        (results, it.take_output())
+    };
+    let vm = run(EvalMode::Vm);
+    assert_eq!(
+        vm,
+        run(EvalMode::Naive),
+        "vm/oracle diverged past the quota"
+    );
+    assert!(vm.0[0]
+        .as_ref()
+        .is_err_and(|e| e.contains("heap exhausted")));
+    assert_eq!(vm.0[1..], [Ok("1000".to_string()), Ok("x".to_string())]);
+}
+
 /// Improper and circular lists handed to the list primitives are Scheme
 /// errors — the same one under both evaluators — never a panic or a hang.
 #[test]

@@ -39,5 +39,6 @@ pub use fleet::{fleet_stats_json, FleetStats};
 pub use manager::ZoneManager;
 pub use router::{session_zone, ZoneRouter};
 pub use zone::{
-    Engine, Request, Session, WorkloadKind, Zone, ZoneConfig, ZoneObservables, ZoneSnapshot,
+    schedule_label, Request, Session, WorkloadKind, Zone, ZoneConfig, ZoneObservables,
+    ZoneSnapshot, SCHEDULES,
 };

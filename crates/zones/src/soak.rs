@@ -7,7 +7,7 @@
 //! referencing zones or sessions that a shrunk prefix never created are
 //! skipped, so any subsequence is a valid schedule.
 
-use crate::zone::{Engine, Request, WorkloadKind, Zone, ZoneConfig, ZoneObservables};
+use crate::zone::{Request, WorkloadKind, Zone, ZoneConfig, ZoneObservables, SCHEDULES};
 use crate::ZoneManager;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,17 +65,18 @@ pub struct SoakSchedule {
 }
 
 /// The zone configuration the soak derives from a zone id: the workload
-/// alternates typed/Scheme, the schedule ([`Engine::MATRIX`]) changes every
+/// alternates typed/Scheme, the schedule ([`SCHEDULES`]) changes every
 /// second zone so every pairing occurs, and the trigger is small enough
 /// that even short schedules collect.
 pub fn zone_config_for(zone: u64) -> ZoneConfig {
-    let engine = Engine::MATRIX[(zone / 2) as usize % Engine::MATRIX.len()];
+    let pause_budget = SCHEDULES[(zone / 2) as usize % SCHEDULES.len()];
     let base = if zone.is_multiple_of(2) {
         ZoneConfig::typed()
     } else {
         ZoneConfig::scheme()
     };
-    base.with_engine(engine).with_trigger_bytes(1 << 16)
+    base.with_pause_budget(pause_budget)
+        .with_trigger_bytes(1 << 16)
 }
 
 struct SplitMix64(u64);

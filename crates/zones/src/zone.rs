@@ -16,37 +16,18 @@ use guardians_runtime::{BlockId, ExtArena, Fd, SimOs};
 use guardians_scheme::{EvalMode, Interp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-/// The collection schedule of a zone, as an explicit axis (the same two
-/// schedules `GcConfig::pause_budget` encodes): stop-the-world, or
-/// increments under a pause budget.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Stop-the-world: every collection is one pause.
-    Serial,
-    /// Increments with a pause budget in microseconds.
-    PauseBudgetUs(u64),
-}
+/// The collection schedules CI and E21 sweep, as the `GcConfig::pause_budget`
+/// a zone's `gc` carries: stop-the-world, and increments under 100 µs.
+pub const SCHEDULES: [Option<Duration>; 2] = [None, Some(Duration::from_micros(100))];
 
-impl Engine {
-    /// The schedule matrix CI and E21 sweep: stop-the-world, 100 µs.
-    pub const MATRIX: [Engine; 2] = [Engine::Serial, Engine::PauseBudgetUs(100)];
-
-    /// Applies the schedule to a base collector configuration.
-    pub fn apply(self, mut gc: GcConfig) -> GcConfig {
-        gc.pause_budget = match self {
-            Engine::Serial => None,
-            Engine::PauseBudgetUs(us) => Some(std::time::Duration::from_micros(us)),
-        };
-        gc
-    }
-
-    /// Stable label, e.g. `serial`, `budget100us`.
-    pub fn label(self) -> String {
-        match self {
-            Engine::Serial => "serial".to_string(),
-            Engine::PauseBudgetUs(us) => format!("budget{us}us"),
-        }
+/// A schedule's stable label: `serial` for stop-the-world, else the budget
+/// in microseconds, e.g. `budget100us`.
+pub fn schedule_label(pause_budget: Option<Duration>) -> String {
+    match pause_budget {
+        None => "serial".to_string(),
+        Some(budget) => format!("budget{}us", budget.as_micros()),
     }
 }
 
@@ -74,11 +55,9 @@ impl WorkloadKind {
 /// Configuration for one zone.
 #[derive(Clone, Debug)]
 pub struct ZoneConfig {
-    /// Base collector configuration (generations, trigger, policy); the
-    /// engine is applied on top at construction.
+    /// Collector configuration (generations, trigger, policy, and the
+    /// schedule: `pause_budget`).
     pub gc: GcConfig,
-    /// Collector engine.
-    pub engine: Engine,
     /// Workload surface.
     pub workload: WorkloadKind,
     /// Per-zone segment watermark (quota) against the shared pool, fixed
@@ -93,7 +72,6 @@ impl ZoneConfig {
     pub fn typed() -> ZoneConfig {
         ZoneConfig {
             gc: GcConfig::default(),
-            engine: Engine::Serial,
             workload: WorkloadKind::Typed,
             max_segments: None,
             fd_limit: 4096,
@@ -108,9 +86,9 @@ impl ZoneConfig {
         }
     }
 
-    /// Replaces the engine.
-    pub fn with_engine(mut self, engine: Engine) -> ZoneConfig {
-        self.engine = engine;
+    /// Sets the collection schedule (`GcConfig::pause_budget`).
+    pub fn with_pause_budget(mut self, pause_budget: Option<Duration>) -> ZoneConfig {
+        self.gc.pause_budget = pause_budget;
         self
     }
 
@@ -188,11 +166,11 @@ impl Request {
 
 /// The deterministic observables of one zone: identical across schedules,
 /// across private-vs-pooled heaps, and across solo-vs-fleet placement for
-/// the same request sequence — with one exception. Under
-/// [`Engine::PauseBudgetUs`] a collection lasts as many safe points as
-/// the wall clock makes it and the allocation trigger re-arms only when
-/// it ends, so `collections` depends on timing there; every other field,
-/// and `collections` under [`Engine::Serial`], is exact.
+/// the same request sequence — with one exception. Under a pause budget
+/// a collection lasts as many safe points as the wall clock makes it and
+/// the allocation trigger re-arms only when it ends, so `collections`
+/// depends on timing there; every other field, and `collections`
+/// stop-the-world, is exact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ZoneObservables {
     /// Requests dispatched.
@@ -236,7 +214,7 @@ pub struct ZoneObservables {
 pub struct ZoneSnapshot {
     /// Zone id.
     pub zone: u64,
-    /// Engine label.
+    /// Schedule label ([`schedule_label`]).
     pub engine: String,
     /// Workload label.
     pub workload: String,
@@ -322,7 +300,6 @@ enum Backend {
 /// One tenant zone. See the module docs.
 pub struct Zone {
     id: u64,
-    engine: Engine,
     workload: WorkloadKind,
     backend: Backend,
     os: SimOs,
@@ -350,7 +327,7 @@ impl Zone {
     }
 
     fn build(id: u64, config: &ZoneConfig, pool: Option<Arc<SegmentPool>>) -> Zone {
-        let gc = config.engine.apply(config.gc.clone());
+        let gc = config.gc.clone();
         let heap = match pool {
             Some(p) => Heap::with_pool(gc, p, config.max_segments),
             None => Heap::new(gc),
@@ -381,7 +358,6 @@ impl Zone {
         };
         Zone {
             id,
-            engine: config.engine,
             workload: config.workload,
             backend,
             os: SimOs::with_fd_limit(config.fd_limit),
@@ -550,7 +526,7 @@ impl Zone {
     }
 
     /// The zone's safe point: a policy-driven collection opportunity
-    /// (one bounded increment under a `pause_budget` engine) followed by
+    /// (one bounded increment under a `pause_budget`) followed by
     /// reclamation of every session the collector has proven dead.
     pub fn safe_point(&mut self) {
         match &mut self.backend {
@@ -606,7 +582,7 @@ impl Zone {
     /// Runs the zone to a quiescent state: finishes any suspended
     /// incremental cycle, then performs two full collections with
     /// guardian drains — enough to prove every evicted session dead and
-    /// reclaim its resources deterministically on any engine.
+    /// reclaim its resources deterministically on any schedule.
     pub fn quiesce(&mut self) {
         let max_gen = {
             let heap = self.heap_mut();
@@ -674,7 +650,7 @@ impl Zone {
         let segments = self.segments_held();
         ZoneSnapshot {
             zone: self.id,
-            engine: self.engine.label(),
+            engine: schedule_label(self.heap().config().pause_budget),
             workload: self.workload.label().to_string(),
             obs: self.observables(),
             pause_p50_ns: p50,
@@ -701,7 +677,7 @@ impl std::fmt::Debug for Zone {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Zone")
             .field("id", &self.id)
-            .field("engine", &self.engine.label())
+            .field("pause_budget", &self.heap().config().pause_budget)
             .field("workload", &self.workload.label())
             .field("sessions", &self.sessions.len())
             .field("requests", &self.requests)

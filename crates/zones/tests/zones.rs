@@ -1,12 +1,14 @@
 //! Zone-level acceptance tests: shared-pool isolation, teardown
-//! accounting, guardian-driven eviction reclamation, cross-engine
+//! accounting, guardian-driven eviction reclamation, cross-schedule
 //! identity, router determinism, and the soak harness.
 
 use guardians_gc::SegmentPool;
 use guardians_zones::soak::{self, SoakOp, SoakSchedule};
 use guardians_zones::{
-    session_zone, Engine, Request, Zone, ZoneConfig, ZoneManager, ZoneObservables, ZoneRouter,
+    schedule_label, session_zone, Request, Zone, ZoneConfig, ZoneManager, ZoneObservables,
+    ZoneRouter, SCHEDULES,
 };
+use std::time::Duration;
 
 /// A deterministic per-tenant request script: open `sessions` sessions,
 /// run `rounds` of work over them, evicting every third session halfway
@@ -195,9 +197,9 @@ fn observables_are_identical_across_all_three_engines() {
     for base in [ZoneConfig::typed(), ZoneConfig::scheme()] {
         let reqs = script(20, 6);
         let mut all: Vec<(String, ZoneObservables)> = Vec::new();
-        for engine in Engine::MATRIX {
-            let cfg = small_trigger(base.clone()).with_engine(engine);
-            all.push((engine.label(), solo(0, &cfg, &reqs)));
+        for pause_budget in SCHEDULES {
+            let cfg = small_trigger(base.clone()).with_pause_budget(pause_budget);
+            all.push((schedule_label(pause_budget), solo(0, &cfg, &reqs)));
         }
         let (ref first_label, ref want) = all[0];
         for (label, got) in &all[1..] {
@@ -208,6 +210,22 @@ fn observables_are_identical_across_all_three_engines() {
             );
         }
     }
+}
+
+/// A zone's schedule is its `gc.pause_budget`: a budget set there reaches
+/// the heap and names the zone, and the builder is the same field.
+#[test]
+fn a_zone_runs_the_pause_budget_its_gc_config_carries() {
+    let budget = Some(Duration::from_micros(250));
+    let mut config = ZoneConfig::typed();
+    config.gc.pause_budget = budget;
+    let mut zone = Zone::new(0, &config);
+    assert_eq!(zone.heap().config().pause_budget, budget);
+    assert_eq!(zone.snapshot().engine, "budget250us");
+    let built = ZoneConfig::typed().with_pause_budget(budget);
+    assert_eq!(built.gc, config.gc);
+    let mut serial = Zone::new(1, &ZoneConfig::scheme());
+    assert_eq!(serial.snapshot().engine, "serial");
 }
 
 #[test]
@@ -222,8 +240,7 @@ fn router_fleet_matches_solo_replay_per_zone() {
             } else {
                 ZoneConfig::scheme()
             };
-            small_trigger(base)
-                .with_engine(Engine::MATRIX[(id / 2) as usize % Engine::MATRIX.len()])
+            small_trigger(base).with_pause_budget(SCHEDULES[(id / 2) as usize % SCHEDULES.len()])
         })
         .collect();
     for (id, cfg) in configs.iter().enumerate() {
@@ -372,12 +389,12 @@ fn fleet_stats_json_is_well_formed() {
 
 #[test]
 fn ci_matrix_engine_leg() {
-    // One leg per engine of `Engine::MATRIX`: a router fleet pinned to
-    // that engine whose per-zone observables must match a private solo
-    // replay — the cross-engine identity check, with the engine label in
-    // the assertion message so a CI failure names the engine that broke.
+    // One leg per schedule of `SCHEDULES`: a router fleet pinned to that
+    // schedule whose per-zone observables must match a private solo
+    // replay — the cross-schedule identity check, with the schedule label
+    // in the assertion message so a CI failure names the one that broke.
     const ZONES: usize = 4;
-    for engine in Engine::MATRIX {
+    for pause_budget in SCHEDULES {
         let router = ZoneRouter::new(2, SegmentPool::unbounded());
         let configs: Vec<ZoneConfig> = (0..ZONES as u64)
             .map(|id| {
@@ -386,7 +403,7 @@ fn ci_matrix_engine_leg() {
                 } else {
                     ZoneConfig::scheme()
                 };
-                small_trigger(base).with_engine(engine)
+                small_trigger(base).with_pause_budget(pause_budget)
             })
             .collect();
         for (id, cfg) in configs.iter().enumerate() {
@@ -405,8 +422,8 @@ fn ci_matrix_engine_leg() {
             assert_eq!(
                 snap.obs,
                 want,
-                "engine {}: zone {} fleet observables == solo replay",
-                engine.label(),
+                "schedule {}: zone {} fleet observables == solo replay",
+                schedule_label(pause_budget),
                 snap.zone
             );
         }
