@@ -62,12 +62,11 @@ fn main() {
 }
 
 /// Tracing configuration for profiling runs: census at every collection
-/// end, sparse allocation sampling, a ring large enough that nothing is
-/// dropped on the sizes profiled here.
+/// end, a ring large enough that nothing is dropped on the sizes profiled
+/// here. Allocation attribution is the exact site profile, not the trace.
 fn profile_trace_config() -> TraceConfig {
     TraceConfig {
         capacity: 1 << 20,
-        alloc_sample_every: 4_096,
         census_at_collection_end: true,
     }
 }

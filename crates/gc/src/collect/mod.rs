@@ -56,10 +56,12 @@
 //!   exactly, so neither a slot the sweep has passed nor a card that died
 //!   with the from-space is lost. The rule is the same in every generation,
 //!   generation 0 included, and entries are idempotent.
-//! * **Allocation.** The to-space log stays live for the whole
-//!   collection, so mutator allocations between increments are swept
-//!   like to-space: their initializing stores (which bypass the write
-//!   barrier) are still traced.
+//! * **Allocation.** A fresh segment or run the mutator takes between
+//!   increments goes straight onto the suspended collection's scan queue
+//!   ([`Scratch::enqueue`], the collector's own misses do the same), so it
+//!   is swept like to-space: its initializing stores (which bypass the
+//!   write barrier) are still traced, and a weak-pair segment among them
+//!   is fixed by the weak pass.
 //!
 //! The state is *out* of the heap while an advance runs. The collector's
 //! own stores (the guardian pass's tconc appends) do not pass the mutator's
@@ -95,11 +97,12 @@
 //!   table's whereabouts table (`SegmentTable::in_from_space`), which the
 //!   flip writes as it drains the table's per-generation lists instead of
 //!   walking every segment, and which `remset::gather` reads generations in.
-//! * [`kleene_sweep`] keeps a queue of segments with pending words and
-//!   *retires* fully-scanned segments. Only segments that can still grow
-//!   — the open allocation cursors of the target generation — are parked
-//!   and re-checked when the queue drains; everything else is visited
-//!   exactly once per word.
+//! * [`kleene_sweep`] keeps a queue of segments with pending words — every
+//!   fresh segment is pushed on it as it is allocated — and *retires*
+//!   fully-scanned segments. Only segments that can still grow — the open
+//!   allocation cursors, which the cursor table names — are parked and
+//!   re-checked when the queue drains; everything else is visited exactly
+//!   once per word.
 //!
 //! Slots are visited in increasing offset order within each `[off, used)`
 //! batch and `used` (the [`watermark`]) is re-read between batches, so the
@@ -124,9 +127,10 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// The state of one collection, from [`begin`] to the end of its last
-/// [`advance`]; between advances it is parked in `Heap::incremental`. The
-/// scan queue, parked segments, weak lists and remembered-set snapshot
-/// resume exactly where the last advance left them.
+/// [`advance`]; between advances it is parked in `Heap::incremental`, the
+/// heap's only per-collection state. The scan queue, parked segments, weak
+/// list and remembered-set snapshot resume exactly where the last advance
+/// left them.
 pub(crate) struct Scratch {
     /// Highest generation being collected.
     pub g: u8,
@@ -135,16 +139,19 @@ pub(crate) struct Scratch {
     /// The from-space's head segments, to free at the end. Membership is
     /// the segment table's whereabouts byte (`SegmentTable::in_from_space`).
     pub from_heads: Vec<SegIndex>,
-    /// To-space segments with unscanned words (Cheney scan state).
+    /// To-space segments with unscanned words (Cheney scan state): every
+    /// fresh segment or run is pushed here as it is allocated
+    /// ([`Scratch::enqueue`]), the collector's and, between increments,
+    /// the mutator's.
     pub queue: Vec<(SegIndex, usize)>,
     /// Fully-scanned to-space segments that are still open allocation
     /// cursors, so copies may yet land in them; re-checked (and either
     /// re-queued or retired) whenever the queue drains.
     pub parked: Vec<(SegIndex, usize)>,
-    /// To-space weak-pair segments, for the weak pass.
-    pub weak_tospace: Vec<SegIndex>,
-    /// Dirty old-generation weak-pair segments, for the weak pass.
-    pub old_weak_dirty: Vec<SegIndex>,
+    /// The weak pass's segments: every weak-pair segment allocated during
+    /// this collection, and every old one the remembered set or the store
+    /// log handed over.
+    pub weak: Vec<SegIndex>,
     /// Whether tracing was enabled at flip time; gates the per-source-
     /// generation copy accounting so the disabled-mode copy loop is
     /// untouched.
@@ -231,6 +238,18 @@ impl Window {
 }
 
 impl Scratch {
+    /// Queues a fresh segment or run for the sweep, as it is allocated:
+    /// counts it in `segments_allocated`, records a weak-pair segment for
+    /// the weak pass and pushes it on the LIFO queue, so the newest fresh
+    /// segment is swept first.
+    pub fn enqueue(&mut self, segs: &SegmentTable, seg: SegIndex) {
+        self.report.segments_allocated += segs.run_len(seg) as u64;
+        if segs.info(seg).space == Space::WeakPair {
+            self.weak.push(seg);
+        }
+        self.queue.push((seg, 0));
+    }
+
     /// Loads every window from the target generation's cursors (the start
     /// of an advance).
     fn open_windows(&mut self, heap: &Heap) {
@@ -271,8 +290,6 @@ impl Scratch {
         listed(&self.queue)
             || listed(&self.parked)
             || self.remset_pending.as_slice().contains(&head)
-            // Logged but not yet drained into the queue.
-            || heap.tospace_log.as_ref().is_some_and(|log| log.contains(&head))
             || self.stores.iter().any(|&(container, offset)| {
                 settle(heap, self.target, container)
                     .is_some_and(|(copy, _)| copy.addr().add(offset) == slot)
@@ -306,7 +323,6 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
         }
     }
     heap.reset_cursors(g, target);
-    heap.tospace_log = Some(Vec::new());
     let index = heap.collections;
     heap.trace_emit(|| GcEvent::CollectionBegin {
         index,
@@ -319,8 +335,7 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
         from_heads,
         queue: Vec::new(),
         parked: Vec::new(),
-        weak_tospace: Vec::new(),
-        old_weak_dirty: Vec::new(),
+        weak: Vec::new(),
         trace_on: heap.tracing_enabled(),
         copied_per_gen: vec![0; heap.config.generations as usize],
         report: CollectionReport {
@@ -443,9 +458,8 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     lap(heap, s, &mut mark, GcPhase::Roots);
 
     // Phase 3. First the store log: slots the mutator stored into since the
-    // last advance (new copies land in the to-space log and are picked up
-    // by the sweep below). Then the remembered set, one run per yield
-    // check.
+    // last advance (new copies land on the scan queue and are swept
+    // below). Then the remembered set, one run per yield check.
     settle_stores(heap, s);
     let mut yielded = false;
     while let Some(seg) = s.remset_pending.next() {
@@ -513,12 +527,12 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
 /// rule. [`settle`]s each container: one that is still an unforwarded
 /// from-space object stays logged, because its words travel with its copy.
 /// Otherwise the entry names a slot of the container's current copy. A weak
-/// car is not forwarded: its segment is handed to the weak pass, and its
-/// card is stamped from a referent outside the from-space. Any other slot
-/// has its value forwarded ([`forward_settled`]) and its card stamped
-/// exactly (`SegmentTable::note_collector_store`), which also carries a
-/// card the from-space took with it over to the copy. Entries are
-/// idempotent, so nothing is deduplicated.
+/// car is not forwarded: its segment is handed to the weak pass, which
+/// fixes the car and re-marks the segment if it still points younger. Any
+/// other slot has its value forwarded ([`forward_settled`]) and its card
+/// stamped exactly (`SegmentTable::note_collector_store`), which also
+/// carries a card the from-space took with it over to the copy. Entries
+/// are idempotent, so nothing is deduplicated.
 fn settle_stores(heap: &mut Heap, s: &mut Scratch) {
     let mut stores = std::mem::take(&mut s.stores);
     stores.retain(|&(container, offset)| {
@@ -528,19 +542,8 @@ fn settle_stores(heap: &mut Heap, s: &mut Scratch) {
         let slot = copy.addr().add(offset);
         let seg = slot.seg();
         if offset == 0 && copy.is_pair_ptr() && heap.segs.info(seg).space == Space::WeakPair {
-            let visited = s.weak_tospace.contains(&seg)
-                || s.old_weak_dirty.contains(&seg)
-                || heap
-                    .tospace_log
-                    .as_ref()
-                    .is_some_and(|log| log.contains(&seg));
-            if !visited {
-                s.old_weak_dirty.push(seg);
-            }
-            // The weak pass fixes only from-space referents; one allocated
-            // after the flip is remembered by the copy's card alone.
-            if let Some((_, gen)) = settle(heap, s.target, Value(heap.segs.word(slot))) {
-                heap.segs.note_collector_store(slot, gen);
+            if !s.weak.contains(&seg) {
+                s.weak.push(seg);
             }
         } else {
             let (v, gen) = forward_settled(heap, s, Value(heap.segs.word(slot)));
@@ -600,7 +603,6 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
         heap.segs.free(head);
         heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
     }
-    heap.tospace_log = None;
     lap(heap, s, mark, GcPhase::Reclaim);
 }
 
@@ -764,8 +766,9 @@ pub(crate) fn to_alloc(
 
 /// [`to_alloc`]'s miss: writes every window back, so the allocator reads
 /// the exact watermark, allocates — a fresh cursor segment, or a run of
-/// its own that leaves the window as it was — and reloads `space`'s
-/// window from the cursor.
+/// its own that leaves the window as it was — queues it for the sweep
+/// ([`Scratch::enqueue`]) and reloads `space`'s window from the cursor.
+/// A miss always takes fresh storage: the cursor is as full as its window.
 #[cold]
 #[inline(never)]
 fn to_alloc_miss(
@@ -776,6 +779,8 @@ fn to_alloc_miss(
 ) -> (WordAddr, *mut u64) {
     s.write_back(heap);
     let to = heap.alloc_words_internal(space, s.target, total);
+    debug_assert_eq!(to.offset(), 0, "a window miss reused a cursor");
+    s.enqueue(&heap.segs, to.seg());
     s.windows[space.index()] = Window::load(heap, space, s.target);
     (to, heap.segs.base_ptr(to.seg()).wrapping_add(to.offset()))
 }
@@ -939,41 +944,23 @@ fn scan_segment(heap: &mut Heap, s: &mut Scratch, seg: SegIndex, mut off: usize)
 ///
 /// Segments with unscanned words sit in a queue; a segment popped and
 /// scanned to its end is *retired* unless it is an open allocation cursor
-/// of the target generation — the only segments that can still receive
-/// copies without being (re-)logged. Those are parked and re-checked when
+/// ([`Heap::is_cursor`]) — the only segments that can still receive
+/// words without being queued afresh. Those are parked and re-checked when
 /// the queue runs dry, so the sweep never re-walks finished segments.
 pub(crate) fn kleene_sweep(heap: &mut Heap, s: &mut Scratch) {
     while sweep_unit(heap, s) {}
 }
 
-/// Moves the to-space segments logged since the last drain onto the scan
-/// queue, counting them and noting the weak-pair ones for the weak pass.
-fn drain_log(heap: &mut Heap, s: &mut Scratch) {
-    let Some(log) = heap.tospace_log.as_mut() else {
-        return;
-    };
-    // Drained in place: the log keeps its storage for the whole collection.
-    for seg in log.drain(..) {
-        s.report.segments_allocated += heap.segs.run_len(seg) as u64;
-        if heap.segs.info(seg).space == Space::WeakPair {
-            s.weak_tospace.push(seg);
-        }
-        s.queue.push((seg, 0));
-    }
-}
-
 /// One iteration of the Kleene sweep — the increment-shaped work unit
-/// [`advance`] schedules between yield checks: drain the to-space log,
-/// then either scan one queued segment or re-check the parked cursor
-/// segments. Returns `false` exactly when the sweep has reached its
-/// fixpoint (nothing queued, nothing grew, log empty); calling it again
-/// after more copies (or a [`settle_stores`] that copied) resumes
-/// correctly.
+/// [`advance`] schedules between yield checks: either scan one queued
+/// segment or re-check the parked cursor segments. Returns `false` exactly
+/// when the sweep has reached its fixpoint (nothing queued, nothing grew);
+/// calling it again after more copies (or a [`settle_stores`] that copied)
+/// resumes correctly.
 fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
-    drain_log(heap, s);
     if let Some((seg, off)) = s.queue.pop() {
         let new_off = scan_segment(heap, s, seg, off);
-        if heap.is_open_cursor(seg) {
+        if heap.is_cursor(seg) {
             s.parked.push((seg, new_off));
         }
         return true;
@@ -988,13 +975,13 @@ fn sweep_unit(heap: &mut Heap, s: &mut Scratch) -> bool {
             s.parked.swap_remove(i);
             s.queue.push((seg, off));
             grew = true;
-        } else if !heap.is_open_cursor(seg) {
+        } else if !heap.is_cursor(seg) {
             s.parked.swap_remove(i);
         } else {
             i += 1;
         }
     }
-    grew || !heap.tospace_log_is_empty()
+    grew
 }
 
 #[cfg(test)]
@@ -1187,7 +1174,7 @@ mod tests {
             SEGMENT_WORDS,
             "written back"
         );
-        assert!(!h.is_open_cursor(old));
+        assert!(!h.is_cursor(old));
         let w = s.windows[Space::Pair.index()];
         assert_eq!((w.start, w.used), (next, 2));
         assert_eq!(h.segs.info(next.seg()).used, 2);

@@ -276,7 +276,7 @@ pub(crate) fn scan_dirty_seg(heap: &mut Heap, s: &mut Scratch, seg: SegIndex) {
             segs.run_cards_mut(seg).fill(CARD_CLEAN);
             s.report.dirty_segments_scanned += 1;
             scan_weak_cdrs(heap, s, seg);
-            s.old_weak_dirty.push(seg);
+            s.weak.push(seg);
         }
         // No pointers: a pure segment cannot hold old->young edges; the
         // mark was spurious.

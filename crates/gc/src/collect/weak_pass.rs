@@ -10,15 +10,23 @@
 //! > of a weak pair points to an object that has been salvaged, the
 //! > object will still be in the car field after collection."
 //!
-//! The pass visits (a) every weak-pair segment copied into the target
-//! generation this collection and (b) every *dirty* old-generation
-//! weak-pair segment found by the remembered-set scan — never clean old
-//! segments, preserving generation-friendliness for weak pairs too.
+//! The pass visits one list, [`Scratch::weak`]: every weak-pair segment
+//! allocated during this collection (the collector's copies and, between
+//! increments, the mutator's fresh ones), every *dirty* old-generation
+//! weak-pair segment found by the remembered-set scan, and every one whose
+//! car the store log names — never clean old segments, preserving
+//! generation-friendliness for weak pairs too. One rule for all of them:
+//! fix the segment, then re-mark it whole if it still points younger. The
+//! remembered-set drain cleared an old segment's flag and cards; a copy's
+//! are clean. Stop-the-world a to-space segment never points younger —
+//! everything younger than the target was in the from-space — but a car
+//! stored while the collection was suspended may hold an object allocated
+//! after the flip, which the re-mark remembers.
 //!
 //! **Coverage.** The pass runs once, last: every copy this collection
 //! makes — the guardian pass's included — has been made and swept, every
-//! to-space weak segment has been logged ([`Scratch::weak_tospace`]), and
-//! nothing is copied afterwards, so a segment fixed here stays fixed.
+//! to-space weak segment was listed when it was allocated, and nothing is
+//! copied afterwards, so a segment fixed here stays fixed.
 
 use super::Scratch;
 use crate::heap::Heap;
@@ -27,13 +35,7 @@ use crate::value::{fwd, Value};
 use guardians_segments::{SegIndex, SegmentTable};
 
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
-    for seg in std::mem::take(&mut s.weak_tospace) {
-        fix_segment(heap, s, seg);
-    }
-    for seg in std::mem::take(&mut s.old_weak_dirty) {
-        // The remembered-set drain cleared the flag and every card;
-        // re-mark (whole, and re-index) only segments that still hold
-        // old→young pointers.
+    for seg in std::mem::take(&mut s.weak) {
         if fix_segment(heap, s, seg) {
             heap.segs.mark_dirty(seg);
         }

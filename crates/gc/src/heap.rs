@@ -51,16 +51,13 @@ pub struct Heap {
     pub(crate) roots: RootSet,
     /// Protected lists, one per generation.
     pub(crate) protected: Vec<Vec<GuardEntry>>,
-    /// While a collection is in flight, newly allocated (to-space)
-    /// segments are logged here for the Cheney sweep. It stays `Some`
-    /// across all increments, so mutator allocations between increments
-    /// are swept too.
-    pub(crate) tospace_log: Option<Vec<SegIndex>>,
     /// The collection in flight, between `collect::begin` and its
     /// completing `collect::advance`; with a [`GcConfig::pause_budget`] it
-    /// rests here between increments. Taken out of the heap while an
-    /// advance runs, so accessor read/write barriers see `None` exactly
-    /// when the collector itself is running.
+    /// rests here between increments, and it is the heap's only
+    /// per-collection state. Taken out of the heap while an advance runs,
+    /// so accessor read/write barriers — and the allocator, which queues
+    /// the mutator's fresh segments on it for the sweep — see `None`
+    /// exactly when the collector itself is running.
     pub(crate) incremental: Option<Box<collect::Scratch>>,
     pub(crate) stats: HeapStats,
     last_report: Option<CollectionReport>,
@@ -80,8 +77,7 @@ pub struct Heap {
     /// happen, mutator-side counters are synced on snapshot.
     metrics: MetricsRegistry,
     /// The allocation site the embedding last tagged (see
-    /// [`Heap::set_alloc_site`]); attributed by the site profiler and
-    /// allocation sampler.
+    /// [`Heap::set_alloc_site`]); attributed by the site profiler.
     alloc_site: Option<&'static str>,
     /// Per-site allocation attribution; `None` unless
     /// [`Heap::enable_site_profile`] was called.
@@ -115,7 +111,6 @@ impl Heap {
             cursors: vec![None; gens * 4],
             roots: RootSet::default(),
             protected: (0..gens).map(|_| Vec::new()).collect(),
-            tospace_log: None,
             incremental: None,
             stats: HeapStats::default(),
             last_report: None,
@@ -197,37 +192,32 @@ impl Heap {
 
     /// Raw bump allocation of `words` words in (`space`, `gen`). Does not
     /// touch mutator accounting; used by both the mutator wrappers and the
-    /// miss of the collector's to-space window.
+    /// miss of the collector's to-space window. Between increments a fresh
+    /// segment or run is queued on the suspended collection
+    /// (`Scratch::enqueue`), so the sweep traces the mutator's initializing
+    /// stores, which bypass the write barrier; the collector's miss queues
+    /// its own.
     pub(crate) fn alloc_words_internal(&mut self, space: Space, gen: u8, words: usize) -> WordAddr {
         debug_assert!(words > 0);
         if let Some(addr) = self.bump(space, gen, words) {
             return addr;
         }
-        if words > SEGMENT_WORDS {
+        let seg = if words > SEGMENT_WORDS {
             // A run of its own, reissued from the table's free store when a
             // dead large object left one long enough.
             let nsegs = words.div_ceil(SEGMENT_WORDS);
             self.note_acquisitions(nsegs as u64);
-            let head = self.segs.allocate_run(space, gen, nsegs);
-            self.segs.info_mut(head).used = words as u32;
-            if let Some(log) = self.tospace_log.as_mut() {
-                log.push(head);
-            }
-            return self.segs.base_addr(head);
+            self.segs.allocate_run(space, gen, nsegs)
+        } else {
+            self.note_acquisitions(1);
+            let seg = self.segs.allocate(space, gen);
+            self.cursors[gen as usize * 4 + space.index()] = Some(seg);
+            seg
+        };
+        self.segs.info_mut(seg).used = words as u32;
+        if let Some(s) = self.incremental.as_mut() {
+            s.enqueue(&self.segs, seg);
         }
-        let key = gen as usize * 4 + space.index();
-        if let Some(old) = self.cursors[key] {
-            self.segs.info_mut(old).open_cursor = false;
-        }
-        self.note_acquisitions(1);
-        let seg = self.segs.allocate(space, gen);
-        if let Some(log) = self.tospace_log.as_mut() {
-            log.push(seg);
-        }
-        self.cursors[key] = Some(seg);
-        let info = self.segs.info_mut(seg);
-        info.used = words as u32;
-        info.open_cursor = true;
         WordAddr::new(seg, 0)
     }
 
@@ -235,37 +225,21 @@ impl Heap {
     fn alloc_mutator(&mut self, space: Space, words: usize) -> WordAddr {
         self.bytes_since_gc += words * 8;
         self.stats.words_allocated += words as u64;
-        // Observability off: two null tests, nothing else.
-        if self.site_profile.is_some() || self.tracer.is_some() {
-            self.note_mutator_alloc(space, words);
+        // Observability off: one null test, nothing else.
+        if self.site_profile.is_some() {
+            self.note_site_alloc(words);
         }
         self.alloc_words_internal(space, 0, words)
     }
 
-    /// The slow (observability-enabled) half of mutator-allocation
-    /// accounting: site attribution and sampled allocation events.
-    fn note_mutator_alloc(&mut self, space: Space, words: usize) {
-        let site = self.alloc_site;
+    /// The slow (profiling-enabled) half of mutator-allocation accounting:
+    /// attributes the allocation to the site last tagged.
+    fn note_site_alloc(&mut self, words: usize) {
+        let site = self.alloc_site.unwrap_or("<untagged>");
         if let Some(profile) = self.site_profile.as_mut() {
-            let entry = profile
-                .sites
-                .entry(site.unwrap_or("<untagged>"))
-                .or_default();
+            let entry = profile.sites.entry(site).or_default();
             entry.allocations += 1;
             entry.words += words as u64;
-        }
-        if let Some(t) = self.tracer.as_mut() {
-            if t.cfg.alloc_sample_every > 0 {
-                t.alloc_tick += 1;
-                if t.alloc_tick >= t.cfg.alloc_sample_every {
-                    t.alloc_tick = 0;
-                    t.emit(GcEvent::AllocSample {
-                        space: space_name(space),
-                        words: words as u64,
-                        site,
-                    });
-                }
-            }
         }
     }
 
@@ -388,31 +362,22 @@ impl Heap {
     /// segments are about to be freed) and the target generation (so the
     /// Cheney scan sees only freshly copied objects in to-space segments).
     pub(crate) fn reset_cursors(&mut self, g: u8, target: u8) {
-        for i in 0..self.cursors.len() {
+        for (i, cursor) in self.cursors.iter_mut().enumerate() {
             let gen = (i / 4) as u8;
             if gen <= g || gen == target {
-                if let Some(seg) = self.cursors[i].take() {
-                    self.segs.info_mut(seg).open_cursor = false;
-                }
+                *cursor = None;
             }
         }
     }
 
     /// Whether `seg` is an open allocation cursor — the only segments
     /// whose `used` watermark can still advance without the segment being
-    /// (re-)logged, so the only ones the Cheney sweep must re-check. An
-    /// O(1) flag test ([`SegInfo::open_cursor`]) kept coherent with the
-    /// cursor table by [`Heap::alloc_words_internal`] /
-    /// [`Heap::reset_cursors`] (checked by [`Heap::verify`]).
-    ///
-    /// [`SegInfo::open_cursor`]: guardians_segments::SegInfo
-    pub(crate) fn is_open_cursor(&self, seg: SegIndex) -> bool {
-        self.segs.info(seg).open_cursor
-    }
-
-    /// Whether the to-space log is empty.
-    pub(crate) fn tospace_log_is_empty(&self) -> bool {
-        self.tospace_log.as_ref().is_none_or(Vec::is_empty)
+    /// queued afresh, so the only ones the Cheney sweep must re-check. One
+    /// load from the cursor table, at the slot of `seg`'s own space and
+    /// generation.
+    pub(crate) fn is_cursor(&self, seg: SegIndex) -> bool {
+        let info = self.segs.info(seg);
+        self.cursors[info.generation as usize * 4 + info.space.index()] == Some(seg)
     }
 
     // ------------------------------------------------------------------
@@ -547,6 +512,17 @@ impl Heap {
         let header = Header::new(ObjKind::Vector, len);
         self.check_budget(self.segments_needed(space_for(&header), header.total_words()))?;
         Ok(self.make_vector(len, fill))
+    }
+
+    /// Fallible [`Heap::make_string`].
+    ///
+    /// # Errors
+    ///
+    /// [`GcError::Exhausted`] (heap untouched) on insufficient budget.
+    pub fn try_make_string(&mut self, s: &str) -> Result<Value, GcError> {
+        let header = Header::new(ObjKind::String, s.len());
+        self.check_budget(self.segments_needed(space_for(&header), header.total_words()))?;
+        Ok(self.make_string(s))
     }
 
     /// Fallible [`Heap::make_bytevector`].
@@ -1049,16 +1025,6 @@ fn space_for(header: &Header) -> Space {
         Space::Pure
     } else {
         Space::Typed
-    }
-}
-
-/// Stable space names for trace events.
-fn space_name(space: Space) -> &'static str {
-    match space {
-        Space::Pair => "pair",
-        Space::WeakPair => "weak-pair",
-        Space::Typed => "typed",
-        Space::Pure => "pure",
     }
 }
 

@@ -77,22 +77,6 @@ impl Heap {
         self.roots.zero_stamps();
     }
 
-    /// Open-cursor bookkeeping as seen from both sides: segments whose
-    /// `open_cursor` flag is set (linear scan over the segment table) and
-    /// occupied allocation-cursor slots. The two must always be equal —
-    /// and [`Heap::verify`] checks the stronger per-segment statement —
-    /// but exposing the counts lets tests assert coherence directly at
-    /// arbitrary interleaving points.
-    pub fn open_cursor_counts(&self) -> (usize, usize) {
-        let flagged = self
-            .segs
-            .iter()
-            .filter(|(_, info)| info.open_cursor)
-            .count();
-        let slots = self.cursors.iter().filter(|c| c.is_some()).count();
-        (flagged, slots)
-    }
-
     /// A multi-line textual summary of the heap's current shape.
     pub fn dump(&self) -> String {
         use std::fmt::Write;

@@ -149,17 +149,6 @@ pub enum GcEvent {
         /// Number of segments in the run.
         count: u64,
     },
-    /// A sampled mutator allocation (every Nth per
-    /// [`TraceConfig::alloc_sample_every`]).
-    AllocSample {
-        /// Space name: `"pair"`, `"weak-pair"`, `"typed"`, or `"pure"`.
-        space: &'static str,
-        /// Allocation size in words.
-        words: u64,
-        /// Allocation site, if the embedding tagged one (see
-        /// [`Heap::set_alloc_site`](crate::Heap::set_alloc_site)).
-        site: Option<&'static str>,
-    },
     /// Live census of one generation, taken at collection end when
     /// [`TraceConfig::census_at_collection_end`] is set.
     CensusGen {
@@ -223,10 +212,6 @@ pub struct TraceConfig {
     /// Ring capacity in events; the oldest events are overwritten when it
     /// fills (default 65 536, ≈ 2.5 MB).
     pub capacity: usize,
-    /// Emit an [`GcEvent::AllocSample`] for every Nth mutator allocation;
-    /// `0` disables allocation sampling (the default — collections are
-    /// rare, allocations are not).
-    pub alloc_sample_every: u32,
     /// Take a live-heap census at the end of every collection and emit a
     /// [`GcEvent::CensusGen`] per generation (default off; a census walks
     /// every live segment).
@@ -237,7 +222,6 @@ impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
             capacity: 65_536,
-            alloc_sample_every: 0,
             census_at_collection_end: false,
         }
     }
@@ -251,8 +235,6 @@ pub(crate) struct Tracer {
     epoch: Instant,
     seq: u64,
     dropped: u64,
-    /// Countdown state for allocation sampling.
-    pub(crate) alloc_tick: u32,
 }
 
 impl Tracer {
@@ -263,7 +245,6 @@ impl Tracer {
             epoch: Instant::now(),
             seq: 0,
             dropped: 0,
-            alloc_tick: 0,
             cfg,
         }
     }
@@ -316,7 +297,8 @@ pub(crate) struct SiteProfile {
 /// visited, weak pairs scanned, remembered-set cards visited, total GC time, and the per-phase time
 /// totals. The result must equal the heap's own accounting exactly —
 /// the event-vs-counter parity contract. Mutator-side allocation counters
-/// are not derivable from a (sampled) trace and stay zero.
+/// are not derivable from the trace, which records no allocation, and stay
+/// zero.
 pub fn replay_stats(events: &[TracedEvent]) -> HeapStats {
     let mut out = HeapStats::default();
     for e in events {
@@ -436,20 +418,6 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
         ),
         GcEvent::SegmentsAcquired { count } => ("segments_acquired", vec![("count", u(count))]),
         GcEvent::SegmentsReleased { count } => ("segments_released", vec![("count", u(count))]),
-        GcEvent::AllocSample { space, words, site } => (
-            "alloc_sample",
-            vec![
-                ("space", format!("\"{space}\"")),
-                ("words", u(words)),
-                (
-                    "site",
-                    match site {
-                        Some(s) => format!("\"{s}\""),
-                        None => "null".to_string(),
-                    },
-                ),
-            ],
-        ),
         GcEvent::CensusGen {
             generation,
             pairs,
@@ -699,11 +667,6 @@ mod tests {
             },
             GcEvent::SegmentsAcquired { count: 2 },
             GcEvent::SegmentsReleased { count: 2 },
-            GcEvent::AllocSample {
-                space: "pair",
-                words: 2,
-                site: Some("cons"),
-            },
             GcEvent::CensusGen {
                 generation: 1,
                 pairs: 7,

@@ -58,7 +58,6 @@ impl Heap {
     ///   its segment's generation, "not allocated" exactly on the free
     ///   indices, and "from-space" exactly on the segments a suspended
     ///   collection will reclaim — on none between collections;
-    /// * an allocation cursor is open exactly on the segments flagged so;
     /// * a suspended collection holds no to-space window (its windows
     ///   live inside one advance, so `SegInfo::used` is every watermark);
     /// * protected-list entries satisfy the generation invariants
@@ -79,8 +78,8 @@ impl Heap {
     /// * **barrier coverage**: a from-space pointer in a *strong* field
     ///   of a walked segment is sound only if the collector's remaining
     ///   work (`Scratch::covered`) will re-visit it — its segment is
-    ///   queued, parked, logged or in the remembered-set snapshot, or the
-    ///   slot is in the store log — otherwise terminal reclaim would leave
+    ///   queued, parked or in the remembered-set snapshot, or the slot is
+    ///   in the store log — otherwise terminal reclaim would leave
     ///   it dangling. Weak cars are exempt (the terminal weak pass settles
     ///   them);
     /// * remembered-set completeness is owed for pointers that do not
@@ -193,20 +192,6 @@ impl Heap {
             }
         }
         self.check_card_summary()?;
-
-        for (seg, info) in self.segs.iter() {
-            // 2b. Open-cursor coherence: a segment's `open_cursor` flag
-            // must agree exactly with the allocation-cursor table, or the
-            // Cheney sweep would park a still-advancing segment (or spin
-            // re-checking a retired one).
-            let in_table = self.cursors.contains(&Some(seg));
-            if info.open_cursor != in_table {
-                return Err(VerifyError::new(format!(
-                    "{seg:?} open_cursor flag is {} but cursor table says {}",
-                    info.open_cursor, in_table
-                )));
-            }
-        }
 
         // 3. Roots.
         for v in self.roots.values() {
@@ -431,17 +416,6 @@ mod tests {
         h.segs.set_word(p.addr(), 0b111);
         let err = h.verify().expect_err("must detect the forwarding mark");
         assert!(err.to_string().contains("forwarding mark"), "got: {err}");
-    }
-
-    #[test]
-    fn open_cursor_incoherence_is_detected() {
-        let mut h = Heap::default();
-        let p = h.cons(Value::NIL, Value::NIL);
-        let _root = h.root(p);
-        h.verify().expect("fresh cursor segment is coherent");
-        h.segs.info_mut(p.addr().seg()).open_cursor = false;
-        let err = h.verify().expect_err("must detect the cleared flag");
-        assert!(err.to_string().contains("open_cursor"), "got: {err}");
     }
 
     #[test]

@@ -491,6 +491,84 @@ fn store_of_a_fresh_object_into_an_unforwarded_weak_car_is_remembered() {
     assert_eq!(h.car(h.car(w)), Value::fixnum(4242));
 }
 
+/// The heap the mutator-allocation cases start from: a budget of 0, a
+/// rooted pair `y = ((7) . (8))` and 5,000 rooted pairs after it, so `y` is
+/// copied first and its to-space segment, the bottom of the scan queue, is
+/// swept last. A collection of generation 0 is begun and given one
+/// increment; `car(y)` and `cdr(y)` are still unforwarded from-space pairs,
+/// and are returned with `y`'s root.
+fn y_swept_last() -> (Heap, Rooted, RootedVec, Value, Value) {
+    let mut h = Heap::new(incremental_config(Some(Duration::ZERO)));
+    let (a, d) = (
+        h.cons(Value::fixnum(7), Value::NIL),
+        h.cons(Value::fixnum(8), Value::NIL),
+    );
+    let y = h.cons(a, d);
+    let y = h.root(y);
+    let keep = h.root_vec();
+    for i in 0..5_000 {
+        let p = h.cons(Value::fixnum(i), Value::NIL);
+        keep.push(p);
+    }
+    let flip_at = (h.address_of(a), h.address_of(d));
+    h.begin_incremental(0);
+    assert!(h.gc_step().is_none(), "one unit does not sweep 5,000 pairs");
+    h.verify().expect("valid after the first increment");
+    let (x, z) = (h.car(y.get()), h.cdr(y.get()));
+    assert_eq!(
+        (h.address_of(x), h.address_of(z)),
+        flip_at,
+        "y's segment was swept early"
+    );
+    (h, y, keep, x, z)
+}
+
+/// Steps the suspended collection to its end, verifying after every step.
+fn step_to_the_end(h: &mut Heap) {
+    loop {
+        let done = h.gc_step().is_some();
+        h.verify().expect("between-increment invariants hold");
+        if done {
+            break;
+        }
+    }
+}
+
+/// A run the mutator allocates between increments is swept: its
+/// initializing stores bypass the write barrier, so the scan queue is the
+/// only way the collection learns of the from-space pointers in it.
+#[test]
+fn a_run_allocated_between_increments_is_swept() {
+    let (mut h, y, _keep, x, _) = y_swept_last();
+    let v = h.make_vector(600, x);
+    let v = h.root(v);
+    h.set_car(y.get(), Value::FALSE);
+    step_to_the_end(&mut h);
+    let elem = h.vector_ref(v.get(), 599);
+    assert_eq!(h.vector_ref(v.get(), 0), elem);
+    assert_eq!(h.generation_of(elem), Some(1), "x's copy");
+    assert_eq!(h.car(elem), Value::fixnum(7));
+}
+
+/// A weak-pair segment the mutator allocates between increments is fixed
+/// by the weak pass: a car whose referent died reads `#f`, one whose
+/// referent survived is forwarded.
+#[test]
+fn a_weak_segment_allocated_between_increments_is_fixed() {
+    let (mut h, y, keep, x, z) = y_swept_last();
+    let dies = h.weak_cons(x, Value::NIL);
+    keep.push(dies);
+    let lives = h.weak_cons(z, Value::NIL);
+    keep.push(lives);
+    h.set_car(y.get(), Value::FALSE);
+    step_to_the_end(&mut h);
+    let (dies, lives) = (keep.get(5_000), keep.get(5_001));
+    assert_eq!(h.car(dies), Value::FALSE, "x died");
+    assert_eq!(h.car(lives), h.cdr(y.get()), "z forwarded");
+    assert_eq!(h.generation_of(h.car(lives)), Some(1));
+    assert_eq!(h.car(h.car(lives)), Value::fixnum(8));
+}
+
 /// The heap every store-log case starts from: `holder`, a rooted pair whose
 /// cdr is a list of the fixnums `0..2000`, and `keep`, the case's own
 /// rooted containers.

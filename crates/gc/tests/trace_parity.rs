@@ -190,11 +190,6 @@ fn metrics_registry_agrees_with_stats_and_replay() {
 #[test]
 fn alloc_sampling_and_site_attribution() {
     let mut heap = Heap::default();
-    heap.enable_tracing(TraceConfig {
-        capacity: 1 << 16,
-        alloc_sample_every: 10,
-        ..TraceConfig::default()
-    });
     heap.enable_site_profile();
     heap.set_alloc_site("test.cons");
     for i in 0..100 {
@@ -202,16 +197,6 @@ fn alloc_sampling_and_site_attribution() {
     }
     heap.set_alloc_site("test.vector");
     let _ = heap.make_vector(10, Value::NIL);
-    let events = heap.disable_tracing();
-    let samples: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e.event {
-            GcEvent::AllocSample { space, words, site } => Some((space, words, site)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(samples.len(), 10, "every 10th of 101 allocations");
-    assert!(samples.iter().all(|s| s.2 == Some("test.cons")));
     let profile = heap.take_site_profile();
     assert_eq!(profile.len(), 2);
     assert_eq!(profile[0].0, "test.cons", "sorted by words desc");
@@ -238,7 +223,6 @@ fn census_at_collection_end_emits_per_generation_events() {
     heap.enable_tracing(TraceConfig {
         capacity: 1 << 16,
         census_at_collection_end: true,
-        ..TraceConfig::default()
     });
     let p = heap.cons(Value::fixnum(1), Value::NIL);
     let _r = heap.root(p);

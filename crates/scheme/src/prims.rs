@@ -879,7 +879,10 @@ fn p_make_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 }
 
 fn p_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {
-    let v = it.heap.make_vector(a.len(), Value::NIL);
+    let v = it
+        .heap
+        .try_make_vector(a.len(), Value::NIL)
+        .or_else(|e| err(format!("vector: {e}")))?;
     for (i, x) in a.iter().enumerate() {
         it.heap.vector_set(v, i, *x);
     }
@@ -931,7 +934,11 @@ fn p_string_append(it: &mut Interp, a: &[Value]) -> SResult<Value> {
         out.extend(it.heap.string_bytes(v));
     }
     let s = String::from_utf8(out).expect("heap strings are always valid UTF-8");
-    Ok(it.heap.make_string(&s))
+    // Fallible, like `make-vector`: a string past a zone's quota is a
+    // Scheme error.
+    it.heap
+        .try_make_string(&s)
+        .or_else(|e| err(format!("string-append: {e}")))
 }
 
 fn p_substring(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -957,7 +964,9 @@ fn p_substring(it: &mut Interp, a: &[Value]) -> SResult<Value> {
         return err("substring: index out of range");
     }
     let sub = String::from_utf8(out).expect("heap strings are always valid UTF-8");
-    Ok(it.heap.make_string(&sub))
+    it.heap
+        .try_make_string(&sub)
+        .or_else(|e| err(format!("substring: {e}")))
 }
 
 fn p_string_eq(it: &mut Interp, a: &[Value]) -> SResult<Value> {
@@ -999,7 +1008,10 @@ fn p_vector_to_list(it: &mut Interp, a: &[Value]) -> SResult<Value> {
 fn p_list_to_vector(it: &mut Interp, a: &[Value]) -> SResult<Value> {
     want_list(&it.heap, a[0], "list->vector")?;
     let items = lists::list_to_vec(&it.heap, a[0]);
-    let v = it.heap.make_vector(items.len(), Value::NIL);
+    let v = it
+        .heap
+        .try_make_vector(items.len(), Value::NIL)
+        .or_else(|e| err(format!("list->vector: {e}")))?;
     for (i, x) in items.into_iter().enumerate() {
         it.heap.vector_set(v, i, x);
     }

@@ -385,6 +385,41 @@ fn vm_attributes_sites_and_counts_dispatches() {
     assert!(!cold.heap_mut().metrics_json().contains("vm.dispatch."));
 }
 
+/// A string that outgrows a zone's segment quota is a Scheme error from
+/// the primitive that built it, not a panic: here `string-append` doubling
+/// a string past 64 segments. The heap stays valid, and the string and
+/// vector builders go on working.
+#[test]
+fn a_program_sized_string_or_vector_past_a_quota_is_a_scheme_error() {
+    use guardians_gc::{Heap, SegmentPool};
+    use guardians_scheme::EvalMode;
+    let heap = Heap::with_pool(GcConfig::new(), SegmentPool::unbounded(), Some(64));
+    let mut i = Interp::with_heap(heap, EvalMode::Vm);
+    let e = i
+        .eval_str(
+            "(let loop ((s \"x\") (i 0)) \
+               (if (< i 20) (loop (string-append s s) (+ i 1)) (string-length s)))",
+        )
+        .expect_err("a 1 MiB string does not fit in 64 segments");
+    assert!(
+        e.to_string().contains("string-append: heap exhausted"),
+        "{e}"
+    );
+    i.heap()
+        .verify()
+        .expect("the failed append left the heap valid");
+    assert_eq!(
+        i.eval_to_string("(string-length (substring (string-append \"ab\" \"cd\") 1 3))")
+            .unwrap(),
+        "2"
+    );
+    assert_eq!(
+        i.eval_to_string("(vector-length (list->vector (list 1 2 3)))")
+            .unwrap(),
+        "3"
+    );
+}
+
 /// A vector larger than what is left of a zone's segment quota is a
 /// Scheme error the program can recover from, not a panic; the heap is
 /// untouched and smaller vectors still allocate.

@@ -355,6 +355,56 @@ fn make_vector_past_a_quota_fails_identically() {
     assert_eq!(vm.0[1..], [Ok("1000".to_string()), Ok("x".to_string())]);
 }
 
+/// A string doubled past a zone's segment quota is the same Scheme error
+/// from `string-append` under both evaluators, and both go on evaluating.
+/// The error's segment counts are cut off before comparing: how many
+/// segments are left depends on each evaluator's own garbage.
+#[test]
+fn string_append_past_a_quota_fails_identically() {
+    use guardians_gc::{GcConfig, Heap, SegmentPool};
+    let forms = [
+        "(define (grow s i) (if (< i 20) (grow (string-append s s) (+ i 1)) (string-length s)))",
+        "(grow \"x\" 0)",
+        "(substring (string-append \"ab\" \"cd\") 1 3)",
+        "(vector-ref (list->vector (list 1 2 3)) 2)",
+        "(vector-length (vector 'a 'b))",
+    ];
+    let run = |mode| {
+        let heap = Heap::with_pool(GcConfig::new(), SegmentPool::unbounded(), Some(64));
+        let mut it = Interp::with_heap(heap, mode);
+        let results: Vec<Result<String, String>> = forms
+            .iter()
+            .map(|f| {
+                it.eval_to_string(f).map_err(|e| {
+                    let e = e.to_string();
+                    e.split_once(": needs")
+                        .map_or(&*e, |(head, _)| head)
+                        .to_string()
+                })
+            })
+            .collect();
+        (results, it.take_output())
+    };
+    let vm = run(EvalMode::Vm);
+    assert_eq!(
+        vm,
+        run(EvalMode::Naive),
+        "vm/oracle diverged past the quota"
+    );
+    assert_eq!(
+        vm.0[1],
+        Err("scheme error: string-append: heap exhausted".to_string())
+    );
+    assert_eq!(
+        vm.0[2..],
+        [
+            Ok("\"bc\"".to_string()),
+            Ok("3".to_string()),
+            Ok("2".to_string())
+        ]
+    );
+}
+
 /// Improper and circular lists handed to the list primitives are Scheme
 /// errors — the same one under both evaluators — never a panic or a hang.
 #[test]

@@ -82,11 +82,6 @@ pub struct SegInfo {
     /// Number of segments in the run this head starts (1 for a standalone
     /// segment), making `run_len` O(1). Zero on tail segments.
     pub run: u32,
-    /// Whether this segment is an open allocation cursor for its
-    /// (space, generation). Maintained by the heap's allocator so the
-    /// Cheney sweep's park/requeue decision is an O(1) flag test instead
-    /// of a scan over the cursor table.
-    pub open_cursor: bool,
 }
 
 impl SegInfo {
@@ -99,7 +94,6 @@ impl SegInfo {
             used: 0,
             dirty: false,
             run: 1,
-            open_cursor: false,
         }
     }
 
@@ -112,7 +106,6 @@ impl SegInfo {
             used: 0,
             dirty: false,
             run: 0,
-            open_cursor: false,
         }
     }
 
