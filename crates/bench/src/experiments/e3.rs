@@ -49,10 +49,11 @@ fn measure(parked: usize, young_collections: usize) -> (u64, u64) {
         for _ in 0..1_000 {
             let _ = heap.cons(Value::NIL, Value::NIL);
         }
-        let lists = heap.generation_usage();
-        registered += lists
+        registered += heap
+            .census()
+            .generations
             .iter()
-            .map(|g| g.protected_entries as u64)
+            .map(|g| g.protected_entries)
             .sum::<u64>();
         heap.collect(0);
         visited += heap.last_report().unwrap().guardian_entries_visited;

@@ -1,82 +1,82 @@
-//! The typed-API root context: a rooted shadow stack with slot reuse,
-//! plus the per-type descriptor table.
+//! The typed-API root context: the heap's root table, plus the per-type
+//! descriptor table.
 //!
 //! [`ApiCtx`] is the piece of state the typed layer needs *besides* the
-//! heap itself: every [`Root<T>`] is a slot on a [`RootedVec`] shadow
-//! stack registered with the heap, and every [`Trace`] type gets one
-//! interned descriptor symbol (rooted here) naming its record layout.
-//! Keeping it separate from the heap lets an embedding that already owns
-//! a [`Heap`] — the torture rig, the Scheme tiers — bolt the typed API on
-//! without restructuring, while [`GcHeap`](crate::GcHeap) bundles the two
-//! for ordinary programs.
+//! heap itself: a clone of the heap's [`RootSet`], through which every
+//! [`Root<T>`] and [`Weak<T>`](crate::Weak) claims its slot in the heap's
+//! own root table, and one interned descriptor symbol per [`Trace`] type
+//! (rooted the same way) naming its record layout. Keeping it separate
+//! from the heap lets an embedding that already owns a [`Heap`] — the
+//! torture rig, the Scheme tiers — bolt the typed API on without
+//! restructuring, while [`GcHeap`](crate::GcHeap) bundles the two for
+//! ordinary programs.
 
-use crate::handle::{Gc, GcRead, Root, RootSlot};
+use crate::handle::{Gc, GcRead, Root};
 use crate::trace::{expect_typed, Field, Trace};
-use guardians_gc::{Heap, Rooted, RootedVec, Value};
+use guardians_gc::{Heap, RootSet, Rooted, Value};
+use std::any::TypeId;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::rc::Rc;
 
-/// Shadow-stack root arena + descriptor table for the typed front-end.
+/// Root-table handle + descriptor table for the typed front-end.
 ///
-/// Rooting goes through a [`RootedVec`] (interior mutability), so slots
-/// can be created from `&ApiCtx` — which is what lets [`Field::decode`]
-/// re-root edge fields during a read-only [`Trace::lift`]. Dropping a
-/// [`Root`] tombstones its slot with a non-pointer and recycles the index
-/// through a free list, so non-LIFO root lifetimes cost nothing.
+/// The [`RootSet`] claims slots from `&ApiCtx`, which is what lets
+/// [`Field::decode`] re-root edge fields during a read-only
+/// [`Trace::lift`]. A typed root is a [`Rooted`], so it costs what a raw
+/// root costs: dropping its last clone frees the slot for the next claim.
 pub struct ApiCtx {
-    shadow: RootedVec,
-    free: Rc<RefCell<Vec<usize>>>,
-    descriptors: RefCell<HashMap<&'static str, Rooted>>,
+    pub(crate) roots: RootSet,
+    descriptors: RefCell<HashMap<TypeId, Rooted>>,
 }
 
 impl ApiCtx {
-    /// Creates a context whose shadow stack is registered with `heap`.
+    /// Creates a context whose roots are `heap`'s.
     ///
     /// A context only makes sense with the heap it was created for;
     /// mixing handles across heaps is a logic error the accessors catch
     /// as type-check panics, never memory unsafety.
-    pub fn new(heap: &mut Heap) -> ApiCtx {
+    pub fn new(heap: &Heap) -> ApiCtx {
         ApiCtx {
-            shadow: heap.root_vec(),
-            free: Rc::new(RefCell::new(Vec::new())),
+            roots: heap.roots(),
             descriptors: RefCell::new(HashMap::new()),
         }
     }
 
-    /// Claims a shadow-stack slot holding `v` (reusing a freed slot when
-    /// one exists) and returns its RAII handle state.
-    pub(crate) fn claim_slot(&self, v: Value) -> RootSlot {
-        let index = match self.free.borrow_mut().pop() {
-            Some(i) => {
-                self.shadow.set(i, v);
-                i
-            }
-            None => self.shadow.push(v),
-        };
-        RootSlot {
-            shadow: self.shadow.clone(),
-            free: self.free.clone(),
-            index,
-        }
-    }
-
-    /// Number of live (non-tombstoned) typed roots — a test hook.
+    /// Root-table slots in use: typed roots and weaks, the descriptor
+    /// symbols, and every raw [`Rooted`] of the heap (a guardian's tconc,
+    /// say) — [`RootSet::live_slots`]. The end-to-end benchmark reports
+    /// its peak as `gc-api.live_roots_peak`.
     pub fn live_roots(&self) -> usize {
-        self.shadow.len() - self.free.borrow().len()
+        self.roots.live_slots()
     }
 
     /// The interned, rooted descriptor symbol for `T`'s record layout.
     /// Allocates (string + symbol) on first use per type, per context.
     pub fn descriptor<T: Trace>(&self, heap: &mut Heap) -> Value {
-        if let Some(r) = self.descriptors.borrow().get(T::NAME) {
+        if let Some(r) = self.descriptors.borrow().get(&TypeId::of::<T>()) {
             return r.get();
         }
         let sym = heap.make_symbol(T::NAME);
         let rooted = heap.root(sym);
-        self.descriptors.borrow_mut().insert(T::NAME, rooted);
+        self.descriptors
+            .borrow_mut()
+            .insert(TypeId::of::<T>(), rooted);
         sym
+    }
+
+    /// [`expect_typed`] with a fast path: a record whose descriptor is this
+    /// context's symbol for `T` passes on one compare, so the check costs
+    /// the same whatever the length of `T::NAME`.
+    fn check_typed<T: Trace>(&self, heap: &Heap, v: Value) {
+        let ours = self
+            .descriptors
+            .borrow()
+            .get(&TypeId::of::<T>())
+            .map(Rooted::get);
+        if !ours.is_some_and(|d| heap.is_record(v) && heap.record_descriptor(v) == d) {
+            expect_typed::<T>(heap, v);
+        }
     }
 
     /// Allocates `value` as a heap record and returns an owning root.
@@ -94,7 +94,7 @@ impl ApiCtx {
         let desc = self.descriptor::<T>(heap);
         let rec = heap.make_record(desc, &fields);
         Root {
-            slot: self.claim_slot(rec),
+            slot: self.roots.root(rec),
             _marker: PhantomData,
         }
     }
@@ -106,9 +106,9 @@ impl ApiCtx {
     ///
     /// Panics if `v` is not a `T` record of this heap.
     pub fn adopt<T: Trace>(&self, heap: &Heap, v: Value) -> Root<T> {
-        expect_typed::<T>(heap, v);
+        self.check_typed::<T>(heap, v);
         Root {
-            slot: self.claim_slot(v),
+            slot: self.roots.root(v),
             _marker: PhantomData,
         }
     }
@@ -118,7 +118,7 @@ impl ApiCtx {
     /// cross the safe point through the root.
     pub fn root<T: Trace>(&self, gc: Gc<'_, T>) -> Root<T> {
         Root {
-            slot: self.claim_slot(gc.value()),
+            slot: self.roots.root(gc.value()),
             _marker: PhantomData,
         }
     }
@@ -126,7 +126,7 @@ impl ApiCtx {
     /// Lifts the record behind `gc` back into its Rust mirror.
     pub fn load<T: Trace>(&self, heap: &Heap, gc: Gc<'_, T>) -> T {
         let v = gc.value();
-        expect_typed::<T>(heap, v);
+        self.check_typed::<T>(heap, v);
         let fields: Vec<Value> = (0..heap.record_len(v))
             .map(|i| heap.record_ref(v, i))
             .collect();
@@ -188,8 +188,7 @@ impl ApiCtx {
 impl std::fmt::Debug for ApiCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ApiCtx")
-            .field("shadow_len", &self.shadow.len())
-            .field("free", &self.free.borrow().len())
+            .field("live_roots", &self.live_roots())
             .field("descriptors", &self.descriptors.borrow().len())
             .finish()
     }

@@ -7,9 +7,10 @@
 //!   point takes `&mut Heap`, so the borrow checker statically rejects
 //!   holding a `Gc` across a safe point — the "unrooted handle survives a
 //!   collection" bug class is a compile error (see `tests/ui/`).
-//! * A [`Root<T>`] owns a slot on the [`ApiCtx`](crate::ApiCtx) shadow
-//!   stack. The collector updates the slot in place, so a root is valid
-//!   across any number of collections; dropping it unroots. Roots hold
+//! * A [`Root<T>`] is a [`Rooted`]: a slot in the heap's root table,
+//!   claimed through the [`ApiCtx`](crate::ApiCtx)'s handle on it. The
+//!   collector updates the slot in place, so a root is valid across any
+//!   number of collections; dropping its last clone unroots. Roots hold
 //!   `Rc` internals and so are `!Send`/`!Sync`: they cannot leave the
 //!   mutator thread that owns the heap.
 //!
@@ -19,10 +20,8 @@
 //! into compile errors.
 
 use crate::trace::Trace;
-use guardians_gc::{Heap, RootedVec, Value};
-use std::cell::RefCell;
+use guardians_gc::{Heap, Rooted, Value};
 use std::marker::PhantomData;
-use std::rc::Rc;
 
 /// A borrowed, `Copy` typed reference into the heap, invalidated by any
 /// `&mut Heap` operation (allocation, mutation, collection).
@@ -72,36 +71,15 @@ impl<T: Trace> std::fmt::Debug for Gc<'_, T> {
     }
 }
 
-/// The shadow-stack slot an owning handle occupies. Dropping tombstones
-/// the slot with a non-pointer and recycles the index.
-pub(crate) struct RootSlot {
-    pub(crate) shadow: RootedVec,
-    pub(crate) free: Rc<RefCell<Vec<usize>>>,
-    pub(crate) index: usize,
-}
-
-impl RootSlot {
-    fn get(&self) -> Value {
-        self.shadow.get(self.index)
-    }
-}
-
-impl Drop for RootSlot {
-    fn drop(&mut self) {
-        self.shadow.set(self.index, Value::FALSE);
-        self.free.borrow_mut().push(self.index);
-    }
-}
-
 /// An owning typed root: the referent survives every collection for as
 /// long as the handle lives, and the handle always reads the referent's
 /// *current* (possibly relocated) address.
 ///
-/// `Root` is deliberately `!Send`/`!Sync` (it holds `Rc` shadow-stack
-/// state): a root can never escape the mutator thread, which is one of
-/// the Finalizer-Frontier boundaries the `tests/ui/` suite pins.
+/// `Root` is deliberately `!Send`/`!Sync` (a [`Rooted`] holds `Rc`
+/// root-table state): a root can never escape the mutator thread, which
+/// is one of the Finalizer-Frontier boundaries the `tests/ui/` suite pins.
 pub struct Root<T: Trace> {
-    pub(crate) slot: RootSlot,
+    pub(crate) slot: Rooted,
     pub(crate) _marker: PhantomData<T>,
 }
 
@@ -119,22 +97,13 @@ impl<T: Trace> Root<T> {
     }
 }
 
-/// Cloning claims a fresh shadow-stack slot for the same referent.
+/// Clones share the slot: a `Root` is never re-pointed, so both read the
+/// referent's current address, and the slot is freed when the last clone
+/// drops.
 impl<T: Trace> Clone for Root<T> {
     fn clone(&self) -> Self {
-        let index = match self.slot.free.borrow_mut().pop() {
-            Some(i) => {
-                self.slot.shadow.set(i, self.slot.get());
-                i
-            }
-            None => self.slot.shadow.push(self.slot.get()),
-        };
         Root {
-            slot: RootSlot {
-                shadow: self.slot.shadow.clone(),
-                free: self.slot.free.clone(),
-                index,
-            },
+            slot: self.slot.clone(),
             _marker: PhantomData,
         }
     }

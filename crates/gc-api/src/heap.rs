@@ -25,15 +25,15 @@ impl GcHeap {
     /// [`GcConfig`] the raw layer takes, so the typed API runs under either
     /// schedule (stop-the-world, `pause_budget`).
     pub fn new(config: GcConfig) -> GcHeap {
-        let mut heap = Heap::new(config);
-        let ctx = ApiCtx::new(&mut heap);
+        let heap = Heap::new(config);
+        let ctx = ApiCtx::new(&heap);
         GcHeap { heap, ctx }
     }
 
     /// Wraps an existing heap (raw-layer interop: the torture rig, the
     /// Scheme tiers). Raw handles into the heap stay valid.
-    pub fn from_heap(mut heap: Heap) -> GcHeap {
-        let ctx = ApiCtx::new(&mut heap);
+    pub fn from_heap(heap: Heap) -> GcHeap {
+        let ctx = ApiCtx::new(&heap);
         GcHeap { heap, ctx }
     }
 

@@ -5,8 +5,9 @@
 //! * [`handle`] — [`Gc`], [`Root`], [`GcRead`]: the lifetime discipline.
 //! * [`trace`] — [`Trace`]/[`Field`] lowering and the [`impl_trace!`]
 //!   derive-style macro.
-//! * [`ctx`] — [`ApiCtx`], the shadow-stack root arena (for embeddings
-//!   that already own a [`Heap`](guardians_gc::Heap)).
+//! * [`ctx`] — [`ApiCtx`], the heap's root-table handle plus the
+//!   descriptor table (for embeddings that already own a
+//!   [`Heap`](guardians_gc::Heap)).
 //! * [`heap`] — [`GcHeap`], the bundled heap + context.
 //! * [`weak`] — [`Weak`] typed weak references.
 //! * [`guardian`] — [`Guardian`] typed finalization queues and the
@@ -153,18 +154,49 @@ mod tests {
         assert_eq!(h.read(&r2).x, 9);
     }
 
+    fn origin() -> Point {
+        Point {
+            x: 0,
+            y: 0,
+            label: String::new(),
+        }
+    }
+
     #[test]
-    fn slot_reuse_keeps_the_shadow_stack_compact() {
+    fn slot_reuse_keeps_the_root_table_compact() {
         let mut h = GcHeap::default();
+        // The first allocation roots `Point`'s descriptor symbol for good.
+        drop(h.alloc(&origin()));
         let baseline = h.ctx().live_roots();
         for _ in 0..64 {
-            let r = h.alloc(&Point {
-                x: 0,
-                y: 0,
-                label: String::new(),
-            });
-            drop(r);
+            drop(h.alloc(&origin()));
         }
+        assert_eq!(h.ctx().live_roots(), baseline);
+    }
+
+    #[test]
+    fn a_cloned_root_shares_its_slot() {
+        let mut h = GcHeap::default();
+        drop(h.alloc(&origin()));
+        let baseline = h.ctx().live_roots();
+        let a = h.alloc(&Point {
+            x: 3,
+            y: 4,
+            label: "shared".into(),
+        });
+        assert_eq!(h.ctx().live_roots(), baseline + 1);
+        let b = a.clone();
+        assert_eq!(h.ctx().live_roots(), baseline + 1, "a clone claims nothing");
+        // Either handle alone keeps the referent and reads its new address.
+        drop(b);
+        h.collect(0);
+        assert_eq!(h.read(&a).label, "shared");
+        let b = a.clone();
+        drop(a);
+        h.collect(1);
+        assert_eq!(h.read(&b).x, 3);
+        assert_eq!(h.ctx().live_roots(), baseline + 1);
+        drop(b);
         assert_eq!(h.ctx().live_roots(), baseline);
     }
 
@@ -238,6 +270,32 @@ mod tests {
         });
         let v = r.value();
         let _: Root<Node> = h.adopt(v);
+    }
+
+    mod a {
+        crate::impl_trace! {
+            pub struct Node {
+                pub x: i64,
+            }
+        }
+    }
+
+    mod b {
+        crate::impl_trace! {
+            pub struct Node {
+                pub flag: bool,
+                pub y: i64,
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "typed-layer descriptor mismatch")]
+    fn same_named_types_in_different_modules_are_different_layouts() {
+        let mut h = GcHeap::default();
+        let r = h.alloc(&a::Node { x: 41 });
+        let v = r.value();
+        let _: Root<b::Node> = h.adopt(v);
     }
 
     #[test]

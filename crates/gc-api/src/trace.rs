@@ -44,6 +44,9 @@ use guardians_gc::{Heap, Value, FIXNUM_MAX, FIXNUM_MIN};
 /// exactly [`Trace::FIELDS`] values and `lift` inverts it.
 pub trait Trace: Sized + 'static {
     /// Descriptor symbol name; must be unique per type within a context.
+    /// [`impl_trace!`](crate::impl_trace) uses the type's module path and
+    /// name (`crate::module::Type`), so two structs of the same name in
+    /// different modules are different layouts.
     const NAME: &'static str;
     /// Number of record fields.
     const FIELDS: usize;
@@ -205,7 +208,7 @@ macro_rules! impl_trace {
         }
 
         impl $crate::Trace for $name {
-            const NAME: &'static str = stringify!($name);
+            const NAME: &'static str = concat!(module_path!(), "::", stringify!($name));
             const FIELDS: usize = $crate::impl_trace!(@count $($field)*);
 
             fn lower(

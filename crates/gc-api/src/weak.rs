@@ -1,9 +1,9 @@
 //! Typed weak references over the heap's weak-pair machinery.
 
 use crate::ctx::ApiCtx;
-use crate::handle::{Gc, Root, RootSlot};
+use crate::handle::{Gc, Root};
 use crate::trace::{expect_typed, Trace};
-use guardians_gc::{Heap, Value};
+use guardians_gc::{Heap, Rooted, Value};
 use std::marker::PhantomData;
 
 /// A typed weak reference: observes the referent without keeping it
@@ -16,8 +16,8 @@ use std::marker::PhantomData;
 /// object a guardian saved still upgrades — resurrection through a
 /// guardian never leaves dangling typed weaks.
 pub struct Weak<T: Trace> {
-    /// Shadow-stack slot rooting the weak *pair* (not the referent).
-    slot: RootSlot,
+    /// Root-table slot holding the weak *pair* (not the referent).
+    slot: Rooted,
     _marker: PhantomData<T>,
 }
 
@@ -26,25 +26,21 @@ impl<T: Trace> Weak<T> {
     pub fn new(heap: &mut Heap, ctx: &ApiCtx, target: &Root<T>) -> Weak<T> {
         let pair = heap.weak_cons(target.value(), Value::NIL);
         Weak {
-            slot: ctx.claim_slot(pair),
+            slot: ctx.roots.root(pair),
             _marker: PhantomData,
         }
     }
 
     /// The underlying weak pair (raw-layer escape hatch).
     pub fn pair(&self) -> Value {
-        self.slot_value()
-    }
-
-    fn slot_value(&self) -> Value {
-        self.slot.shadow.get(self.slot.index)
+        self.slot.get()
     }
 
     /// The referent, if it has not been reclaimed. The returned [`Gc`] is
     /// a heap borrow like any other — root it to hold it across a safe
     /// point.
     pub fn upgrade<'gc>(&self, heap: &'gc Heap) -> Option<Gc<'gc, T>> {
-        let car = heap.car(self.slot_value());
+        let car = heap.car(self.slot.get());
         if car.is_false() {
             None
         } else {
@@ -55,12 +51,12 @@ impl<T: Trace> Weak<T> {
 
     /// Whether the referent has been proven dead and the car broken.
     pub fn is_broken(&self, heap: &Heap) -> bool {
-        heap.car(self.slot_value()).is_false()
+        heap.car(self.slot.get()).is_false()
     }
 }
 
 impl<T: Trace> std::fmt::Debug for Weak<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Weak<{}>({:?})", T::NAME, self.slot_value())
+        write!(f, "Weak<{}>({:?})", T::NAME, self.slot.get())
     }
 }

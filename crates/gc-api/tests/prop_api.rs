@@ -10,14 +10,15 @@
 //! then one record per node — so every heap observable must match:
 //!
 //! * the full [`HeapCensus`] (live words/objects per generation × kind),
-//! * every [`CollectionReport`] counter except `roots_traced` (root
-//!   *cells* are Rust-side bookkeeping, and the typed shadow stack visits
-//!   tombstoned slots the raw `Rooted`-cell scheme drops entirely),
-//!   `duration`/`phases` (wall clock), and
+//! * every [`CollectionReport`] counter except `duration`/`phases` (wall
+//!   clock) and `increments` (the schedule's pacing) — root visits
+//!   included, because a typed root is a slot of the heap's own root
+//!   table, claimed and freed in the order the raw code claims and frees
+//!   its `Rooted`s — and
 //! * the guardian queue contents, compared as lifted node ids.
 
 use guardians_gc::{CollectionReport, GcConfig, Heap, Rooted, Value};
-use guardians_gc_api::{impl_trace, GcHeap, Guardian, Root, Weak};
+use guardians_gc_api::{impl_trace, GcHeap, Guardian, Root, Trace, Weak};
 use proptest::prelude::*;
 
 impl_trace! {
@@ -69,6 +70,8 @@ fn comparable(r: &CollectionReport) -> Vec<u64> {
         r.pairs_copied,
         r.objects_copied,
         r.words_copied,
+        r.roots_traced,
+        r.roots_retraced,
         r.dirty_segments_scanned,
         r.dirty_cards_scanned,
         r.guardian_entries_visited,
@@ -138,7 +141,7 @@ fn run_raw(cfg: GcConfig, p: &Plan) -> (Heap, Vec<Vec<u64>>, Vec<i64>) {
     let g = h.make_guardian();
     // The typed layer interns one descriptor symbol per type on first
     // alloc; mirror that here (string + symbol + root).
-    let desc_v = h.make_symbol("PNode");
+    let desc_v = h.make_symbol(<PNode as Trace>::NAME);
     let desc = h.root(desc_v);
     let mut roots: Vec<Option<Rooted>> = (0..p.n)
         .map(|id| {

@@ -1,6 +1,6 @@
 //! Finalizer-Frontier rule: off-thread guardian drains require the
 //! lifted payload to be `Send`. A type with a `Root<T>` edge holds
-//! shadow-stack `Rc` state, is therefore `!Send`, and must be rejected —
+//! root-table `Rc` state, is therefore `!Send`, and must be rejected —
 //! otherwise heap handles could be smuggled to a cleanup thread.
 
 use guardians_gc_api::{impl_trace, GcHeap, Guardian, Root};

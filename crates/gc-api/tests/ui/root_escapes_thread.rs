@@ -1,5 +1,5 @@
-//! Soundness boundary: a `Root<T>` is a slot on the owning thread's
-//! shadow stack (`Rc` internals, deliberately `!Send`), so it cannot
+//! Soundness boundary: a `Root<T>` is a slot in the owning thread's heap
+//! root table (`Rc` internals, deliberately `!Send`), so it cannot
 //! escape the stack region/thread that owns the heap. Moving one into a
 //! spawned thread must fail the `Send` bound.
 

@@ -1,12 +1,12 @@
 //! Live-heap census: per-generation, per-kind object and word counts.
 //!
-//! Where [`Heap::generation_usage`](crate::Heap::generation_usage) reads
-//! segment watermarks, the census *walks object headers*, so it can break
-//! typed-space occupancy down by [`ObjKind`] — the "what is actually
-//! alive, and where" view the drag/liveness literature builds on. A
-//! census visits every live segment, so it is a diagnostic tool, not a
-//! hot-path one; the tracer can take one automatically at the end of
-//! every collection (see
+//! The census is the heap's one occupancy walk: it counts segments per
+//! generation, reads pair spaces by watermark and *walks object headers*
+//! in typed and pure spaces, so it can break typed-space occupancy down by
+//! [`ObjKind`] — the "what is actually alive, and where" view the
+//! drag/liveness literature builds on. A census visits every live
+//! segment, so it is a diagnostic tool, not a hot-path one; the tracer can
+//! take one automatically at the end of every collection (see
 //! [`TraceConfig::census_at_collection_end`](crate::TraceConfig)).
 //!
 //! A census may be taken at any safe point, including between the
@@ -214,8 +214,11 @@ mod tests {
         assert_eq!(g1.kinds[ObjKind::Vector.index()].objects, 1);
     }
 
+    /// The header walk cross-checked against the segment watermarks: per
+    /// generation, the census's words are the `used` words of its head
+    /// segments.
     #[test]
-    fn census_words_match_generation_usage() {
+    fn census_words_match_the_watermarks() {
         let mut h = Heap::default();
         let keep = h.root_vec();
         for i in 0..100 {
@@ -225,15 +228,19 @@ mod tests {
         let v = h.make_vector(700, Value::NIL); // multi-segment run
         keep.push(v);
         h.collect(0);
+        let mut used = vec![0u64; h.config.generations as usize];
+        for (_, info) in h.segs.iter().filter(|(_, info)| info.is_head()) {
+            used[info.generation as usize] += u64::from(info.used);
+        }
         let census = h.census();
-        let usage = h.generation_usage();
-        for (g, u) in usage.iter().enumerate() {
+        for (g, &words) in used.iter().enumerate() {
             assert_eq!(
                 census.generations[g].words(),
-                u.used_words as u64,
+                words,
                 "generation {g}: header walk must agree with watermarks"
             );
         }
+        assert!(used[1] > 0);
         assert_eq!(
             census.generations[1].kinds[ObjKind::Vector.index()].words,
             701

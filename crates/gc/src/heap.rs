@@ -585,6 +585,14 @@ impl Heap {
         self.roots.root_vec()
     }
 
+    /// A clone of the heap's handle on its root table, for a client that
+    /// roots values without borrowing the heap (the typed layer's
+    /// `ApiCtx`): [`RootSet::root`] claims a slot in the same slab as
+    /// [`Heap::root`].
+    pub fn roots(&self) -> RootSet {
+        self.roots.clone()
+    }
+
     // ------------------------------------------------------------------
     // Guardians
     // ------------------------------------------------------------------

@@ -1,52 +1,14 @@
-//! Heap introspection: per-generation occupancy and human-readable
-//! summaries, for diagnostics, tests, and the experiment harness.
+//! Heap introspection: human-readable summaries and test hooks, for
+//! diagnostics, tests, and the experiment harness. Per-generation
+//! occupancy is the [census](crate::HeapCensus).
 
 use crate::heap::Heap;
 use crate::stats::CollectionReport;
 use crate::value::Value;
-use guardians_segments::{Space, CARD_WORDS};
+use guardians_segments::CARD_WORDS;
 use std::fmt;
 
-/// Occupancy of one generation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GenerationUsage {
-    /// Segments assigned to the generation (run tails included).
-    pub segments: usize,
-    /// Words actually in use (bump-allocated).
-    pub used_words: usize,
-    /// Of which, words in pair segments.
-    pub pair_words: usize,
-    /// Of which, words in weak-pair segments.
-    pub weak_pair_words: usize,
-    /// Guardian protected-list entries parked at this generation.
-    pub protected_entries: usize,
-}
-
 impl Heap {
-    /// Per-generation occupancy, youngest first.
-    pub fn generation_usage(&self) -> Vec<GenerationUsage> {
-        let mut out = vec![GenerationUsage::default(); self.config.generations as usize];
-        for (_idx, info) in self.segs.iter() {
-            let slot = &mut out[info.generation as usize];
-            slot.segments += 1;
-            if info.is_head() {
-                let used = info.used as usize;
-                slot.used_words += used;
-                match info.space {
-                    Space::Pair => slot.pair_words += used,
-                    Space::WeakPair => slot.weak_pair_words += used,
-                    Space::Typed | Space::Pure => {}
-                }
-            }
-        }
-        for (i, list) in self.protected.iter().enumerate() {
-            if let Some(slot) = out.get_mut(i) {
-                slot.protected_entries = list.len();
-            }
-        }
-        out
-    }
-
     /// Test support: re-does the write barrier for a store into
     /// `container` the card-oblivious way — every card of the run it
     /// lives in is marked — which is the reference the card-precise
@@ -77,7 +39,8 @@ impl Heap {
         self.roots.zero_stamps();
     }
 
-    /// A multi-line textual summary of the heap's current shape.
+    /// A multi-line textual summary of the heap's current shape: a
+    /// header line, then one [census](Heap::census) line per generation.
     pub fn dump(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -88,15 +51,17 @@ impl Heap {
             self.capacity_bytes() / 1024,
             self.collections
         );
-        for (g, usage) in self.generation_usage().iter().enumerate() {
+        for census in self.census().generations {
             let _ = writeln!(
                 s,
-                "  gen {g}: {:>5} segs, {:>9} words used ({} pair / {} weak), {} guarded entries",
-                usage.segments,
-                usage.used_words,
-                usage.pair_words,
-                usage.weak_pair_words,
-                usage.protected_entries
+                "  gen {}: {:>5} segs, {:>9} words live ({} pairs / {} weak / {} objects), {} guarded entries",
+                census.generation,
+                census.segments,
+                census.words(),
+                census.pairs,
+                census.weak_pairs,
+                census.objects(),
+                census.protected_entries
             );
         }
         s
@@ -145,20 +110,20 @@ mod tests {
         let g = h.make_guardian();
         g.register(&mut h, r.get());
 
-        let usage = h.generation_usage();
-        assert!(usage[0].used_words >= 2000, "young data present");
-        assert_eq!(usage[1].used_words, 0);
-        assert_eq!(usage[0].protected_entries, 1);
+        let census = h.census().generations;
+        assert!(census[0].words() >= 2000, "young data present");
+        assert_eq!(census[1].words(), 0);
+        assert_eq!(census[0].protected_entries, 1);
 
         h.collect(0);
-        let usage = h.generation_usage();
-        assert_eq!(usage[0].used_words, 0, "young space emptied");
-        assert!(usage[1].used_words >= 2000, "data promoted to gen 1");
+        let census = h.census().generations;
+        assert_eq!(census[0].words(), 0, "young space emptied");
+        assert!(census[1].words() >= 2000, "data promoted to gen 1");
         assert_eq!(
-            usage[1].protected_entries, 1,
+            census[1].protected_entries, 1,
             "entry parked with its object"
         );
-        assert_eq!(usage[0].protected_entries, 0);
+        assert_eq!(census[0].protected_entries, 0);
     }
 
     #[test]
@@ -166,8 +131,8 @@ mod tests {
         let mut h = Heap::default();
         let w = h.weak_cons(Value::NIL, Value::NIL);
         let _r = h.root(w);
-        let usage = h.generation_usage();
-        assert_eq!(usage[0].weak_pair_words, 2);
+        let census = h.census().generations;
+        assert_eq!((census[0].pairs, census[0].weak_pairs), (0, 1));
     }
 
     #[test]

@@ -90,9 +90,8 @@ pub use error::GcError;
 pub use guardian::Guardian;
 pub use header::{Header, ObjKind};
 pub use heap::Heap;
-pub use inspect::GenerationUsage;
 pub use metrics::{pause_bounds, Histogram, MetricsRegistry};
-pub use roots::{Rooted, RootedVec};
+pub use roots::{RootSet, Rooted, RootedVec};
 pub use stats::{CollectionReport, HeapStats, PhaseTimes};
 pub use trace::{
     chrome_trace_json, events_jsonl, replay_stats, GcEvent, GcPhase, SiteStats, TraceConfig,
@@ -103,4 +102,4 @@ pub use verify::VerifyError;
 
 // The shared-capacity types, re-exported so multi-heap embedders (the
 // zone layer) need not depend on the segments crate directly.
-pub use guardians_segments::{PoolStats, SegmentPool};
+pub use guardians_segments::{PoolStats, SegmentPool, SEGMENT_BYTES};

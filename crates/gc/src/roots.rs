@@ -313,14 +313,22 @@ impl RootedVec {
     }
 }
 
-/// The heap's handle on its root table.
+/// The heap's cloneable handle on its root table ([`Heap::roots`]).
+///
+/// A client that roots values on its own behalf — the typed layer's
+/// `ApiCtx` — keeps a clone and claims slab slots through it, so its roots
+/// are the heap's roots and it keeps no table of its own.
+///
+/// [`Heap::roots`]: crate::Heap::roots
 #[derive(Clone, Default)]
-pub(crate) struct RootSet {
+pub struct RootSet {
     table: SharedTable,
 }
 
 impl RootSet {
-    pub(crate) fn root(&self, v: Value) -> Rooted {
+    /// Roots `v` in a slab slot (reusing the last freed one); the same as
+    /// [`Heap::root`](crate::Heap::root).
+    pub fn root(&self, v: Value) -> Rooted {
         Rooted {
             slot: self.table.borrow_mut().claim(v),
             table: self.table.clone(),
@@ -371,9 +379,9 @@ impl RootSet {
         out
     }
 
-    /// Slab slots in use.
-    #[cfg(test)]
-    pub(crate) fn live_slots(&self) -> usize {
+    /// Slab slots in use: every live [`Rooted`], a guardian's tconc root
+    /// included. Vector slots are not counted.
+    pub fn live_slots(&self) -> usize {
         let table = self.table.borrow();
         table.values.len() - table.free.len()
     }

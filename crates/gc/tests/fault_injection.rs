@@ -83,13 +83,13 @@ fn try_collect_fails_before_the_flip_or_runs_to_completion() {
     assert!(reservation > 0);
     h.set_acquisition_fault(Some(h.acquisitions() + reservation - 1));
     let before_collections = h.collection_count();
-    let usage_before: Vec<_> = h.generation_usage();
+    let census_before = h.census();
     let err = h.try_collect(0).unwrap_err();
     let (needed, remaining) = exhausted(err);
     assert_eq!(needed, reservation);
     assert_eq!(remaining, reservation - 1);
     assert_eq!(h.collection_count(), before_collections, "no flip happened");
-    assert_eq!(h.generation_usage(), usage_before, "heap shape untouched");
+    assert_eq!(h.census(), census_before, "heap shape untouched");
     h.verify().expect("heap intact after refused collection");
 
     // Budget exactly at the reservation: the collection must run to

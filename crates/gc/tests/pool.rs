@@ -4,7 +4,7 @@
 //! [`GcError::Exhausted`]s on the `try_*` paths, return every segment on
 //! teardown, and keep their metrics/census strictly per-heap.
 
-use guardians_gc::{GcConfig, GcError, Heap, SegmentPool, Value};
+use guardians_gc::{GcConfig, GcError, Heap, SegmentPool, Value, SEGMENT_BYTES};
 
 /// A deterministic churn workload: list building with a rooted survivor
 /// window, guardian registrations, explicit collections. Returns the
@@ -106,7 +106,7 @@ fn pool_exhaustion_is_shared_scarcity_and_teardown_restores_it() {
     assert_eq!(remaining, 0);
 
     // Tearing A down returns its segments; B is immediately unblocked.
-    let a_outstanding: usize = a.generation_usage().iter().map(|u| u.segments).sum();
+    let a_outstanding = a.capacity_bytes() / SEGMENT_BYTES;
     drop(a_roots);
     drop(a);
     assert!(pool.remaining() >= a_outstanding as u64);

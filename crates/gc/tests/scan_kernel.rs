@@ -3,7 +3,7 @@
 //! the one traced-slot walker, so the same script must leave the same heap
 //! and the same counts.
 
-use guardians_gc::{CollectionReport, GcConfig, Heap, Value};
+use guardians_gc::{CollectionReport, GcConfig, Heap, HeapCensus, Value};
 use std::time::Duration;
 
 fn drivers() -> [(&'static str, GcConfig); 2] {
@@ -149,8 +149,8 @@ fn a_mixed_graph_survives_two_collections() {
 /// guardian, old-to-young stores into an aged run and an aged weak pair —
 /// run on a heap of the given configuration. Returns every collection's
 /// report, clock fields and increment counts cleared, and the final
-/// per-generation usage.
-fn script(config: GcConfig) -> (Vec<CollectionReport>, Vec<guardians_gc::GenerationUsage>) {
+/// census.
+fn script(config: GcConfig) -> (Vec<CollectionReport>, HeapCensus) {
     let mut h = Heap::new(config);
     let g = h.make_guardian();
     let keep = h.root_vec();
@@ -192,7 +192,7 @@ fn script(config: GcConfig) -> (Vec<CollectionReport>, Vec<guardians_gc::Generat
         reports.push(r);
         while g.poll(&mut h).is_some() {}
     }
-    (reports, h.generation_usage())
+    (reports, h.census())
 }
 
 /// The script gives the same counts, layout counts included, and the same

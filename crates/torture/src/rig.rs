@@ -176,8 +176,8 @@ pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 struct Rig {
     heap: Heap,
     model: Model,
-    /// Typed-layer context (shadow stack + descriptor table) viewing the
-    /// same heap; typed ops root through it instead of raw `Rooted` cells.
+    /// Typed-layer context (the heap's root table + descriptor table)
+    /// viewing the same heap; typed ops root through it.
     ctx: ApiCtx,
     node_trackers: HashMap<u32, Rooted>,
     tconc_trackers: HashMap<u32, Rooted>,
@@ -223,7 +223,7 @@ impl Rig {
                 ..TraceConfig::default()
             });
         }
-        let ctx = ApiCtx::new(&mut heap);
+        let ctx = ApiCtx::new(&heap);
         Rig {
             heap,
             model: Model::new(cfg.clone()),
@@ -636,9 +636,9 @@ impl Rig {
                 Ok(true)
             }
             Op::DropWeakPair { wid } => {
-                // Covers both raw handles and typed `Weak<T>`s (whose
-                // drop tombstones the shadow-stack slot, unrooting the
-                // pair exactly like dropping the raw handle).
+                // Covers both raw handles and typed `Weak<T>`s (a typed
+                // weak holds a `Rooted` too, so its drop frees the slot
+                // exactly like dropping the raw handle).
                 let raw = self.weak_handles.remove(&wid).is_some();
                 if !raw && self.typed_weaks.remove(&wid).is_none() {
                     return Ok(false);
@@ -1234,7 +1234,7 @@ impl Rig {
             );
         }
 
-        // Typed roots (shadow-stack slots) track relocations identically.
+        // Typed roots (root-table slots too) track relocations identically.
         for (&id, root) in &self.typed_roots {
             let want = self.node_value(id);
             let got = root.value();
@@ -1288,22 +1288,23 @@ impl Rig {
             );
         }
 
-        // Aggregate accounting: protected-list population and weak-pair
-        // words, generation by generation.
-        for (g, usage) in self.heap.generation_usage().iter().enumerate() {
-            let mp = self.model.protected.get(g).map_or(0, Vec::len);
+        // Aggregate accounting: protected-list population and weak pairs,
+        // generation by generation.
+        for census in self.heap.census().generations {
+            let g = census.generation;
+            let mp = self.model.protected.get(g as usize).map_or(0, Vec::len) as u64;
             check!(
                 self,
-                usage.protected_entries == mp,
+                census.protected_entries == mp,
                 "gen {g} protected entries: heap {}, model {mp}",
-                usage.protected_entries
+                census.protected_entries
             );
-            let mw = 2 * self.model.weak_pairs_in_gen(g as u8);
+            let mw = self.model.weak_pairs_in_gen(g) as u64;
             check!(
                 self,
-                usage.weak_pair_words == mw,
-                "gen {g} weak-pair words: heap {}, model {mw}",
-                usage.weak_pair_words
+                census.weak_pairs == mw,
+                "gen {g} weak pairs: heap {}, model {mw}",
+                census.weak_pairs
             );
         }
         Ok(())

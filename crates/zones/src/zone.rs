@@ -10,6 +10,7 @@
 
 use guardians_gc::{
     GcConfig, Guardian as RawGuardian, Heap, Rooted, SegmentPool, TraceConfig, TracedEvent, Value,
+    SEGMENT_BYTES,
 };
 use guardians_gc_api::{impl_trace, GcHeap, Guardian as TypedGuardian, Root};
 use guardians_runtime::{BlockId, ExtArena, Fd, SimOs};
@@ -396,14 +397,12 @@ impl Zone {
 
     /// Segments the zone's heap currently holds against the shared pool
     /// (or its private backing), as [`ZoneSnapshot::segments`] reports
-    /// them. The quota they count against is fixed when the zone is
-    /// created ([`ZoneConfig::with_max_segments`]).
+    /// them: the segment table's own count, a suspended collection's
+    /// from-space included (the census skips it). The quota they count
+    /// against is fixed when the zone is created
+    /// ([`ZoneConfig::with_max_segments`]).
     pub fn segments_held(&self) -> usize {
-        self.heap()
-            .generation_usage()
-            .iter()
-            .map(|u| u.segments)
-            .sum()
+        self.heap().capacity_bytes() / SEGMENT_BYTES
     }
 
     /// The tenant's simulated OS (fd accounting).
