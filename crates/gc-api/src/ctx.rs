@@ -3,13 +3,13 @@
 //!
 //! [`ApiCtx`] is the piece of state the typed layer needs *besides* the
 //! heap itself: a clone of the heap's [`RootSet`], through which every
-//! [`Root<T>`] and [`Weak<T>`](crate::Weak) claims its slot in the heap's
-//! own root table, and one interned descriptor symbol per [`Trace`] type
-//! (rooted the same way) naming its record layout. Keeping it separate
-//! from the heap lets an embedding that already owns a [`Heap`] — the
-//! torture rig, the Scheme tiers — bolt the typed API on without
-//! restructuring, while [`GcHeap`](crate::GcHeap) bundles the two for
-//! ordinary programs.
+//! [`Root<T>`] claims a strong slot and every [`Weak<T>`](crate::Weak) a
+//! weak slot in the heap's own root table, and one interned descriptor
+//! symbol per [`Trace`] type (rooted the same way) naming its record
+//! layout. Keeping it separate from the heap lets an embedding that
+//! already owns a [`Heap`] — the torture rig, the Scheme tiers — bolt the
+//! typed API on without restructuring, while [`GcHeap`](crate::GcHeap)
+//! bundles the two for ordinary programs.
 
 use crate::handle::{Gc, GcRead, Root};
 use crate::trace::{expect_typed, Field, Trace};
@@ -43,10 +43,10 @@ impl ApiCtx {
         }
     }
 
-    /// Root-table slots in use: typed roots and weaks, the descriptor
-    /// symbols, and every raw [`Rooted`] of the heap (a guardian's tconc,
-    /// say) — [`RootSet::live_slots`]. The end-to-end benchmark reports
-    /// its peak as `gc-api.live_roots_peak`.
+    /// Root-table slots in use, strong and weak: typed roots and weaks,
+    /// the descriptor symbols, and every raw [`Rooted`] of the heap (a
+    /// guardian's tconc, say) — [`RootSet::live_slots`]. The end-to-end
+    /// benchmark reports its peak as `gc-api.live_roots_peak`.
     pub fn live_roots(&self) -> usize {
         self.roots.live_slots()
     }

@@ -110,9 +110,10 @@ impl GcHeap {
 
     // -- weaks and guardians -------------------------------------------
 
-    /// Creates a typed weak reference to the object behind `root`.
+    /// Creates a typed weak reference to the object behind `root` (a weak
+    /// slot of the root table; nothing is allocated in the heap).
     pub fn downgrade<T: Trace>(&mut self, root: &Root<T>) -> Weak<T> {
-        Weak::new(&mut self.heap, &self.ctx, root)
+        Weak::new(&self.ctx, root)
     }
 
     /// Upgrades a weak reference, if the referent is still alive.

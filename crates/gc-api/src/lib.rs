@@ -101,7 +101,7 @@ mod tests {
         drop(dead);
         h.collect(0);
         assert!(h.upgrade(&w).is_none());
-        assert!(w.is_broken(h.raw()));
+        assert!(w.is_broken());
         assert_eq!(h.read(&live).x, 1);
     }
 

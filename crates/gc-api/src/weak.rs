@@ -1,57 +1,60 @@
-//! Typed weak references over the heap's weak-pair machinery.
+//! Typed weak references: weak slots of the heap's root table.
+//!
+//! A [`Weak<T>`] is a [`WeakRooted`] — a slot in the root table's weak
+//! slab — so creating one allocates nothing in the heap, and no collection
+//! copies or sweeps it. The roots phase never visits the slot; phase 6
+//! does, right after the guardian pass and before the weak-pair pass,
+//! forwarding it when the referent moved and breaking it to `#f` when the
+//! referent was reclaimed. Weak pairs stay the raw and Scheme primitive.
 
 use crate::ctx::ApiCtx;
 use crate::handle::{Gc, Root};
 use crate::trace::{expect_typed, Trace};
-use guardians_gc::{Heap, Rooted, Value};
+use guardians_gc::{Heap, WeakRooted};
 use std::marker::PhantomData;
 
 /// A typed weak reference: observes the referent without keeping it
 /// alive.
 ///
-/// Backed by a rooted weak pair whose car holds the referent weakly; the
-/// weak pass of each collection forwards the car when the referent moves
-/// and breaks it to `#f` when the referent is reclaimed. Per the paper's
-/// ordering (guardian pass *before* weak break), a weak reference to an
-/// object a guardian saved still upgrades — resurrection through a
-/// guardian never leaves dangling typed weaks.
+/// Per the paper's ordering (guardian pass *before* weak break), a weak
+/// reference to an object a guardian saved still upgrades — resurrection
+/// through a guardian never leaves dangling typed weaks. Like a root, the
+/// slot carries a generation stamp, so a collection visits only the weak
+/// references whose referent it can move.
 pub struct Weak<T: Trace> {
-    /// Root-table slot holding the weak *pair* (not the referent).
-    slot: Rooted,
+    /// Weak root-table slot holding the referent.
+    slot: WeakRooted,
     _marker: PhantomData<T>,
 }
 
 impl<T: Trace> Weak<T> {
-    /// Creates a weak reference to `target`. Allocates one weak pair.
-    pub fn new(heap: &mut Heap, ctx: &ApiCtx, target: &Root<T>) -> Weak<T> {
-        let pair = heap.weak_cons(target.value(), Value::NIL);
+    /// Creates a weak reference to `target`. Allocates nothing in the heap.
+    pub fn new(ctx: &ApiCtx, target: &Root<T>) -> Weak<T> {
         Weak {
-            slot: ctx.roots.root(pair),
+            slot: ctx.roots.weak(target.value()),
             _marker: PhantomData,
         }
-    }
-
-    /// The underlying weak pair (raw-layer escape hatch).
-    pub fn pair(&self) -> Value {
-        self.slot.get()
     }
 
     /// The referent, if it has not been reclaimed. The returned [`Gc`] is
     /// a heap borrow like any other — root it to hold it across a safe
     /// point.
+    ///
+    /// Between the increments of a collection the slot may hold a
+    /// from-space address whose object has already been copied; the read
+    /// goes through [`Heap::resolve_read`], as a car read does.
     pub fn upgrade<'gc>(&self, heap: &'gc Heap) -> Option<Gc<'gc, T>> {
-        let car = heap.car(self.slot.get());
-        if car.is_false() {
-            None
-        } else {
-            expect_typed::<T>(heap, car);
-            Some(Gc::from_value(car))
+        let v = heap.resolve_read(self.slot.get());
+        if v.is_false() {
+            return None;
         }
+        expect_typed::<T>(heap, v);
+        Some(Gc::from_value(v))
     }
 
-    /// Whether the referent has been proven dead and the car broken.
-    pub fn is_broken(&self, heap: &Heap) -> bool {
-        heap.car(self.slot.get()).is_false()
+    /// Whether the referent has been proven dead and the slot broken.
+    pub fn is_broken(&self) -> bool {
+        self.slot.get().is_false()
     }
 }
 

@@ -14,10 +14,11 @@
 //!   clock) and `increments` (the schedule's pacing) — root visits
 //!   included, because a typed root is a slot of the heap's own root
 //!   table, claimed and freed in the order the raw code claims and frees
-//!   its `Rooted`s — and
+//!   its `Rooted`s, and a typed weak is a weak slot of the same table,
+//!   which the raw code claims with `RootSet::weak` — and
 //! * the guardian queue contents, compared as lifted node ids.
 
-use guardians_gc::{CollectionReport, GcConfig, Heap, Rooted, Value};
+use guardians_gc::{CollectionReport, GcConfig, Heap, Rooted, Value, WeakRooted};
 use guardians_gc_api::{impl_trace, GcHeap, Guardian, Root, Trace, Weak};
 use proptest::prelude::*;
 
@@ -82,6 +83,8 @@ fn comparable(r: &CollectionReport) -> Vec<u64> {
         r.weak_pairs_scanned,
         r.weak_cars_broken,
         r.weak_cars_forwarded,
+        r.weak_roots_traced,
+        r.weak_roots_broken,
         r.pure_words_skipped,
         r.segments_freed,
         r.segments_allocated,
@@ -158,12 +161,10 @@ fn run_raw(cfg: GcConfig, p: &Plan) -> (Heap, Vec<Vec<u64>>, Vec<i64>) {
             h.record_set(fv, if left { 1 } else { 2 }, tv);
         }
     }
-    let mut weaks: Vec<Rooted> = Vec::new();
+    let mut weaks: Vec<WeakRooted> = Vec::new();
     for &w in &p.weaks {
         if let Some(r) = &roots[w] {
-            let rv = r.get();
-            let pair = h.weak_cons(rv, Value::NIL);
-            weaks.push(h.root(pair));
+            weaks.push(h.roots().weak(r.get()));
         }
     }
     for &gi in &p.guarded {

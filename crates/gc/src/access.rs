@@ -111,8 +111,12 @@ impl Heap {
     /// arguments through here, chasing the broken heart if the object has
     /// already been copied. Outside an incremental cycle (the common
     /// case) this is a single branch on `None`.
+    ///
+    /// Public for readers of slots the collector settles only at the end
+    /// of a collection: a [`WeakRooted`](crate::WeakRooted) read between
+    /// increments goes through here, as a car read does.
     #[inline]
-    pub(crate) fn resolve_read(&self, v: Value) -> Value {
+    pub fn resolve_read(&self, v: Value) -> Value {
         if self.incremental.is_none() || !v.is_ptr() || !self.segs.in_from_space(v.addr().seg()) {
             return v;
         }

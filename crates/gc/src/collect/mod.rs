@@ -17,10 +17,13 @@
 //! 5. **Guardian pass** — the paper's three-block protected-list
 //!    algorithm, including the `pend-final-list` fixpoint loop (see
 //!    [`guardian_pass`]).
-//! 6. **Weak pass** — break or forward weak-pair cars; runs after the
-//!    guardian pass "so if the car field of a weak pair points to an
-//!    object that has been salvaged, the object will still be in the car
-//!    field after collection" (see [`weak_pass`]).
+//! 6. **Weak pass** — settle the root table's weak slots stamped at most
+//!    `g`, then break or forward weak-pair cars; runs after the guardian
+//!    pass "so if the car field of a weak pair points to an object that
+//!    has been salvaged, the object will still be in the car field after
+//!    collection" (see [`weak_pass`]). A weak slot, like a weak car, is
+//!    forwarded if its referent was copied and broken to `#f` if it was
+//!    left in the from-space; the roots phase never visits one.
 //! 7. **Reclaim** — return every from-space segment and run to the
 //!    segment table's free store, runs whole.
 //!
@@ -590,9 +593,11 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
         "settling the store log copied"
     );
 
-    // Phase 6: weak pairs — after the guardian pass, "so if the car field
-    // of a weak pair points to an object that has been salvaged, the
-    // object will still be in the car field after collection."
+    // Phase 6: weak root slots, then weak pairs — after the guardian pass,
+    // "so if the car field of a weak pair points to an object that has
+    // been salvaged, the object will still be in the car field after
+    // collection."
+    weak_pass::settle_slots(heap, s);
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 

@@ -27,13 +27,47 @@
 //! makes — the guardian pass's included — has been made and swept, every
 //! to-space weak segment was listed when it was allocated, and nothing is
 //! copied afterwards, so a segment fixed here stays fixed.
+//!
+//! # Weak root slots
+//!
+//! The same rule, applied to the root table's weak slab ([`settle_slots`]),
+//! comes first: the typed layer's `Weak<T>` is a weak slot, not a heap pair,
+//! so it costs no words to allocate, copy or scan. The slot's generation
+//! stamp plays the remembered set's part: only slots stamped at most the
+//! collected generation are visited.
 
-use super::Scratch;
+use super::{settle, Scratch};
 use crate::heap::Heap;
+use crate::roots::ROOT_CLEAN;
 use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
 use guardians_segments::{SegIndex, SegmentTable};
 
+/// The weak-slot pass: every weak root slot stamped `<= g` is
+/// [`settle`]d. A survivor — reachable, or saved by the guardian pass that
+/// has just run — has its current address written back and is stamped
+/// with the generation it ends the collection in (an immediate is stamped
+/// [`ROOT_CLEAN`]). An unforwarded from-space referent is dead after the
+/// guardian fixpoint: the slot breaks to `#f`, stamped [`ROOT_CLEAN`].
+pub(crate) fn settle_slots(heap: &Heap, s: &mut Scratch) {
+    let mut broken = 0;
+    s.report.weak_roots_traced =
+        heap.roots
+            .trace_weak(s.g, |slot| match settle(heap, s.target, *slot) {
+                Some((v, gen)) => {
+                    *slot = v;
+                    gen
+                }
+                None => {
+                    *slot = Value::FALSE;
+                    broken += 1;
+                    ROOT_CLEAN
+                }
+            });
+    s.report.weak_roots_broken = broken;
+}
+
+/// The weak-pair pass, then the `WeakSweep` event for the whole phase.
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     for seg in std::mem::take(&mut s.weak) {
         if fix_segment(heap, s, seg) {
@@ -44,6 +78,8 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
         scanned: s.report.weak_pairs_scanned,
         broken: s.report.weak_cars_broken,
         forwarded: s.report.weak_cars_forwarded,
+        roots_traced: s.report.weak_roots_traced,
+        roots_broken: s.report.weak_roots_broken,
     });
 }
 

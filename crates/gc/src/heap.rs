@@ -588,7 +588,7 @@ impl Heap {
     /// A clone of the heap's handle on its root table, for a client that
     /// roots values without borrowing the heap (the typed layer's
     /// `ApiCtx`): [`RootSet::root`] claims a slot in the same slab as
-    /// [`Heap::root`].
+    /// [`Heap::root`], and [`RootSet::weak`] a weak slot.
     pub fn roots(&self) -> RootSet {
         self.roots.clone()
     }
@@ -890,6 +890,8 @@ impl Heap {
         m.add_counter("gc.weak.scanned", r.weak_pairs_scanned);
         m.add_counter("gc.weak.broken", r.weak_cars_broken);
         m.add_counter("gc.weak.forwarded", r.weak_cars_forwarded);
+        m.add_counter("gc.weak.roots_traced", r.weak_roots_traced);
+        m.add_counter("gc.weak.roots_broken", r.weak_roots_broken);
         m.add_counter("gc.increments", r.increments);
         let p = &r.phases;
         for (name, d) in [

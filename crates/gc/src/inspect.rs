@@ -31,9 +31,9 @@ impl Heap {
         self.segs.run_cards(addr.seg())[(addr.offset() + word) / CARD_WORDS]
     }
 
-    /// Test support: resets every root slot's generation stamp to 0, so
-    /// the next collection visits every root — the unfiltered reference
-    /// the stamp filter is property-tested against.
+    /// Test support: resets every root slot's generation stamp to 0, weak
+    /// slots included, so the next collection visits every root — the
+    /// unfiltered reference the stamp filter is property-tested against.
     #[doc(hidden)]
     pub fn zero_root_stamps(&mut self) {
         self.roots.zero_stamps();

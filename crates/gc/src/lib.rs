@@ -35,6 +35,9 @@
 //!   A broken car is also all a collector-invoked finalizer needs: the
 //!   Section 2 baseline (`guardians_baselines::FinalizationRegistry`) is
 //!   built on weak pairs outside the collector.
+//! * Weak roots — [`RootSet::weak`]; a [`WeakRooted`] is a weak pointer
+//!   held in the root table instead of the heap, settled by the same
+//!   phase, after the guardian pass and before the weak pairs.
 //!
 //! # Example: the paper's opening example
 //!
@@ -91,7 +94,7 @@ pub use guardian::Guardian;
 pub use header::{Header, ObjKind};
 pub use heap::Heap;
 pub use metrics::{pause_bounds, Histogram, MetricsRegistry};
-pub use roots::{RootSet, Rooted, RootedVec};
+pub use roots::{RootSet, Rooted, RootedVec, WeakRooted};
 pub use stats::{CollectionReport, HeapStats, PhaseTimes};
 pub use trace::{
     chrome_trace_json, events_jsonl, replay_stats, GcEvent, GcPhase, SiteStats, TraceConfig,

@@ -10,13 +10,20 @@
 //!
 //! # The table
 //!
-//! Every single-value root of a heap lives in one slab, shared by the heap
-//! and its handles: a [`Rooted`] is a slot index plus the shared table, so
+//! Every single-value root of a heap lives in a slab shared by the heap and
+//! its handles: a [`Rooted`] is a slot index plus the shared table, so
 //! rooting allocates nothing. A per-slot share count lets clones share a
 //! slot, and a free list lets `root`/drop pairs reuse storage. A
 //! [`RootedVec`] keeps its own storage (a push is a `Vec` push and nothing
 //! else) and is registered in the table under its registration number
 //! until its last clone drops.
+//!
+//! The table holds two slabs of the one slab type: the strong one, which
+//! the roots phase traces, and a weak one of [`WeakRooted`] slots, which it
+//! never visits. Phase 6 settles weak slots after the guardian pass and
+//! before the weak-pair pass (`collect/weak_pass.rs`): a survivor's new
+//! address is written back, a dead referent breaks the slot to `#f`. A weak
+//! slot is a weak pointer that costs no heap words.
 //!
 //! # Generation stamps
 //!
@@ -27,8 +34,8 @@
 //! 1. **Lower bound.** A stamp is [`ROOT_CLEAN`] or at most the generation
 //!    of the slot's referent.
 //! 2. **The barrier only writes 0.** Every handle-side store
-//!    ([`Rooted::set`], [`RootedVec::set`], claiming a slot) resets the
-//!    stamp to 0.
+//!    ([`Rooted::set`], [`RootedVec::set`], claiming a slot, strong or
+//!    weak) resets the stamp to 0.
 //! 3. **Only the collector raises a stamp**, to the exact generation the
 //!    referent ends the visit in ([`ROOT_CLEAN`] for a non-pointer).
 //!
@@ -40,8 +47,12 @@
 //! length, `push` never touches it, and the collector stamps the tail it
 //! has just visited — so the operand-stack fast path is a `Vec` push.
 //!
-//! The visit order is deterministic: slab slots by index, then vectors in
-//! registration order, each by index.
+//! Weak slots follow the same rules, so a collection visits only the weak
+//! slots whose referent it can move — generation-friendliness with no
+//! remembered set.
+//!
+//! The visit order is deterministic: strong slab slots by index, then
+//! vectors in registration order, each by index; weak slots by index.
 
 use crate::value::Value;
 use guardians_segments::SegmentTable;
@@ -106,25 +117,23 @@ fn trace_stamped(
     traced
 }
 
-/// The table proper: the single-value slab and the vector registry.
+/// A slab of single-value root slots: values, one stamp each, share
+/// counts and a free list. The root table holds two, one strong and one
+/// weak, and this is the only code that claims, frees or traces a slot.
 #[derive(Default)]
-struct RootTable {
-    /// Slab slot values; a free slot holds `#f`.
+struct Slab {
+    /// Slot values; a free slot holds `#f`.
     values: Vec<Value>,
-    /// One stamp per slab slot; a free slot is [`ROOT_CLEAN`].
+    /// One stamp per slot; a free slot is [`ROOT_CLEAN`].
     stamps: Vec<u8>,
-    /// Handles sharing each slab slot; 0 exactly for free slots.
+    /// Handles sharing each slot; 0 exactly for free slots.
     shares: Vec<u32>,
-    /// Free slab slots, reused last-freed first.
+    /// Free slots, reused last-freed first.
     free: Vec<u32>,
-    /// Registered vectors by registration number, so in registration
-    /// order.
-    vecs: BTreeMap<u64, Weak<VecRoot>>,
-    /// The next registration number.
-    next_vec: u64,
 }
 
-impl RootTable {
+impl Slab {
+    /// Claims a slot holding `v`, stamped 0 (reusing the last freed one).
     fn claim(&mut self, v: Value) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -144,6 +153,12 @@ impl RootTable {
         }
     }
 
+    /// One more handle shares `slot`.
+    fn share(&mut self, slot: u32) {
+        self.shares[slot as usize] += 1;
+    }
+
+    /// One handle of `slot` is gone; the last frees the slot.
     fn release(&mut self, slot: u32) {
         let i = slot as usize;
         self.shares[i] -= 1;
@@ -153,6 +168,63 @@ impl RootTable {
             self.free.push(slot);
         }
     }
+
+    /// Slots in use.
+    fn live(&self) -> usize {
+        self.values.len() - self.free.len()
+    }
+
+    /// [`trace_stamped`] over the whole slab.
+    fn trace(&mut self, g: u8, visit: &mut impl FnMut(&mut Value) -> u8) -> u64 {
+        trace_stamped(&mut self.values, &mut self.stamps, g, visit)
+    }
+
+    /// Free-list/share-count coherence: free slots are non-pointers on the
+    /// free list exactly once with no sharers, live slots have one.
+    fn check_free_list(&self, what: &str) -> Result<(), String> {
+        let mut on_free_list = vec![false; self.values.len()];
+        for &slot in &self.free {
+            let i = slot as usize;
+            if std::mem::replace(&mut on_free_list[i], true) {
+                return Err(format!("{what} {i} is on the free list twice"));
+            }
+            if self.shares[i] != 0 {
+                return Err(format!(
+                    "free {what} {i} has share count {}",
+                    self.shares[i]
+                ));
+            }
+            if self.values[i].is_ptr() {
+                return Err(format!(
+                    "free {what} {i} holds a pointer: {:?}",
+                    self.values[i]
+                ));
+            }
+        }
+        for (i, &free) in on_free_list.iter().enumerate() {
+            if !free && self.shares[i] == 0 {
+                return Err(format!(
+                    "live {what} {i} has share count 0 (it is not on the free list)"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The table proper: the strong and weak slabs and the vector registry.
+#[derive(Default)]
+struct RootTable {
+    /// Strong single-value roots: every [`Rooted`].
+    strong: Slab,
+    /// Weak single-value roots: every [`WeakRooted`]. The roots phase never
+    /// visits them; the weak-slot pass of phase 6 settles them.
+    weak: Slab,
+    /// Registered vectors by registration number, so in registration
+    /// order.
+    vecs: BTreeMap<u64, Weak<VecRoot>>,
+    /// The next registration number.
+    next_vec: u64,
 }
 
 type SharedTable = Rc<RefCell<RootTable>>;
@@ -171,7 +243,7 @@ impl Rooted {
     /// The current (possibly relocated) value.
     #[inline]
     pub fn get(&self) -> Value {
-        self.table.borrow().values[self.slot as usize]
+        self.table.borrow().strong.values[self.slot as usize]
     }
 
     /// Replaces the rooted value.
@@ -179,15 +251,15 @@ impl Rooted {
     pub fn set(&self, v: Value) {
         let mut table = self.table.borrow_mut();
         let i = self.slot as usize;
-        table.values[i] = v;
+        table.strong.values[i] = v;
         // The root write barrier: the next collection visits this slot.
-        table.stamps[i] = 0;
+        table.strong.stamps[i] = 0;
     }
 }
 
 impl Clone for Rooted {
     fn clone(&self) -> Rooted {
-        self.table.borrow_mut().shares[self.slot as usize] += 1;
+        self.table.borrow_mut().strong.share(self.slot);
         Rooted {
             table: self.table.clone(),
             slot: self.slot,
@@ -197,13 +269,57 @@ impl Clone for Rooted {
 
 impl Drop for Rooted {
     fn drop(&mut self) {
-        self.table.borrow_mut().release(self.slot);
+        self.table.borrow_mut().strong.release(self.slot);
     }
 }
 
 impl std::fmt::Debug for Rooted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("Rooted").field(&self.get()).finish()
+    }
+}
+
+/// An owning handle to a *weak* root: a slot that observes a value without
+/// keeping it alive ([`RootSet::weak`]), settled in phase 6 (see the module
+/// doc). There is no `set`: a weak slot is never re-pointed, so it needs no
+/// barrier. Clones share the slot; dropping the last frees it.
+///
+/// Between the increments of a collection the slot may hold a from-space
+/// pointer whose referent has already been copied; read it through
+/// [`Heap::resolve_read`](crate::Heap::resolve_read).
+pub struct WeakRooted {
+    table: SharedTable,
+    slot: u32,
+}
+
+impl WeakRooted {
+    /// The referent's address as the last weak-slot pass left it (or as
+    /// claimed), or `#f` once the referent has died.
+    #[inline]
+    pub fn get(&self) -> Value {
+        self.table.borrow().weak.values[self.slot as usize]
+    }
+}
+
+impl Clone for WeakRooted {
+    fn clone(&self) -> WeakRooted {
+        self.table.borrow_mut().weak.share(self.slot);
+        WeakRooted {
+            table: self.table.clone(),
+            slot: self.slot,
+        }
+    }
+}
+
+impl Drop for WeakRooted {
+    fn drop(&mut self) {
+        self.table.borrow_mut().weak.release(self.slot);
+    }
+}
+
+impl std::fmt::Debug for WeakRooted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("WeakRooted").field(&self.get()).finish()
     }
 }
 
@@ -330,7 +446,16 @@ impl RootSet {
     /// [`Heap::root`](crate::Heap::root).
     pub fn root(&self, v: Value) -> Rooted {
         Rooted {
-            slot: self.table.borrow_mut().claim(v),
+            slot: self.table.borrow_mut().strong.claim(v),
+            table: self.table.clone(),
+        }
+    }
+
+    /// Observes `v` from a weak slot, stamped 0, so the next collection's
+    /// weak-slot pass visits it.
+    pub fn weak(&self, v: Value) -> WeakRooted {
+        WeakRooted {
+            slot: self.table.borrow_mut().weak.claim(v),
             table: self.table.clone(),
         }
     }
@@ -356,7 +481,7 @@ impl RootSet {
     pub(crate) fn trace(&self, g: u8, mut visit: impl FnMut(&mut Value) -> u8) -> u64 {
         let mut table = self.table.borrow_mut();
         let table = &mut *table;
-        let mut traced = trace_stamped(&mut table.values, &mut table.stamps, g, &mut visit);
+        let mut traced = table.strong.trace(g, &mut visit);
         for entry in table.vecs.values() {
             let root = entry.upgrade().expect("a dropped vector unregisters");
             let mut cells = root.cells.borrow_mut();
@@ -369,21 +494,39 @@ impl RootSet {
         traced
     }
 
-    /// Every root value, in visit order (free slab slots read `#f`).
+    /// The weak-slot pass of a collection of generations `0..=g`: applies
+    /// `visit` to every weak slot stamped `<= g`, by index, and stamps the
+    /// slot with what it returns. Returns the number of slots visited; an
+    /// empty weak slab costs one length test.
+    pub(crate) fn trace_weak(&self, g: u8, mut visit: impl FnMut(&mut Value) -> u8) -> u64 {
+        let mut table = self.table.borrow_mut();
+        if table.weak.values.is_empty() {
+            return 0;
+        }
+        table.weak.trace(g, &mut visit)
+    }
+
+    /// Every strong root value, in visit order (free slab slots read `#f`).
     pub(crate) fn values(&self) -> Vec<Value> {
         let table = self.table.borrow();
-        let mut out = table.values.clone();
+        let mut out = table.strong.values.clone();
         for root in table.vecs.values().filter_map(Weak::upgrade) {
             out.extend_from_slice(&root.cells.borrow().values);
         }
         out
     }
 
-    /// Slab slots in use: every live [`Rooted`], a guardian's tconc root
-    /// included. Vector slots are not counted.
+    /// Every weak slot value, by index (free slots read `#f`).
+    pub(crate) fn weak_values(&self) -> Vec<Value> {
+        self.table.borrow().weak.values.clone()
+    }
+
+    /// Slab slots in use, strong and weak: every live [`Rooted`] (a
+    /// guardian's tconc root included) and every live [`WeakRooted`].
+    /// Vector slots are not counted.
     pub fn live_slots(&self) -> usize {
         let table = self.table.borrow();
-        table.values.len() - table.free.len()
+        table.strong.live() + table.weak.live()
     }
 
     /// Test support: resets every stamp to 0, so the next collection
@@ -391,44 +534,24 @@ impl RootSet {
     /// property-tested against.
     pub(crate) fn zero_stamps(&self) {
         let mut table = self.table.borrow_mut();
-        table.stamps.fill(0);
+        table.strong.stamps.fill(0);
+        table.weak.stamps.fill(0);
         for root in table.vecs.values().filter_map(Weak::upgrade) {
             root.cells.borrow_mut().stamps.fill(0);
         }
     }
 
     /// Checks the table's own invariants, for [`Heap::verify`]:
-    /// free-list/share-count coherence, stamped prefixes no longer than
-    /// their vectors, and the stamp lower bound against `segs`. `collected`
-    /// is the collected generation of a suspended incremental collection
-    /// (its from-space is in `segs`).
+    /// free-list/share-count coherence of both slabs, stamped prefixes no
+    /// longer than their vectors, and the stamp lower bound against `segs`.
+    /// `collected` is the collected generation of a suspended incremental
+    /// collection (its from-space is in `segs`).
     ///
     /// [`Heap::verify`]: crate::Heap::verify
     pub(crate) fn check(&self, segs: &SegmentTable, collected: Option<u8>) -> Result<(), String> {
         let table = self.table.borrow();
-        let mut on_free_list = vec![false; table.values.len()];
-        for &slot in &table.free {
-            let i = slot as usize;
-            if std::mem::replace(&mut on_free_list[i], true) {
-                return Err(format!("slot {i} is on the free list twice"));
-            }
-            if table.shares[i] != 0 {
-                return Err(format!("free slot {i} has share count {}", table.shares[i]));
-            }
-            if table.values[i].is_ptr() {
-                return Err(format!(
-                    "free slot {i} holds a pointer: {:?}",
-                    table.values[i]
-                ));
-            }
-        }
-        for (i, &free) in on_free_list.iter().enumerate() {
-            if !free && table.shares[i] == 0 {
-                return Err(format!(
-                    "live slot {i} has share count 0 (it is not on the free list)"
-                ));
-            }
-        }
+        table.strong.check_free_list("slot")?;
+        table.weak.check_free_list("weak slot")?;
         let check_stamps = |what: &str, values: &[Value], stamps: &[u8]| {
             for (i, (&v, &stamp)) in values.iter().zip(stamps).enumerate() {
                 if !v.is_ptr() {
@@ -457,7 +580,8 @@ impl RootSet {
             }
             Ok(())
         };
-        check_stamps("slot", &table.values, &table.stamps)?;
+        check_stamps("slot", &table.strong.values, &table.strong.stamps)?;
+        check_stamps("weak slot", &table.weak.values, &table.weak.stamps)?;
         for (number, root) in &table.vecs {
             let Some(root) = root.upgrade() else {
                 continue;
@@ -514,7 +638,7 @@ mod tests {
         // the next root reuses it.
         assert_eq!(set.trace(254, |_| unreachable!("nothing is due")), 0);
         let _again = set.root(Value::fixnum(2));
-        assert_eq!(set.table.borrow().values.len(), 1);
+        assert_eq!(set.table.borrow().strong.values.len(), 1);
     }
 
     #[test]
@@ -547,6 +671,45 @@ mod tests {
         assert_eq!(r.get(), Value::fixnum(2));
         assert_eq!(stack.get(0), Value::fixnum(11));
         assert_eq!(stack.get(1), Value::fixnum(21));
+    }
+
+    #[test]
+    fn weak_slots_are_a_slab_of_their_own() {
+        let set = RootSet::default();
+        let strong = set.root(Value::fixnum(1));
+        let w = set.weak(Value::fixnum(2));
+        let w2 = w.clone();
+        assert_eq!(set.live_slots(), 2, "strong and weak slots both count");
+        // The roots pass sees only the strong slot; the weak pass only the
+        // weak one, whose clones share it.
+        let mut seen = Vec::new();
+        assert_eq!(
+            set.trace(0, |v| {
+                seen.push(*v);
+                0
+            }),
+            1
+        );
+        assert_eq!(seen, [strong.get()]);
+        let visited = set.trace_weak(0, |v| {
+            *v = Value::fixnum(3);
+            ROOT_CLEAN
+        });
+        assert_eq!(
+            (visited, w.get(), w2.get()),
+            (1, Value::fixnum(3), Value::fixnum(3))
+        );
+        assert_eq!(set.trace_weak(254, |_| unreachable!("stamped clean")), 0);
+        drop(w);
+        assert_eq!(set.live_slots(), 2);
+        drop(w2);
+        assert_eq!(set.live_slots(), 1);
+        let _again = set.weak(Value::NIL);
+        assert_eq!(
+            set.table.borrow().weak.values.len(),
+            1,
+            "the slot is reused"
+        );
     }
 
     #[test]
@@ -637,7 +800,7 @@ mod tests {
         }
         assert_eq!(h.collection_count(), 0);
         let table = h.roots.table.borrow();
-        assert_eq!(table.values.len(), 2, "one live slot and one reused");
+        assert_eq!(table.strong.values.len(), 2, "one live slot and one reused");
         assert_eq!(table.vecs.len(), 1, "the live vector");
         drop(table);
         drop((keep, keep_vec));
@@ -697,11 +860,11 @@ mod tests {
     fn verify_rejects_a_stamp_above_the_referents_generation() {
         let (h, r, stack) = aged();
         assert_eq!(h.generation_of(r.get()), Some(1));
-        h.roots.table.borrow_mut().stamps[0] = 2;
+        h.roots.table.borrow_mut().strong.stamps[0] = 2;
         expect_error(&h, "not a lower bound");
-        h.roots.table.borrow_mut().stamps[0] = ROOT_CLEAN;
+        h.roots.table.borrow_mut().strong.stamps[0] = ROOT_CLEAN;
         expect_error(&h, "not a lower bound");
-        h.roots.table.borrow_mut().stamps[0] = 1;
+        h.roots.table.borrow_mut().strong.stamps[0] = 1;
         stack.root.cells.borrow_mut().stamps[1] = 3;
         expect_error(&h, "vector 0 slot 1 is stamped 3");
     }
@@ -709,31 +872,31 @@ mod tests {
     #[test]
     fn verify_rejects_a_free_slot_holding_a_pointer() {
         let (h, r, _stack) = aged();
-        h.roots.table.borrow_mut().values[1] = r.get();
+        h.roots.table.borrow_mut().strong.values[1] = r.get();
         expect_error(&h, "free slot 1 holds a pointer");
     }
 
     #[test]
     fn verify_rejects_a_slot_freed_twice() {
         let (h, _r, _stack) = aged();
-        h.roots.table.borrow_mut().free.push(1);
+        h.roots.table.borrow_mut().strong.free.push(1);
         expect_error(&h, "slot 1 is on the free list twice");
     }
 
     #[test]
     fn verify_rejects_a_shared_free_slot() {
         let (h, _r, _stack) = aged();
-        h.roots.table.borrow_mut().shares[1] = 1;
+        h.roots.table.borrow_mut().strong.shares[1] = 1;
         expect_error(&h, "free slot 1 has share count 1");
     }
 
     #[test]
     fn verify_rejects_a_live_slot_nobody_shares() {
         let (h, _r, _stack) = aged();
-        h.roots.table.borrow_mut().shares[0] = 0;
+        h.roots.table.borrow_mut().strong.shares[0] = 0;
         expect_error(&h, "live slot 0 has share count 0");
         // Put it back, or dropping the handle underflows the count.
-        h.roots.table.borrow_mut().shares[0] = 1;
+        h.roots.table.borrow_mut().strong.shares[0] = 1;
     }
 
     #[test]
@@ -741,6 +904,59 @@ mod tests {
         let (h, _r, stack) = aged();
         stack.root.cells.borrow_mut().stamps.push(0);
         expect_error(&h, "stamped length of 3 but only 2 slots");
+    }
+
+    /// A heap with a weak slot (slot 0) to a pair aged into generation 1
+    /// and a freed weak slot 1.
+    fn aged_weak() -> (Heap, Rooted, WeakRooted) {
+        let mut h = Heap::default();
+        let p = h.cons(Value::fixnum(1), Value::NIL);
+        let r = h.root(p);
+        let w = h.roots().weak(p);
+        drop(h.roots().weak(p));
+        h.collect(0);
+        assert_eq!(w.get(), r.get());
+        h.verify().expect("sound before the corruption");
+        (h, r, w)
+    }
+
+    #[test]
+    fn verify_rejects_a_weak_stamp_above_the_referents_generation() {
+        let (h, _r, _w) = aged_weak();
+        assert_eq!(h.roots.table.borrow().weak.stamps[0], 1);
+        h.roots.table.borrow_mut().weak.stamps[0] = 2;
+        expect_error(&h, "weak slot 0 is stamped 2");
+    }
+
+    #[test]
+    fn verify_rejects_incoherent_weak_free_lists() {
+        let (h, r, _w) = aged_weak();
+        h.roots.table.borrow_mut().weak.values[1] = r.get();
+        expect_error(&h, "free weak slot 1 holds a pointer");
+        h.roots.table.borrow_mut().weak.values[1] = Value::FALSE;
+        h.roots.table.borrow_mut().weak.free.push(1);
+        expect_error(&h, "weak slot 1 is on the free list twice");
+        h.roots.table.borrow_mut().weak.free.pop();
+        h.roots.table.borrow_mut().weak.shares[0] = 0;
+        expect_error(&h, "live weak slot 0 has share count 0");
+        h.roots.table.borrow_mut().weak.shares[0] = 1;
+    }
+
+    #[test]
+    fn verify_rejects_a_weak_slot_into_a_freed_segment() {
+        let (h, _r, _w) = aged_weak();
+        // What a skipped weak-slot pass leaves: the from-space address.
+        let stale = Value::pair_at(guardians_segments::WordAddr::new(
+            guardians_segments::SegIndex(900),
+            0,
+        ));
+        h.roots.table.borrow_mut().weak.values[0] = stale;
+        h.roots.table.borrow_mut().weak.stamps[0] = 0;
+        let err = h.verify().expect_err("a dangling weak slot").to_string();
+        assert!(
+            err.contains("weak root points into a freed segment"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -756,9 +972,9 @@ mod tests {
         // The root still holds the from-space address; claim the collector
         // had already seen the referent into generation 1.
         assert_eq!(r.get(), p);
-        h.roots.table.borrow_mut().stamps[0] = 1;
+        h.roots.table.borrow_mut().strong.stamps[0] = 1;
         expect_error(&h, "above the collected generation 0");
-        h.roots.table.borrow_mut().stamps[0] = 0;
+        h.roots.table.borrow_mut().strong.stamps[0] = 0;
         h.collect(0);
         h.verify().expect("sound after the cycle");
     }

@@ -32,7 +32,8 @@ pub struct PhaseTimes {
     pub sweep: Duration,
     /// Phase 5: the guardian protected-list pass (with its sweeps).
     pub guardian: Duration,
-    /// Phase 6: break or forward weak-pair cars.
+    /// Phase 6: settle weak root slots, then break or forward weak-pair
+    /// cars.
     pub weak: Duration,
     /// Phase 7: return from-space segments to the free pool.
     pub reclaim: Duration,
@@ -115,6 +116,11 @@ pub struct CollectionReport {
     pub weak_cars_broken: u64,
     /// Weak cars updated to a forwarded referent.
     pub weak_cars_forwarded: u64,
+    /// Weak root slots visited by the weak-slot pass: those whose
+    /// generation stamp was at most the collected generation.
+    pub weak_roots_traced: u64,
+    /// Weak root slots broken to `#f` (referent died).
+    pub weak_roots_broken: u64,
     /// Words of pointer-free (pure-space) objects copied without any
     /// scanning — work the space segregation saved.
     pub pure_words_skipped: u64,

@@ -124,7 +124,7 @@ pub enum GcEvent {
         /// Fixpoint loop iterations (including the final empty one).
         loop_iterations: u64,
     },
-    /// The weak pass finished.
+    /// The weak pass finished (weak root slots, then weak pairs).
     WeakSweep {
         /// Weak pairs examined.
         scanned: u64,
@@ -132,6 +132,10 @@ pub enum GcEvent {
         broken: u64,
         /// Weak cars updated to a forwarded referent.
         forwarded: u64,
+        /// Weak root slots visited.
+        roots_traced: u64,
+        /// Weak root slots broken to `#f`.
+        roots_broken: u64,
     },
     /// An element was appended to a tconc queue.
     TconcAppend {
@@ -404,12 +408,16 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
             scanned,
             broken,
             forwarded,
+            roots_traced,
+            roots_broken,
         } => (
             "weak_sweep",
             vec![
                 ("scanned", u(scanned)),
                 ("broken", u(broken)),
                 ("forwarded", u(forwarded)),
+                ("roots_traced", u(roots_traced)),
+                ("roots_broken", u(roots_broken)),
             ],
         ),
         GcEvent::TconcAppend { during_collection } => (
@@ -661,6 +669,8 @@ mod tests {
                 scanned: 5,
                 broken: 1,
                 forwarded: 2,
+                roots_traced: 3,
+                roots_broken: 1,
             },
             GcEvent::TconcAppend {
                 during_collection: true,

@@ -46,12 +46,15 @@ impl Heap {
     ///   dirty, every flagged run is on the dirty index, and generation-0
     ///   segments (which includes every fresh or recycled one) are
     ///   all-clean;
-    /// * every root is valid, and the root table is coherent: every slot's
-    ///   generation stamp is a lower bound on its referent's generation
-    ///   (mid-cycle, a slot holding a from-space pointer is stamped at most
-    ///   the collected generation), free slots are non-pointers on the free
-    ///   list exactly once with no sharers, live slots have one, and no
-    ///   vector's stamped prefix is longer than the vector;
+    /// * every root is valid, strong and weak, and the root table is
+    ///   coherent: every slot's generation stamp is a lower bound on its
+    ///   referent's generation (mid-cycle, a slot holding a from-space
+    ///   pointer is stamped at most the collected generation), free slots
+    ///   of both slabs are non-pointers on the free list exactly once with
+    ///   no sharers, live slots have one, no vector's stamped prefix is
+    ///   longer than the vector, and every weak slot is `#f`, an immediate
+    ///   or a pointer into an allocated segment — outside a collection,
+    ///   never the from-space;
     /// * the segment table's free store is coherent with its allocation
     ///   state ([`SegmentTable::check_free_store`]), and so is its
     ///   whereabouts table ([`SegmentTable::check_whereabouts`]): a byte is
@@ -89,8 +92,9 @@ impl Heap {
     ///   be backed by the collection's remembered-set snapshot instead of
     ///   the table's dirty index;
     /// * roots and protected entries may hold from-space pointers (roots
-    ///   are re-forwarded at every increment; guardian entries are settled
-    ///   by the terminal increment), and the protected generation bounds —
+    ///   are re-forwarded at every increment; weak slots and guardian
+    ///   entries are settled by the terminal increment), and the protected
+    ///   generation bounds —
     ///   re-established by the terminal guardian pass — are skipped.
     ///
     /// # Errors
@@ -193,9 +197,14 @@ impl Heap {
         }
         self.check_card_summary()?;
 
-        // 3. Roots.
+        // 3. Roots, strong and weak. The roots phase never visits a weak
+        // slot, so this is what catches one left dangling; outside a
+        // collection no segment is from-space (the whereabouts check).
         for v in self.roots.values() {
             self.check_value(v, "root")?;
+        }
+        for v in self.roots.weak_values() {
+            self.check_value(v, "weak root")?;
         }
 
         // 4. Protected lists. The generation bounds are the terminal

@@ -95,11 +95,18 @@ fn guardian_and_weak_events_match_report_counters() {
     });
     let g = heap.make_guardian();
     let keep = heap.root_vec();
+    let mut weak_roots = Vec::new();
     for i in 0..50 {
         let p = heap.cons(Value::fixnum(i), Value::NIL);
         g.register(&mut heap, p);
         let w = heap.weak_cons(p, Value::NIL);
         keep.push(w);
+        // Ten more weak roots: five to guarded objects, five to garbage.
+        if i % 10 == 0 {
+            weak_roots.push(heap.roots().weak(p));
+            let dead = heap.cons(Value::fixnum(-i), Value::NIL);
+            weak_roots.push(heap.roots().weak(dead));
+        }
     }
     heap.drain_trace_events();
     heap.collect(0);
@@ -108,7 +115,7 @@ fn guardian_and_weak_events_match_report_counters() {
 
     let mut partition_visited = 0;
     let mut outcome = None;
-    let mut weak = (0u64, 0u64, 0u64);
+    let mut weak = (0u64, 0u64, 0u64, 0u64, 0u64);
     let mut collector_appends = 0u64;
     for e in &events {
         match e.event {
@@ -123,10 +130,14 @@ fn guardian_and_weak_events_match_report_counters() {
                 scanned,
                 broken,
                 forwarded,
+                roots_traced,
+                roots_broken,
             } => {
                 weak.0 += scanned;
                 weak.1 += broken;
                 weak.2 += forwarded;
+                weak.3 += roots_traced;
+                weak.4 += roots_broken;
             }
             GcEvent::TconcAppend {
                 during_collection: true,
@@ -147,6 +158,8 @@ fn guardian_and_weak_events_match_report_counters() {
     assert_eq!(weak.0, report.weak_pairs_scanned);
     assert_eq!(weak.1, report.weak_cars_broken);
     assert_eq!(weak.2, report.weak_cars_forwarded);
+    assert_eq!(weak.3, report.weak_roots_traced);
+    assert_eq!(weak.4, report.weak_roots_broken);
     assert_eq!(collector_appends, report.guardian_entries_finalized);
     // All 50 objects die guarded: every one produces a collector-side
     // tconc append, and — because the weak pass runs after the guardian
@@ -155,6 +168,15 @@ fn guardian_and_weak_events_match_report_counters() {
     assert_eq!(report.guardian_entries_finalized, 50);
     assert_eq!(report.weak_cars_forwarded, 50);
     assert_eq!(report.weak_cars_broken, 0);
+    // The weak roots obey the same ordering; only the garbage ones break.
+    assert_eq!(report.weak_roots_traced, 10);
+    assert_eq!(report.weak_roots_broken, 5);
+    assert!(weak_roots.iter().step_by(2).all(|w| w.get().is_pair_ptr()));
+    assert!(weak_roots
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .all(|w| w.get().is_false()));
 }
 
 #[test]

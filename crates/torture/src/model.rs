@@ -50,6 +50,21 @@ pub struct MTconc {
     pub handle: bool,
 }
 
+/// Shadow image of one typed weak reference: a weak slot of the root
+/// table, not a heap object. It has no generation; its stamp says which
+/// collections visit it.
+#[derive(Clone, Debug)]
+pub struct MSlot {
+    /// The watched typed node; `Null` models a broken slot (`#f`).
+    pub target: Ref,
+    /// The slot's generation stamp: 0 when claimed, then the generation
+    /// its referent ended the last visit in ([`SLOT_CLEAN`] once broken).
+    pub stamp: u8,
+}
+
+/// The stamp of a broken weak slot: no collection visits it again.
+pub const SLOT_CLEAN: u8 = u8::MAX;
+
 /// Shadow image of one standalone weak pair.
 #[derive(Clone, Debug)]
 pub struct MWeak {
@@ -93,6 +108,10 @@ pub struct MReport {
     pub weak_cars_broken: u64,
     /// Weak cars the pass forwards to a copied referent (ditto).
     pub weak_cars_forwarded: u64,
+    /// Weak slots (typed weaks) stamped at most the collected generation.
+    pub weak_roots_traced: u64,
+    /// Weak slots broken to `#f`.
+    pub weak_roots_broken: u64,
     /// Node ids reclaimed by this collection (trackers must break).
     pub reclaimed_nodes: Vec<u32>,
     /// Guardian indices whose tconc was reclaimed.
@@ -112,6 +131,9 @@ pub struct Model {
     pub tconcs: HashMap<u32, MTconc>,
     /// Physical standalone weak pairs by id.
     pub weaks: HashMap<u32, MWeak>,
+    /// Live typed weak references by id (the weak-id space is shared with
+    /// `weaks`); dropping one frees its slot at once.
+    pub slots: HashMap<u32, MSlot>,
     /// Node-tracker generations (trackers are immortal rooted weak pairs,
     /// one per node ever allocated).
     pub node_tracker_gen: HashMap<u32, u8>,
@@ -132,6 +154,7 @@ impl Model {
             nodes: HashMap::new(),
             tconcs: HashMap::new(),
             weaks: HashMap::new(),
+            slots: HashMap::new(),
             node_tracker_gen: HashMap::new(),
             tconc_tracker_gen: HashMap::new(),
             roots: HashSet::new(),
@@ -172,6 +195,7 @@ impl Model {
     /// Physical weak pairs residing in `gen`: node trackers, tconc
     /// trackers, standalone weak pairs, and the weak pair attached to each
     /// vector node. Each is 2 words in the real heap's weak-pair space.
+    /// Typed weaks are root slots, not pairs, and are not counted.
     pub fn weak_pairs_in_gen(&self, gen: u8) -> usize {
         self.node_tracker_gen
             .values()
@@ -303,7 +327,34 @@ impl Model {
         self.close(&mut live_n, &mut live_t, agents);
         self.protected[dest].extend(held);
 
-        // ---- Weak-pair pass (after the guardian pass: §4) ---------------
+        // ---- Weak-slot pass (after the guardian pass: §4) ---------------
+        // A slot stamped at most `g` is visited: a from-space referent that
+        // survived is forwarded and stamped `target`, a dead one breaks the
+        // slot; any other referent just stamps its own generation.
+        for slot in self.slots.values_mut() {
+            if slot.stamp > g {
+                continue;
+            }
+            report.weak_roots_traced += 1;
+            slot.stamp = match slot.target {
+                Ref::Null => SLOT_CLEAN,
+                Ref::Node(id) => {
+                    let n = &self.nodes[&id];
+                    if n.gen > g {
+                        n.gen
+                    } else if live_n.contains(&id) {
+                        target
+                    } else {
+                        report.weak_roots_broken += 1;
+                        slot.target = Ref::Null;
+                        SLOT_CLEAN
+                    }
+                }
+                Ref::Tconc(_) => unreachable!("typed weaks only watch typed nodes"),
+            };
+        }
+
+        // ---- Weak-pair pass ---------------------------------------------
         // Every weak slot still physical after this collection has its car
         // forwarded (target survived — by roots or by salvage) or broken to
         // #f (target was in from-space and died). Targets outside

@@ -252,10 +252,10 @@ pub enum Op {
         /// The polled guardian.
         g: u32,
     },
-    /// Allocate typed weak reference `wid` (a `Weak<T>` over the weak-pair
-    /// machinery) watching typed node `node`. Shares the `wid` space with
-    /// raw weak pairs and is dropped by the ordinary `dropweak` op, but
-    /// cannot be re-aimed (`Weak<T>` has no re-aim API).
+    /// Create typed weak reference `wid` (a `Weak<T>`: a weak slot of the
+    /// root table, no heap object) watching typed node `node`. Shares the
+    /// `wid` space with raw weak pairs and is dropped by the ordinary
+    /// `dropweak` op, but cannot be re-aimed (`Weak<T>` has no re-aim API).
     AllocTypedWeak {
         /// Fresh weak id.
         wid: u32,

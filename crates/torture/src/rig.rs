@@ -34,7 +34,7 @@
 //! the fault at every offset therefore proves every failure point is
 //! clean.
 
-use crate::model::{MEntry, MNode, MReport, MTconc, MWeak, Model};
+use crate::model::{MEntry, MNode, MReport, MSlot, MTconc, MWeak, Model};
 use crate::ops::{NodeKind, Op, Ref, Trace};
 use guardians_gc::{
     CollectionReport, GcConfig, GcEvent, Guardian, Heap, Rooted, TraceConfig, TracedEvent, Value,
@@ -187,8 +187,9 @@ struct Rig {
     /// `rooted` over the same model root set.
     typed_roots: HashMap<u32, TypedRoot<TNode>>,
     weak_handles: HashMap<u32, Rooted>,
-    /// Typed weak references, sharing the model's weak-id space with
-    /// `weak_handles` (an id lives in exactly one of the two maps).
+    /// Typed weak references — weak slots of the root table, mirrored by
+    /// `Model::slots` — sharing the weak-id space with `weak_handles` (an
+    /// id lives in exactly one of the two maps).
     typed_weaks: HashMap<u32, TypedWeak<TNode>>,
     stats: RunStats,
     /// Whether the heap's event trace is on; collections then cross-check
@@ -602,7 +603,7 @@ impl Rig {
                 Ok(true)
             }
             Op::AllocWeakPair { wid, target } => {
-                if self.model.weaks.contains_key(&wid) {
+                if self.model.weaks.contains_key(&wid) || self.model.slots.contains_key(&wid) {
                     return Ok(false);
                 }
                 let target = self.model.normalize(target);
@@ -623,9 +624,9 @@ impl Rig {
             }
             Op::SetWeakPair { wid, target } => {
                 // Typed weaks cannot be re-aimed (`Weak<T>` has no re-aim
-                // API), so this op only applies to raw weak pairs.
+                // API), so this op only applies to rooted raw weak pairs.
                 match self.model.weaks.get(&wid) {
-                    Some(w) if w.rooted && self.weak_handles.contains_key(&wid) => {}
+                    Some(w) if w.rooted => {}
                     _ => return Ok(false),
                 }
                 let target = self.model.normalize(target);
@@ -636,14 +637,16 @@ impl Rig {
                 Ok(true)
             }
             Op::DropWeakPair { wid } => {
-                // Covers both raw handles and typed `Weak<T>`s (a typed
-                // weak holds a `Rooted` too, so its drop frees the slot
-                // exactly like dropping the raw handle).
-                let raw = self.weak_handles.remove(&wid).is_some();
-                if !raw && self.typed_weaks.remove(&wid).is_none() {
+                // Covers both raw handles and typed `Weak<T>`s. An unrooted
+                // raw pair lingers as floating garbage; a typed weak's slot
+                // is freed at once.
+                if self.weak_handles.remove(&wid).is_some() {
+                    self.model.weaks.get_mut(&wid).expect("was rooted").rooted = false;
+                } else if self.typed_weaks.remove(&wid).is_some() {
+                    self.model.slots.remove(&wid);
+                } else {
                     return Ok(false);
                 }
-                self.model.weaks.get_mut(&wid).expect("was rooted").rooted = false;
                 Ok(true)
             }
             Op::AllocTyped { id, left, right } => {
@@ -785,19 +788,21 @@ impl Rig {
                 }
             }
             Op::AllocTypedWeak { wid, node } => {
-                if self.model.weaks.contains_key(&wid) || !self.is_typed(node) {
+                if self.model.weaks.contains_key(&wid)
+                    || self.model.slots.contains_key(&wid)
+                    || !self.is_typed(node)
+                {
                     return Ok(false);
                 }
-                self.reserve(1)?;
+                // A weak slot: nothing is allocated, so nothing to reserve.
                 let root = self.typed_root(node);
-                let w = TypedWeak::new(&mut self.heap, &self.ctx, &root);
+                let w = TypedWeak::new(&self.ctx, &root);
                 self.typed_weaks.insert(wid, w);
-                self.model.weaks.insert(
+                self.model.slots.insert(
                     wid,
-                    MWeak {
-                        gen: 0,
+                    MSlot {
                         target: Ref::Node(node),
-                        rooted: true,
+                        stamp: 0,
                     },
                 );
                 Ok(true)
@@ -813,7 +818,7 @@ impl Rig {
                     w.upgrade(&self.heap)
                         .map(|gc| (gc.value(), self.ctx.field::<TNode, i64>(&self.heap, gc, 0)))
                 };
-                let target = self.model.weaks[&wid].target;
+                let target = self.model.slots[&wid].target;
                 match target {
                     Ref::Node(id) => {
                         check!(
@@ -904,6 +909,14 @@ impl Rig {
                     "collect {gen}: weak counters [broken, forwarded] diverge: \
                      heap {real:?}, model {predicted:?}"
                 );
+                let real = [r.weak_roots_traced, r.weak_roots_broken];
+                let predicted = [mrep.weak_roots_traced, mrep.weak_roots_broken];
+                check!(
+                    self,
+                    real == predicted,
+                    "collect {gen}: weak-slot counters [traced, broken] diverge: \
+                     heap {real:?}, model {predicted:?}"
+                );
                 if self.traced {
                     self.check_events(gen, &mrep, &r)?;
                 }
@@ -956,7 +969,8 @@ impl Rig {
         let mut partition = (0u64, 0u64, 0u64); // visited, pend_hold, pend_final
         let mut outcome = None;
         let mut resurrected_sum = 0u64;
-        let mut weak = (0u64, 0u64, 0u64); // scanned, broken, forwarded
+        // Pairs scanned, broken, forwarded; slots traced, broken.
+        let mut weak = (0u64, 0u64, 0u64, 0u64, 0u64);
         let mut gen_copied = 0u64;
         let mut released = 0u64;
         let mut collector_appends = 0u64;
@@ -1002,10 +1016,14 @@ impl Rig {
                     scanned,
                     broken,
                     forwarded,
+                    roots_traced,
+                    roots_broken,
                 } => {
                     weak.0 += scanned;
                     weak.1 += broken;
                     weak.2 += forwarded;
+                    weak.3 += roots_traced;
+                    weak.4 += roots_broken;
                 }
                 GcEvent::GenCopied { words, .. } => gen_copied += words,
                 GcEvent::SegmentsReleased { count } => released += count,
@@ -1093,12 +1111,16 @@ impl Rig {
             weak == (
                 r.weak_pairs_scanned,
                 r.weak_cars_broken,
-                r.weak_cars_forwarded
+                r.weak_cars_forwarded,
+                r.weak_roots_traced,
+                r.weak_roots_broken
             ),
-            "collect {gen}: WeakSweep {weak:?} vs report ({}, {}, {})",
+            "collect {gen}: WeakSweep {weak:?} vs report ({}, {}, {}, {}, {})",
             r.weak_pairs_scanned,
             r.weak_cars_broken,
-            r.weak_cars_forwarded
+            r.weak_cars_forwarded,
+            r.weak_roots_traced,
+            r.weak_roots_broken
         );
         check!(
             self,
@@ -1245,25 +1267,27 @@ impl Rig {
             );
         }
 
-        // Typed weak references: the rooted pair's car and generation per
-        // the model, same contract as the raw weak handles below.
-        for (&wid, w) in &self.typed_weaks {
-            let m = self.model.weaks[&wid].clone();
-            let pair = w.pair();
-            let car = self.heap.car(pair);
-            let want = self.weak_value(m.target);
+        // Typed weak references: each weak slot reads the model's target,
+        // or is broken exactly when the model broke it. A slot is not a
+        // heap object, so it has no generation to check.
+        let slots: Vec<(u32, Option<Value>, bool)> = self
+            .typed_weaks
+            .iter()
+            .map(|(&wid, w)| {
+                let got = w.upgrade(&self.heap).map(|gc| gc.value());
+                (wid, got, w.is_broken())
+            })
+            .collect();
+        for (wid, got, broken) in slots {
+            let target = self.model.slots[&wid].target;
+            let want = match target {
+                Ref::Null => None,
+                _ => Some(self.strong_value(target)),
+            };
             check!(
                 self,
-                car == want,
-                "typed weak w{wid} car: heap {car:?}, model {} ({want:?})",
-                m.target
-            );
-            let gen = self.heap.generation_of(pair);
-            check!(
-                self,
-                gen == Some(m.gen),
-                "typed weak w{wid} generation: heap {gen:?}, model {}",
-                m.gen
+                got == want && broken == want.is_none(),
+                "typed weak w{wid}: heap {got:?} (broken {broken}), model {target} ({want:?})"
             );
         }
 
