@@ -1,18 +1,16 @@
-//! The typed-API root context: the heap's root table, plus the per-type
-//! descriptor table.
+//! The typed layer's state beside the heap: the heap's root table, plus
+//! the per-type descriptor table.
 //!
-//! [`ApiCtx`] is the piece of state the typed layer needs *besides* the
-//! heap itself: a clone of the heap's [`RootSet`], through which every
-//! [`Root<T>`] claims a strong slot and every [`Weak<T>`](crate::Weak) a
-//! weak slot in the heap's own root table, and one interned descriptor
-//! symbol per [`Trace`] type (rooted the same way) naming its record
-//! layout. Keeping it separate from the heap lets an embedding that
-//! already owns a [`Heap`] — the torture rig, the Scheme tiers — bolt the
-//! typed API on without restructuring, while [`GcHeap`](crate::GcHeap)
-//! bundles the two for ordinary programs.
+//! [`ApiCtx`] is internal state of a [`GcHeap`](crate::GcHeap): a clone of
+//! the heap's [`RootSet`], through which every [`Root<T>`] claims a strong
+//! slot and every [`Weak<T>`](crate::Weak) a weak slot in the heap's own
+//! root table, and one interned descriptor symbol per [`Trace`] type
+//! (rooted the same way) naming its record layout. The type is public only
+//! because [`Trace`] and [`Field`](crate::Field) signatures name it;
+//! every typed operation is a [`GcHeap`](crate::GcHeap) method.
 
-use crate::handle::{Gc, GcRead, Root};
-use crate::trace::{expect_typed, Field, Trace};
+use crate::handle::Root;
+use crate::trace::{expect_typed, Trace};
 use guardians_gc::{Heap, RootSet, Rooted, Value};
 use std::any::TypeId;
 use std::cell::RefCell;
@@ -22,9 +20,10 @@ use std::marker::PhantomData;
 /// Root-table handle + descriptor table for the typed front-end.
 ///
 /// The [`RootSet`] claims slots from `&ApiCtx`, which is what lets
-/// [`Field::decode`] re-root edge fields during a read-only
-/// [`Trace::lift`]. A typed root is a [`Rooted`], so it costs what a raw
-/// root costs: dropping its last clone frees the slot for the next claim.
+/// [`Field::decode`](crate::Field::decode) re-root edge fields during a
+/// read-only [`Trace::lift`]. A typed root is a [`Rooted`], so it costs
+/// what a raw root costs: dropping its last clone frees the slot for the
+/// next claim.
 pub struct ApiCtx {
     pub(crate) roots: RootSet,
     descriptors: RefCell<HashMap<TypeId, Rooted>>,
@@ -32,11 +31,7 @@ pub struct ApiCtx {
 
 impl ApiCtx {
     /// Creates a context whose roots are `heap`'s.
-    ///
-    /// A context only makes sense with the heap it was created for;
-    /// mixing handles across heaps is a logic error the accessors catch
-    /// as type-check panics, never memory unsafety.
-    pub fn new(heap: &Heap) -> ApiCtx {
+    pub(crate) fn new(heap: &Heap) -> ApiCtx {
         ApiCtx {
             roots: heap.roots(),
             descriptors: RefCell::new(HashMap::new()),
@@ -53,7 +48,7 @@ impl ApiCtx {
 
     /// The interned, rooted descriptor symbol for `T`'s record layout.
     /// Allocates (string + symbol) on first use per type, per context.
-    pub fn descriptor<T: Trace>(&self, heap: &mut Heap) -> Value {
+    pub(crate) fn descriptor<T: Trace>(&self, heap: &mut Heap) -> Value {
         if let Some(r) = self.descriptors.borrow().get(&TypeId::of::<T>()) {
             return r.get();
         }
@@ -68,7 +63,7 @@ impl ApiCtx {
     /// [`expect_typed`] with a fast path: a record whose descriptor is this
     /// context's symbol for `T` passes on one compare, so the check costs
     /// the same whatever the length of `T::NAME`.
-    fn check_typed<T: Trace>(&self, heap: &Heap, v: Value) {
+    pub(crate) fn check_typed<T: Trace>(&self, heap: &Heap, v: Value) {
         let ours = self
             .descriptors
             .borrow()
@@ -79,109 +74,30 @@ impl ApiCtx {
         }
     }
 
-    /// Allocates `value` as a heap record and returns an owning root.
+    /// Roots a raw tagged value as a typed handle, checking that it is a
+    /// `T` record — the one claim path from a raw value (edge fields,
+    /// guardian polls, [`GcHeap::adopt`](crate::GcHeap::adopt)).
     ///
-    /// Lowering runs first (child allocations for strings, flonums, …),
-    /// then the record itself; allocation never collects in this heap, so
-    /// the intermediate [`Value`]s cannot move before the record captures
-    /// them. Collections happen only at explicit safe points
-    /// ([`Heap::collect`] / [`Heap::maybe_collect`] / [`Heap::gc_step`]),
-    /// all of which take `&mut Heap` — which is exactly the borrow a live
-    /// [`Gc`] forbids.
-    pub fn alloc<T: Trace>(&self, heap: &mut Heap, value: &T) -> Root<T> {
-        let fields = value.lower(heap, self);
-        debug_assert_eq!(fields.len(), T::FIELDS, "{}::lower field count", T::NAME);
-        let desc = self.descriptor::<T>(heap);
-        let rec = heap.make_record(desc, &fields);
-        Root {
-            slot: self.roots.root(rec),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Re-roots a raw tagged value as a typed handle, checking that it is
-    /// a record whose descriptor is `T`'s symbol.
+    /// Between the increments of a collection `v` may be the from-space
+    /// address of an object already copied: the slot holds
+    /// [`Heap::resolve_read`]`(v)`, the copy's address, as every other
+    /// root does after the roots phase.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not a `T` record of this heap.
-    pub fn adopt<T: Trace>(&self, heap: &Heap, v: Value) -> Root<T> {
+    pub(crate) fn adopt<T: Trace>(&self, heap: &Heap, v: Value) -> Root<T> {
+        let v = heap.resolve_read(v);
         self.check_typed::<T>(heap, v);
+        self.claim(v)
+    }
+
+    /// Claims a strong root-table slot for `v` as a `Root<T>`, unchecked.
+    pub(crate) fn claim<T: Trace>(&self, v: Value) -> Root<T> {
         Root {
             slot: self.roots.root(v),
             _marker: PhantomData,
         }
-    }
-
-    /// Promotes a borrowed [`Gc`] to an owning [`Root`] — the reborrow
-    /// escape valve: root what you need, then release the heap borrow and
-    /// cross the safe point through the root.
-    pub fn root<T: Trace>(&self, gc: Gc<'_, T>) -> Root<T> {
-        Root {
-            slot: self.roots.root(gc.value()),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Lifts the record behind `gc` back into its Rust mirror.
-    pub fn load<T: Trace>(&self, heap: &Heap, gc: Gc<'_, T>) -> T {
-        let v = gc.value();
-        self.check_typed::<T>(heap, v);
-        let fields: Vec<Value> = (0..heap.record_len(v))
-            .map(|i| heap.record_ref(v, i))
-            .collect();
-        T::lift(heap, self, &fields)
-    }
-
-    /// [`ApiCtx::load`] through a root, wrapped in a [`Deref`] read guard.
-    ///
-    /// [`Deref`]: std::ops::Deref
-    pub fn read<T: Trace>(&self, heap: &Heap, root: &Root<T>) -> GcRead<T> {
-        GcRead {
-            value: self.load(heap, root.get(heap)),
-        }
-    }
-
-    /// Reads field `i` of a typed record as `F`.
-    ///
-    /// Routed through [`Heap::record_ref`], so the read chases forwarding
-    /// pointers while an incremental collection is in flight — correct
-    /// under both schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= T::FIELDS` or the field does not decode as `F`.
-    pub fn field<T: Trace, F: Field>(&self, heap: &Heap, gc: Gc<'_, T>, i: usize) -> F {
-        assert!(
-            i < T::FIELDS,
-            "{} has {} fields, no field {i}",
-            T::NAME,
-            T::FIELDS
-        );
-        F::decode(heap, self, heap.record_ref(gc.value(), i))
-    }
-
-    /// Writes field `i` of the record behind `root` as `F`.
-    ///
-    /// Routed through [`Heap::record_set`], which applies the
-    /// generational/incremental write barrier; takes the object as a
-    /// [`Root`] because encoding may allocate and mutation is a `&mut
-    /// Heap` operation, under which no [`Gc`] can be live.
-    pub fn set_field<T: Trace, F: Field>(
-        &self,
-        heap: &mut Heap,
-        root: &Root<T>,
-        i: usize,
-        value: &F,
-    ) {
-        assert!(
-            i < T::FIELDS,
-            "{} has {} fields, no field {i}",
-            T::NAME,
-            T::FIELDS
-        );
-        let encoded = value.encode(heap, self);
-        heap.record_set(root.value(), i, encoded);
     }
 }
 

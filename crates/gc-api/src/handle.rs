@@ -8,7 +8,7 @@
 //!   holding a `Gc` across a safe point — the "unrooted handle survives a
 //!   collection" bug class is a compile error (see `tests/ui/`).
 //! * A [`Root<T>`] is a [`Rooted`]: a slot in the heap's root table,
-//!   claimed through the [`ApiCtx`](crate::ApiCtx)'s handle on it. The
+//!   claimed through the [`GcHeap`](crate::GcHeap)'s handle on it. The
 //!   collector updates the slot in place, so a root is valid across any
 //!   number of collections; dropping its last clone unroots. Roots hold
 //!   `Rc` internals and so are `!Send`/`!Sync`: they cannot leave the
@@ -26,9 +26,10 @@ use std::marker::PhantomData;
 /// A borrowed, `Copy` typed reference into the heap, invalidated by any
 /// `&mut Heap` operation (allocation, mutation, collection).
 ///
-/// Obtain one from [`Root::get`], [`GcHeap::get`](crate::GcHeap::get), or
-/// a typed field read; promote it with [`ApiCtx::root`](crate::ApiCtx::root)
-/// to keep the referent across a safe point.
+/// Obtain one from [`GcHeap::get`](crate::GcHeap::get) or
+/// [`GcHeap::upgrade`](crate::GcHeap::upgrade); promote it with
+/// [`GcHeap::root`](crate::GcHeap::root) to keep the referent across a
+/// safe point.
 pub struct Gc<'gc, T: Trace> {
     raw: Value,
     /// Ties the handle to an outstanding `&Heap` borrow (and inherits the
@@ -88,13 +89,6 @@ impl<T: Trace> Root<T> {
     pub fn value(&self) -> Value {
         self.slot.get()
     }
-
-    /// Reborrows the root as a [`Gc`] tied to `heap`'s borrow — the cheap
-    /// handle to pass around between safe points.
-    pub fn get<'gc>(&self, heap: &'gc Heap) -> Gc<'gc, T> {
-        let _ = heap;
-        Gc::from_value(self.slot.get())
-    }
 }
 
 /// Clones share the slot: a `Root` is never re-pointed, so both read the
@@ -122,7 +116,6 @@ impl<T: Trace> std::fmt::Debug for Root<T> {
 /// into the heap because it stores native Rust values in place; this heap
 /// stores tagged words, so the deref target is a *lifted copy* — edits to
 /// it do not write back (use
-/// [`ApiCtx::set_field`](crate::ApiCtx::set_field) /
 /// [`GcHeap::set_field`](crate::GcHeap::set_field) for that).
 pub struct GcRead<T: Trace> {
     pub(crate) value: T,

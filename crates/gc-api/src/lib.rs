@@ -5,10 +5,11 @@
 //! * [`handle`] — [`Gc`], [`Root`], [`GcRead`]: the lifetime discipline.
 //! * [`trace`] — [`Trace`]/[`Field`] lowering and the [`impl_trace!`]
 //!   derive-style macro.
-//! * [`ctx`] — [`ApiCtx`], the heap's root-table handle plus the
-//!   descriptor table (for embeddings that already own a
-//!   [`Heap`](guardians_gc::Heap)).
-//! * [`heap`] — [`GcHeap`], the bundled heap + context.
+//! * [`heap`] — [`GcHeap`], the one front door: every typed operation is
+//!   one of its methods.
+//! * [`ctx`] — [`ApiCtx`], internal state a `GcHeap` keeps beside its heap
+//!   (the root-table handle and the descriptor table); public only because
+//!   [`Trace`]/[`Field`] signatures name it.
 //! * [`weak`] — [`Weak`] typed weak references.
 //! * [`guardian`] — [`Guardian`] typed finalization queues and the
 //!   `Send`-bounded [`OffThreadDrain`].

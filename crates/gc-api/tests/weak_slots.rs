@@ -129,3 +129,54 @@ fn a_weak_made_between_increments_follows_the_copy_or_breaks_at_the_end() {
     assert_eq!(h.read(&at).id, 1);
     h.raw().verify().expect("valid heap");
 }
+
+/// A typed root claimed between increments holds the object's current
+/// address. A field of a not-yet-scanned node may still hold the
+/// from-space address of an object the collector has already copied;
+/// rooting that field roots the copy, the address every other root of the
+/// object reads.
+#[test]
+fn a_root_claimed_between_increments_holds_the_copy() {
+    let mut h = GcHeap::new(GcConfig {
+        pause_budget: Some(Duration::ZERO),
+        ..GcConfig::new()
+    });
+    let mut head = h.alloc(&Node { id: 0, next: None });
+    let mut mid = None;
+    for id in 1..3000 {
+        head = h.alloc(&Node {
+            id,
+            next: Some(head),
+        });
+        if id == 1500 {
+            mid = Some(head.clone());
+        }
+    }
+    let mid = mid.expect("node 1500 is rooted");
+    h.raw_mut().begin_incremental(0);
+    assert!(h.gc_step().is_none(), "one unit does not copy the chain");
+    // The roots phase copied node 1500. Node 1501 is reachable only along
+    // the chain, so its `next` field still holds 1500's from-space address.
+    let mut at = head.clone();
+    for _ in 1501..2999 {
+        at = h
+            .field::<Node, Option<Root<Node>>>(&at, 1)
+            .expect("chained");
+    }
+    assert_eq!(h.field::<Node, i64>(&at, 0), 1501);
+    let next = h
+        .field::<Node, Option<Root<Node>>>(&at, 1)
+        .expect("chained");
+    assert!(h.raw().eqv(next.value(), mid.value()));
+    assert!(
+        h.get(&next).ptr_eq(h.get(&mid)),
+        "the claimed root reads {:?}, the other root {:?}",
+        next.value(),
+        mid.value()
+    );
+    h.raw().verify().expect("valid mid-cycle");
+    while h.gc_step().is_none() {}
+    assert_eq!(next.value(), mid.value());
+    assert_eq!(h.read(&next).id, 1500);
+    h.raw().verify().expect("valid heap");
+}

@@ -587,7 +587,7 @@ impl Heap {
 
     /// A clone of the heap's handle on its root table, for a client that
     /// roots values without borrowing the heap (the typed layer's
-    /// `ApiCtx`): [`RootSet::root`] claims a slot in the same slab as
+    /// `GcHeap`): [`RootSet::root`] claims a slot in the same slab as
     /// [`Heap::root`], and [`RootSet::weak`] a weak slot.
     pub fn roots(&self) -> RootSet {
         self.roots.clone()

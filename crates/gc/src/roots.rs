@@ -432,7 +432,7 @@ impl RootedVec {
 /// The heap's cloneable handle on its root table ([`Heap::roots`]).
 ///
 /// A client that roots values on its own behalf — the typed layer's
-/// `ApiCtx` — keeps a clone and claims slab slots through it, so its roots
+/// `GcHeap` — keeps a clone and claims slab slots through it, so its roots
 /// are the heap's roots and it keeps no table of its own.
 ///
 /// [`Heap::roots`]: crate::Heap::roots

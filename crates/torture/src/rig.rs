@@ -40,7 +40,7 @@ use guardians_gc::{
     CollectionReport, GcConfig, GcEvent, Guardian, Heap, Rooted, TraceConfig, TracedEvent, Value,
 };
 use guardians_gc_api::{
-    impl_trace, ApiCtx, Guardian as TypedGuardian, Root as TypedRoot, Weak as TypedWeak,
+    impl_trace, GcHeap, Guardian as TypedGuardian, Root as TypedRoot, Weak as TypedWeak,
 };
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -174,11 +174,13 @@ pub fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 }
 
 struct Rig {
-    heap: Heap,
+    /// The heap under test, with the typed front-end attached: typed ops
+    /// go through its methods, raw ops through `raw()`/`raw_mut()`.
+    heap: GcHeap,
     model: Model,
-    /// Typed-layer context (the heap's root table + descriptor table)
-    /// viewing the same heap; typed ops root through it.
-    ctx: ApiCtx,
+    /// `TNode`'s descriptor symbol, read from the first typed record
+    /// `GcHeap::alloc` made; every typed node must carry this symbol.
+    descriptor: Option<Rooted>,
     node_trackers: HashMap<u32, Rooted>,
     tconc_trackers: HashMap<u32, Rooted>,
     guardians: HashMap<u32, Guardian>,
@@ -224,11 +226,10 @@ impl Rig {
                 ..TraceConfig::default()
             });
         }
-        let ctx = ApiCtx::new(&heap);
         Rig {
-            heap,
+            heap: GcHeap::from_heap(heap),
             model: Model::new(cfg.clone()),
-            ctx,
+            descriptor: None,
             node_trackers: HashMap::new(),
             tconc_trackers: HashMap::new(),
             guardians: HashMap::new(),
@@ -256,10 +257,10 @@ impl Rig {
         at.set(ops.len());
         self.check_state()?;
         self.stats.ops = ops.len();
-        self.stats.acquisitions = self.heap.acquisitions();
+        self.stats.acquisitions = self.heap.raw().acquisitions();
         self.stats.live_nodes = self.model.nodes.len();
         if self.traced {
-            self.events.extend(self.heap.drain_trace_events());
+            self.events.extend(self.heap.raw_mut().drain_trace_events());
         }
         Ok((self.stats.clone(), std::mem::take(&mut self.events)))
     }
@@ -268,13 +269,13 @@ impl Rig {
 
     /// Current address of node `id` via its tracker car.
     fn node_value(&self, id: u32) -> Value {
-        let v = self.heap.car(self.node_trackers[&id].get());
+        let v = self.heap.raw().car(self.node_trackers[&id].get());
         assert!(v.is_ptr(), "tracker for physical node n{id} is broken");
         v
     }
 
     fn tconc_value(&self, gi: u32) -> Value {
-        let v = self.heap.car(self.tconc_trackers[&gi].get());
+        let v = self.heap.raw().car(self.tconc_trackers[&gi].get());
         assert!(v.is_ptr(), "tracker for physical tconc t{gi} is broken");
         v
     }
@@ -303,7 +304,7 @@ impl Rig {
 
     /// A fresh typed root over live typed node `id`.
     fn typed_root(&self, id: u32) -> TypedRoot<TNode> {
-        self.ctx.adopt(&self.heap, self.node_value(id))
+        self.heap.adopt(self.node_value(id))
     }
 
     /// The typed view over guardian `g`'s live handle.
@@ -317,12 +318,13 @@ impl Rig {
     /// fires, asserts the heap survived cleanly, lifts the fault, and lets
     /// the op proceed infallibly.
     fn reserve(&mut self, bound: u64) -> Result<(), String> {
-        if let Err(e) = self.heap.try_reserve(bound) {
+        if let Err(e) = self.heap.raw().try_reserve(bound) {
             self.stats.faults_hit += 1;
             self.heap
+                .raw()
                 .verify()
                 .map_err(|v| format!("heap invalid after clean-fault refusal ({e}): {v}"))?;
-            self.heap.set_acquisition_fault(None);
+            self.heap.raw_mut().set_acquisition_fault(None);
         }
         Ok(())
     }
@@ -341,9 +343,9 @@ impl Rig {
                 self.reserve(2)?;
                 let inner = {
                     let (l, r) = (self.strong_value(left), self.strong_value(right));
-                    self.heap.cons(l, r)
+                    self.heap.raw_mut().cons(l, r)
                 };
-                let outer = self.heap.cons(Value::fixnum(id as i64), inner);
+                let outer = self.heap.raw_mut().cons(Value::fixnum(id as i64), inner);
                 self.track_node(id, outer);
                 self.model.nodes.insert(
                     id,
@@ -370,12 +372,15 @@ impl Rig {
                 let (left, right) = (self.model.normalize(left), self.model.normalize(right));
                 let len = 4 + payload as usize;
                 self.reserve(((1 + len) as u64).div_ceil(512).max(1) + 2)?;
-                let w = self.heap.weak_cons(Value::FALSE, Value::NIL);
-                let v = self.heap.make_vector(len, Value::fixnum(id as i64));
+                let w = self.heap.raw_mut().weak_cons(Value::FALSE, Value::NIL);
+                let v = self
+                    .heap
+                    .raw_mut()
+                    .make_vector(len, Value::fixnum(id as i64));
                 let (l, r) = (self.strong_value(left), self.strong_value(right));
-                self.heap.vector_set(v, 1, l);
-                self.heap.vector_set(v, 2, r);
-                self.heap.vector_set(v, 3, w);
+                self.heap.raw_mut().vector_set(v, 1, l);
+                self.heap.raw_mut().vector_set(v, 2, r);
+                self.heap.raw_mut().vector_set(v, 3, w);
                 self.track_node(id, v);
                 self.model.nodes.insert(
                     id,
@@ -396,7 +401,7 @@ impl Rig {
                 }
                 let words = 1 + (len as u64).div_ceil(8);
                 self.reserve(words.div_ceil(512).max(1) + 1)?;
-                let bv = self.heap.make_bytevector(len as usize, id as u8);
+                let bv = self.heap.raw_mut().make_bytevector(len as usize, id as u8);
                 self.track_node(id, bv);
                 self.model.nodes.insert(
                     id,
@@ -416,7 +421,7 @@ impl Rig {
                     return Ok(false);
                 }
                 self.reserve(2)?;
-                let s = self.heap.make_string(&format!("node-{id}"));
+                let s = self.heap.raw_mut().make_string(&format!("node-{id}"));
                 self.track_node(id, s);
                 self.model.nodes.insert(
                     id,
@@ -445,14 +450,14 @@ impl Rig {
                 let tv = self.strong_value(to);
                 match kind {
                     NodeKind::Pair => {
-                        let inner = self.heap.cdr(v);
+                        let inner = self.heap.raw().cdr(v);
                         if slot == 0 {
-                            self.heap.set_car(inner, tv);
+                            self.heap.raw_mut().set_car(inner, tv);
                         } else {
-                            self.heap.set_cdr(inner, tv);
+                            self.heap.raw_mut().set_cdr(inner, tv);
                         }
                     }
-                    NodeKind::Vector => self.heap.vector_set(v, 1 + slot as usize, tv),
+                    NodeKind::Vector => self.heap.raw_mut().vector_set(v, 1 + slot as usize, tv),
                     _ => unreachable!(),
                 }
                 let n = self.model.nodes.get_mut(&node).expect("checked");
@@ -470,9 +475,9 @@ impl Rig {
                 }
                 let to = self.model.normalize(to);
                 let v = self.node_value(node);
-                let w = self.heap.vector_ref(v, 3);
+                let w = self.heap.raw().vector_ref(v, 3);
                 let tv = self.weak_value(to);
-                self.heap.set_car(w, tv);
+                self.heap.raw_mut().set_car(w, tv);
                 self.model.nodes.get_mut(&node).expect("checked").weak_car = to;
                 Ok(true)
             }
@@ -481,7 +486,7 @@ impl Rig {
                     return Ok(false);
                 }
                 let v = self.node_value(node);
-                let handle = self.heap.root(v);
+                let handle = self.heap.raw_mut().root(v);
                 self.rooted.insert(node, handle);
                 self.model.roots.insert(node);
                 Ok(true)
@@ -518,10 +523,13 @@ impl Rig {
                     return Ok(false);
                 }
                 self.reserve(2)?;
-                let guardian = self.heap.make_guardian();
+                let guardian = self.heap.raw_mut().make_guardian();
                 let tc = guardian.tconc();
-                let tracker = self.heap.weak_cons(tc, Value::fixnum(1_000_000 + g as i64));
-                let handle = self.heap.root(tracker);
+                let tracker = self
+                    .heap
+                    .raw_mut()
+                    .weak_cons(tc, Value::fixnum(1_000_000 + g as i64));
+                let handle = self.heap.raw_mut().root(tracker);
                 self.tconc_trackers.insert(g, handle);
                 self.guardians.insert(g, guardian);
                 self.model.tconcs.insert(
@@ -544,7 +552,7 @@ impl Rig {
                 let tc = self.tconc_value(g);
                 let obj = self.strong_value(target);
                 let rep = agent.map_or(obj, |a| self.strong_value(a));
-                self.heap.guardian_register(tc, obj, rep);
+                self.heap.raw_mut().guardian_register(tc, obj, rep);
                 self.model.protected[0].push(MEntry {
                     tconc: g,
                     obj: target,
@@ -557,7 +565,7 @@ impl Rig {
                     return Ok(false);
                 }
                 let tc = self.tconc_value(g);
-                let got = self.heap.tconc_pop(tc);
+                let got = self.heap.raw_mut().tconc_pop(tc);
                 let expected = self
                     .model
                     .tconcs
@@ -579,7 +587,7 @@ impl Rig {
                         // revived a reference to it.
                         if let Ref::Node(id) = r {
                             if !self.model.roots.contains(&id) {
-                                let handle = self.heap.root(v);
+                                let handle = self.heap.raw_mut().root(v);
                                 self.rooted.insert(id, handle);
                                 self.model.roots.insert(id);
                             }
@@ -609,8 +617,8 @@ impl Rig {
                 let target = self.model.normalize(target);
                 self.reserve(1)?;
                 let tv = self.weak_value(target);
-                let w = self.heap.weak_cons(tv, Value::NIL);
-                let handle = self.heap.root(w);
+                let w = self.heap.raw_mut().weak_cons(tv, Value::NIL);
+                let handle = self.heap.raw_mut().root(w);
                 self.weak_handles.insert(wid, handle);
                 self.model.weaks.insert(
                     wid,
@@ -632,7 +640,7 @@ impl Rig {
                 let target = self.model.normalize(target);
                 let tv = self.weak_value(target);
                 let w = self.weak_handles[&wid].get();
-                self.heap.set_car(w, tv);
+                self.heap.raw_mut().set_car(w, tv);
                 self.model.weaks.get_mut(&wid).expect("checked").target = target;
                 Ok(true)
             }
@@ -669,15 +677,19 @@ impl Rig {
                     left: None,
                     right: None,
                 };
-                let root = self.ctx.alloc(&mut self.heap, &node);
+                let root = self.heap.alloc(&node);
                 // Wire the edges through the typed write-barrier path.
                 for (slot, edge) in [(1usize, left), (2, right)] {
                     if let Ref::Node(n) = edge {
                         let e = Some(self.typed_root(n));
-                        self.ctx.set_field(&mut self.heap, &root, slot, &e);
+                        self.heap.set_field(&root, slot, &e);
                     }
                 }
                 let v = root.value();
+                if self.descriptor.is_none() {
+                    let desc = self.heap.raw().record_descriptor(v);
+                    self.descriptor = Some(self.heap.raw_mut().root(desc));
+                }
                 self.track_node(id, v);
                 self.model.nodes.insert(
                     id,
@@ -710,7 +722,7 @@ impl Rig {
                 }
                 let view = self.typed_guardian(g);
                 let root = self.typed_root(node);
-                view.register(&mut self.heap, &root);
+                self.heap.guard(&view, &root);
                 self.model.protected[0].push(MEntry {
                     tconc: g,
                     obj: Ref::Node(node),
@@ -734,7 +746,7 @@ impl Rig {
                     None => {
                         // Typed poll must agree the group is empty.
                         let view = self.typed_guardian(g);
-                        let got = view.poll(&mut self.heap, &self.ctx);
+                        let got = self.heap.poll(&view);
                         check!(
                             self,
                             got.is_none(),
@@ -751,7 +763,7 @@ impl Rig {
                             .queue
                             .pop_front();
                         let view = self.typed_guardian(g);
-                        let got = view.poll(&mut self.heap, &self.ctx);
+                        let got = self.heap.poll(&view);
                         check!(
                             self,
                             got.is_some(),
@@ -767,7 +779,7 @@ impl Rig {
                         );
                         // The lifted mirror must carry the right id — the
                         // typed round trip through lower/lift.
-                        let lifted_id = self.ctx.read(&self.heap, &root).id;
+                        let lifted_id = self.heap.read(&root).id;
                         check!(
                             self,
                             lifted_id == id as i64,
@@ -796,7 +808,7 @@ impl Rig {
                 }
                 // A weak slot: nothing is allocated, so nothing to reserve.
                 let root = self.typed_root(node);
-                let w = TypedWeak::new(&self.ctx, &root);
+                let w = self.heap.downgrade(&root);
                 self.typed_weaks.insert(wid, w);
                 self.model.slots.insert(
                     wid,
@@ -815,8 +827,9 @@ impl Rig {
                 // checks (a live `Gc` is a shared heap borrow).
                 let upgraded = {
                     let w = &self.typed_weaks[&wid];
-                    w.upgrade(&self.heap)
-                        .map(|gc| (gc.value(), self.ctx.field::<TNode, i64>(&self.heap, gc, 0)))
+                    self.heap
+                        .upgrade(w)
+                        .map(|gc| (gc.value(), self.heap.field_gc::<TNode, i64>(gc, 0)))
                 };
                 let target = self.model.slots[&wid].target;
                 match target {
@@ -857,25 +870,30 @@ impl Rig {
                     // Events up to this safe point are mutator-side;
                     // archive them so the per-collection window below
                     // contains exactly one collection's worth.
-                    self.events.extend(self.heap.drain_trace_events());
+                    self.events.extend(self.heap.raw_mut().drain_trace_events());
                 }
-                if let Err(e) = self.heap.try_collect(gen) {
+                if let Err(e) = self.heap.raw_mut().try_collect(gen) {
                     self.stats.faults_hit += 1;
-                    self.heap.verify().map_err(|v| {
+                    self.heap.raw().verify().map_err(|v| {
                         format!("heap invalid after cleanly refused collection ({e}): {v}")
                     })?;
-                    self.heap.set_acquisition_fault(None);
+                    self.heap.raw_mut().set_acquisition_fault(None);
                     // The refused attempt may have emitted a partial
                     // collection prefix; archive it uninspected.
                     if self.traced {
-                        self.events.extend(self.heap.drain_trace_events());
+                        self.events.extend(self.heap.raw_mut().drain_trace_events());
                     }
-                    self.heap.collect(gen);
+                    self.heap.raw_mut().collect(gen);
                 }
                 self.stats.collections += 1;
                 let mrep = self.model.collect(gen);
                 self.stats.finalized += mrep.finalized;
-                let r = self.heap.last_report().expect("just collected").clone();
+                let r = self
+                    .heap
+                    .raw()
+                    .last_report()
+                    .expect("just collected")
+                    .clone();
                 let real = [
                     r.guardian_entries_visited,
                     r.guardian_entries_finalized,
@@ -926,22 +944,24 @@ impl Rig {
             Op::Churn { n } => {
                 self.reserve((2 * n as u64).div_ceil(512) + 1)?;
                 for i in 0..n {
-                    self.heap.cons(Value::fixnum(i as i64), Value::NIL);
+                    self.heap
+                        .raw_mut()
+                        .cons(Value::fixnum(i as i64), Value::NIL);
                 }
                 Ok(true)
             }
             Op::Grow { bytes } => {
                 let words = 1 + (bytes as u64).div_ceil(8);
                 self.reserve(words.div_ceil(512).max(1))?;
-                self.heap.make_bytevector(bytes as usize, 0xAB);
+                self.heap.raw_mut().make_bytevector(bytes as usize, 0xAB);
                 Ok(true)
             }
         }
     }
 
     fn track_node(&mut self, id: u32, v: Value) {
-        let tracker = self.heap.weak_cons(v, Value::fixnum(id as i64));
-        let handle = self.heap.root(tracker);
+        let tracker = self.heap.raw_mut().weak_cons(v, Value::fixnum(id as i64));
+        let handle = self.heap.raw_mut().root(tracker);
         self.node_trackers.insert(id, handle);
         self.model.node_tracker_gen.insert(id, 0);
     }
@@ -957,12 +977,12 @@ impl Rig {
         mrep: &MReport,
         r: &CollectionReport,
     ) -> Result<(), String> {
-        let window = self.heap.drain_trace_events();
+        let window = self.heap.raw_mut().drain_trace_events();
         check!(
             self,
-            self.heap.trace_dropped() == 0,
+            self.heap.raw().trace_dropped() == 0,
             "collect {gen}: event ring overflowed ({} dropped)",
-            self.heap.trace_dropped()
+            self.heap.raw().trace_dropped()
         );
         let mut begins = 0u64;
         let mut ends = 0u64;
@@ -1154,6 +1174,7 @@ impl Rig {
     /// Compares every observable of the real heap against the model.
     fn check_state(&mut self) -> Result<(), String> {
         self.heap
+            .raw()
             .verify()
             .map_err(|v| format!("heap.verify() failed: {v}"))?;
 
@@ -1162,14 +1183,14 @@ impl Rig {
         // object ever allocated); and trackers sit in the generation the
         // model predicts, which grounds the weak-word accounting below.
         for (&id, handle) in &self.node_trackers {
-            let car = self.heap.car(handle.get());
+            let car = self.heap.raw().car(handle.get());
             let alive = self.model.nodes.contains_key(&id);
             check!(
                 self,
                 car.is_ptr() == alive,
                 "liveness: node n{id} tracker car {car:?}, model physical={alive}"
             );
-            let tgen = self.heap.generation_of(handle.get());
+            let tgen = self.heap.raw().generation_of(handle.get());
             let want = Some(self.model.node_tracker_gen[&id]);
             check!(
                 self,
@@ -1178,14 +1199,14 @@ impl Rig {
             );
         }
         for (&gi, handle) in &self.tconc_trackers {
-            let car = self.heap.car(handle.get());
+            let car = self.heap.raw().car(handle.get());
             let alive = self.model.tconcs.contains_key(&gi);
             check!(
                 self,
                 car.is_ptr() == alive,
                 "liveness: tconc t{gi} tracker car {car:?}, model physical={alive}"
             );
-            let tgen = self.heap.generation_of(handle.get());
+            let tgen = self.heap.raw().generation_of(handle.get());
             let want = Some(self.model.tconc_tracker_gen[&gi]);
             check!(
                 self,
@@ -1210,10 +1231,10 @@ impl Rig {
             let m = self.model.tconcs[&gi].clone();
             check!(
                 self,
-                self.heap.is_pair(tc),
+                self.heap.raw().is_pair(tc),
                 "tconc t{gi} is not a pair: {tc:?}"
             );
-            let gen = self.heap.generation_of(tc);
+            let gen = self.heap.raw().generation_of(tc);
             check!(
                 self,
                 gen == Some(m.gen),
@@ -1236,7 +1257,7 @@ impl Rig {
                     "tconc t{gi} queue[{i}]: heap {got:?}, model {want_ref} ({want:?})"
                 );
             }
-            let watched = self.heap.guardian_watched(tc);
+            let watched = self.heap.raw().guardian_watched(tc);
             let mwatched = self.model.watched(gi);
             check!(
                 self,
@@ -1274,7 +1295,7 @@ impl Rig {
             .typed_weaks
             .iter()
             .map(|(&wid, w)| {
-                let got = w.upgrade(&self.heap).map(|gc| gc.value());
+                let got = self.heap.upgrade(w).map(|gc| gc.value());
                 (wid, got, w.is_broken())
             })
             .collect();
@@ -1295,7 +1316,7 @@ impl Rig {
         for (&wid, handle) in &self.weak_handles {
             let m = self.model.weaks[&wid].clone();
             let w = handle.get();
-            let car = self.heap.car(w);
+            let car = self.heap.raw().car(w);
             let want = self.weak_value(m.target);
             check!(
                 self,
@@ -1303,7 +1324,7 @@ impl Rig {
                 "weak pair w{wid} car: heap {car:?}, model {} ({want:?})",
                 m.target
             );
-            let gen = self.heap.generation_of(w);
+            let gen = self.heap.raw().generation_of(w);
             check!(
                 self,
                 gen == Some(m.gen),
@@ -1314,7 +1335,7 @@ impl Rig {
 
         // Aggregate accounting: protected-list population and weak pairs,
         // generation by generation.
-        for census in self.heap.census().generations {
+        for census in self.heap.raw().census().generations {
             let g = census.generation;
             let mp = self.model.protected.get(g as usize).map_or(0, Vec::len) as u64;
             check!(
@@ -1337,7 +1358,8 @@ impl Rig {
     fn check_node(&mut self, id: u32) -> Result<(), String> {
         let m = self.model.nodes[&id].clone();
         let v = self.node_value(id);
-        let gen = self.heap.generation_of(v);
+        let heap = self.heap.raw();
+        let gen = heap.generation_of(v);
         check!(
             self,
             gen == Some(m.gen),
@@ -1346,20 +1368,16 @@ impl Rig {
         );
         match m.kind {
             NodeKind::Pair => {
-                check!(self, self.heap.is_pair(v), "node n{id} is not a pair");
-                let tag = self.heap.car(v);
+                check!(self, heap.is_pair(v), "node n{id} is not a pair");
+                let tag = heap.car(v);
                 check!(
                     self,
                     tag == Value::fixnum(id as i64),
                     "pair n{id} id slot: {tag:?}"
                 );
-                let inner = self.heap.cdr(v);
-                check!(
-                    self,
-                    self.heap.is_pair(inner),
-                    "pair n{id} lost its edge cell"
-                );
-                let (l, r) = (self.heap.car(inner), self.heap.cdr(inner));
+                let inner = heap.cdr(v);
+                check!(self, heap.is_pair(inner), "pair n{id} lost its edge cell");
+                let (l, r) = (heap.car(inner), heap.cdr(inner));
                 let (wl, wr) = (self.strong_value(m.left), self.strong_value(m.right));
                 check!(
                     self,
@@ -1375,21 +1393,21 @@ impl Rig {
                 );
             }
             NodeKind::Vector => {
-                check!(self, self.heap.is_vector(v), "node n{id} is not a vector");
-                let len = self.heap.vector_len(v);
+                check!(self, heap.is_vector(v), "node n{id} is not a vector");
+                let len = heap.vector_len(v);
                 check!(
                     self,
                     len == 4 + m.payload as usize,
                     "vector n{id} length: heap {len}, model {}",
                     4 + m.payload
                 );
-                let tag = self.heap.vector_ref(v, 0);
+                let tag = heap.vector_ref(v, 0);
                 check!(
                     self,
                     tag == Value::fixnum(id as i64),
                     "vector n{id} id slot: {tag:?}"
                 );
-                let (l, r) = (self.heap.vector_ref(v, 1), self.heap.vector_ref(v, 2));
+                let (l, r) = (heap.vector_ref(v, 1), heap.vector_ref(v, 2));
                 let (wl, wr) = (self.strong_value(m.left), self.strong_value(m.right));
                 check!(
                     self,
@@ -1403,20 +1421,20 @@ impl Rig {
                     "vector n{id} right edge: heap {r:?}, model {} ({wr:?})",
                     m.right
                 );
-                let w = self.heap.vector_ref(v, 3);
+                let w = heap.vector_ref(v, 3);
                 check!(
                     self,
-                    self.heap.is_weak_pair(w),
+                    heap.is_weak_pair(w),
                     "vector n{id} attached weak pair missing: {w:?}"
                 );
-                let wgen = self.heap.generation_of(w);
+                let wgen = heap.generation_of(w);
                 check!(
                     self,
                     wgen == Some(m.gen),
                     "vector n{id} attached weak generation: heap {wgen:?}, model {}",
                     m.gen
                 );
-                let car = self.heap.car(w);
+                let car = heap.car(w);
                 let want = self.weak_value(m.weak_car);
                 check!(
                     self,
@@ -1426,8 +1444,7 @@ impl Rig {
                 );
                 if m.payload > 0 {
                     let fill = Value::fixnum(id as i64);
-                    let (first, last) =
-                        (self.heap.vector_ref(v, 4), self.heap.vector_ref(v, len - 1));
+                    let (first, last) = (heap.vector_ref(v, 4), heap.vector_ref(v, len - 1));
                     check!(
                         self,
                         first == fill && last == fill,
@@ -1438,10 +1455,10 @@ impl Rig {
             NodeKind::Bytevector => {
                 check!(
                     self,
-                    self.heap.is_bytevector(v),
+                    heap.is_bytevector(v),
                     "node n{id} is not a bytevector"
                 );
-                let len = self.heap.bytevector_len(v);
+                let len = heap.bytevector_len(v);
                 check!(
                     self,
                     len == m.payload as usize,
@@ -1449,10 +1466,7 @@ impl Rig {
                     m.payload
                 );
                 if len > 0 {
-                    let (a, b) = (
-                        self.heap.bytevector_ref(v, 0),
-                        self.heap.bytevector_ref(v, len - 1),
-                    );
+                    let (a, b) = (heap.bytevector_ref(v, 0), heap.bytevector_ref(v, len - 1));
                     check!(
                         self,
                         a == id as u8 && b == id as u8,
@@ -1461,35 +1475,35 @@ impl Rig {
                 }
             }
             NodeKind::String => {
-                check!(self, self.heap.is_string(v), "node n{id} is not a string");
-                let s = self.heap.string_value(v);
+                check!(self, heap.is_string(v), "node n{id} is not a string");
+                let s = heap.string_value(v);
                 let want = format!("node-{id}");
                 check!(self, s == want, "string n{id} content: {s:?}");
             }
             NodeKind::Typed => {
-                check!(self, self.heap.is_record(v), "node n{id} is not a record");
-                let len = self.heap.record_len(v);
+                check!(self, heap.is_record(v), "node n{id} is not a record");
+                let len = heap.record_len(v);
                 check!(
                     self,
                     len == 3,
                     "typed n{id} field count: heap {len}, want 3"
                 );
-                // The descriptor must still be the context's interned
-                // `TNode` symbol (relocated in lockstep by collections).
-                let desc = self.heap.record_descriptor(v);
-                let want_desc = self.ctx.descriptor::<TNode>(&mut self.heap);
+                // The descriptor must still be the one `TNode` symbol
+                // (relocated in lockstep by collections).
+                let desc = heap.record_descriptor(v);
+                let want_desc = self.descriptor.as_ref().map(Rooted::get);
                 check!(
                     self,
-                    desc == want_desc,
+                    Some(desc) == want_desc,
                     "typed n{id} descriptor: heap {desc:?}, interned {want_desc:?}"
                 );
-                let tag = self.heap.record_ref(v, 0);
+                let tag = heap.record_ref(v, 0);
                 check!(
                     self,
                     tag == Value::fixnum(id as i64),
                     "typed n{id} id slot: {tag:?}"
                 );
-                let (l, r) = (self.heap.record_ref(v, 1), self.heap.record_ref(v, 2));
+                let (l, r) = (heap.record_ref(v, 1), heap.record_ref(v, 2));
                 let (wl, wr) = (self.strong_value(m.left), self.strong_value(m.right));
                 check!(
                     self,
@@ -1511,12 +1525,13 @@ impl Rig {
     /// Non-destructive tconc queue walk: first cell at `car(tc)`, elements
     /// are cell cars, stop at the trailing dummy `cdr(tc)` (exclusive).
     fn queue_values(&self, tc: Value) -> Vec<Value> {
+        let heap = self.heap.raw();
         let mut out = Vec::new();
-        let mut cur = self.heap.car(tc);
-        let last = self.heap.cdr(tc);
+        let mut cur = heap.car(tc);
+        let last = heap.cdr(tc);
         while cur != last {
-            out.push(self.heap.car(cur));
-            cur = self.heap.cdr(cur);
+            out.push(heap.car(cur));
+            cur = heap.cdr(cur);
         }
         out
     }
