@@ -25,7 +25,9 @@
 //!    forwarded if its referent was copied and broken to `#f` if it was
 //!    left in the from-space; the roots phase never visits one.
 //! 7. **Reclaim** — return every from-space segment and run to the
-//!    segment table's free store, runs whole.
+//!    segment table's free store, runs whole; on a pool another heap
+//!    shares, the free store's storage then goes back to the pool
+//!    (`SegmentTable::release_free_storage`).
 //!
 //! # One driver
 //!
@@ -400,8 +402,9 @@ fn emit_end(heap: &mut Heap, s: &Scratch) {
 ///   or run reissued from the table's free store like a fresh one), and
 ///   the from-space stays allocated until the reclaim, so no copy can land
 ///   in storage this collection is still reading. The watermark counts
-///   allocated segments either way, and against the pool the figure only
-///   gains slack: an allocation the free store serves draws nothing.
+///   allocated segments either way, and against the pool no allocation
+///   draws more segments than it allocates: a free-store index draws one
+///   only if its storage went back to a shared pool.
 /// * **Guardian pass.** Appending a finalized entry to its tconc
 ///   allocates one 2-word pair, at most once per visited entry:
 ///   `(2 · E).div_ceil(SEGMENT_WORDS)` segments (the pair cursor's open
@@ -601,13 +604,15 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
     weak_pass::run(heap, s);
     lap(heap, s, mark, GcPhase::Weak);
 
-    // Phase 7: return every from-space run, whole, to the free store.
+    // Phase 7: return every from-space run, whole, to the free store, and
+    // the free store's storage to a pool that another heap shares.
     for head in std::mem::take(&mut s.from_heads) {
         let run = heap.segs.run_len(head) as u64;
         s.report.segments_freed += run;
         heap.segs.free(head);
         heap.trace_emit(|| GcEvent::SegmentsReleased { count: run });
     }
+    heap.segs.release_free_storage();
     lap(heap, s, mark, GcPhase::Reclaim);
 }
 

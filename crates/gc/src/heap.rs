@@ -138,8 +138,11 @@ impl Heap {
     /// runs, observables) is byte-identical to [`Heap::new`]; pool exhaustion and the watermark
     /// surface through the same budget discipline as acquisition faults —
     /// `try_*` entry points return [`GcError::Exhausted`], infallible
-    /// paths treat an unpreflighted shortfall as a panic-worthy bug. All
-    /// segments return to the pool when the heap drops.
+    /// paths treat an unpreflighted shortfall as a panic-worthy bug. While
+    /// another heap shares the pool, every collection gives the storage of
+    /// the heap's free segments back to it, so a collection's to-space is
+    /// drawn from the pool when it runs; all segments return to the pool
+    /// when the heap drops.
     pub fn with_pool(
         config: GcConfig,
         pool: Arc<SegmentPool>,
@@ -275,9 +278,7 @@ impl Heap {
     /// Allocates a vector of `len` copies of `fill`.
     pub fn make_vector(&mut self, len: usize, fill: Value) -> Value {
         let addr = self.alloc_typed(Header::new(ObjKind::Vector, len));
-        for i in 0..len {
-            self.segs.set_word(addr.add(1 + i), fill.raw());
-        }
+        self.segs.fill_words(addr.add(1), len, fill.raw());
         Value::obj_at(addr)
     }
 
@@ -295,9 +296,7 @@ impl Heap {
         let addr = self.alloc_typed(Header::new(ObjKind::Bytevector, len));
         let payload = addr.add(1);
         let broadcast = u64::from_le_bytes([fill; 8]);
-        for i in 0..len / 8 {
-            self.segs.set_word(payload.add(i), broadcast);
-        }
+        self.segs.fill_words(payload, len / 8, broadcast);
         let rem = len % 8;
         if rem > 0 {
             // Match `write_bytes`'s layout: trailing bytes of the last

@@ -56,7 +56,8 @@ impl Heap {
     ///   or a pointer into an allocated segment — outside a collection,
     ///   never the from-space;
     /// * the segment table's free store is coherent with its allocation
-    ///   state ([`SegmentTable::check_free_store`]), and so is its
+    ///   state, and every allocated segment holds storage
+    ///   ([`SegmentTable::check_free_store`]), and so is its
     ///   whereabouts table ([`SegmentTable::check_whereabouts`]): a byte is
     ///   its segment's generation, "not allocated" exactly on the free
     ///   indices, and "from-space" exactly on the segments a suspended

@@ -172,3 +172,118 @@ fn large_object_churn_on_a_bounded_pool_reuses_its_runs() {
     assert!(settled <= 8, "peak of {settled} segments for one live run");
     h.verify().expect("heap valid after the churn");
 }
+
+#[test]
+fn a_heap_alone_on_its_pool_releases_nothing_until_it_drops() {
+    let pool = SegmentPool::unbounded();
+    let mut h = Heap::with_pool(GcConfig::default(), pool.clone(), None);
+    let _ = churn(&mut h, 700);
+    h.verify().expect("lone heap verifies");
+    let held = pool.outstanding();
+    let stats = pool.stats();
+    assert_eq!(stats.releases, 0, "a lone table keeps its free store");
+    assert_eq!(
+        stats.acquires as usize, held,
+        "every acquisition grew the table"
+    );
+    assert!(
+        held > h.capacity_bytes() / SEGMENT_BYTES,
+        "the free store still holds storage"
+    );
+    drop(h);
+    assert_eq!(pool.stats().releases as usize, held);
+    assert_eq!(pool.outstanding(), 0);
+}
+
+/// One tenant of [`a_capped_pool_fits_heaps_that_take_turns_collecting`]:
+/// `LIVE` rooted one-segment vectors built up front, then per turn `DEAD`
+/// unrooted ones and an old-generation collection, all through the
+/// fallible entry points.
+struct Tenant {
+    heap: Heap,
+    live: Vec<guardians_gc::Rooted>,
+}
+
+const LIVE: usize = 12;
+const DEAD: usize = 8;
+const TURNS: usize = 6;
+
+impl Tenant {
+    fn new(heap: Heap) -> Tenant {
+        let mut t = Tenant {
+            heap,
+            live: Vec::new(),
+        };
+        for i in 0..LIVE {
+            let v = t
+                .heap
+                .try_make_vector(400, Value::fixnum(i as i64))
+                .unwrap_or_else(|e| panic!("live vector {i} refused: {e}"));
+            t.live.push(t.heap.root(v));
+        }
+        t
+    }
+
+    fn turn(&mut self, turn: usize) -> Result<(), GcError> {
+        for i in 0..DEAD {
+            self.heap
+                .try_make_vector(400, Value::fixnum((turn * DEAD + i) as i64))?;
+        }
+        let old = self.heap.config().generations - 1;
+        self.heap.try_collect(old).map(|_| ())
+    }
+
+    fn observables(&self) -> (u64, u64, u64, usize, String, i64) {
+        let stats = self.heap.stats();
+        let sum = self
+            .live
+            .iter()
+            .map(|r| self.heap.vector_ref(r.get(), 399).as_fixnum())
+            .sum();
+        (
+            stats.objects_allocated,
+            stats.total_words_copied,
+            self.heap.collection_count(),
+            self.heap.capacity_bytes() / SEGMENT_BYTES,
+            self.heap.census().to_json(),
+            sum,
+        )
+    }
+}
+
+#[test]
+fn a_capped_pool_fits_heaps_that_take_turns_collecting() {
+    // Two tenants take turns running an old-generation collection on one
+    // capped pool. Each collection's preflight asks for twice its 20
+    // from-space segments plus 8, 48 in all. Between turns a tenant holds
+    // only its 12 live segments, so the other's collection finds
+    // 88 - 12 - 20 = 56 free. A tenant that kept its freed from-space
+    // storage would hold 20 + 12 = 32 instead, leaving 36: the pool would
+    // refuse the second tenant's first collection.
+    const CAPACITY: usize = 88;
+    let pool = SegmentPool::with_capacity(CAPACITY);
+    let mut tenants = [
+        Tenant::new(Heap::with_pool(GcConfig::default(), pool.clone(), None)),
+        Tenant::new(Heap::with_pool(GcConfig::default(), pool.clone(), None)),
+    ];
+    for turn in 0..TURNS {
+        for (k, t) in tenants.iter_mut().enumerate() {
+            t.turn(turn)
+                .unwrap_or_else(|e| panic!("tenant {k}, turn {turn}: {e}"));
+            t.heap.verify().expect("tenant verifies after its turn");
+        }
+        let held: usize = tenants
+            .iter()
+            .map(|t| t.heap.capacity_bytes() / SEGMENT_BYTES)
+            .sum();
+        assert_eq!(pool.outstanding(), held, "no idle storage between turns");
+    }
+    let mut solo = Tenant::new(Heap::new(GcConfig::default()));
+    for turn in 0..TURNS {
+        solo.turn(turn).expect("a private heap has no cap");
+    }
+    for t in &tenants {
+        assert_eq!(t.observables(), solo.observables(), "pooled == solo");
+    }
+    assert!(pool.stats().peak_outstanding <= CAPACITY);
+}

@@ -4,11 +4,18 @@
 //!
 //! The multi-tenant zone layer gives every tenant an isolated heap but
 //! wants fleet-level capacity management: one budget of segments, drawn
-//! on demand, returned in full when a zone is torn down. The pool is that
-//! budget. It hands out raw [`Segment`] storage (zeroed, exactly as
-//! `Segment::new()` would be), recycles returned storage, and enforces an
-//! optional capacity cap on *outstanding* segments — storage is created
-//! lazily, so an idle pool with a large cap costs nothing.
+//! on demand, given back after every collection and returned in full when
+//! a zone is torn down. The pool is that budget. It hands out raw
+//! [`Segment`] storage (zeroed, exactly as `Segment::new()` would be),
+//! recycles returned storage, and enforces an optional capacity cap on
+//! *outstanding* segments — storage is created lazily, so an idle pool
+//! with a large cap costs nothing.
+//!
+//! A table that shares the pool with another gives its free segments'
+//! storage back once per collection, in one [`SegmentPool::release_all`],
+//! so the pool's peak is the peak of the fleet's sum, not the sum of each
+//! tenant's own peak. A table alone on the pool keeps its free storage:
+//! it draws on the pool only to grow, and returns everything on drop.
 //!
 //! Lock order: the pool's internal mutex is a leaf lock. It is taken only
 //! inside [`SegmentPool`] methods, which never call back into a table or
@@ -246,6 +253,18 @@ mod tests {
         assert_eq!(s.acquires, 3);
         assert_eq!(s.releases, 3);
         assert_eq!(s.outstanding, 0);
+    }
+
+    #[test]
+    fn attached_tables_counts_the_live_tables() {
+        let p = SegmentPool::unbounded();
+        let a = crate::SegmentTable::with_pool(p.clone(), None);
+        let b = crate::SegmentTable::with_pool(p.clone(), None);
+        assert_eq!(p.attached_tables(), 2);
+        drop(a);
+        assert_eq!(p.attached_tables(), 1);
+        drop(b);
+        assert_eq!(p.stats().attached_tables, 0);
     }
 
     #[test]

@@ -15,12 +15,23 @@
 //!   run of length `n`, else cuts `n` segments off the front of the
 //!   shortest longer free run and files the remainder.
 //!
-//! The invariant is: **the table acquires storage — creates an index and
-//! draws on the pool — only when the free store cannot serve the
-//! request**. Free singles are never stitched back into runs, so a run
-//! request can grow the table while singles (or shorter runs) sit free; on
-//! a stream of one run length and no singles the table's size is exactly
-//! the high-water mark of live segments.
+//! The invariant is: **the table creates an index only when the free
+//! store cannot serve the request**. Free singles are never stitched back
+//! into runs, so a run request can grow the table while singles (or
+//! shorter runs) sit free; on a stream of one run length and no singles
+//! the table's size is exactly the high-water mark of live segments.
+//!
+//! # Storage
+//!
+//! An allocated index always holds storage; a free index may not. A table
+//! that shares its [`SegmentPool`] with another table gives the storage of
+//! every free index back to the pool when the collector has returned its
+//! from-space ([`SegmentTable::release_free_storage`]), so one tenant's
+//! idle segments serve the next tenant's collection. The index stays in
+//! the store, so addresses stay stable and runs stay index-contiguous; a
+//! reissue takes fresh (already zeroed) storage from the pool for each
+//! index that has none. A table alone on its pool, or with no pool, keeps
+//! its free storage: no other table could use it.
 //!
 //! # The whereabouts table
 //!
@@ -121,16 +132,29 @@ impl FreeStore {
         let in_runs: usize = self.runs.iter().map(|(len, heads)| len * heads.len()).sum();
         self.singles.len() + in_runs
     }
+
+    /// Every free index, run members included.
+    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        let runs = self.runs.iter().flat_map(|(&len, heads)| {
+            heads
+                .iter()
+                .flat_map(move |head| head.index()..head.index() + len)
+        });
+        self.singles.iter().map(|seg| seg.index()).chain(runs)
+    }
 }
 
 /// Owner of all heap segments and their metadata.
 ///
 /// Segment indices are stable for the lifetime of the table; freed
-/// segments and runs keep their storage and are reissued by later
-/// allocations (the recycling the paper relies on when from-space segments
-/// are returned after a collection).
+/// segments and runs are reissued by later allocations (the recycling the
+/// paper relies on when from-space segments are returned after a
+/// collection). Their storage stays with the table unless another table
+/// shares its pool (see the module docs).
 pub struct SegmentTable {
-    segs: Vec<Segment>,
+    /// Storage by index: `Some` on every allocated index, `None` on a free
+    /// index whose storage went back to the pool.
+    segs: Vec<Option<Segment>>,
     info: Vec<Option<SegInfo>>,
     free: FreeStore,
     allocated: usize,
@@ -160,8 +184,10 @@ pub struct SegmentTable {
     by_gen: Vec<Vec<SegIndex>>,
     /// Shared capacity source: when attached, fresh storage comes from the
     /// pool (and all storage goes back on drop) instead of being created
-    /// privately. The local free store still recycles within the table —
-    /// pool traffic happens only on growth and teardown.
+    /// privately. Alone on its pool, the table recycles within its free
+    /// store and the pool sees traffic only on growth and teardown; beside
+    /// another table it also releases free storage after every collection
+    /// and draws on the pool again to reissue those indices.
     pool: Option<Arc<SegmentPool>>,
     /// Per-table watermark on `allocated` (run tails included): the
     /// zone-level quota that keeps one tenant from draining a shared pool.
@@ -193,7 +219,8 @@ impl SegmentTable {
     /// pool storage is zeroed exactly as `Segment::new()` is, indices are
     /// assigned in the same order, and the local free store recycles
     /// identically. Only where the bytes come from — and where they go on
-    /// drop — differs.
+    /// drop, or after a collection while another table shares the pool —
+    /// differs.
     pub fn with_pool(pool: Arc<SegmentPool>, max_segments: Option<usize>) -> Self {
         pool.attach();
         let mut table = SegmentTable::new();
@@ -247,16 +274,19 @@ impl SegmentTable {
     /// and what the store can serve depends on shape (free singles cannot
     /// serve a run, a free run of 3 cannot serve one of 4), so no count of
     /// free segments is a sound credit. The uncredited figure is sound
-    /// because the store only ever *lowers* what an allocation draws:
-    /// each allocation of `k` segments takes either nothing from the pool
-    /// (served from the store) or exactly `k` (grown), and raises
-    /// `allocated` by `k` either way. So a demand of `n <= acquirable()`
-    /// segments is guaranteed not to trip either tripwire — the soundness
-    /// contract `Heap::check_budget` relies on — and the cost of not
-    /// crediting is only a refusal that reuse would have survived.
-    /// Under concurrent tenants the pool figure is a snapshot; zones that
-    /// need a hard guarantee carry a `max_segments` watermark sized so the
-    /// fleet's watermarks sum to at most the pool capacity.
+    /// because an allocation of `k` segments never draws more than `k`
+    /// from the pool — none for a store index that kept its storage, one
+    /// for each store index whose storage was released, `k` when the table
+    /// grows — and raises `allocated` by `k` in every case. So a demand of
+    /// `n <= acquirable()` segments is guaranteed not to trip either
+    /// tripwire — the soundness contract `Heap::check_budget` relies on —
+    /// and the cost of not crediting is only a refusal that reuse would
+    /// have survived. Under concurrent tenants the pool figure is a
+    /// snapshot; zones that need a hard guarantee carry a `max_segments`
+    /// watermark sized so the fleet's watermarks sum to at most the pool
+    /// capacity: a table holds storage for at most its high-water mark of
+    /// allocated segments, which the watermark caps, every collection's
+    /// to-space included.
     pub fn acquirable(&self) -> u64 {
         let watermark = self
             .max_segments
@@ -289,8 +319,14 @@ impl SegmentTable {
 
     /// Readies a segment taken from the free store for reissue: words
     /// zeroed, card row all-clean — indistinguishable from fresh storage.
+    /// An index whose storage was released takes fresh storage, which the
+    /// pool has already zeroed.
+    #[inline]
     fn recycle(&mut self, idx: SegIndex) {
-        self.segs[idx.index()].fill(0);
+        match &mut self.segs[idx.index()] {
+            Some(seg) => seg.fill(0),
+            None => self.segs[idx.index()] = Some(self.fresh_storage()),
+        }
         self.cards[idx.index()] = [CARD_CLEAN; CARDS_PER_SEGMENT];
     }
 
@@ -298,7 +334,7 @@ impl SegmentTable {
     fn grow(&mut self) -> SegIndex {
         let idx = SegIndex(self.segs.len() as u32);
         let storage = self.fresh_storage();
-        self.segs.push(storage);
+        self.segs.push(Some(storage));
         self.cards.push([CARD_CLEAN; CARDS_PER_SEGMENT]);
         self.info.push(None);
         self.whereabouts.push(WHERE_NONE);
@@ -413,24 +449,44 @@ impl SegmentTable {
             self.info[i] = None;
             self.whereabouts[i] = WHERE_NONE;
             if cfg!(debug_assertions) {
-                self.segs[i].fill(POISON);
+                self.storage_mut(i).fill(POISON);
             }
         }
         self.free.put(seg, run);
         self.allocated -= run;
     }
 
-    /// Checks the free store against the rest of the table: every free
-    /// single and every segment of every free run exists and is
-    /// unallocated, no index is held twice, every run is filed under a
-    /// length of at least 2 in a non-empty list, and allocated plus free
-    /// segments account for the whole table. (A run filed under the wrong
-    /// length overlaps a neighbour or leaves the sum short.)
+    /// Gives the storage of every free index back to the pool, in one
+    /// batch, when another table shares the pool; otherwise does nothing.
+    /// The indices stay in the free store and take fresh storage when they
+    /// are reissued. The collector calls this once per collection, after
+    /// its reclaim has freed the from-space.
+    pub fn release_free_storage(&mut self) {
+        let Some(pool) = &self.pool else { return };
+        if pool.attached_tables() < 2 {
+            return;
+        }
+        let segs = &mut self.segs;
+        pool.release_all(self.free.indices().filter_map(|i| segs[i].take()));
+    }
+
+    /// Checks the free store against the rest of the table: every
+    /// allocated index holds storage, every free single and every segment
+    /// of every free run exists and is unallocated, no index is held twice,
+    /// every run is filed under a length of at least 2 in a non-empty list,
+    /// and allocated plus free segments account for the whole table. (A
+    /// run filed under the wrong length overlaps a neighbour or leaves the
+    /// sum short.)
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check_free_store(&self) -> Result<(), String> {
+        if let Some(i) =
+            (0..self.segs.len()).find(|&i| self.info[i].is_some() && self.segs[i].is_none())
+        {
+            return Err(format!("allocated segment {i} holds no storage"));
+        }
         let mut seen = vec![false; self.segs.len()];
         let mut claim = |idx: usize| {
             if idx >= seen.len() {
@@ -522,16 +578,67 @@ impl SegmentTable {
         WordAddr::new(seg, 0)
     }
 
+    /// The storage of index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is beyond the table or its storage was released.
+    #[inline]
+    fn storage(&self, i: usize) -> &Segment {
+        match &self.segs[i] {
+            Some(seg) => seg,
+            None => released(i),
+        }
+    }
+
+    /// Mutable form of [`SegmentTable::storage`].
+    #[inline]
+    fn storage_mut(&mut self, i: usize) -> &mut Segment {
+        match &mut self.segs[i] {
+            Some(seg) => seg,
+            None => released(i),
+        }
+    }
+
     /// Reads the word at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s segment is beyond the table or its storage was
+    /// released.
     #[inline]
     pub fn word(&self, addr: WordAddr) -> u64 {
-        self.segs[addr.seg().index()].word(addr.offset())
+        self.storage(addr.seg().index()).word(addr.offset())
     }
 
     /// Writes the word at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// As [`SegmentTable::word`].
     #[inline]
     pub fn set_word(&mut self, addr: WordAddr, value: u64) {
-        self.segs[addr.seg().index()].set_word(addr.offset(), value);
+        self.storage_mut(addr.seg().index())
+            .set_word(addr.offset(), value);
+    }
+
+    /// Writes `value` into the `n` words from `addr` on, one slice fill per
+    /// segment the range touches (an object's initializing fill, which
+    /// would otherwise test the segment's storage once per word).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment the range touches is beyond the table or its
+    /// storage was released.
+    #[inline]
+    pub fn fill_words(&mut self, mut addr: WordAddr, mut n: usize, value: u64) {
+        while n > 0 {
+            let off = addr.offset();
+            let chunk = n.min(SEGMENT_WORDS - off);
+            self.storage_mut(addr.seg().index()).words_mut()[off..off + chunk].fill(value);
+            addr = addr.add(chunk);
+            n -= chunk;
+        }
     }
 
     /// The words of one segment, for bulk read-only scanning. For a
@@ -539,28 +646,39 @@ impl SegmentTable {
     ///
     /// # Panics
     ///
-    /// Panics if `seg` is beyond the table.
+    /// Panics if `seg` is beyond the table or its storage was released.
     #[inline]
     pub fn words(&self, seg: SegIndex) -> &[u64; SEGMENT_WORDS] {
-        self.segs[seg.index()].words()
+        self.storage(seg.index()).words()
     }
 
     /// The raw base address of a segment's word array, for the collector's
-    /// forward-in-place kernel. Stays valid until the table is dropped; see
-    /// [`Segment::base_ptr`] for the access contract.
+    /// forward-in-place kernel. Stays valid while the index is allocated
+    /// (an allocated index always holds storage); see
+    /// [`Segment::base_ptr`] for the access contract. For a free index
+    /// whose storage was released it is null, so an access through it
+    /// faults instead of reading storage another table now owns — one load,
+    /// no test: `None` is the null pointer.
     ///
     /// # Panics
     ///
     /// Panics if `seg` is beyond the table.
     #[inline]
     pub fn base_ptr(&self, seg: SegIndex) -> *mut u64 {
-        self.segs[seg.index()].base_ptr()
+        self.segs[seg.index()]
+            .as_ref()
+            .map_or(std::ptr::null_mut(), Segment::base_ptr)
     }
 
     /// Copies `n` words from `src` to `dst` as bulk word moves, chunked at
     /// segment boundaries so both intra-segment copies and copies between
     /// (or across) multi-segment runs work. Within one segment the regions
     /// may overlap (`copy_within` semantics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment either range touches is beyond the table or its
+    /// storage was released.
     pub fn copy_words(&mut self, mut src: WordAddr, mut dst: WordAddr, mut n: usize) {
         while n > 0 {
             let chunk = n
@@ -569,15 +687,16 @@ impl SegmentTable {
             // SAFETY: this is the single raw-pointer contract for the copy
             // hot path. Both ranges lie inside their segments' allocations:
             // `chunk` is clamped to the words remaining in each segment, and
-            // indexing `self.segs` bounds-checks the segment indices.
-            // `ptr::copy` has memmove semantics, preserving the documented
-            // `copy_within` behaviour when source and destination overlap
-            // within one segment. No references into the word arrays are
-            // live here (base_ptr reads only the segment's pointer field),
-            // and `&mut self` rules out any other table access.
+            // `storage` bounds-checks the segment indices and refuses a
+            // released one. `ptr::copy` has memmove semantics, preserving
+            // the documented `copy_within` behaviour when source and
+            // destination overlap within one segment. No references into
+            // the word arrays are live here (base_ptr reads only the
+            // segment's pointer field), and `&mut self` rules out any other
+            // table access.
             unsafe {
-                let s = self.segs[src.seg().index()].base_ptr().add(src.offset());
-                let d = self.segs[dst.seg().index()].base_ptr().add(dst.offset());
+                let s = self.storage(src.seg().index()).base_ptr().add(src.offset());
+                let d = self.storage(dst.seg().index()).base_ptr().add(dst.offset());
                 std::ptr::copy(s, d, chunk);
             }
             src = src.add(chunk);
@@ -867,6 +986,14 @@ impl SegmentTable {
     }
 }
 
+/// The accessors' panic for an index without storage, cold and out of
+/// line, so an inlined accessor grows by one test and one call.
+#[cold]
+#[inline(never)]
+fn released(i: usize) -> ! {
+    panic!("segment {i} has no storage: it was released to the pool")
+}
+
 impl Default for SegmentTable {
     fn default() -> Self {
         SegmentTable::new()
@@ -874,13 +1001,13 @@ impl Default for SegmentTable {
 }
 
 impl Drop for SegmentTable {
-    /// Teardown returns *all* storage — allocated segments and the local
-    /// free store alike — to the shared pool, so a zone's capacity is fully
-    /// reusable the moment its heap drops. Private tables free storage as
-    /// before.
+    /// Teardown returns *all* storage the table still holds — allocated
+    /// segments and the local free store alike — to the shared pool, so a
+    /// zone's capacity is fully reusable the moment its heap drops. Private
+    /// tables free storage as before.
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
-            pool.release_all(self.segs.drain(..));
+            pool.release_all(self.segs.drain(..).flatten());
             pool.detach();
         }
     }
@@ -1390,6 +1517,80 @@ mod tests {
             assert_eq!(t.acquirable(), 0);
         }
         assert_eq!(pool.stats().acquires, 3);
+    }
+
+    #[test]
+    fn a_shared_table_releases_free_storage_and_reissues_it_zeroed() {
+        let pool = SegmentPool::unbounded();
+        let mut t = SegmentTable::with_pool(pool.clone(), None);
+        let mut other = SegmentTable::with_pool(pool.clone(), None);
+        let keep = t.allocate(Space::Pair, 0);
+        let single = t.allocate(Space::Pair, 0);
+        let run = t.allocate_run(Space::Typed, 1, 3);
+        for seg in [single, run, SegIndex(run.0 + 2)] {
+            t.set_word(t.base_addr(seg).add(7), 0xBEEF);
+        }
+        t.free(single);
+        t.free(run);
+        t.release_free_storage();
+        let s = pool.stats();
+        assert_eq!((s.outstanding, s.releases, s.free), (1, 4, 4));
+        t.check_free_store()
+            .expect("released indices stay in the store");
+        assert!(t.base_ptr(single).is_null(), "a released index has no base");
+        assert!(!t.base_ptr(keep).is_null());
+        // The other table takes the released storage and dirties it.
+        let theirs = other.allocate(Space::Pair, 0);
+        other.set_word(other.base_addr(theirs).add(7), 0xF00D);
+        // Reissue takes fresh, zeroed storage for each index.
+        assert_eq!(t.allocate(Space::Typed, 2), single);
+        assert_eq!(t.allocate_run(Space::Pure, 0, 3), run);
+        t.check_free_store()
+            .expect("every allocated index holds storage");
+        assert_pristine_run(&t, single, 1);
+        assert_pristine_run(&t, run, 3);
+        assert_eq!(other.word(other.base_addr(theirs).add(7)), 0xF00D);
+        assert_eq!((t.segments_total(), pool.outstanding()), (5, 6));
+        drop(t);
+        drop(other);
+        let s = pool.stats();
+        assert_eq!((s.outstanding, s.attached_tables), (0, 0));
+    }
+
+    #[test]
+    fn a_lone_table_keeps_its_free_storage() {
+        let pool = SegmentPool::unbounded();
+        let mut t = SegmentTable::with_pool(pool.clone(), None);
+        let a = t.allocate_run(Space::Typed, 0, 2);
+        t.free(a);
+        t.release_free_storage();
+        assert_eq!(pool.stats().releases, 0, "nobody else could use it");
+        assert!(!t.base_ptr(a).is_null());
+        // A sibling that has come and gone leaves the table alone again.
+        drop(SegmentTable::with_pool(pool.clone(), None));
+        t.release_free_storage();
+        assert_eq!(pool.stats().releases, 0);
+        assert_eq!(t.allocate_run(Space::Typed, 0, 2), a);
+        assert_eq!(pool.stats().acquires, 2, "reuse drew nothing");
+        let mut private = SegmentTable::new();
+        let b = private.allocate(Space::Pair, 0);
+        private.free(b);
+        private.release_free_storage();
+        assert!(!private.base_ptr(b).is_null());
+    }
+
+    #[test]
+    fn free_store_check_rejects_an_allocated_index_without_storage() {
+        let mut t = SegmentTable::new();
+        let _keep = t.allocate(Space::Pair, 0);
+        let run = t.allocate_run(Space::Typed, 0, 2);
+        t.check_free_store().expect("sound before the corruption");
+        t.segs[run.index() + 1] = None;
+        let err = t.check_free_store().expect_err("a hollow allocated index");
+        assert!(
+            err.contains("allocated segment 2 holds no storage"),
+            "got: {err}"
+        );
     }
 
     #[test]

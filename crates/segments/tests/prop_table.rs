@@ -1,9 +1,10 @@
 //! Property test: the segment table against a simple ownership model
-//! under random allocate/free/write sequences. The model also mirrors the
+//! under random allocate/free/write/release sequences, on private storage
+//! and on a pool shared with a second table. The model also mirrors the
 //! free store's documented policy (which free storage serves which
 //! request), so it can say when the table was entitled to grow.
 
-use guardians_segments::{SegIndex, SegmentTable, Space, CARD_CLEAN, SEGMENT_WORDS};
+use guardians_segments::{SegIndex, SegmentPool, SegmentTable, Space, CARD_CLEAN, SEGMENT_WORDS};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -26,6 +27,8 @@ enum Op {
         offset: u16,
         value: u64,
     },
+    /// What the collector's reclaim ends with.
+    Release,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -35,6 +38,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         5 => any::<usize>().prop_map(|pick| Op::Free { pick }),
         3 => (any::<usize>(), any::<u16>(), any::<u64>())
             .prop_map(|(pick, offset, value)| Op::Write { pick, offset, value }),
+        1 => Just(Op::Release),
     ]
 }
 
@@ -117,9 +121,17 @@ fn check_pristine(table: &SegmentTable, head: SegIndex, n: usize) -> Result<(), 
 }
 
 /// Applies `ops` to a fresh table, checking it against the model after
-/// every step.
-fn check_ops(ops: &[Op]) -> Result<Served, String> {
-    let mut table = SegmentTable::new();
+/// every step. With `shared`, the table draws on a pool that an idle
+/// second table is attached to, so a release gives the free store's
+/// storage back and reissues draw fresh storage.
+fn check_ops(ops: &[Op], shared: bool) -> Result<Served, String> {
+    let pool = SegmentPool::unbounded();
+    let _sibling = SegmentTable::with_pool(pool.clone(), None);
+    let mut table = if shared {
+        SegmentTable::with_pool(pool.clone(), None)
+    } else {
+        SegmentTable::new()
+    };
     let mut owned: HashMap<SegIndex, Owned> = HashMap::new();
     let mut free = FreeModel::default();
     let mut served = Served::default();
@@ -242,6 +254,20 @@ fn check_ops(ops: &[Op]) -> Result<Served, String> {
                 table.mark_card(addr);
                 entry.writes.insert(off, value);
             }
+            Op::Release => {
+                table.release_free_storage();
+                let held = if shared {
+                    table.segments_allocated()
+                } else {
+                    0
+                };
+                if pool.outstanding() != held {
+                    return Err(format!(
+                        "{} segments outstanding after a release, {held} allocated",
+                        pool.outstanding()
+                    ));
+                }
+            }
         }
         // Invariants after every step.
         let live: usize = owned.values().map(|o| o.run).sum();
@@ -289,8 +315,10 @@ proptest! {
 
     #[test]
     fn table_matches_ownership_model(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        let served = check_ops(&ops);
-        prop_assert!(served.is_ok(), "{}", served.unwrap_err());
+        for shared in [false, true] {
+            let served = check_ops(&ops, shared);
+            prop_assert!(served.is_ok(), "shared {shared}: {}", served.unwrap_err());
+        }
     }
 
     /// One run length, no singles: nothing free is ever too short, so the
@@ -340,20 +368,23 @@ fn scripted_stream_takes_every_free_store_path() {
         run(2),             // cut from the 5, remainder 3
         run(4),             // nothing long enough: growth
         free_first,         // the run of 3 again
+        Op::Release,        // a shared table's free storage goes back
         single.clone(),     // no single free: a run of 3 goes apart
         single.clone(),
         single.clone(),
         single.clone(), // the other run of 3
     ];
-    let served = check_ops(&ops).expect("model and table agree");
-    assert_eq!(
-        (
-            served.exact_run,
-            served.split_for_run,
-            served.split_for_singles,
-            served.grown
-        ),
-        (1, 1, 2, 3),
-        "{served:?}"
-    );
+    for shared in [false, true] {
+        let served = check_ops(&ops, shared).expect("model and table agree");
+        assert_eq!(
+            (
+                served.exact_run,
+                served.split_for_run,
+                served.split_for_singles,
+                served.grown
+            ),
+            (1, 1, 2, 3),
+            "shared {shared}: {served:?}"
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! [`Heap`](guardians_gc::Heap) (generations, guardians, metrics, census),
 //! its own simulated OS fd table and external arena — while every zone's
 //! heap draws segment *capacity* from one shared
-//! [`SegmentPool`](guardians_gc::SegmentPool). Scarcity is shared;
+//! [`SegmentPool`](guardians_gc::SegmentPool), and gives its idle
+//! segments back to it at every collection. Scarcity is shared;
 //! everything observable is not: a zone's request-level observables are
 //! byte-identical whether its heap is private or pooled, whichever
 //! collection schedule runs it, and whether it runs alone or among a fleet.

@@ -216,7 +216,9 @@ fn replay_private(zone_id: u64, ops: &[SoakOp]) -> ZoneObservables {
 
 /// Runs a schedule on a shared-pool fleet with the private-replay oracle
 /// at every teardown (and for every zone still live at the end), plus
-/// heap verification at each quiesce and pool accounting at exit.
+/// heap verification and pool accounting at each quiesce (with two or
+/// more zones live, the pool's outstanding segments are exactly the ones
+/// the zones hold) and at exit.
 ///
 /// Ops referencing dead zones or sessions are counted but skipped, so
 /// shrunk subsequences are always runnable.
@@ -224,7 +226,8 @@ fn replay_private(zone_id: u64, ops: &[SoakOp]) -> ZoneObservables {
 /// # Errors
 ///
 /// Returns the first [`SoakFailure`] (oracle divergence, heap
-/// verification failure, or leaked pool segments).
+/// verification failure, idle storage after a quiesce, or leaked pool
+/// segments).
 pub fn run_schedule(schedule: &SoakSchedule) -> Result<SoakStats, SoakFailure> {
     let mut mgr = ZoneManager::new();
     let mut per_zone: BTreeMap<u64, Vec<SoakOp>> = BTreeMap::new();
@@ -297,14 +300,30 @@ pub fn run_schedule(schedule: &SoakSchedule) -> Result<SoakStats, SoakFailure> {
             }
             SoakOp::Quiesce => {
                 mgr.quiesce();
+                let mut held = 0;
                 for id in mgr.zone_ids() {
                     per_zone
                         .get_mut(&id)
                         .expect("tracked")
                         .push(SoakOp::Quiesce);
-                    if let Err(e) = mgr.zone(id).expect("live").verify() {
+                    let zone = mgr.zone(id).expect("live");
+                    if let Err(e) = zone.verify() {
                         return Err(fail(i, format!("zone {id} failed verify: {e}")));
                     }
+                    held += zone.segments_held();
+                }
+                // Every zone has just collected beside another, so none
+                // holds idle storage. A lone zone keeps its free store.
+                let outstanding = mgr.pool_stats().outstanding;
+                if mgr.len() > 1 && outstanding != held {
+                    return Err(fail(
+                        i,
+                        format!(
+                            "pool has {outstanding} segments outstanding after a quiesce, \
+                             but its {} zones hold {held}",
+                            mgr.len()
+                        ),
+                    ));
                 }
             }
         }

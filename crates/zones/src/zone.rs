@@ -93,7 +93,10 @@ impl ZoneConfig {
         self
     }
 
-    /// Sets the per-zone segment watermark.
+    /// Sets the per-zone segment watermark. A zone draws its copy reserve
+    /// from the shared pool each time it collects, so a fleet whose
+    /// watermarks sum to at most the pool's capacity cannot run an
+    /// infallible collection into an empty pool.
     pub fn with_max_segments(mut self, max: usize) -> ZoneConfig {
         self.max_segments = Some(max);
         self
