@@ -1,9 +1,12 @@
 //! GC profiler: runs an experiment workload or a torture trace with the
 //! event trace enabled and exports everything the observability layer
 //! produces — a Chrome `trace_event` document (load in
-//! `chrome://tracing` or Perfetto), a JSONL event stream, a metrics
-//! snapshot, and a live-heap census — plus a terminal report with pause
-//! percentiles.
+//! `chrome://tracing` or Perfetto: one span per collection, one slice per
+//! advance with its phases inside), a JSONL event stream (one line per
+//! advance, plus guardian rounds, tconc appends, segment traffic, census
+//! and application markers), a metrics snapshot, and a live-heap census —
+//! plus a terminal report with pause percentiles. The counts are the
+//! metrics snapshot's and the torture run's own; no event restates them.
 //!
 //! ```text
 //! gcprof --scenario e11 --quick --out-dir gcprof-out
@@ -18,8 +21,7 @@
 //! one whole-collection pause sample becomes many per-increment samples.
 
 use guardians_gc::{
-    chrome_trace_json, events_jsonl, replay_stats, GcConfig, GcEvent, Heap, Promotion, TraceConfig,
-    TracedEvent,
+    chrome_trace_json, events_jsonl, GcConfig, GcEvent, Heap, Promotion, TraceConfig, TracedEvent,
 };
 use guardians_scheme::Interp;
 use guardians_workloads::{run_lifetime_workload, LifetimeParams};
@@ -379,13 +381,6 @@ fn profile_torture(seed: u64, ops: usize, out_dir: &str) {
     println!(
         "run: {} collections, {} oracle checks, {} finalized, {} polled",
         stats.collections, stats.checks, stats.finalized, stats.polled
-    );
-    // The event stream alone reconstructs the collector-side stats — the
-    // same parity contract the rig asserts after every collection.
-    let derived = replay_stats(&events);
-    println!(
-        "replayed from events: {} collections, {} words copied, total GC {:?}",
-        derived.collections, derived.total_words_copied, derived.total_gc_time
     );
     let app_markers = events
         .iter()

@@ -167,11 +167,15 @@ fn main() {
         println!("traced soak: {traced_seeds} seeds, {ops} ops, event-vs-model cross-check");
         let t2 = Instant::now();
         let mut events = 0usize;
+        let mut checks = 0u64;
         for seed in start..start + traced_seeds {
             let mut trace = guardians_torture::generate(seed, ops);
             trace.config.pause_budget = pause_budget;
             match guardians_torture::run_trace_traced(&trace) {
-                Ok((_, evs)) => events += evs.len(),
+                Ok((stats, evs)) => {
+                    events += evs.len();
+                    checks += stats.checks;
+                }
                 Err(failure) => {
                     eprintln!("{failure}");
                     let report = guardians_torture::explain(&trace, &failure);
@@ -182,7 +186,7 @@ fn main() {
             }
         }
         println!(
-            "PASS: traced soak, {events} events cross-checked, {:.1}s",
+            "PASS: traced soak, {events} events, {checks} oracle checks, {:.1}s",
             t2.elapsed().as_secs_f64()
         );
     }

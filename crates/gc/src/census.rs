@@ -6,7 +6,8 @@
 //! [`ObjKind`] — the "what is actually alive, and where" view the
 //! drag/liveness literature builds on. A census visits every live
 //! segment, so it is a diagnostic tool, not a hot-path one; the tracer can
-//! take one automatically at the end of every collection (see
+//! take one automatically at the end of every collection, right after its
+//! terminal [`GcEvent::Advance`](crate::GcEvent::Advance) (see
 //! [`TraceConfig::census_at_collection_end`](crate::TraceConfig)).
 //!
 //! A census may be taken at any safe point, including between the

@@ -50,12 +50,6 @@ use crate::value::Value;
 use guardians_segments::{Space, WordAddr};
 
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
-    let visited_before = s.report.guardian_entries_visited;
-    let finalized_before = s.report.guardian_entries_finalized;
-    let held_before = s.report.guardian_entries_held;
-    let dropped_before = s.report.guardian_entries_dropped;
-    let loops_before = s.report.guardian_loop_iterations;
-
     // Block 1: partition the protected lists of the collected generations.
     let mut pend_hold: Vec<GuardEntry> = Vec::new();
     let mut pend_final: Vec<GuardEntry> = Vec::new();
@@ -69,11 +63,6 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
             }
         }
     }
-    heap.trace_emit(|| GcEvent::GuardianPartition {
-        visited: s.report.guardian_entries_visited - visited_before,
-        pend_hold: pend_hold.len() as u64,
-        pend_final: pend_final.len() as u64,
-    });
 
     // Block 2: the fixpoint loop over entries with dead objects.
     loop {
@@ -91,7 +80,7 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
         if final_list.is_empty() {
             break;
         }
-        let round = s.report.guardian_loop_iterations - loops_before;
+        let round = s.report.guardian_loop_iterations;
         let resurrected = final_list.len() as u64;
         heap.trace_emit(|| GcEvent::GuardianRound { round, resurrected });
         append_all(heap, s, &final_list);
@@ -130,12 +119,6 @@ pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     if agent_copied {
         kleene_sweep(heap, s);
     }
-    heap.trace_emit(|| GcEvent::GuardianOutcome {
-        finalized: s.report.guardian_entries_finalized - finalized_before,
-        held: s.report.guardian_entries_held - held_before,
-        dropped: s.report.guardian_entries_dropped - dropped_before,
-        loop_iterations: s.report.guardian_loop_iterations - loops_before,
-    });
 }
 
 /// The collector's tconc append (Figure 3) for one round's `(rep, tconc)`

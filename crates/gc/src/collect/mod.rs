@@ -122,7 +122,7 @@ pub(crate) mod weak_pass;
 use crate::header::Header;
 use crate::heap::Heap;
 use crate::roots::ROOT_CLEAN;
-use crate::stats::CollectionReport;
+use crate::stats::{CollectionReport, PhaseTimes};
 use crate::trace::{GcEvent, GcPhase};
 use crate::value::{fwd, Value};
 use guardians_segments::{
@@ -157,13 +157,6 @@ pub(crate) struct Scratch {
     /// this collection, and every old one the remembered set or the store
     /// log handed over.
     pub weak: Vec<SegIndex>,
-    /// Whether tracing was enabled at flip time; gates the per-source-
-    /// generation copy accounting so the disabled-mode copy loop is
-    /// untouched.
-    pub trace_on: bool,
-    /// Words copied out of each source generation (only maintained when
-    /// `trace_on`; feeds the `GenCopied` events).
-    pub copied_per_gen: Vec<u64>,
     /// The report under construction.
     pub report: CollectionReport,
     /// What is left of the dirty index as drained at the flip: the
@@ -302,11 +295,11 @@ impl Scratch {
     }
 }
 
-/// Phase 1: the flip, a fresh [`Scratch`] and the `CollectionBegin` event.
-/// The flip picks the target generation, moves every segment of a collected
-/// generation into the from-space (heads are also listed for the reclaim),
-/// resets the allocation cursors and drains the dirty index into the
-/// remembered-set work list. It drains the per-generation segment lists
+/// Phase 1: the flip and a fresh [`Scratch`]. The flip picks the target
+/// generation, moves every segment of a collected generation into the
+/// from-space (heads are also listed for the reclaim), resets the
+/// allocation cursors and drains the dirty index into the remembered-set
+/// work list. It drains the per-generation segment lists
 /// instead of walking the whole table; the whereabouts byte dedups entries
 /// for segments freed and recycled back into the same generation.
 pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
@@ -328,12 +321,6 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
         }
     }
     heap.reset_cursors(g, target);
-    let index = heap.collections;
-    heap.trace_emit(|| GcEvent::CollectionBegin {
-        index,
-        collected_generation: g,
-        target_generation: target,
-    });
     let mut s = Box::new(Scratch {
         g,
         target,
@@ -341,10 +328,8 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
         queue: Vec::new(),
         parked: Vec::new(),
         weak: Vec::new(),
-        trace_on: heap.tracing_enabled(),
-        copied_per_gen: vec![0; heap.config.generations as usize],
         report: CollectionReport {
-            collection_index: index,
+            collection_index: heap.collections,
             collected_generation: g,
             target_generation: target,
             ..CollectionReport::default()
@@ -356,30 +341,6 @@ pub(crate) fn begin(heap: &mut Heap, g: u8) -> Box<Scratch> {
     lap(heap, &mut s, &mut mark, GcPhase::Flip);
     s.report.duration = s.report.phases.flip;
     s
-}
-
-/// The closing events: one `GenCopied` per source generation that lost
-/// words (they are counted only while tracing), then `CollectionEnd`.
-fn emit_end(heap: &mut Heap, s: &Scratch) {
-    let r = &s.report;
-    for (generation, &words) in s.copied_per_gen.iter().enumerate() {
-        if words > 0 {
-            heap.trace_emit(|| GcEvent::GenCopied {
-                generation: generation as u8,
-                words,
-            });
-        }
-    }
-    heap.trace_emit(|| GcEvent::CollectionEnd {
-        index: r.collection_index,
-        words_copied: r.words_copied,
-        pairs_copied: r.pairs_copied,
-        objects_copied: r.objects_copied,
-        guardian_entries_visited: r.guardian_entries_visited,
-        weak_pairs_scanned: r.weak_pairs_scanned,
-        dirty_cards_scanned: r.dirty_cards_scanned,
-        dur_ns: r.duration.as_nanos() as u64,
-    });
 }
 
 /// A conservative upper bound on the segment acquisitions a collection of
@@ -444,6 +405,13 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     // Every advance but a stop-the-world collection's only one counts as an
     // increment (below), so this is the first exactly when none has.
     let first = s.report.increments == 0;
+    // The laps of this advance are the phase totals it adds; the first
+    // counts from zero, so its laps include the flip.
+    let before = if first {
+        PhaseTimes::default()
+    } else {
+        s.report.phases
+    };
     // The windows live inside this advance (see `Window`): the mutator may
     // have moved a target cursor since the last one.
     s.open_windows(heap);
@@ -509,23 +477,33 @@ pub(crate) fn advance(heap: &mut Heap, s: &mut Scratch, deadline: Option<Instant
     }
     s.close_windows(heap);
 
-    // One `gc.pause_ns` sample per advance — the only place one is recorded
-    // — and the first also covers the flip. A collection that ran from its
-    // flip to its end in one advance with no deadline is stop-the-world and
-    // reports 0 increments.
+    // One `gc.pause_ns` sample and one `Advance` event per advance — the
+    // only place either is recorded — and the first also covers the flip.
+    // A collection that ran from its flip to its end in one advance with no
+    // deadline is stop-the-world and reports 0 increments.
     let mut pause = start.elapsed();
     s.report.duration += pause;
     if first {
         pause += s.report.phases.flip;
     }
-    let samples = heap.metrics_mut().histogram("gc.pause_ns");
-    samples.record(pause.as_nanos() as u64);
+    let pause_ns = pause.as_nanos() as u64;
+    heap.metrics_mut().histogram("gc.pause_ns").record(pause_ns);
     if deadline.is_some() || !first {
         s.report.increments += 1;
     }
-    if finished {
-        emit_end(heap, s);
-    }
+    let r = &s.report;
+    heap.trace_emit(|| {
+        let (to, from) = (r.phases.nanos(), before.nanos());
+        GcEvent::Advance {
+            index: r.collection_index,
+            collected_generation: r.collected_generation,
+            target_generation: r.target_generation,
+            increment: r.increments.max(1) as u32,
+            terminal: finished,
+            pause_ns,
+            laps_ns: std::array::from_fn(|p| to[p] - from[p]),
+        }
+    });
     finished
 }
 
@@ -618,9 +596,8 @@ fn finish(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant) {
 
 /// Closes a timed section: writes the to-space windows back (a phase
 /// boundary, see [`Window`]), accumulates the time since `mark` into the
-/// matching phase of the report, restarts `mark`, and emits the `PhaseEnd`
-/// event, so the trace's phase sum stays equal to `phases.total()` across
-/// any number of increments.
+/// matching phase of the report and restarts `mark`. An advance's
+/// `Advance` event reports what its laps added to each phase.
 fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
     s.write_back(heap);
     let now = Instant::now();
@@ -636,10 +613,6 @@ fn lap(heap: &mut Heap, s: &mut Scratch, mark: &mut Instant, phase: GcPhase) {
         GcPhase::Weak => &mut p.weak,
         GcPhase::Reclaim => &mut p.reclaim,
     } += d;
-    heap.trace_emit(|| GcEvent::PhaseEnd {
-        phase,
-        dur_ns: d.as_nanos() as u64,
-    });
 }
 
 /// The paper's `forwarded?` predicate: "true when obj has been forwarded
@@ -709,8 +682,7 @@ pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value 
     }
     // Pairs keep their space (a weak pair stays weak); typed objects keep
     // theirs trivially.
-    let info = heap.segs.info(addr.seg());
-    let (space, src_gen) = (info.space, info.generation);
+    let space = heap.segs.info(addr.seg()).space;
     let (total, copied) = if v.is_pair_ptr() {
         (2, &mut s.report.pairs_copied)
     } else {
@@ -740,9 +712,6 @@ pub(crate) fn forward_from(heap: &mut Heap, s: &mut Scratch, v: Value) -> Value 
         }
     }
     s.report.words_copied += total as u64;
-    if s.trace_on {
-        s.copied_per_gen[src_gen as usize] += total as u64;
-    }
     // SAFETY: `src` is the from-space object's first word, as above.
     unsafe { src.write(fwd::encode(to)) };
     v.retag_at(to)

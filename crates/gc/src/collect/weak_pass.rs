@@ -39,7 +39,6 @@
 use super::{settle, Scratch};
 use crate::heap::Heap;
 use crate::roots::ROOT_CLEAN;
-use crate::trace::GcEvent;
 use crate::value::{fwd, Value};
 use guardians_segments::{SegIndex, SegmentTable};
 
@@ -67,20 +66,14 @@ pub(crate) fn settle_slots(heap: &Heap, s: &mut Scratch) {
     s.report.weak_roots_broken = broken;
 }
 
-/// The weak-pair pass, then the `WeakSweep` event for the whole phase.
+/// The weak-pair pass: fixes the weak cars of every segment on the weak
+/// list, and re-marks one that still points younger.
 pub(crate) fn run(heap: &mut Heap, s: &mut Scratch) {
     for seg in std::mem::take(&mut s.weak) {
         if fix_segment(heap, s, seg) {
             heap.segs.mark_dirty(seg);
         }
     }
-    heap.trace_emit(|| GcEvent::WeakSweep {
-        scanned: s.report.weak_pairs_scanned,
-        broken: s.report.weak_cars_broken,
-        forwarded: s.report.weak_cars_forwarded,
-        roots_traced: s.report.weak_roots_traced,
-        roots_broken: s.report.weak_roots_broken,
-    });
 }
 
 /// Fixes every weak car in a segment; returns whether the segment still

@@ -821,8 +821,8 @@ impl Heap {
     }
 
     /// Events lost to ring overflow since tracing was enabled. Consumers
-    /// that replay events into counters (parity checks) must see `0`
-    /// here, or their replay is missing history.
+    /// that sum events (pauses, guardian rounds) must see `0` here, or
+    /// their sum is missing history.
     pub fn trace_dropped(&self) -> u64 {
         self.tracer.as_ref().map(|t| t.dropped()).unwrap_or(0)
     }

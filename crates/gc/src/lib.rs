@@ -97,8 +97,7 @@ pub use metrics::{pause_bounds, Histogram, MetricsRegistry};
 pub use roots::{RootSet, Rooted, RootedVec, WeakRooted};
 pub use stats::{CollectionReport, HeapStats, PhaseTimes};
 pub use trace::{
-    chrome_trace_json, events_jsonl, replay_stats, GcEvent, GcPhase, SiteStats, TraceConfig,
-    TracedEvent,
+    chrome_trace_json, events_jsonl, GcEvent, GcPhase, SiteStats, TraceConfig, TracedEvent,
 };
 pub use value::{Value, FIXNUM_MAX, FIXNUM_MIN};
 pub use verify::VerifyError;

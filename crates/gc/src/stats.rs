@@ -11,9 +11,10 @@
 //! These structs are the *programmatic* accounting surface. The export
 //! surface is the heap's [`MetricsRegistry`](crate::MetricsRegistry)
 //! (named counters, gauges, and pause histograms, snapshot-able as
-//! deterministic JSON), which every collection report is folded into; the
-//! event trace ([`crate::GcEvent`]) must replay back to these fields
-//! exactly — the parity contract tested in the bench crate.
+//! deterministic JSON), which every collection report is folded into. The
+//! event trace ([`crate::GcEvent`]) restates none of these counts: its one
+//! collection event, `Advance`, carries each pause and its phase laps,
+//! which sum to `total_gc_time` and `total_phase_times`.
 
 use std::time::Duration;
 
@@ -46,12 +47,25 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Sum of all phase durations: the wall-clock pause breakdown (and
-    /// the quantity the event trace's `PhaseEnd` records must sum to).
+    /// Sum of all phase durations: the wall-clock pause breakdown.
     /// Excludes the inert [`PhaseTimes::finalizer`] and
     /// [`PhaseTimes::worker_time`].
     pub fn total(&self) -> Duration {
         self.flip + self.roots + self.remset + self.sweep + self.guardian + self.weak + self.reclaim
+    }
+
+    /// Each phase's nanoseconds, indexed by [`GcPhase`](crate::GcPhase).
+    pub(crate) fn nanos(&self) -> [u64; 7] {
+        [
+            self.flip,
+            self.roots,
+            self.remset,
+            self.sweep,
+            self.guardian,
+            self.weak,
+            self.reclaim,
+        ]
+        .map(|d| d.as_nanos() as u64)
     }
 
     pub(crate) fn absorb(&mut self, other: &PhaseTimes) {

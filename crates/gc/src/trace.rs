@@ -7,29 +7,29 @@
 //! timestamping, no event construction (the event is built inside a
 //! closure that never runs). When enabled, events overwrite the oldest
 //! entries once the ring fills; [`Heap::trace_dropped`] reports how many
-//! were lost so replay-based consumers can detect truncation.
+//! were lost so consumers that count events can detect truncation.
 //!
-//! Three consumers are built in:
+//! The ring records what no counter holds: one [`GcEvent::Advance`] per
+//! pause, with its phase laps, and the guardian rounds, tconc appends,
+//! segment traffic, censuses and application markers around it. The
+//! counts of a collection are its [`CollectionReport`]'s, not the ring's.
+//! Two exporters are built in:
 //!
-//! * [`replay_stats`] folds a drained event stream back into the
-//!   collector-side fields of [`HeapStats`] — the parity contract that
-//!   keeps the trace honest (tested in the bench crate and the torture
-//!   rig).
 //! * [`chrome_trace_json`] renders events as a Chrome `trace_event` JSON
 //!   document (load in `chrome://tracing` or Perfetto): collections as
-//!   begin/end spans, phases as complete slices, everything else as
-//!   instant events, censuses as counter tracks.
+//!   begin/end spans, advances and their phases as complete slices,
+//!   censuses as counter tracks, everything else as instant events.
 //! * [`events_jsonl`] renders one JSON object per line for ad-hoc
 //!   processing.
 //!
 //! [`Heap::trace_dropped`]: crate::Heap::trace_dropped
-//! [`HeapStats`]: crate::HeapStats
+//! [`CollectionReport`]: crate::CollectionReport
 
-use crate::stats::HeapStats;
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::collections::{HashSet, VecDeque};
+use std::time::Instant;
 
-/// Identifies one of the seven collection phases (see `collect`).
+/// Identifies one of the seven collection phases (see `collect`), in
+/// phase order: `phase as usize` indexes [`GcEvent::Advance`]'s `laps_ns`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GcPhase {
     /// Phase 1: snapshot the from-space, reset cursors.
@@ -49,6 +49,17 @@ pub enum GcPhase {
 }
 
 impl GcPhase {
+    /// Every phase, in phase order.
+    pub const ALL: [GcPhase; 7] = [
+        GcPhase::Flip,
+        GcPhase::Roots,
+        GcPhase::Remset,
+        GcPhase::Sweep,
+        GcPhase::Guardian,
+        GcPhase::Weak,
+        GcPhase::Reclaim,
+    ];
+
     /// Stable lower-case name, used by the exporters.
     pub fn name(self) -> &'static str {
         match self {
@@ -64,45 +75,33 @@ impl GcPhase {
 }
 
 /// A typed trace event. All payloads are plain scalars so emitting an
-/// event never allocates. Events record what a collection, the mutator
-/// or the embedding did; the heap's policy is fixed at construction, so
-/// no event reports a change to it.
+/// event never allocates. An event records what no counter holds — when a
+/// pause happened and how it split into phases, a guardian round, which
+/// side appended to a tconc, segment traffic, a census, an embedding's
+/// marker; a collection's counts are its
+/// [`CollectionReport`](crate::CollectionReport)'s. The heap's policy is
+/// fixed at construction, so no event reports a change to it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GcEvent {
-    /// A collection started.
-    CollectionBegin {
-        /// 1-based collection index.
+    /// One advance of a collection — one pause, one `gc.pause_ns` sample —
+    /// emitted as the advance returns.
+    Advance {
+        /// 1-based collection index (the report's `collection_index`).
         index: u64,
         /// Highest generation collected.
         collected_generation: u8,
         /// Generation survivors are copied into.
         target_generation: u8,
-    },
-    /// A collection phase finished.
-    PhaseEnd {
-        /// Which phase.
-        phase: GcPhase,
-        /// Wall-clock nanoseconds the phase took.
-        dur_ns: u64,
-    },
-    /// Words copied out of one source generation during a collection
-    /// (emitted once per generation with a non-zero count, just before
-    /// [`GcEvent::CollectionEnd`]; the counts sum to the collection's
-    /// `words_copied`).
-    GenCopied {
-        /// Source generation the words were copied from.
-        generation: u8,
-        /// Words copied out of it.
-        words: u64,
-    },
-    /// The guardian pass partitioned the protected lists (Block 1).
-    GuardianPartition {
-        /// Entries visited across the processed lists.
-        visited: u64,
-        /// Entries whose object was still accessible (pend-hold-list).
-        pend_hold: u64,
-        /// Entries whose object was inaccessible (pend-final-list).
-        pend_final: u64,
+        /// 1-based number of this advance within its collection.
+        increment: u32,
+        /// Whether this advance completed the collection.
+        terminal: bool,
+        /// Wall-clock nanoseconds of the pause: the `gc.pause_ns` sample,
+        /// which for the first advance includes the flip.
+        pause_ns: u64,
+        /// Nanoseconds each phase ran during this advance, indexed by
+        /// [`GcPhase`]; the first advance's include the flip.
+        laps_ns: [u64; 7],
     },
     /// One iteration of the pend-final-list fixpoint loop resurrected
     /// entries (Block 2; emitted only for non-empty rounds).
@@ -112,30 +111,6 @@ pub enum GcEvent {
         /// Entries finalized (their representatives resurrected and
         /// enqueued) this round.
         resurrected: u64,
-    },
-    /// The guardian pass finished (after Block 3).
-    GuardianOutcome {
-        /// Entries finalized across all rounds.
-        finalized: u64,
-        /// Entries held (object alive, migrated to the target list).
-        held: u64,
-        /// Entries dropped (their guardian was unreachable).
-        dropped: u64,
-        /// Fixpoint loop iterations (including the final empty one).
-        loop_iterations: u64,
-    },
-    /// The weak pass finished (weak root slots, then weak pairs).
-    WeakSweep {
-        /// Weak pairs examined.
-        scanned: u64,
-        /// Weak cars overwritten with `#f`.
-        broken: u64,
-        /// Weak cars updated to a forwarded referent.
-        forwarded: u64,
-        /// Weak root slots visited.
-        roots_traced: u64,
-        /// Weak root slots broken to `#f`.
-        roots_broken: u64,
     },
     /// An element was appended to a tconc queue.
     TconcAppend {
@@ -169,26 +144,6 @@ pub enum GcEvent {
         /// Guardian protected-list entries parked at this generation.
         protected_entries: u64,
     },
-    /// A collection finished; payload mirrors the headline counters of
-    /// the [`CollectionReport`](crate::CollectionReport).
-    CollectionEnd {
-        /// 1-based collection index.
-        index: u64,
-        /// Total words copied.
-        words_copied: u64,
-        /// Pairs copied.
-        pairs_copied: u64,
-        /// Typed objects copied.
-        objects_copied: u64,
-        /// Guardian entries visited.
-        guardian_entries_visited: u64,
-        /// Weak pairs scanned.
-        weak_pairs_scanned: u64,
-        /// Remembered-set cards visited.
-        dirty_cards_scanned: u64,
-        /// Wall-clock nanoseconds for the whole collection.
-        dur_ns: u64,
-    },
     /// An application-level marker emitted through
     /// [`Heap::trace_app_event`](crate::Heap::trace_app_event) — the
     /// runtime layer uses these for port finalization and transport
@@ -214,7 +169,7 @@ pub struct TracedEvent {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Ring capacity in events; the oldest events are overwritten when it
-    /// fills (default 65 536, ≈ 2.5 MB).
+    /// fills (default 65 536: a [`TracedEvent`] is 96 bytes, so 6 MiB).
     pub capacity: usize,
     /// Take a live-heap census at the end of every collection and emit a
     /// [`GcEvent::CensusGen`] per generation (default off; a census walks
@@ -293,55 +248,6 @@ pub(crate) struct SiteProfile {
 }
 
 // ----------------------------------------------------------------------
-// Replay
-// ----------------------------------------------------------------------
-
-/// Folds a drained event stream back into the collector-side fields of
-/// [`HeapStats`]: collections, total words copied, guardian entries
-/// visited, weak pairs scanned, remembered-set cards visited, total GC time, and the per-phase time
-/// totals. The result must equal the heap's own accounting exactly —
-/// the event-vs-counter parity contract. Mutator-side allocation counters
-/// are not derivable from the trace, which records no allocation, and stay
-/// zero.
-pub fn replay_stats(events: &[TracedEvent]) -> HeapStats {
-    let mut out = HeapStats::default();
-    for e in events {
-        match e.event {
-            GcEvent::PhaseEnd { phase, dur_ns } => {
-                let d = Duration::from_nanos(dur_ns);
-                let p = &mut out.total_phase_times;
-                match phase {
-                    GcPhase::Flip => p.flip += d,
-                    GcPhase::Roots => p.roots += d,
-                    GcPhase::Remset => p.remset += d,
-                    GcPhase::Sweep => p.sweep += d,
-                    GcPhase::Guardian => p.guardian += d,
-                    GcPhase::Weak => p.weak += d,
-                    GcPhase::Reclaim => p.reclaim += d,
-                }
-            }
-            GcEvent::CollectionEnd {
-                words_copied,
-                guardian_entries_visited,
-                weak_pairs_scanned,
-                dirty_cards_scanned,
-                dur_ns,
-                ..
-            } => {
-                out.collections += 1;
-                out.total_words_copied += words_copied;
-                out.total_guardian_entries_visited += guardian_entries_visited;
-                out.total_weak_pairs_scanned += weak_pairs_scanned;
-                out.total_dirty_cards_scanned += dirty_cards_scanned;
-                out.total_gc_time += Duration::from_nanos(dur_ns);
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
 // Exporters
 // ----------------------------------------------------------------------
 
@@ -351,74 +257,35 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
         v.to_string()
     }
     match *e {
-        GcEvent::CollectionBegin {
+        GcEvent::Advance {
             index,
             collected_generation,
             target_generation,
-        } => (
-            "collection_begin",
-            vec![
-                ("index", u(index)),
-                ("collected_generation", u(collected_generation as u64)),
-                ("target_generation", u(target_generation as u64)),
-            ],
-        ),
-        GcEvent::PhaseEnd { phase, dur_ns } => (
-            "phase_end",
-            vec![
-                ("phase", format!("\"{}\"", phase.name())),
-                ("dur_ns", u(dur_ns)),
-            ],
-        ),
-        GcEvent::GenCopied { generation, words } => (
-            "gen_copied",
-            vec![("generation", u(generation as u64)), ("words", u(words))],
-        ),
-        GcEvent::GuardianPartition {
-            visited,
-            pend_hold,
-            pend_final,
-        } => (
-            "guardian_partition",
-            vec![
-                ("visited", u(visited)),
-                ("pend_hold", u(pend_hold)),
-                ("pend_final", u(pend_final)),
-            ],
-        ),
+            increment,
+            terminal,
+            pause_ns,
+            laps_ns,
+        } => {
+            let laps: Vec<(&'static str, String)> = GcPhase::ALL
+                .iter()
+                .map(|&p| (p.name(), u(laps_ns[p as usize])))
+                .collect();
+            (
+                "advance",
+                vec![
+                    ("index", u(index)),
+                    ("collected_generation", u(collected_generation as u64)),
+                    ("target_generation", u(target_generation as u64)),
+                    ("increment", u(increment as u64)),
+                    ("terminal", terminal.to_string()),
+                    ("pause_ns", u(pause_ns)),
+                    ("laps_ns", args_json(&laps)),
+                ],
+            )
+        }
         GcEvent::GuardianRound { round, resurrected } => (
             "guardian_round",
             vec![("round", u(round)), ("resurrected", u(resurrected))],
-        ),
-        GcEvent::GuardianOutcome {
-            finalized,
-            held,
-            dropped,
-            loop_iterations,
-        } => (
-            "guardian_outcome",
-            vec![
-                ("finalized", u(finalized)),
-                ("held", u(held)),
-                ("dropped", u(dropped)),
-                ("loop_iterations", u(loop_iterations)),
-            ],
-        ),
-        GcEvent::WeakSweep {
-            scanned,
-            broken,
-            forwarded,
-            roots_traced,
-            roots_broken,
-        } => (
-            "weak_sweep",
-            vec![
-                ("scanned", u(scanned)),
-                ("broken", u(broken)),
-                ("forwarded", u(forwarded)),
-                ("roots_traced", u(roots_traced)),
-                ("roots_broken", u(roots_broken)),
-            ],
         ),
         GcEvent::TconcAppend { during_collection } => (
             "tconc_append",
@@ -442,28 +309,6 @@ fn event_fields(e: &GcEvent) -> (&'static str, Vec<(&'static str, String)>) {
                 ("objects", u(objects)),
                 ("words", u(words)),
                 ("protected_entries", u(protected_entries)),
-            ],
-        ),
-        GcEvent::CollectionEnd {
-            index,
-            words_copied,
-            pairs_copied,
-            objects_copied,
-            guardian_entries_visited,
-            weak_pairs_scanned,
-            dirty_cards_scanned,
-            dur_ns,
-        } => (
-            "collection_end",
-            vec![
-                ("index", u(index)),
-                ("words_copied", u(words_copied)),
-                ("pairs_copied", u(pairs_copied)),
-                ("objects_copied", u(objects_copied)),
-                ("guardian_entries_visited", u(guardian_entries_visited)),
-                ("weak_pairs_scanned", u(weak_pairs_scanned)),
-                ("dirty_cards_scanned", u(dirty_cards_scanned)),
-                ("dur_ns", u(dur_ns)),
             ],
         ),
         GcEvent::App { name } => ("app", vec![("name", format!("\"{name}\""))]),
@@ -501,44 +346,86 @@ pub fn events_jsonl(events: &[TracedEvent]) -> String {
 }
 
 /// Renders events as a Chrome `trace_event` JSON document (open in
-/// `chrome://tracing` or Perfetto). Collections become begin/end spans,
-/// phases complete (`"X"`) slices placed by their end timestamp and
-/// duration, censuses counter (`"C"`) tracks, and everything else instant
-/// (`"i"`) events.
+/// `chrome://tracing` or Perfetto). Every advance becomes a complete
+/// (`"X"`) slice over its pause, ending at its timestamp, with its phase
+/// laps laid end to end inside it. A collection becomes one begin/end span
+/// from the start of its earliest advance in `events` to its terminal
+/// advance; one whose terminal advance is not in `events` gets no span, so
+/// every `E` has its `B`. Censuses become counter (`"C"`) tracks and
+/// everything else instant (`"i"`) events.
 pub fn chrome_trace_json(events: &[TracedEvent]) -> String {
     // trace_event timestamps are microseconds; keep sub-µs precision.
     fn us(ns: u64) -> String {
         format!("{:.3}", ns as f64 / 1000.0)
     }
+    fn slice(name: &str, start: u64, dur: u64, args: &str) -> String {
+        format!(
+            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{args}}}",
+            us(start),
+            us(dur)
+        )
+    }
+    let ended: HashSet<u64> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            GcEvent::Advance {
+                index,
+                terminal: true,
+                ..
+            } => Some(index),
+            _ => None,
+        })
+        .collect();
     let mut entries: Vec<String> = Vec::with_capacity(events.len());
+    // The collection of the last advance seen: a collection's advances are
+    // consecutive among the advances, so a new index is its earliest.
+    let mut last = None;
     for e in events {
         let (name, fields) = event_fields(&e.event);
         let args = args_json(&fields);
-        let entry = match e.event {
-            GcEvent::CollectionBegin { .. } => format!(
-                "{{\"name\":\"collection\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":1,\"args\":{}}}",
-                us(e.ts_ns),
-                args
-            ),
-            GcEvent::CollectionEnd { .. } => format!(
-                "{{\"name\":\"collection\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":1,\"args\":{}}}",
-                us(e.ts_ns),
-                args
-            ),
-            GcEvent::PhaseEnd { phase, dur_ns } => format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{}}}",
-                phase.name(),
-                us(e.ts_ns.saturating_sub(dur_ns)),
-                us(dur_ns),
-                args
-            ),
+        match e.event {
+            GcEvent::Advance {
+                index,
+                collected_generation,
+                target_generation,
+                terminal,
+                pause_ns,
+                laps_ns,
+                ..
+            } => {
+                let start = e.ts_ns.saturating_sub(pause_ns);
+                if last != Some(index) && ended.contains(&index) {
+                    entries.push(format!(
+                        "{{\"name\":\"collection\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":1,\
+                         \"args\":{{\"index\":{index},\"collected_generation\":{collected_generation},\
+                         \"target_generation\":{target_generation}}}}}",
+                        us(start)
+                    ));
+                }
+                last = Some(index);
+                entries.push(slice("advance", start, pause_ns, &args));
+                let mut at = start;
+                for phase in GcPhase::ALL {
+                    let lap = laps_ns[phase as usize];
+                    if lap > 0 {
+                        entries.push(slice(phase.name(), at, lap, "{}"));
+                    }
+                    at += lap;
+                }
+                if terminal {
+                    entries.push(format!(
+                        "{{\"name\":\"collection\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":1}}",
+                        us(e.ts_ns)
+                    ));
+                }
+            }
             GcEvent::CensusGen {
                 generation,
                 pairs,
                 weak_pairs,
                 objects,
                 ..
-            } => format!(
+            } => entries.push(format!(
                 "{{\"name\":\"census.gen{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":1,\
                  \"args\":{{\"pairs\":{},\"weak_pairs\":{},\"objects\":{}}}}}",
                 generation,
@@ -546,15 +433,14 @@ pub fn chrome_trace_json(events: &[TracedEvent]) -> String {
                 pairs,
                 weak_pairs,
                 objects
-            ),
-            _ => format!(
+            )),
+            _ => entries.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{}}}",
                 name,
                 us(e.ts_ns),
                 args
-            ),
-        };
-        entries.push(entry);
+            )),
+        }
     }
     format!(
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ns\"}}",
@@ -571,6 +457,21 @@ mod tests {
             ts_ns: seq * 1000,
             seq,
             event,
+        }
+    }
+
+    /// An advance of collection 1 with `sweep_ns` in the sweep.
+    fn advance(increment: u32, terminal: bool, pause_ns: u64, sweep_ns: u64) -> GcEvent {
+        let mut laps_ns = [0; 7];
+        laps_ns[GcPhase::Sweep as usize] = sweep_ns;
+        GcEvent::Advance {
+            index: 1,
+            collected_generation: 0,
+            target_generation: 1,
+            increment,
+            terminal,
+            pause_ns,
+            laps_ns,
         }
     }
 
@@ -591,86 +492,20 @@ mod tests {
         assert!(t.drain().is_empty(), "drain empties the ring");
     }
 
+    /// The ring's footprint is `capacity` times this (see
+    /// `TraceConfig::capacity`): growing a variant is a visible decision.
     #[test]
-    fn replay_accumulates_collections_and_phases() {
-        let events = [
-            ev(
-                1,
-                GcEvent::PhaseEnd {
-                    phase: GcPhase::Sweep,
-                    dur_ns: 500,
-                },
-            ),
-            ev(
-                2,
-                GcEvent::PhaseEnd {
-                    phase: GcPhase::Weak,
-                    dur_ns: 40,
-                },
-            ),
-            ev(
-                3,
-                GcEvent::CollectionEnd {
-                    index: 1,
-                    words_copied: 10,
-                    pairs_copied: 4,
-                    objects_copied: 1,
-                    guardian_entries_visited: 2,
-                    weak_pairs_scanned: 3,
-                    dirty_cards_scanned: 6,
-                    dur_ns: 700,
-                },
-            ),
-        ];
-        let stats = replay_stats(&events);
-        assert_eq!(stats.collections, 1);
-        assert_eq!(stats.total_words_copied, 10);
-        assert_eq!(stats.total_guardian_entries_visited, 2);
-        assert_eq!(stats.total_weak_pairs_scanned, 3);
-        assert_eq!(stats.total_dirty_cards_scanned, 6);
-        assert_eq!(stats.total_gc_time, Duration::from_nanos(700));
-        assert_eq!(stats.total_phase_times.sweep, Duration::from_nanos(500));
-        assert_eq!(stats.total_phase_times.weak, Duration::from_nanos(40));
-        assert_eq!(stats.total_phase_times.flip, Duration::ZERO);
+    fn a_traced_event_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<TracedEvent>(), 96);
     }
 
     #[test]
     fn exporters_emit_every_event_kind() {
         let all = [
-            GcEvent::CollectionBegin {
-                index: 1,
-                collected_generation: 0,
-                target_generation: 1,
-            },
-            GcEvent::PhaseEnd {
-                phase: GcPhase::Flip,
-                dur_ns: 10,
-            },
-            GcEvent::GenCopied {
-                generation: 0,
-                words: 8,
-            },
-            GcEvent::GuardianPartition {
-                visited: 3,
-                pend_hold: 1,
-                pend_final: 2,
-            },
+            advance(1, true, 100, 60),
             GcEvent::GuardianRound {
                 round: 1,
                 resurrected: 2,
-            },
-            GcEvent::GuardianOutcome {
-                finalized: 2,
-                held: 1,
-                dropped: 0,
-                loop_iterations: 2,
-            },
-            GcEvent::WeakSweep {
-                scanned: 5,
-                broken: 1,
-                forwarded: 2,
-                roots_traced: 3,
-                roots_broken: 1,
             },
             GcEvent::TconcAppend {
                 during_collection: true,
@@ -685,16 +520,6 @@ mod tests {
                 words: 20,
                 protected_entries: 1,
             },
-            GcEvent::CollectionEnd {
-                index: 1,
-                words_copied: 8,
-                pairs_copied: 4,
-                objects_copied: 0,
-                guardian_entries_visited: 3,
-                weak_pairs_scanned: 5,
-                dirty_cards_scanned: 0,
-                dur_ns: 100,
-            },
             GcEvent::App { name: "port.close" },
         ];
         let traced: Vec<TracedEvent> = all
@@ -708,6 +533,7 @@ mod tests {
             assert!(line.starts_with("{\"ts_ns\":"), "{line}");
             assert!(line.ends_with('}'), "{line}");
         }
+        assert!(jsonl.contains("\"laps_ns\":{\"flip\":0,\"roots\":0,\"remset\":0,\"sweep\":60,"));
         let chrome = chrome_trace_json(&traced);
         assert!(chrome.starts_with("{\"traceEvents\":["));
         assert!(chrome.contains("\"ph\":\"B\""));
@@ -719,17 +545,42 @@ mod tests {
 
     #[test]
     fn phase_slices_are_placed_by_start_time() {
+        // Ends at 5µs after a 3µs pause, of which the sweep took 2µs.
         let traced = [TracedEvent {
             ts_ns: 5_000,
             seq: 1,
-            event: GcEvent::PhaseEnd {
-                phase: GcPhase::Sweep,
-                dur_ns: 2_000,
-            },
+            event: advance(1, true, 3_000, 2_000),
         }];
         let chrome = chrome_trace_json(&traced);
-        // end 5µs − dur 2µs → starts at 3µs.
-        assert!(chrome.contains("\"ts\":3.000"), "{chrome}");
-        assert!(chrome.contains("\"dur\":2.000"), "{chrome}");
+        let at = |name: &str| chrome.find(&format!("\"name\":\"{name}\"")).unwrap();
+        assert!(chrome[at("advance")..]
+            .starts_with("\"name\":\"advance\",\"ph\":\"X\",\"ts\":2.000,\"dur\":3.000"));
+        assert!(chrome[at("sweep")..]
+            .starts_with("\"name\":\"sweep\",\"ph\":\"X\",\"ts\":2.000,\"dur\":2.000"));
+        assert!(
+            !chrome.contains("\"name\":\"roots\""),
+            "an empty lap draws nothing"
+        );
+    }
+
+    #[test]
+    fn a_collection_is_one_span_over_its_advances() {
+        let count = |chrome: &str, ph: &str| chrome.matches(&format!("\"ph\":\"{ph}\"")).count();
+        let advances = [
+            ev(1, advance(1, false, 500, 400)),
+            ev(2, advance(2, false, 500, 400)),
+            ev(3, advance(3, true, 500, 400)),
+        ];
+        let chrome = chrome_trace_json(&advances);
+        assert_eq!((count(&chrome, "B"), count(&chrome, "E")), (1, 1));
+        assert_eq!(chrome.matches("\"name\":\"advance\"").count(), 3);
+        assert!(chrome.contains("\"ph\":\"B\",\"ts\":0.500"), "{chrome}");
+        // Its first advances dropped, the span opens at the earliest kept.
+        let chrome = chrome_trace_json(&advances[1..]);
+        assert_eq!((count(&chrome, "B"), count(&chrome, "E")), (1, 1));
+        assert!(chrome.contains("\"ph\":\"B\",\"ts\":1.500"), "{chrome}");
+        // Its terminal advance not yet taken, it has no span.
+        let chrome = chrome_trace_json(&advances[..2]);
+        assert_eq!((count(&chrome, "B"), count(&chrome, "E")), (0, 0));
     }
 }

@@ -1,10 +1,12 @@
-//! Event-vs-counter parity: the trace is only trustworthy if replaying it
-//! reproduces the heap's own accounting exactly, and the metrics registry
-//! must agree with both.
+//! The event ring against the heap's own accounting. The ring records each
+//! pause once, as an `Advance`: its pauses and phase laps must sum to the
+//! heap's GC time and phase totals exactly, one per `gc.pause_ns` sample,
+//! and the exporters must draw each collection as one span over them.
 
 use guardians_gc::{
-    replay_stats, GcConfig, GcEvent, Heap, HeapStats, Promotion, TraceConfig, Value,
+    chrome_trace_json, GcConfig, GcEvent, GcPhase, Heap, Promotion, TraceConfig, TracedEvent, Value,
 };
+use std::time::Duration;
 
 /// A workload that exercises every event source: guardians (with
 /// resurrection chains), weak pairs (broken and forwarded), tconc
@@ -35,59 +37,91 @@ fn churn(heap: &mut Heap, rounds: usize) {
     }
 }
 
-/// Copies the mutator-side fields (not derivable from a sampled trace)
-/// onto a replayed stats value so whole-struct equality checks only the
-/// replay-derived collector-side fields.
-fn with_mutator_fields(mut replayed: HeapStats, actual: &HeapStats) -> HeapStats {
-    replayed.pairs_allocated = actual.pairs_allocated;
-    replayed.objects_allocated = actual.objects_allocated;
-    replayed.words_allocated = actual.words_allocated;
-    replayed.guardian_registrations = actual.guardian_registrations;
-    replayed.guardian_polls = actual.guardian_polls;
-    replayed
-}
-
-#[test]
-fn replayed_trace_reproduces_heap_stats_exactly() {
+/// A heap with a ring that holds `capacity` events, under `pause_budget`.
+fn traced_heap(pause_budget: Option<Duration>, capacity: usize) -> Heap {
     let mut heap = Heap::new(GcConfig {
         generations: 3,
         promotion: Promotion::NextGeneration,
+        pause_budget,
         ..GcConfig::default()
     });
     heap.enable_tracing(TraceConfig {
-        capacity: 1 << 20,
+        capacity,
         ..TraceConfig::default()
     });
-    churn(&mut heap, 12);
-    assert_eq!(heap.trace_dropped(), 0, "parity needs the full history");
-    let events = heap.disable_tracing();
-    assert!(!events.is_empty());
-    let replayed = with_mutator_fields(replay_stats(&events), heap.stats());
-    assert_eq!(&replayed, heap.stats());
+    heap
 }
 
-#[test]
-fn per_generation_copy_events_sum_to_words_copied() {
-    let mut heap = Heap::default();
-    heap.enable_tracing(TraceConfig {
-        capacity: 1 << 20,
-        ..TraceConfig::default()
-    });
-    churn(&mut heap, 8);
-    let events = heap.disable_tracing();
-    let gen_copied: u64 = events
+/// The `Advance` events' fields: `(index, increment, terminal, pause_ns,
+/// laps_ns)`.
+fn advances(events: &[TracedEvent]) -> Vec<(u64, u32, bool, u64, [u64; 7])> {
+    events
         .iter()
         .filter_map(|e| match e.event {
-            GcEvent::GenCopied { words, .. } => Some(words),
+            GcEvent::Advance {
+                index,
+                increment,
+                terminal,
+                pause_ns,
+                laps_ns,
+                ..
+            } => Some((index, increment, terminal, pause_ns, laps_ns)),
             _ => None,
         })
-        .sum();
-    assert!(gen_copied > 0);
-    assert_eq!(gen_copied, heap.stats().total_words_copied);
+        .collect()
 }
 
+/// Folding the advances back reproduces the heap's time accounting
+/// exactly, stop-the-world and in one-unit increments: pauses sum to
+/// `total_gc_time`, laps to each phase total, one advance per
+/// `gc.pause_ns` sample, one terminal advance per collection.
 #[test]
-fn guardian_and_weak_events_match_report_counters() {
+fn replayed_trace_reproduces_heap_stats_exactly() {
+    for budget in [None, Some(Duration::ZERO)] {
+        let mut heap = traced_heap(budget, 1 << 20);
+        churn(&mut heap, 12);
+        assert_eq!(heap.trace_dropped(), 0, "parity needs the full history");
+        let adv = advances(&heap.disable_tracing());
+        let stats = heap.stats().clone();
+        let pauses: u64 = adv.iter().map(|a| a.3).sum();
+        assert_eq!(
+            Duration::from_nanos(pauses),
+            stats.total_gc_time,
+            "{budget:?}"
+        );
+        let t = &stats.total_phase_times;
+        let totals = [
+            t.flip, t.roots, t.remset, t.sweep, t.guardian, t.weak, t.reclaim,
+        ];
+        for phase in GcPhase::ALL {
+            let laps: u64 = adv.iter().map(|a| a.4[phase as usize]).sum();
+            let want = totals[phase as usize];
+            assert_eq!(Duration::from_nanos(laps), want, "{budget:?} {phase:?}");
+        }
+        let samples = heap.metrics().get_histogram("gc.pause_ns").unwrap().count();
+        assert_eq!(adv.len() as u64, samples, "{budget:?}");
+        let ends: Vec<u64> = adv.iter().filter(|a| a.2).map(|a| a.0).collect();
+        assert_eq!(
+            ends,
+            (1..=stats.collections).collect::<Vec<_>>(),
+            "{budget:?}"
+        );
+        if budget.is_some() {
+            assert!(
+                adv.len() as u64 > stats.collections,
+                "increments were sliced"
+            );
+        }
+    }
+}
+
+/// The guardian events are what no counter holds — one round per
+/// non-empty fixpoint iteration, one collector-side tconc append per
+/// finalized entry — and the weak pass follows the guardian pass: a weak
+/// car or weak root to a guarded object is forwarded to the salvaged
+/// object, one to garbage breaks.
+#[test]
+fn guardian_events_match_report_and_weak_refs_see_salvaged_objects() {
     let mut heap = Heap::default();
     heap.enable_tracing(TraceConfig {
         capacity: 1 << 16,
@@ -113,53 +147,20 @@ fn guardian_and_weak_events_match_report_counters() {
     let report = heap.last_report().unwrap().clone();
     let events = heap.drain_trace_events();
 
-    let mut partition_visited = 0;
-    let mut outcome = None;
-    let mut weak = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut rounds = Vec::new();
     let mut collector_appends = 0u64;
     for e in &events {
         match e.event {
-            GcEvent::GuardianPartition { visited, .. } => partition_visited += visited,
-            GcEvent::GuardianOutcome {
-                finalized,
-                held,
-                dropped,
-                loop_iterations,
-            } => outcome = Some((finalized, held, dropped, loop_iterations)),
-            GcEvent::WeakSweep {
-                scanned,
-                broken,
-                forwarded,
-                roots_traced,
-                roots_broken,
-            } => {
-                weak.0 += scanned;
-                weak.1 += broken;
-                weak.2 += forwarded;
-                weak.3 += roots_traced;
-                weak.4 += roots_broken;
-            }
+            GcEvent::GuardianRound { round, resurrected } => rounds.push((round, resurrected)),
             GcEvent::TconcAppend {
                 during_collection: true,
             } => collector_appends += 1,
             _ => {}
         }
     }
-    assert_eq!(partition_visited, report.guardian_entries_visited);
-    assert_eq!(
-        outcome,
-        Some((
-            report.guardian_entries_finalized,
-            report.guardian_entries_held,
-            report.guardian_entries_dropped,
-            report.guardian_loop_iterations,
-        ))
-    );
-    assert_eq!(weak.0, report.weak_pairs_scanned);
-    assert_eq!(weak.1, report.weak_cars_broken);
-    assert_eq!(weak.2, report.weak_cars_forwarded);
-    assert_eq!(weak.3, report.weak_roots_traced);
-    assert_eq!(weak.4, report.weak_roots_broken);
+    // One non-empty round, then the empty one that ends the loop.
+    assert_eq!(rounds, [(1, 50)]);
+    assert_eq!(report.guardian_loop_iterations, 2);
     assert_eq!(collector_appends, report.guardian_entries_finalized);
     // All 50 objects die guarded: every one produces a collector-side
     // tconc append, and — because the weak pass runs after the guardian
@@ -187,14 +188,11 @@ fn metrics_registry_agrees_with_stats_and_replay() {
         ..TraceConfig::default()
     });
     churn(&mut heap, 6);
-    let events = heap.disable_tracing();
-    let replayed = replay_stats(&events);
+    let adv = advances(&heap.disable_tracing());
     let stats = heap.stats().clone();
     let m = heap.metrics();
     assert_eq!(m.counter("gc.collections"), stats.collections);
-    assert_eq!(m.counter("gc.collections"), replayed.collections);
     assert_eq!(m.counter("gc.words_copied"), stats.total_words_copied);
-    assert_eq!(m.counter("gc.words_copied"), replayed.total_words_copied);
     assert_eq!(
         m.counter("gc.guardian.visited"),
         stats.total_guardian_entries_visited
@@ -204,9 +202,46 @@ fn metrics_registry_agrees_with_stats_and_replay() {
     assert_eq!(m.counter("guardian.polls"), stats.guardian_polls);
     let pause = m.get_histogram("gc.pause_ns").unwrap();
     assert_eq!(pause.count(), stats.collections);
+    // The histogram holds exactly the advances' pauses.
+    assert_eq!(pause.count(), adv.len() as u64);
+    assert_eq!(pause.sum(), adv.iter().map(|a| a.3).sum::<u64>());
     assert!(pause.quantile(0.99).unwrap() >= pause.quantile(0.5).unwrap());
     let json = heap.metrics_json();
     assert_eq!(json, heap.metrics_json(), "snapshots are deterministic");
+}
+
+/// The Chrome exporter draws a multi-advance collection as one `B`/`E`
+/// span with one `advance` slice per advance; a ring too small to hold
+/// the collection's first advances still draws no `E` without its `B`.
+#[test]
+fn a_sliced_collection_exports_as_one_span() {
+    let phases = |chrome: &str| -> Vec<char> {
+        chrome
+            .match_indices("\"ph\":\"")
+            .map(|(i, m)| chrome[i + m.len()..].chars().next().unwrap())
+            .filter(|&ph| ph == 'B' || ph == 'E')
+            .collect()
+    };
+    for capacity in [1 << 16, 2] {
+        let mut heap = traced_heap(Some(Duration::ZERO), capacity);
+        let keep = heap.root_vec();
+        for i in 0..2_000 {
+            let p = heap.cons(Value::fixnum(i), Value::NIL);
+            keep.push(p);
+        }
+        heap.drain_trace_events();
+        heap.collect(0);
+        let increments = heap.last_report().unwrap().increments;
+        assert!(increments > 2, "the collection was sliced: {increments}");
+        let events = heap.drain_trace_events();
+        let chrome = chrome_trace_json(&events);
+        assert_eq!(phases(&chrome), ['B', 'E'], "capacity {capacity}");
+        let slices = chrome.matches("\"name\":\"advance\"").count() as u64;
+        assert_eq!(slices, advances(&events).len() as u64);
+        if capacity > 2 {
+            assert_eq!(slices, increments);
+        }
+    }
 }
 
 #[test]

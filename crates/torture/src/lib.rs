@@ -100,9 +100,17 @@ mod tests {
         assert!(stats.collections > 0);
         let ends = events
             .iter()
-            .filter(|e| matches!(e.event, guardians_gc::GcEvent::CollectionEnd { .. }))
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    guardians_gc::GcEvent::Advance { terminal: true, .. }
+                )
+            })
             .count() as u64;
-        assert_eq!(ends, stats.collections, "one CollectionEnd per collection");
+        assert_eq!(
+            ends, stats.collections,
+            "one terminal Advance per collection"
+        );
         // Tracing must not change behaviour: same oracle outcomes.
         let plain = check_seed(1, 200).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(plain.finalized, stats.finalized);
