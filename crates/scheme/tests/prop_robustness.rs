@@ -2,7 +2,7 @@
 //! panic — arbitrary input produces either a value or a `SchemeError`.
 
 use guardians_runtime::symtab::SymbolTable;
-use guardians_scheme::{read_all, tokenize, Interp};
+use guardians_scheme::{read_all, tokenize, Interp, InterpConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,6 +73,26 @@ proptest! {
             prop_assert_eq!(again.unwrap(), first);
         }
     }
+}
+
+/// The token soup `( let car car ) ( )`, the one case a run of
+/// `evaluator_never_panics` persisted: a named `let` whose binding list is
+/// a symbol and whose body is empty, then `()`. Neither evaluator panics,
+/// both give the same outcome, and the heap stays valid. The vendored
+/// proptest replays no persisted case, so it is pinned here.
+#[test]
+fn let_with_a_symbol_for_bindings_never_panics() {
+    let src = ["(", "let", "car", "car", ")", "(", ")"].join(" ");
+    let outcomes: Vec<String> = [InterpConfig::vm(), InterpConfig::naive()]
+        .into_iter()
+        .map(|config| {
+            let mut interp = Interp::with_interp_config(config);
+            let outcome = format!("{:?}", interp.eval_to_string(&src));
+            interp.heap().verify().expect("heap valid afterwards");
+            outcome
+        })
+        .collect();
+    assert_eq!(outcomes[0], outcomes[1], "VM vs naive on {src:?}");
 }
 
 /// Runs `f` on a thread with a 2 MiB stack: a stack overflow there

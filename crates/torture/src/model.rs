@@ -6,6 +6,11 @@
 //! keyed by registration order, weak cars break by a set-membership test —
 //! so that agreement with the real heap is evidence, not tautology.
 //!
+//! It is the repository's one executable statement of the heap's
+//! semantics, and it describes a heap that holds only what the trace
+//! allocated: the rig's trackers are weak root slots, not heap objects,
+//! so they appear here only as terms of the weak-slot counters.
+//!
 //! One point deserves spelling out because the whole oracle leans on it:
 //! **the collector's floating-garbage behaviour is exact, not fuzzy**.
 //! When generations `0..=g` are collected, every object physically residing
@@ -102,22 +107,15 @@ pub struct MReport {
     pub dropped: u64,
     /// Fixpoint rounds, counting the final empty round.
     pub loop_iterations: u64,
-    /// Weak cars the post-guardian weak pass breaks to `#f` — trackers
-    /// included, since they are ordinary weak pairs of the heap under
-    /// test.
+    /// Weak cars the post-guardian weak pass breaks to `#f`.
     pub weak_cars_broken: u64,
-    /// Weak cars the pass forwards to a copied referent (ditto).
+    /// Weak cars the pass forwards to a copied referent.
     pub weak_cars_forwarded: u64,
-    /// Weak slots (typed weaks) stamped at most the collected generation.
+    /// Weak root slots stamped at most the collected generation: typed
+    /// weaks and the rig's trackers.
     pub weak_roots_traced: u64,
-    /// Weak slots broken to `#f`.
+    /// Weak root slots broken to `#f`.
     pub weak_roots_broken: u64,
-    /// Node ids reclaimed by this collection (trackers must break).
-    pub reclaimed_nodes: Vec<u32>,
-    /// Guardian indices whose tconc was reclaimed.
-    pub reclaimed_tconcs: Vec<u32>,
-    /// Standalone weak-pair ids reclaimed.
-    pub reclaimed_weaks: Vec<u32>,
 }
 
 /// The shadow heap.
@@ -134,11 +132,6 @@ pub struct Model {
     /// Live typed weak references by id (the weak-id space is shared with
     /// `weaks`); dropping one frees its slot at once.
     pub slots: HashMap<u32, MSlot>,
-    /// Node-tracker generations (trackers are immortal rooted weak pairs,
-    /// one per node ever allocated).
-    pub node_tracker_gen: HashMap<u32, u8>,
-    /// Tconc-tracker generations.
-    pub tconc_tracker_gen: HashMap<u32, u8>,
     /// Strongly rooted node ids.
     pub roots: HashSet<u32>,
     /// Protected lists, one per generation.
@@ -155,8 +148,6 @@ impl Model {
             tconcs: HashMap::new(),
             weaks: HashMap::new(),
             slots: HashMap::new(),
-            node_tracker_gen: HashMap::new(),
-            tconc_tracker_gen: HashMap::new(),
             roots: HashSet::new(),
             protected: vec![Vec::new(); gens],
         }
@@ -192,21 +183,11 @@ impl Model {
             .count()
     }
 
-    /// Physical weak pairs residing in `gen`: node trackers, tconc
-    /// trackers, standalone weak pairs, and the weak pair attached to each
-    /// vector node. Each is 2 words in the real heap's weak-pair space.
-    /// Typed weaks are root slots, not pairs, and are not counted.
+    /// Physical weak pairs residing in `gen`: standalone weak pairs and
+    /// the weak pair attached to each vector node. Typed weaks and the
+    /// rig's trackers are root slots, not pairs, and are not counted.
     pub fn weak_pairs_in_gen(&self, gen: u8) -> usize {
-        self.node_tracker_gen
-            .values()
-            .filter(|g| **g == gen)
-            .count()
-            + self
-                .tconc_tracker_gen
-                .values()
-                .filter(|g| **g == gen)
-                .count()
-            + self.weaks.values().filter(|w| w.gen == gen).count()
+        self.weaks.values().filter(|w| w.gen == gen).count()
             + self
                 .nodes
                 .values()
@@ -353,6 +334,26 @@ impl Model {
                 Ref::Tconc(_) => unreachable!("typed weaks only watch typed nodes"),
             };
         }
+        // The rig's trackers: one immortal weak slot per object ever
+        // allocated, stamped with its referent's generation while the
+        // referent is physical and clean once broken. The pass visits the
+        // tracker of every physical object in a collected generation and
+        // breaks those of the dead.
+        let collected = self
+            .nodes
+            .iter()
+            .filter(|(_, n)| n.gen <= g)
+            .map(|(id, _)| live_n.contains(id))
+            .chain(
+                self.tconcs
+                    .iter()
+                    .filter(|(_, tc)| tc.gen <= g)
+                    .map(|(gi, _)| live_t.contains(gi)),
+            );
+        for live in collected {
+            report.weak_roots_traced += 1;
+            report.weak_roots_broken += u64::from(!live);
+        }
 
         // ---- Weak-pair pass ---------------------------------------------
         // Every weak slot still physical after this collection has its car
@@ -409,79 +410,22 @@ impl Model {
                 report.weak_cars_forwarded += 1;
             }
         }
-        // Trackers: one immortal rooted weak pair per object ever
-        // allocated, in lockstep generation with its referent while the
-        // referent lives. A physical from-space referent's tracker car is
-        // forwarded if it survived and broken if it did not; trackers of
-        // already-reclaimed objects hold `#f` and are never touched.
-        for (&id, n) in &self.nodes {
-            if n.gen <= g {
-                if live_n.contains(&id) {
-                    report.weak_cars_forwarded += 1;
-                } else {
-                    report.weak_cars_broken += 1;
-                }
-            }
-        }
-        for (&gi, tc) in &self.tconcs {
-            if tc.gen <= g {
-                if live_t.contains(&gi) {
-                    report.weak_cars_forwarded += 1;
-                } else {
-                    report.weak_cars_broken += 1;
-                }
-            }
-        }
-
         // ---- Reclaim and promote ----------------------------------------
-        self.nodes.retain(|&id, n| {
-            if n.gen > g {
+        // An object of a collected generation survives exactly when it is
+        // live (a standalone weak pair when it is rooted) and moves to the
+        // target generation.
+        let promote = |gen: &mut u8, live: bool| {
+            if *gen > g {
                 return true;
             }
-            if live_n.contains(&id) {
-                n.gen = target;
-                true
-            } else {
-                report.reclaimed_nodes.push(id);
-                false
-            }
-        });
-        self.tconcs.retain(|&gi, tc| {
-            if tc.gen > g {
-                return true;
-            }
-            if live_t.contains(&gi) {
-                tc.gen = target;
-                true
-            } else {
-                report.reclaimed_tconcs.push(gi);
-                false
-            }
-        });
-        self.weaks.retain(|&id, w| {
-            if w.gen > g {
-                return true;
-            }
-            if w.rooted {
-                w.gen = target;
-                true
-            } else {
-                report.reclaimed_weaks.push(id);
-                false
-            }
-        });
-        for gen in self
-            .node_tracker_gen
-            .values_mut()
-            .chain(self.tconc_tracker_gen.values_mut())
-        {
-            if *gen <= g {
-                *gen = target;
-            }
-        }
-        report.reclaimed_nodes.sort_unstable();
-        report.reclaimed_tconcs.sort_unstable();
-        report.reclaimed_weaks.sort_unstable();
+            *gen = target;
+            live
+        };
+        self.nodes
+            .retain(|id, n| promote(&mut n.gen, live_n.contains(id)));
+        self.tconcs
+            .retain(|gi, tc| promote(&mut tc.gen, live_t.contains(gi)));
+        self.weaks.retain(|_, w| promote(&mut w.gen, w.rooted));
         report
     }
 

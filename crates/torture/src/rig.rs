@@ -5,22 +5,26 @@
 //! # Object addressing: weak trackers
 //!
 //! A copying collector moves objects, so the rig cannot hold raw `Value`s
-//! across collections. Instead it allocates one *permanently rooted weak
-//! pair per object* — car pointing (weakly) at the object, cdr its fixnum
-//! id. A tracker's car always holds the object's current address, without
-//! keeping it alive; when the object is reclaimed the car breaks to `#f`.
-//! This gives the rig three things at once:
+//! across collections. Instead it claims one *weak root slot per object*
+//! ([`RootSet::weak`](guardians_gc::RootSet::weak)) and keeps it for the
+//! whole run. A tracker slot always holds the object's current address,
+//! without keeping it alive; when the object is reclaimed the slot breaks
+//! to `#f`. This gives the rig three things at once:
 //!
 //! * the current address of **every** physical object — including floating
 //!   garbage in uncollected generations, which the model tracks exactly;
-//! * a direct liveness oracle: tracker-car-broken ⇔ model-object-reclaimed
-//!   is itself checked after every collection;
+//! * a direct liveness oracle: tracker-broken ⇔ model-object-reclaimed is
+//!   itself checked after every collection;
 //! * deterministic op applicability: an op referencing an object degrades
 //!   to a no-op exactly when the model says the object is gone.
 //!
-//! Trackers are themselves weak pairs in the heap being tested, so the
-//! model accounts for them (generation by generation) in its weak-pair
-//! word predictions — the instrumentation is inside the experiment.
+//! A weak slot is not a heap object: the heap under test holds only what
+//! the trace allocated, and no strong root slot is spent on a tracker. The
+//! one trace the instrumentation leaves is in the weak-slot pass's
+//! counters, which the model predicts: a tracker slot's stamp equals its
+//! referent's generation while the referent is physical, so a collection
+//! of `0..=g` visits the trackers of exactly the physical objects of
+//! generations `<= g` (and breaks those of the dead).
 //!
 //! # Fault policy
 //!
@@ -38,6 +42,7 @@ use crate::model::{MEntry, MNode, MReport, MSlot, MTconc, MWeak, Model};
 use crate::ops::{NodeKind, Op, Ref, Trace};
 use guardians_gc::{
     CollectionReport, GcConfig, GcEvent, Guardian, Heap, Rooted, TraceConfig, TracedEvent, Value,
+    WeakRooted,
 };
 use guardians_gc_api::{
     impl_trace, GcHeap, Guardian as TypedGuardian, Root as TypedRoot, Weak as TypedWeak,
@@ -181,8 +186,8 @@ struct Rig {
     /// `TNode`'s descriptor symbol, read from the first typed record
     /// `GcHeap::alloc` made; every typed node must carry this symbol.
     descriptor: Option<Rooted>,
-    node_trackers: HashMap<u32, Rooted>,
-    tconc_trackers: HashMap<u32, Rooted>,
+    node_trackers: HashMap<u32, WeakRooted>,
+    tconc_trackers: HashMap<u32, WeakRooted>,
     guardians: HashMap<u32, Guardian>,
     rooted: HashMap<u32, Rooted>,
     /// Typed roots (`troot` / typed-poll revivals), the typed twin of
@@ -223,7 +228,7 @@ impl Rig {
         if traced {
             heap.enable_tracing(TraceConfig {
                 capacity: 1 << 18,
-                ..TraceConfig::default()
+                census_at_collection_end: true,
             });
         }
         Rig {
@@ -267,15 +272,15 @@ impl Rig {
 
     // ---- addressing ----------------------------------------------------
 
-    /// Current address of node `id` via its tracker car.
+    /// Current address of node `id` via its tracker slot.
     fn node_value(&self, id: u32) -> Value {
-        let v = self.heap.raw().car(self.node_trackers[&id].get());
+        let v = self.node_trackers[&id].get();
         assert!(v.is_ptr(), "tracker for physical node n{id} is broken");
         v
     }
 
     fn tconc_value(&self, gi: u32) -> Value {
-        let v = self.heap.raw().car(self.tconc_trackers[&gi].get());
+        let v = self.tconc_trackers[&gi].get();
         assert!(v.is_ptr(), "tracker for physical tconc t{gi} is broken");
         v
     }
@@ -340,7 +345,7 @@ impl Rig {
                     return Ok(false);
                 }
                 let (left, right) = (self.model.normalize(left), self.model.normalize(right));
-                self.reserve(2)?;
+                self.reserve(1)?;
                 let inner = {
                     let (l, r) = (self.strong_value(left), self.strong_value(right));
                     self.heap.raw_mut().cons(l, r)
@@ -371,7 +376,7 @@ impl Rig {
                 }
                 let (left, right) = (self.model.normalize(left), self.model.normalize(right));
                 let len = 4 + payload as usize;
-                self.reserve(((1 + len) as u64).div_ceil(512).max(1) + 2)?;
+                self.reserve(((1 + len) as u64).div_ceil(512).max(1) + 1)?;
                 let w = self.heap.raw_mut().weak_cons(Value::FALSE, Value::NIL);
                 let v = self
                     .heap
@@ -400,7 +405,7 @@ impl Rig {
                     return Ok(false);
                 }
                 let words = 1 + (len as u64).div_ceil(8);
-                self.reserve(words.div_ceil(512).max(1) + 1)?;
+                self.reserve(words.div_ceil(512).max(1))?;
                 let bv = self.heap.raw_mut().make_bytevector(len as usize, id as u8);
                 self.track_node(id, bv);
                 self.model.nodes.insert(
@@ -420,7 +425,7 @@ impl Rig {
                 if self.model.nodes.contains_key(&id) {
                     return Ok(false);
                 }
-                self.reserve(2)?;
+                self.reserve(1)?;
                 let s = self.heap.raw_mut().make_string(&format!("node-{id}"));
                 self.track_node(id, s);
                 self.model.nodes.insert(
@@ -522,15 +527,10 @@ impl Rig {
                 if self.model.tconcs.contains_key(&g) {
                     return Ok(false);
                 }
-                self.reserve(2)?;
+                self.reserve(1)?;
                 let guardian = self.heap.raw_mut().make_guardian();
-                let tc = guardian.tconc();
-                let tracker = self
-                    .heap
-                    .raw_mut()
-                    .weak_cons(tc, Value::fixnum(1_000_000 + g as i64));
-                let handle = self.heap.raw_mut().root(tracker);
-                self.tconc_trackers.insert(g, handle);
+                let tracker = self.heap.raw().roots().weak(guardian.tconc());
+                self.tconc_trackers.insert(g, tracker);
                 self.guardians.insert(g, guardian);
                 self.model.tconcs.insert(
                     g,
@@ -540,7 +540,6 @@ impl Rig {
                         handle: true,
                     },
                 );
-                self.model.tconc_tracker_gen.insert(g, 0);
                 Ok(true)
             }
             Op::Register { g, target, agent } => {
@@ -669,9 +668,8 @@ impl Rig {
                     _ => Ref::Null,
                 };
                 let (left, right) = (norm(left, self), norm(right, self));
-                // Record + (first time) descriptor string/symbol +
-                // tracker weak pair.
-                self.reserve(3)?;
+                // Record + (first time) descriptor string/symbol.
+                self.reserve(2)?;
                 let node = TNode {
                     id: id as i64,
                     left: None,
@@ -955,19 +953,20 @@ impl Rig {
     }
 
     fn track_node(&mut self, id: u32, v: Value) {
-        let tracker = self.heap.raw_mut().weak_cons(v, Value::fixnum(id as i64));
-        let handle = self.heap.raw_mut().root(tracker);
-        self.node_trackers.insert(id, handle);
-        self.model.node_tracker_gen.insert(id, 0);
+        let tracker = self.heap.raw().roots().weak(v);
+        self.node_trackers.insert(id, tracker);
     }
 
     // ---- the oracle ----------------------------------------------------
 
     /// Traced mode: drains the events of the collection that just ran and
     /// checks what only the ring records against the model — guardian
-    /// rounds, tconc appends by side, released segments — and that the
+    /// rounds, tconc appends by side, released segments — that the
     /// collection's pauses are its advances: `max(increments, 1)` of them,
-    /// one terminal, all naming the report's collection.
+    /// one terminal, all naming the report's collection — and that its
+    /// end-of-collection census is one `CensusGen` per generation, each
+    /// agreeing with `Heap::census` (which `check_state` holds to
+    /// the model).
     fn check_events(
         &mut self,
         gen: u8,
@@ -987,6 +986,8 @@ impl Rig {
         let mut released = 0u64;
         let mut collector_appends = 0u64;
         let mut mutator_appends = 0u64;
+        // (generation, protected entries, weak pairs) of every census event.
+        let mut censuses = Vec::new();
         for e in &window {
             match e.event {
                 GcEvent::Advance {
@@ -1005,6 +1006,12 @@ impl Rig {
                         mutator_appends += 1;
                     }
                 }
+                GcEvent::CensusGen {
+                    generation,
+                    weak_pairs,
+                    protected_entries,
+                    ..
+                } => censuses.push((generation, protected_entries, weak_pairs)),
                 _ => {}
             }
         }
@@ -1043,6 +1050,20 @@ impl Rig {
              {mutator_appends}) vs finalized {}",
             r.guardian_entries_finalized
         );
+        let census: Vec<_> = self
+            .heap
+            .raw()
+            .census()
+            .generations
+            .iter()
+            .map(|c| (c.generation, c.protected_entries, c.weak_pairs))
+            .collect();
+        check!(
+            self,
+            censuses == census,
+            "collect {gen}: CensusGen (generation, protected entries, weak pairs) \
+             {censuses:?} vs census {census:?}"
+        );
         self.events.extend(window);
         Ok(())
     }
@@ -1054,40 +1075,25 @@ impl Rig {
             .verify()
             .map_err(|v| format!("heap.verify() failed: {v}"))?;
 
-        // Liveness oracle: a tracker's car is broken exactly when the model
+        // Liveness oracle: a tracker slot is broken exactly when the model
         // reclaimed the object (trackers are immortal, so this covers every
-        // object ever allocated); and trackers sit in the generation the
-        // model predicts, which grounds the weak-word accounting below.
-        for (&id, handle) in &self.node_trackers {
-            let car = self.heap.raw().car(handle.get());
+        // object ever allocated).
+        for (&id, tracker) in &self.node_trackers {
+            let v = tracker.get();
             let alive = self.model.nodes.contains_key(&id);
             check!(
                 self,
-                car.is_ptr() == alive,
-                "liveness: node n{id} tracker car {car:?}, model physical={alive}"
-            );
-            let tgen = self.heap.raw().generation_of(handle.get());
-            let want = Some(self.model.node_tracker_gen[&id]);
-            check!(
-                self,
-                tgen == want,
-                "node n{id} tracker generation: heap {tgen:?}, model {want:?}"
+                v.is_ptr() == alive,
+                "liveness: node n{id} tracker {v:?}, model physical={alive}"
             );
         }
-        for (&gi, handle) in &self.tconc_trackers {
-            let car = self.heap.raw().car(handle.get());
+        for (&gi, tracker) in &self.tconc_trackers {
+            let v = tracker.get();
             let alive = self.model.tconcs.contains_key(&gi);
             check!(
                 self,
-                car.is_ptr() == alive,
-                "liveness: tconc t{gi} tracker car {car:?}, model physical={alive}"
-            );
-            let tgen = self.heap.raw().generation_of(handle.get());
-            let want = Some(self.model.tconc_tracker_gen[&gi]);
-            check!(
-                self,
-                tgen == want,
-                "tconc t{gi} tracker generation: heap {tgen:?}, model {want:?}"
+                v.is_ptr() == alive,
+                "liveness: tconc t{gi} tracker {v:?}, model physical={alive}"
             );
         }
 

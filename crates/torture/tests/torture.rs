@@ -345,7 +345,7 @@ fn regression_corpus_replays_clean() {
         }
     }
     assert!(
-        found >= 3,
+        found >= 5,
         "regression corpus went missing ({found} traces)"
     );
 }
@@ -377,6 +377,49 @@ fn traced_seeds_agree_event_for_event() {
             events.len() as u64 > stats.collections,
             "seed {seed}: trace suspiciously sparse ({} events)",
             events.len()
+        );
+    }
+}
+
+/// The heap under test holds only what the trace allocated: the rig's
+/// trackers are weak root slots, not weak pairs, so a trace with no weak
+/// pair op and no vector (the one node kind that carries a weak pair)
+/// leaves no weak pair in any generation, as every collection's
+/// end-of-collection census reads in the traced leg.
+#[test]
+fn the_rig_allocates_no_weak_pair_of_its_own() {
+    use guardians_gc::GcEvent;
+    use guardians_torture::Op;
+    for seed in 0..4u64 {
+        let mut trace = generate(seed, 400);
+        trace.ops.retain(|op| {
+            !matches!(
+                op,
+                Op::AllocVector { .. }
+                    | Op::SetWeak { .. }
+                    | Op::AllocWeakPair { .. }
+                    | Op::SetWeakPair { .. }
+                    | Op::DropWeakPair { .. }
+            )
+        });
+        let (stats, events) = guardians_torture::run_trace_traced(&trace)
+            .unwrap_or_else(|f| panic!("seed {seed} without weak pairs: {f}"));
+        let weak_pairs: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                GcEvent::CensusGen { weak_pairs, .. } => Some(weak_pairs),
+                _ => None,
+            })
+            .collect();
+        assert!(stats.collections > 0, "seed {seed} never collected");
+        assert_eq!(
+            weak_pairs.len() as u64,
+            stats.collections * u64::from(trace.config.generations),
+            "seed {seed}: one census event per generation per collection"
+        );
+        assert!(
+            weak_pairs.iter().all(|&w| w == 0),
+            "seed {seed}: the census found weak pairs the trace never made: {weak_pairs:?}"
         );
     }
 }
