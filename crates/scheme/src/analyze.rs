@@ -10,9 +10,11 @@
 //! through the symbol's interned value cell with a one-entry inline cache
 //! at the reference site — the cost of parsing special forms, walking
 //! binding lists, and searching association-list environments is paid
-//! once per form instead of once per evaluation. The top-level form, each
-//! lambda clause body and each quasiquote unquote site get a code object
-//! of their own; finished lambdas join `Interp::lambdas` in post-order.
+//! once per form instead of once per evaluation. The top-level form and
+//! each lambda clause body get a code object of their own; finished
+//! lambdas join `Interp::lambdas` in post-order. A quasiquote template is
+//! lowered node for node into template ops around its unquotes' ordinary
+//! code, so the VM never walks a template at run time.
 //! Every `analyze_*` takes a `tail` flag: in tail position every path of
 //! a form's code ends in a return, a tail call or a loop entry.
 //!
@@ -26,18 +28,20 @@
 //! `record_set_audited`).
 //!
 //! The analyzer deliberately mirrors the naive (cons-walking) evaluator's
-//! observable behaviour: error messages are byte-identical, scope rules
-//! match (special forms are not shadowable, duplicate lambda parameters
-//! resolve to the last occurrence, named-`let` inits evaluate in the
-//! outer scope), and the `do` desugar bumps the same gensym counter so
-//! symbol generation stays in lockstep between the two modes. Known,
-//! documented divergences are limited to *malformed* programs (the
-//! analyzer reports a syntax error at analysis time where the naive
-//! evaluator would only fail if and when the bad subform was reached) and
-//! to conditionally-executed `define`s inside bodies, which the analyzer
-//! allocates a slot for unconditionally.
+//! observable behaviour: error messages are byte-identical (the syntax
+//! helpers `nth`, `scar`, `scdr`, `tail_from` and `syntax_items` are the
+//! oracle's own), scope rules match (special forms are not shadowable,
+//! duplicate lambda parameters resolve to the last occurrence, named-`let`
+//! inits evaluate in the outer scope), and the `do` desugar bumps the
+//! same gensym counter so symbol generation stays in lockstep between the
+//! two modes. Known, documented divergences are limited to *malformed*
+//! programs (the analyzer reports a syntax error at analysis time where
+//! the naive evaluator would only fail if and when the bad subform was
+//! reached), to conditionally-executed `define`s inside bodies, which the
+//! analyzer allocates a slot for unconditionally, and to nesting depth
+//! (see `vm.rs`).
 
-use crate::compile::{narrow, CodeObject, Emitter, Insn, VmClause, VmLambda};
+use crate::compile::{narrow, narrow32, CodeObject, Emitter, Insn, VmClause, VmLambda};
 use crate::error::{err, SResult};
 use crate::interp::Interp;
 use crate::reader::MAX_NESTING;
@@ -89,65 +93,12 @@ struct Analyzer<'a> {
     /// evaluator's behaviour of binding them inertly in the alist.
     scopes: Vec<Vec<Value>>,
     depth: usize,
-    /// The code object being emitted; see [`Analyzer::block`].
+    /// The code object being emitted; a clause body swaps in its own
+    /// (see [`Analyzer::clause`]).
     code: Emitter,
 }
 
 impl<'a> Analyzer<'a> {
-    // ------------------------------------------------------------------
-    // Structure helpers (mirror the naive evaluator's error strings)
-    // ------------------------------------------------------------------
-
-    fn nth(&self, list: Value, n: usize) -> SResult<Value> {
-        let mut cur = list;
-        for _ in 0..n {
-            if !self.it.heap.is_pair(cur) {
-                return err("malformed form: too few subexpressions");
-            }
-            cur = self.it.heap.cdr(cur);
-        }
-        if !self.it.heap.is_pair(cur) {
-            return err("malformed form: too few subexpressions");
-        }
-        Ok(self.it.heap.car(cur))
-    }
-
-    fn tail_from(&self, list: Value, n: usize) -> Value {
-        let mut cur = list;
-        for _ in 0..n {
-            if !self.it.heap.is_pair(cur) {
-                return cur;
-            }
-            cur = self.it.heap.cdr(cur);
-        }
-        cur
-    }
-
-    fn scar(&self, v: Value) -> SResult<Value> {
-        if self.it.heap.is_pair(v) {
-            Ok(self.it.heap.car(v))
-        } else {
-            err("malformed form")
-        }
-    }
-
-    fn scdr(&self, v: Value) -> SResult<Value> {
-        if self.it.heap.is_pair(v) {
-            Ok(self.it.heap.cdr(v))
-        } else {
-            err("malformed form")
-        }
-    }
-
-    fn list_items(&self, mut v: Value) -> Vec<Value> {
-        let mut items = Vec::new();
-        while self.it.heap.is_pair(v) {
-            items.push(self.it.heap.car(v));
-            v = self.it.heap.cdr(v);
-        }
-        items
-    }
-
     // ------------------------------------------------------------------
     // Scope map and frames
     // ------------------------------------------------------------------
@@ -294,14 +245,6 @@ impl<'a> Analyzer<'a> {
         self.analyze(last, tail)
     }
 
-    /// Emits into a code object of its own (a lambda clause body or an
-    /// unquote site), then resumes the current one.
-    fn block(&mut self, emit: impl FnOnce(&mut Self) -> SResult<()>) -> SResult<Rc<CodeObject>> {
-        let outer = std::mem::take(&mut self.code);
-        emit(self)?;
-        Ok(std::mem::replace(&mut self.code, outer).finish())
-    }
-
     // ------------------------------------------------------------------
     // Entry
     // ------------------------------------------------------------------
@@ -330,7 +273,7 @@ impl<'a> Analyzer<'a> {
         }
         // Application.
         self.analyze(head, false)?;
-        let args = self.list_items(self.it.heap.cdr(form));
+        let args = self.it.syntax_items(self.it.heap.cdr(form))?;
         for &a in &args {
             self.analyze(a, false)?;
         }
@@ -352,13 +295,14 @@ impl<'a> Analyzer<'a> {
         let is = |name: &Rooted| head == name.get();
         let analyze: SpecialForm<'a> = if is(&sf.quote) {
             |a, form, tail| {
-                let datum = a.nth(form, 1)?;
+                let datum = a.it.nth(form, 1)?;
                 a.constant(datum, tail)
             }
         } else if is(&sf.quasiquote) {
             |a, form, tail| {
-                let template = a.nth(form, 1)?;
-                a.analyze_quasiquote(template, tail)
+                let template = a.it.nth(form, 1)?;
+                a.qq(template, 1)?;
+                a.done(tail)
             }
         } else if is(&sf.unquote) || is(&sf.unquote_splicing) {
             |_, _, _| err("unquote outside quasiquote")
@@ -370,15 +314,15 @@ impl<'a> Analyzer<'a> {
             Self::analyze_set
         } else if is(&sf.lambda) {
             |a, form, tail| {
-                let params = a.nth(form, 1)?;
-                let body = a.tail_from(form, 2);
+                let params = a.it.nth(form, 1)?;
+                let body = a.it.tail_from(form, 2);
                 a.analyze_lambda(&[(params, body)], Value::FALSE, tail)
             }
         } else if is(&sf.case_lambda) {
             |a, form, tail| {
                 let mut clauses = Vec::new();
-                for c in a.list_items(a.it.heap.cdr(form)) {
-                    clauses.push((a.scar(c)?, a.it.heap.cdr(c)));
+                for c in a.it.syntax_items(a.it.heap.cdr(form))? {
+                    clauses.push((a.it.scar(c)?, a.it.heap.cdr(c)));
                 }
                 a.analyze_lambda(&clauses, Value::FALSE, tail)
             }
@@ -388,8 +332,8 @@ impl<'a> Analyzer<'a> {
             Self::analyze_let
         } else if is(&sf.let_star) {
             |a, form, tail| {
-                let bindings = a.nth(form, 1)?;
-                let body = a.tail_from(form, 2);
+                let bindings = a.it.nth(form, 1)?;
+                let body = a.it.tail_from(form, 2);
                 a.analyze_let_star(bindings, body, tail)
             }
         } else if is(&sf.letrec) {
@@ -420,8 +364,8 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_set(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let target = self.nth(form, 1)?;
-        let value = self.nth(form, 2)?;
+        let target = self.it.nth(form, 1)?;
+        let value = self.it.nth(form, 2)?;
         self.analyze(value, false)?;
         if !self.it.heap.is_symbol(target) {
             // The naive evaluator's set_var never finds a non-symbol in
@@ -461,18 +405,18 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_if(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let test = self.nth(form, 1)?;
+        let test = self.it.nth(form, 1)?;
         self.analyze(test, false)?;
         let to_else = self.code.emit_jump(Insn::JmpIfFalse);
-        let then_form = self.nth(form, 2)?;
+        let then_form = self.it.nth(form, 2)?;
         self.analyze(then_form, tail)?;
         let to_end = self.branch_end(tail);
         self.code.patch_here(to_else)?;
-        let rest = self.tail_from(form, 3);
+        let rest = self.it.tail_from(form, 3);
         if rest.is_nil() {
             self.void(tail)?;
         } else {
-            let e = self.scar(rest)?;
+            let e = self.it.scar(rest)?;
             self.analyze(e, tail)?;
         }
         self.join(to_end)
@@ -482,10 +426,10 @@ impl<'a> Analyzer<'a> {
     /// `analyze_body` has already registered the name in the scope map,
     /// so it resolves locally; at top level it becomes a global define.
     fn analyze_define(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let target = self.nth(form, 1)?;
+        let target = self.it.nth(form, 1)?;
         let heap = &self.it.heap;
         if heap.is_symbol(target) {
-            let value = self.nth(form, 2)?;
+            let value = self.it.nth(form, 2)?;
             self.analyze(value, false)?;
             return self.store(target, Insn::GlobalDefine, tail);
         }
@@ -493,7 +437,7 @@ impl<'a> Analyzer<'a> {
             // (define (f . params) body...)
             let name = heap.car(target);
             let params = heap.cdr(target);
-            let body = self.tail_from(form, 2);
+            let body = self.it.tail_from(form, 2);
             self.analyze_lambda(&[(params, body)], name, false)?;
             if !self.it.heap.is_symbol(name) {
                 return err("define: bad target");
@@ -545,7 +489,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn expand_body_items(&mut self, body: Value, out: &mut Vec<Value>) -> SResult<()> {
-        for item in self.list_items(body) {
+        for item in self.it.syntax_items(body)? {
             let heap = &self.it.heap;
             if heap.is_pair(item) {
                 let head = heap.car(item);
@@ -671,7 +615,9 @@ impl<'a> Analyzer<'a> {
         self.add_defines(&mut frame, &items);
         let n_slots = frame.len();
         self.scopes.push(frame);
-        let body = self.block(|a| emit(a, &items))?;
+        let outer = std::mem::take(&mut self.code);
+        emit(self, &items)?;
+        let body = std::mem::replace(&mut self.code, outer).finish();
         self.scopes.pop();
         Ok(VmClause {
             n_req,
@@ -693,19 +639,19 @@ impl<'a> Analyzer<'a> {
     // ------------------------------------------------------------------
 
     fn analyze_let(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let second = self.nth(form, 1)?;
+        let second = self.it.nth(form, 1)?;
         if self.it.heap.is_symbol(second) {
             return self.analyze_named_let(form, tail);
         }
         self.save_env(tail);
-        let bindings = self.list_items(second);
+        let bindings = self.it.syntax_items(second)?;
         let mut names = Vec::with_capacity(bindings.len());
         for &b in &bindings {
-            names.push(self.scar(b)?);
-            let init = self.nth(b, 1)?;
+            names.push(self.it.scar(b)?);
+            let init = self.it.nth(b, 1)?;
             self.analyze(init, false)?;
         }
-        let items = self.expand_body(self.tail_from(form, 2))?;
+        let items = self.expand_body(self.it.tail_from(form, 2))?;
         self.add_defines(&mut names, &items);
         self.push_frame(names, bindings.len())?;
         self.seq(&items, tail)?;
@@ -714,13 +660,13 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_let_star(&mut self, bindings: Value, body: Value, tail: bool) -> SResult<()> {
-        if !self.it.heap.is_pair(bindings) {
+        if bindings.is_nil() {
             // No bindings left: the body in its own frame (for defines).
             return self.analyze_body(body, tail);
         }
-        let binding = self.scar(bindings)?;
-        let sym = self.scar(binding)?;
-        let init = self.nth(binding, 1)?;
+        let binding = self.it.scar(bindings)?;
+        let sym = self.it.scar(binding)?;
+        let init = self.it.nth(binding, 1)?;
         self.save_env(tail);
         self.analyze(init, false)?;
         self.push_frame(vec![sym], 1)?;
@@ -730,14 +676,14 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_letrec(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let bindings = self.list_items(self.nth(form, 1)?);
+        let bindings = self.it.syntax_items(self.it.nth(form, 1)?)?;
         let mut names = Vec::with_capacity(bindings.len());
         let mut inits = Vec::with_capacity(bindings.len());
         for &b in &bindings {
-            names.push(self.scar(b)?);
-            inits.push(self.nth(b, 1)?);
+            names.push(self.it.scar(b)?);
+            inits.push(self.it.nth(b, 1)?);
         }
-        let items = self.expand_body(self.tail_from(form, 2))?;
+        let items = self.expand_body(self.it.tail_from(form, 2))?;
         self.add_defines(&mut names, &items);
         self.save_env(tail);
         self.push_frame(names, 0)?;
@@ -760,16 +706,16 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_named_let(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let name = self.nth(form, 1)?;
-        let bindings = self.list_items(self.nth(form, 2)?);
-        let body = self.tail_from(form, 3);
+        let name = self.it.nth(form, 1)?;
+        let bindings = self.it.syntax_items(self.it.nth(form, 2)?)?;
+        let body = self.it.tail_from(form, 3);
         self.save_env(tail);
         // Inits are analyzed in the OUTER scope (before the loop-name
         // frame is pushed), matching the naive evaluator.
         let mut params = Vec::with_capacity(bindings.len());
         for &b in &bindings {
-            params.push(self.scar(b)?);
-            let init = self.nth(b, 1)?;
+            params.push(self.it.scar(b)?);
+            let init = self.it.nth(b, 1)?;
             self.analyze(init, false)?;
         }
         self.enter_loop(name, params, body, tail, |a, items| a.seq(items, true))
@@ -808,9 +754,9 @@ impl<'a> Analyzer<'a> {
     /// cannot name the gensym — and the recursion is a direct local
     /// reference to it.
     fn analyze_do(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let specs = self.list_items(self.nth(form, 1)?);
-        let exit = self.nth(form, 2)?;
-        let body = self.tail_from(form, 3);
+        let specs = self.it.syntax_items(self.it.nth(form, 1)?)?;
+        let exit = self.it.nth(form, 2)?;
+        let body = self.it.tail_from(form, 3);
         // The naive `do` desugar allocates a gensym per evaluation; keep
         // the counter in lockstep.
         self.code.emit(Insn::BumpGensym);
@@ -818,16 +764,20 @@ impl<'a> Analyzer<'a> {
         let mut vars = Vec::with_capacity(specs.len());
         let mut steps = Vec::with_capacity(specs.len());
         for &spec in &specs {
-            let var = self.nth(spec, 0)?;
-            let init = self.nth(spec, 1)?;
-            let rest = self.tail_from(spec, 2);
-            let step = if rest.is_nil() { var } else { self.scar(rest)? };
+            let var = self.it.nth(spec, 0)?;
+            let init = self.it.nth(spec, 1)?;
+            let rest = self.it.tail_from(spec, 2);
+            let step = if rest.is_nil() {
+                var
+            } else {
+                self.it.scar(rest)?
+            };
             vars.push(var);
             self.analyze(init, false)?;
             steps.push(step);
         }
-        let test = self.scar(exit)?;
-        let results = self.list_items(self.it.heap.cdr(exit));
+        let test = self.it.scar(exit)?;
+        let results = self.it.syntax_items(self.it.heap.cdr(exit))?;
         // Body defines extend the loop frame (the naive desugar's defines
         // land in the per-iteration call frame).
         self.enter_loop(Value::FALSE, vars, body, tail, |a, items| {
@@ -854,7 +804,7 @@ impl<'a> Analyzer<'a> {
     /// `and`/`or`: short-circuit through keep-jumps to a common end; the
     /// empty forms are constants.
     fn analyze_and_or(&mut self, form: Value, is_and: bool, tail: bool) -> SResult<()> {
-        let items = self.list_items(self.it.heap.cdr(form));
+        let items = self.it.syntax_items(self.it.heap.cdr(form))?;
         let Some((&last, init)) = items.split_last() else {
             return self.constant(Value::bool(is_and), tail);
         };
@@ -880,8 +830,8 @@ impl<'a> Analyzer<'a> {
 
     /// `when` (`want` = true) / `unless` (`want` = false).
     fn analyze_when(&mut self, form: Value, want: bool, tail: bool) -> SResult<()> {
-        let test = self.nth(form, 1)?;
-        let body = self.tail_from(form, 2);
+        let test = self.it.nth(form, 1)?;
+        let body = self.it.tail_from(form, 2);
         self.analyze(test, false)?;
         let to_void = self.code.emit_jump(if want {
             Insn::JmpIfFalse
@@ -899,9 +849,9 @@ impl<'a> Analyzer<'a> {
         if clauses.is_nil() {
             return self.void(tail);
         }
-        let clause = self.scar(clauses)?;
-        let test = self.scar(clause)?;
-        let rest = self.scdr(clauses)?;
+        let clause = self.it.scar(clauses)?;
+        let test = self.it.scar(clause)?;
+        let rest = self.it.scdr(clauses)?;
         let body = self.it.heap.cdr(clause);
         if self.it.heap.is_symbol(test) && test == self.it.sf.else_.get() {
             return self.analyze_body(body, tail);
@@ -917,12 +867,12 @@ impl<'a> Analyzer<'a> {
             }
             return Ok(());
         }
-        let first = self.scar(body)?;
+        let first = self.it.scar(body)?;
         if self.it.heap.is_symbol(first) && first == self.it.sf.arrow.get() {
             // (test => receiver): apply the receiver to the test's value,
             // non-tail like the naive evaluator.
             let to_rest = self.code.emit_jump(Insn::JmpIfFalsePop);
-            let recv = self.nth(body, 1)?;
+            let recv = self.it.nth(body, 1)?;
             self.analyze(recv, false)?;
             self.code.emit(Insn::CondApply);
             let to_end = if tail {
@@ -947,13 +897,13 @@ impl<'a> Analyzer<'a> {
     /// `CaseMatch` per datum clause — every dispatch first, an `else` as
     /// a plain jump — and each body starts by popping it.
     fn analyze_case(&mut self, form: Value, tail: bool) -> SResult<()> {
-        let key = self.nth(form, 1)?;
+        let key = self.it.nth(form, 1)?;
         self.analyze(key, false)?;
         let mut arms = Vec::new();
-        let mut c = self.tail_from(form, 2);
+        let mut c = self.it.tail_from(form, 2);
         while !c.is_nil() {
-            let clause = self.scar(c)?;
-            let head = self.scar(clause)?;
+            let clause = self.it.scar(c)?;
+            let head = self.it.scar(clause)?;
             let body = self.it.heap.cdr(clause);
             if self.it.heap.is_symbol(head) && head == self.it.sf.else_.get() {
                 // The naive evaluator stops at the first else clause.
@@ -962,7 +912,7 @@ impl<'a> Analyzer<'a> {
             }
             let datums = self.it.heap.root(head);
             arms.push((self.code.case_match(datums)?, body));
-            c = self.scdr(c)?;
+            c = self.it.scdr(c)?;
         }
         // No clause matched: drop the key, produce void.
         self.code.emit(Insn::Pop);
@@ -990,23 +940,23 @@ impl<'a> Analyzer<'a> {
     /// at *run* time by `%fresh-symbol`, so each evaluation creates a
     /// distinct, eq-unique type — exactly like the naive path.
     fn expand_define_record_type(&mut self, form: Value) -> SResult<Vec<Value>> {
-        let name = self.nth(form, 1)?;
-        let pred_name = self.nth(form, 3)?;
+        let name = self.it.nth(form, 1)?;
+        let pred_name = self.it.nth(form, 3)?;
         if !self.it.heap.is_symbol(name) || !self.it.heap.is_symbol(pred_name) {
             return err("define-record-type: malformed");
         }
-        let ctor_spec = self.nth(form, 2)?;
-        let ctor_name = self.scar(ctor_spec)?;
-        let ctor_args = self.list_items(self.it.heap.cdr(ctor_spec));
-        let field_specs = self.list_items(self.tail_from(form, 4));
+        let ctor_spec = self.it.nth(form, 2)?;
+        let ctor_name = self.it.scar(ctor_spec)?;
+        let ctor_args = self.it.syntax_items(self.it.heap.cdr(ctor_spec))?;
+        let field_specs = self.it.syntax_items(self.it.tail_from(form, 4))?;
         let mut fields: Vec<Value> = Vec::new();
         let mut accessors: Vec<(Value, usize)> = Vec::new();
         let mut mutators: Vec<(Value, usize)> = Vec::new();
         for spec in field_specs {
-            let field = self.scar(spec)?;
+            let field = self.it.scar(spec)?;
             let idx = fields.len();
             fields.push(field);
-            let rest = self.scdr(spec)?;
+            let rest = self.it.scdr(spec)?;
             if self.it.heap.is_pair(rest) {
                 accessors.push((self.it.heap.car(rest), idx));
                 let rest2 = self.it.heap.cdr(rest);
@@ -1090,94 +1040,83 @@ impl<'a> Analyzer<'a> {
     // quasiquote
     // ------------------------------------------------------------------
 
-    /// Emits each `unquote`/`unquote-splicing` expression of a template
-    /// as a code object of its own, in the exact order the runtime
-    /// expansion walk reaches them, in the current scope. The runtime
-    /// `Quasi` executor performs the same walk, consuming sites by cursor.
-    fn analyze_quasiquote(&mut self, template: Value, tail: bool) -> SResult<()> {
-        let mut sites = Vec::new();
-        self.qq_collect(template, 1, &mut sites)?;
-        let template = self.it.heap.root(template);
-        self.code.quasi(template, sites)?;
-        self.done(tail)
-    }
-
-    fn qq_collect(
-        &mut self,
-        template: Value,
-        depth: usize,
-        sites: &mut Vec<Rc<CodeObject>>,
-    ) -> SResult<()> {
+    /// Emits the code that builds the template node `template` at
+    /// quasiquote `depth`, walking it as the oracle's `expand_quasiquote`
+    /// does (its walk is the specification, quirks included): an atom is
+    /// pushed as a constant, shared with the template; every pair and
+    /// vector is rebuilt by the template ops; an `unquote` or
+    /// `unquote-splicing` at depth 1 is analyzed inline, not in tail
+    /// position, in the current scope. Template levels count against
+    /// [`MAX_NESTING`] like any other nesting, and the recursion is this
+    /// one function so that deep templates fit the same 2 MiB.
+    fn qq(&mut self, template: Value, depth: usize) -> SResult<()> {
         if self.depth >= MAX_NESTING {
             return err("quasiquote nesting too deep");
         }
         self.depth += 1;
-        let r = self.qq_collect_inner(template, depth, sites);
-        self.depth -= 1;
-        r
-    }
-
-    fn qq_collect_inner(
-        &mut self,
-        template: Value,
-        depth: usize,
-        sites: &mut Vec<Rc<CodeObject>>,
-    ) -> SResult<()> {
         let heap = &self.it.heap;
         if heap.is_vector(template) {
-            for i in 0..self.it.heap.vector_len(template) {
+            let n = heap.vector_len(template);
+            for i in 0..n {
                 let e = self.it.heap.vector_ref(template, i);
-                self.qq_collect(e, depth, sites)?;
+                self.qq(e, depth)?;
             }
-            return Ok(());
-        }
-        if !heap.is_pair(template) {
-            return Ok(());
-        }
-        let head = heap.car(template);
-        if heap.is_symbol(head) {
-            if head == self.it.sf.unquote.get() {
-                let inner = self.nth(template, 1)?;
-                if depth == 1 {
-                    sites.push(self.block(|a| a.analyze(inner, true))?);
-                    return Ok(());
-                }
-                return self.qq_collect(inner, depth - 1, sites);
-            }
-            if head == self.it.sf.quasiquote.get() {
-                let inner = self.nth(template, 1)?;
-                return self.qq_collect(inner, depth + 1, sites);
-            }
-        }
-        // General list walk, mirroring expand_quasiquote_inner.
-        let mut rest = template;
-        loop {
-            if rest.is_nil() {
-                return Ok(());
-            }
-            if !self.it.heap.is_pair(rest) {
-                return self.qq_collect(rest, depth, sites);
-            }
-            let rest_head = self.it.heap.car(rest);
-            if self.it.heap.is_symbol(rest_head)
-                && (rest_head == self.it.sf.unquote.get()
-                    || rest_head == self.it.sf.quasiquote.get())
-            {
-                return self.qq_collect(rest, depth, sites);
-            }
-            let e = self.it.heap.car(rest);
-            let is_splice = depth == 1
-                && self.it.heap.is_pair(e)
-                && self.it.heap.is_symbol(self.it.heap.car(e))
-                && self.it.heap.car(e) == self.it.sf.unquote_splicing.get();
-            if is_splice {
-                let inner = self.nth(e, 1)?;
-                sites.push(self.block(|a| a.analyze(inner, true))?);
+            self.code
+                .emit(Insn::QqVector(narrow32(n, "template vector")?));
+        } else if !heap.is_pair(template) {
+            self.constant(template, false)?;
+        } else if self.is_qq_marker(template) {
+            // `(unquote X)` or `(quasiquote X)`: X evaluated at depth 1,
+            // else rebuilt as a two-element list around X expanded a
+            // level out or in.
+            let head = self.it.heap.car(template);
+            let inner = self.it.nth(template, 1)?;
+            let unquote = head == self.it.sf.unquote.get();
+            if unquote && depth == 1 {
+                self.analyze(inner, false)?;
             } else {
-                self.qq_collect(e, depth, sites)?;
+                self.constant(head, false)?;
+                self.qq(inner, if unquote { depth - 1 } else { depth + 1 })?;
+                self.constant(Value::NIL, false)?;
+                self.code.emit(Insn::QqCons);
+                self.code.emit(Insn::QqCons);
             }
-            rest = self.it.heap.cdr(rest);
+        } else {
+            // A list: each element's value (or a splice's copy) pushed
+            // left to right, then the tail, then the cells folded on from
+            // the right. A marker in a cdr is a dotted tail: `(a . ,x)`
+            // reads as `(a unquote x)`.
+            let mut splices = Vec::new();
+            let mut rest = template;
+            while self.it.heap.is_pair(rest) && !self.is_qq_marker(rest) {
+                let e = self.it.heap.car(rest);
+                let splice = depth == 1
+                    && self.it.heap.is_pair(e)
+                    && self.it.heap.car(e) == self.it.sf.unquote_splicing.get();
+                if splice {
+                    let inner = self.it.nth(e, 1)?;
+                    self.analyze(inner, false)?;
+                    self.code.emit(Insn::QqSplice);
+                } else {
+                    self.qq(e, depth)?;
+                }
+                splices.push(splice);
+                rest = self.it.heap.cdr(rest);
+            }
+            self.qq(rest, depth)?;
+            for splice in splices.into_iter().rev() {
+                self.code
+                    .emit(if splice { Insn::QqAppend } else { Insn::QqCons });
+            }
         }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Whether the pair `v` is headed by `unquote` or `quasiquote`.
+    fn is_qq_marker(&self, v: Value) -> bool {
+        let head = self.it.heap.car(v);
+        head == self.it.sf.unquote.get() || head == self.it.sf.quasiquote.get()
     }
 }
 

@@ -10,8 +10,11 @@
 //! down.
 //!
 //! Layout decisions (see DESIGN §11):
-//! - one `CodeObject` per straight-line region: the top-level form, each
-//!   lambda clause body, and each quasiquote unquote site;
+//! - one `CodeObject` per straight-line region: the top-level form and
+//!   each lambda clause body;
+//! - a quasiquote template is built on the operand stack by four template
+//!   ops (`QqCons`, `QqSplice`, `QqAppend`, `QqVector`), none of them a
+//!   safe point, around its unquote expressions' ordinary code;
 //! - operands are pool indices (`u32`) or depth/slot pairs (`u16`), so an
 //!   [`Insn`] stays small and `Copy`;
 //! - all jumps are forward — loops re-enter through
@@ -71,15 +74,6 @@ pub(crate) struct LambdaRef {
     pub name: Rooted,
 }
 
-/// A compiled quasiquote: the rooted template plus one compiled code
-/// object per unquote site, in runtime walk order.
-pub(crate) struct QuasiBlock {
-    /// The template datum (rooted; it moves during collection).
-    pub template: Rooted,
-    /// Compiled unquote/unquote-splicing expressions.
-    pub sites: Vec<Rc<CodeObject>>,
-}
-
 /// One clause of a compiled lambda.
 pub(crate) struct VmClause {
     /// Number of required parameters.
@@ -115,8 +109,6 @@ pub(crate) struct CodeObject {
     pub names: Vec<Rc<str>>,
     /// Lambda creation sites.
     pub lambdas: Vec<LambdaRef>,
-    /// Compiled quasiquote templates.
-    pub quasis: Vec<QuasiBlock>,
     /// Per-call-site inline caches, indexed by the call insn's `cache`.
     pub caches: Vec<Cell<CallCache>>,
 }
@@ -309,14 +301,25 @@ pub(crate) enum Insn {
         /// Jump target of the clause body.
         target: u32,
     },
-    /// Run the quasiquote walk for `quasis[i]`, pushing the built datum.
-    Quasi(u32),
+    /// Pop the cdr, pop the car, push their fresh pair (a template's
+    /// list cell).
+    QqCons,
+    /// Replace the list on top of the stack with a fresh copy of it: the
+    /// items an `unquote-splicing` contributes, taken when it is
+    /// evaluated. An improper list is "unquote-splicing: not a list".
+    QqSplice,
+    /// Pop the tail, pop a [`Insn::QqSplice`] copy, push the copy ending
+    /// in the tail (the copy's last cdr is set; nothing else holds it).
+    QqAppend,
+    /// Pop `n` elements, push a fresh vector of them (fallible: a vector
+    /// past the heap's budget is "quasiquote: <error>").
+    QqVector(u32),
     /// Pop the result and return it from this code object.
     Return,
 }
 
 /// Number of distinct opcodes, for the dispatch-counter table.
-pub(crate) const OP_COUNT: usize = 34;
+pub(crate) const OP_COUNT: usize = 37;
 
 /// Opcode names, indexed by [`Insn::op_index`]; used for the
 /// `vm.dispatch.*` metrics counters and the disassembler.
@@ -353,7 +356,10 @@ pub(crate) const OP_NAMES: [&str; OP_COUNT] = [
     "local-ref-ret",
     "cond-apply",
     "case-match",
-    "quasi",
+    "qq-cons",
+    "qq-splice",
+    "qq-append",
+    "qq-vector",
     "return",
 ];
 
@@ -393,8 +399,11 @@ impl Insn {
             Insn::LocalRefRet { .. } => 29,
             Insn::CondApply => 30,
             Insn::CaseMatch { .. } => 31,
-            Insn::Quasi(_) => 32,
-            Insn::Return => 33,
+            Insn::QqCons => 32,
+            Insn::QqSplice => 33,
+            Insn::QqAppend => 34,
+            Insn::QqVector(_) => 35,
+            Insn::Return => 36,
         }
     }
 
@@ -421,7 +430,9 @@ impl Insn {
             Insn::Call { .. } | Insn::TailCall { .. } => "scheme.app",
             Insn::CondApply => "scheme.cond-arrow",
             Insn::CaseMatch { .. } => "scheme.case",
-            Insn::Quasi(_) => "scheme.quasiquote",
+            Insn::QqCons | Insn::QqSplice | Insn::QqAppend | Insn::QqVector(_) => {
+                "scheme.quasiquote"
+            }
             _ => "scheme.vm",
         }
     }
@@ -438,7 +449,6 @@ pub(crate) struct Emitter {
     sites: Vec<GlobalSite>,
     names: Vec<Rc<str>>,
     lambdas: Vec<LambdaRef>,
-    quasis: Vec<QuasiBlock>,
     n_caches: usize,
     /// Fusion barrier: the instruction index at or after which no jump
     /// target lands yet. Fusing is only legal when the would-be-fused
@@ -457,7 +467,6 @@ impl Emitter {
             sites: self.sites,
             names: self.names,
             lambdas: self.lambdas,
-            quasis: self.quasis,
             caches: vec![Cell::new(CallCache::empty()); self.n_caches],
         })
     }
@@ -515,18 +524,6 @@ impl Emitter {
         } else {
             Insn::EnterLoopCall { lambda, argc }
         });
-        Ok(())
-    }
-
-    /// Emits the expansion of `template` over its compiled unquote
-    /// `sites`.
-    pub(crate) fn quasi(&mut self, template: Rooted, sites: Vec<Rc<CodeObject>>) -> SResult<()> {
-        let i = pool_push(
-            &mut self.quasis,
-            QuasiBlock { template, sites },
-            "quasiquote",
-        )?;
-        self.emit(Insn::Quasi(i));
         Ok(())
     }
 
@@ -636,7 +633,8 @@ fn pool_push<T>(pool: &mut Vec<T>, item: T, what: &str) -> SResult<u32> {
     narrow32(i, what)
 }
 
-fn narrow32(n: usize, what: &str) -> SResult<u32> {
+/// Narrows an operand to an insn's `u32` field.
+pub(crate) fn narrow32(n: usize, what: &str) -> SResult<u32> {
     u32::try_from(n).map_err(|_| SchemeError::new(format!("compile: {what} overflow")))
 }
 
@@ -665,16 +663,11 @@ fn set_jump_target(insn: &mut Insn, target: u32) {
 /// operands resolved against the pools (constants printed through the
 /// writer, global sites by name) plus the allocation-site label.
 pub(crate) fn disassemble(heap: &Heap, co: &CodeObject) -> String {
-    let mut out = String::new();
-    disassemble_into(heap, co, "", &mut out);
-    out
-}
-
-fn disassemble_into(heap: &Heap, co: &CodeObject, indent: &str, out: &mut String) {
     use std::fmt::Write as _;
+    let mut out = String::new();
     for (pc, insn) in co.insns.iter().enumerate() {
         let name = OP_NAMES[insn.op_index()];
-        let _ = write!(out, "{indent}{pc:4}  {name:<20}");
+        let _ = write!(out, "{pc:4}  {name:<20}");
         let operands = describe_operands(heap, co, *insn);
         if !operands.is_empty() {
             let _ = write!(out, " {operands}");
@@ -685,17 +678,7 @@ fn disassemble_into(heap: &Heap, co: &CodeObject, indent: &str, out: &mut String
         }
         out.push('\n');
     }
-    for (i, q) in co.quasis.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{indent}quasi[{i}] template {}",
-            write_value(heap, q.template.get())
-        );
-        for (j, s) in q.sites.iter().enumerate() {
-            let _ = writeln!(out, "{indent}quasi[{i}] site {j}:");
-            disassemble_into(heap, s, &format!("{indent}  "), out);
-        }
-    }
+    out
 }
 
 fn describe_operands(heap: &Heap, co: &CodeObject, insn: Insn) -> String {
@@ -775,12 +758,15 @@ fn describe_operands(heap: &Heap, co: &CodeObject, insn: Insn) -> String {
             format!("{} argc {argc} cache {cache}", konst(k))
         }
         Insn::CaseMatch { datums, target } => format!("{} -> {target}", konst(datums)),
-        Insn::Quasi(i) => format!("quasi[{i}]"),
+        Insn::QqVector(n) => format!("{n} elements"),
         Insn::Pop
         | Insn::SaveEnv
         | Insn::RestoreEnv
         | Insn::BumpGensym
         | Insn::CondApply
+        | Insn::QqCons
+        | Insn::QqSplice
+        | Insn::QqAppend
         | Insn::Return => String::new(),
     }
 }

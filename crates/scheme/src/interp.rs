@@ -20,8 +20,8 @@
 //! the paper's tail-recursive idioms (`close-dropped-ports`, Figure 1's
 //! `let loop`) run in constant Rust stack.
 
-use crate::analyze::{self, GlobalSite};
-use crate::compile::{CodeObject, VmLambda};
+use crate::analyze;
+use crate::compile::VmLambda;
 use crate::error::{err, SResult};
 use crate::prims::{self, PrimEntry};
 use crate::reader;
@@ -399,10 +399,11 @@ impl Interp {
     }
 
     // ------------------------------------------------------------------
-    // Small structure helpers (no allocation, no collection)
+    // Small structure helpers (no allocation, no collection), shared
+    // with the analyzer so both evaluators word a syntax error alike
     // ------------------------------------------------------------------
 
-    fn nth(&self, list: Value, n: usize) -> SResult<Value> {
+    pub(crate) fn nth(&self, list: Value, n: usize) -> SResult<Value> {
         let mut cur = list;
         for _ in 0..n {
             if !self.heap.is_pair(cur) {
@@ -418,7 +419,7 @@ impl Interp {
 
     /// Advances `n` cdrs, stopping early (without panicking) if the form
     /// is improper; consumers validate what remains.
-    fn tail_from(&self, list: Value, n: usize) -> Value {
+    pub(crate) fn tail_from(&self, list: Value, n: usize) -> Value {
         let mut cur = list;
         for _ in 0..n {
             if !self.heap.is_pair(cur) {
@@ -431,7 +432,7 @@ impl Interp {
 
     /// car of a syntax position; malformed (non-pair) syntax is a Scheme
     /// error, never a panic.
-    fn scar(&self, v: Value) -> SResult<Value> {
+    pub(crate) fn scar(&self, v: Value) -> SResult<Value> {
         if self.heap.is_pair(v) {
             Ok(self.heap.car(v))
         } else {
@@ -440,12 +441,25 @@ impl Interp {
     }
 
     /// cdr of a syntax position; see [`Interp::scar`].
-    fn scdr(&self, v: Value) -> SResult<Value> {
+    pub(crate) fn scdr(&self, v: Value) -> SResult<Value> {
         if self.heap.is_pair(v) {
             Ok(self.heap.cdr(v))
         } else {
             err("malformed form")
         }
+    }
+
+    /// The items of a syntax list; an improper tail is malformed.
+    pub(crate) fn syntax_items(&self, mut v: Value) -> SResult<Vec<Value>> {
+        let mut items = Vec::new();
+        while self.heap.is_pair(v) {
+            items.push(self.heap.car(v));
+            v = self.heap.cdr(v);
+        }
+        if !v.is_nil() {
+            return err("malformed form");
+        }
+        Ok(items)
     }
 
     // ------------------------------------------------------------------
@@ -734,11 +748,8 @@ impl Interp {
         // Parameters are the binding names.
         let mut params = Value::NIL;
         let mut syms = Vec::new();
-        let mut b = bindings;
-        while self.heap.is_pair(b) {
-            let binding = self.heap.car(b);
+        for binding in self.syntax_items(bindings)? {
             syms.push(self.scar(binding)?);
-            b = self.heap.cdr(b);
         }
         for &s in syms.iter().rev() {
             params = self.heap.cons(s, params);
@@ -812,13 +823,10 @@ impl Interp {
         let bindings = self.nth(expr, 1)?;
         // Frame with every name unbound.
         let mut frame = Value::NIL;
-        let mut b = bindings;
-        while self.heap.is_pair(b) {
-            let binding = self.heap.car(b);
+        for binding in self.syntax_items(bindings)? {
             let sym = self.scar(binding)?;
             let pair = self.heap.cons(sym, Value::UNBOUND);
             frame = self.heap.cons(pair, frame);
-            b = self.heap.cdr(b);
         }
         let new_env = self.make_env(frame, env);
         let env_slot = self.stack.push(new_env);
@@ -826,9 +834,6 @@ impl Interp {
         loop {
             let b = self.stack.get(bindings_slot);
             if b.is_nil() {
-                break;
-            }
-            if !self.heap.is_pair(b) {
                 break;
             }
             let binding = self.heap.car(b);
@@ -948,9 +953,7 @@ impl Interp {
         // bindings: ([var init] ...) and steps: (step-or-var ...)
         let mut bindings = Vec::new();
         let mut steps = Vec::new();
-        let mut s = specs;
-        while self.heap.is_pair(s) {
-            let spec = self.heap.car(s);
+        for spec in self.syntax_items(specs)? {
             let var = self.nth(spec, 0)?;
             let init = self.nth(spec, 1)?;
             let step = {
@@ -965,7 +968,6 @@ impl Interp {
             let b = self.heap.cons(var, b);
             bindings.push(b);
             steps.push(step);
-            s = self.heap.cdr(s);
         }
         let mut bindings_list = Value::NIL;
         for &b in bindings.iter().rev() {
@@ -979,16 +981,8 @@ impl Interp {
         let recur = self.heap.cons(loop_sym, recur);
         // (begin body ... (loop step...))
         let mut tail_body = self.heap.cons(recur, Value::NIL);
-        {
-            let mut items = Vec::new();
-            let mut b = body;
-            while self.heap.is_pair(b) {
-                items.push(self.heap.car(b));
-                b = self.heap.cdr(b);
-            }
-            for &e in items.iter().rev() {
-                tail_body = self.heap.cons(e, tail_body);
-            }
+        for &e in self.syntax_items(body)?.iter().rev() {
+            tail_body = self.heap.cons(e, tail_body);
         }
         let loop_body = self.heap.cons(self.sf.begin.get(), tail_body);
         // (begin result ...), or the test value when no results given.
@@ -1196,14 +1190,15 @@ impl Interp {
         if !self.heap.is_symbol(name) || !self.heap.is_symbol(pred_name) {
             return err("define-record-type: malformed");
         }
+        let ctor_spec = self.nth(expr, 2)?;
+        let ctor_name = self.scar(ctor_spec)?;
+        let ctor_args = self.syntax_items(self.heap.cdr(ctor_spec))?;
         // Collect field names in declaration order, with their accessors
         // and optional mutators.
         let mut fields: Vec<Value> = Vec::new(); // field symbols
         let mut accessors: Vec<(Value, usize)> = Vec::new();
         let mut mutators: Vec<(Value, usize)> = Vec::new();
-        let mut fs = field_specs;
-        while self.heap.is_pair(fs) {
-            let spec = self.heap.car(fs);
+        for spec in self.syntax_items(field_specs)? {
             let field = self.scar(spec)?;
             let idx = fields.len();
             fields.push(field);
@@ -1215,7 +1210,6 @@ impl Interp {
                     mutators.push((self.heap.car(rest2), idx));
                 }
             }
-            fs = self.heap.cdr(fs);
         }
         // Bind the type name to a fresh descriptor symbol.
         let type_name = self.heap.symbol_name(name);
@@ -1224,16 +1218,7 @@ impl Interp {
         let name2 = self.nth(self.stack.get(base), 1)?;
         self.define_var(env2, name2, desc);
 
-        // Constructor: map ctor args to field positions by name.
-        let expr = self.stack.get(base);
-        let ctor_spec = self.nth(expr, 2)?;
-        let ctor_name = self.scar(ctor_spec)?;
-        let mut ctor_args: Vec<Value> = Vec::new();
-        let mut c = self.heap.cdr(ctor_spec);
-        while self.heap.is_pair(c) {
-            ctor_args.push(self.heap.car(c));
-            c = self.heap.cdr(c);
-        }
+        // Constructor: map ctor args to field positions by name:
         // (lambda (args...) (%make-record <name> <arg-or-#f per field>))
         let make_sym = self.intern("%make-record");
         let mut call_fields: Vec<Value> = Vec::new();
@@ -1326,7 +1311,9 @@ impl Interp {
 
     /// Expands a quasiquote template at `depth` (1 = unquotes evaluate).
     /// All intermediate structure is kept on the rooted stack, since
-    /// nested unquotes evaluate arbitrary code (which may collect).
+    /// nested unquotes evaluate arbitrary code (which may collect). This
+    /// walk is the specification the analyzer's template lowering
+    /// (`Analyzer::qq`) follows, quirks included.
     fn expand_quasiquote(&mut self, base: usize, template: Value, depth: usize) -> SResult<Value> {
         if self.depth >= self.max_depth {
             return err("quasiquote nesting too deep");
@@ -1354,7 +1341,10 @@ impl Interp {
                     let v = self.expand_quasiquote(base, e, depth)?;
                     items.push(self.stack.push(v));
                 }
-                let v = self.heap.make_vector(items.len(), Value::NIL);
+                let v = self
+                    .heap
+                    .try_make_vector(items.len(), Value::NIL)
+                    .or_else(|e| err(format!("quasiquote: {e}")))?;
                 for (i, slot) in items.iter().enumerate() {
                     let item = self.stack.get(*slot);
                     self.heap.vector_set(v, i, item);
@@ -1531,184 +1521,6 @@ impl Interp {
             Err(e) => Err(e),
         };
         self.stack.truncate(base);
-        result
-    }
-
-    // ------------------------------------------------------------------
-    // Helpers shared with the VM (`vm.rs`)
-    // ------------------------------------------------------------------
-
-    /// The global value cell for a reference site, consulting and
-    /// warming the site's one-entry inline cache. `None` means the
-    /// symbol has never been defined.
-    pub(crate) fn try_site_cell(&mut self, site: &GlobalSite) -> Option<Value> {
-        if let Some(r) = site.cell.borrow().as_ref() {
-            return Some(r.get());
-        }
-        let cell = SymbolTable::try_global_cell(&self.heap, site.sym.get())?;
-        *site.cell.borrow_mut() = Some(self.heap.root(cell));
-        Some(cell)
-    }
-
-    /// Expands a quasiquote template at runtime, consuming the
-    /// pre-analyzed unquote sites in walk order. This mirrors the naive
-    /// `expand_quasiquote` walk exactly (same structure sharing, same
-    /// splice semantics, same error messages) with site execution in
-    /// place of `eval`.
-    pub(crate) fn exec_quasi(
-        &mut self,
-        base: usize,
-        template: Value,
-        depth_qq: usize,
-        sites: &[Rc<CodeObject>],
-        cursor: &mut usize,
-    ) -> SResult<Value> {
-        if self.depth >= self.max_depth {
-            return err("quasiquote nesting too deep");
-        }
-        self.depth += 1;
-        let result = self.exec_quasi_inner(base, template, depth_qq, sites, cursor);
-        self.depth -= 1;
-        result
-    }
-
-    /// Runs the next compiled unquote site as a fresh non-tail
-    /// activation sharing the current environment.
-    fn run_quasi_site(
-        &mut self,
-        sites: &[Rc<CodeObject>],
-        cursor: &mut usize,
-        base: usize,
-    ) -> SResult<Value> {
-        let Some(site) = sites.get(*cursor) else {
-            return err("quasiquote: template changed since analysis");
-        };
-        *cursor += 1;
-        self.vm_sub(site, base)
-    }
-
-    fn exec_quasi_inner(
-        &mut self,
-        base: usize,
-        template: Value,
-        depth_qq: usize,
-        sites: &[Rc<CodeObject>],
-        cursor: &mut usize,
-    ) -> SResult<Value> {
-        let mark = self.stack.len();
-        let result = (|| {
-            if self.heap.is_vector(template) {
-                // Expand the elements, then rebuild the vector.
-                let t_slot = self.stack.push(template);
-                let mut items = Vec::new();
-                for i in 0..self.heap.vector_len(self.stack.get(t_slot)) {
-                    let e = self.heap.vector_ref(self.stack.get(t_slot), i);
-                    let v = self.exec_quasi(base, e, depth_qq, sites, cursor)?;
-                    items.push(self.stack.push(v));
-                }
-                let v = self.heap.make_vector(items.len(), Value::NIL);
-                for (i, slot) in items.iter().enumerate() {
-                    let item = self.stack.get(*slot);
-                    self.heap.vector_set(v, i, item);
-                }
-                return Ok(v);
-            }
-            if !self.heap.is_pair(template) {
-                return Ok(template);
-            }
-            let head = self.heap.car(template);
-            if self.heap.is_symbol(head) {
-                if head == self.sf.unquote.get() {
-                    let inner = self.nth(template, 1)?;
-                    if depth_qq == 1 {
-                        return self.run_quasi_site(sites, cursor, base);
-                    }
-                    let e_slot = {
-                        let v = self.exec_quasi(base, inner, depth_qq - 1, sites, cursor)?;
-                        self.stack.push(v)
-                    };
-                    let tail = self.heap.cons(self.stack.get(e_slot), Value::NIL);
-                    return Ok(self.heap.cons(self.sf.unquote.get(), tail));
-                }
-                if head == self.sf.quasiquote.get() {
-                    let inner = self.nth(template, 1)?;
-                    let e_slot = {
-                        let v = self.exec_quasi(base, inner, depth_qq + 1, sites, cursor)?;
-                        self.stack.push(v)
-                    };
-                    let tail = self.heap.cons(self.stack.get(e_slot), Value::NIL);
-                    return Ok(self.heap.cons(self.sf.quasiquote.get(), tail));
-                }
-            }
-            // General list walk with splicing, building a reversed
-            // accumulator on the rooted stack.
-            let acc_slot = self.stack.push(Value::NIL);
-            let rest_slot = self.stack.push(template);
-            let tail_slot = self.stack.push(Value::NIL);
-            loop {
-                let rest = self.stack.get(rest_slot);
-                if rest.is_nil() {
-                    break;
-                }
-                if !self.heap.is_pair(rest) {
-                    // Improper tail: expand it and finish.
-                    let v = self.exec_quasi(base, rest, depth_qq, sites, cursor)?;
-                    self.stack.set(tail_slot, v);
-                    break;
-                }
-                // An unquote (or nested quasiquote) in tail position is
-                // a dotted tail.
-                let rest_head = self.heap.car(rest);
-                if self.heap.is_symbol(rest_head)
-                    && (rest_head == self.sf.unquote.get() || rest_head == self.sf.quasiquote.get())
-                {
-                    let v = self.exec_quasi(base, rest, depth_qq, sites, cursor)?;
-                    self.stack.set(tail_slot, v);
-                    break;
-                }
-                let e = self.heap.car(rest);
-                let is_splice = depth_qq == 1
-                    && self.heap.is_pair(e)
-                    && self.heap.is_symbol(self.heap.car(e))
-                    && self.heap.car(e) == self.sf.unquote_splicing.get();
-                if is_splice {
-                    let spliced = self.run_quasi_site(sites, cursor, base)?;
-                    let sp_slot = self.stack.push(spliced);
-                    loop {
-                        let sp = self.stack.get(sp_slot);
-                        if sp.is_nil() {
-                            break;
-                        }
-                        if !self.heap.is_pair(sp) {
-                            return err("unquote-splicing: not a list");
-                        }
-                        let item = self.heap.car(sp);
-                        let acc = self.stack.get(acc_slot);
-                        let cell = self.heap.cons(item, acc);
-                        self.stack.set(acc_slot, cell);
-                        let sp = self.stack.get(sp_slot);
-                        self.stack.set(sp_slot, self.heap.cdr(sp));
-                    }
-                } else {
-                    let v = self.exec_quasi(base, e, depth_qq, sites, cursor)?;
-                    let acc = self.stack.get(acc_slot);
-                    let cell = self.heap.cons(v, acc);
-                    self.stack.set(acc_slot, cell);
-                }
-                let rest = self.stack.get(rest_slot);
-                self.stack.set(rest_slot, self.heap.cdr(rest));
-            }
-            // Reverse the accumulator onto the tail.
-            let mut out = self.stack.get(tail_slot);
-            let mut acc = self.stack.get(acc_slot);
-            while !acc.is_nil() {
-                let item = self.heap.car(acc);
-                out = self.heap.cons(item, out);
-                acc = self.heap.cdr(acc);
-            }
-            Ok(out)
-        })();
-        self.stack.truncate(mark);
         result
     }
 }

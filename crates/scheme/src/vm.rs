@@ -25,18 +25,23 @@
 //!
 //! Known (bounded) divergence from the oracle, not observable by the
 //! differential suites: the oracle bumps `depth` once per nested `eval`
-//! (every operand and `let` init, not only every non-tail call), so a
-//! program that exhausts the ~400-frame budget can do so a few Scheme
-//! recursion levels earlier there than here. The error string is
-//! identical, and both recover; the property generators stay far below
-//! the limit.
+//! (every operand and `let` init, every quasiquote template level and
+//! every unquote, not only every non-tail call), so a program that
+//! exhausts the ~400-frame budget can do so a few Scheme recursion levels
+//! earlier there than here. The error string is identical, and both
+//! recover; the property generators stay far below the limit. A template
+//! is code like any other here: the analyzer bounds its nesting by
+//! `MAX_NESTING`, and the VM runs it without recursing, so a template
+//! nested past 400 levels that the oracle refuses ("quasiquote nesting
+//! too deep") builds under the VM.
 
+use crate::analyze::GlobalSite;
 use crate::compile::{self, CallCache, CodeObject, Insn, VmLambda, OP_COUNT};
 use crate::error::{err, SResult};
 use crate::interp::Interp;
 use guardians_gc::Value;
-use guardians_runtime::rtags;
 use guardians_runtime::symtab::SymbolTable;
+use guardians_runtime::{lists, rtags};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -75,7 +80,10 @@ const DISPATCH_KEYS: [&str; OP_COUNT] = [
     "vm.dispatch.local-ref-ret",
     "vm.dispatch.cond-apply",
     "vm.dispatch.case-match",
-    "vm.dispatch.quasi",
+    "vm.dispatch.qq-cons",
+    "vm.dispatch.qq-splice",
+    "vm.dispatch.qq-append",
+    "vm.dispatch.qq-vector",
     "vm.dispatch.return",
 ];
 
@@ -139,25 +147,6 @@ impl Interp {
                 self.heap.metrics_mut().set_counter(DISPATCH_KEYS[i], n);
             }
         }
-    }
-
-    /// Runs a quasiquote unquote site as a fresh non-tail activation
-    /// sharing the environment at `base`.
-    pub(crate) fn vm_sub(&mut self, co: &Rc<CodeObject>, base: usize) -> SResult<Value> {
-        if self.depth >= self.max_depth {
-            return err(format!(
-                "recursion too deep (max {} non-tail frames)",
-                self.max_depth
-            ));
-        }
-        self.depth += 1;
-        let sub = self.stack.len();
-        let env = self.stack.get(base);
-        self.stack.push(env);
-        let result = self.vm_run(co.clone(), sub);
-        self.stack.truncate(sub);
-        self.depth -= 1;
-        result
     }
 
     /// Applies a procedure value to arguments in VM mode (backs
@@ -359,7 +348,15 @@ impl Interp {
                         pc = target as usize;
                     }
                 }
-                Insn::Quasi(i) => self.vm_step_quasi(&co, base, i)?,
+                Insn::QqCons => {
+                    let cdr = self.stack.pop().expect("vm: qq-cons underflow");
+                    let car = self.stack.pop().expect("vm: qq-cons underflow");
+                    let pair = self.heap.cons(car, cdr);
+                    self.stack.push(pair);
+                }
+                Insn::QqSplice => self.vm_step_qq_splice()?,
+                Insn::QqAppend => self.vm_step_qq_append(),
+                Insn::QqVector(n) => self.vm_step_qq_vector(n)?,
                 Insn::Return => {
                     return Ok(self.stack.pop().expect("vm: return underflow"));
                 }
@@ -399,6 +396,18 @@ impl Interp {
             ));
         }
         Ok(v)
+    }
+
+    /// The global value cell for a reference site, consulting and
+    /// warming the site's one-entry inline cache. `None` means the
+    /// symbol has never been defined.
+    fn try_site_cell(&mut self, site: &GlobalSite) -> Option<Value> {
+        if let Some(r) = site.cell.borrow().as_ref() {
+            return Some(r.get());
+        }
+        let cell = SymbolTable::try_global_cell(&self.heap, site.sym.get())?;
+        *site.cell.borrow_mut() = Some(self.heap.root(cell));
+        Some(cell)
     }
 
     /// Reads a global through the per-site inline cache, warming it on
@@ -544,13 +553,47 @@ impl Interp {
         false
     }
 
-    /// Expands a quasiquote template via the `exec_quasi` walker,
-    /// feeding it this block's compiled unquote sites.
-    fn vm_step_quasi(&mut self, co: &CodeObject, base: usize, i: u32) -> SResult<()> {
-        let q = &co.quasis[i as usize];
-        let t = q.template.get();
-        let mut cursor = 0;
-        let v = self.exec_quasi(base, t, 1, &q.sites, &mut cursor)?;
+    /// Copies the spliced list on top of the stack, so a later unquote
+    /// that mutates it leaves the template's value alone. Copying
+    /// allocates but never collects, so the raw items stay valid.
+    fn vm_step_qq_splice(&mut self) -> SResult<()> {
+        let top = self.stack.len() - 1;
+        let Ok(items) = self.syntax_items(self.stack.get(top)) else {
+            return err("unquote-splicing: not a list");
+        };
+        let copy = lists::list(&mut self.heap, &items);
+        self.stack.set(top, copy);
+        Ok(())
+    }
+
+    /// Ends a splice's copy in the tail built to its right.
+    fn vm_step_qq_append(&mut self) {
+        let tail = self.stack.pop().expect("vm: qq-append underflow");
+        let top = self.stack.len() - 1;
+        let copy = self.stack.get(top);
+        if copy.is_nil() {
+            self.stack.set(top, tail);
+            return;
+        }
+        let mut last = copy;
+        while self.heap.is_pair(self.heap.cdr(last)) {
+            last = self.heap.cdr(last);
+        }
+        self.heap.set_cdr(last, tail);
+    }
+
+    /// Gathers a vector template's `n` elements into a fresh vector.
+    fn vm_step_qq_vector(&mut self, n: u32) -> SResult<()> {
+        let items = self.stack.len() - n as usize;
+        let v = self
+            .heap
+            .try_make_vector(n as usize, Value::NIL)
+            .or_else(|e| err(format!("quasiquote: {e}")))?;
+        for i in 0..n as usize {
+            let x = self.stack.get(items + i);
+            self.heap.vector_set(v, i, x);
+        }
+        self.stack.truncate(items);
         self.stack.push(v);
         Ok(())
     }

@@ -111,7 +111,7 @@ impl<'a> Gen<'a> {
             return self.atom();
         }
         let b = self.next();
-        match b % 16 {
+        match b % 17 {
             0 => self.atom(),
             1 => format!(
                 "(if {} {} {})",
@@ -187,6 +187,12 @@ impl<'a> Gen<'a> {
                      ((= {i} {n}) {acc}))"
                 )
             }
+            15 => format!(
+                "`(n `(m ,(k ,{})) #(v ,{}) . ,{})",
+                self.expr(depth - 1),
+                self.expr(depth - 1),
+                self.expr(depth - 1)
+            ),
             _ => {
                 let parts: Vec<String> = (0..2 + (b % 2)).map(|_| self.expr(depth - 1)).collect();
                 format!("(begin {})", parts.join(" "))
@@ -322,6 +328,217 @@ fn runtime_errors_match_byte_for_byte() {
         let forms = vec![src.to_string()];
         assert_identical(&forms);
     }
+}
+
+/// Syntax lists with an improper tail are malformed under both
+/// evaluators, with one message: the analyzer's item walk refuses the
+/// tail at each binding, clause, argument and body list, and so does the
+/// oracle's loop over the same list.
+#[test]
+fn improper_syntax_lists_are_malformed_in_both() {
+    for src in [
+        "(let 5 1)",
+        "(let* 7 3)",
+        "(let ((a 1) . 7) a)",
+        "(+ 1 . 2)",
+        "(and 1 . 2)",
+        "(or #f . 2)",
+        "(begin 1 . 2)",
+        "((lambda () 1 . 2))",
+        "(let () 1 . 2)",
+        "(when #t 1 . 2)",
+        "(let car car 1)",
+        "(letrec 7 2)",
+        "(do 7 (#t 4))",
+        "(do ((i 0 (+ i 1)) . 7) ((= i 2) i))",
+    ] {
+        for config in [InterpConfig::vm(), InterpConfig::naive()] {
+            let mode = config.mode;
+            let mut it = Interp::with_interp_config(config);
+            let outcome = it.eval_to_string(src).map_err(|e| e.message().to_string());
+            assert_eq!(
+                outcome,
+                Err("malformed form".into()),
+                "{src} under {mode:?}"
+            );
+        }
+    }
+}
+
+/// Each rule of the oracle's template walker, which is the
+/// specification the VM's template lowering follows, checked by value and
+/// VM against oracle stop-the-world and under pause budgets of 0 and
+/// 100 µs; the heap verifies after every run.
+#[test]
+fn quasiquote_rules_agree_across_gc_engines() {
+    use guardians_gc::GcConfig;
+    use std::time::Duration;
+
+    let table: &[(&str, Result<&str, &str>)] = &[
+        ("(define (f) `(\"s\" (b) #(c)))", Ok("#<void>")),
+        // Atoms are shared with the template; pairs and vectors are
+        // rebuilt on every evaluation.
+        ("(eq? (car (f)) (car (f)))", Ok("#t")),
+        (
+            "(list (eq? (f) (f)) (eq? (cadr (f)) (cadr (f))) (eq? (caddr (f)) (caddr (f))))",
+            Ok("(#f #f #f)"),
+        ),
+        (
+            "(let ((x (f))) (set-car! (cadr x) 9) (f))",
+            Ok("(\"s\" (b) #(c))"),
+        ),
+        // `(unquote a b)` evaluates `a` and drops `b`, at depth 2 too.
+        ("`(1 (unquote (+ 1 1) (display \"dropped\")))", Ok("(1 2)")),
+        (
+            "`(1 `(2 (unquote (x) y)))",
+            Ok("(1 (quasiquote (2 (unquote (x)))))"),
+        ),
+        (
+            "`(1 (unquote))",
+            Err("malformed form: too few subexpressions"),
+        ),
+        // Depth 2 and 3 rebuild `(unquote X)` and `(quasiquote X)`.
+        (
+            "`(a `(b ,(c ,(+ 1 2))))",
+            Ok("(a (quasiquote (b (unquote (c 3)))))"),
+        ),
+        (
+            "`(1 `(2 `(3 ,(4 ,(5 ,(+ 2 3))))))",
+            Ok("(1 (#0=quasiquote (2 (#0# (3 (#1=unquote (4 (#1# (5 5)))))))))"),
+        ),
+        // Dotted tails.
+        ("(let ((b 2)) `(a . ,b))", Ok("(a . 2)")),
+        ("`(1 . ,(list 2 3))", Ok("(1 2 3)")),
+        ("`(1 2 . c)", Ok("(1 2 . c)")),
+        // Splices at the head, the middle and the end, each a copy.
+        ("`(,@(list 1 2) 3)", Ok("(1 2 3)")),
+        ("`(0 ,@(list 1 2) 3)", Ok("(0 1 2 3)")),
+        ("(define l (list 1 2))", Ok("#<void>")),
+        ("(list `(0 ,@l) (eq? (cdr `(0 ,@l)) l))", Ok("((0 1 2) #f)")),
+        ("`(1 ,@'() 2)", Ok("(1 2)")),
+        ("`(,@'())", Ok("()")),
+        ("`(1 ,@(cons 2 3))", Err("unquote-splicing: not a list")),
+        (
+            "`(,(display \"a\") ,@5 ,(display \"b\"))",
+            Err("unquote-splicing: not a list"),
+        ),
+        // `,@` in a vector or at depth 2 is data and keeps the depth.
+        (
+            "`#(1 ,@(list 2 3))",
+            Ok("#(1 (unquote-splicing (list 2 3)))"),
+        ),
+        (
+            "`#(,@(list ,(+ 1 2)))",
+            Ok("#((unquote-splicing (list 3)))"),
+        ),
+        (
+            "`(1 `(2 ,@(list ,(+ 1 2))))",
+            Ok("(1 (quasiquote (2 (unquote-splicing (list (unquote (+ 1 2)))))))"),
+        ),
+        // A later unquote mutating an already-spliced list.
+        ("`(,@l ,(begin (set-car! l 99) 'x) ,@l)", Ok("(1 2 x 99 2)")),
+        // Left to right, through splices, vectors, depth 2 and the tail.
+        ("(define n 0)", Ok("#<void>")),
+        ("(define (tick) (set! n (+ n 1)) n)", Ok("#<void>")),
+        (
+            "`(,(tick) ,@(list (tick) (tick)) #(,(tick)) `(,(tick) ,,(tick)) . ,(tick))",
+            Ok("(1 2 3 #(4) (quasiquote ((#0=unquote (tick)) (#0# 5))) . 6)"),
+        ),
+        // A collection mid-template, with a guardian holding a dropped
+        // object: the partly built template survives it.
+        ("(define G (make-guardian))", Ok("#<void>")),
+        ("(define x (cons 'a 'b))", Ok("#<void>")),
+        ("(G x)", Ok("#<void>")),
+        (
+            "`(,(list 1 2) ,@(list 3 4) ,(begin (set! x #f) (collect 3) (G)) \
+              #(,(string-append \"z\" \"z\") ,(collect 3)) ,@(list 5) . ,(G))",
+            Ok("((1 2) 3 4 (a . b) #(\"zz\" #<void>) 5 . #f)"),
+        ),
+    ];
+    let engines: [(&str, GcConfig); 3] = [
+        ("serial", GcConfig::default()),
+        (
+            "pause_budget=0",
+            GcConfig {
+                pause_budget: Some(Duration::ZERO),
+                ..GcConfig::default()
+            },
+        ),
+        (
+            "pause_budget=100us",
+            GcConfig {
+                pause_budget: Some(Duration::from_micros(100)),
+                ..GcConfig::default()
+            },
+        ),
+    ];
+    let want: Vec<Result<String, String>> = table
+        .iter()
+        .map(|(_, r)| r.map(String::from).map_err(String::from))
+        .collect();
+    for (engine, gc) in engines {
+        let run = |mode| {
+            let mut it = Interp::with_interp_config(InterpConfig {
+                gc: gc.clone(),
+                mode,
+            });
+            let results: Vec<Result<String, String>> = table
+                .iter()
+                .map(|(src, _)| it.eval_to_string(src).map_err(|e| e.message().to_string()))
+                .collect();
+            it.heap().verify().expect("heap valid afterwards");
+            (results, it.take_output())
+        };
+        let vm = run(EvalMode::Vm);
+        assert_eq!(
+            vm,
+            run(EvalMode::Naive),
+            "vm/oracle diverged under {engine}"
+        );
+        for ((src, _), (got, want)) in table.iter().zip(vm.0.iter().zip(&want)) {
+            assert_eq!(got, want, "{src} under {engine}");
+        }
+        assert_eq!(vm.1, "a", "only the unquote before the bad splice ran");
+    }
+}
+
+/// A quasiquoted vector past a zone's segment quota is the same Scheme
+/// error under both evaluators, as `make-vector` is, and both go on
+/// evaluating. The template is read within the quota; its copy is not.
+#[test]
+fn quasiquoted_vector_past_a_quota_fails_identically() {
+    use guardians_gc::{GcConfig, Heap, SegmentPool};
+    let big = format!("`#({})", "0 ".repeat(20_000));
+    let forms = [big.as_str(), "(vector-length `#(1 ,(+ 1 1)))"];
+    let run = |mode| {
+        let heap = Heap::with_pool(GcConfig::new(), SegmentPool::unbounded(), Some(64));
+        let mut it = Interp::with_heap(heap, mode);
+        let results: Vec<Result<String, String>> = forms
+            .iter()
+            .map(|f| {
+                it.eval_to_string(f).map_err(|e| {
+                    let e = e.message().to_string();
+                    e.split_once(": needs")
+                        .map_or(&*e, |(head, _)| head)
+                        .to_string()
+                })
+            })
+            .collect();
+        (results, it.take_output())
+    };
+    let vm = run(EvalMode::Vm);
+    assert_eq!(
+        vm,
+        run(EvalMode::Naive),
+        "vm/oracle diverged past the quota"
+    );
+    assert_eq!(
+        vm.0,
+        [
+            Err("quasiquote: heap exhausted".to_string()),
+            Ok("2".to_string())
+        ]
+    );
 }
 
 /// `make-vector` past a zone's segment quota is the same Scheme error under

@@ -78,21 +78,21 @@ proptest! {
 /// The token soup `( let car car ) ( )`, the one case a run of
 /// `evaluator_never_panics` persisted: a named `let` whose binding list is
 /// a symbol and whose body is empty, then `()`. Neither evaluator panics,
-/// both give the same outcome, and the heap stays valid. The vendored
-/// proptest replays no persisted case, so it is pinned here.
+/// both refuse the improper binding list as malformed, and the heap stays
+/// valid. The vendored proptest replays no persisted case, so it is
+/// pinned here.
 #[test]
 fn let_with_a_symbol_for_bindings_never_panics() {
     let src = ["(", "let", "car", "car", ")", "(", ")"].join(" ");
-    let outcomes: Vec<String> = [InterpConfig::vm(), InterpConfig::naive()]
-        .into_iter()
-        .map(|config| {
-            let mut interp = Interp::with_interp_config(config);
-            let outcome = format!("{:?}", interp.eval_to_string(&src));
-            interp.heap().verify().expect("heap valid afterwards");
-            outcome
-        })
-        .collect();
-    assert_eq!(outcomes[0], outcomes[1], "VM vs naive on {src:?}");
+    for config in [InterpConfig::vm(), InterpConfig::naive()] {
+        let mode = config.mode;
+        let mut interp = Interp::with_interp_config(config);
+        let outcome = interp
+            .eval_to_string(&src)
+            .map_err(|e| e.message().to_string());
+        interp.heap().verify().expect("heap valid afterwards");
+        assert_eq!(outcome, Err("malformed form".into()), "{mode:?} on {src:?}");
+    }
 }
 
 /// Runs `f` on a thread with a 2 MiB stack: a stack overflow there
@@ -127,7 +127,9 @@ fn deeply_nested_input_is_an_error() {
 }
 
 /// The nesting bound shared by reader and analyzer: 999 levels read,
-/// analyze and run on a 2 MiB stack, 1000 are refused.
+/// analyze and run on a 2 MiB stack, 1000 are refused. A quasiquote
+/// template is nesting like any other: one nested to the bound, the
+/// backquote included, builds under the VM.
 #[test]
 fn nesting_bound_holds_at_its_edge() {
     on_2mib_thread(|| {
@@ -136,6 +138,15 @@ fn nesting_bound_holds_at_its_edge() {
         assert_eq!(interp.eval_to_string(&nested(999)).unwrap(), "999");
         let e = interp.eval_str(&nested(1000)).unwrap_err();
         assert_eq!(e.message(), "form nesting too deep");
+
+        let template = format!("`{}0{}", "(".repeat(998), ")".repeat(998));
+        let mut v = interp.eval_str(&template).unwrap();
+        let heap = interp.heap();
+        for _ in 0..998 {
+            assert!(heap.is_pair(v) && heap.cdr(v).is_nil());
+            v = heap.car(v);
+        }
+        assert_eq!(v.as_fixnum(), 0);
     });
 }
 

@@ -16,7 +16,7 @@
 //!
 //! Every workload reports the same [`PolicyStats`], including a
 //! *liveness drag* measurement: dropped objects are watched through
-//! weak pairs (the same mechanism the torture rig's weak trackers use),
+//! weak pairs (the torture rig's trackers are weak root slots instead),
 //! and at each post-collection sample the workload counts watched
 //! objects that are dead in truth but whose weak reference is still
 //! intact — reachability lagging true liveness (floating garbage and
